@@ -4,6 +4,12 @@ All detectors share the fit/score contract in :mod:`.base`; higher
 scores mean more likely genuine. `build_detector` turns a declarative
 DetectorConfig into an instance, injecting a seed so ensemble members
 and per-subject instances stay independently and reproducibly seeded.
+
+The pipeline fits one group of subjects with the same template count at
+a time through `Detector.fit_group`. The autoencoder and the VAE train
+a group in one stacked loop (see `._nn`); every other detector fits its
+subjects one by one. Either way each subject's fit is bit-identical to
+fitting it alone.
 """
 
 from __future__ import annotations

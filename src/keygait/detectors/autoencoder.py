@@ -15,9 +15,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import TrainingError
-from ._nn import xavier_uniform
-from .base import Detector, as_matrix
+from ._nn import (
+    StackedParams,
+    T,
+    as_stack,
+    note_failures,
+    stack_templates,
+    width_matmul,
+    xavier_uniform,
+)
+from .base import Detector, shared_settings
 
 Params = dict[str, list[np.ndarray]]
 
@@ -31,51 +38,66 @@ def init_params(rng: np.random.Generator, dims: list[int]) -> Params:
     return {"W": W, "b": b, "c": c}
 
 
-def _forward(params: Params, X: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _forward(
+    params: Params, X: np.ndarray, widths: list[int]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Encoder and decoder activations of a stack of subjects: X is
+    (subjects, m, widest d) and every tensor has the subject axis first."""
     W, b, c = params["W"], params["b"], params["c"]
     K = len(W)
     A = [X]
     for k in range(K):
-        A.append(np.tanh(A[k] @ W[k].T + b[k]))
+        Z = width_matmul(X, T(W[0]), widths) if k == 0 else A[k] @ T(W[k])
+        A.append(np.tanh(Z + b[k][:, None]))
     # O[k] is the decoder activation of width dims[k]; O[K] is the code.
     O: list[np.ndarray | None] = [None] * (K + 1)
     O[K] = A[K]
     for k in range(K - 1, -1, -1):
-        O[k] = np.tanh(O[k + 1] @ W[k] + c[k])
+        O[k] = np.tanh(O[k + 1] @ W[k] + c[k][:, None])
     return A, O  # type: ignore[return-value]
 
 
+def _stacked_loss_and_grads(
+    params: Params, grads: Params, X: np.ndarray, widths: list[int]
+) -> np.ndarray:
+    """Each subject's summed squared reconstruction error; the gradients
+    are written into ``grads``. Padded columns reconstruct as 0 = X, so
+    they add nothing to the loss and get zero gradients."""
+    W = params["W"]
+    grad_W, grad_b, grad_c = grads["W"], grads["b"], grads["c"]
+    K = len(W)
+    A, O = _forward(params, X, widths)
+    Y = O[0]
+    loss = ((X - Y) ** 2).sum(axis=(1, 2))
+
+    g = 2.0 * (Y - X)
+    for k in range(K):
+        gv = g * (1.0 - O[k] ** 2)
+        gv.sum(axis=1, out=grad_c[k])
+        np.matmul(T(O[k + 1]), gv, out=grad_W[k])
+        g = width_matmul(gv, T(W[0]), widths) if k == 0 else gv @ T(W[k])
+    for k in range(K - 1, -1, -1):
+        gz = g * (1.0 - A[k + 1] ** 2)
+        gz.sum(axis=1, out=grad_b[k])
+        grad_W[k] += T(gz) @ A[k]
+        if k > 0:
+            g = gz @ W[k]
+    return loss
+
+
 def reconstruct(params: Params, X: np.ndarray) -> np.ndarray:
-    _, O = _forward(params, np.atleast_2d(np.asarray(X, dtype=np.float64)))
-    return O[0]
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    _, O = _forward(as_stack(params), X[None], [X.shape[1]])
+    return O[0][0]
 
 
 def loss_and_grads(params: Params, X: np.ndarray) -> tuple[float, Params]:
     """Summed squared reconstruction error over the batch and its
     gradients with respect to every parameter tensor."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    W, b, c = params["W"], params["b"], params["c"]
-    K = len(W)
-    A, O = _forward(params, X)
-    Y = O[0]
-    loss = float(((X - Y) ** 2).sum())
-
-    grad_W = [np.zeros_like(w) for w in W]
-    grad_b = [np.zeros_like(x) for x in b]
-    grad_c = [np.zeros_like(x) for x in c]
-
-    g = 2.0 * (Y - X)
-    for k in range(K):
-        gv = g * (1.0 - O[k] ** 2)
-        grad_c[k] = gv.sum(axis=0)
-        grad_W[k] += O[k + 1].T @ gv
-        g = gv @ W[k].T
-    for k in range(K - 1, -1, -1):
-        gz = g * (1.0 - A[k + 1] ** 2)
-        grad_b[k] = gz.sum(axis=0)
-        grad_W[k] += gz.T @ A[k]
-        g = gz @ W[k]
-    return loss, {"W": grad_W, "b": grad_b, "c": grad_c}
+    net = StackedParams([params])
+    loss = _stacked_loss_and_grads(net.params, net.grads, X[None], [X.shape[1]])
+    return float(loss[0]), net.subject_grads(0)
 
 
 class TiedAutoencoder(Detector):
@@ -103,20 +125,32 @@ class TiedAutoencoder(Detector):
         self.params_: Params | None = None
 
     def fit(self, templates: np.ndarray) -> "TiedAutoencoder":
-        X = as_matrix(templates)
-        dims = [X.shape[1], *self.hidden_sizes]
-        rng = np.random.default_rng(self.seed)
-        params = init_params(rng, dims)
-        lr = self.learning_rate
-        for epoch in range(self.epochs):
-            loss, grads = loss_and_grads(params, X)
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss at epoch {epoch}")
-            for name in ("W", "b", "c"):
-                for p, g in zip(params[name], grads[name]):
-                    p -= lr * g
-        self.params_ = params
+        error = self.fit_group([self], [templates])[0]
+        if error is not None:
+            raise error
         return self
+
+    @classmethod
+    def fit_group(cls, detectors, templates):
+        """Train every subject in one stacked full-batch loop. A subject
+        whose loss turns non-finite fails alone, at that epoch."""
+        hidden_sizes, lr, epochs = shared_settings(
+            detectors, "hidden_sizes", "learning_rate", "epochs"
+        )
+        X, widths = stack_templates(templates)
+        net = StackedParams([
+            init_params(np.random.default_rng(d.seed), [w, *hidden_sizes])
+            for d, w in zip(detectors, widths)
+        ])
+        errors: list = [None] * len(detectors)
+        for epoch in range(epochs):
+            loss = _stacked_loss_and_grads(net.params, net.grads, X, widths)
+            if note_failures(errors, loss, epoch):
+                break
+            net.flat -= lr * net.grad_flat
+        for detector, params, error in zip(detectors, net.unstack(), errors):
+            detector.params_ = params if error is None else None
+        return errors
 
     def score(self, query: np.ndarray) -> float:
         if self.params_ is None:

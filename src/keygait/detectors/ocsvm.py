@@ -25,24 +25,29 @@ def rbf_kernel(X: np.ndarray, Y: np.ndarray, gamma: float) -> np.ndarray:
 def project_capped_simplex(v: np.ndarray, cap: float) -> np.ndarray:
     """Euclidean projection of v onto {0 <= a <= cap, sum(a) = 1}.
 
-    Bisection on the shift tau in a_i = clip(v_i - tau, 0, cap), followed
-    by an exact recomputation of tau on the identified free set so the
-    sum constraint holds to machine precision.
+    The projection is a_i = clip(v_i - tau, 0, cap), and s(tau) = sum(a)
+    falls piecewise linearly in tau, bending where an entry leaves 0
+    (tau = v_i) or reaches cap (tau = v_i - cap). Following Wang & Lu,
+    "Projection onto the capped simplex" (arXiv:1503.01002), s is
+    evaluated at every breakpoint from sorted prefix sums; the interval
+    where s crosses 1 fixes the free set, on which tau is then solved
+    exactly so the sum constraint holds to machine precision.
     """
     v = np.asarray(v, dtype=np.float64)
     n = v.size
     if n * cap < 1.0 - 1e-12:
         raise TrainingError(f"infeasible projection: n*cap = {n * cap} < 1")
-    lo = float(v.min()) - cap - 1.0
-    hi = float(v.max())
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        s = np.clip(v - mid, 0.0, cap).sum()
-        if s > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    tau = 0.5 * (lo + hi)
+    points = np.unique(np.concatenate([v - cap, v]))
+    ascending = np.sort(v)
+    prefix = np.concatenate([[0.0], np.cumsum(ascending)])
+    zero = np.searchsorted(ascending, points, side="right")  # v_i <= tau
+    free_end = np.searchsorted(ascending, points + cap, side="left")  # v_i < tau + cap
+    s = cap * (n - free_end) + prefix[free_end] - prefix[zero] - points * (free_end - zero)
+    reached = np.flatnonzero(s >= 1.0)
+    if reached.size == 0:  # n * cap within rounding below 1: everything capped
+        return np.full(n, cap)
+    k = reached[-1]  # s(max v) = 0, so the crossing lies in [points[k], points[k + 1]]
+    tau = 0.5 * (points[k] + points[k + 1])
     a = np.clip(v - tau, 0.0, cap)
     free = (a > 0.0) & (a < cap)
     n_free = int(free.sum())

@@ -19,9 +19,20 @@ from typing import Any
 
 import numpy as np
 
-from ..errors import TrainingError
-from ._nn import Adam, sigmoid, softplus, xavier_uniform
-from .base import Detector, as_matrix
+from ._nn import (
+    Adam,
+    StackedParams,
+    T,
+    as_stack,
+    note_failures,
+    sigmoid,
+    softplus,
+    stack_templates,
+    width_mask,
+    width_matmul,
+    xavier_uniform,
+)
+from .base import Detector, shared_settings
 
 Params = dict[str, Any]
 
@@ -49,8 +60,8 @@ def init_params(
 
 
 def param_list(params: Params) -> list[np.ndarray]:
-    """Fixed traversal order; Adam and the finite-difference tests rely
-    on getting the same references every time."""
+    """Fixed traversal order; the finite-difference tests rely on getting
+    the same references every time."""
     return [
         *params["enc_W"],
         *params["enc_b"],
@@ -65,34 +76,112 @@ def param_list(params: Params) -> list[np.ndarray]:
     ]
 
 
-def kl_divergence(mu: np.ndarray, logvar: np.ndarray) -> float:
-    """KL(N(mu, exp(logvar)) || N(0, I)), summed over all entries."""
-    return float(-0.5 * (1.0 + logvar - mu**2 - np.exp(logvar)).sum())
+def kl_divergence(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
+    """KL(N(mu, exp(logvar)) || N(0, I)), summed over each subject's
+    entries (the last two axes)."""
+    return -0.5 * (1.0 + logvar - mu**2 - np.exp(logvar)).sum(axis=(-2, -1))
 
 
-def encode_mean(params: Params, X: np.ndarray) -> np.ndarray:
-    h = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    for W, b in zip(params["enc_W"], params["enc_b"]):
-        h = softplus(h @ W.T + b)
-    return h @ params["W_mu"].T + params["b_mu"]
+def _affine(h: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return h @ T(W) + b[:, None]
 
 
-def decode_logits(params: Params, Z: np.ndarray) -> np.ndarray:
-    h = np.atleast_2d(np.asarray(Z, dtype=np.float64))
+def _encode(params: Params, X: np.ndarray, widths: list[int]) -> tuple[list, list]:
+    """Pre-activations and activations of the encoder, on a stack of
+    subjects: X is (subjects, rows, widest d)."""
+    pre: list[np.ndarray] = []
+    act: list[np.ndarray] = [X]
+    for k, (W, b) in enumerate(zip(params["enc_W"], params["enc_b"])):
+        v = width_matmul(X, T(W), widths) + b[:, None] if k == 0 else _affine(act[k], W, b)
+        pre.append(v)
+        act.append(softplus(v))
+    return pre, act
+
+
+def _decode(params: Params, Z: np.ndarray) -> tuple[list, list, np.ndarray]:
+    """Pre-activations, activations and output logits of the decoder."""
+    pre: list[np.ndarray] = []
+    act: list[np.ndarray] = [Z]
     for W, b in zip(params["dec_W"], params["dec_b"]):
-        h = softplus(h @ W.T + b)
-    return h @ params["W_out"].T + params["b_out"]
+        v = _affine(act[-1], W, b)
+        pre.append(v)
+        act.append(softplus(v))
+    return pre, act, _affine(act[-1], params["W_out"], params["b_out"])
 
 
-def _bce_from_logits(X: np.ndarray, logits: np.ndarray) -> float:
-    # -sum[x log y + (1-x) log(1-y)] written stably in the logits.
-    return float((softplus(logits) - X * logits).sum())
+def _bce_from_logits(X: np.ndarray, logits: np.ndarray) -> np.ndarray:
+    # -sum[x log y + (1-x) log(1-y)] written stably in the logits, per
+    # element.
+    return softplus(logits) - X * logits
 
 
 def reconstruction_loss(params: Params, X: np.ndarray) -> float:
     """Deterministic reconstruction cross-entropy at the latent mean."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    return _bce_from_logits(X, decode_logits(params, encode_mean(params, X)))
+    stack = as_stack(params)
+    _, act = _encode(stack, X[None], [X.shape[1]])
+    mu = _affine(act[-1], stack["W_mu"], stack["b_mu"])
+    return float(_bce_from_logits(X, _decode(stack, mu)[2][0]).sum())
+
+
+def _stacked_loss_and_grads(
+    params: Params,
+    grads: Params,
+    X: np.ndarray,
+    eps: np.ndarray,
+    widths: list[int],
+    mask: np.ndarray,
+) -> np.ndarray:
+    """Each subject's ELBO-style loss (reconstruction + KL, summed over
+    its rows); the gradients are written into ``grads``. ``mask`` zeroes
+    the padded columns, whose logits are 0 and would otherwise read as
+    sigmoid(0) - 0 = 0.5."""
+    enc_pre, enc_act = _encode(params, X, widths)
+    mu = _affine(enc_act[-1], params["W_mu"], params["b_mu"])
+    lv = _affine(enc_act[-1], params["W_lv"], params["b_lv"])
+    std = np.exp(0.5 * lv)
+    Z = mu + std * eps
+    dec_pre, dec_act, logits = _decode(params, Z)
+
+    loss = (_bce_from_logits(X, logits) * mask).sum(axis=(1, 2)) + kl_divergence(mu, lv)
+
+    g = (sigmoid(logits) - X) * mask  # dloss/dlogits
+    np.matmul(T(g), dec_act[-1], out=grads["W_out"])
+    g.sum(axis=1, out=grads["b_out"])
+    g = width_matmul(g, params["W_out"], widths)
+    for k in range(len(params["dec_W"]) - 1, -1, -1):
+        g = g * sigmoid(dec_pre[k])  # softplus'
+        np.matmul(T(g), dec_act[k], out=grads["dec_W"][k])
+        g.sum(axis=1, out=grads["dec_b"][k])
+        g = g @ params["dec_W"][k]
+
+    g_mu = g + mu  # reconstruction path + KL term
+    g_lv = g * eps * 0.5 * std + 0.5 * (np.exp(lv) - 1.0)
+    np.matmul(T(g_mu), enc_act[-1], out=grads["W_mu"])
+    g_mu.sum(axis=1, out=grads["b_mu"])
+    np.matmul(T(g_lv), enc_act[-1], out=grads["W_lv"])
+    g_lv.sum(axis=1, out=grads["b_lv"])
+
+    g = g_mu @ params["W_mu"] + g_lv @ params["W_lv"]
+    for k in range(len(params["enc_W"]) - 1, -1, -1):
+        g = g * sigmoid(enc_pre[k])
+        np.matmul(T(g), enc_act[k], out=grads["enc_W"][k])
+        g.sum(axis=1, out=grads["enc_b"][k])
+        if k > 0:
+            g = g @ params["enc_W"][k]
+    return loss
+
+
+def _draws(rngs: list[np.random.Generator], m: int, batch_size: int, latent_dim: int, epochs: int):
+    """(epoch, batch rows, noise) of every training step, each subject's
+    drawn from its own RNG in the order a fit of that subject alone draws
+    them: per epoch a permutation, then per batch the noise."""
+    for epoch in range(epochs):
+        order = np.stack([rng.permutation(m) for rng in rngs])
+        for start in range(0, m, batch_size):
+            rows = order[:, start : start + batch_size]
+            noise = [rng.standard_normal((rows.shape[1], latent_dim)) for rng in rngs]
+            yield epoch, rows, np.stack(noise)
 
 
 def loss_and_grads(
@@ -102,64 +191,12 @@ def loss_and_grads(
     analytic gradients, with the reparameterization noise passed in."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     eps = np.atleast_2d(np.asarray(eps, dtype=np.float64))
-
-    enc_pre: list[np.ndarray] = []
-    enc_act: list[np.ndarray] = [X]
-    h = X
-    for W, b in zip(params["enc_W"], params["enc_b"]):
-        v = h @ W.T + b
-        enc_pre.append(v)
-        h = softplus(v)
-        enc_act.append(h)
-    mu = h @ params["W_mu"].T + params["b_mu"]
-    lv = h @ params["W_lv"].T + params["b_lv"]
-    std = np.exp(0.5 * lv)
-    Z = mu + std * eps
-
-    dec_pre: list[np.ndarray] = []
-    dec_act: list[np.ndarray] = [Z]
-    h = Z
-    for W, b in zip(params["dec_W"], params["dec_b"]):
-        v = h @ W.T + b
-        dec_pre.append(v)
-        h = softplus(v)
-        dec_act.append(h)
-    logits = h @ params["W_out"].T + params["b_out"]
-
-    loss = _bce_from_logits(X, logits) + kl_divergence(mu, lv)
-
-    grads: Params = {
-        "enc_W": [np.zeros_like(W) for W in params["enc_W"]],
-        "enc_b": [np.zeros_like(b) for b in params["enc_b"]],
-        "dec_W": [np.zeros_like(W) for W in params["dec_W"]],
-        "dec_b": [np.zeros_like(b) for b in params["dec_b"]],
-    }
-
-    g = sigmoid(logits) - X  # dloss/dlogits
-    grads["W_out"] = g.T @ dec_act[-1]
-    grads["b_out"] = g.sum(axis=0)
-    g = g @ params["W_out"]
-    for k in range(len(params["dec_W"]) - 1, -1, -1):
-        g = g * sigmoid(dec_pre[k])  # softplus'
-        grads["dec_W"][k] = g.T @ dec_act[k]
-        grads["dec_b"][k] = g.sum(axis=0)
-        g = g @ params["dec_W"][k]
-
-    g_mu = g + mu  # reconstruction path + KL term
-    g_lv = g * eps * 0.5 * std + 0.5 * (np.exp(lv) - 1.0)
-    grads["W_mu"] = g_mu.T @ enc_act[-1]
-    grads["b_mu"] = g_mu.sum(axis=0)
-    grads["W_lv"] = g_lv.T @ enc_act[-1]
-    grads["b_lv"] = g_lv.sum(axis=0)
-
-    g = g_mu @ params["W_mu"] + g_lv @ params["W_lv"]
-    for k in range(len(params["enc_W"]) - 1, -1, -1):
-        g = g * sigmoid(enc_pre[k])
-        grads["enc_W"][k] = g.T @ enc_act[k]
-        grads["enc_b"][k] = g.sum(axis=0)
-        g = g @ params["enc_W"][k]
-
-    return loss, grads
+    net = StackedParams([params])
+    widths = [X.shape[1]]
+    loss = _stacked_loss_and_grads(
+        net.params, net.grads, X[None], eps[None], widths, width_mask(widths)
+    )
+    return float(loss[0]), net.subject_grads(0)
 
 
 class VariationalAutoencoder(Detector):
@@ -189,22 +226,38 @@ class VariationalAutoencoder(Detector):
         self.params_: Params | None = None
 
     def fit(self, templates: np.ndarray) -> "VariationalAutoencoder":
-        X = as_matrix(templates)
-        rng = np.random.default_rng(self.seed)
-        params = init_params(rng, X.shape[1], self.hidden_sizes, self.latent_dim)
-        opt = Adam(param_list(params), learning_rate=self.learning_rate)
-        m = X.shape[0]
-        for epoch in range(self.epochs):
-            order = rng.permutation(m)
-            for start in range(0, m, self.batch_size):
-                batch = X[order[start : start + self.batch_size]]
-                eps = rng.standard_normal((batch.shape[0], self.latent_dim))
-                loss, grads = loss_and_grads(params, batch, eps)
-                if not np.isfinite(loss):
-                    raise TrainingError(f"non-finite loss at epoch {epoch}")
-                opt.step(param_list(params), param_list(grads))
-        self.params_ = params
+        error = self.fit_group([self], [templates])[0]
+        if error is not None:
+            raise error
         return self
+
+    @classmethod
+    def fit_group(cls, detectors, templates):
+        """Train every subject in one stacked mini-batch loop, each from
+        its own RNG (see `_draws`). A subject whose loss turns non-finite
+        fails alone, at that epoch."""
+        hidden_sizes, latent_dim, lr, batch_size, epochs = shared_settings(
+            detectors, "hidden_sizes", "latent_dim", "learning_rate", "batch_size", "epochs"
+        )
+        X, widths = stack_templates(templates)
+        rngs = [np.random.default_rng(d.seed) for d in detectors]
+        net = StackedParams([
+            init_params(rng, w, hidden_sizes, latent_dim) for rng, w in zip(rngs, widths)
+        ])
+        mask = width_mask(widths)
+        opt = Adam(net.flat, learning_rate=lr)
+        subjects = np.arange(len(detectors))[:, None]
+        errors: list = [None] * len(detectors)
+        for epoch, rows, eps in _draws(rngs, X.shape[1], batch_size, latent_dim, epochs):
+            loss = _stacked_loss_and_grads(
+                net.params, net.grads, X[subjects, rows], eps, widths, mask
+            )
+            if note_failures(errors, loss, epoch):
+                break
+            opt.step(net.flat, net.grad_flat)
+        for detector, params, error in zip(detectors, net.unstack(), errors):
+            detector.params_ = params if error is None else None
+        return errors
 
     def score(self, query: np.ndarray) -> float:
         if self.params_ is None:

@@ -6,19 +6,20 @@ lead-in, so it always spans (FAR, FRR) = (0, 1) to (1, 0); the EER is
 read off at the exact FAR = FRR point when one exists and by linear
 interpolation across the sign change otherwise.
 
-run_pipeline chains alignment, feature extraction and normalization,
-detector fit/score, and score normalization per subject. Samples that
-cannot be processed are never dropped: they become flagged records with
-a sentinel minimal score and count toward failure-to-capture. All
-randomness derives from the config's master seed via SHA-256, so a rerun
-with the same config and data is bit-identical.
+run_pipeline prepares every subject (alignment, feature extraction and
+normalization), fits the detectors one group of subjects with the same
+template count at a time, then scores and normalizes per subject. A
+group fit gives every subject bit-identical results to fitting it alone.
+Samples that cannot be processed are never dropped: they become flagged
+records with a sentinel minimal score and count toward
+failure-to-capture. All randomness derives from the config's master
+seed via SHA-256, so a rerun with the same config and data is
+bit-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -26,15 +27,13 @@ import numpy as np
 
 from .alignment import align, discard_modifiers, select_target, truncate_align
 from .config import DetectorConfig, PipelineConfig
-from .detectors import build_detector
+from .detectors import Detector, build_detector
 from .errors import EvaluationError, KeygaitError
 from .events import KeystrokeSequence, Label, Role, Sample, SubjectDataset
 from .features import extract_features, fit_feature_normalizer, normalize_features
 from .scorenorm import ScoreRecord, ScoreSet, apply_normalization
 
 SENTINEL_SCORE = float("-inf")
-
-THREADS_ENV_VAR = "KEYGAIT_THREADS"
 
 
 def derive_seed(*parts: object) -> int:
@@ -216,9 +215,27 @@ def _prepare_subject(
     return _SubjectFeatures(subject_id, query_ids, query_labels, matrix, vectors)
 
 
-def _score_subject(
-    prepared: _SubjectFeatures, detector_config: DetectorConfig, seed: int
-) -> list[ScoreRecord]:
+def _fit_detectors(
+    prepared: list[_SubjectFeatures], detector_config: DetectorConfig, seeds: list[int]
+) -> list[Detector | None]:
+    """One fitted detector per subject (None where preparation or the fit
+    failed), fitted one group of equal template counts at a time."""
+    groups: dict[int, list[int]] = {}
+    for i, p in enumerate(prepared):
+        if p.template_matrix is not None:
+            groups.setdefault(p.template_matrix.shape[0], []).append(i)
+    fitted: list[Detector | None] = [None] * len(prepared)
+    for members in groups.values():
+        detectors = [build_detector(detector_config, seed=seeds[i]) for i in members]
+        errors = type(detectors[0]).fit_group(
+            detectors, [prepared[i].template_matrix for i in members]
+        )
+        for i, detector, error in zip(members, detectors, errors):
+            fitted[i] = detector if error is None else None
+    return fitted
+
+
+def _score_subject(prepared: _SubjectFeatures, detector: Detector | None) -> list[ScoreRecord]:
     records: list[ScoreRecord] = []
 
     def _sentinel(i: int) -> ScoreRecord:
@@ -230,14 +247,6 @@ def _score_subject(
             flagged=True,
         )
 
-    detector = None
-    if prepared.template_matrix is not None:
-        try:
-            detector = build_detector(detector_config, seed=seed).fit(
-                prepared.template_matrix
-            )
-        except KeygaitError:
-            detector = None
     for i, vec in enumerate(prepared.query_vectors):
         if detector is None or vec is None:
             records.append(_sentinel(i))
@@ -257,19 +266,14 @@ def _score_subject(
     return records
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_subjects(fn, items: list, threads: int) -> list:
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def _raw_scores(
+    prepared: list[_SubjectFeatures], detector_config: DetectorConfig, seeds: list[int]
+) -> ScoreSet:
+    """Every subject's records, in subject then query order."""
+    fitted = _fit_detectors(prepared, detector_config, seeds)
+    return ScoreSet(
+        tuple(r for p, det in zip(prepared, fitted) for r in _score_subject(p, det))
+    )
 
 
 def run_pipeline(dataset: SubjectDataset, config: PipelineConfig) -> ScoreSet:
@@ -281,20 +285,16 @@ def run_pipeline(dataset: SubjectDataset, config: PipelineConfig) -> ScoreSet:
     queries, then normalize scores per subject. Failed samples come back
     flagged with the sentinel score; record count in == record count out.
     """
-    threads = _thread_count()
-    subjects = [
-        (
+    prepared = [
+        _prepare_subject(
             sid,
             sorted(dataset.subjects[sid].templates, key=lambda s: s.sample_id),
             sorted(dataset.subjects[sid].queries, key=lambda s: s.sample_id),
+            config,
         )
         for sid in dataset.subject_ids()
     ]
-    prepared = _map_subjects(
-        lambda item: _prepare_subject(item[0], item[1], item[2], config),
-        subjects,
-        threads,
-    )
+    seeds = [derive_seed(config.seed, p.subject_id) for p in prepared]
 
     ensemble_normalized = (
         config.ensemble_normalized
@@ -302,12 +302,7 @@ def run_pipeline(dataset: SubjectDataset, config: PipelineConfig) -> ScoreSet:
         and config.detector.members is not None
     )
     if not ensemble_normalized:
-        all_records = _map_subjects(
-            lambda p: _score_subject(p, config.detector, derive_seed(config.seed, p.subject_id)),
-            prepared,
-            threads,
-        )
-        raw = ScoreSet(tuple(r for sub in all_records for r in sub))
+        raw = _raw_scores(prepared, config.detector, seeds)
         return apply_normalization(raw, config.score_norm)
 
     # Ensemble-of-normalized-scores variant: each member produces its own
@@ -315,14 +310,7 @@ def run_pipeline(dataset: SubjectDataset, config: PipelineConfig) -> ScoreSet:
     assert config.detector.members is not None
     member_sets: list[ScoreSet] = []
     for offset, member in enumerate(config.detector.members):
-        member_records = _map_subjects(
-            lambda p, _o=offset, _m=member: _score_subject(
-                p, _m, derive_seed(config.seed, p.subject_id) + 1 + _o
-            ),
-            prepared,
-            threads,
-        )
-        raw = ScoreSet(tuple(r for sub in member_records for r in sub))
+        raw = _raw_scores(prepared, member, [seed + 1 + offset for seed in seeds])
         member_sets.append(apply_normalization(raw, config.score_norm))
     combined: list[ScoreRecord] = []
     for rows in zip(*(ms.records for ms in member_sets)):

@@ -106,6 +106,123 @@ def max_relative_error(
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
+# ------------------------------------------------- per-subject training
+
+
+def _softplus(z: np.ndarray) -> np.ndarray:
+    return np.logaddexp(0.0, z)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    from scipy.special import expit
+
+    return expit(z)
+
+
+def reference_autoencoder_fit(
+    params: dict, X: np.ndarray, learning_rate: float, epochs: int
+) -> dict:
+    """Tied tanh autoencoder trained on one subject alone by plain
+    full-batch gradient descent, one array at a time. Trains ``params``
+    in place and returns it."""
+    W, b, c = params["W"], params["b"], params["c"]
+    K = len(W)
+    for _ in range(epochs):
+        A = [X]
+        for k in range(K):
+            A.append(np.tanh(A[k] @ W[k].T + b[k]))
+        O = [None] * (K + 1)
+        O[K] = A[K]
+        for k in range(K - 1, -1, -1):
+            O[k] = np.tanh(O[k + 1] @ W[k] + c[k])
+        grad_W = [np.zeros_like(w) for w in W]
+        grad_b, grad_c = [None] * K, [None] * K
+        g = 2.0 * (O[0] - X)
+        for k in range(K):
+            gv = g * (1.0 - O[k] ** 2)
+            grad_c[k] = gv.sum(axis=0)
+            grad_W[k] += O[k + 1].T @ gv
+            g = gv @ W[k].T
+        for k in range(K - 1, -1, -1):
+            gz = g * (1.0 - A[k + 1] ** 2)
+            grad_b[k] = gz.sum(axis=0)
+            grad_W[k] += gz.T @ A[k]
+            g = gz @ W[k]
+        for p, grad in zip(W + b + c, grad_W + grad_b + grad_c):
+            p -= learning_rate * grad
+    return params
+
+
+def reference_vae_fit(
+    params: dict,
+    X: np.ndarray,
+    rng: np.random.Generator,
+    learning_rate: float,
+    batch_size: int,
+    epochs: int,
+) -> dict:
+    """VAE trained on one subject alone with per-array Adam, drawing a
+    permutation per epoch and noise per batch from ``rng``. Trains
+    ``params`` in place and returns it."""
+    names = list(params)
+    arrays = [a for k in names for a in (params[k] if isinstance(params[k], list) else [params[k]])]
+    m1 = [np.zeros_like(a) for a in arrays]
+    m2 = [np.zeros_like(a) for a in arrays]
+    H = len(params["enc_W"])
+    latent = params["b_mu"].size
+    t = 0
+    for _ in range(epochs):
+        order = rng.permutation(X.shape[0])
+        for start in range(0, X.shape[0], batch_size):
+            x = X[order[start : start + batch_size]]
+            eps = rng.standard_normal((x.shape[0], latent))
+            enc_pre, enc_act = [], [x]
+            for W, b in zip(params["enc_W"], params["enc_b"]):
+                enc_pre.append(enc_act[-1] @ W.T + b)
+                enc_act.append(_softplus(enc_pre[-1]))
+            mu = enc_act[-1] @ params["W_mu"].T + params["b_mu"]
+            lv = enc_act[-1] @ params["W_lv"].T + params["b_lv"]
+            std = np.exp(0.5 * lv)
+            dec_pre, dec_act = [], [mu + std * eps]
+            for W, b in zip(params["dec_W"], params["dec_b"]):
+                dec_pre.append(dec_act[-1] @ W.T + b)
+                dec_act.append(_softplus(dec_pre[-1]))
+            logits = dec_act[-1] @ params["W_out"].T + params["b_out"]
+            g = _sigmoid(logits) - x
+            g_out = (g.T @ dec_act[-1], g.sum(axis=0))
+            g = g @ params["W_out"]
+            g_dec = [None] * (2 * H)
+            for k in range(H - 1, -1, -1):
+                g = g * _sigmoid(dec_pre[k])
+                g_dec[k], g_dec[H + k] = g.T @ dec_act[k], g.sum(axis=0)
+                g = g @ params["dec_W"][k]
+            g_mu = g + mu
+            g_lv = g * eps * 0.5 * std + 0.5 * (np.exp(lv) - 1.0)
+            g = g_mu @ params["W_mu"] + g_lv @ params["W_lv"]
+            g_enc = [None] * (2 * H)
+            for k in range(H - 1, -1, -1):
+                g = g * _sigmoid(enc_pre[k])
+                g_enc[k], g_enc[H + k] = g.T @ enc_act[k], g.sum(axis=0)
+                g = g @ params["enc_W"][k]
+            grads = [
+                *g_enc,
+                g_mu.T @ enc_act[-1], g_mu.sum(axis=0),
+                g_lv.T @ enc_act[-1], g_lv.sum(axis=0),
+                *g_dec,
+                *g_out,
+            ]
+            t += 1
+            for p, grad, m, v in zip(arrays, grads, m1, m2):
+                m *= 0.9
+                m += (1 - 0.9) * grad
+                v *= 0.999
+                v += (1 - 0.999) * grad * grad
+                m_hat = m / (1 - 0.9**t)
+                v_hat = v / (1 - 0.999**t)
+                p -= learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+    return params
+
+
 # ----------------------------------------------------- one-class SVM oracle
 
 
@@ -155,6 +272,30 @@ def ocsvm_dual_oracle(K: np.ndarray, nu: float) -> tuple[float, np.ndarray]:
             best_alpha = alpha
     assert best_alpha is not None, "no feasible support pattern found"
     return best_obj, best_alpha
+
+
+def bisection_capped_simplex(v: np.ndarray, cap: float) -> np.ndarray:
+    """Projection onto {0 <= a <= cap, sum(a) = 1} by 100 bisection steps
+    on the shift tau in a_i = clip(v_i - tau, 0, cap), then an exact
+    recomputation of tau on the identified free set."""
+    v = np.asarray(v, dtype=np.float64)
+    lo = float(v.min()) - cap - 1.0
+    hi = float(v.max())
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if np.clip(v - mid, 0.0, cap).sum() > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    tau = 0.5 * (lo + hi)
+    a = np.clip(v - tau, 0.0, cap)
+    free = (a > 0.0) & (a < cap)
+    n_free = int(free.sum())
+    if n_free > 0:
+        capped = float(cap * (a >= cap).sum())
+        tau = (v[free].sum() - (1.0 - capped)) / n_free
+        a = np.clip(v - tau, 0.0, cap)
+    return a
 
 
 # ----------------------------------------------------------------- EER

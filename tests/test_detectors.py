@@ -12,12 +12,20 @@ from keygait import (
     VariationalAutoencoder,
     build_detector,
 )
+from keygait.detectors import _nn
 from keygait.detectors import autoencoder as ae
 from keygait.detectors import contractive as cae
 from keygait.detectors import variational as vae
 from keygait.detectors.ocsvm import project_capped_simplex, rbf_kernel
 
-from oracles import central_difference, max_relative_error, ocsvm_dual_oracle
+from oracles import (
+    bisection_capped_simplex,
+    central_difference,
+    max_relative_error,
+    ocsvm_dual_oracle,
+    reference_autoencoder_fit,
+    reference_vae_fit,
+)
 
 
 def _flat(params, keys):
@@ -223,6 +231,74 @@ class TestVariationalAutoencoder:
         )
 
 
+class TestStackedTraining:
+    """A padded stack of subjects computes each subject's gradients
+    bit for bit as that subject alone, and zero in the padding."""
+
+    WIDTHS = [4, 7, 5]
+
+    def _check(self, per_subject, stacked_loss, single):
+        net = _nn.StackedParams(per_subject)
+        loss = stacked_loss(net)
+        for s, params in enumerate(per_subject):
+            expected_loss, expected = single(s, params)
+            assert loss[s] == pytest.approx(expected_loss, rel=1e-12)
+            got = _nn.leaves(net.subject_grads(s))
+            assert [g.tobytes() for g in got] == [g.tobytes() for g in _nn.leaves(expected)]
+        for t, *own in zip(_nn.leaves(net.grads), *map(_nn.leaves, per_subject)):
+            padding = t.copy()
+            for s, a in enumerate(own):
+                padding[s][tuple(slice(0, n) for n in a.shape)] = 0.0
+            assert not padding.any()
+
+    def test_autoencoder(self):
+        rng = np.random.default_rng(31)
+        per_subject = [ae.init_params(rng, [w, 5, 4, 3]) for w in self.WIDTHS]
+        Xs = [rng.uniform(size=(3, w)) for w in self.WIDTHS]
+        X, widths = _nn.stack_templates(Xs)
+        self._check(
+            per_subject,
+            lambda net: ae._stacked_loss_and_grads(net.params, net.grads, X, widths),
+            lambda s, params: ae.loss_and_grads(params, Xs[s]),
+        )
+
+    def test_variational(self):
+        rng = np.random.default_rng(32)
+        per_subject = [vae.init_params(rng, w, (5, 5), 3) for w in self.WIDTHS]
+        Xs = [rng.uniform(size=(2, w)) for w in self.WIDTHS]
+        eps = rng.standard_normal((len(Xs), 2, 3))
+        X, widths = _nn.stack_templates(Xs)
+        mask = _nn.width_mask(widths)
+        self._check(
+            per_subject,
+            lambda net: vae._stacked_loss_and_grads(net.params, net.grads, X, eps, widths, mask),
+            lambda s, params: vae.loss_and_grads(params, Xs[s], eps[s]),
+        )
+
+
+    def test_group_fits_match_reference_per_subject_training(self):
+        rng = np.random.default_rng(33)
+        Xs = [rng.uniform(size=(4, w)) for w in self.WIDTHS]
+        seeds = [5, 6, 7]
+        group = [TiedAutoencoder(epochs=30, seed=s) for s in seeds]
+        assert TiedAutoencoder.fit_group(group, Xs) == [None] * 3
+        for det, X, seed in zip(group, Xs, seeds):
+            params = ae.init_params(np.random.default_rng(seed), [X.shape[1], 5, 4, 3])
+            expected = reference_autoencoder_fit(params, X, 0.5, 30)
+            assert [a.tobytes() for a in _nn.leaves(det.params_)] == [
+                a.tobytes() for a in _nn.leaves(expected)
+            ]
+        group = [VariationalAutoencoder(epochs=30, seed=s) for s in seeds]
+        assert VariationalAutoencoder.fit_group(group, Xs) == [None] * 3
+        for det, X, seed in zip(group, Xs, seeds):
+            draws = np.random.default_rng(seed)
+            params = vae.init_params(draws, X.shape[1], (5, 5), 3)
+            expected = reference_vae_fit(params, X, draws, 0.001, 2, 30)
+            assert [a.tobytes() for a in _nn.leaves(det.params_)] == [
+                a.tobytes() for a in _nn.leaves(expected)
+            ]
+
+
 class TestProjection:
     def test_hand_cases(self):
         out = project_capped_simplex(np.array([10.0, 0.0, 0.0]), cap=0.5)
@@ -247,6 +323,19 @@ class TestProjection:
             if free.any():
                 tau = (v[free] - a[free]).mean()
                 assert np.allclose(np.clip(v - tau, 0.0, cap), a, atol=1e-9)
+
+    def test_matches_bisection_oracle(self):
+        rng = np.random.default_rng(16)
+        for trial in range(600):
+            n = int(rng.integers(1, 12))
+            # every third trial nu = 1 (all entries capped); every other, ties
+            cap = 1.0 / n if trial % 3 == 0 else float(rng.uniform(1.0 / n, 1.2))
+            if trial % 2:
+                v = rng.integers(-2, 3, size=n) * float(rng.uniform(0.05, 1.0))
+            else:
+                v = rng.normal(0.0, 3.0, size=n)
+            a = project_capped_simplex(v, cap)
+            assert np.abs(a - bisection_capped_simplex(v, cap)).max() <= 1e-12
 
     def test_projection_is_nearest_feasible_point(self):
         rng = np.random.default_rng(10)

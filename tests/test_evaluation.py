@@ -18,6 +18,7 @@ from keygait import (
     ScoreRecord,
     ScoreSet,
     SubjectDataset,
+    build_detector,
     derive_seed,
     global_eer,
     monte_carlo_validate,
@@ -25,6 +26,7 @@ from keygait import (
     run_pipeline,
     subject_eer,
 )
+from keygait import evaluation
 from keygait.evaluation import SENTINEL_SCORE
 from keygait.scorenorm import normalize_minmax
 
@@ -204,6 +206,28 @@ def _toy_dataset():
     return ds
 
 
+def _prepared(dataset, config):
+    return [
+        evaluation._prepare_subject(
+            sid,
+            sorted(dataset.subjects[sid].templates, key=lambda s: s.sample_id),
+            sorted(dataset.subjects[sid].queries, key=lambda s: s.sample_id),
+            config,
+        )
+        for sid in dataset.subject_ids()
+    ]
+
+
+def _per_subject_scores(prepared, config):
+    """Raw scores from fitting each subject's detector on its own."""
+    scores = []
+    for p in prepared:
+        seed = derive_seed(config.seed, p.subject_id)
+        detector = build_detector(config.detector, seed=seed).fit(p.template_matrix)
+        scores.extend(detector.score(v) for v in p.query_vectors)
+    return scores
+
+
 class TestRunPipeline:
     def test_deterministic(self):
         ds = _toy_dataset()
@@ -269,15 +293,35 @@ class TestRunPipeline:
         with pytest.raises(EvaluationError):
             global_eer(scores)
 
-    def test_threading_matches_serial(self, monkeypatch):
-        ds = _toy_dataset()
-        config = PipelineConfig(
-            detector=DetectorConfig(name="autoencoder", params={"epochs": 10})
-        )
-        serial = run_pipeline(ds, config)
-        monkeypatch.setenv("KEYGAIT_THREADS", "4")
-        threaded = run_pipeline(ds, config)
-        assert serial == threaded
+    @pytest.mark.parametrize("name", ["autoencoder", "variational"])
+    def test_group_fit_matches_per_subject_fits(self, small_dataset, name):
+        config = PipelineConfig(detector=DetectorConfig(name=name, params={"epochs": 8}))
+        prepared = _prepared(small_dataset, config)
+        assert len({p.template_matrix.shape[1] for p in prepared}) > 1
+        scores = run_pipeline(small_dataset, config)
+        assert [r.raw_score for r in scores] == _per_subject_scores(prepared, config)
+
+    @pytest.mark.parametrize("name", ["autoencoder", "variational"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_group_fit_isolates_a_diverging_subject(self, small_dataset, monkeypatch, name):
+        config = PipelineConfig(detector=DetectorConfig(name=name, params={"epochs": 8}))
+        prepared = _prepared(small_dataset, config)
+        bad = prepared[2].subject_id
+        prepare = evaluation._prepare_subject
+
+        def poisoned(subject_id, *args):
+            p = prepare(subject_id, *args)
+            if subject_id == bad:
+                p.template_matrix[0, 0] = 1e200
+            return p
+
+        monkeypatch.setattr(evaluation, "_prepare_subject", poisoned)
+        scores = run_pipeline(small_dataset, config)
+        assert {r.subject_id for r in scores if r.flagged} == {bad}
+        expected = _per_subject_scores(prepared, config)
+        for record, value in zip(scores, expected):
+            if record.subject_id != bad:
+                assert np.float64(record.raw_score).tobytes() == np.float64(value).tobytes()
 
     def test_identical_member_ensemble_matches_single(self):
         ds = _toy_dataset()
