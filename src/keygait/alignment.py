@@ -12,7 +12,9 @@ dataset-level mismatch audit.
 
 from __future__ import annotations
 
+import functools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
@@ -51,10 +53,22 @@ class AlignmentMapping:
         return sum(1 for e in self.entries if e.kind is EntryKind.SUBSTITUTED)
 
 
-def _comparison_key(name: str, merge_shift_keys: bool) -> str:
-    if merge_shift_keys and name in SHIFT_KEYS:
-        return "shift"
-    return name
+# Entries are frozen, so one instance per (kind, index) is shared by
+# every mapping.
+@functools.cache
+def _matched(index: int) -> MappingEntry:
+    return MappingEntry(EntryKind.MATCHED, index)
+
+
+@functools.cache
+def _substituted(index: int) -> MappingEntry:
+    return MappingEntry(EntryKind.SUBSTITUTED, index)
+
+
+def _comparison_keys(seq: KeystrokeSequence, merge_shift_keys: bool) -> list[str]:
+    if merge_shift_keys:
+        return ["shift" if k.key in SHIFT_KEYS else k.key for k in seq]
+    return [k.key for k in seq]
 
 
 def align(
@@ -89,39 +103,41 @@ def align(
     if len(given) == 0:
         raise AlignmentError("given sequence is empty")
 
-    given_keys = [_comparison_key(k.key, merge_shift_keys) for k in given]
-    target_keys = [_comparison_key(k.key, merge_shift_keys) for k in target]
-
+    given_keys = _comparison_keys(given, merge_shift_keys)
+    target_keys = _comparison_keys(target, merge_shift_keys)
+    n_given = len(given_keys)
     n_target = len(target_keys)
-    consumed = [False] * len(given_keys)
+    consumed = [False] * n_given
     chosen: list[MappingEntry | None] = [None] * n_target
 
-    # Pass 1: same-key matches.
+    # Pass 1: same-key matches. Each key's unconsumed given indices stay
+    # sorted, so the nearest one to position i is one of the two that
+    # bracket i; on a tie the smaller index wins.
+    free: dict[str, list[int]] = {}
+    for j, key in enumerate(given_keys):
+        free.setdefault(key, []).append(j)
     for i, key in enumerate(target_keys):
-        best = -1
-        best_dist = math.inf
-        for j, gkey in enumerate(given_keys):
-            if consumed[j] or gkey != key:
-                continue
-            dist = abs(j - i)
-            if dist < best_dist:
-                best_dist = dist
-                best = j
-        if best >= 0:
-            consumed[best] = True
-            chosen[i] = MappingEntry(EntryKind.MATCHED, best)
+        indices = free.get(key)
+        if not indices:
+            continue
+        k = bisect_left(indices, i)
+        if k == len(indices) or (k > 0 and i - indices[k - 1] <= indices[k] - i):
+            k -= 1
+        best = indices.pop(k)
+        consumed[best] = True
+        chosen[i] = _matched(best)
 
     # Pass 2: substitutions for the rest.
     flagged = False
     for i in range(n_target):
         if chosen[i] is not None:
             continue
-        if i < len(given_keys) and not consumed[i]:
+        if i < n_given and not consumed[i]:
             pick = i
         else:
             pick = -1
             best_dist = math.inf
-            for j in range(len(given_keys)):
+            for j in range(n_given):
                 if consumed[j]:
                     continue
                 dist = abs(j - i)
@@ -131,16 +147,16 @@ def align(
         if pick >= 0:
             consumed[pick] = True
         else:
-            pick = len(given_keys) - 1
+            pick = n_given - 1
             flagged = True
-        chosen[i] = MappingEntry(EntryKind.SUBSTITUTED, pick)
+        chosen[i] = _substituted(pick)
 
-    entries = tuple(e for e in chosen if e is not None)
-    assert len(entries) == n_target
+    entries = tuple(chosen)
     ignored = tuple(j for j, used in enumerate(consumed) if not used)
     mapping = AlignmentMapping(n_target, entries, ignored, flagged)
+    keystrokes = given.keystrokes
     aligned = KeystrokeSequence(
-        tuple(given[e.given_index] for e in entries), aligned=True
+        tuple(keystrokes[e.given_index] for e in entries), aligned=True
     )
     return aligned, mapping
 
@@ -209,9 +225,7 @@ def align_subject(
             template_mappings.append(
                 AlignmentMapping(
                     len(target),
-                    tuple(
-                        MappingEntry(EntryKind.MATCHED, j) for j in range(len(target))
-                    ),
+                    tuple(_matched(j) for j in range(len(target))),
                     (),
                 )
             )
@@ -319,6 +333,18 @@ def audit_dataset(dataset: SubjectDataset) -> AuditReport:
     the number of differing pairs, and mean/SD/max Damerau-Levenshtein
     distance for each comparison type.
     """
+    # Many pairs repeat: equal key sequences are 0 apart, and each distinct
+    # ordered pair is computed once per audit.
+    known: dict[tuple[tuple[str, ...], tuple[str, ...]], int] = {}
+
+    def distance(a: tuple[str, ...], b: tuple[str, ...]) -> int:
+        if a == b:
+            return 0
+        d = known.get((a, b))
+        if d is None:
+            d = known[(a, b)] = damerau_levenshtein(a, b)
+        return d
+
     tt: list[int] = []
     qt: list[int] = []
     for subject_id in dataset.subject_ids():
@@ -326,10 +352,10 @@ def audit_dataset(dataset: SubjectDataset) -> AuditReport:
         template_keys = [s.sequence.keys() for s in entry.templates]
         query_keys = [s.sequence.keys() for s in entry.queries]
         for a, b in combinations(template_keys, 2):
-            tt.append(damerau_levenshtein(a, b))
+            tt.append(distance(a, b))
         for q in query_keys:
             for t in template_keys:
-                qt.append(damerau_levenshtein(q, t))
+                qt.append(distance(q, t))
     return AuditReport(
         (
             _summarize(tt, "template-template"),

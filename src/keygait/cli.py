@@ -40,6 +40,7 @@ from .datasets import (
     write_metrics,
     write_scores,
 )
+from .detectors import DETECTOR_NAMES
 from .errors import KeygaitError
 from .evaluation import (
     global_eer,
@@ -59,15 +60,12 @@ from .synthesis import (
     write_perturbations,
 )
 
-_CLI_DETECTORS = ("manhattan", "autoencoder", "contractive", "variational", "ocsvm")
-
-
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="pipeline config JSON")
     parser.add_argument("--method", choices=ALIGNMENT_METHODS, help="alignment method")
     parser.add_argument(
         "--detector",
-        choices=_CLI_DETECTORS,
+        choices=[name for name in DETECTOR_NAMES if name != "ensemble"],
         help="detector name (ensembles need a config file)",
     )
     parser.add_argument("--score-norm", choices=SCORE_NORM_KINDS, help="score normalization")

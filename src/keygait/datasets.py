@@ -9,6 +9,7 @@ A dataset is ``<root>/<subject_id>/<sample_id>.txt`` event files plus a
 from __future__ import annotations
 
 import math
+import os
 from pathlib import Path
 
 from .errors import DatasetError, KeygaitError
@@ -17,8 +18,7 @@ from .events import (
     Role,
     Sample,
     SubjectDataset,
-    pair_events,
-    parse_raw_events,
+    read_sequence,
     serialize_events,
 )
 from .scorenorm import ScoreRecord, ScoreSet
@@ -46,6 +46,7 @@ def load_dataset(root: str | Path) -> SubjectDataset:
         raise DatasetError(
             f"{manifest}: first line must be {chr(9).join(MANIFEST_HEADER)!r}"
         )
+    root_str = str(root)
     dataset = SubjectDataset()
     problems: list[str] = []
     seen: set[tuple[str, str]] = set()
@@ -74,14 +75,11 @@ def load_dataset(root: str | Path) -> SubjectDataset:
             problems.append(f"{manifest}:{lineno}: duplicate sample {subject_id}/{sample_id}")
             continue
         seen.add((subject_id, sample_id))
-        sample_path = root / subject_id / f"{sample_id}.txt"
         try:
-            sequence = pair_events(parse_raw_events(sample_path.read_text()))
-        except OSError as exc:
-            problems.append(f"{sample_path}: {exc}")
-            continue
-        except KeygaitError as exc:
-            problems.append(f"{sample_path}: {exc}")
+            with open(os.path.join(root_str, subject_id, f"{sample_id}.txt")) as fh:
+                sequence = read_sequence(fh.read())
+        except (OSError, KeygaitError) as exc:
+            problems.append(f"{root / subject_id / f'{sample_id}.txt'}: {exc}")
             continue
         try:
             dataset.add(Sample(subject_id, sample_id, role, sequence, label))

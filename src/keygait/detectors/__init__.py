@@ -18,7 +18,7 @@ from ..config import DetectorConfig
 from .autoencoder import TiedAutoencoder
 from .base import Detector
 from .contractive import ContractiveAutoencoder
-from .ensemble import MeanEnsemble, ensemble_score
+from .ensemble import MeanEnsemble
 from .manhattan import ManhattanDetector
 from .ocsvm import OneClassSvm
 from .variational import VariationalAutoencoder
@@ -31,7 +31,6 @@ __all__ = [
     "VariationalAutoencoder",
     "OneClassSvm",
     "MeanEnsemble",
-    "ensemble_score",
     "build_detector",
     "DETECTOR_NAMES",
 ]

@@ -9,13 +9,6 @@ import numpy as np
 from .base import Detector
 
 
-def ensemble_score(member_scores: Sequence[float]) -> float:
-    """Arithmetic mean of member scores for one query."""
-    if len(member_scores) < 2:
-        raise ValueError(f"an ensemble needs at least 2 members, got {len(member_scores)}")
-    return float(np.mean(member_scores))
-
-
 class MeanEnsemble(Detector):
     """Fits every member on the same templates and averages their raw
     scores. Averaging normalized per-subject score sets instead is a
@@ -32,4 +25,4 @@ class MeanEnsemble(Detector):
         return self
 
     def score(self, query: np.ndarray) -> float:
-        return ensemble_score([m.score(query) for m in self.members])
+        return float(np.mean([m.score(query) for m in self.members]))

@@ -30,7 +30,11 @@ from .config import DetectorConfig, PipelineConfig
 from .detectors import Detector, build_detector
 from .errors import EvaluationError, KeygaitError
 from .events import KeystrokeSequence, Label, Role, Sample, SubjectDataset
-from .features import extract_features, fit_feature_normalizer, normalize_features
+from .features import (
+    extract_feature_matrix,
+    fit_feature_normalizer,
+    normalize_feature_matrix,
+)
 from .scorenorm import ScoreRecord, ScoreSet, apply_normalization
 
 SENTINEL_SCORE = float("-inf")
@@ -185,34 +189,29 @@ def _prepare_subject(
     except KeygaitError:
         return failed
 
-    raw_t = []
-    for seq in aligned_t:
-        if seq is None:
-            continue
-        try:
-            raw_t.append(extract_features(seq))
-        except KeygaitError:
-            continue
-    if not raw_t:
+    # Every aligned sequence has the target's length, so the templates and
+    # queries of a subject form one feature matrix.
+    rows = [seq for seq in aligned_t if seq is not None]
+    n_templates = len(rows)
+    if not n_templates:
         return failed
+    query_rows = [i for i, seq in enumerate(aligned_q) if seq is not None]
+    rows.extend(aligned_q[i] for i in query_rows)
     try:
+        raw = extract_feature_matrix(rows)
         normalizer = fit_feature_normalizer(
-            raw_t, h_f=config.h_f, per_position=config.per_position
+            raw[:n_templates], h_f=config.h_f, per_position=config.per_position
         )
-        matrix = np.stack([normalize_features(normalizer, v) for v in raw_t])
+        matrix = normalize_feature_matrix(normalizer, raw)
     except KeygaitError:
         return failed
 
-    vectors: list[np.ndarray | None] = []
-    for seq in aligned_q:
-        if seq is None:
-            vectors.append(None)
-            continue
-        try:
-            vectors.append(normalize_features(normalizer, extract_features(seq)))
-        except KeygaitError:
-            vectors.append(None)
-    return _SubjectFeatures(subject_id, query_ids, query_labels, matrix, vectors)
+    vectors: list[np.ndarray | None] = [None] * len(queries)
+    for i, row in zip(query_rows, matrix[n_templates:]):
+        vectors[i] = row
+    return _SubjectFeatures(
+        subject_id, query_ids, query_labels, matrix[:n_templates], vectors
+    )
 
 
 def _fit_detectors(

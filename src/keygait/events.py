@@ -5,6 +5,13 @@ where action is ``P`` (press) or ``R`` (release), the scancode is lowercase
 hex, and delta_ms is the integer interval since the previous event (0 for
 the first event). Pairing turns that stream into press-ordered keystrokes
 with absolute timestamps; overlapping holds (rollover) are supported.
+
+There is one scanner (``_scan``), which validates each line into an
+``(is_press, scancode, delta_ms)`` step, and one pairing loop (``_pair``),
+which consumes steps. ``read_sequence`` feeds the scanner straight into the
+pairer, so loading a capture builds no :class:`RawEvent`;
+``parse_raw_events`` and ``pair_events`` are thin wrappers over the same
+two functions.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import PairingError, ParseError
 from .scancodes import key_name, scancode_for
@@ -151,42 +158,101 @@ class SubjectDataset:
         return sum(len(s.templates) + len(s.queries) for s in self.subjects.values())
 
 
-def parse_raw_events(text: str) -> list[RawEvent]:
-    """Parse the canonical event format into raw events.
-
-    Blank lines are skipped. Errors carry the 1-based line number.
-
-    Raises:
-        ParseError: wrong field count, unknown action token, bad hex
-            scancode, negative delta, or nonzero delta on the first event.
-    """
-    events: list[RawEvent] = []
+def _scan(text: str) -> Iterator[tuple[bool, int, int]]:
+    """The one event scanner: validated ``(is_press, scancode, delta_ms)``
+    per non-blank line. Errors carry the 1-based line number."""
+    first = True
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped:
+        fields = line.split()
+        if not fields:
             continue
-        fields = stripped.split()
-        if len(fields) != 3:
-            raise ParseError(f"line {lineno}: expected 3 fields, got {len(fields)}: {line!r}")
-        action_tok, code_tok, delta_tok = fields
         try:
-            action = Action(action_tok)
+            action_tok, code_tok, delta_tok = fields
         except ValueError:
-            raise ParseError(f"line {lineno}: unknown action token {action_tok!r}") from None
+            raise ParseError(
+                f"line {lineno}: expected 3 fields, got {len(fields)}: {line!r}"
+            ) from None
+        if action_tok == "P":
+            is_press = True
+        elif action_tok == "R":
+            is_press = False
+        else:
+            raise ParseError(f"line {lineno}: unknown action token {action_tok!r}")
         try:
             scancode = int(code_tok, 16)
         except ValueError:
-            raise ParseError(f"line {lineno}: bad scancode {code_tok!r}") from None
+            scancode = -1  # reported below, like a negative code
+        if scancode < 0:
+            raise ParseError(f"line {lineno}: bad scancode {code_tok!r}")
         try:
             delta = int(delta_tok, 10)
         except ValueError:
             raise ParseError(f"line {lineno}: bad delta {delta_tok!r}") from None
         if delta < 0:
             raise ParseError(f"line {lineno}: negative delta {delta}")
-        if not events and delta != 0:
-            raise ParseError(f"line {lineno}: first event must have delta 0, got {delta}")
-        events.append(RawEvent(action, scancode, delta))
-    return events
+        if first:
+            if delta != 0:
+                raise ParseError(f"line {lineno}: first event must have delta 0, got {delta}")
+            first = False
+        yield is_press, scancode, delta
+
+
+def _pair(steps: Iterable[tuple[bool, int, int]]) -> KeystrokeSequence:
+    """The one pairing loop over ``(is_press, scancode, delta_ms)`` steps.
+
+    A pairing error is raised only once ``steps`` is exhausted, so a
+    scanner error later in the text still wins, as it does when the whole
+    text is parsed before pairing.
+    """
+    t = 0
+    open_by_code: dict[int, tuple[int, int]] = {}  # scancode -> (press_t, open_seq)
+    # Each press takes the next slot, in time order, so the slots are
+    # already in (press_t, open_seq) order: slot index == open_seq.
+    slots: list[Keystroke | None] = []
+    steps = iter(steps)
+    for is_press, code, delta in steps:
+        t += delta
+        if is_press:
+            if code in open_by_code:
+                press_t, seq_no = open_by_code.pop(code)
+                slots[seq_no] = Keystroke(key_name(code), press_t, t)
+            open_by_code[code] = (t, len(slots))
+            slots.append(None)
+        else:
+            opened = open_by_code.pop(code, None)
+            if opened is None:
+                error = PairingError(
+                    f"release of {key_name(code)!r} at t={t} with no open press"
+                )
+                for _ in steps:
+                    pass
+                raise error
+            slots[opened[1]] = Keystroke(key_name(code), opened[0], t)
+    for code, (press_t, seq_no) in open_by_code.items():
+        warnings.warn(
+            f"press of {key_name(code)!r} at t={press_t} never released; "
+            f"closed at final timestamp {t}",
+            UnreleasedKeyWarning,
+            stacklevel=3,
+        )
+        slots[seq_no] = Keystroke(key_name(code), press_t, t)
+    return KeystrokeSequence(tuple(slots))
+
+
+def parse_raw_events(text: str) -> list[RawEvent]:
+    """Parse the canonical event format into raw events.
+
+    Blank lines are skipped. Errors carry the 1-based line number.
+
+    Raises:
+        ParseError: wrong field count, unknown action token, bad or
+            negative hex scancode, negative delta, or nonzero delta on the
+            first event.
+    """
+    return [
+        RawEvent(Action.PRESS if is_press else Action.RELEASE, code, delta)
+        for is_press, code, delta in _scan(text)
+    ]
 
 
 def pair_events(events: list[RawEvent]) -> KeystrokeSequence:
@@ -199,39 +265,14 @@ def pair_events(events: list[RawEvent]) -> KeystrokeSequence:
     error; a press that is never released is closed at the final timestamp
     of the sample and reported via :class:`UnreleasedKeyWarning`.
     """
-    if not events:
-        return KeystrokeSequence(())
-    t = 0
-    open_by_code: dict[int, tuple[int, int]] = {}  # scancode -> (press_t, open_seq)
-    finished: list[tuple[int, int, Keystroke]] = []  # (press_t, open_seq, keystroke)
-    open_seq = 0
-    for event in events:
-        t += event.delta_ms
-        code = event.scancode
-        if event.action is Action.PRESS:
-            if code in open_by_code:
-                press_t, seq_no = open_by_code.pop(code)
-                finished.append((press_t, seq_no, Keystroke(key_name(code), press_t, t)))
-            open_by_code[code] = (t, open_seq)
-            open_seq += 1
-        else:
-            if code not in open_by_code:
-                raise PairingError(
-                    f"release of {key_name(code)!r} at t={t} with no open press"
-                )
-            press_t, seq_no = open_by_code.pop(code)
-            finished.append((press_t, seq_no, Keystroke(key_name(code), press_t, t)))
-    final_t = t
-    for code, (press_t, seq_no) in open_by_code.items():
-        warnings.warn(
-            f"press of {key_name(code)!r} at t={press_t} never released; "
-            f"closed at final timestamp {final_t}",
-            UnreleasedKeyWarning,
-            stacklevel=2,
-        )
-        finished.append((press_t, seq_no, Keystroke(key_name(code), press_t, final_t)))
-    finished.sort(key=lambda item: (item[0], item[1]))
-    return KeystrokeSequence(tuple(k for _, _, k in finished))
+    return _pair((e.action is Action.PRESS, e.scancode, e.delta_ms) for e in events)
+
+
+def read_sequence(text: str) -> KeystrokeSequence:
+    """Parse and pair one capture in a single pass, without building raw
+    events: the same sequence, errors and warnings as
+    ``pair_events(parse_raw_events(text))``."""
+    return _pair(_scan(text))
 
 
 def serialize_events(seq: KeystrokeSequence) -> str:

@@ -325,3 +325,90 @@ def reference_eer(scores: Sequence[float], genuine: Sequence[bool]) -> float:
             return prev_far + w * (far - prev_far)
         prev_far, prev_frr = far, frr
     raise AssertionError("no crossing found")
+
+
+# ----------------------------------------------------------- alignment
+
+
+def reference_align(given, target, *, merge_shift_keys: bool = False):
+    """Alignment by exhaustive search: for each target position, scan every
+    given index for the nearest unconsumed one with the same key (ties to
+    the smaller index), then substitute the rest the same way regardless
+    of key. The quadratic form that the key-indexed ``align`` replaced."""
+    from keygait import AlignmentError, AlignmentMapping, KeystrokeSequence, SHIFT_KEYS
+    from keygait.alignment import EntryKind, MappingEntry
+
+    if len(target) == 0:
+        raise AlignmentError("target sequence is empty")
+    if len(given) == 0:
+        raise AlignmentError("given sequence is empty")
+
+    def key(name: str) -> str:
+        return "shift" if merge_shift_keys and name in SHIFT_KEYS else name
+
+    given_keys = [key(k.key) for k in given]
+    target_keys = [key(k.key) for k in target]
+    consumed = [False] * len(given_keys)
+    chosen: list = [None] * len(target_keys)
+
+    def nearest(i: int, same_key: bool) -> int:
+        best, best_dist = -1, float("inf")
+        for j, gkey in enumerate(given_keys):
+            if consumed[j] or (same_key and gkey != target_keys[i]):
+                continue
+            if abs(j - i) < best_dist:
+                best, best_dist = j, abs(j - i)
+        return best
+
+    for i in range(len(target_keys)):
+        best = nearest(i, same_key=True)
+        if best >= 0:
+            consumed[best] = True
+            chosen[i] = MappingEntry(EntryKind.MATCHED, best)
+    flagged = False
+    for i in range(len(target_keys)):
+        if chosen[i] is not None:
+            continue
+        pick = i if i < len(given_keys) and not consumed[i] else nearest(i, same_key=False)
+        if pick >= 0:
+            consumed[pick] = True
+        else:
+            pick = len(given_keys) - 1
+            flagged = True
+        chosen[i] = MappingEntry(EntryKind.SUBSTITUTED, pick)
+    ignored = tuple(j for j, used in enumerate(consumed) if not used)
+    mapping = AlignmentMapping(len(target_keys), tuple(chosen), ignored, flagged)
+    aligned = KeystrokeSequence(tuple(given[e.given_index] for e in chosen), aligned=True)
+    return aligned, mapping
+
+
+# ------------------------------------------------------------ features
+
+
+def reference_normalized_features(templates, queries, *, h_f: float = 1.0, per_position: bool = False):
+    """Per-sequence feature preparation: one duration and latency vector
+    per aligned sequence, bounds fitted on the stacked template vectors,
+    then each vector scaled on its own. Returns (template rows, query rows)."""
+
+    def raw(seq):
+        press = np.array([k.press_t for k in seq], dtype=float)
+        release = np.array([k.release_t for k in seq], dtype=float)
+        return release - press, np.diff(press)
+
+    t_raw = [raw(s) for s in templates]
+    d = np.stack([r[0] for r in t_raw])
+    p = np.stack([r[1] for r in t_raw])
+    if per_position:
+        bounds = (d.mean(axis=0), d.std(axis=0), p.mean(axis=0), p.std(axis=0))
+    else:
+        bounds = (float(d.mean()), float(d.std()), float(p.mean()), float(p.std()))
+
+    def scale(x, mu, sigma):
+        half = np.maximum(np.asarray(sigma, dtype=float) * h_f, 0.5)
+        return np.clip((x - (np.asarray(mu, dtype=float) - half)) / (2.0 * half), 0.0, 1.0)
+
+    def normalize(r):
+        mu_d, sigma_d, mu_p, sigma_p = bounds
+        return np.concatenate([scale(r[0], mu_d, sigma_d), scale(r[1], mu_p, sigma_p)])
+
+    return [normalize(r) for r in t_raw], [normalize(raw(s)) for s in queries]

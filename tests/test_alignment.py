@@ -15,9 +15,9 @@ from keygait import (
     select_target,
     truncate_align,
 )
-from keygait.alignment import EntryKind
+from keygait.alignment import AuditReport, EntryKind, _summarize
 
-from oracles import bfs_edit_distances
+from oracles import bfs_edit_distances, reference_align
 
 
 def mkseq(keys, start=0, gap=100, duration=60):
@@ -149,6 +149,38 @@ def test_align_properties(given_keys, target_keys):
             assert given[e.given_index].key == target[i].key
 
 
+@hgiven(
+    key_lists(alphabet=("a", "b", "lshift", "rshift"), max_size=9),
+    key_lists(alphabet=("a", "b", "lshift", "rshift"), max_size=9),
+    st.booleans(),
+)
+def test_align_matches_exhaustive_reference(given_keys, target_keys, merge_shift_keys):
+    given = mkseq(given_keys, gap=37)
+    target = mkseq(target_keys, start=5)
+    aligned, mapping = align(given, target, merge_shift_keys=merge_shift_keys)
+    ref_aligned, ref_mapping = reference_align(given, target, merge_shift_keys=merge_shift_keys)
+    assert aligned == ref_aligned
+    assert mapping == ref_mapping
+
+
+@pytest.mark.parametrize(
+    "given_keys, target_keys",
+    [
+        ("aaaa", "aaaa"),  # repeated keys map in order
+        ("abab", "baba"),  # ties between equally near repeats
+        ("ab", "aabba"),  # given shorter: reuse-last fallback
+        ("xaxbxaxbx", "ab"),  # given longer: extras ignored
+        ("ba", "ab"),
+    ],
+)
+@pytest.mark.parametrize("merge_shift_keys", [False, True])
+def test_align_matches_reference_on_repeats(given_keys, target_keys, merge_shift_keys):
+    given, target = mkseq(given_keys), mkseq(target_keys)
+    assert align(given, target, merge_shift_keys=merge_shift_keys) == reference_align(
+        given, target, merge_shift_keys=merge_shift_keys
+    )
+
+
 class TestBaselines:
     def test_truncate_pads_by_repeating_last(self):
         given = mkseq(["a", "b"])
@@ -218,3 +250,18 @@ class TestAudit:
         assert text.startswith(
             "comparison_type\tcount_total\tcount_differing\tmean_dl\tsd_dl\tmax_dl"
         )
+
+    def test_matches_per_pair_reference(self, small_dataset):
+        tt, qt = [], []
+        for sid in small_dataset.subject_ids():
+            entry = small_dataset.subjects[sid]
+            t_keys = [x.sequence.keys() for x in entry.templates]
+            for i, a in enumerate(t_keys):
+                tt.extend(damerau_levenshtein(a, b) for b in t_keys[i + 1 :])
+            for x in entry.queries:
+                qt.extend(damerau_levenshtein(x.sequence.keys(), b) for b in t_keys)
+        reference = AuditReport(
+            (_summarize(tt, "template-template"), _summarize(qt, "query-template"))
+        )
+        assert 0 < reference.rows[0].count_differing < reference.rows[0].count_total
+        assert audit_dataset(small_dataset).to_tsv() == reference.to_tsv()

@@ -98,6 +98,20 @@ class TestDatasetRoundTrip:
             assert needle in message
 
 
+    def test_bad_event_files_reported_together(self, tmp_path):
+        dataset, _ = generate_synthetic(TINY)
+        root = tmp_path / "ds"
+        write_dataset(dataset, root)
+        (root / "s001" / "t01.txt").write_text("P -1 0\nR -1 5\n")
+        (root / "s002" / "q01.txt").write_text("P 1e 0\nR 30 5\n")
+        with pytest.raises(DatasetError) as err:
+            load_dataset(root)
+        message = str(err.value)
+        assert "2 problem(s)" in message
+        assert f"{root / 's001' / 't01.txt'}: line 1: bad scancode '-1'" in message
+        assert f"{root / 's002' / 'q01.txt'}: release of" in message
+
+
 class TestScoreAndLabelFiles:
     def test_score_round_trip_at_six_decimals(self, tmp_path):
         scores = ScoreSet(

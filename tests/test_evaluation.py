@@ -30,7 +30,7 @@ from keygait import evaluation
 from keygait.evaluation import SENTINEL_SCORE
 from keygait.scorenorm import normalize_minmax
 
-from oracles import reference_eer
+from oracles import reference_eer, reference_normalized_features
 
 
 class TestRocEer:
@@ -226,6 +226,30 @@ def _per_subject_scores(prepared, config):
         detector = build_detector(config.detector, seed=seed).fit(p.template_matrix)
         scores.extend(detector.score(v) for v in p.query_vectors)
     return scores
+
+
+@pytest.mark.parametrize("alignment", ["align", "truncate", "discard"])
+@pytest.mark.parametrize("per_position", [False, True])
+@pytest.mark.parametrize("merge_shift_keys", [False, True])
+def test_prepared_rows_match_per_sequence_features(
+    small_dataset, alignment, per_position, merge_shift_keys
+):
+    config = PipelineConfig(
+        alignment=alignment, per_position=per_position, merge_shift_keys=merge_shift_keys
+    )
+    for sid, p in zip(small_dataset.subject_ids(), _prepared(small_dataset, config)):
+        entry = small_dataset.subjects[sid]
+        templates = sorted(entry.templates, key=lambda s: s.sample_id)
+        queries = sorted(entry.queries, key=lambda s: s.sample_id)
+        aligned_t, aligned_q = evaluation._aligned_sequences(
+            [s.sequence for s in templates], [s.sequence for s in queries], config
+        )
+        assert None not in aligned_t and None not in aligned_q
+        ref_t, ref_q = reference_normalized_features(
+            aligned_t, aligned_q, h_f=config.h_f, per_position=per_position
+        )
+        assert p.template_matrix.tobytes() == np.stack(ref_t).tobytes()
+        assert [v.tobytes() for v in p.query_vectors] == [v.tobytes() for v in ref_q]
 
 
 class TestRunPipeline:

@@ -17,6 +17,7 @@ from keygait import (
     key_name,
     pair_events,
     parse_raw_events,
+    read_sequence,
     scancode_for,
     serialize_events,
 )
@@ -62,6 +63,10 @@ class TestParsing:
 
     def test_empty_input(self):
         assert parse_raw_events("") == []
+
+    def test_negative_scancode(self):
+        with pytest.raises(ParseError, match=r"line 2: bad scancode '-1'"):
+            parse_raw_events("P 1c 0\nP -1 0\n")
 
 
 class TestScancodes:
@@ -109,6 +114,18 @@ class TestPairing:
             s = pair_events(events)
         assert s.keys() == ("a", "b")
         assert s[0].release_t == 70  # final timestamp of the sample
+
+    def test_unreleased_warnings_follow_last_press_order(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            s = pair_events(parse_raw_events("P 1e 0\nP 30 5\nP 1e 5\n"))
+        assert [(k.key, k.press_t, k.release_t) for k in s] == [
+            ("a", 0, 10), ("b", 5, 10), ("a", 10, 10)
+        ]
+        assert [str(w.message) for w in caught] == [
+            "press of 'b' at t=5 never released; closed at final timestamp 10",
+            "press of 'a' at t=10 never released; closed at final timestamp 10",
+        ]
 
     def test_release_without_press_raises(self):
         from keygait import PairingError
@@ -209,3 +226,62 @@ def test_serialize_parse_pair_round_trip(s):
     assert [(k.key, k.press_t, k.release_t) for k in again] == [
         (k.key, k.press_t, k.release_t) for k in s
     ]
+
+
+def _outcome(read, text):
+    """What reading ``text`` produced: the sequence or the error (type and
+    message), plus every warning (category and message) in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = read(text)
+        except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+            result = (type(exc), str(exc))
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _two_step(text):
+    return pair_events(parse_raw_events(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "\n  \n",
+        "\nP 1e 0\n\n  R 1e 80  \n\nP 30 40\nR 30 70\n\n",  # blank lines, padding
+        "P 1e 0\nP 30 50\nR 1e 40\nR 30 60\n",  # rollover
+        "P 1e 0\nP 1e 30\nP 1e 30\nR 1e 25\n",  # auto-repeat
+        "P 1e 0\nP 30 0\nR 1e 10\nR 30 10\n",  # equal press times
+        "P 1e 0\nP 30 20\nP 39 5\nR 30 50\n",  # two unreleased keys
+        "P 1e 0\nP 1e 5\nP 30 5\n",  # auto-repeat, then unreleased
+        "P 1e 0\nP 30 5\nP 1e 5\n",  # a re-press moves the key to the last warning
+        "P 1e 0\nR 30 10\n",  # release without press
+        "P 1e 0\nR 30 10\nR 1e 5\n",  # pairing error, valid text after it
+        "P 1e 0\nR 30 10\nP 1e\n",  # scanner error after a pairing error wins
+        "P 1c\n",  # field count
+        "P 1c 0 7\n",
+        "P 1c 0\nX 1c 90\n",  # action token
+        "P 1c 0\np 1c 90\n",
+        "P zz 0\n",  # scancode
+        "P -1 0\n",
+        "P 1c 0\nR 1c 9x\n",  # delta
+        "P 1c 0\nR 1c -4\n",
+        "\nP 1c 10\nR 1c 90\n",  # first delta
+        "P E0 0\nR e0 3\n",  # unknown code, upper-case hex
+    ],
+)
+def test_read_sequence_matches_parse_then_pair(text):
+    assert _outcome(read_sequence, text) == _outcome(_two_step, text)
+
+
+_LINES = st.sampled_from(
+    ["P 1e {d}", "R 1e {d}", "P 30 {d}", "R 30 {d}", "P 2a {d}", "R 2a {d}", "",
+     "P 1e", "Q 30 {d}", "P -2 {d}", "R 30 x{d}"]
+)
+
+
+@given(st.lists(st.tuples(_LINES, st.integers(min_value=-1, max_value=40)), max_size=12))
+def test_read_sequence_matches_parse_then_pair_on_random_text(lines):
+    text = "\n".join(template.format(d=d) for template, d in lines)
+    assert _outcome(read_sequence, text) == _outcome(_two_step, text)

@@ -7,11 +7,16 @@ from keygait import (
     FeatureError,
     Keystroke,
     KeystrokeSequence,
+    RawFeatureMatrix,
+    extract_feature_matrix,
     extract_features,
     fit_feature_normalizer,
+    normalize_feature_matrix,
     normalize_features,
     write_feature_matrix,
 )
+
+from oracles import reference_normalized_features
 
 
 def aligned(*triples):
@@ -159,3 +164,83 @@ def test_csv_export(tmp_path):
     assert len(lines) == 4
     row = [float(x) for x in lines[1].split(",")]
     assert row == vectors[0].values.tolist()
+
+
+class TestFeatureMatrix:
+    def test_rows_are_the_sequences_features(self):
+        seqs = [
+            aligned(("a", 0, 80), ("b", 150, 240), ("c", 300, 390)),
+            KeystrokeSequence(
+                (Keystroke("b", 100, 150), Keystroke("a", 40, 90), Keystroke("c", 200, 260)),
+                aligned=True,
+            ),
+        ]
+        raw = extract_feature_matrix(seqs)
+        assert len(raw) == 2
+        assert raw.durations.tolist() == [[80.0, 90.0, 90.0], [50.0, 50.0, 60.0]]
+        assert raw.latencies.tolist() == [[150.0, 150.0], [-60.0, 160.0]]
+        assert raw[1:].latencies.tolist() == [[-60.0, 160.0]]
+
+    def test_rejects_what_single_extraction_rejects(self):
+        unaligned = KeystrokeSequence((Keystroke("a", 0, 10), Keystroke("b", 20, 30)))
+        ok = aligned(("a", 0, 10), ("b", 20, 30))
+        for seqs in ([], [ok, unaligned], [aligned(("a", 0, 10))],
+                     [ok, aligned(("a", 0, 10), ("b", 20, 30), ("c", 40, 50))]):
+            with pytest.raises(FeatureError):
+                extract_feature_matrix(seqs)
+
+    def test_shape_checked(self):
+        with pytest.raises(ValueError):
+            RawFeatureMatrix(np.zeros((2, 3)), np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            RawFeatureMatrix(np.zeros(3), np.zeros(2))
+
+    def test_fit_on_matrix_equals_fit_on_vectors(self):
+        vectors = _template_vectors()
+        raw = RawFeatureMatrix.stack(vectors)
+        for per_position in (False, True):
+            a = fit_feature_normalizer(vectors, per_position=per_position)
+            b = fit_feature_normalizer(raw, per_position=per_position)
+            assert (a.mu_d, a.sigma_d, a.mu_p, a.sigma_p) == (b.mu_d, b.sigma_d, b.mu_p, b.sigma_p)
+        with pytest.raises(FeatureError):
+            fit_feature_normalizer(raw[:0])
+
+    def test_per_position_length_checked(self):
+        norm = fit_feature_normalizer(_template_vectors(), per_position=True)
+        short = extract_feature_matrix([aligned(("a", 0, 10), ("b", 20, 30))])
+        with pytest.raises(FeatureError):
+            normalize_feature_matrix(norm, short)
+
+
+@st.composite
+def _aligned_batches(draw):
+    n = draw(st.integers(min_value=2, max_value=6))
+    m = draw(st.integers(min_value=2, max_value=6))
+    times = st.tuples(
+        st.integers(min_value=0, max_value=2000), st.integers(min_value=0, max_value=400)
+    )
+    seqs = []
+    for _ in range(m):
+        pairs = draw(st.lists(times, min_size=n, max_size=n))
+        seqs.append(aligned(*(("a", p, p + d) for p, d in pairs)))
+    n_templates = draw(st.integers(min_value=1, max_value=m))
+    h_f = draw(st.sampled_from([0.5, 1.0, 2.5]))
+    return seqs, n_templates, h_f
+
+
+@given(_aligned_batches(), st.booleans())
+def test_matrix_rows_equal_per_sequence_features(batch, per_position):
+    seqs, n_templates, h_f = batch
+    raw = extract_feature_matrix(seqs)
+    norm = fit_feature_normalizer(raw[:n_templates], h_f=h_f, per_position=per_position)
+    matrix = normalize_feature_matrix(norm, raw)
+    # the public one-row calls
+    vectors = [extract_features(s) for s in seqs]
+    single_norm = fit_feature_normalizer(vectors[:n_templates], h_f=h_f, per_position=per_position)
+    for row, v in zip(matrix, vectors):
+        assert row.tobytes() == normalize_features(single_norm, v).tobytes()
+    # the frozen per-sequence reference
+    ref_t, ref_q = reference_normalized_features(
+        seqs[:n_templates], seqs[n_templates:], h_f=h_f, per_position=per_position
+    )
+    assert matrix.tobytes() == np.stack(ref_t + ref_q).tobytes()
