@@ -6,8 +6,9 @@ replaced (Caps Lock for Shift). Fixed-length feature extraction needs
 every sample mapped onto a common target, so this module aligns a given
 sequence to a target sequence key-by-key, keeping original timestamps.
 It also provides the two baselines (truncate, discard modifiers), the
-Damerau-Levenshtein distance used to quantify sequence mismatch, and a
-dataset-level mismatch audit.
+one per-subject driver that applies a method to a subject's templates
+and queries (``align_subject``), the Damerau-Levenshtein distance used
+to quantify sequence mismatch, and a dataset-level mismatch audit.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from enum import Enum
 from itertools import combinations
 from typing import Sequence
 
+from .config import ALIGNMENT_METHODS
 from .errors import AlignmentError
 from .events import KeystrokeSequence, SubjectDataset
 from .scancodes import MODIFIER_KEYS, SHIFT_KEYS
@@ -190,62 +192,44 @@ def select_target(sequences: Sequence[KeystrokeSequence]) -> int:
     return min(range(len(sequences)), key=lambda i: (len(sequences[i]), i))
 
 
-@dataclass(frozen=True)
-class AlignedSubject:
-    """Per-subject alignment output. The target template is passed through
-    unmodified; its mapping slot holds the trivial identity produced by
-    aligning it to itself."""
-
-    target_index: int
-    templates: tuple[KeystrokeSequence, ...]
-    template_mappings: tuple[AlignmentMapping, ...]
-    queries: tuple[KeystrokeSequence, ...]
-    query_mappings: tuple[AlignmentMapping, ...]
-
-
 def align_subject(
     templates: Sequence[KeystrokeSequence],
     queries: Sequence[KeystrokeSequence],
+    method: str,
     *,
     merge_shift_keys: bool = False,
-) -> AlignedSubject:
+) -> tuple[list[KeystrokeSequence | None], list[KeystrokeSequence | None]]:
     """Align every template and query of one subject to the subject's
-    target template (the shortest one, first on ties)."""
-    if not templates:
-        raise AlignmentError("subject has no templates")
-    target_index = select_target(templates)
-    target = templates[target_index]
-    aligned_templates: list[KeystrokeSequence] = []
-    template_mappings: list[AlignmentMapping] = []
-    for i, seq in enumerate(templates):
-        if i == target_index:
-            aligned_templates.append(
-                KeystrokeSequence(target.keystrokes, aligned=True)
-            )
-            template_mappings.append(
-                AlignmentMapping(
-                    len(target),
-                    tuple(_matched(j) for j in range(len(target))),
-                    (),
-                )
-            )
-            continue
-        aligned, mapping = align(seq, target, merge_shift_keys=merge_shift_keys)
-        aligned_templates.append(aligned)
-        template_mappings.append(mapping)
-    aligned_queries: list[KeystrokeSequence] = []
-    query_mappings: list[AlignmentMapping] = []
-    for seq in queries:
-        aligned, mapping = align(seq, target, merge_shift_keys=merge_shift_keys)
-        aligned_queries.append(aligned)
-        query_mappings.append(mapping)
-    return AlignedSubject(
-        target_index,
-        tuple(aligned_templates),
-        tuple(template_mappings),
-        tuple(aligned_queries),
-        tuple(query_mappings),
-    )
+    target template, the shortest one (first on ties).
+
+    ``method`` is ``align`` (:func:`align`), ``truncate``
+    (:func:`truncate_align`) or ``discard`` (:func:`discard_modifiers` on
+    every sequence, then :func:`truncate_align` to equalize lengths). The
+    target goes through the same call as every other template, which
+    returns it unchanged. A sequence that cannot be aligned, such as one
+    left empty once its modifiers are discarded, comes back as None; the
+    others are unaffected.
+
+    Raises:
+        AlignmentError: there are no templates.
+        ValueError: unknown method.
+    """
+    if method not in ALIGNMENT_METHODS:
+        raise ValueError(f"alignment must be one of {ALIGNMENT_METHODS}, got {method!r}")
+    if method == "discard":
+        templates = [discard_modifiers(s) for s in templates]
+        queries = [discard_modifiers(s) for s in queries]
+    target = templates[select_target(templates)]
+
+    def one(seq: KeystrokeSequence) -> KeystrokeSequence | None:
+        try:
+            if method == "align":
+                return align(seq, target, merge_shift_keys=merge_shift_keys)[0]
+            return truncate_align(seq, target)
+        except AlignmentError:
+            return None
+
+    return [one(s) for s in templates], [one(s) for s in queries]
 
 
 def damerau_levenshtein(a: Sequence[str], b: Sequence[str]) -> int:

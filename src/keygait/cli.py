@@ -43,14 +43,13 @@ from .datasets import (
 from .detectors import DETECTOR_NAMES
 from .errors import KeygaitError
 from .evaluation import (
+    effective_scores,
     global_eer,
     monte_carlo_validate,
     roc,
     run_pipeline,
     subject_eer,
-    _effective_scores,
 )
-from .events import Label
 from .resolution import collect_latencies, estimate_resolution
 from .scorenorm import ScoreSet
 from .synthesis import (
@@ -65,7 +64,7 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", choices=ALIGNMENT_METHODS, help="alignment method")
     parser.add_argument(
         "--detector",
-        choices=[name for name in DETECTOR_NAMES if name != "ensemble"],
+        choices=DETECTOR_NAMES,
         help="detector name (ensembles need a config file)",
     )
     parser.add_argument("--score-norm", choices=SCORE_NORM_KINDS, help="score normalization")
@@ -139,12 +138,8 @@ def _cmd_resolution(args: argparse.Namespace) -> int:
     return 0
 
 
-def _labels_from_scores(scores: ScoreSet) -> bool:
-    return all(r.label is not None for r in scores)
-
-
 def _write_eer_outputs(scores: ScoreSet, out: Path) -> dict[str, object]:
-    values, genuine = _effective_scores(scores)
+    values, genuine = effective_scores(scores)
     curve = roc(values, genuine)
     report = subject_eer(scores)
     metrics: dict[str, object] = {
@@ -187,7 +182,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     write_scores(scores, out / "scores.tsv", normalized=True)
     write_scores(scores, out / "raw_scores.tsv", normalized=False)
     write_config_snapshot(config, out)
-    if _labels_from_scores(scores):
+    if all(r.label is not None for r in scores):
         metrics = _write_eer_outputs(scores, out)
         print(f"global_eer\t{metrics['global_eer']:.6f}")
     else:

@@ -23,6 +23,14 @@ class DetectorConfig:
     params: dict[str, Any] = field(default_factory=dict)
     members: tuple["DetectorConfig", ...] | None = None
 
+    def __post_init__(self) -> None:
+        if self.name == "ensemble":
+            n = len(self.members or ())
+            if n < 2:
+                raise ValueError(f"an ensemble needs at least 2 members, got {n}")
+            if any(m.name == "ensemble" for m in self.members):
+                raise ValueError("ensemble members must be single detectors")
+
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"name": self.name, "params": dict(self.params)}
         if self.members is not None:

@@ -2,8 +2,10 @@
 
 All detectors share the fit/score contract in :mod:`.base`; higher
 scores mean more likely genuine. `build_detector` turns a declarative
-DetectorConfig into an instance, injecting a seed so ensemble members
-and per-subject instances stay independently and reproducibly seeded.
+DetectorConfig into an instance, injecting a seed so per-subject
+instances stay independently and reproducibly seeded. An ensemble is not
+a detector: ``run_pipeline`` fits and scores each member and averages
+their scores.
 
 The pipeline fits one group of subjects with the same template count at
 a time through `Detector.fit_group`. The autoencoder and the VAE train
@@ -18,7 +20,6 @@ from ..config import DetectorConfig
 from .autoencoder import TiedAutoencoder
 from .base import Detector
 from .contractive import ContractiveAutoencoder
-from .ensemble import MeanEnsemble
 from .manhattan import ManhattanDetector
 from .ocsvm import OneClassSvm
 from .variational import VariationalAutoencoder
@@ -30,7 +31,6 @@ __all__ = [
     "ContractiveAutoencoder",
     "VariationalAutoencoder",
     "OneClassSvm",
-    "MeanEnsemble",
     "build_detector",
     "DETECTOR_NAMES",
 ]
@@ -45,7 +45,7 @@ _CLASSES = {
     "ocsvm": OneClassSvm,
 }
 
-DETECTOR_NAMES = (*sorted(_CLASSES), "ensemble")
+DETECTOR_NAMES = tuple(sorted(_CLASSES))
 
 
 def build_detector(config: DetectorConfig, seed: int = 0) -> Detector:
@@ -53,26 +53,15 @@ def build_detector(config: DetectorConfig, seed: int = 0) -> Detector:
 
     Hyperparameters come from ``config.params``; ``seed`` overrides any
     seed in the params so the pipeline's per-subject derivation wins.
-    Ensemble members get distinct seeds derived from ``seed`` by offset.
+    An ``ensemble`` config is combined by ``run_pipeline`` and builds no
+    detector.
     """
-    if config.name == "ensemble":
-        if not config.members or len(config.members) < 2:
-            raise ValueError("ensemble config needs at least 2 members")
-        members = [
-            build_detector(member, seed=seed + 1 + i)
-            for i, member in enumerate(config.members)
-        ]
-        return MeanEnsemble(members)
     cls = _CLASSES.get(config.name)
     if cls is None:
         raise ValueError(
             f"unknown detector {config.name!r}; expected one of {DETECTOR_NAMES}"
         )
     params = dict(config.params)
-    lists_ok = {"hidden_sizes"}
-    for key in lists_ok:
-        if key in params and isinstance(params[key], list):
-            params[key] = tuple(params[key])
     if config.name in _SEEDED:
         params["seed"] = seed
     else:

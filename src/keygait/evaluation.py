@@ -6,10 +6,13 @@ lead-in, so it always spans (FAR, FRR) = (0, 1) to (1, 0); the EER is
 read off at the exact FAR = FRR point when one exists and by linear
 interpolation across the sign change otherwise.
 
-run_pipeline prepares every subject (alignment, feature extraction and
-normalization), fits the detectors one group of subjects with the same
-template count at a time, then scores and normalizes per subject. A
-group fit gives every subject bit-identical results to fitting it alone.
+run_pipeline prepares every subject (``alignment.align_subject``, then
+feature extraction and normalization), fits the detectors one group of
+subjects with the same template count at a time, then scores and
+normalizes per subject. A group fit gives every subject bit-identical
+results to fitting it alone. An ensemble is a pipeline config, not a
+detector: each member is fitted and scored like a single detector, and
+one combiner averages the members' raw or normalized scores.
 Samples that cannot be processed are never dropped: they become flagged
 records with a sentinel minimal score and count toward
 failure-to-capture. All randomness derives from the config's master
@@ -25,11 +28,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .alignment import align, discard_modifiers, select_target, truncate_align
+from .alignment import align_subject
 from .config import DetectorConfig, PipelineConfig
 from .detectors import Detector, build_detector
-from .errors import EvaluationError, KeygaitError
-from .events import KeystrokeSequence, Label, Role, Sample, SubjectDataset
+from .errors import AlignmentError, EvaluationError, KeygaitError
+from .events import Label, Role, Sample, SubjectDataset
 from .features import (
     extract_feature_matrix,
     fit_feature_normalizer,
@@ -96,7 +99,13 @@ def roc(scores: Sequence[float], genuine: Sequence[bool]) -> RocCurve:
     return RocCurve(thresholds, far, frr)
 
 
-def _effective_scores(scores: ScoreSet) -> tuple[list[float], list[bool]]:
+def effective_scores(scores: ScoreSet) -> tuple[list[float], list[bool]]:
+    """The score each record is judged by (normalized when set, else raw)
+    and whether it is genuine, in record order.
+
+    Raises:
+        EvaluationError: a record has no label.
+    """
     values: list[float] = []
     genuine: list[bool] = []
     for r in scores:
@@ -113,7 +122,7 @@ def _effective_scores(scores: ScoreSet) -> tuple[list[float], list[bool]]:
 
 def global_eer(scores: ScoreSet) -> float:
     """EER of all scores pooled across subjects."""
-    values, genuine = _effective_scores(scores)
+    values, genuine = effective_scores(scores)
     return roc(values, genuine).eer()
 
 
@@ -128,7 +137,7 @@ def subject_eer(scores: ScoreSet) -> SubjectEerReport:
     """Per-subject EERs plus their mean and population SD."""
     per_subject: dict[str, float] = {}
     for subject_id, records in sorted(scores.by_subject().items()):
-        values, genuine = _effective_scores(ScoreSet(tuple(records)))
+        values, genuine = effective_scores(ScoreSet(tuple(records)))
         try:
             per_subject[subject_id] = roc(values, genuine).eer()
         except EvaluationError as exc:
@@ -148,29 +157,6 @@ class _SubjectFeatures:
     query_vectors: list[np.ndarray | None]  # None: that query failed
 
 
-def _aligned_sequences(
-    templates: list[KeystrokeSequence],
-    queries: list[KeystrokeSequence],
-    config: PipelineConfig,
-) -> tuple[list[KeystrokeSequence | None], list[KeystrokeSequence | None]]:
-    if config.alignment == "discard":
-        templates = [discard_modifiers(s) for s in templates]
-        queries = [discard_modifiers(s) for s in queries]
-    target = templates[select_target(templates)]
-
-    def _one(seq: KeystrokeSequence) -> KeystrokeSequence | None:
-        try:
-            if config.alignment == "align":
-                aligned, _ = align(seq, target, merge_shift_keys=config.merge_shift_keys)
-                return aligned
-            # truncate, and discard's length equalizer once modifiers are gone
-            return truncate_align(seq, target)
-        except KeygaitError:
-            return None
-
-    return [_one(s) for s in templates], [_one(s) for s in queries]
-
-
 def _prepare_subject(
     subject_id: str,
     templates: list[Sample],
@@ -180,13 +166,14 @@ def _prepare_subject(
     query_ids = [s.sample_id for s in queries]
     query_labels = [s.label for s in queries]
     failed = _SubjectFeatures(subject_id, query_ids, query_labels, None, [None] * len(queries))
-    if not templates:
-        return failed
     try:
-        aligned_t, aligned_q = _aligned_sequences(
-            [s.sequence for s in templates], [s.sequence for s in queries], config
+        aligned_t, aligned_q = align_subject(
+            [s.sequence for s in templates],
+            [s.sequence for s in queries],
+            config.alignment,
+            merge_shift_keys=config.merge_shift_keys,
         )
-    except KeygaitError:
+    except AlignmentError:
         return failed
 
     # Every aligned sequence has the target's length, so the templates and
@@ -268,11 +255,51 @@ def _score_subject(prepared: _SubjectFeatures, detector: Detector | None) -> lis
 def _raw_scores(
     prepared: list[_SubjectFeatures], detector_config: DetectorConfig, seeds: list[int]
 ) -> ScoreSet:
-    """Every subject's records, in subject then query order."""
+    """One detector's records for every subject, in subject then query order."""
     fitted = _fit_detectors(prepared, detector_config, seeds)
     return ScoreSet(
         tuple(r for p, det in zip(prepared, fitted) for r in _score_subject(p, det))
     )
+
+
+def _scores(
+    prepared: list[_SubjectFeatures], config: PipelineConfig, seeds: list[int]
+) -> ScoreSet:
+    """Raw and normalized records of the configured detector.
+
+    An ensemble scores member ``i`` with the seeds ``seed + 1 + i``. It
+    averages the members' raw scores and normalizes the mean or, with
+    ``ensemble_normalized``, averages both the raw and the per-member
+    normalized scores. A record is flagged when any member flags it or the
+    mean raw score is not finite.
+    """
+    detector = config.detector
+    if detector.name != "ensemble":
+        return apply_normalization(
+            _raw_scores(prepared, detector, seeds), config.score_norm
+        )
+    member_sets: list[ScoreSet] = []
+    for i, member in enumerate(detector.members):
+        member_set = _raw_scores(prepared, member, [seed + 1 + i for seed in seeds])
+        if config.ensemble_normalized:
+            member_set = apply_normalization(member_set, config.score_norm)
+        member_sets.append(member_set)
+    combined: list[ScoreRecord] = []
+    for rows in zip(*(ms.records for ms in member_sets)):
+        raw = float(np.mean([r.raw_score for r in rows]))
+        if any(r.flagged for r in rows) or not np.isfinite(raw):
+            combined.append(
+                replace(rows[0], raw_score=SENTINEL_SCORE, normalized_score=0.0, flagged=True)
+            )
+        elif config.ensemble_normalized:
+            normalized = float(np.mean([r.normalized_score for r in rows]))
+            combined.append(replace(rows[0], raw_score=raw, normalized_score=normalized))
+        else:
+            combined.append(replace(rows[0], raw_score=raw))
+    scores = ScoreSet(tuple(combined))
+    if config.ensemble_normalized:
+        return scores
+    return apply_normalization(scores, config.score_norm)
 
 
 def run_pipeline(dataset: SubjectDataset, config: PipelineConfig) -> ScoreSet:
@@ -281,8 +308,11 @@ def run_pipeline(dataset: SubjectDataset, config: PipelineConfig) -> ScoreSet:
     Per subject: align (or apply the configured baseline), extract and
     normalize features against the subject's templates, fit the detector
     with a seed derived from (master seed, subject id), score the
-    queries, then normalize scores per subject. Failed samples come back
-    flagged with the sentinel score; record count in == record count out.
+    queries, then normalize scores per subject. An ensemble config fits
+    and scores each member this way and averages the members' raw or,
+    with ``ensemble_normalized``, normalized scores. Failed samples come
+    back flagged with the sentinel score; record count in == record count
+    out.
     """
     prepared = [
         _prepare_subject(
@@ -294,39 +324,7 @@ def run_pipeline(dataset: SubjectDataset, config: PipelineConfig) -> ScoreSet:
         for sid in dataset.subject_ids()
     ]
     seeds = [derive_seed(config.seed, p.subject_id) for p in prepared]
-
-    ensemble_normalized = (
-        config.ensemble_normalized
-        and config.detector.name == "ensemble"
-        and config.detector.members is not None
-    )
-    if not ensemble_normalized:
-        raw = _raw_scores(prepared, config.detector, seeds)
-        return apply_normalization(raw, config.score_norm)
-
-    # Ensemble-of-normalized-scores variant: each member produces its own
-    # per-subject normalized score set; the ensemble output is their mean.
-    assert config.detector.members is not None
-    member_sets: list[ScoreSet] = []
-    for offset, member in enumerate(config.detector.members):
-        raw = _raw_scores(prepared, member, [seed + 1 + offset for seed in seeds])
-        member_sets.append(apply_normalization(raw, config.score_norm))
-    combined: list[ScoreRecord] = []
-    for rows in zip(*(ms.records for ms in member_sets)):
-        first = rows[0]
-        if any(r.flagged for r in rows):
-            combined.append(replace(first, raw_score=SENTINEL_SCORE, normalized_score=0.0, flagged=True))
-            continue
-        combined.append(
-            replace(
-                first,
-                raw_score=float(np.mean([r.raw_score for r in rows])),
-                normalized_score=float(
-                    np.mean([r.normalized_score for r in rows])
-                ),
-            )
-        )
-    return ScoreSet(tuple(combined))
+    return _scores(prepared, config, seeds)
 
 
 @dataclass(frozen=True)

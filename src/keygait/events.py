@@ -1,10 +1,12 @@
 """Raw keystroke events, keystroke pairing, and the on-disk event format.
 
 A capture file is a sequence of lines ``<action> <scancode> <delta_ms>``
-where action is ``P`` (press) or ``R`` (release), the scancode is lowercase
-hex, and delta_ms is the integer interval since the previous event (0 for
-the first event). Pairing turns that stream into press-ordered keystrokes
-with absolute timestamps; overlapping holds (rollover) are supported.
+where action is ``P`` (press) or ``R`` (release), the scancode is hex
+digits (written lowercase, read in either case), and delta_ms is the
+interval since the previous event in decimal digits (0 for the first
+event); no sign, prefix or separator is accepted. Pairing turns that
+stream into press-ordered keystrokes with absolute timestamps;
+overlapping holds (rollover) are supported.
 
 There is one scanner (``_scan``), which validates each line into an
 ``(is_press, scancode, delta_ms)`` step, and one pairing loop (``_pair``),
@@ -158,6 +160,10 @@ class SubjectDataset:
         return sum(len(s.templates) + len(s.queries) for s in self.subjects.values())
 
 
+_HEX_DIGITS = "0123456789abcdefABCDEF"
+_DECIMAL_DIGITS = "0123456789"
+
+
 def _scan(text: str) -> Iterator[tuple[bool, int, int]]:
     """The one event scanner: validated ``(is_press, scancode, delta_ms)``
     per non-blank line. Errors carry the 1-based line number."""
@@ -178,18 +184,17 @@ def _scan(text: str) -> Iterator[tuple[bool, int, int]]:
             is_press = False
         else:
             raise ParseError(f"line {lineno}: unknown action token {action_tok!r}")
-        try:
-            scancode = int(code_tok, 16)
-        except ValueError:
-            scancode = -1  # reported below, like a negative code
-        if scancode < 0:
+        # int() alone also takes signs, "0x" prefixes, "_" separators and
+        # non-ASCII digits.
+        if code_tok.strip(_HEX_DIGITS):
             raise ParseError(f"line {lineno}: bad scancode {code_tok!r}")
+        scancode = int(code_tok, 16)
         try:
-            delta = int(delta_tok, 10)
+            if delta_tok.strip(_DECIMAL_DIGITS):
+                raise ValueError
+            delta = int(delta_tok)  # also fails past int()'s digit limit
         except ValueError:
             raise ParseError(f"line {lineno}: bad delta {delta_tok!r}") from None
-        if delta < 0:
-            raise ParseError(f"line {lineno}: negative delta {delta}")
         if first:
             if delta != 0:
                 raise ParseError(f"line {lineno}: first event must have delta 0, got {delta}")
@@ -245,9 +250,9 @@ def parse_raw_events(text: str) -> list[RawEvent]:
     Blank lines are skipped. Errors carry the 1-based line number.
 
     Raises:
-        ParseError: wrong field count, unknown action token, bad or
-            negative hex scancode, negative delta, or nonzero delta on the
-            first event.
+        ParseError: wrong field count, unknown action token, a scancode
+            that is not plain ASCII hex digits, a delta that is not plain
+            ASCII decimal digits, or nonzero delta on the first event.
     """
     return [
         RawEvent(Action.PRESS if is_press else Action.RELEASE, code, delta)

@@ -31,12 +31,15 @@ def mkseq(keys, start=0, gap=100, duration=60):
 
 class TestAlign:
     def test_identity_on_equal_sequences(self):
-        s = mkseq(["lshift", "j", "o", "space"])
-        aligned, mapping = align(s, s)
-        assert aligned.keystrokes == s.keystrokes
-        assert all(e.kind is EntryKind.MATCHED for e in mapping.entries)
-        assert [e.given_index for e in mapping.entries] == [0, 1, 2, 3]
-        assert mapping.ignored == ()
+        # repeated keys and merged shifts too: align_subject relies on it
+        for keys in (["lshift", "j", "o", "space"], ["a", "lshift", "b", "a", "rshift", "a"]):
+            s = mkseq(keys)
+            for merge in (False, True):
+                aligned, mapping = align(s, s, merge_shift_keys=merge)
+                assert aligned.keystrokes == s.keystrokes
+                assert all(e.kind is EntryKind.MATCHED for e in mapping.entries)
+                assert [e.given_index for e in mapping.entries] == list(range(len(keys)))
+                assert mapping.ignored == ()
 
     def test_output_length_equals_target_length(self):
         given = mkseq(["a", "b", "c", "d", "e"])
@@ -205,10 +208,33 @@ class TestBaselines:
 
     def test_align_subject_target_passthrough(self):
         templates = [mkseq(["a", "b", "c"]), mkseq(["a", "b"])]
-        result = align_subject(templates, [mkseq(["b", "a"])])
-        assert result.target_index == 1
-        # target template is passed through byte-for-byte
-        assert result.templates[1].keystrokes == templates[1].keystrokes
+        for method, query in (("align", ("a", "b")), ("truncate", ("b", "a")), ("discard", ("b", "a"))):
+            aligned_t, aligned_q = align_subject(templates, [mkseq(["b", "a"])], method)
+            # the target (the shortest template) comes back byte-for-byte
+            assert aligned_t[1].keystrokes == templates[1].keystrokes
+            assert aligned_t[0].keys() == ("a", "b")
+            assert aligned_q[0].keys() == query
+
+    def test_align_subject_marks_only_failing_sequences(self):
+        templates = [mkseq(["lshift", "a", "b", "c"]), mkseq(["a", "b", "capslock", "c", "d"])]
+        queries = [
+            mkseq(["a", "b", "c"]),
+            mkseq(["lshift", "capslock", "rshift"]),  # empty once modifiers go
+            mkseq(["b", "a", "c", "d"]),
+        ]
+        aligned_t, aligned_q = align_subject(templates, queries, "discard")
+        assert [s.keys() for s in aligned_t] == [("a", "b", "c")] * 2
+        assert aligned_q[1] is None
+        assert aligned_q[0].keys() == ("a", "b", "c")
+        assert aligned_q[2].keys() == ("b", "a", "c")
+        _, aligned_q = align_subject(templates, [KeystrokeSequence(()), queries[0]], "align")
+        assert aligned_q[0] is None and aligned_q[1] is not None
+
+    def test_align_subject_rejects_bad_input(self):
+        with pytest.raises(AlignmentError):
+            align_subject([], [mkseq(["a"])], "align")
+        with pytest.raises(ValueError, match="alignment must be one of"):
+            align_subject([mkseq(["a"])], [], "nope")
 
 
 class TestEditDistance:

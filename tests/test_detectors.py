@@ -5,7 +5,6 @@ from keygait import (
     ContractiveAutoencoder,
     DetectorConfig,
     ManhattanDetector,
-    MeanEnsemble,
     OneClassSvm,
     TiedAutoencoder,
     TrainingError,
@@ -393,20 +392,6 @@ class TestOneClassSvm:
             OneClassSvm(gamma=-1.0)
 
 
-class TestEnsemble:
-    def test_mean_of_member_scores(self):
-        x = np.array([[0.0, 0.0], [2.0, 2.0]])
-        members = [ManhattanDetector(), ManhattanDetector(scaled=True)]
-        det = MeanEnsemble(members).fit(x)
-        q = np.array([3.0, 1.0])
-        expected = np.mean([m.score(q) for m in members])
-        assert det.score(q) == pytest.approx(expected)
-
-    def test_requires_two_members(self):
-        with pytest.raises(ValueError):
-            MeanEnsemble([ManhattanDetector()])
-
-
 class TestBuildDetector:
     def test_all_names_construct(self):
         for name in ("manhattan", "autoencoder", "contractive", "variational", "ocsvm"):
@@ -427,17 +412,6 @@ class TestBuildDetector:
     def test_seed_ignored_for_unseeded_detectors(self):
         det = build_detector(DetectorConfig(name="manhattan", params={"seed": 5}))
         assert not hasattr(det, "seed")
-
-    def test_ensemble_members_get_distinct_seeds(self):
-        config = DetectorConfig(
-            name="ensemble",
-            members=(
-                DetectorConfig(name="autoencoder", params={"epochs": 1}),
-                DetectorConfig(name="autoencoder", params={"epochs": 1}),
-            ),
-        )
-        det = build_detector(config, seed=100)
-        assert [m.seed for m in det.members] == [101, 102]
 
     def test_ensemble_needs_members(self):
         with pytest.raises(ValueError):

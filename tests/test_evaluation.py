@@ -11,6 +11,7 @@ from keygait import (
     Keystroke,
     KeystrokeSequence,
     Label,
+    ManhattanDetector,
     PipelineConfig,
     Role,
     Sample,
@@ -18,6 +19,7 @@ from keygait import (
     ScoreRecord,
     ScoreSet,
     SubjectDataset,
+    align_subject,
     build_detector,
     derive_seed,
     global_eer,
@@ -28,7 +30,7 @@ from keygait import (
 )
 from keygait import evaluation
 from keygait.evaluation import SENTINEL_SCORE
-from keygait.scorenorm import normalize_minmax
+from keygait.scorenorm import normalize_minmax, normalize_sd
 
 from oracles import reference_eer, reference_normalized_features
 
@@ -218,12 +220,14 @@ def _prepared(dataset, config):
     ]
 
 
-def _per_subject_scores(prepared, config):
-    """Raw scores from fitting each subject's detector on its own."""
+def _per_subject_scores(prepared, config, detector_config=None, seed_offset=0):
+    """Raw scores from fitting each subject's detector (by default the
+    config's) on its own, seeded ``derive_seed(seed, subject) + seed_offset``."""
+    detector_config = detector_config or config.detector
     scores = []
     for p in prepared:
-        seed = derive_seed(config.seed, p.subject_id)
-        detector = build_detector(config.detector, seed=seed).fit(p.template_matrix)
+        seed = derive_seed(config.seed, p.subject_id) + seed_offset
+        detector = build_detector(detector_config, seed=seed).fit(p.template_matrix)
         scores.extend(detector.score(v) for v in p.query_vectors)
     return scores
 
@@ -241,8 +245,11 @@ def test_prepared_rows_match_per_sequence_features(
         entry = small_dataset.subjects[sid]
         templates = sorted(entry.templates, key=lambda s: s.sample_id)
         queries = sorted(entry.queries, key=lambda s: s.sample_id)
-        aligned_t, aligned_q = evaluation._aligned_sequences(
-            [s.sequence for s in templates], [s.sequence for s in queries], config
+        aligned_t, aligned_q = align_subject(
+            [s.sequence for s in templates],
+            [s.sequence for s in queries],
+            alignment,
+            merge_shift_keys=merge_shift_keys,
         )
         assert None not in aligned_t and None not in aligned_q
         ref_t, ref_q = reference_normalized_features(
@@ -362,6 +369,85 @@ class TestRunPipeline:
             assert a.raw_score == pytest.approx(b.raw_score)
             assert a.normalized_score == pytest.approx(b.normalized_score)
             assert a.normalized_score == pytest.approx(c.normalized_score)
+
+    @pytest.mark.parametrize("ensemble_normalized", [False, True])
+    @pytest.mark.parametrize(
+        "members",
+        [
+            (DetectorConfig(name="autoencoder", params={"epochs": 8}),) * 2,
+            (DetectorConfig(name="manhattan"), DetectorConfig(name="manhattan", params={"scaled": True})),
+        ],
+        ids=["autoencoders", "manhattans"],
+    )
+    def test_ensemble_averages_member_scores(self, small_dataset, members, ensemble_normalized):
+        config = PipelineConfig(
+            detector=DetectorConfig(name="ensemble", members=members),
+            ensemble_normalized=ensemble_normalized,
+            seed=5,
+        )
+        prepared = _prepared(small_dataset, config)
+        # member i is fitted on its own with the subject's seed + 1 + i
+        member_scores = [
+            _per_subject_scores(prepared, config, member, seed_offset=1 + i)
+            for i, member in enumerate(members)
+        ]
+        assert member_scores[0] != member_scores[1]
+        mean = [float(np.mean(pair)) for pair in zip(*member_scores)]
+        scores = run_pipeline(small_dataset, config)
+        assert not any(r.flagged for r in scores)
+        assert np.array(mean).tobytes() == np.array([r.raw_score for r in scores]).tobytes()
+
+        def per_subject(values):
+            out, start = [], 0
+            for p in prepared:
+                stop = start + len(p.query_vectors)
+                out.extend(normalize_sd(values[start:stop]))
+                start = stop
+            return out
+
+        if ensemble_normalized:
+            expected = [float(np.mean(pair)) for pair in zip(*map(per_subject, member_scores))]
+        else:
+            expected = per_subject(mean)
+        assert expected == [r.normalized_score for r in scores]
+
+    @pytest.mark.parametrize("ensemble_normalized", [False, True])
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_ensemble_mean_overflow_is_flagged(self, monkeypatch, ensemble_normalized):
+        # each member's score is finite, their sum is not
+        monkeypatch.setattr(ManhattanDetector, "score", lambda self, query: -1.7e308)
+        pair = DetectorConfig(
+            name="ensemble",
+            members=(DetectorConfig(name="manhattan"), DetectorConfig(name="manhattan")),
+        )
+        config = PipelineConfig(
+            detector=pair,
+            ensemble_normalized=ensemble_normalized,
+            score_norm=ScoreNormConfig(kind="minmax"),
+        )
+        scores = run_pipeline(_toy_dataset(), config)
+        assert len(scores) == 8
+        assert all(r.flagged for r in scores)
+        assert all(r.raw_score == SENTINEL_SCORE for r in scores)
+        assert all(r.normalized_score == 0.0 for r in scores)
+
+    @pytest.mark.parametrize("ensemble_normalized", [False, True])
+    @pytest.mark.parametrize("n_members", [0, 1])
+    def test_ensemble_needs_two_members(self, n_members, ensemble_normalized):
+        data = {
+            "detector": {"name": "ensemble", "members": [{"name": "manhattan"}] * n_members},
+            "ensemble_normalized": ensemble_normalized,
+        }
+        with pytest.raises(ValueError, match="at least 2 members"):
+            PipelineConfig.from_dict(data)
+
+    def test_ensemble_members_are_single_detectors(self):
+        pair = DetectorConfig(
+            name="ensemble",
+            members=(DetectorConfig(name="manhattan"), DetectorConfig(name="ocsvm")),
+        )
+        with pytest.raises(ValueError, match="single detectors"):
+            DetectorConfig(name="ensemble", members=(pair, DetectorConfig(name="manhattan")))
 
 
 class TestMonteCarlo:

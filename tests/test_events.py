@@ -68,6 +68,26 @@ class TestParsing:
         with pytest.raises(ParseError, match=r"line 2: bad scancode '-1'"):
             parse_raw_events("P 1c 0\nP -1 0\n")
 
+    @pytest.mark.parametrize("read", [parse_raw_events, read_sequence])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("P 0x1e 0\nR 1_e +5\n", "line 1: bad scancode '0x1e'"),
+            ("P 1e 0\nR 1_e 5\n", "line 2: bad scancode '1_e'"),
+            ("P +1e 0\n", "line 1: bad scancode '+1e'"),
+            ("P \u0661e 0\n", "line 1: bad scancode '\u0661e'"),  # Arabic-Indic one
+            ("P 1e 0\nR 1e +5\n", "line 2: bad delta '+5'"),
+            ("P 1e 0\nR 1e 1_0\n", "line 2: bad delta '1_0'"),
+            ("P 1e 0\nR 1e \u0665\n", "line 2: bad delta '\u0665'"),  # Arabic-Indic five
+            ("P 1e 0\nR 1e -0\n", "line 2: bad delta '-0'"),
+            ("P 1e 0\nR 1e 0x5\n", "line 2: bad delta '0x5'"),
+        ],
+    )
+    def test_only_plain_ascii_digits(self, read, text, message):
+        with pytest.raises(ParseError) as caught:
+            read(text)
+        assert str(caught.value) == message
+
 
 class TestScancodes:
     def test_round_trip_known(self):
@@ -269,6 +289,9 @@ def _two_step(text):
         "P 1c 0\nR 1c -4\n",
         "\nP 1c 10\nR 1c 90\n",  # first delta
         "P E0 0\nR e0 3\n",  # unknown code, upper-case hex
+        "P 0x1e 0\nR 1_e +5\n",  # signs, prefixes, separators, non-ASCII digits
+        "P 1e 0\nR 1e \u0665\n",
+        "P 1e 0\nR 1e -0\n",
     ],
 )
 def test_read_sequence_matches_parse_then_pair(text):
