@@ -186,10 +186,12 @@ def discard_modifiers(seq: KeystrokeSequence) -> KeystrokeSequence:
 
 
 def select_target(sequences: Sequence[KeystrokeSequence]) -> int:
-    """Index of the shortest sequence; ties go to the first occurrence."""
-    if not sequences:
-        raise AlignmentError("no sequences to select a target from")
-    return min(range(len(sequences)), key=lambda i: (len(sequences[i]), i))
+    """Index of the shortest non-empty sequence; ties go to the first
+    occurrence."""
+    candidates = [(len(s), i) for i, s in enumerate(sequences) if len(s)]
+    if not candidates:
+        raise AlignmentError("no non-empty sequence to select a target from")
+    return min(candidates)[1]
 
 
 def align_subject(
@@ -200,18 +202,19 @@ def align_subject(
     merge_shift_keys: bool = False,
 ) -> tuple[list[KeystrokeSequence | None], list[KeystrokeSequence | None]]:
     """Align every template and query of one subject to the subject's
-    target template, the shortest one (first on ties).
+    target template, the shortest non-empty one after the method's
+    preprocessing (first on ties).
 
     ``method`` is ``align`` (:func:`align`), ``truncate``
     (:func:`truncate_align`) or ``discard`` (:func:`discard_modifiers` on
     every sequence, then :func:`truncate_align` to equalize lengths). The
     target goes through the same call as every other template, which
-    returns it unchanged. A sequence that cannot be aligned, such as one
-    left empty once its modifiers are discarded, comes back as None; the
-    others are unaffected.
+    returns it unchanged. A sequence that cannot be aligned, such as an
+    empty one or one left empty once its modifiers are discarded, comes
+    back as None; the others are unaffected.
 
     Raises:
-        AlignmentError: there are no templates.
+        AlignmentError: no template is non-empty.
         ValueError: unknown method.
     """
     if method not in ALIGNMENT_METHODS:

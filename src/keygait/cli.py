@@ -148,7 +148,7 @@ def _write_eer_outputs(scores: ScoreSet, out: Path) -> dict[str, object]:
         "subject_eer_sd": report.sd,
         "n_subjects": len(report.per_subject),
         "n_scores": len(values),
-        "n_flagged": sum(1 for r in scores if r.flagged),
+        "n_flagged": scores.ftc_count,
     }
     out.mkdir(parents=True, exist_ok=True)
     write_metrics(metrics, out / "metrics.tsv")

@@ -7,12 +7,20 @@ result can always be traced back to the exact settings that produced it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
 ALIGNMENT_METHODS = ("align", "truncate", "discard")
 SCORE_NORM_KINDS = ("none", "minmax", "sd")
+
+
+def reject_unknown_keys(data: dict[str, Any], cls: type) -> None:
+    """Raise ValueError naming the keys of ``data`` that are no field of
+    the dataclass ``cls``, so a misspelled setting is never dropped."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -39,6 +47,7 @@ class DetectorConfig:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "DetectorConfig":
+        reject_unknown_keys(data, DetectorConfig)
         members = data.get("members")
         return DetectorConfig(
             name=data.get("name", "manhattan"),
@@ -69,6 +78,7 @@ class ScoreNormConfig:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "ScoreNormConfig":
+        reject_unknown_keys(data, ScoreNormConfig)
         return ScoreNormConfig(
             kind=data.get("kind", "sd"), h_s=float(data.get("h_s", 2.0))
         )
@@ -111,6 +121,7 @@ class PipelineConfig:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "PipelineConfig":
+        reject_unknown_keys(data, PipelineConfig)
         return PipelineConfig(
             alignment=data.get("alignment", "align"),
             h_f=float(data.get("h_f", 1.0)),

@@ -16,6 +16,8 @@ fitting it alone.
 
 from __future__ import annotations
 
+import inspect
+
 from ..config import DetectorConfig
 from .autoencoder import TiedAutoencoder
 from .base import Detector
@@ -35,8 +37,6 @@ __all__ = [
     "DETECTOR_NAMES",
 ]
 
-_SEEDED = {"autoencoder", "contractive", "variational"}
-
 _CLASSES = {
     "manhattan": ManhattanDetector,
     "autoencoder": TiedAutoencoder,
@@ -52,18 +52,23 @@ def build_detector(config: DetectorConfig, seed: int = 0) -> Detector:
     """Instantiate a detector from its config.
 
     Hyperparameters come from ``config.params``; ``seed`` overrides any
-    seed in the params so the pipeline's per-subject derivation wins.
-    An ``ensemble`` config is combined by ``run_pipeline`` and builds no
-    detector.
+    seed in the params so the pipeline's per-subject derivation wins, and
+    is dropped for a detector that takes none. An ``ensemble`` config is
+    combined by ``run_pipeline`` and builds no detector.
+
+    Raises:
+        ValueError: unknown name, or a parameter the detector does not take.
     """
     cls = _CLASSES.get(config.name)
     if cls is None:
         raise ValueError(
             f"unknown detector {config.name!r}; expected one of {DETECTOR_NAMES}"
         )
-    params = dict(config.params)
-    if config.name in _SEEDED:
+    params = {k: v for k, v in config.params.items() if k != "seed"}
+    accepted = inspect.signature(cls).parameters
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
+        raise ValueError(f"detector {config.name!r} takes no parameter(s) {', '.join(unknown)}")
+    if "seed" in accepted:
         params["seed"] = seed
-    else:
-        params.pop("seed", None)
     return cls(**params)

@@ -152,9 +152,8 @@ class TiedAutoencoder(Detector):
             detector.params_ = params if error is None else None
         return errors
 
-    def score(self, query: np.ndarray) -> float:
+    def score_all(self, queries: np.ndarray) -> np.ndarray:
         if self.params_ is None:
             raise RuntimeError("fit before score")
-        q = np.asarray(query, dtype=np.float64).reshape(1, -1)
-        y = reconstruct(self.params_, q)
-        return float(-((q - y) ** 2).sum())
+        q = np.asarray(queries, dtype=np.float64)
+        return -((q - reconstruct(self.params_, q)) ** 2).sum(axis=1)

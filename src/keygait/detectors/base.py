@@ -1,4 +1,4 @@
-"""Detector interface: fit on a subject's templates, score queries.
+"""Detector interface: fit on a subject's templates, score a query matrix.
 
 Higher scores mean more likely genuine. Every detector is deterministic
 given its constructor arguments (including seed) and the fit data.
@@ -38,11 +38,13 @@ class Detector(ABC):
         return errors
 
     @abstractmethod
-    def score(self, query: np.ndarray) -> float:
-        """Anomaly score of one (d,) query vector; higher = more genuine."""
-
     def score_all(self, queries: np.ndarray) -> np.ndarray:
-        return np.array([self.score(q) for q in np.atleast_2d(queries)])
+        """Anomaly scores of the rows of an (n, d) query matrix; higher =
+        more genuine."""
+
+    def score(self, query: np.ndarray) -> float:
+        """Anomaly score of one (d,) query vector."""
+        return float(self.score_all(np.asarray(query, dtype=np.float64).reshape(1, -1))[0])
 
 
 def as_matrix(templates: np.ndarray) -> np.ndarray:

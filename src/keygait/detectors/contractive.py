@@ -106,12 +106,11 @@ class ContractiveAutoencoder(Detector):
         self.params_ = params
         return self
 
-    def score(self, query: np.ndarray) -> float:
+    def score_all(self, queries: np.ndarray) -> np.ndarray:
         if self.params_ is None:
             raise RuntimeError("fit before score")
-        q = np.asarray(query, dtype=np.float64).reshape(1, -1)
-        y = reconstruct(self.params_, q)
-        return float(-((q - y) ** 2).sum())
+        q = np.asarray(queries, dtype=np.float64)
+        return -((q - reconstruct(self.params_, q)) ** 2).sum(axis=1)
 
     def penalty(self, x: np.ndarray) -> float:
         if self.params_ is None:

@@ -27,12 +27,10 @@ class ManhattanDetector(Detector):
             self.scale_ = np.maximum(mad, 1e-6)
         return self
 
-    def score(self, query: np.ndarray) -> float:
+    def score_all(self, queries: np.ndarray) -> np.ndarray:
         if self.mean_ is None:
             raise RuntimeError("fit before score")
-        q = np.asarray(query, dtype=np.float64)
-        dev = np.abs(q - self.mean_)
+        dev = np.abs(np.asarray(queries, dtype=np.float64) - self.mean_)
         if self.scaled:
-            assert self.scale_ is not None
             dev = dev / self.scale_
-        return float(-dev.sum())
+        return -dev.sum(axis=1)

@@ -139,9 +139,7 @@ class OneClassSvm(Detector):
         K = rbf_kernel(self.templates_, self.templates_, self.gamma)
         return float(0.5 * self.alpha_ @ K @ self.alpha_)
 
-    def score(self, query: np.ndarray) -> float:
+    def score_all(self, queries: np.ndarray) -> np.ndarray:
         if self.alpha_ is None or self.templates_ is None or self.rho_ is None:
             raise RuntimeError("fit before score")
-        q = np.asarray(query, dtype=np.float64).reshape(1, -1)
-        k = rbf_kernel(self.templates_, q, self.gamma)[:, 0]
-        return float(self.alpha_ @ k - self.rho_)
+        return self.alpha_ @ rbf_kernel(self.templates_, queries, self.gamma) - self.rho_

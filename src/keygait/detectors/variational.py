@@ -115,13 +115,14 @@ def _bce_from_logits(X: np.ndarray, logits: np.ndarray) -> np.ndarray:
     return softplus(logits) - X * logits
 
 
-def reconstruction_loss(params: Params, X: np.ndarray) -> float:
-    """Deterministic reconstruction cross-entropy at the latent mean."""
+def reconstruction_losses(params: Params, X: np.ndarray) -> np.ndarray:
+    """Deterministic reconstruction cross-entropy of each row of X at the
+    latent mean."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     stack = as_stack(params)
     _, act = _encode(stack, X[None], [X.shape[1]])
     mu = _affine(act[-1], stack["W_mu"], stack["b_mu"])
-    return float(_bce_from_logits(X, _decode(stack, mu)[2][0]).sum())
+    return _bce_from_logits(X, _decode(stack, mu)[2][0]).sum(axis=1)
 
 
 def _stacked_loss_and_grads(
@@ -259,8 +260,7 @@ class VariationalAutoencoder(Detector):
             detector.params_ = params if error is None else None
         return errors
 
-    def score(self, query: np.ndarray) -> float:
+    def score_all(self, queries: np.ndarray) -> np.ndarray:
         if self.params_ is None:
             raise RuntimeError("fit before score")
-        q = np.asarray(query, dtype=np.float64).reshape(1, -1)
-        return -reconstruction_loss(self.params_, q)
+        return -reconstruction_losses(self.params_, queries)

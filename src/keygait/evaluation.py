@@ -23,8 +23,8 @@ bit-identical.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,9 +38,7 @@ from .features import (
     fit_feature_normalizer,
     normalize_feature_matrix,
 )
-from .scorenorm import ScoreRecord, ScoreSet, apply_normalization
-
-SENTINEL_SCORE = float("-inf")
+from .scorenorm import SENTINEL_SCORE, ScoreRecord, ScoreSet, normalize_subject
 
 
 def derive_seed(*parts: object) -> int:
@@ -99,7 +97,7 @@ def roc(scores: Sequence[float], genuine: Sequence[bool]) -> RocCurve:
     return RocCurve(thresholds, far, frr)
 
 
-def effective_scores(scores: ScoreSet) -> tuple[list[float], list[bool]]:
+def effective_scores(scores: Iterable[ScoreRecord]) -> tuple[list[float], list[bool]]:
     """The score each record is judged by (normalized when set, else raw)
     and whether it is genuine, in record order.
 
@@ -137,7 +135,7 @@ def subject_eer(scores: ScoreSet) -> SubjectEerReport:
     """Per-subject EERs plus their mean and population SD."""
     per_subject: dict[str, float] = {}
     for subject_id, records in sorted(scores.by_subject().items()):
-        values, genuine = effective_scores(ScoreSet(tuple(records)))
+        values, genuine = effective_scores(records)
         try:
             per_subject[subject_id] = roc(values, genuine).eer()
         except EvaluationError as exc:
@@ -153,8 +151,9 @@ class _SubjectFeatures:
     subject_id: str
     query_ids: list[str]
     query_labels: list[Label | None]
-    template_matrix: np.ndarray | None  # None: the whole subject failed
-    query_vectors: list[np.ndarray | None]  # None: that query failed
+    template_matrix: np.ndarray | None = None  # None: the whole subject failed
+    query_matrix: np.ndarray | None = None  # one row per query that prepared
+    query_rows: list[int] = field(default_factory=list)  # their query indices
 
 
 def _prepare_subject(
@@ -163,9 +162,9 @@ def _prepare_subject(
     queries: list[Sample],
     config: PipelineConfig,
 ) -> _SubjectFeatures:
-    query_ids = [s.sample_id for s in queries]
-    query_labels = [s.label for s in queries]
-    failed = _SubjectFeatures(subject_id, query_ids, query_labels, None, [None] * len(queries))
+    failed = _SubjectFeatures(
+        subject_id, [s.sample_id for s in queries], [s.label for s in queries]
+    )
     try:
         aligned_t, aligned_q = align_subject(
             [s.sequence for s in templates],
@@ -192,12 +191,11 @@ def _prepare_subject(
         matrix = normalize_feature_matrix(normalizer, raw)
     except KeygaitError:
         return failed
-
-    vectors: list[np.ndarray | None] = [None] * len(queries)
-    for i, row in zip(query_rows, matrix[n_templates:]):
-        vectors[i] = row
-    return _SubjectFeatures(
-        subject_id, query_ids, query_labels, matrix[:n_templates], vectors
+    return replace(
+        failed,
+        template_matrix=matrix[:n_templates],
+        query_matrix=matrix[n_templates:],
+        query_rows=query_rows,
     )
 
 
@@ -221,85 +219,59 @@ def _fit_detectors(
     return fitted
 
 
-def _score_subject(prepared: _SubjectFeatures, detector: Detector | None) -> list[ScoreRecord]:
-    records: list[ScoreRecord] = []
-
-    def _sentinel(i: int) -> ScoreRecord:
-        return ScoreRecord(
-            prepared.subject_id,
-            prepared.query_ids[i],
-            SENTINEL_SCORE,
-            label=prepared.query_labels[i],
-            flagged=True,
-        )
-
-    for i, vec in enumerate(prepared.query_vectors):
-        if detector is None or vec is None:
-            records.append(_sentinel(i))
-            continue
-        value = detector.score(vec)
-        if not np.isfinite(value):
-            records.append(_sentinel(i))
-            continue
-        records.append(
-            ScoreRecord(
-                prepared.subject_id,
-                prepared.query_ids[i],
-                float(value),
-                label=prepared.query_labels[i],
-            )
-        )
-    return records
-
-
 def _raw_scores(
     prepared: list[_SubjectFeatures], detector_config: DetectorConfig, seeds: list[int]
-) -> ScoreSet:
-    """One detector's records for every subject, in subject then query order."""
+) -> list[np.ndarray]:
+    """Per subject, one detector's raw score of every query, scored in one
+    ``score_all`` call; ``SENTINEL_SCORE`` where the query or the subject
+    failed."""
     fitted = _fit_detectors(prepared, detector_config, seeds)
-    return ScoreSet(
-        tuple(r for p, det in zip(prepared, fitted) for r in _score_subject(p, det))
-    )
+    out: list[np.ndarray] = []
+    for p, detector in zip(prepared, fitted):
+        raw = np.full(len(p.query_ids), SENTINEL_SCORE)
+        if detector is not None and p.query_rows:
+            raw[p.query_rows] = detector.score_all(p.query_matrix)
+        out.append(raw)
+    return out
 
 
 def _scores(
     prepared: list[_SubjectFeatures], config: PipelineConfig, seeds: list[int]
 ) -> ScoreSet:
-    """Raw and normalized records of the configured detector.
+    """Raw and normalized records of the configured detector, in subject
+    then query order.
 
     An ensemble scores member ``i`` with the seeds ``seed + 1 + i``. It
     averages the members' raw scores and normalizes the mean or, with
-    ``ensemble_normalized``, averages both the raw and the per-member
-    normalized scores. A record is flagged when any member flags it or the
-    mean raw score is not finite.
+    ``ensemble_normalized``, averages the per-member normalized scores. A
+    record is flagged when its (mean) raw score is not finite; the
+    normalization of the mean and of every member leaves it out.
     """
-    detector = config.detector
-    if detector.name != "ensemble":
-        return apply_normalization(
-            _raw_scores(prepared, detector, seeds), config.score_norm
-        )
-    member_sets: list[ScoreSet] = []
-    for i, member in enumerate(detector.members):
-        member_set = _raw_scores(prepared, member, [seed + 1 + i for seed in seeds])
-        if config.ensemble_normalized:
-            member_set = apply_normalization(member_set, config.score_norm)
-        member_sets.append(member_set)
-    combined: list[ScoreRecord] = []
-    for rows in zip(*(ms.records for ms in member_sets)):
-        raw = float(np.mean([r.raw_score for r in rows]))
-        if any(r.flagged for r in rows) or not np.isfinite(raw):
-            combined.append(
-                replace(rows[0], raw_score=SENTINEL_SCORE, normalized_score=0.0, flagged=True)
-            )
-        elif config.ensemble_normalized:
-            normalized = float(np.mean([r.normalized_score for r in rows]))
-            combined.append(replace(rows[0], raw_score=raw, normalized_score=normalized))
+    detector, norm = config.detector, config.score_norm
+    ensemble = detector.name == "ensemble"
+    members = list(enumerate(detector.members, start=1)) if ensemble else [(0, detector)]
+    member_raw = [
+        _raw_scores(prepared, m, [seed + offset for seed in seeds]) for offset, m in members
+    ]
+    records: list[ScoreRecord] = []
+    for p, raws in zip(prepared, zip(*member_raw)):
+        # a single detector keeps its bits: a mean of one turns -0.0 into 0.0
+        raw = np.mean(raws, axis=0) if ensemble else raws[0]
+        flagged = ~np.isfinite(raw)
+        raw[flagged] = SENTINEL_SCORE
+        flags = flagged.tolist()
+        if ensemble and config.ensemble_normalized:
+            per_member = [normalize_subject(p.subject_id, r.tolist(), flags, norm) for r in raws]
+            normalized = np.mean(per_member, axis=0).tolist()
         else:
-            combined.append(replace(rows[0], raw_score=raw))
-    scores = ScoreSet(tuple(combined))
-    if config.ensemble_normalized:
-        return scores
-    return apply_normalization(scores, config.score_norm)
+            normalized = normalize_subject(p.subject_id, raw.tolist(), flags, norm)
+        records.extend(
+            ScoreRecord(p.subject_id, q, r, n, label, f)
+            for q, r, n, label, f in zip(
+                p.query_ids, raw.tolist(), normalized, p.query_labels, flags
+            )
+        )
+    return ScoreSet(tuple(records))
 
 
 def run_pipeline(dataset: SubjectDataset, config: PipelineConfig) -> ScoreSet:

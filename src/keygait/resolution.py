@@ -15,6 +15,10 @@ from .errors import ResolutionError
 from .events import SubjectDataset
 
 _CHUNK = 4096
+# KDE grid (ms) and the smallest mode height, as a fraction of the tallest.
+_GRID_STEP = 1.0
+_GRID_MAX = 500.0
+_MIN_HEIGHT_FRAC = 0.05
 
 
 def collect_latencies(dataset: SubjectDataset) -> np.ndarray:
@@ -41,29 +45,23 @@ def _kde_grid(values: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndar
     return density
 
 
-def estimate_resolution(
-    latencies: np.ndarray,
-    bandwidth: float = 3.0,
-    grid_step: float = 1.0,
-    grid_max: float = 500.0,
-    min_height_frac: float = 0.05,
-) -> float:
+def estimate_resolution(latencies: np.ndarray, bandwidth: float = 3.0) -> float:
     """Mean spacing between latency modes, in milliseconds.
 
     Raises ResolutionError when fewer than two modes stand out, which
     happens for continuous (millisecond-true) clocks and for degenerate
     inputs.
     """
-    if bandwidth <= 0 or grid_step <= 0 or grid_max <= 0:
-        raise ValueError("bandwidth, grid_step and grid_max must be positive")
+    if bandwidth <= 0:
+        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     values = np.asarray(latencies, dtype=np.float64)
     values = values[np.isfinite(values)]
-    values = values[(values >= 0.0) & (values <= grid_max)]
+    values = values[(values >= 0.0) & (values <= _GRID_MAX)]
     if values.size < 2:
         raise ResolutionError("resolution indeterminate")
-    grid = np.arange(0.0, grid_max + grid_step, grid_step)
+    grid = np.arange(0.0, _GRID_MAX + _GRID_STEP, _GRID_STEP)
     density = _kde_grid(values, grid, bandwidth)
-    peaks, _ = find_peaks(density, height=min_height_frac * float(density.max()))
+    peaks, _ = find_peaks(density, height=_MIN_HEIGHT_FRAC * float(density.max()))
     if peaks.size < 2:
         raise ResolutionError("resolution indeterminate")
     spacings = np.diff(grid[peaks])

@@ -13,11 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterator, Sequence
 
 from .config import ScoreNormConfig
 from .errors import ScoreNormError
 from .events import Label
+
+SENTINEL_SCORE = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -40,9 +43,7 @@ class ScoreSet:
     records: tuple[ScoreRecord, ...]
 
     def __post_init__(self) -> None:
-        ordered = tuple(
-            sorted(self.records, key=lambda r: (r.subject_id, r.sample_id))
-        )
+        ordered = tuple(sorted(self.records, key=attrgetter("subject_id", "sample_id")))
         object.__setattr__(self, "records", ordered)
 
     def __len__(self) -> int:
@@ -96,37 +97,40 @@ def normalize_sd(scores: Sequence[float], h_s: float = 2.0) -> list[float]:
     return [min(1.0, max(0.0, (s - lo) / width)) for s in scores]
 
 
-def apply_normalization(scores: ScoreSet, config: ScoreNormConfig) -> ScoreSet:
-    """Normalize each subject's scores independently.
+def normalize_subject(
+    subject_id: str,
+    raw: Sequence[float],
+    flagged: Sequence[bool],
+    config: ScoreNormConfig,
+) -> list[float]:
+    """Normalized scores of one subject's raw scores.
 
-    Flagged (failure-to-capture) records are excluded from the statistics
-    and pinned to normalized 0.0 so they stay rejected at any operating
-    point; with method "none" raw scores pass through untouched.
+    Flagged (failure-to-capture) scores are excluded from the statistics
+    and pinned so they stay rejected at any operating point: to 0.0, or to
+    ``SENTINEL_SCORE`` with method "none", which passes every other raw
+    score through untouched.
     """
+    if config.kind == "none":
+        return [SENTINEL_SCORE if f else s for s, f in zip(raw, flagged)]
+    live = [s for s, f in zip(raw, flagged) if not f]
+    if not live:  # whole subject failed to capture; nothing to fit stats on
+        return [0.0] * len(raw)
+    try:
+        if config.kind == "minmax":
+            normalized = iter(normalize_minmax(live))
+        else:
+            normalized = iter(normalize_sd(live, h_s=config.h_s))
+    except ScoreNormError as exc:
+        raise ScoreNormError(f"subject {subject_id}: {exc}") from exc
+    return [0.0 if f else next(normalized) for f in flagged]
+
+
+def apply_normalization(scores: ScoreSet, config: ScoreNormConfig) -> ScoreSet:
+    """Normalize each subject's scores independently (:func:`normalize_subject`)."""
     out: list[ScoreRecord] = []
-    for subject_id, records in sorted(scores.by_subject().items()):
-        if config.kind == "none":
-            out.extend(replace(r, normalized_score=r.raw_score) for r in records)
-            continue
-        live = [r for r in records if not r.flagged]
-        if not live:
-            # whole subject failed to capture; nothing to fit stats on
-            out.extend(replace(r, normalized_score=0.0) for r in records)
-            continue
-        values = [r.raw_score for r in live]
-        try:
-            if config.kind == "minmax":
-                normalized = normalize_minmax(values)
-            else:
-                normalized = normalize_sd(values, h_s=config.h_s)
-        except ScoreNormError as exc:
-            raise ScoreNormError(f"subject {subject_id}: {exc}") from exc
-        mapped = {id(r): v for r, v in zip(live, normalized)}
-        for r in records:
-            out.append(
-                replace(
-                    r,
-                    normalized_score=mapped[id(r)] if not r.flagged else 0.0,
-                )
-            )
+    for subject_id, records in scores.by_subject().items():
+        normalized = normalize_subject(
+            subject_id, [r.raw_score for r in records], [r.flagged for r in records], config
+        )
+        out.extend(replace(r, normalized_score=v) for r, v in zip(records, normalized))
     return ScoreSet(tuple(out))

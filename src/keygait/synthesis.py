@@ -30,6 +30,7 @@ from typing import Any
 
 import numpy as np
 
+from .config import reject_unknown_keys
 from .errors import DatasetError
 from .events import Keystroke, KeystrokeSequence, Label, Role, Sample, SubjectDataset
 from .evaluation import derive_seed
@@ -97,6 +98,7 @@ class SynthConfig:
 
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "SynthConfig":
+        reject_unknown_keys(data, SynthConfig)
         kwargs = dict(data)
         for key in ("name_length", "genuine_queries", "impostor_queries"):
             if key in kwargs:

@@ -206,6 +206,12 @@ class TestBaselines:
         seqs = [mkseq(["a", "b", "c"]), mkseq(["x", "y"]), mkseq(["p", "q"])]
         assert select_target(seqs) == 1
 
+    def test_select_target_skips_empty_sequences(self):
+        seqs = [mkseq(["a", "b", "c"]), KeystrokeSequence(()), mkseq(["x", "y"])]
+        assert select_target(seqs) == 2
+        with pytest.raises(AlignmentError, match="no non-empty sequence"):
+            select_target([KeystrokeSequence(())] * 2)
+
     def test_align_subject_target_passthrough(self):
         templates = [mkseq(["a", "b", "c"]), mkseq(["a", "b"])]
         for method, query in (("align", ("a", "b")), ("truncate", ("b", "a")), ("discard", ("b", "a"))):
@@ -230,9 +236,23 @@ class TestBaselines:
         _, aligned_q = align_subject(templates, [KeystrokeSequence(()), queries[0]], "align")
         assert aligned_q[0] is None and aligned_q[1] is not None
 
+    @pytest.mark.parametrize("method", ["align", "truncate", "discard"])
+    def test_align_subject_empty_template_is_not_the_target(self, method):
+        templates = [mkseq(["a", "b", "c"]), KeystrokeSequence(()), mkseq(["a", "b", "c", "d"])]
+        if method == "discard":
+            templates.append(mkseq(["lshift", "capslock"]))  # empty once modifiers go
+        aligned_t, aligned_q = align_subject(templates, [mkseq(["a", "b", "c", "d"])], method)
+        assert aligned_t[0].keys() == aligned_t[2].keys() == aligned_q[0].keys() == ("a", "b", "c")
+        assert aligned_t[1] is None
+        assert aligned_t[3:] == [None] * (len(templates) - 3)
+
     def test_align_subject_rejects_bad_input(self):
         with pytest.raises(AlignmentError):
             align_subject([], [mkseq(["a"])], "align")
+        with pytest.raises(AlignmentError, match="no non-empty sequence"):
+            align_subject([KeystrokeSequence(())], [mkseq(["a"])], "align")
+        with pytest.raises(AlignmentError, match="no non-empty sequence"):
+            align_subject([mkseq(["lshift", "capslock"])], [mkseq(["a"])], "discard")
         with pytest.raises(ValueError, match="alignment must be one of"):
             align_subject([mkseq(["a"])], [], "nope")
 

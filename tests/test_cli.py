@@ -203,3 +203,39 @@ class TestErrorHandling:
         code = main(["evaluate", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_unknown_pipeline_key_is_operational_error(self, data_dir, tmp_path, capsys):
+        config_path = tmp_path / "pipe.json"
+        config_path.write_text(json.dumps({"alignmnet": "truncate"}))
+        out = tmp_path / "run"
+        code = main(["evaluate", "--data", str(data_dir), "--out", str(out), "--config", str(config_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown PipelineConfig key(s): alignmnet\n"
+        assert not out.exists()
+
+    def test_unknown_synth_key_is_operational_error(self, tmp_path, capsys):
+        config_path = tmp_path / "synth.json"
+        config_path.write_text(json.dumps({"n_subjects": 2, "n_subject": 3}))
+        code = main(["synth", "--out", str(tmp_path / "ds"), "--config", str(config_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: unknown SynthConfig key(s): n_subject\n"
+
+    def test_unknown_detector_param_is_operational_error(self, data_dir, tmp_path, capsys):
+        config_path = tmp_path / "pipe.json"
+        config_path.write_text(
+            json.dumps({"detector": {"name": "ocsvm", "params": {"nu": 0.3, "gama": 0.5}}})
+        )
+        out = tmp_path / "run"
+        code = main(["evaluate", "--data", str(data_dir), "--out", str(out), "--config", str(config_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: detector 'ocsvm' takes no parameter(s) gama\n"
+
+    def test_written_configs_load_back(self, data_dir, tmp_path):
+        from keygait import PipelineConfig, SynthConfig, load_config
+
+        assert main(["evaluate", "--data", str(data_dir), "--out", str(tmp_path / "run")]) == 0
+        assert main(["validate", "--data", str(data_dir), "--out", str(tmp_path / "mc"), "--reps", "1"]) == 0
+        for run in ("run", "mc"):
+            config = load_config(tmp_path / run / "config.json", PipelineConfig)
+            assert config == PipelineConfig()
+        assert load_config(data_dir / "config.json", SynthConfig) == SynthConfig(n_subjects=4, seed=7)

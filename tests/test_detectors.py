@@ -225,9 +225,9 @@ class TestVariationalAutoencoder:
         X = rng.uniform(0.3, 0.7, size=(6, 5))
         init = VariationalAutoencoder(epochs=0, seed=4).fit(X)
         trained = VariationalAutoencoder(epochs=300, seed=4).fit(X)
-        assert vae.reconstruction_loss(trained.params_, X) < vae.reconstruction_loss(
+        assert vae.reconstruction_losses(trained.params_, X).sum() < vae.reconstruction_losses(
             init.params_, X
-        )
+        ).sum()
 
 
 class TestStackedTraining:
@@ -413,6 +413,60 @@ class TestBuildDetector:
         det = build_detector(DetectorConfig(name="manhattan", params={"seed": 5}))
         assert not hasattr(det, "seed")
 
+    def test_seed_injected_where_the_constructor_takes_one(self):
+        for name in ("autoencoder", "contractive", "variational"):
+            assert build_detector(DetectorConfig(name=name, params={"seed": 5}), seed=9).seed == 9
+        assert not hasattr(build_detector(DetectorConfig(name="ocsvm"), seed=9), "seed")
+
+    def test_unknown_param_names_the_key(self):
+        with pytest.raises(ValueError, match=r"detector 'ocsvm' takes no parameter\(s\) gama$"):
+            build_detector(DetectorConfig(name="ocsvm", params={"nu": 0.3, "gama": 0.5}))
+
     def test_ensemble_needs_members(self):
         with pytest.raises(ValueError):
             build_detector(DetectorConfig(name="ensemble"))
+
+
+_SCORING = [
+    (ManhattanDetector, {}),
+    (ManhattanDetector, {"scaled": True}),
+    (OneClassSvm, {}),
+    (TiedAutoencoder, {"epochs": 30}),
+    (ContractiveAutoencoder, {"hidden_dim": 16, "epochs": 30}),
+    (VariationalAutoencoder, {"epochs": 10}),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, params", _SCORING, ids=lambda v: v.__name__ if isinstance(v, type) else str(v)
+)
+class TestBatchScoring:
+    """``score_all`` is the primitive; ``score`` is its one-row case."""
+
+    def _data(self):
+        rng = np.random.default_rng(17)
+        return rng.uniform(0.2, 0.8, size=(6, 5)), rng.uniform(0.0, 1.0, size=(9, 5))
+
+    def test_score_is_the_one_row_case(self, cls, params):
+        X, Q = self._data()
+        det = cls(**params).fit(X)
+        for q in Q:
+            value = det.score(q)
+            assert isinstance(value, float)
+            assert np.float64(value).tobytes() == det.score_all(q[None])[0].tobytes()
+
+    def test_matrix_matches_rows(self, cls, params):
+        X, Q = self._data()
+        det = cls(**params).fit(X)
+        batch = det.score_all(Q)
+        assert batch.shape == (len(Q),)
+        rows = np.array([det.score(q) for q in Q])
+        np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=0.0)
+
+    def test_unfitted_raises(self, cls, params):
+        _, Q = self._data()
+        det = cls(**params)
+        with pytest.raises(RuntimeError):
+            det.score(Q[0])
+        with pytest.raises(RuntimeError):
+            det.score_all(Q)

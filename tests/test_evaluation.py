@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from keygait import (
     ScoreRecord,
     ScoreSet,
     SubjectDataset,
+    SynthConfig,
     align_subject,
     build_detector,
     derive_seed,
@@ -222,13 +224,15 @@ def _prepared(dataset, config):
 
 def _per_subject_scores(prepared, config, detector_config=None, seed_offset=0):
     """Raw scores from fitting each subject's detector (by default the
-    config's) on its own, seeded ``derive_seed(seed, subject) + seed_offset``."""
+    config's) on its own, seeded ``derive_seed(seed, subject) + seed_offset``,
+    and scoring the subject's stacked query rows in one ``score_all`` call."""
     detector_config = detector_config or config.detector
     scores = []
     for p in prepared:
+        assert p.query_rows == list(range(len(p.query_ids)))
         seed = derive_seed(config.seed, p.subject_id) + seed_offset
         detector = build_detector(detector_config, seed=seed).fit(p.template_matrix)
-        scores.extend(detector.score(v) for v in p.query_vectors)
+        scores.extend(detector.score_all(p.query_matrix).tolist())
     return scores
 
 
@@ -256,7 +260,8 @@ def test_prepared_rows_match_per_sequence_features(
             aligned_t, aligned_q, h_f=config.h_f, per_position=per_position
         )
         assert p.template_matrix.tobytes() == np.stack(ref_t).tobytes()
-        assert [v.tobytes() for v in p.query_vectors] == [v.tobytes() for v in ref_q]
+        assert p.query_rows == list(range(len(ref_q)))
+        assert p.query_matrix.tobytes() == np.stack(ref_q).tobytes()
 
 
 class TestRunPipeline:
@@ -303,6 +308,15 @@ class TestRunPipeline:
         assert bad.raw_score == SENTINEL_SCORE
         assert bad.normalized_score == 0.0
 
+    def test_failed_query_leaves_its_neighbours_unchanged(self):
+        clean = run_pipeline(_toy_dataset(), PipelineConfig())
+        ds = _toy_dataset()
+        # sorts between g1 and i0, so the scored rows are not a prefix
+        ds.add(Sample("s1", "h0", Role.QUERY, KeystrokeSequence(()), Label.GENUINE))
+        scores = run_pipeline(ds, PipelineConfig())
+        assert [r.sample_id for r in scores if r.flagged] == ["h0"]
+        assert [r for r in scores if not r.flagged] == list(clean)
+
     def test_degenerate_target_fails_whole_subject(self):
         # a 1-keystroke template becomes the target; features need >= 2
         ds = _toy_dataset()
@@ -312,6 +326,19 @@ class TestRunPipeline:
         assert s1 and all(r.flagged for r in s1)
         s2 = [r for r in scores if r.subject_id == "s2"]
         assert s2 and not any(r.flagged for r in s2)
+
+    @pytest.mark.parametrize("alignment", ["align", "truncate", "discard"])
+    def test_empty_template_is_dropped_not_the_target(self, alignment):
+        # the target is the shortest template that is non-empty after the
+        # method's preprocessing; an empty template fails alone
+        config = PipelineConfig(alignment=alignment)
+        clean = run_pipeline(_toy_dataset(), config)
+        assert not any(r.flagged for r in clean)
+        ds = _toy_dataset()
+        ds.add(Sample("s1", "t8", Role.TEMPLATE, KeystrokeSequence(())))
+        if alignment == "discard":
+            ds.add(Sample("s1", "t9", Role.TEMPLATE, _mkseq(["lshift", "capslock"])))
+        assert run_pipeline(ds, config) == clean
 
     def test_labels_optional_for_scoring(self):
         ds = SubjectDataset()
@@ -400,7 +427,7 @@ class TestRunPipeline:
         def per_subject(values):
             out, start = [], 0
             for p in prepared:
-                stop = start + len(p.query_vectors)
+                stop = start + len(p.query_ids)
                 out.extend(normalize_sd(values[start:stop]))
                 start = stop
             return out
@@ -415,7 +442,9 @@ class TestRunPipeline:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_ensemble_mean_overflow_is_flagged(self, monkeypatch, ensemble_normalized):
         # each member's score is finite, their sum is not
-        monkeypatch.setattr(ManhattanDetector, "score", lambda self, query: -1.7e308)
+        monkeypatch.setattr(
+            ManhattanDetector, "score_all", lambda self, queries: np.full(len(queries), -1.7e308)
+        )
         pair = DetectorConfig(
             name="ensemble",
             members=(DetectorConfig(name="manhattan"), DetectorConfig(name="manhattan")),
@@ -430,6 +459,54 @@ class TestRunPipeline:
         assert all(r.flagged for r in scores)
         assert all(r.raw_score == SENTINEL_SCORE for r in scores)
         assert all(r.normalized_score == 0.0 for r in scores)
+
+    def test_non_finite_scores_are_flagged(self, monkeypatch):
+        def score_all(self, queries):
+            out = -np.arange(len(queries), dtype=np.float64)
+            out[:2] = np.nan, np.inf
+            return out
+
+        monkeypatch.setattr(ManhattanDetector, "score_all", score_all)
+        config = PipelineConfig(score_norm=ScoreNormConfig(kind="minmax"))
+        for records in run_pipeline(_toy_dataset(), config).by_subject().values():
+            assert [r.flagged for r in records] == [True, True, False, False]
+            assert [r.raw_score for r in records] == [SENTINEL_SCORE] * 2 + [-2.0, -3.0]
+            assert [r.normalized_score for r in records] == [0.0, 0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("ensemble_normalized", [False, True])
+    def test_flagged_ensemble_record_keeps_sentinel_under_none(self, ensemble_normalized):
+        ds = _toy_dataset()
+        ds.add(Sample("s1", "qz", Role.QUERY, KeystrokeSequence(()), Label.GENUINE))
+        pair = DetectorConfig(
+            name="ensemble",
+            members=(DetectorConfig(name="manhattan"), DetectorConfig(name="ocsvm")),
+        )
+        config = PipelineConfig(
+            detector=pair,
+            ensemble_normalized=ensemble_normalized,
+            score_norm=ScoreNormConfig(kind="none"),
+        )
+        scores = run_pipeline(ds, config)
+        assert [r.sample_id for r in scores if r.flagged] == ["qz"]
+        # under "none" every normalized score is the raw one, the
+        # sentinel of the flagged record included
+        assert [r.normalized_score for r in scores] == [r.raw_score for r in scores]
+        assert [r.normalized_score for r in scores if r.flagged] == [SENTINEL_SCORE]
+
+    @pytest.mark.parametrize(
+        "cls, data, key",
+        [
+            (PipelineConfig, {"alignmnet": "truncate"}, "PipelineConfig key(s): alignmnet"),
+            (PipelineConfig, {"score_norm": {"hs": 1.0}}, "ScoreNormConfig key(s): hs"),
+            (PipelineConfig, {"detector": {"nme": "ocsvm"}}, "DetectorConfig key(s): nme"),
+            (DetectorConfig, {"name": "ocsvm", "param": {}}, "DetectorConfig key(s): param"),
+            (ScoreNormConfig, {"kind": "sd", "h": 1.0, "g": 2}, "ScoreNormConfig key(s): g, h"),
+            (SynthConfig, {"n_subject": 3}, "SynthConfig key(s): n_subject"),
+        ],
+    )
+    def test_config_rejects_unknown_keys(self, cls, data, key):
+        with pytest.raises(ValueError, match=rf"^unknown {re.escape(key)}$"):
+            cls.from_dict(data)
 
     @pytest.mark.parametrize("ensemble_normalized", [False, True])
     @pytest.mark.parametrize("n_members", [0, 1])

@@ -41,4 +41,7 @@ def test_tracer_sees_the_pipeline_align_calls(small_dataset):
         len(entry.templates) + len(entry.queries) for entry in small_dataset.subjects.values()
     )
     assert tracer.calls["alignment.align"] == n_sequences
-    assert tracer.calls["detectors.manhattan.score"] == len(scores)
+    # each subject's queries are scored in one score_all call
+    assert tracer.calls["detectors.manhattan.score_all"] == len(small_dataset.subjects)
+    assert tracer.calls["detectors.manhattan.score"] == 0
+    assert len(scores) == sum(len(entry.queries) for entry in small_dataset.subjects.values())
