@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -94,21 +94,8 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     config = load_config(args.config, SynthConfig) if args.config else SynthConfig()
-    overrides = {
-        "n_subjects": args.subjects,
-        "seed": args.seed,
-        "n_templates": args.templates,
-        "shift_drop": args.shift_drop,
-        "shift_transpose": args.shift_transpose,
-        "capslock_sub": args.capslock_sub,
-        "hesitation_rate": args.hesitation,
-        "clock_quantum_ms": args.quantum,
-        "impostor_separation": args.separation,
-        "impostor_source": args.impostor_source,
-    }
-    applied = {k: v for k, v in overrides.items() if v is not None}
-    if applied:
-        config = SynthConfig.from_dict({**config.to_dict(), **applied})
+    flags = {f.name: getattr(args, f.name, None) for f in fields(SynthConfig)}
+    config = replace(config, **{k: v for k, v in flags.items() if v is not None})
     dataset, log = generate_synthetic(config)
     out = Path(args.out)
     write_dataset(dataset, out)
@@ -272,15 +259,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--out", type=Path, required=True, help="output dataset directory")
     p.add_argument("--config", type=Path, help="generator config JSON")
-    p.add_argument("--subjects", type=int)
+    # each flag's dest is the SynthConfig field it overrides
+    p.add_argument("--subjects", dest="n_subjects", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--templates", type=int)
+    p.add_argument("--templates", dest="n_templates", type=int)
     p.add_argument("--shift-drop", type=float)
     p.add_argument("--shift-transpose", type=float)
     p.add_argument("--capslock-sub", type=float)
-    p.add_argument("--hesitation", type=float)
-    p.add_argument("--quantum", type=int, help="clock quantum in ms (0 = exact)")
-    p.add_argument("--separation", type=float, help="impostor separation factor")
+    p.add_argument("--hesitation", dest="hesitation_rate", type=float)
+    p.add_argument(
+        "--quantum", dest="clock_quantum_ms", type=int, help="clock quantum in ms (0 = exact)"
+    )
+    p.add_argument(
+        "--separation", dest="impostor_separation", type=float, help="impostor separation factor"
+    )
     p.add_argument("--impostor-source", choices=("independent", "victim"))
     p.set_defaults(func=_cmd_synth)
 

@@ -2,34 +2,100 @@
 
 Every CLI run snapshots its effective config next to the outputs, so a
 result can always be traced back to the exact settings that produced it.
+
+One codec gives every config class, and every detector's ``params``, its
+JSON form, read from the fields (or constructor parameters) and their type
+hints. A missing key takes the default; a ``None`` field is left out. A
+bool must be ``true``/``false``, an int an integer (a bool is no int), a
+float a finite number (an integer included), a str a string, a tuple a
+list (of the declared length when fixed), and a nested config or a dict an
+object. An unknown key or any other value raises ValueError naming
+``Class.key``, so a bad setting stops the run instead of changing it.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+import types
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, get_args, get_origin, get_type_hints
 
 ALIGNMENT_METHODS = ("align", "truncate", "discard")
 SCORE_NORM_KINDS = ("none", "minmax", "sd")
 
+_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
 
-def reject_unknown_keys(data: dict[str, Any], cls: type) -> None:
-    """Raise ValueError naming the keys of ``data`` that are no field of
-    the dataclass ``cls``, so a misspelled setting is never dropped."""
-    unknown = sorted(set(data) - {f.name for f in fields(cls)})
+
+def decode_fields(owner: str, hints: dict[str, Any], data: Any) -> dict[str, Any]:
+    """Keyword arguments for ``owner`` from the JSON object ``data``, each
+    value checked against its type hint in ``hints`` by the rules above."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{owner}: expected an object, got {type(data).__name__}")
+    unknown = sorted(set(data) - set(hints))
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} key(s): {', '.join(unknown)}")
+        raise ValueError(f"unknown {owner} key(s): {', '.join(unknown)}")
+    return {key: _decode(hints[key], value, f"{owner}.{key}") for key, value in data.items()}
+
+
+def _decode(hint: Any, value: Any, where: str) -> Any:
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is types.UnionType:  # ``X | None``
+        if value is None:
+            return None
+        (hint,) = (a for a in args if a is not type(None))
+        return _decode(hint, value, where)
+    if hint is Any or (hint in (bool, int, str) and type(value) is hint):
+        return value
+    # an exact comparison: False for NaN and for an int too large for a float
+    if hint is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if origin is dict and isinstance(value, dict):
+        return dict(value)
+    if isinstance(hint, type) and issubclass(hint, JsonConfig) and isinstance(value, dict):
+        return hint.from_dict(value)
+    if origin is tuple and isinstance(value, (list, tuple)):
+        items = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if len(items) == len(value):
+            return tuple(_decode(a, v, where) for a, v in zip(items, value))
+    if origin is tuple:
+        expected = "a list" if args[-1] is Ellipsis else f"a list of {len(args)}"
+    else:
+        expected = _EXPECTED.get(hint, "an object")
+    raise ValueError(f"{where}: expected {expected}, got {value!r}")
+
+
+class JsonConfig:
+    """Base of the frozen config dataclasses: their JSON form through the
+    codec described in the module docstring."""
+
+    def to_dict(self) -> dict[str, Any]:
+        return {f.name: _encode(v) for f in fields(self) if (v := getattr(self, f.name)) is not None}
+
+    @classmethod
+    def from_dict(cls, data: Any) -> Any:
+        hints = get_type_hints(cls)
+        return cls(**decode_fields(cls.__name__, {f.name: hints[f.name] for f in fields(cls)}, data))
+
+
+def _encode(value: Any) -> Any:
+    if isinstance(value, JsonConfig):
+        return value.to_dict()
+    if isinstance(value, tuple):
+        return [_encode(v) for v in value]
+    if isinstance(value, dict):
+        return dict(value)
+    return value
 
 
 @dataclass(frozen=True)
-class DetectorConfig:
+class DetectorConfig(JsonConfig):
     """Detector name plus hyperparameters; ensembles carry members."""
 
     name: str = "manhattan"
     params: dict[str, Any] = field(default_factory=dict)
-    members: tuple["DetectorConfig", ...] | None = None
+    members: tuple[DetectorConfig, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.name == "ensemble":
@@ -39,27 +105,9 @@ class DetectorConfig:
             if any(m.name == "ensemble" for m in self.members):
                 raise ValueError("ensemble members must be single detectors")
 
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"name": self.name, "params": dict(self.params)}
-        if self.members is not None:
-            out["members"] = [m.to_dict() for m in self.members]
-        return out
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "DetectorConfig":
-        reject_unknown_keys(data, DetectorConfig)
-        members = data.get("members")
-        return DetectorConfig(
-            name=data.get("name", "manhattan"),
-            params=dict(data.get("params", {})),
-            members=tuple(DetectorConfig.from_dict(m) for m in members)
-            if members is not None
-            else None,
-        )
-
 
 @dataclass(frozen=True)
-class ScoreNormConfig:
+class ScoreNormConfig(JsonConfig):
     """Score normalization method: none, minmax, or sd with width h_s."""
 
     kind: str = "sd"
@@ -70,22 +118,12 @@ class ScoreNormConfig:
             raise ValueError(
                 f"score norm kind must be one of {SCORE_NORM_KINDS}, got {self.kind!r}"
             )
-        if self.h_s <= 0:
+        if not self.h_s > 0:
             raise ValueError(f"h_s must be positive, got {self.h_s}")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"kind": self.kind, "h_s": self.h_s}
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "ScoreNormConfig":
-        reject_unknown_keys(data, ScoreNormConfig)
-        return ScoreNormConfig(
-            kind=data.get("kind", "sd"), h_s=float(data.get("h_s", 2.0))
-        )
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
+class PipelineConfig(JsonConfig):
     """Everything run_pipeline needs: alignment method, feature
     normalization settings, detector, score normalization, and the master
     seed from which all per-subject seeds derive."""
@@ -104,48 +142,20 @@ class PipelineConfig:
             raise ValueError(
                 f"alignment must be one of {ALIGNMENT_METHODS}, got {self.alignment!r}"
             )
-        if self.h_f <= 0:
+        if not self.h_f > 0:
             raise ValueError(f"h_f must be positive, got {self.h_f}")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "alignment": self.alignment,
-            "h_f": self.h_f,
-            "per_position": self.per_position,
-            "merge_shift_keys": self.merge_shift_keys,
-            "detector": self.detector.to_dict(),
-            "score_norm": self.score_norm.to_dict(),
-            "ensemble_normalized": self.ensemble_normalized,
-            "seed": self.seed,
-        }
 
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "PipelineConfig":
-        reject_unknown_keys(data, PipelineConfig)
-        return PipelineConfig(
-            alignment=data.get("alignment", "align"),
-            h_f=float(data.get("h_f", 1.0)),
-            per_position=bool(data.get("per_position", False)),
-            merge_shift_keys=bool(data.get("merge_shift_keys", False)),
-            detector=DetectorConfig.from_dict(data.get("detector", {})),
-            score_norm=ScoreNormConfig.from_dict(data.get("score_norm", {})),
-            ensemble_normalized=bool(data.get("ensemble_normalized", False)),
-            seed=int(data.get("seed", 0)),
-        )
-
-
-def load_config(path: str | Path, cls: type) -> Any:
+def load_config(path: str | Path, cls: type[JsonConfig]) -> Any:
     with open(path) as fh:
-        data = json.load(fh)
-    return cls.from_dict(data)
+        return cls.from_dict(json.load(fh))
 
 
-def write_config_snapshot(config: Any, out_dir: str | Path, name: str = "config.json") -> Path:
+def write_config_snapshot(config: JsonConfig, out_dir: str | Path) -> Path:
     """Write the effective config as JSON next to a run's outputs."""
-    out = Path(out_dir) / name
+    out = Path(out_dir) / "config.json"
     out.parent.mkdir(parents=True, exist_ok=True)
-    data = config.to_dict() if hasattr(config, "to_dict") else config
     with open(out, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
+        json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return out

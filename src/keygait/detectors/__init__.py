@@ -16,9 +16,9 @@ fitting it alone.
 
 from __future__ import annotations
 
-import inspect
+from typing import get_type_hints
 
-from ..config import DetectorConfig
+from ..config import DetectorConfig, decode_fields
 from .autoencoder import TiedAutoencoder
 from .base import Detector
 from .contractive import ContractiveAutoencoder
@@ -51,24 +51,29 @@ DETECTOR_NAMES = tuple(sorted(_CLASSES))
 def build_detector(config: DetectorConfig, seed: int = 0) -> Detector:
     """Instantiate a detector from its config.
 
-    Hyperparameters come from ``config.params``; ``seed`` overrides any
-    seed in the params so the pipeline's per-subject derivation wins, and
-    is dropped for a detector that takes none. An ``ensemble`` config is
-    combined by ``run_pipeline`` and builds no detector.
+    Hyperparameters come from ``config.params``, each checked against the
+    constructor's type hint by the config codec (`config.decode_fields`);
+    ``seed`` overrides any seed in the params so the pipeline's per-subject
+    derivation wins, and is dropped for a detector that takes none. An
+    ``ensemble`` config is combined by ``run_pipeline`` and builds no
+    detector.
 
     Raises:
-        ValueError: unknown name, or a parameter the detector does not take.
+        ValueError: unknown name, a parameter the detector does not take,
+            or a parameter value of the wrong type.
     """
     cls = _CLASSES.get(config.name)
     if cls is None:
         raise ValueError(
             f"unknown detector {config.name!r}; expected one of {DETECTOR_NAMES}"
         )
+    hints = get_type_hints(cls.__init__)
+    hints.pop("return", None)
     params = {k: v for k, v in config.params.items() if k != "seed"}
-    accepted = inspect.signature(cls).parameters
-    unknown = sorted(set(params) - set(accepted))
+    unknown = sorted(set(params) - set(hints))
     if unknown:
         raise ValueError(f"detector {config.name!r} takes no parameter(s) {', '.join(unknown)}")
-    if "seed" in accepted:
+    params = decode_fields(cls.__name__, hints, params)
+    if "seed" in hints:
         params["seed"] = seed
     return cls(**params)

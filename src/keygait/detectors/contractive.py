@@ -111,8 +111,3 @@ class ContractiveAutoencoder(Detector):
             raise RuntimeError("fit before score")
         q = np.asarray(queries, dtype=np.float64)
         return -((q - reconstruct(self.params_, q)) ** 2).sum(axis=1)
-
-    def penalty(self, x: np.ndarray) -> float:
-        if self.params_ is None:
-            raise RuntimeError("fit before penalty")
-        return contractive_penalty(self.params_, x)

@@ -68,7 +68,7 @@ class OneClassSvm(Detector):
     ) -> None:
         if not 0.0 < nu <= 1.0:
             raise ValueError(f"nu must be in (0, 1], got {nu}")
-        if gamma <= 0:
+        if not gamma > 0:
             raise ValueError(f"gamma must be positive, got {gamma}")
         if max_iter < 1:
             raise ValueError(f"max_iter must be positive, got {max_iter}")

@@ -59,23 +59,6 @@ def init_params(
     }
 
 
-def param_list(params: Params) -> list[np.ndarray]:
-    """Fixed traversal order; the finite-difference tests rely on getting
-    the same references every time."""
-    return [
-        *params["enc_W"],
-        *params["enc_b"],
-        params["W_mu"],
-        params["b_mu"],
-        params["W_lv"],
-        params["b_lv"],
-        *params["dec_W"],
-        *params["dec_b"],
-        params["W_out"],
-        params["b_out"],
-    ]
-
-
 def kl_divergence(mu: np.ndarray, logvar: np.ndarray) -> np.ndarray:
     """KL(N(mu, exp(logvar)) || N(0, I)), summed over each subject's
     entries (the last two axes)."""

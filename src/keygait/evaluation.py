@@ -31,7 +31,7 @@ import numpy as np
 from .alignment import align_subject
 from .config import DetectorConfig, PipelineConfig
 from .detectors import Detector, build_detector
-from .errors import AlignmentError, EvaluationError, KeygaitError
+from .errors import AlignmentError, EvaluationError, KeygaitError, ScoreNormError
 from .events import Label, Role, Sample, SubjectDataset
 from .features import (
     extract_feature_matrix,
@@ -245,7 +245,8 @@ def _scores(
     averages the members' raw scores and normalizes the mean or, with
     ``ensemble_normalized``, averages the per-member normalized scores. A
     record is flagged when its (mean) raw score is not finite; the
-    normalization of the mean and of every member leaves it out.
+    normalization of the mean and of every member leaves it out. A subject
+    whose scores cannot be normalized is flagged whole.
     """
     detector, norm = config.detector, config.score_norm
     ensemble = detector.name == "ensemble"
@@ -260,10 +261,17 @@ def _scores(
         flagged = ~np.isfinite(raw)
         raw[flagged] = SENTINEL_SCORE
         flags = flagged.tolist()
-        if ensemble and config.ensemble_normalized:
-            per_member = [normalize_subject(p.subject_id, r.tolist(), flags, norm) for r in raws]
-            normalized = np.mean(per_member, axis=0).tolist()
-        else:
+        try:
+            if ensemble and config.ensemble_normalized:
+                per_member = [normalize_subject(p.subject_id, r.tolist(), flags, norm) for r in raws]
+                normalized = np.mean(per_member, axis=0).tolist()
+            else:
+                normalized = normalize_subject(p.subject_id, raw.tolist(), flags, norm)
+        except ScoreNormError:
+            # too few live scores to normalize (sd needs 2): the subject is
+            # flagged whole, like one whose preparation failed
+            raw[:] = SENTINEL_SCORE
+            flags = [True] * len(flags)
             normalized = normalize_subject(p.subject_id, raw.tolist(), flags, norm)
         records.extend(
             ScoreRecord(p.subject_id, q, r, n, label, f)

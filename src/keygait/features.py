@@ -18,9 +18,7 @@ row at once. The single-sequence :func:`extract_features` and
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -164,11 +162,12 @@ def fit_feature_normalizer(
     equal length, which alignment guarantees.
 
     Raises:
-        FeatureError: no templates, mismatched lengths, or h_f <= 0.
+        FeatureError: no templates, mismatched lengths, or h_f not positive
+            (NaN included).
     """
     if len(features) == 0:
         raise FeatureError("cannot fit a normalizer on zero template vectors")
-    if h_f <= 0:
+    if not h_f > 0:
         raise FeatureError(f"h_f must be positive, got {h_f}")
     if not isinstance(features, RawFeatureMatrix):
         features = RawFeatureMatrix.stack(features)
@@ -218,28 +217,3 @@ def normalize_features(norm: FeatureNormalizer, raw: RawFeatureVector) -> np.nda
     return normalize_feature_matrix(
         norm, RawFeatureMatrix(raw.durations[None], raw.latencies[None])
     )[0]
-
-
-def write_feature_matrix(
-    vectors: Sequence[RawFeatureVector] | np.ndarray, path: str | Path
-) -> None:
-    """Export feature vectors as CSV with a d_0..d_{n-1}, p_0..p_{n-2} header.
-
-    Accepts raw vectors or an already-stacked (m, 2n-1) array.
-    """
-    if isinstance(vectors, np.ndarray):
-        matrix = np.asarray(vectors, dtype=float)
-        if matrix.ndim != 2 or matrix.shape[1] % 2 == 0:
-            raise FeatureError(f"expected an (m, 2n-1) matrix, got shape {matrix.shape}")
-        n = (matrix.shape[1] + 1) // 2
-    else:
-        if not vectors:
-            raise FeatureError("no feature vectors to write")
-        n = vectors[0].durations.shape[0]
-        matrix = np.stack([v.values for v in vectors])
-    header = [f"d_{i}" for i in range(n)] + [f"p_{i}" for i in range(n - 1)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in matrix:
-            writer.writerow([f"{x:.6f}" for x in row])

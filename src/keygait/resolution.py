@@ -52,7 +52,7 @@ def estimate_resolution(latencies: np.ndarray, bandwidth: float = 3.0) -> float:
     happens for continuous (millisecond-true) clocks and for degenerate
     inputs.
     """
-    if bandwidth <= 0:
+    if not bandwidth > 0:
         raise ValueError(f"bandwidth must be positive, got {bandwidth}")
     values = np.asarray(latencies, dtype=np.float64)
     values = values[np.isfinite(values)]

@@ -80,9 +80,9 @@ def normalize_sd(scores: Sequence[float], h_s: float = 2.0) -> list[float]:
     deviations, clamping anything outside the bounds.
 
     Raises:
-        ScoreNormError: fewer than 2 scores, or h_s <= 0.
+        ScoreNormError: fewer than 2 scores, or h_s not positive (NaN included).
     """
-    if h_s <= 0:
+    if not h_s > 0:
         raise ScoreNormError(f"h_s must be positive, got {h_s}")
     if len(scores) < 2:
         raise ScoreNormError(

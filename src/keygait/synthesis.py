@@ -26,11 +26,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
-from .config import reject_unknown_keys
+from .config import JsonConfig
 from .errors import DatasetError
 from .events import Keystroke, KeystrokeSequence, Label, Role, Sample, SubjectDataset
 from .evaluation import derive_seed
@@ -42,7 +41,7 @@ PERTURBATION_KINDS = ("shift_drop", "shift_transpose", "capslock_sub")
 
 
 @dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(JsonConfig):
     """Generator settings; every field has a reproducible effect."""
 
     n_subjects: int = 10
@@ -82,28 +81,10 @@ class SynthConfig:
             raise ValueError("per-keystroke perturbation rates must sum to at most 1")
         if self.clock_quantum_ms < 0:
             raise ValueError(f"clock_quantum_ms must be non-negative, got {self.clock_quantum_ms}")
-        if self.impostor_separation <= 0:
+        if not self.impostor_separation > 0:
             raise ValueError(f"impostor_separation must be positive, got {self.impostor_separation}")
         if self.impostor_source not in ("independent", "victim"):
             raise ValueError(f"impostor_source must be 'independent' or 'victim', got {self.impostor_source!r}")
-
-    def to_dict(self) -> dict[str, Any]:
-        from dataclasses import asdict
-
-        data = asdict(self)
-        data["name_length"] = list(self.name_length)
-        data["genuine_queries"] = list(self.genuine_queries)
-        data["impostor_queries"] = list(self.impostor_queries)
-        return data
-
-    @staticmethod
-    def from_dict(data: dict[str, Any]) -> "SynthConfig":
-        reject_unknown_keys(data, SynthConfig)
-        kwargs = dict(data)
-        for key in ("name_length", "genuine_queries", "impostor_queries"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return SynthConfig(**kwargs)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ from keygait import (
 )
 from keygait.alignment import EntryKind
 from keygait.cli import main as cli_main
+from keygait.detectors import _nn
 from keygait.detectors import autoencoder as ae
 from keygait.detectors import contractive as cae
 from keygait.detectors import variational as vae
@@ -164,7 +165,7 @@ def test_criterion_02_analytic_gradients_match_finite_differences():
         X = rng.uniform(0.05, 0.95, size=(2, 5))
         eps = rng.standard_normal((2, 2))
         _, grads = vae.loss_and_grads(params, X, eps)
-        arrays = vae.param_list(params)
+        arrays = _nn.leaves(params)
         theta0 = np.concatenate([a.ravel() for a in arrays])
 
         def f_vae(theta):
@@ -180,7 +181,7 @@ def test_criterion_02_analytic_gradients_match_finite_differences():
             return value
 
         numeric = central_difference(f_vae, theta0.copy())
-        analytic = np.concatenate([g.ravel() for g in vae.param_list(grads)])
+        analytic = np.concatenate([g.ravel() for g in _nn.leaves(grads)])
         worst = max(worst, max_relative_error(analytic, numeric))
 
     assert worst < 1e-4

@@ -230,6 +230,45 @@ class TestErrorHandling:
         assert code == 1
         assert capsys.readouterr().err == "error: detector 'ocsvm' takes no parameter(s) gama\n"
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("evaluate", '{"per_position": "false"}', "PipelineConfig.per_position: expected true or false, got 'false'"),
+            ("evaluate", '{"h_f": NaN}', "PipelineConfig.h_f: expected a finite number, got nan"),
+            ("evaluate", '{"score_norm": {"h_s": Infinity}}', "ScoreNormConfig.h_s: expected a finite number, got inf"),
+            ("evaluate", "[1, 2]", "PipelineConfig: expected an object, got list"),
+            (
+                "evaluate",
+                '{"detector": {"name": "contractive", "params": {"epochs": 2.0}}}',
+                "ContractiveAutoencoder.epochs: expected an integer, got 2.0",
+            ),
+            ("synth", '{"n_subjects": 2.5}', "SynthConfig.n_subjects: expected an integer, got 2.5"),
+            ("synth", '{"name_length": 7}', "SynthConfig.name_length: expected a list of 2, got 7"),
+        ],
+    )
+    def test_ill_typed_config_is_operational_error(self, data_dir, tmp_path, capsys, command, text, message):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        out = tmp_path / "out"
+        data = ["--data", str(data_dir)] if command == "evaluate" else []
+        code = main([command, *data, "--out", str(out), "--config", str(config_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["evaluate", "--h-f", "nan"], "h_f must be positive, got nan"),
+            (["evaluate", "--h-s", "nan"], "h_s must be positive, got nan"),
+            (["synth", "--separation", "nan"], "impostor_separation must be positive, got nan"),
+        ],
+    )
+    def test_nan_flag_is_operational_error(self, data_dir, tmp_path, capsys, argv, message):
+        data = ["--data", str(data_dir)] if argv[0] == "evaluate" else []
+        assert main([*argv, *data, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_written_configs_load_back(self, data_dir, tmp_path):
         from keygait import PipelineConfig, SynthConfig, load_config
 

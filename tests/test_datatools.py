@@ -309,7 +309,16 @@ class TestSynthesis:
         assert len(lines) == len(log) + 1
         assert all(len(line.split("\t")) == 4 for line in lines[1:])
 
-    @pytest.mark.parametrize("field,value", [("n_subjects", 0), ("impostor_source", "other"), ("clock_quantum_ms", -1)])
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n_subjects", 0),
+            ("impostor_source", "other"),
+            ("clock_quantum_ms", -1),
+            ("impostor_separation", 0.0),
+            ("impostor_separation", float("nan")),
+        ],
+    )
     def test_config_validation(self, field, value):
         with pytest.raises(ValueError):
             SynthConfig(**{field: value})
@@ -349,6 +358,7 @@ class TestResolution:
         with pytest.raises(ResolutionError, match="indeterminate"):
             estimate_resolution(values)
 
-    def test_rejects_bad_parameters(self):
+    @pytest.mark.parametrize("bandwidth", [0.0, float("nan")])
+    def test_rejects_bad_parameters(self, bandwidth):
         with pytest.raises(ValueError):
-            estimate_resolution(np.array([10.0, 20.0]), bandwidth=0.0)
+            estimate_resolution(np.array([10.0, 20.0]), bandwidth=bandwidth)

@@ -1,3 +1,8 @@
+import inspect
+import json
+import re
+from typing import get_type_hints
+
 import numpy as np
 import pytest
 
@@ -11,7 +16,9 @@ from keygait import (
     VariationalAutoencoder,
     build_detector,
 )
-from keygait.detectors import _nn
+from keygait import detectors
+from keygait.config import decode_fields
+from keygait.detectors import DETECTOR_NAMES, _nn
 from keygait.detectors import autoencoder as ae
 from keygait.detectors import contractive as cae
 from keygait.detectors import variational as vae
@@ -183,7 +190,7 @@ class TestVariationalAutoencoder:
             eps = rng.standard_normal((2, 3))
             _, grads = vae.loss_and_grads(params, X, eps)
 
-            arrays = vae.param_list(params)
+            arrays = _nn.leaves(params)
             theta0 = np.concatenate([a.ravel() for a in arrays])
 
             def f(theta):
@@ -199,7 +206,7 @@ class TestVariationalAutoencoder:
                 return value
 
             numeric = central_difference(f, theta0.copy())
-            analytic = np.concatenate([g.ravel() for g in vae.param_list(grads)])
+            analytic = np.concatenate([g.ravel() for g in _nn.leaves(grads)])
             assert max_relative_error(analytic, numeric) < 1e-4
 
     def test_kl_divergence_zero_at_standard_normal(self):
@@ -390,6 +397,8 @@ class TestOneClassSvm:
             OneClassSvm(nu=1.5)
         with pytest.raises(ValueError):
             OneClassSvm(gamma=-1.0)
+        with pytest.raises(ValueError):
+            OneClassSvm(gamma=float("nan"))
 
 
 class TestBuildDetector:
@@ -421,6 +430,45 @@ class TestBuildDetector:
     def test_unknown_param_names_the_key(self):
         with pytest.raises(ValueError, match=r"detector 'ocsvm' takes no parameter\(s\) gama$"):
             build_detector(DetectorConfig(name="ocsvm", params={"nu": 0.3, "gama": 0.5}))
+
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("autoencoder", {"epochs": "5"}, "TiedAutoencoder.epochs: expected an integer, got '5'"),
+            ("autoencoder", {"hidden_sizes": 5}, "TiedAutoencoder.hidden_sizes: expected a list, got 5"),
+            (
+                "autoencoder",
+                {"learning_rate": "0.1"},
+                "TiedAutoencoder.learning_rate: expected a finite number, got '0.1'",
+            ),
+            ("ocsvm", {"nu": "0.5"}, "OneClassSvm.nu: expected a finite number, got '0.5'"),
+            ("ocsvm", {"gamma": float("nan")}, "OneClassSvm.gamma: expected a finite number, got nan"),
+            ("manhattan", {"scaled": "no"}, "ManhattanDetector.scaled: expected true or false, got 'no'"),
+            (
+                "variational",
+                {"batch_size": 1.5},
+                "VariationalAutoencoder.batch_size: expected an integer, got 1.5",
+            ),
+            (
+                "contractive",
+                {"epochs": 2.0},
+                "ContractiveAutoencoder.epochs: expected an integer, got 2.0",
+            ),
+        ],
+    )
+    def test_ill_typed_param_names_the_key(self, name, params, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            build_detector(DetectorConfig(name=name, params=params))
+
+    @pytest.mark.parametrize("name", DETECTOR_NAMES)
+    def test_every_constructor_parameter_is_typed(self, name):
+        # build_detector checks params against these hints; the JSON form
+        # of every default must decode back to itself
+        cls = detectors._CLASSES[name]
+        defaults = {p.name: p.default for p in inspect.signature(cls).parameters.values()}
+        hints = get_type_hints(cls.__init__)
+        assert set(defaults) <= set(hints)
+        assert decode_fields(name, hints, json.loads(json.dumps(defaults))) == defaults
 
     def test_ensemble_needs_members(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
+import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -473,6 +475,29 @@ class TestRunPipeline:
             assert [r.raw_score for r in records] == [SENTINEL_SCORE] * 2 + [-2.0, -3.0]
             assert [r.normalized_score for r in records] == [0.0, 0.0, 1.0, 0.0]
 
+    @pytest.mark.parametrize("ensemble_normalized", [None, False, True])
+    def test_subject_with_one_live_score_is_flagged_under_sd(self, ensemble_normalized):
+        # sd normalization needs 2 live scores; s1 keeps 1 of its 4 queries
+        config = PipelineConfig()
+        if ensemble_normalized is not None:
+            pair = (DetectorConfig(name="manhattan"), DetectorConfig(name="ocsvm"))
+            config = PipelineConfig(
+                detector=DetectorConfig(name="ensemble", members=pair),
+                ensemble_normalized=ensemble_normalized,
+            )
+        ds = _toy_dataset()
+        s1 = ds.subjects["s1"]
+        s1.queries = [
+            q if q.sample_id == "i1" else replace(q, sequence=KeystrokeSequence(()))
+            for q in s1.queries
+        ]
+        scores = run_pipeline(ds, config).by_subject()
+        assert [r.flagged for r in scores["s1"]] == [True] * 4
+        assert [r.raw_score for r in scores["s1"]] == [SENTINEL_SCORE] * 4
+        assert [r.normalized_score for r in scores["s1"]] == [0.0] * 4
+        # every other subject is scored as if s1 were intact
+        assert scores["s2"] == run_pipeline(_toy_dataset(), config).by_subject()["s2"]
+
     @pytest.mark.parametrize("ensemble_normalized", [False, True])
     def test_flagged_ensemble_record_keeps_sentinel_under_none(self, ensemble_normalized):
         ds = _toy_dataset()
@@ -494,19 +519,79 @@ class TestRunPipeline:
         assert [r.normalized_score for r in scores if r.flagged] == [SENTINEL_SCORE]
 
     @pytest.mark.parametrize(
-        "cls, data, key",
+        "cls, data, message",
         [
-            (PipelineConfig, {"alignmnet": "truncate"}, "PipelineConfig key(s): alignmnet"),
-            (PipelineConfig, {"score_norm": {"hs": 1.0}}, "ScoreNormConfig key(s): hs"),
-            (PipelineConfig, {"detector": {"nme": "ocsvm"}}, "DetectorConfig key(s): nme"),
-            (DetectorConfig, {"name": "ocsvm", "param": {}}, "DetectorConfig key(s): param"),
-            (ScoreNormConfig, {"kind": "sd", "h": 1.0, "g": 2}, "ScoreNormConfig key(s): g, h"),
-            (SynthConfig, {"n_subject": 3}, "SynthConfig key(s): n_subject"),
+            (PipelineConfig, {"alignmnet": "truncate"}, "unknown PipelineConfig key(s): alignmnet"),
+            (PipelineConfig, {"score_norm": {"hs": 1.0}}, "unknown ScoreNormConfig key(s): hs"),
+            (PipelineConfig, {"detector": {"nme": "ocsvm"}}, "unknown DetectorConfig key(s): nme"),
+            (DetectorConfig, {"name": "ocsvm", "param": {}}, "unknown DetectorConfig key(s): param"),
+            (ScoreNormConfig, {"kind": "sd", "h": 1.0, "g": 2}, "unknown ScoreNormConfig key(s): g, h"),
+            (SynthConfig, {"n_subject": 3}, "unknown SynthConfig key(s): n_subject"),
+            # ill-typed values, one row per kind of field
+            (
+                PipelineConfig,
+                {"per_position": "false", "merge_shift_keys": "no"},
+                "PipelineConfig.per_position: expected true or false, got 'false'",
+            ),
+            (PipelineConfig, {"seed": 1.7}, "PipelineConfig.seed: expected an integer, got 1.7"),
+            (SynthConfig, {"seed": True}, "SynthConfig.seed: expected an integer, got True"),
+            (SynthConfig, {"n_subjects": "5"}, "SynthConfig.n_subjects: expected an integer, got '5'"),
+            (PipelineConfig, {"h_f": True}, "PipelineConfig.h_f: expected a finite number, got True"),
+            (SynthConfig, {"shift_drop": "0.1"}, "SynthConfig.shift_drop: expected a finite number, got '0.1'"),
+            (PipelineConfig, {"h_f": math.nan}, "PipelineConfig.h_f: expected a finite number, got nan"),
+            (PipelineConfig, {"h_f": 2**1024}, f"PipelineConfig.h_f: expected a finite number, got {2**1024}"),
+            (
+                PipelineConfig,
+                {"score_norm": {"h_s": math.inf}},
+                "ScoreNormConfig.h_s: expected a finite number, got inf",
+            ),
+            (PipelineConfig, {"alignment": 1}, "PipelineConfig.alignment: expected a string, got 1"),
+            (SynthConfig, {"name_length": 7}, "SynthConfig.name_length: expected a list of 2, got 7"),
+            (
+                SynthConfig,
+                {"genuine_queries": [1, 2, 3]},
+                "SynthConfig.genuine_queries: expected a list of 2, got [1, 2, 3]",
+            ),
+            (
+                DetectorConfig,
+                {"name": "ensemble", "members": {"name": "manhattan"}},
+                "DetectorConfig.members: expected a list, got {'name': 'manhattan'}",
+            ),
+            (PipelineConfig, {"detector": "manhattan"}, "PipelineConfig.detector: expected an object, got 'manhattan'"),
+            (PipelineConfig, {"detector": {"params": [1, 2]}}, "DetectorConfig.params: expected an object, got [1, 2]"),
+            (PipelineConfig, [1, 2], "PipelineConfig: expected an object, got list"),
         ],
     )
-    def test_config_rejects_unknown_keys(self, cls, data, key):
-        with pytest.raises(ValueError, match=rf"^unknown {re.escape(key)}$"):
+    def test_config_rejects_unknown_keys(self, cls, data, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             cls.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            PipelineConfig(),
+            PipelineConfig(
+                alignment="discard",
+                h_f=2.5,
+                per_position=True,
+                detector=DetectorConfig(
+                    name="ensemble",
+                    members=(
+                        DetectorConfig(name="autoencoder", params={"hidden_sizes": [4, 3]}),
+                        DetectorConfig(name="manhattan", params={"scaled": True}),
+                    ),
+                ),
+                score_norm=ScoreNormConfig(kind="minmax", h_s=1.5),
+                ensemble_normalized=True,
+                seed=7,
+            ),
+            ScoreNormConfig(kind="none"),
+            DetectorConfig(name="ocsvm", params={"nu": 0.3}),
+            SynthConfig(name_length=(8, 9), shift_drop=0.1, impostor_source="victim"),
+        ],
+    )
+    def test_config_json_round_trip(self, config):
+        assert type(config).from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
     @pytest.mark.parametrize("ensemble_normalized", [False, True])
     @pytest.mark.parametrize("n_members", [0, 1])

@@ -13,7 +13,6 @@ from keygait import (
     fit_feature_normalizer,
     normalize_feature_matrix,
     normalize_features,
-    write_feature_matrix,
 )
 
 from oracles import reference_normalized_features
@@ -126,9 +125,10 @@ class TestNormalization:
         with pytest.raises(FeatureError):
             fit_feature_normalizer(mixed)
 
-    def test_h_f_must_be_positive(self):
+    @pytest.mark.parametrize("h_f", [0.0, float("nan")])
+    def test_h_f_must_be_positive(self, h_f):
         with pytest.raises(FeatureError):
-            fit_feature_normalizer(_template_vectors(), h_f=0.0)
+            fit_feature_normalizer(_template_vectors(), h_f=h_f)
 
 
 @given(
@@ -153,17 +153,6 @@ def test_normalized_range_property(timing):
     norm = fit_feature_normalizer([v])
     out = normalize_features(norm, v)
     assert np.all((out >= 0.0) & (out <= 1.0))
-
-
-def test_csv_export(tmp_path):
-    vectors = _template_vectors()
-    path = tmp_path / "features.csv"
-    write_feature_matrix(vectors, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "d_0,d_1,d_2,p_0,p_1"
-    assert len(lines) == 4
-    row = [float(x) for x in lines[1].split(",")]
-    assert row == vectors[0].values.tolist()
 
 
 class TestFeatureMatrix:

@@ -44,9 +44,10 @@ def test_sd_needs_two_scores():
         normalize_sd([1.0], h_s=2.0)
 
 
-def test_sd_rejects_nonpositive_width():
+@pytest.mark.parametrize("h_s", [0.0, math.nan])
+def test_sd_rejects_nonpositive_width(h_s):
     with pytest.raises(ScoreNormError):
-        normalize_sd([1.0, 2.0], h_s=0.0)
+        normalize_sd([1.0, 2.0], h_s=h_s)
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40), st.floats(0.5, 5.0))
