@@ -8,6 +8,13 @@ Every stacked op computes each subject's values exactly as a fit of that
 subject alone would: elementwise ops and matmuls over samples or hidden
 units run once for the stack, and contractions over the feature width
 run per subject on the unpadded slice (`width_matmul`).
+
+``sigmoid`` is ``scipy.special.expit``, imported on first use:
+``scipy.special`` takes ~0.3 s to import (``-X importtime``) and only the
+contractive autoencoder and the VAE use it. The module ``__getattr__``
+binds it as a global on the first ``_nn.sigmoid`` lookup, so later
+lookups are plain attribute reads; ``from ._nn import sigmoid`` would
+import scipy at once.
 """
 
 from __future__ import annotations
@@ -15,12 +22,20 @@ from __future__ import annotations
 from typing import Any, Sequence
 
 import numpy as np
-from scipy.special import expit as sigmoid  # noqa: F401  (re-exported)
 
 from ..errors import KeygaitError, TrainingError
 from .base import as_matrix
 
 Params = dict[str, Any]  # name -> tensor or list of tensors
+
+
+def __getattr__(name: str) -> Any:
+    if name == "sigmoid":
+        from scipy.special import expit
+
+        globals()["sigmoid"] = expit
+        return expit
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def softplus(z: np.ndarray) -> np.ndarray:

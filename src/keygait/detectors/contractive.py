@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TrainingError
-from ._nn import sigmoid, xavier_uniform
+from . import _nn
+from ._nn import xavier_uniform
 from .base import Detector, as_matrix
 
 Params = dict[str, np.ndarray]
@@ -29,11 +30,11 @@ def init_params(rng: np.random.Generator, d_in: int, d_hidden: int) -> Params:
 
 
 def encode(params: Params, X: np.ndarray) -> np.ndarray:
-    return sigmoid(np.atleast_2d(X) @ params["W"].T + params["bh"])
+    return _nn.sigmoid(np.atleast_2d(X) @ params["W"].T + params["bh"])
 
 
 def reconstruct(params: Params, X: np.ndarray) -> np.ndarray:
-    return sigmoid(encode(params, X) @ params["W"] + params["by"])
+    return _nn.sigmoid(encode(params, X) @ params["W"] + params["by"])
 
 
 def contractive_penalty(params: Params, X: np.ndarray) -> float:
@@ -44,33 +45,55 @@ def contractive_penalty(params: Params, X: np.ndarray) -> float:
     return float(((S**2) * r).sum())
 
 
+def gradient_buffers(params: Params) -> Params:
+    """Arrays for `loss_and_grads` to fill: one per parameter, plus two
+    (hidden, d) scratch arrays under ``"scratch"``."""
+    grads = {k: np.empty_like(v) for k, v in params.items()}
+    grads["scratch"] = np.empty((2, *params["W"].shape))
+    return grads
+
+
 def loss_and_grads(
-    params: Params, X: np.ndarray, reg_weight: float
+    params: Params, X: np.ndarray, reg_weight: float, grads: Params | None = None
 ) -> tuple[float, Params]:
+    """Loss and gradients over the batch ``X``.
+
+    The gradients are written into ``grads`` (from `gradient_buffers`,
+    fresh ones when None). Every (hidden, d) intermediate lands in those
+    arrays, so a training loop that passes the same buffers allocates no
+    array of that size per epoch: each would otherwise be mapped and
+    unmapped, or trimmed off the heap, every epoch.
+    """
+    if grads is None:
+        grads = gradient_buffers(params)
+    grad_W, (A, B) = grads["W"], grads["scratch"]
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     W, bh, by = params["W"], params["bh"], params["by"]
-    H = sigmoid(X @ W.T + bh)
-    Y = sigmoid(H @ W + by)
+    H = _nn.sigmoid(X @ W.T + bh)
+    Y = _nn.sigmoid(H @ W + by)
     S = H * (1.0 - H)
-    r = (W**2).sum(axis=1)
+    r = np.square(W, out=A).sum(axis=1)
 
     recon = float(((X - Y) ** 2).sum())
     penalty = float(((S**2) * r).sum())
     loss = recon + reg_weight * penalty
 
     gv = 2.0 * (Y - X) * Y * (1.0 - Y)
-    grad_by = gv.sum(axis=0)
-    grad_W = H.T @ gv  # decoder use of W
+    gv.sum(axis=0, out=grads["by"])
+    np.matmul(H.T, gv, out=grad_W)  # decoder use of W
     gz = (gv @ W.T) * S
-    grad_bh = gz.sum(axis=0)
-    grad_W += gz.T @ X  # encoder use of W
+    gz.sum(axis=0, out=grads["bh"])
+    grad_W += np.matmul(gz.T, X, out=A)  # encoder use of W
 
     # Penalty path: through h (chain rule) and through W directly.
     T = (S**2) * (1.0 - 2.0 * H)
-    grad_W += reg_weight * (2.0 * (T * r).T @ X + 2.0 * (S**2).sum(axis=0)[:, None] * W)
-    grad_bh += reg_weight * 2.0 * (T.sum(axis=0) * r)
+    np.matmul(2.0 * (T * r).T, X, out=A)
+    A += np.multiply(2.0 * (S**2).sum(axis=0)[:, None], W, out=B)
+    A *= reg_weight
+    grad_W += A
+    grads["bh"] += reg_weight * 2.0 * (T.sum(axis=0) * r)
 
-    return loss, {"W": grad_W, "bh": grad_bh, "by": grad_by}
+    return loss, grads
 
 
 class ContractiveAutoencoder(Detector):
@@ -97,12 +120,15 @@ class ContractiveAutoencoder(Detector):
         X = as_matrix(templates)
         rng = np.random.default_rng(self.seed)
         params = init_params(rng, X.shape[1], self.hidden_dim)
+        grads = gradient_buffers(params)
         for epoch in range(self.epochs):
-            loss, grads = loss_and_grads(params, X, self.reg_weight)
+            loss, _ = loss_and_grads(params, X, self.reg_weight, grads)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite loss at epoch {epoch}")
             for name in params:
-                params[name] -= self.learning_rate * grads[name]
+                g = grads[name]
+                g *= self.learning_rate
+                params[name] -= g
         self.params_ = params
         return self
 

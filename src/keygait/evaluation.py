@@ -235,6 +235,14 @@ def _raw_scores(
     return out
 
 
+def _members(detector: DetectorConfig) -> list[tuple[int, DetectorConfig]]:
+    """(seed offset, config) of each detector a config fits: an ensemble's
+    members from offset 1, else the detector itself at offset 0."""
+    if detector.name == "ensemble":
+        return list(enumerate(detector.members, start=1))
+    return [(0, detector)]
+
+
 def _scores(
     prepared: list[_SubjectFeatures], config: PipelineConfig, seeds: list[int]
 ) -> ScoreSet:
@@ -248,11 +256,11 @@ def _scores(
     normalization of the mean and of every member leaves it out. A subject
     whose scores cannot be normalized is flagged whole.
     """
-    detector, norm = config.detector, config.score_norm
-    ensemble = detector.name == "ensemble"
-    members = list(enumerate(detector.members, start=1)) if ensemble else [(0, detector)]
+    norm = config.score_norm
+    ensemble = config.detector.name == "ensemble"
     member_raw = [
-        _raw_scores(prepared, m, [seed + offset for seed in seeds]) for offset, m in members
+        _raw_scores(prepared, m, [seed + offset for seed in seeds])
+        for offset, m in _members(config.detector)
     ]
     records: list[ScoreRecord] = []
     for p, raws in zip(prepared, zip(*member_raw)):
@@ -293,7 +301,13 @@ def run_pipeline(dataset: SubjectDataset, config: PipelineConfig) -> ScoreSet:
     with ``ensemble_normalized``, normalized scores. Failed samples come
     back flagged with the sentinel score; record count in == record count
     out.
+
+    Raises:
+        ValueError: a detector's name or params are invalid. Every
+            detector config is built once, before any subject is prepared.
     """
+    for _, member in _members(config.detector):
+        build_detector(member)
     prepared = [
         _prepare_subject(
             sid,

@@ -412,3 +412,15 @@ def reference_normalized_features(templates, queries, *, h_f: float = 1.0, per_p
         return np.concatenate([scale(r[0], mu_d, sigma_d), scale(r[1], mu_p, sigma_p)])
 
     return [normalize(r) for r in t_raw], [normalize(raw(s)) for s in queries]
+
+
+# ------------------------------------------------------------ peak finding
+
+
+def reference_find_peaks(x: np.ndarray, height: float) -> np.ndarray:
+    """``scipy.signal.find_peaks(x, height=height)`` peak indices; scipy
+    scans for rises and falls one sample at a time."""
+    from scipy.signal import find_peaks
+
+    return find_peaks(x, height=height)[0]
+

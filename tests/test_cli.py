@@ -230,6 +230,25 @@ class TestErrorHandling:
         assert code == 1
         assert capsys.readouterr().err == "error: detector 'ocsvm' takes no parameter(s) gama\n"
 
+    def test_ill_typed_param_is_operational_error_when_every_subject_fails(self, tmp_path, capsys):
+        from keygait import Keystroke, KeystrokeSequence, Role, Sample, SubjectDataset
+
+        # every target has one keystroke, so every subject fails preparation
+        dataset = SubjectDataset()
+        for sid in ("s001", "s002"):
+            dataset.add(Sample(sid, "t01", Role.TEMPLATE, KeystrokeSequence((Keystroke("a", 0, 60),))))
+            seq = KeystrokeSequence((Keystroke("a", 0, 60), Keystroke("b", 100, 170)))
+            dataset.add(Sample(sid, "q01", Role.QUERY, seq))
+        root = tmp_path / "failing"
+        write_dataset(dataset, root)
+        config_path = tmp_path / "pipe.json"
+        config_path.write_text(json.dumps({"detector": {"name": "ocsvm", "params": {"nu": "0.5"}}}))
+        out = tmp_path / "run"
+        code = main(["evaluate", "--data", str(root), "--out", str(out), "--config", str(config_path)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: OneClassSvm.nu: expected a finite number, got '0.5'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, text, message",
         [

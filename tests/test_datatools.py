@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from keygait import (
     DatasetError,
@@ -31,7 +33,10 @@ from keygait import (
     write_scores,
 )
 from keygait.datasets import format_score
+from keygait.resolution import _find_peaks
 from keygait.synthesis import PERTURBATION_KINDS
+
+from oracles import reference_find_peaks
 
 TINY = SynthConfig(n_subjects=2, n_templates=3, genuine_queries=(2, 2), impostor_queries=(2, 2), seed=3)
 
@@ -362,3 +367,44 @@ class TestResolution:
     def test_rejects_bad_parameters(self, bandwidth):
         with pytest.raises(ValueError):
             estimate_resolution(np.array([10.0, 20.0]), bandwidth=bandwidth)
+
+
+# Densities built from runs of equal values, so plateaus, plateaus on an
+# edge, all-equal arrays and lengths 0-3 all come up often.
+_levels = st.one_of(st.integers(0, 3).map(float), st.floats(-10.0, 10.0))
+_runs = st.lists(st.tuples(_levels, st.integers(1, 4)), max_size=8)
+
+
+class TestPeakScan:
+    @pytest.mark.parametrize(
+        "x, height, expected",
+        [
+            ([0, 1, 1, 1, 0], 0.0, [2]),  # a plateau counts once, at its middle
+            ([0, 1, 1, 0], 0.0, [1]),  # an even plateau's middle rounds down
+            ([1, 1, 0, 2, 0], 0.0, [3]),  # a plateau on the left edge never counts
+            ([0, 2, 0, 1, 1], 0.0, [1]),  # nor one on the right edge
+            ([2, 0, 1, 0, 2], 0.0, [2]),  # nor an edge sample
+            ([3, 3, 3], 0.0, []),
+            ([0, 5, 0], 5.0, [1]),  # the height test is inclusive
+            ([0, 5, 0], 5.5, []),
+            ([], 0.0, []),
+            ([7], 0.0, []),
+            ([0, 7], 0.0, []),
+        ],
+    )
+    def test_rules(self, x, height, expected):
+        x = np.asarray(x, dtype=np.float64)
+        assert _find_peaks(x, height).tolist() == expected
+        assert reference_find_peaks(x, height).tolist() == expected
+
+    @settings(max_examples=500)
+    @given(_runs, st.data())
+    def test_matches_scipy(self, runs, data):
+        x = np.array([v for v, n in runs for _ in range(n)], dtype=np.float64)
+        # a height equal to one of the values, a peak's included, or not
+        height = data.draw(st.one_of(st.sampled_from(x.tolist() or [0.0]), _levels))
+        got = _find_peaks(x, height)
+        expected = reference_find_peaks(x, height)
+        assert got.tolist() == expected.tolist()
+        assert got.dtype == expected.dtype
+

@@ -165,6 +165,19 @@ class TestContractiveAutoencoder:
                     total += float((col**2).sum())
             assert abs(analytic - total) / max(abs(total), 1e-12) < 1e-5
 
+    def test_fit_reusing_buffers_matches_fresh_gradients(self):
+        # fit fills one set of gradient buffers every epoch; nothing of an
+        # epoch may leak into the next
+        X = np.random.default_rng(4).uniform(size=(4, 6))
+        det = ContractiveAutoencoder(hidden_dim=8, epochs=30, reg_weight=0.7, seed=2).fit(X)
+        params = cae.init_params(np.random.default_rng(2), 6, 8)
+        for _ in range(30):
+            _, grads = cae.loss_and_grads(params, X, 0.7)
+            for name in self.KEYS:
+                params[name] -= 0.01 * grads[name]
+        for name in self.KEYS:
+            assert det.params_[name].tobytes() == params[name].tobytes()
+
     def test_penalty_weight_changes_training(self):
         X = np.random.default_rng(3).uniform(size=(4, 6))
         a = ContractiveAutoencoder(hidden_dim=8, epochs=40, seed=1).fit(X)

@@ -342,6 +342,34 @@ class TestRunPipeline:
             ds.add(Sample("s1", "t9", Role.TEMPLATE, _mkseq(["lshift", "capslock"])))
         assert run_pipeline(ds, config) == clean
 
+    @pytest.mark.parametrize(
+        "detector",
+        [
+            DetectorConfig(name="ocsvm", params={"nu": "0.5"}),
+            DetectorConfig(
+                name="ensemble",
+                members=(DetectorConfig(name="manhattan"), DetectorConfig(name="ocsvm", params={"nu": "0.5"})),
+            ),
+        ],
+        ids=["single", "ensemble-member"],
+    )
+    def test_ill_typed_param_raises_before_any_subject_is_prepared(self, monkeypatch, detector):
+        # every subject fails preparation (a 1-keystroke target), so no
+        # detector is ever fitted; the params are checked all the same
+        ds = SubjectDataset()
+        for sid in ("s1", "s2"):
+            ds.add(Sample(sid, "t0", Role.TEMPLATE, _mkseq("a")))
+            ds.add(Sample(sid, "q0", Role.QUERY, _mkseq("ab"), Label.GENUINE))
+        assert all(r.flagged for r in run_pipeline(ds, PipelineConfig()))
+
+        def prepare(*args):
+            raise AssertionError("a subject was prepared")
+
+        monkeypatch.setattr(evaluation, "_prepare_subject", prepare)
+        message = "OneClassSvm.nu: expected a finite number, got '0.5'"
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            run_pipeline(ds, PipelineConfig(detector=detector))
+
     def test_labels_optional_for_scoring(self):
         ds = SubjectDataset()
         for i in range(3):
