@@ -105,6 +105,11 @@ class DetectorConfig(JsonConfig):
             if any(m.name == "ensemble" for m in self.members):
                 raise ValueError("ensemble members must be single detectors")
 
+    def singles(self) -> tuple[DetectorConfig, ...]:
+        """The single detectors this config fits: an ensemble's members,
+        else the detector itself."""
+        return self.members if self.name == "ensemble" else (self,)
+
 
 @dataclass(frozen=True)
 class ScoreNormConfig(JsonConfig):
@@ -126,7 +131,10 @@ class ScoreNormConfig(JsonConfig):
 class PipelineConfig(JsonConfig):
     """Everything run_pipeline needs: alignment method, feature
     normalization settings, detector, score normalization, and the master
-    seed from which all per-subject seeds derive."""
+    seed from which all per-subject seeds derive.
+
+    Construction builds the detector, or each ensemble member, once, so a
+    config never holds an unknown detector or an invalid param."""
 
     alignment: str = "align"
     h_f: float = 1.0
@@ -144,6 +152,10 @@ class PipelineConfig(JsonConfig):
             )
         if not self.h_f > 0:
             raise ValueError(f"h_f must be positive, got {self.h_f}")
+        from .detectors import build_detector  # keygait.detectors imports this module
+
+        for detector in self.detector.singles():
+            build_detector(detector)
 
 
 def load_config(path: str | Path, cls: type[JsonConfig]) -> Any:

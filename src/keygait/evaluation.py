@@ -235,14 +235,6 @@ def _raw_scores(
     return out
 
 
-def _members(detector: DetectorConfig) -> list[tuple[int, DetectorConfig]]:
-    """(seed offset, config) of each detector a config fits: an ensemble's
-    members from offset 1, else the detector itself at offset 0."""
-    if detector.name == "ensemble":
-        return list(enumerate(detector.members, start=1))
-    return [(0, detector)]
-
-
 def _scores(
     prepared: list[_SubjectFeatures], config: PipelineConfig, seeds: list[int]
 ) -> ScoreSet:
@@ -260,7 +252,7 @@ def _scores(
     ensemble = config.detector.name == "ensemble"
     member_raw = [
         _raw_scores(prepared, m, [seed + offset for seed in seeds])
-        for offset, m in _members(config.detector)
+        for offset, m in enumerate(config.detector.singles(), start=int(ensemble))
     ]
     records: list[ScoreRecord] = []
     for p, raws in zip(prepared, zip(*member_raw)):
@@ -303,11 +295,10 @@ def run_pipeline(dataset: SubjectDataset, config: PipelineConfig) -> ScoreSet:
     out.
 
     Raises:
-        ValueError: a detector's name or params are invalid. Every
-            detector config is built once, before any subject is prepared.
+        Nothing for a detector: a ``PipelineConfig`` cannot hold an unknown
+            detector or invalid detector params, because its constructor
+            builds each detector config once and raises ValueError.
     """
-    for _, member in _members(config.detector):
-        build_detector(member)
     prepared = [
         _prepare_subject(
             sid,
@@ -344,11 +335,14 @@ def monte_carlo_validate(
     global EER is recorded.
 
     Raises:
-        EvaluationError: a sample is unlabeled, or a subject has fewer
-            than n_templates + 1 genuine samples.
+        EvaluationError: repetitions or n_templates is below 1, a sample
+            is unlabeled, or a subject has fewer than n_templates + 1
+            genuine samples.
     """
     if repetitions < 1:
         raise EvaluationError(f"repetitions must be positive, got {repetitions}")
+    if n_templates < 1:
+        raise EvaluationError(f"n_templates must be positive, got {n_templates}")
     master = config.seed if seed is None else seed
     pools: list[tuple[str, list[Sample], list[Sample]]] = []
     for subject_id in dataset.subject_ids():

@@ -7,12 +7,16 @@ negative after alignment (transposed keys); durations may not.
 Normalization maps each feature into [0, 1] against bounds fitted on a
 subject's templates: mean plus/minus ``h_f`` standard deviations, with
 values outside the bounds clamped. The bound width has a floor of 1 ms
-so constant features map to 0.5 instead of dividing by zero.
+so constant features map to 0.5 instead of dividing by zero. Each
+feature type's mean and deviation are floats pooled over all positions
+or, per position, arrays with one entry per index; one broadcast serves
+both.
 
 The arithmetic runs on matrices: :func:`extract_feature_matrix` turns m
 equal-length aligned sequences into one (m, n) duration matrix and one
-(m, n-1) latency matrix, and :func:`normalize_feature_matrix` scales every
-row at once. The single-sequence :func:`extract_features` and
+(m, n-1) latency matrix, the only input :func:`fit_feature_normalizer`
+takes, and :func:`normalize_feature_matrix` scales every row at once.
+The single-sequence :func:`extract_features` and
 :func:`normalize_features` are one-row calls into them.
 """
 
@@ -70,24 +74,6 @@ class RawFeatureMatrix:
                 f"(m, n-1), got {self.latencies.shape}"
             )
 
-    @classmethod
-    def stack(cls, vectors: Sequence[RawFeatureVector]) -> "RawFeatureMatrix":
-        """Rows of equal-length vectors.
-
-        Raises:
-            FeatureError: the vectors disagree on length.
-        """
-        n = vectors[0].durations.shape[0]
-        for v in vectors:
-            if v.durations.shape[0] != n:
-                raise FeatureError(
-                    f"template vectors disagree on length: {v.durations.shape[0]} vs {n}"
-                )
-        return cls(
-            np.stack([v.durations for v in vectors]),
-            np.stack([v.latencies for v in vectors]),
-        )
-
     def __len__(self) -> int:
         return self.durations.shape[0]
 
@@ -130,60 +116,38 @@ def extract_features(seq: KeystrokeSequence) -> RawFeatureVector:
 
 @dataclass(frozen=True)
 class FeatureNormalizer:
-    """Fitted normalization bounds.
+    """Fitted normalization bounds: per feature type, a mean and a standard
+    deviation, either floats (pooled over every position) or arrays with
+    one entry per duration or latency index (per position)."""
 
-    In pooled mode a single (mu, sigma) pair per feature type is used for
-    every position; in per-position mode each feature index has its own
-    statistics fitted across templates.
-    """
-
-    mu_d: float
-    sigma_d: float
-    mu_p: float
-    sigma_p: float
+    mu_d: float | np.ndarray
+    sigma_d: float | np.ndarray
+    mu_p: float | np.ndarray
+    sigma_p: float | np.ndarray
     h_f: float
-    per_position: bool = False
-    pos_mu_d: np.ndarray | None = None
-    pos_sigma_d: np.ndarray | None = None
-    pos_mu_p: np.ndarray | None = None
-    pos_sigma_p: np.ndarray | None = None
 
 
 def fit_feature_normalizer(
-    features: RawFeatureMatrix | Sequence[RawFeatureVector],
-    *,
-    h_f: float = 1.0,
-    per_position: bool = False,
+    features: RawFeatureMatrix, *, h_f: float = 1.0, per_position: bool = False
 ) -> FeatureNormalizer:
     """Fit normalization statistics on a subject's template features.
 
-    Durations and latencies are pooled separately across all positions of
-    all templates (population standard deviation). All vectors must have
-    equal length, which alignment guarantees.
+    Durations and latencies are reduced separately (population standard
+    deviation): over all positions of all templates, or with
+    ``per_position`` over the templates at each position.
 
     Raises:
-        FeatureError: no templates, mismatched lengths, or h_f not positive
-            (NaN included).
+        FeatureError: no templates, or h_f not positive (NaN included).
     """
     if len(features) == 0:
         raise FeatureError("cannot fit a normalizer on zero template vectors")
     if not h_f > 0:
         raise FeatureError(f"h_f must be positive, got {h_f}")
-    if not isinstance(features, RawFeatureMatrix):
-        features = RawFeatureMatrix.stack(features)
+    axis = 0 if per_position else None
     d = features.durations
     p = features.latencies
     return FeatureNormalizer(
-        mu_d=float(d.mean()),
-        sigma_d=float(d.std()),
-        mu_p=float(p.mean()),
-        sigma_p=float(p.std()),
-        h_f=h_f,
-        per_position=per_position,
-        pos_mu_d=d.mean(axis=0) if per_position else None,
-        pos_sigma_d=d.std(axis=0) if per_position else None,
-        pos_mu_p=p.mean(axis=0) if per_position else None,
-        pos_sigma_p=p.std(axis=0) if per_position else None,
+        d.mean(axis=axis), d.std(axis=axis), p.mean(axis=axis), p.std(axis=axis), h_f
     )
 
 
@@ -195,20 +159,16 @@ def _scale(x: np.ndarray, mu: np.ndarray | float, sigma: np.ndarray | float, h_f
 
 def normalize_feature_matrix(norm: FeatureNormalizer, raw: RawFeatureMatrix) -> np.ndarray:
     """Map every row into [0, 1]^(2n-1) using fitted bounds: an (m, 2n-1)
-    matrix of durations then latencies."""
-    if norm.per_position:
-        assert norm.pos_mu_d is not None and norm.pos_sigma_d is not None
-        assert norm.pos_mu_p is not None and norm.pos_sigma_p is not None
-        if raw.durations.shape[1] != norm.pos_mu_d.shape[0]:
-            raise FeatureError(
-                f"vector length {raw.durations.shape[1]} does not match "
-                f"fitted length {norm.pos_mu_d.shape[0]}"
-            )
-        d = _scale(raw.durations, norm.pos_mu_d, norm.pos_sigma_d, norm.h_f)
-        p = _scale(raw.latencies, norm.pos_mu_p, norm.pos_sigma_p, norm.h_f)
-    else:
-        d = _scale(raw.durations, norm.mu_d, norm.sigma_d, norm.h_f)
-        p = _scale(raw.latencies, norm.mu_p, norm.sigma_p, norm.h_f)
+    matrix of durations then latencies.
+
+    Raises:
+        FeatureError: per-position bounds fitted on another length.
+    """
+    n = raw.durations.shape[1]
+    if np.ndim(norm.mu_d) and len(norm.mu_d) != n:
+        raise FeatureError(f"vector length {n} does not match fitted length {len(norm.mu_d)}")
+    d = _scale(raw.durations, norm.mu_d, norm.sigma_d, norm.h_f)
+    p = _scale(raw.latencies, norm.mu_p, norm.sigma_p, norm.h_f)
     return np.concatenate([d, p], axis=1)
 
 

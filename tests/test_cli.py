@@ -145,6 +145,14 @@ class TestValidate:
         assert len(reps) == 4
         assert (out / "metrics.tsv").is_file() and (out / "config.json").is_file()
 
+    @pytest.mark.parametrize("templates", ["0", "-1"])
+    def test_templates_below_one_is_operational_error(self, data_dir, tmp_path, capsys, templates):
+        out = tmp_path / "mc"
+        argv = ["validate", "--data", str(data_dir), "--out", str(out), "--templates", templates]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: n_templates must be positive, got {templates}\n"
+        assert not out.exists()
+
 
 class TestAblate:
     def test_grid_covers_all_combinations(self, data_dir, tmp_path, capsys):
@@ -246,6 +254,16 @@ class TestErrorHandling:
         out = tmp_path / "run"
         code = main(["evaluate", "--data", str(root), "--out", str(out), "--config", str(config_path)])
         assert code == 1
+        assert capsys.readouterr().err == "error: OneClassSvm.nu: expected a finite number, got '0.5'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "validate", "ablate"])
+    def test_ill_typed_param_is_reported_before_the_dataset_is_loaded(self, tmp_path, capsys, command):
+        config_path = tmp_path / "pipe.json"
+        config_path.write_text(json.dumps({"detector": {"name": "ocsvm", "params": {"nu": "0.5"}}}))
+        out = tmp_path / "out"
+        argv = [command, "--data", str(tmp_path / "missing"), "--out", str(out), "--config", str(config_path)]
+        assert main(argv) == 1
         assert capsys.readouterr().err == "error: OneClassSvm.nu: expected a finite number, got '0.5'\n"
         assert not out.exists()
 

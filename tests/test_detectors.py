@@ -149,6 +149,10 @@ class TestContractiveAutoencoder:
             params = cae.init_params(rng, 6, 9)
             X = rng.uniform(0.1, 0.9, size=(2, 6))
             analytic = cae.contractive_penalty(params, X)
+            # the inline copy that training uses carries the same penalty
+            lam = 1.5
+            weighted = cae.loss_and_grads(params, X, lam)[0] - cae.loss_and_grads(params, X, 0.0)[0]
+            assert weighted == pytest.approx(lam * analytic, rel=1e-12, abs=0.0)
 
             total = 0.0
             h = 1e-5

@@ -671,3 +671,11 @@ class TestMonteCarlo:
     def test_repetitions_validated(self, small_dataset):
         with pytest.raises(EvaluationError):
             monte_carlo_validate(small_dataset, PipelineConfig(), repetitions=0)
+
+    @pytest.mark.parametrize("n_templates", [0, -1])
+    def test_n_templates_validated(self, small_dataset, n_templates):
+        message = f"n_templates must be positive, got {n_templates}"
+        with pytest.raises(EvaluationError, match=rf"^{re.escape(message)}$"):
+            monte_carlo_validate(
+                small_dataset, PipelineConfig(), repetitions=1, n_templates=n_templates
+            )

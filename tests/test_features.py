@@ -53,62 +53,64 @@ def test_requires_two_keystrokes():
         extract_features(s)
 
 
-def _template_vectors():
+def _template_seqs():
     return [
-        extract_features(aligned(("a", 0, 80), ("b", 150, 240), ("c", 300, 390))),
-        extract_features(aligned(("a", 0, 100), ("b", 170, 260), ("c", 330, 400))),
-        extract_features(aligned(("a", 0, 90), ("b", 160, 250), ("c", 310, 380))),
+        aligned(("a", 0, 80), ("b", 150, 240), ("c", 300, 390)),
+        aligned(("a", 0, 100), ("b", 170, 260), ("c", 330, 400)),
+        aligned(("a", 0, 90), ("b", 160, 250), ("c", 310, 380)),
     ]
+
+
+def _template_vectors():
+    return [extract_features(s) for s in _template_seqs()]
+
+
+def _templates():
+    return extract_feature_matrix(_template_seqs())
 
 
 class TestNormalization:
     def test_output_in_unit_interval(self):
         vectors = _template_vectors()
-        norm = fit_feature_normalizer(vectors)
+        norm = fit_feature_normalizer(_templates())
         for v in vectors:
             out = normalize_features(norm, v)
             assert out.shape == (5,)
             assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
     def test_out_of_range_clamps(self):
-        norm = fit_feature_normalizer(_template_vectors())
+        norm = fit_feature_normalizer(_templates())
         far = extract_features(aligned(("a", 0, 5000), ("b", 6000, 6001), ("c", 6002, 6003)))
         out = normalize_features(norm, far)
         assert out[0] == 1.0  # huge duration clamps high
         assert out[1] == 0.0  # tiny duration clamps low
 
     def test_constant_feature_maps_to_half(self):
-        vectors = [
-            extract_features(aligned(("a", 0, 50), ("b", 100, 150))),
-            extract_features(aligned(("a", 0, 50), ("b", 100, 150))),
-        ]
-        norm = fit_feature_normalizer(vectors)
-        out = normalize_features(norm, vectors[0])
+        seqs = [aligned(("a", 0, 50), ("b", 100, 150)), aligned(("a", 0, 50), ("b", 100, 150))]
+        norm = fit_feature_normalizer(extract_feature_matrix(seqs))
+        out = normalize_features(norm, extract_features(seqs[0]))
         assert np.allclose(out, 0.5)
 
     def test_pooled_mean_value_maps_to_half(self):
         from keygait import RawFeatureVector
 
-        vectors = _template_vectors()
-        norm = fit_feature_normalizer(vectors)
+        norm = fit_feature_normalizer(_templates())
         center = RawFeatureVector(
             durations=np.full(3, norm.mu_d), latencies=np.full(2, norm.mu_p)
         )
         assert np.allclose(normalize_features(norm, center), 0.5)
 
     def test_wider_h_f_compresses_toward_half(self):
-        vectors = _template_vectors()
-        narrow = fit_feature_normalizer(vectors, h_f=1.0)
-        wide = fit_feature_normalizer(vectors, h_f=4.0)
-        v = vectors[0]
+        narrow = fit_feature_normalizer(_templates(), h_f=1.0)
+        wide = fit_feature_normalizer(_templates(), h_f=4.0)
+        v = _template_vectors()[0]
         spread_narrow = np.abs(normalize_features(narrow, v) - 0.5)
         spread_wide = np.abs(normalize_features(wide, v) - 0.5)
         assert np.all(spread_wide <= spread_narrow + 1e-12)
 
     def test_per_position_mode(self):
-        vectors = _template_vectors()
-        norm = fit_feature_normalizer(vectors, per_position=True)
-        out = normalize_features(norm, vectors[1])
+        norm = fit_feature_normalizer(_templates(), per_position=True)
+        out = normalize_features(norm, _template_vectors()[1])
         assert out.shape == (5,)
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
         short = extract_features(aligned(("a", 0, 10), ("b", 20, 30)))
@@ -117,18 +119,18 @@ class TestNormalization:
 
     def test_empty_or_mismatched_fit_rejected(self):
         with pytest.raises(FeatureError):
-            fit_feature_normalizer([])
+            fit_feature_normalizer(_templates()[:0])
         mixed = [
-            extract_features(aligned(("a", 0, 10), ("b", 20, 30))),
-            extract_features(aligned(("a", 0, 10), ("b", 20, 30), ("c", 40, 50))),
+            aligned(("a", 0, 10), ("b", 20, 30)),
+            aligned(("a", 0, 10), ("b", 20, 30), ("c", 40, 50)),
         ]
         with pytest.raises(FeatureError):
-            fit_feature_normalizer(mixed)
+            fit_feature_normalizer(extract_feature_matrix(mixed))
 
     @pytest.mark.parametrize("h_f", [0.0, float("nan")])
     def test_h_f_must_be_positive(self, h_f):
         with pytest.raises(FeatureError):
-            fit_feature_normalizer(_template_vectors(), h_f=h_f)
+            fit_feature_normalizer(_templates(), h_f=h_f)
 
 
 @given(
@@ -150,7 +152,7 @@ def test_normalized_range_property(timing):
         t += 1
     s = KeystrokeSequence(tuple(ks), aligned=True)
     v = extract_features(s)
-    norm = fit_feature_normalizer([v])
+    norm = fit_feature_normalizer(extract_feature_matrix([s]))
     out = normalize_features(norm, v)
     assert np.all((out >= 0.0) & (out <= 1.0))
 
@@ -184,18 +186,8 @@ class TestFeatureMatrix:
         with pytest.raises(ValueError):
             RawFeatureMatrix(np.zeros(3), np.zeros(2))
 
-    def test_fit_on_matrix_equals_fit_on_vectors(self):
-        vectors = _template_vectors()
-        raw = RawFeatureMatrix.stack(vectors)
-        for per_position in (False, True):
-            a = fit_feature_normalizer(vectors, per_position=per_position)
-            b = fit_feature_normalizer(raw, per_position=per_position)
-            assert (a.mu_d, a.sigma_d, a.mu_p, a.sigma_p) == (b.mu_d, b.sigma_d, b.mu_p, b.sigma_p)
-        with pytest.raises(FeatureError):
-            fit_feature_normalizer(raw[:0])
-
     def test_per_position_length_checked(self):
-        norm = fit_feature_normalizer(_template_vectors(), per_position=True)
+        norm = fit_feature_normalizer(_templates(), per_position=True)
         short = extract_feature_matrix([aligned(("a", 0, 10), ("b", 20, 30))])
         with pytest.raises(FeatureError):
             normalize_feature_matrix(norm, short)
@@ -225,7 +217,9 @@ def test_matrix_rows_equal_per_sequence_features(batch, per_position):
     matrix = normalize_feature_matrix(norm, raw)
     # the public one-row calls
     vectors = [extract_features(s) for s in seqs]
-    single_norm = fit_feature_normalizer(vectors[:n_templates], h_f=h_f, per_position=per_position)
+    single_norm = fit_feature_normalizer(
+        extract_feature_matrix(seqs[:n_templates]), h_f=h_f, per_position=per_position
+    )
     for row, v in zip(matrix, vectors):
         assert row.tobytes() == normalize_features(single_norm, v).tobytes()
     # the frozen per-sequence reference
