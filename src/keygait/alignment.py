@@ -16,12 +16,14 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import combinations
+from operator import attrgetter
 from typing import Sequence
 
 from .config import ALIGNMENT_METHODS
+from .datasets import tsv
 from .errors import AlignmentError
 from .events import KeystrokeSequence, SubjectDataset
 from .scancodes import MODIFIER_KEYS, SHIFT_KEYS
@@ -291,15 +293,8 @@ class AuditReport:
     rows: tuple[AuditRow, ...]
 
     def to_tsv(self) -> str:
-        lines = [
-            "comparison_type\tcount_total\tcount_differing\tmean_dl\tsd_dl\tmax_dl"
-        ]
-        for r in self.rows:
-            lines.append(
-                f"{r.comparison_type}\t{r.count_total}\t{r.count_differing}"
-                f"\t{r.mean_dl:.6f}\t{r.sd_dl:.6f}\t{r.max_dl}"
-            )
-        return "\n".join(lines) + "\n"
+        header = [f.name for f in fields(AuditRow)]
+        return tsv(map(attrgetter(*header), self.rows), header)
 
 
 def _summarize(distances: list[int], comparison_type: str) -> AuditRow:

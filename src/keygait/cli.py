@@ -34,9 +34,12 @@ from .config import (
 from .datasets import (
     attach_labels,
     load_dataset,
+    ordered_samples,
     read_labels,
     read_scores,
+    tsv,
     write_dataset,
+    write_labels,
     write_metrics,
     write_scores,
 )
@@ -52,12 +55,8 @@ from .evaluation import (
 )
 from .resolution import collect_latencies, estimate_resolution
 from .scorenorm import ScoreSet
-from .synthesis import (
-    SynthConfig,
-    generate_synthetic,
-    write_ground_truth,
-    write_perturbations,
-)
+from .synthesis import SynthConfig, generate_synthetic, write_perturbations
+
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="pipeline config JSON")
@@ -99,7 +98,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     dataset, log = generate_synthetic(config)
     out = Path(args.out)
     write_dataset(dataset, out)
-    write_ground_truth(dataset, out / "ground_truth.tsv")
+    write_labels(ordered_samples(dataset), out / "ground_truth.tsv")
     write_perturbations(log, out / "perturbations.tsv")
     write_config_snapshot(config, out)
     print(f"wrote {dataset.n_samples()} samples for {len(dataset.subject_ids())} subjects to {out}")
@@ -107,9 +106,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.data)
-    report = audit_dataset(dataset)
-    text = report.to_tsv()
+    text = audit_dataset(load_dataset(args.data)).to_tsv()
     if args.out:
         Path(args.out).write_text(text)
     else:
@@ -121,7 +118,7 @@ def _cmd_resolution(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.data)
     latencies = collect_latencies(dataset)
     value = estimate_resolution(latencies, bandwidth=args.bandwidth)
-    print(f"estimated_resolution_ms\t{value:.6f}")
+    sys.stdout.write(tsv([("estimated_resolution_ms", value)]))
     return 0
 
 
@@ -144,7 +141,7 @@ def _write_eer_outputs(scores: ScoreSet, out: Path) -> dict[str, object]:
     arr = np.asarray(values)
     gen = np.asarray(genuine)
     finite = np.isfinite(arr)
-    lines = ["bin_lo,bin_hi,genuine,impostor"]
+    bins: list[tuple] = []
     if finite.any():
         lo, hi = float(arr[finite].min()), float(arr[finite].max())
         if hi <= lo:
@@ -152,11 +149,9 @@ def _write_eer_outputs(scores: ScoreSet, out: Path) -> dict[str, object]:
         edges = np.linspace(lo, hi, 51)
         g_counts, _ = np.histogram(arr[finite & gen], bins=edges)
         i_counts, _ = np.histogram(arr[finite & ~gen], bins=edges)
-        for b in range(50):
-            lines.append(
-                f"{edges[b]:.6f},{edges[b + 1]:.6f},{g_counts[b]},{i_counts[b]}"
-            )
-    (out / "score_hist.csv").write_text("\n".join(lines) + "\n")
+        bins = list(zip(edges[:-1], edges[1:], g_counts, i_counts))
+    header = ("bin_lo", "bin_hi", "genuine", "impostor")
+    (out / "score_hist.csv").write_text(tsv(bins, header, sep=","))
     return metrics
 
 
@@ -171,21 +166,21 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     write_config_snapshot(config, out)
     if all(r.label is not None for r in scores):
         metrics = _write_eer_outputs(scores, out)
-        print(f"global_eer\t{metrics['global_eer']:.6f}")
+        sys.stdout.write(tsv([("global_eer", metrics["global_eer"])]))
     else:
         print(f"scored {len(scores.records)} queries (labels withheld; no metrics)")
     return 0
 
 
 def _cmd_eer(args: argparse.Namespace) -> int:
-    scores = read_scores(args.scores)
-    labels = read_labels(args.labels)
-    scores = attach_labels(scores, labels)
-    eer_value = global_eer(scores)
+    scores = attach_labels(read_scores(args.scores), read_labels(args.labels))
     report = subject_eer(scores)
-    print(f"global_eer\t{eer_value:.6f}")
-    print(f"subject_eer_mean\t{report.mean:.6f}")
-    print(f"subject_eer_sd\t{report.sd:.6f}")
+    metrics = {
+        "global_eer": global_eer(scores),
+        "subject_eer_mean": report.mean,
+        "subject_eer_sd": report.sd,
+    }
+    sys.stdout.write(tsv(metrics.items()))
     if args.out:
         _write_eer_outputs(scores, Path(args.out))
     return 0
@@ -195,30 +190,16 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     config = _pipeline_config(args)
     dataset = load_dataset(args.data)
     result = monte_carlo_validate(
-        dataset,
-        config,
-        repetitions=args.reps,
-        n_templates=args.templates,
-        seed=args.seed,
+        dataset, config, repetitions=args.reps, n_templates=args.templates, seed=args.seed
     )
-    print(f"mean_eer\t{result.mean_eer:.6f}")
-    print(f"sd_eer\t{result.sd_eer:.6f}")
+    metrics = {"mean_eer": result.mean_eer, "sd_eer": result.sd_eer}
+    sys.stdout.write(tsv(metrics.items()))
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        write_metrics(
-            {
-                "mean_eer": result.mean_eer,
-                "sd_eer": result.sd_eer,
-                "repetitions": args.reps,
-                "n_templates": args.templates,
-            },
-            out / "metrics.tsv",
-        )
-        lines = ["rep\teer"] + [
-            f"{i}\t{e:.6f}" for i, e in enumerate(result.eers)
-        ]
-        (out / "reps.tsv").write_text("\n".join(lines) + "\n")
+        metrics.update(repetitions=args.reps, n_templates=args.templates)
+        write_metrics(metrics, out / "metrics.tsv")
+        (out / "reps.tsv").write_text(tsv(enumerate(result.eers), ("rep", "eer")))
         write_config_snapshot(config, out)
     return 0
 
@@ -236,10 +217,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
             )
             scores = run_pipeline(dataset, config)
             rows.append((method, kind, global_eer(scores)))
-    lines = ["method\tscore_norm\tglobal_eer"]
-    for method, kind, value in rows:
-        lines.append(f"{method}\t{kind}\t{value:.6f}")
-    text = "\n".join(lines) + "\n"
+    text = tsv(rows, ("method", "score_norm", "global_eer"))
     sys.stdout.write(text)
     if args.out:
         out = Path(args.out)

@@ -16,6 +16,7 @@ object. An unknown key or any other value raises ValueError naming
 from __future__ import annotations
 
 import json
+import math
 import sys
 import types
 from dataclasses import dataclass, field, fields
@@ -64,6 +65,12 @@ def _decode(hint: Any, value: Any, where: str) -> Any:
     else:
         expected = _EXPECTED.get(hint, "an object")
     raise ValueError(f"{where}: expected {expected}, got {value!r}")
+
+
+def check_positive_finite(name: str, value: float) -> None:
+    """A width or scale factor must be a positive, finite number."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be {'finite' if value > 0 else 'positive'}, got {value}")
 
 
 class JsonConfig:
@@ -123,8 +130,7 @@ class ScoreNormConfig(JsonConfig):
             raise ValueError(
                 f"score norm kind must be one of {SCORE_NORM_KINDS}, got {self.kind!r}"
             )
-        if not self.h_s > 0:
-            raise ValueError(f"h_s must be positive, got {self.h_s}")
+        check_positive_finite("h_s", self.h_s)
 
 
 @dataclass(frozen=True)
@@ -150,8 +156,7 @@ class PipelineConfig(JsonConfig):
             raise ValueError(
                 f"alignment must be one of {ALIGNMENT_METHODS}, got {self.alignment!r}"
             )
-        if not self.h_f > 0:
-            raise ValueError(f"h_f must be positive, got {self.h_f}")
+        check_positive_finite("h_f", self.h_f)
         from .detectors import build_detector  # keygait.detectors imports this module
 
         for detector in self.detector.singles():

@@ -1,16 +1,23 @@
-"""Dataset directory layout and the flat TSV file formats.
+"""Dataset directory layout and the one flat-file format.
 
 A dataset is ``<root>/<subject_id>/<sample_id>.txt`` event files plus a
 ``manifest.tsv`` with columns subject_id, sample_id, role, label (label
 ``?`` when withheld). Score and label files are headerless TSVs keyed by
-(subject_id, sample_id); scores carry 6 decimal places.
+(subject_id, sample_id).
+
+This module owns the flat-file rule: every TSV (or CSV) the package
+writes or prints goes through ``tsv``: tab-separated fields, floats at six
+decimals (``inf``/``-inf``), anything else by ``str``, a newline after
+every line. ``_read_rows`` reads score and label files back, naming the
+file and line of a row with the wrong field count.
 """
 
 from __future__ import annotations
 
-import math
 import os
+from dataclasses import replace
 from pathlib import Path
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DatasetError, KeygaitError
 from .events import (
@@ -92,33 +99,54 @@ def load_dataset(root: str | Path) -> SubjectDataset:
     return dataset
 
 
+def tsv(rows: Iterable[Sequence[object]], header: Sequence[str] = (), sep: str = "\t") -> str:
+    """The one flat-file formatter: each row's fields joined by ``sep``, a
+    float at six decimals, any other value by ``str``, and every line (the
+    header too, when given) ended by a newline."""
+    lines = [sep.join(header) + "\n"] if header else []
+    for row in rows:
+        lines.append(sep.join([f"{v:.6f}" if isinstance(v, float) else str(v) for v in row]) + "\n")
+    return "".join(lines)
+
+
+def _read_rows(path: str | Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, fields)`` for each non-blank line of a headerless TSV.
+
+    Raises:
+        DatasetError: a line without exactly ``n_fields`` fields.
+    """
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != n_fields:
+            raise DatasetError(f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
+        yield lineno, fields
+
+
+def ordered_samples(dataset: SubjectDataset) -> Iterator[Sample]:
+    """Every sample in file order: subjects in id order, each subject's
+    templates then queries, each sorted by sample id."""
+    for subject_id in dataset.subject_ids():
+        entry = dataset.subjects[subject_id]
+        yield from sorted(entry.templates, key=lambda s: s.sample_id)
+        yield from sorted(entry.queries, key=lambda s: s.sample_id)
+
+
 def write_dataset(dataset: SubjectDataset, root: str | Path) -> None:
     """Write a dataset directory (manifest plus one event file per sample)."""
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
-    rows: list[str] = ["\t".join(MANIFEST_HEADER)]
     for subject_id in dataset.subject_ids():
-        entry = dataset.subjects[subject_id]
-        subject_dir = root / subject_id
-        subject_dir.mkdir(parents=True, exist_ok=True)
-        ordered = sorted(entry.templates, key=lambda s: s.sample_id) + sorted(
-            entry.queries, key=lambda s: s.sample_id
-        )
-        for sample in ordered:
-            label_tok = sample.label.value if sample.label is not None else "?"
-            rows.append(
-                f"{sample.subject_id}\t{sample.sample_id}\t{sample.role.value}\t{label_tok}"
-            )
-            (subject_dir / f"{sample.sample_id}.txt").write_text(
-                serialize_events(sample.sequence)
-            )
-    (root / MANIFEST_NAME).write_text("\n".join(rows) + "\n")
-
-
-def format_score(value: float) -> str:
-    if math.isinf(value):
-        return "-inf" if value < 0 else "inf"
-    return f"{value:.6f}"
+        (root / subject_id).mkdir(exist_ok=True)
+    samples = list(ordered_samples(dataset))
+    for s in samples:
+        (root / s.subject_id / f"{s.sample_id}.txt").write_text(serialize_events(s.sequence))
+    rows = (
+        (s.subject_id, s.sample_id, s.role.value, "?" if s.label is None else s.label.value)
+        for s in samples
+    )
+    (root / MANIFEST_NAME).write_text(tsv(rows, MANIFEST_HEADER))
 
 
 def write_scores(scores: ScoreSet, path: str | Path, *, normalized: bool = True) -> None:
@@ -127,57 +155,48 @@ def write_scores(scores: ScoreSet, path: str | Path, *, normalized: bool = True)
     With ``normalized`` (default) the normalized score is written when
     present, falling back to raw; otherwise raw scores are written.
     """
-    lines = []
+    rows = []
     for r in scores:
-        value = (
-            r.normalized_score
-            if normalized and r.normalized_score is not None
-            else r.raw_score
-        )
-        lines.append(f"{r.subject_id}\t{r.sample_id}\t{format_score(value)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        value = r.normalized_score if normalized and r.normalized_score is not None else r.raw_score
+        rows.append((r.subject_id, r.sample_id, value))
+    Path(path).write_text(tsv(rows))
 
 
 def read_scores(path: str | Path) -> ScoreSet:
     """Read a score file back; values land in raw_score."""
     records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DatasetError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
+    for lineno, (subject_id, sample_id, token) in _read_rows(path, 3):
         try:
-            value = float(fields[2])
+            value = float(token)
         except ValueError:
-            raise DatasetError(f"{path}:{lineno}: bad score {fields[2]!r}") from None
-        records.append(ScoreRecord(fields[0], fields[1], value))
+            raise DatasetError(f"{path}:{lineno}: bad score {token!r}") from None
+        records.append(ScoreRecord(subject_id, sample_id, value))
     return ScoreSet(tuple(records))
 
 
-def write_labels(scores: ScoreSet, path: str | Path) -> None:
-    lines = []
-    for r in scores:
+def write_labels(records: Iterable, path: str | Path) -> None:
+    """Write a label file from records carrying ``subject_id``,
+    ``sample_id`` and ``label`` (score records or samples).
+
+    Raises:
+        DatasetError: a record has no label.
+    """
+    rows = []
+    for r in records:
         if r.label is None:
-            raise DatasetError(f"record {r.subject_id}/{r.sample_id} has no label")
-        lines.append(f"{r.subject_id}\t{r.sample_id}\t{r.label.value}")
-    Path(path).write_text("\n".join(lines) + "\n")
+            raise DatasetError(f"{r.subject_id}/{r.sample_id} has no label")
+        rows.append((r.subject_id, r.sample_id, r.label.value))
+    Path(path).write_text(tsv(rows))
 
 
 def read_labels(path: str | Path) -> dict[tuple[str, str], Label]:
     """Read a label file into a (subject_id, sample_id) -> Label map."""
     labels: dict[tuple[str, str], Label] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DatasetError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
+    for lineno, (subject_id, sample_id, token) in _read_rows(path, 3):
         try:
-            label = Label(fields[2])
+            labels[(subject_id, sample_id)] = Label(token)
         except ValueError:
-            raise DatasetError(f"{path}:{lineno}: unknown label {fields[2]!r}") from None
-        labels[(fields[0], fields[1])] = label
+            raise DatasetError(f"{path}:{lineno}: unknown label {token!r}") from None
     return labels
 
 
@@ -187,8 +206,6 @@ def attach_labels(scores: ScoreSet, labels: dict[tuple[str, str], Label]) -> Sco
     Raises:
         DatasetError: a scored sample has no label in the map.
     """
-    from dataclasses import replace
-
     records = []
     for r in scores:
         key = (r.subject_id, r.sample_id)
@@ -199,11 +216,5 @@ def attach_labels(scores: ScoreSet, labels: dict[tuple[str, str], Label]) -> Sco
 
 
 def write_metrics(metrics: dict[str, object], path: str | Path) -> None:
-    """Two-column key/value TSV; floats at 6 decimals."""
-    lines = []
-    for key, value in metrics.items():
-        if isinstance(value, float):
-            lines.append(f"{key}\t{value:.6f}")
-        else:
-            lines.append(f"{key}\t{value}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Two-column key/value TSV."""
+    Path(path).write_text(tsv(metrics.items()))

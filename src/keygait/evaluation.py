@@ -30,6 +30,7 @@ import numpy as np
 
 from .alignment import align_subject
 from .config import DetectorConfig, PipelineConfig
+from .datasets import tsv
 from .detectors import Detector, build_detector
 from .errors import AlignmentError, EvaluationError, KeygaitError, ScoreNormError
 from .events import Label, Role, Sample, SubjectDataset
@@ -68,11 +69,7 @@ class RocCurve:
         return float(self.far[j] + t * (self.far[i] - self.far[j]))
 
     def to_tsv(self) -> str:
-        lines = ["threshold\tfar\tfrr"]
-        for t, fa, fr in zip(self.thresholds, self.far, self.frr):
-            tt = "inf" if np.isposinf(t) else f"{t:.6f}"
-            lines.append(f"{tt}\t{fa:.6f}\t{fr:.6f}")
-        return "\n".join(lines) + "\n"
+        return tsv(zip(self.thresholds, self.far, self.frr), ("threshold", "far", "frr"))
 
 
 def roc(scores: Sequence[float], genuine: Sequence[bool]) -> RocCurve:

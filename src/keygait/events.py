@@ -4,9 +4,10 @@ A capture file is a sequence of lines ``<action> <scancode> <delta_ms>``
 where action is ``P`` (press) or ``R`` (release), the scancode is hex
 digits (written lowercase, read in either case), and delta_ms is the
 interval since the previous event in decimal digits (0 for the first
-event); no sign, prefix or separator is accepted. Pairing turns that
-stream into press-ordered keystrokes with absolute timestamps;
-overlapping holds (rollover) are supported.
+event, at most ``MAX_DELTA_MS`` = 2**53 - 1); no sign, prefix or
+separator is accepted. Pairing turns that stream into press-ordered
+keystrokes with absolute timestamps; overlapping holds (rollover) are
+supported.
 
 There is one scanner (``_scan``), which validates each line into an
 ``(is_press, scancode, delta_ms)`` step, and one pairing loop (``_pair``),
@@ -162,6 +163,9 @@ class SubjectDataset:
 
 _HEX_DIGITS = "0123456789abcdefABCDEF"
 _DECIMAL_DIGITS = "0123456789"
+# Timings become floats: a larger delta loses precision, and one past
+# float's range (~309 digits) would crash feature extraction.
+MAX_DELTA_MS = 2**53 - 1
 
 
 def _scan(text: str) -> Iterator[tuple[bool, int, int]]:
@@ -193,6 +197,8 @@ def _scan(text: str) -> Iterator[tuple[bool, int, int]]:
             if delta_tok.strip(_DECIMAL_DIGITS):
                 raise ValueError
             delta = int(delta_tok)  # also fails past int()'s digit limit
+            if delta > MAX_DELTA_MS:
+                raise ValueError
         except ValueError:
             raise ParseError(f"line {lineno}: bad delta {delta_tok!r}") from None
         if first:

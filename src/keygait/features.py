@@ -137,12 +137,12 @@ def fit_feature_normalizer(
     ``per_position`` over the templates at each position.
 
     Raises:
-        FeatureError: no templates, or h_f not positive (NaN included).
+        FeatureError: no templates, or h_f not positive and finite.
     """
     if len(features) == 0:
         raise FeatureError("cannot fit a normalizer on zero template vectors")
-    if not h_f > 0:
-        raise FeatureError(f"h_f must be positive, got {h_f}")
+    if not 0 < h_f < np.inf:
+        raise FeatureError(f"h_f must be positive and finite, got {h_f}")
     axis = 0 if per_position else None
     d = features.durations
     p = features.latencies

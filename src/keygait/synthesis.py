@@ -24,13 +24,14 @@ outliers that separate robust from brittle score normalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .config import JsonConfig
-from .errors import DatasetError
+from .config import JsonConfig, check_positive_finite
+from .datasets import tsv
 from .events import Keystroke, KeystrokeSequence, Label, Role, Sample, SubjectDataset
 from .evaluation import derive_seed
 from .scancodes import SHIFT_KEYS
@@ -81,8 +82,7 @@ class SynthConfig(JsonConfig):
             raise ValueError("per-keystroke perturbation rates must sum to at most 1")
         if self.clock_quantum_ms < 0:
             raise ValueError(f"clock_quantum_ms must be non-negative, got {self.clock_quantum_ms}")
-        if not self.impostor_separation > 0:
-            raise ValueError(f"impostor_separation must be positive, got {self.impostor_separation}")
+        check_positive_finite("impostor_separation", self.impostor_separation)
         if self.impostor_source not in ("independent", "victim"):
             raise ValueError(f"impostor_source must be 'independent' or 'victim', got {self.impostor_source!r}")
 
@@ -288,23 +288,6 @@ def generate_synthetic(
     return dataset, log
 
 
-def write_ground_truth(dataset: SubjectDataset, path: str | Path) -> None:
-    """Label file covering every sample, templates included."""
-    lines = []
-    for subject_id in dataset.subject_ids():
-        entry = dataset.subjects[subject_id]
-        ordered = sorted(entry.templates, key=lambda s: s.sample_id) + sorted(
-            entry.queries, key=lambda s: s.sample_id
-        )
-        for s in ordered:
-            if s.label is None:
-                raise DatasetError(f"sample {subject_id}/{s.sample_id} has no label")
-            lines.append(f"{s.subject_id}\t{s.sample_id}\t{s.label.value}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def write_perturbations(log: list[PerturbationRecord], path: str | Path) -> None:
-    lines = ["subject_id\tsample_id\tkind\tposition"]
-    for r in log:
-        lines.append(f"{r.subject_id}\t{r.sample_id}\t{r.kind}\t{r.position}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = [f.name for f in fields(PerturbationRecord)]
+    Path(path).write_text(tsv(map(attrgetter(*header), log), header))

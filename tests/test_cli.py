@@ -306,6 +306,21 @@ class TestErrorHandling:
         assert main([*argv, *data, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["evaluate", "--h-f", "inf"], "h_f must be finite, got inf"),
+            (["evaluate", "--h-s", "inf"], "h_s must be finite, got inf"),
+            (["synth", "--separation", "inf"], "impostor_separation must be finite, got inf"),
+        ],
+    )
+    def test_infinite_width_flag_is_operational_error(self, data_dir, tmp_path, capsys, argv, message):
+        data = ["--data", str(data_dir)] if argv[0] == "evaluate" else []
+        out = tmp_path / "out"
+        assert main([*argv, *data, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_written_configs_load_back(self, data_dir, tmp_path):
         from keygait import PipelineConfig, SynthConfig, load_config
 

@@ -23,16 +23,16 @@ from keygait import (
     estimate_resolution,
     generate_synthetic,
     load_dataset,
+    ordered_samples,
     read_labels,
     read_scores,
     write_dataset,
-    write_ground_truth,
     write_labels,
     write_metrics,
     write_perturbations,
     write_scores,
 )
-from keygait.datasets import format_score
+from keygait.datasets import tsv
 from keygait.resolution import _find_peaks
 from keygait.synthesis import PERTURBATION_KINDS
 
@@ -116,6 +116,16 @@ class TestDatasetRoundTrip:
         assert f"{root / 's001' / 't01.txt'}: line 1: bad scancode '-1'" in message
         assert f"{root / 's002' / 'q01.txt'}: release of" in message
 
+    def test_delta_past_bound_is_reported_with_its_file(self, tmp_path):
+        dataset, _ = generate_synthetic(TINY)
+        root = tmp_path / "ds"
+        write_dataset(dataset, root)
+        huge = "9" * 401
+        (root / "s001" / "q01.txt").write_text(f"P 1e 0\nR 1e {huge}\n")
+        with pytest.raises(DatasetError) as err:
+            load_dataset(root)
+        assert str(err.value).endswith(f"{root / 's001' / 'q01.txt'}: line 2: bad delta {huge!r}")
+
 
 class TestScoreAndLabelFiles:
     def test_score_round_trip_at_six_decimals(self, tmp_path):
@@ -140,10 +150,10 @@ class TestScoreAndLabelFiles:
         write_scores(ScoreSet((rec,)), path, normalized=False)
         assert path.read_text() == "s1\tq1\t-7.000000\n"
 
-    def test_format_score_infinities(self):
-        assert format_score(float("-inf")) == "-inf"
-        assert format_score(float("inf")) == "inf"
-        assert format_score(1.5) == "1.500000"
+    def test_tsv_formats_floats_and_infinities(self):
+        assert tsv([(float("-inf"),)]) == "-inf\n"
+        assert tsv([(float("inf"),)]) == "inf\n"
+        assert tsv([(1.5,)]) == "1.500000\n"
 
     def test_read_scores_rejects_short_rows(self, tmp_path):
         path = tmp_path / "scores.tsv"
@@ -199,7 +209,7 @@ class TestSynthesis:
         for root in (a, b):
             dataset, log = generate_synthetic(config)
             write_dataset(dataset, root)
-            write_ground_truth(dataset, root / "ground_truth.tsv")
+            write_labels(ordered_samples(dataset), root / "ground_truth.tsv")
             write_perturbations(log, root / "perturbations.tsv")
         assert tree_bytes(a) == tree_bytes(b)
 
@@ -292,7 +302,7 @@ class TestSynthesis:
     def test_ground_truth_covers_all_samples(self, tmp_path):
         dataset, _ = generate_synthetic(TINY)
         path = tmp_path / "gt.tsv"
-        write_ground_truth(dataset, path)
+        write_labels(ordered_samples(dataset), path)
         lines = path.read_text().splitlines()
         assert len(lines) == 2 * (3 + 4)
         assert lines[0] == "s001\tt01\tgenuine"
@@ -303,7 +313,7 @@ class TestSynthesis:
         entry = dataset.subjects["s002"]
         entry.queries[1] = replace(entry.queries[1], label=None)
         with pytest.raises(DatasetError, match="s002/q02"):
-            write_ground_truth(dataset, tmp_path / "gt.tsv")
+            write_labels(ordered_samples(dataset), tmp_path / "gt.tsv")
 
     def test_perturbation_file_format(self, tmp_path):
         _, log = generate_synthetic(replace(TINY, shift_drop=1.0))
@@ -322,6 +332,7 @@ class TestSynthesis:
             ("clock_quantum_ms", -1),
             ("impostor_separation", 0.0),
             ("impostor_separation", float("nan")),
+            ("impostor_separation", float("inf")),
         ],
     )
     def test_config_validation(self, field, value):

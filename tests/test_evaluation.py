@@ -631,6 +631,14 @@ class TestRunPipeline:
         with pytest.raises(ValueError, match="at least 2 members"):
             PipelineConfig.from_dict(data)
 
+    @pytest.mark.parametrize(
+        "cls, name", [(PipelineConfig, "h_f"), (ScoreNormConfig, "h_s"), (SynthConfig, "impostor_separation")]
+    )
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+    def test_widths_must_be_positive_and_finite(self, cls, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must be (positive|finite), got {value}$"):
+            cls(**{name: value})
+
     def test_ensemble_members_are_single_detectors(self):
         pair = DetectorConfig(
             name="ensemble",

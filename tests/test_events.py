@@ -21,6 +21,7 @@ from keygait import (
     scancode_for,
     serialize_events,
 )
+from keygait.events import MAX_DELTA_MS
 
 
 def seq(*keystrokes):
@@ -87,6 +88,15 @@ class TestParsing:
         with pytest.raises(ParseError) as caught:
             read(text)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("read", [parse_raw_events, read_sequence])
+    def test_delta_above_float_exact_range_is_rejected(self, read):
+        assert len(read(f"P 1e 0\nR 1e {MAX_DELTA_MS}\n")) == (2 if read is parse_raw_events else 1)
+        # 401 digits: past float's range, where feature extraction would overflow
+        for token in (str(MAX_DELTA_MS + 1), "9" * 401):
+            with pytest.raises(ParseError) as caught:
+                read(f"P 1e 0\nR 1e {token}\n")
+            assert str(caught.value) == f"line 2: bad delta {token!r}"
 
 
 class TestScancodes:

@@ -127,7 +127,7 @@ class TestNormalization:
         with pytest.raises(FeatureError):
             fit_feature_normalizer(extract_feature_matrix(mixed))
 
-    @pytest.mark.parametrize("h_f", [0.0, float("nan")])
+    @pytest.mark.parametrize("h_f", [0.0, float("nan"), float("inf")])
     def test_h_f_must_be_positive(self, h_f):
         with pytest.raises(FeatureError):
             fit_feature_normalizer(_templates(), h_f=h_f)
