@@ -8,12 +8,15 @@ A dataset is ``<root>/<subject_id>/<sample_id>.txt`` event files plus a
 This module owns the flat-file rule: every TSV (or CSV) the package
 writes or prints goes through ``tsv``: tab-separated fields, floats at six
 decimals (``inf``/``-inf``), anything else by ``str``, a newline after
-every line. ``_read_rows`` reads score and label files back, naming the
-file and line of a row with the wrong field count.
+every line. ``_read_keyed_rows`` reads score and label files back, naming
+the file and line of a row with the wrong field count or a sample listed
+twice. Subject and sample ids are single path components
+(``events.check_id``), so no manifest row reaches outside the dataset.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -25,6 +28,7 @@ from .events import (
     Role,
     Sample,
     SubjectDataset,
+    check_id,
     read_sequence,
     serialize_events,
 )
@@ -65,6 +69,12 @@ def load_dataset(root: str | Path) -> SubjectDataset:
             problems.append(f"{manifest}:{lineno}: expected 4 fields, got {len(fields)}")
             continue
         subject_id, sample_id, role_tok, label_tok = fields
+        try:
+            check_id("subject", subject_id)
+            check_id("sample", sample_id)
+        except ValueError as exc:
+            problems.append(f"{manifest}:{lineno}: {exc}")
+            continue
         try:
             role = Role(role_tok)
         except ValueError:
@@ -109,19 +119,26 @@ def tsv(rows: Iterable[Sequence[object]], header: Sequence[str] = (), sep: str =
     return "".join(lines)
 
 
-def _read_rows(path: str | Path, n_fields: int) -> Iterator[tuple[int, list[str]]]:
-    """``(line number, fields)`` for each non-blank line of a headerless TSV.
+def _read_keyed_rows(path: str | Path) -> Iterator[tuple[int, str, str, str]]:
+    """``(line number, subject_id, sample_id, value)`` for each non-blank
+    line of a score or label file.
 
     Raises:
-        DatasetError: a line without exactly ``n_fields`` fields.
+        DatasetError: a line without exactly 3 fields, or a sample listed
+            twice.
     """
+    seen: set[tuple[str, str]] = set()
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
-        if len(fields) != n_fields:
-            raise DatasetError(f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
-        yield lineno, fields
+        if len(fields) != 3:
+            raise DatasetError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
+        subject_id, sample_id, token = fields
+        if (subject_id, sample_id) in seen:
+            raise DatasetError(f"{path}:{lineno}: duplicate sample {subject_id}/{sample_id}")
+        seen.add((subject_id, sample_id))
+        yield lineno, subject_id, sample_id, token
 
 
 def ordered_samples(dataset: SubjectDataset) -> Iterator[Sample]:
@@ -163,13 +180,20 @@ def write_scores(scores: ScoreSet, path: str | Path, *, normalized: bool = True)
 
 
 def read_scores(path: str | Path) -> ScoreSet:
-    """Read a score file back; values land in raw_score."""
+    """Read a score file back; values land in raw_score.
+
+    Raises:
+        DatasetError: a score that is not a number, NaN or +inf (keygait
+            writes a finite score or ``-inf``), or a sample listed twice.
+    """
     records = []
-    for lineno, (subject_id, sample_id, token) in _read_rows(path, 3):
+    for lineno, subject_id, sample_id, token in _read_keyed_rows(path):
         try:
             value = float(token)
         except ValueError:
-            raise DatasetError(f"{path}:{lineno}: bad score {token!r}") from None
+            value = math.nan  # not a number: rejected with NaN below
+        if not value < math.inf:  # NaN or +inf
+            raise DatasetError(f"{path}:{lineno}: bad score {token!r}")
         records.append(ScoreRecord(subject_id, sample_id, value))
     return ScoreSet(tuple(records))
 
@@ -190,9 +214,13 @@ def write_labels(records: Iterable, path: str | Path) -> None:
 
 
 def read_labels(path: str | Path) -> dict[tuple[str, str], Label]:
-    """Read a label file into a (subject_id, sample_id) -> Label map."""
+    """Read a label file into a (subject_id, sample_id) -> Label map.
+
+    Raises:
+        DatasetError: an unknown label, or a sample listed twice.
+    """
     labels: dict[tuple[str, str], Label] = {}
-    for lineno, (subject_id, sample_id, token) in _read_rows(path, 3):
+    for lineno, subject_id, sample_id, token in _read_keyed_rows(path):
         try:
             labels[(subject_id, sample_id)] = Label(token)
         except ValueError:

@@ -34,11 +34,7 @@ from .datasets import tsv
 from .detectors import Detector, build_detector
 from .errors import AlignmentError, EvaluationError, KeygaitError, ScoreNormError
 from .events import Label, Role, Sample, SubjectDataset
-from .features import (
-    extract_feature_matrix,
-    fit_feature_normalizer,
-    normalize_feature_matrix,
-)
+from .features import extract_features, fit_feature_normalizer, normalize_features
 from .scorenorm import SENTINEL_SCORE, ScoreRecord, ScoreSet, normalize_subject
 
 
@@ -181,11 +177,11 @@ def _prepare_subject(
     query_rows = [i for i, seq in enumerate(aligned_q) if seq is not None]
     rows.extend(aligned_q[i] for i in query_rows)
     try:
-        raw = extract_feature_matrix(rows)
+        raw = extract_features(rows)
         normalizer = fit_feature_normalizer(
             raw[:n_templates], h_f=config.h_f, per_position=config.per_position
         )
-        matrix = normalize_feature_matrix(normalizer, raw)
+        matrix = normalize_features(normalizer, raw)
     except KeygaitError:
         return failed
     return replace(

@@ -9,12 +9,11 @@ separator is accepted. Pairing turns that stream into press-ordered
 keystrokes with absolute timestamps; overlapping holds (rollover) are
 supported.
 
-There is one scanner (``_scan``), which validates each line into an
-``(is_press, scancode, delta_ms)`` step, and one pairing loop (``_pair``),
-which consumes steps. ``read_sequence`` feeds the scanner straight into the
-pairer, so loading a capture builds no :class:`RawEvent`;
-``parse_raw_events`` and ``pair_events`` are thin wrappers over the same
-two functions.
+There is one path: the scanner ``parse_raw_events`` lazily validates each
+line into an ``(is_press, scancode, delta_ms)`` step, and the pairing loop
+``pair_events`` consumes steps. ``read_sequence`` is
+``pair_events(parse_raw_events(text))``. The scanner is a generator, so a
+parse error is raised while its steps are iterated, not when it is called.
 """
 
 from __future__ import annotations
@@ -28,29 +27,9 @@ from .errors import PairingError, ParseError
 from .scancodes import key_name, scancode_for
 
 
-class Action(Enum):
-    PRESS = "P"
-    RELEASE = "R"
-
-
 class UnreleasedKeyWarning(UserWarning):
     """A press had no matching release; the keystroke was closed at the
     final timestamp of the sample."""
-
-
-@dataclass(frozen=True)
-class RawEvent:
-    """One key press or release with its interval since the previous event."""
-
-    action: Action
-    scancode: int
-    delta_ms: int
-
-    def __post_init__(self) -> None:
-        if self.delta_ms < 0:
-            raise ValueError(f"delta_ms must be non-negative, got {self.delta_ms}")
-        if self.scancode < 0:
-            raise ValueError(f"scancode must be non-negative, got {self.scancode}")
 
 
 @dataclass(frozen=True)
@@ -114,6 +93,17 @@ class Label(Enum):
     IMPOSTOR = "impostor"
 
 
+def check_id(kind: str, value: str) -> None:
+    """A subject or sample id names one path component of a dataset:
+    non-empty, not ``.`` or ``..``, and free of ``/``, ``\\`` and NUL.
+
+    Raises:
+        ValueError: any other id.
+    """
+    if value in ("", ".", "..") or "/" in value or "\\" in value or "\0" in value:
+        raise ValueError(f"bad {kind} id {value!r}: not a plain file name")
+
+
 @dataclass(frozen=True)
 class Sample:
     """One captured typing sample with its dataset bookkeeping."""
@@ -125,6 +115,8 @@ class Sample:
     label: Label | None = None
 
     def __post_init__(self) -> None:
+        check_id("subject", self.subject_id)
+        check_id("sample", self.sample_id)
         # Templates are enrollment data and genuine by construction.
         if self.role is Role.TEMPLATE:
             if self.label is Label.IMPOSTOR:
@@ -168,9 +160,16 @@ _DECIMAL_DIGITS = "0123456789"
 MAX_DELTA_MS = 2**53 - 1
 
 
-def _scan(text: str) -> Iterator[tuple[bool, int, int]]:
-    """The one event scanner: validated ``(is_press, scancode, delta_ms)``
-    per non-blank line. Errors carry the 1-based line number."""
+def parse_raw_events(text: str) -> Iterator[tuple[bool, int, int]]:
+    """Scan the canonical event format: a validated ``(is_press, scancode,
+    delta_ms)`` step per non-blank line, produced lazily.
+
+    Raises (while iterated):
+        ParseError: wrong field count, unknown action token, a scancode
+            that is not plain ASCII hex digits, a delta that is not plain
+            ASCII decimal digits, or nonzero delta on the first event.
+            Errors carry the 1-based line number.
+    """
     first = True
     for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
@@ -208,12 +207,18 @@ def _scan(text: str) -> Iterator[tuple[bool, int, int]]:
         yield is_press, scancode, delta
 
 
-def _pair(steps: Iterable[tuple[bool, int, int]]) -> KeystrokeSequence:
-    """The one pairing loop over ``(is_press, scancode, delta_ms)`` steps.
+def pair_events(steps: Iterable[tuple[bool, int, int]]) -> KeystrokeSequence:
+    """Pair ``(is_press, scancode, delta_ms)`` steps into a press-ordered
+    keystroke sequence.
 
-    A pairing error is raised only once ``steps`` is exhausted, so a
-    scanner error later in the text still wins, as it does when the whole
-    text is parsed before pairing.
+    Each press is matched with the earliest subsequent release of the same
+    scancode, so holds may overlap (rollover). A repeated press of a key
+    that is already down (auto-repeat) closes the open keystroke at the new
+    press time and starts a new one. A release with no open press is a
+    :class:`PairingError`, raised only once ``steps`` is exhausted, so a
+    scanner error later in the text still wins. A press that is never
+    released is closed at the final timestamp of the sample and reported
+    via :class:`UnreleasedKeyWarning`.
     """
     t = 0
     open_by_code: dict[int, tuple[int, int]] = {}  # scancode -> (press_t, open_seq)
@@ -250,40 +255,9 @@ def _pair(steps: Iterable[tuple[bool, int, int]]) -> KeystrokeSequence:
     return KeystrokeSequence(tuple(slots))
 
 
-def parse_raw_events(text: str) -> list[RawEvent]:
-    """Parse the canonical event format into raw events.
-
-    Blank lines are skipped. Errors carry the 1-based line number.
-
-    Raises:
-        ParseError: wrong field count, unknown action token, a scancode
-            that is not plain ASCII hex digits, a delta that is not plain
-            ASCII decimal digits, or nonzero delta on the first event.
-    """
-    return [
-        RawEvent(Action.PRESS if is_press else Action.RELEASE, code, delta)
-        for is_press, code, delta in _scan(text)
-    ]
-
-
-def pair_events(events: list[RawEvent]) -> KeystrokeSequence:
-    """Pair presses with releases into a press-ordered keystroke sequence.
-
-    Each press is matched with the earliest subsequent release of the same
-    scancode, so holds may overlap (rollover). A repeated press of a key
-    that is already down (auto-repeat) closes the open keystroke at the new
-    press time and starts a new one. A release with no open press is an
-    error; a press that is never released is closed at the final timestamp
-    of the sample and reported via :class:`UnreleasedKeyWarning`.
-    """
-    return _pair((e.action is Action.PRESS, e.scancode, e.delta_ms) for e in events)
-
-
 def read_sequence(text: str) -> KeystrokeSequence:
-    """Parse and pair one capture in a single pass, without building raw
-    events: the same sequence, errors and warnings as
-    ``pair_events(parse_raw_events(text))``."""
-    return _pair(_scan(text))
+    """Parse and pair one capture in a single pass."""
+    return pair_events(parse_raw_events(text))
 
 
 def serialize_events(seq: KeystrokeSequence) -> str:

@@ -12,12 +12,11 @@ feature type's mean and deviation are floats pooled over all positions
 or, per position, arrays with one entry per index; one broadcast serves
 both.
 
-The arithmetic runs on matrices: :func:`extract_feature_matrix` turns m
+There is one path, on matrices: :func:`extract_features` turns m
 equal-length aligned sequences into one (m, n) duration matrix and one
 (m, n-1) latency matrix, the only input :func:`fit_feature_normalizer`
-takes, and :func:`normalize_feature_matrix` scales every row at once.
-The single-sequence :func:`extract_features` and
-:func:`normalize_features` are one-row calls into them.
+takes, and :func:`normalize_features` scales every row at once. One
+sequence is a one-row matrix.
 """
 
 from __future__ import annotations
@@ -29,31 +28,6 @@ import numpy as np
 
 from .errors import FeatureError
 from .events import KeystrokeSequence
-
-
-@dataclass(frozen=True)
-class RawFeatureVector:
-    """Unnormalized duration/latency features of one aligned sequence."""
-
-    durations: np.ndarray
-    latencies: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "durations", np.asarray(self.durations, dtype=float))
-        object.__setattr__(self, "latencies", np.asarray(self.latencies, dtype=float))
-        if self.latencies.shape[0] != self.durations.shape[0] - 1:
-            raise ValueError(
-                f"{self.durations.shape[0]} durations require "
-                f"{self.durations.shape[0] - 1} latencies, got {self.latencies.shape[0]}"
-            )
-
-    @property
-    def values(self) -> np.ndarray:
-        """Durations then latencies, length 2n-1."""
-        return np.concatenate([self.durations, self.latencies])
-
-    def __len__(self) -> int:
-        return self.durations.shape[0] * 2 - 1
 
 
 @dataclass(frozen=True)
@@ -81,7 +55,7 @@ class RawFeatureMatrix:
         return RawFeatureMatrix(self.durations[rows], self.latencies[rows])
 
 
-def extract_feature_matrix(seqs: Sequence[KeystrokeSequence]) -> RawFeatureMatrix:
+def extract_features(seqs: Sequence[KeystrokeSequence]) -> RawFeatureMatrix:
     """Durations and latencies of equal-length aligned sequences, one row
     each, computed over all rows at once.
 
@@ -102,16 +76,6 @@ def extract_feature_matrix(seqs: Sequence[KeystrokeSequence]) -> RawFeatureMatri
     press = np.array([[k.press_t for k in seq] for seq in seqs], dtype=float)
     release = np.array([[k.release_t for k in seq] for seq in seqs], dtype=float)
     return RawFeatureMatrix(release - press, np.diff(press, axis=1))
-
-
-def extract_features(seq: KeystrokeSequence) -> RawFeatureVector:
-    """Compute durations and latencies of one aligned sequence.
-
-    Raises:
-        FeatureError: sequence is not aligned or has fewer than 2 keystrokes.
-    """
-    raw = extract_feature_matrix([seq])
-    return RawFeatureVector(raw.durations[0], raw.latencies[0])
 
 
 @dataclass(frozen=True)
@@ -157,7 +121,7 @@ def _scale(x: np.ndarray, mu: np.ndarray | float, sigma: np.ndarray | float, h_f
     return np.clip((np.asarray(x, dtype=float) - (np.asarray(mu, dtype=float) - half)) / (2.0 * half), 0.0, 1.0)
 
 
-def normalize_feature_matrix(norm: FeatureNormalizer, raw: RawFeatureMatrix) -> np.ndarray:
+def normalize_features(norm: FeatureNormalizer, raw: RawFeatureMatrix) -> np.ndarray:
     """Map every row into [0, 1]^(2n-1) using fitted bounds: an (m, 2n-1)
     matrix of durations then latencies.
 
@@ -170,10 +134,3 @@ def normalize_feature_matrix(norm: FeatureNormalizer, raw: RawFeatureMatrix) -> 
     d = _scale(raw.durations, norm.mu_d, norm.sigma_d, norm.h_f)
     p = _scale(raw.latencies, norm.mu_p, norm.sigma_p, norm.h_f)
     return np.concatenate([d, p], axis=1)
-
-
-def normalize_features(norm: FeatureNormalizer, raw: RawFeatureVector) -> np.ndarray:
-    """Map a raw vector into [0, 1]^(2n-1) using fitted bounds."""
-    return normalize_feature_matrix(
-        norm, RawFeatureMatrix(raw.durations[None], raw.latencies[None])
-    )[0]

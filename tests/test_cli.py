@@ -127,6 +127,32 @@ class TestEerCommand:
         for name in ("metrics.tsv", "roc.tsv", "score_hist.csv"):
             assert (tmp_path / "eer" / name).is_file()
 
+    @pytest.mark.parametrize(
+        "score_rows, label_rows, message",
+        [
+            (["s1\tq3\tnan", "s1\tq4\tnan"], [], "scores.tsv:3: bad score 'nan'"),
+            (["s1\tq3\tinf", "s1\tq4\tinf"], [], "scores.tsv:3: bad score 'inf'"),
+            (["s1\tq3\t0.5", "s1\tq3\t0.5"], [], "scores.tsv:4: duplicate sample s1/q3"),
+            ([], ["s1\tq1\timpostor"], "labels.tsv:5: duplicate sample s1/q1"),
+        ],
+        ids=["nan", "inf", "repeated-score", "repeated-label"],
+    )
+    def test_bad_score_or_label_file_is_operational_error(
+        self, tmp_path, capsys, score_rows, label_rows, message
+    ):
+        scores = tmp_path / "scores.tsv"
+        scores.write_text("\n".join(["s1\tq1\t0.9", "s1\tq2\t0.1", *score_rows]) + "\n")
+        label_rows = [
+            "s1\tq1\tgenuine", "s1\tq2\tgenuine", "s1\tq3\timpostor", "s1\tq4\timpostor",
+            *label_rows,
+        ]
+        labels = tmp_path / "labels.tsv"
+        labels.write_text("\n".join(label_rows) + "\n")
+        assert main(["eer", "--scores", str(scores), "--labels", str(labels)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {tmp_path / message}\n"
+
 
 class TestValidate:
     def test_prints_and_writes(self, data_dir, tmp_path, capsys):

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 
 from keygait import (
     DatasetError,
+    KeystrokeSequence,
     Label,
     ResolutionError,
     Role,
+    Sample,
     ScoreRecord,
     ScoreSet,
     SynthConfig,
@@ -127,6 +129,35 @@ class TestDatasetRoundTrip:
         assert str(err.value).endswith(f"{root / 's001' / 'q01.txt'}: line 2: bad delta {huge!r}")
 
 
+    @pytest.mark.parametrize("column", ["subject", "sample"])
+    @pytest.mark.parametrize("bad", ["", ".", "..", "../../outside", "a\\b", "a\0b"])
+    def test_ids_must_be_plain_file_names(self, column, bad):
+        ids = {"subject": "s1", "sample": "t1", column: bad}
+        with pytest.raises(ValueError) as err:
+            Sample(ids["subject"], ids["sample"], Role.TEMPLATE, KeystrokeSequence(()))
+        assert str(err.value) == f"bad {column} id {bad!r}: not a plain file name"
+
+    def test_manifest_ids_stay_inside_the_dataset(self, tmp_path):
+        dataset, _ = generate_synthetic(TINY)
+        root = tmp_path / "data" / "ds"
+        write_dataset(dataset, root)
+        # where "s001/../../outside.txt" points: a file that would be listed
+        # as a parse problem if it were opened
+        (tmp_path / "data" / "outside.txt").write_text("not a capture\n")
+        manifest = root / "manifest.tsv"
+        n_lines = len(manifest.read_text().splitlines())
+        bad_rows = ["s001\t../../outside\tquery\tgenuine", "..\tq01\tquery\tgenuine", "s001\t\tquery\tgenuine"]
+        manifest.write_text(manifest.read_text() + "\n".join(bad_rows) + "\n")
+        with pytest.raises(DatasetError) as err:
+            load_dataset(root)
+        assert str(err.value).splitlines() == [
+            f"3 problem(s) loading {root}:",
+            f"{manifest}:{n_lines + 1}: bad sample id '../../outside': not a plain file name",
+            f"{manifest}:{n_lines + 2}: bad subject id '..': not a plain file name",
+            f"{manifest}:{n_lines + 3}: bad sample id '': not a plain file name",
+        ]
+
+
 class TestScoreAndLabelFiles:
     def test_score_round_trip_at_six_decimals(self, tmp_path):
         scores = ScoreSet(
@@ -166,6 +197,31 @@ class TestScoreAndLabelFiles:
         path.write_text("s1\tq1\tlow\n")
         with pytest.raises(DatasetError, match="bad score"):
             read_scores(path)
+
+    @pytest.mark.parametrize("token", ["nan", "NaN", "-nan", "inf", "+inf", "infinity"])
+    def test_read_scores_rejects_nan_and_positive_infinity(self, tmp_path, token):
+        # keygait writes a finite score or -inf, never NaN or +inf
+        path = tmp_path / "scores.tsv"
+        path.write_text(f"s1\tq1\t-inf\ns1\tq2\t{token}\n")
+        with pytest.raises(DatasetError) as err:
+            read_scores(path)
+        assert str(err.value) == f"{path}:2: bad score {token!r}"
+        path.write_text("s1\tq1\t-inf\n")
+        assert [r.raw_score for r in read_scores(path)] == [float("-inf")]
+
+    def test_read_scores_rejects_repeated_sample(self, tmp_path):
+        path = tmp_path / "scores.tsv"
+        path.write_text("s1\tq3\t0.5\ns2\tq3\t0.1\ns1\tq3\t0.5\ns1\tq3\t0.5\n")
+        with pytest.raises(DatasetError) as err:
+            read_scores(path)
+        assert str(err.value) == f"{path}:3: duplicate sample s1/q3"
+
+    def test_read_labels_rejects_repeated_sample(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_text("s1\tq1\tgenuine\ns2\tq1\timpostor\ns1\tq1\timpostor\n")
+        with pytest.raises(DatasetError) as err:
+            read_labels(path)
+        assert str(err.value) == f"{path}:3: duplicate sample s1/q1"
 
     def test_label_round_trip_and_attach(self, tmp_path):
         scores = ScoreSet(

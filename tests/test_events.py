@@ -5,12 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from keygait import (
-    Action,
     Keystroke,
     KeystrokeSequence,
     Label,
     ParseError,
-    RawEvent,
     Role,
     Sample,
     UnreleasedKeyWarning,
@@ -28,48 +26,58 @@ def seq(*keystrokes):
     return KeystrokeSequence(tuple(keystrokes))
 
 
+def steps(text):
+    """Every ``(is_press, scancode, delta_ms)`` step of ``text``, scanned
+    eagerly, so a parse error is raised here."""
+    return list(parse_raw_events(text))
+
+
 class TestParsing:
     def test_basic(self):
-        events = parse_raw_events("P 1c 0\nR 1c 90\nP 39 30\nR 39 85\n")
-        assert events == [
-            RawEvent(Action.PRESS, 0x1C, 0),
-            RawEvent(Action.RELEASE, 0x1C, 90),
-            RawEvent(Action.PRESS, 0x39, 30),
-            RawEvent(Action.RELEASE, 0x39, 85),
-        ]
+        events = steps("P 1c 0\nR 1c 90\nP 39 30\nR 39 85\n")
+        assert events == [(True, 0x1C, 0), (False, 0x1C, 90), (True, 0x39, 30), (False, 0x39, 85)]
+
+    def test_scan_is_lazy(self):
+        # the error is raised while the steps are iterated, not at the call
+        events = parse_raw_events("P 1c 0\nX 1c 90\n")
+        assert next(events) == (True, 0x1C, 0)
+        with pytest.raises(ParseError, match="line 2"):
+            next(events)
 
     def test_blank_lines_skipped(self):
-        events = parse_raw_events("\nP 1c 0\n\nR 1c 5\n\n")
+        events = steps("\nP 1c 0\n\nR 1c 5\n\n")
         assert len(events) == 2
 
     def test_first_delta_must_be_zero(self):
         with pytest.raises(ParseError, match="line 1"):
-            parse_raw_events("P 1c 10\nR 1c 90\n")
+            steps("P 1c 10\nR 1c 90\n")
 
     def test_bad_action(self):
         with pytest.raises(ParseError, match="line 2"):
-            parse_raw_events("P 1c 0\nX 1c 90\n")
+            steps("P 1c 0\nX 1c 90\n")
 
     def test_bad_field_count(self):
         with pytest.raises(ParseError):
-            parse_raw_events("P 1c\n")
+            steps("P 1c\n")
 
     def test_negative_delta(self):
         with pytest.raises(ParseError):
-            parse_raw_events("P 1c 0\nR 1c -4\n")
+            steps("P 1c 0\nR 1c -4\n")
 
     def test_uppercase_hex_accepted(self):
         # lenient on input; serialization always emits lowercase
-        assert parse_raw_events("P 1C 0\n") == [RawEvent(Action.PRESS, 0x1C, 0)]
+        assert steps("P 1C 0\n") == [(True, 0x1C, 0)]
 
     def test_empty_input(self):
-        assert parse_raw_events("") == []
+        assert steps("") == []
 
     def test_negative_scancode(self):
         with pytest.raises(ParseError, match=r"line 2: bad scancode '-1'"):
-            parse_raw_events("P 1c 0\nP -1 0\n")
+            steps("P 1c 0\nP -1 0\n")
 
-    @pytest.mark.parametrize("read", [parse_raw_events, read_sequence])
+    @pytest.mark.parametrize(
+        "read", [steps, read_sequence], ids=["parse_raw_events", "read_sequence"]
+    )
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -89,9 +97,11 @@ class TestParsing:
             read(text)
         assert str(caught.value) == message
 
-    @pytest.mark.parametrize("read", [parse_raw_events, read_sequence])
+    @pytest.mark.parametrize(
+        "read", [steps, read_sequence], ids=["parse_raw_events", "read_sequence"]
+    )
     def test_delta_above_float_exact_range_is_rejected(self, read):
-        assert len(read(f"P 1e 0\nR 1e {MAX_DELTA_MS}\n")) == (2 if read is parse_raw_events else 1)
+        assert len(read(f"P 1e 0\nR 1e {MAX_DELTA_MS}\n")) == (2 if read is steps else 1)
         # 401 digits: past float's range, where feature extraction would overflow
         for token in (str(MAX_DELTA_MS + 1), "9" * 401):
             with pytest.raises(ParseError) as caught:
@@ -271,7 +281,8 @@ def _outcome(read, text):
 
 
 def _two_step(text):
-    return pair_events(parse_raw_events(text))
+    # the whole text is scanned before pairing starts
+    return pair_events(list(parse_raw_events(text)))
 
 
 @pytest.mark.parametrize(

@@ -8,10 +8,8 @@ from keygait import (
     Keystroke,
     KeystrokeSequence,
     RawFeatureMatrix,
-    extract_feature_matrix,
     extract_features,
     fit_feature_normalizer,
-    normalize_feature_matrix,
     normalize_features,
 )
 
@@ -26,31 +24,30 @@ def aligned(*triples):
 
 def test_extraction_values():
     s = aligned(("a", 0, 80), ("b", 120, 190), ("c", 250, 310))
-    v = extract_features(s)
-    assert v.durations.tolist() == [80.0, 70.0, 60.0]
-    assert v.latencies.tolist() == [120.0, 130.0]
-    assert len(v) == 5
-    assert v.values.tolist() == [80.0, 70.0, 60.0, 120.0, 130.0]
+    v = extract_features([s])
+    assert len(v) == 1
+    assert v.durations.tolist() == [[80.0, 70.0, 60.0]]
+    assert v.latencies.tolist() == [[120.0, 130.0]]
 
 
 def test_negative_latency_preserved():
     s = KeystrokeSequence(
         (Keystroke("b", 100, 150), Keystroke("a", 40, 90)), aligned=True
     )
-    v = extract_features(s)
-    assert v.latencies.tolist() == [-60.0]
+    v = extract_features([s])
+    assert v.latencies.tolist() == [[-60.0]]
 
 
 def test_requires_aligned():
     s = KeystrokeSequence((Keystroke("a", 0, 10), Keystroke("b", 20, 30)))
     with pytest.raises(FeatureError):
-        extract_features(s)
+        extract_features([s])
 
 
 def test_requires_two_keystrokes():
     s = KeystrokeSequence((Keystroke("a", 0, 10),), aligned=True)
     with pytest.raises(FeatureError):
-        extract_features(s)
+        extract_features([s])
 
 
 def _template_seqs():
@@ -62,11 +59,12 @@ def _template_seqs():
 
 
 def _template_vectors():
-    return [extract_features(s) for s in _template_seqs()]
+    """One one-row matrix per template."""
+    return [extract_features([s]) for s in _template_seqs()]
 
 
 def _templates():
-    return extract_feature_matrix(_template_seqs())
+    return extract_features(_template_seqs())
 
 
 class TestNormalization:
@@ -75,28 +73,26 @@ class TestNormalization:
         norm = fit_feature_normalizer(_templates())
         for v in vectors:
             out = normalize_features(norm, v)
-            assert out.shape == (5,)
+            assert out.shape == (1, 5)
             assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
     def test_out_of_range_clamps(self):
         norm = fit_feature_normalizer(_templates())
-        far = extract_features(aligned(("a", 0, 5000), ("b", 6000, 6001), ("c", 6002, 6003)))
-        out = normalize_features(norm, far)
+        far = extract_features([aligned(("a", 0, 5000), ("b", 6000, 6001), ("c", 6002, 6003))])
+        out = normalize_features(norm, far)[0]
         assert out[0] == 1.0  # huge duration clamps high
         assert out[1] == 0.0  # tiny duration clamps low
 
     def test_constant_feature_maps_to_half(self):
         seqs = [aligned(("a", 0, 50), ("b", 100, 150)), aligned(("a", 0, 50), ("b", 100, 150))]
-        norm = fit_feature_normalizer(extract_feature_matrix(seqs))
-        out = normalize_features(norm, extract_features(seqs[0]))
+        norm = fit_feature_normalizer(extract_features(seqs))
+        out = normalize_features(norm, extract_features(seqs[:1]))
         assert np.allclose(out, 0.5)
 
     def test_pooled_mean_value_maps_to_half(self):
-        from keygait import RawFeatureVector
-
         norm = fit_feature_normalizer(_templates())
-        center = RawFeatureVector(
-            durations=np.full(3, norm.mu_d), latencies=np.full(2, norm.mu_p)
+        center = RawFeatureMatrix(
+            durations=np.full((1, 3), norm.mu_d), latencies=np.full((1, 2), norm.mu_p)
         )
         assert np.allclose(normalize_features(norm, center), 0.5)
 
@@ -111,9 +107,9 @@ class TestNormalization:
     def test_per_position_mode(self):
         norm = fit_feature_normalizer(_templates(), per_position=True)
         out = normalize_features(norm, _template_vectors()[1])
-        assert out.shape == (5,)
+        assert out.shape == (1, 5)
         assert np.all(out >= 0.0) and np.all(out <= 1.0)
-        short = extract_features(aligned(("a", 0, 10), ("b", 20, 30)))
+        short = extract_features([aligned(("a", 0, 10), ("b", 20, 30))])
         with pytest.raises(FeatureError):
             normalize_features(norm, short)
 
@@ -125,7 +121,7 @@ class TestNormalization:
             aligned(("a", 0, 10), ("b", 20, 30), ("c", 40, 50)),
         ]
         with pytest.raises(FeatureError):
-            fit_feature_normalizer(extract_feature_matrix(mixed))
+            fit_feature_normalizer(extract_features(mixed))
 
     @pytest.mark.parametrize("h_f", [0.0, float("nan"), float("inf")])
     def test_h_f_must_be_positive(self, h_f):
@@ -151,8 +147,8 @@ def test_normalized_range_property(timing):
         ks.append(Keystroke("a", t, t + dur))
         t += 1
     s = KeystrokeSequence(tuple(ks), aligned=True)
-    v = extract_features(s)
-    norm = fit_feature_normalizer(extract_feature_matrix([s]))
+    v = extract_features([s])
+    norm = fit_feature_normalizer(v)
     out = normalize_features(norm, v)
     assert np.all((out >= 0.0) & (out <= 1.0))
 
@@ -166,7 +162,7 @@ class TestFeatureMatrix:
                 aligned=True,
             ),
         ]
-        raw = extract_feature_matrix(seqs)
+        raw = extract_features(seqs)
         assert len(raw) == 2
         assert raw.durations.tolist() == [[80.0, 90.0, 90.0], [50.0, 50.0, 60.0]]
         assert raw.latencies.tolist() == [[150.0, 150.0], [-60.0, 160.0]]
@@ -178,7 +174,7 @@ class TestFeatureMatrix:
         for seqs in ([], [ok, unaligned], [aligned(("a", 0, 10))],
                      [ok, aligned(("a", 0, 10), ("b", 20, 30), ("c", 40, 50))]):
             with pytest.raises(FeatureError):
-                extract_feature_matrix(seqs)
+                extract_features(seqs)
 
     def test_shape_checked(self):
         with pytest.raises(ValueError):
@@ -188,9 +184,9 @@ class TestFeatureMatrix:
 
     def test_per_position_length_checked(self):
         norm = fit_feature_normalizer(_templates(), per_position=True)
-        short = extract_feature_matrix([aligned(("a", 0, 10), ("b", 20, 30))])
+        short = extract_features([aligned(("a", 0, 10), ("b", 20, 30))])
         with pytest.raises(FeatureError):
-            normalize_feature_matrix(norm, short)
+            normalize_features(norm, short)
 
 
 @st.composite
@@ -212,16 +208,9 @@ def _aligned_batches(draw):
 @given(_aligned_batches(), st.booleans())
 def test_matrix_rows_equal_per_sequence_features(batch, per_position):
     seqs, n_templates, h_f = batch
-    raw = extract_feature_matrix(seqs)
+    raw = extract_features(seqs)
     norm = fit_feature_normalizer(raw[:n_templates], h_f=h_f, per_position=per_position)
-    matrix = normalize_feature_matrix(norm, raw)
-    # the public one-row calls
-    vectors = [extract_features(s) for s in seqs]
-    single_norm = fit_feature_normalizer(
-        extract_feature_matrix(seqs[:n_templates]), h_f=h_f, per_position=per_position
-    )
-    for row, v in zip(matrix, vectors):
-        assert row.tobytes() == normalize_features(single_norm, v).tobytes()
+    matrix = normalize_features(norm, raw)
     # the frozen per-sequence reference
     ref_t, ref_q = reference_normalized_features(
         seqs[:n_templates], seqs[n_templates:], h_f=h_f, per_position=per_position

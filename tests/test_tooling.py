@@ -7,7 +7,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from keygait import PipelineConfig, alignment, run_pipeline
+from keygait import PipelineConfig, alignment, load_dataset, run_pipeline, write_dataset
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -45,3 +45,18 @@ def test_tracer_sees_the_pipeline_align_calls(small_dataset):
     assert tracer.calls["detectors.manhattan.score_all"] == len(small_dataset.subjects)
     assert tracer.calls["detectors.manhattan.score"] == 0
     assert len(scores) == sum(len(entry.queries) for entry in small_dataset.subjects.values())
+
+
+def test_tracer_times_the_parse_and_feature_path(small_dataset, tmp_path):
+    write_dataset(small_dataset, tmp_path)
+    tracer = _spans().Tracer()
+    with tracer.installed():
+        scores = run_pipeline(load_dataset(tmp_path), PipelineConfig())
+    # every sample file is scanned and paired once
+    n_samples = small_dataset.n_samples()
+    assert tracer.calls["events.parse_raw_events"] == n_samples
+    assert tracer.calls["events.pair_events"] == n_samples
+    # every subject prepares, into one feature matrix normalized in one call
+    assert len({r.subject_id for r in scores if not r.flagged}) == len(small_dataset.subjects)
+    assert tracer.calls["features.extract_features"] == len(small_dataset.subjects)
+    assert tracer.calls["features.normalize_features"] == len(small_dataset.subjects)
