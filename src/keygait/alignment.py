@@ -18,7 +18,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import combinations
+from itertools import chain, combinations
 from operator import attrgetter
 from typing import Sequence
 
@@ -75,6 +75,15 @@ def _comparison_keys(seq: KeystrokeSequence, merge_shift_keys: bool) -> list[str
     return [k.key for k in seq]
 
 
+def _take_nearest(indices: list[int], i: int) -> int:
+    """Pop the entry of the sorted list ``indices`` nearest to ``i``, the
+    smaller one on a tie: one of the two entries that bracket ``i``."""
+    k = bisect_left(indices, i)
+    if k == len(indices) or (k > 0 and i - indices[k - 1] <= indices[k] - i):
+        k -= 1
+    return indices.pop(k)
+
+
 def align(
     given: KeystrokeSequence,
     target: KeystrokeSequence,
@@ -84,14 +93,14 @@ def align(
     """Align ``given`` onto ``target``, producing a sequence of exactly
     ``len(target)`` keystrokes in target order with unmodified timestamps.
 
-    Matching runs first: target positions are visited left to right and
-    each takes the unconsumed given keystroke with the same key name that
-    minimizes ``|given_index - position|`` (ties to the smaller index).
-    Positions whose key has no unconsumed occurrence are then filled left
-    to right by substitution: the unconsumed given keystroke at the same
-    index, else the nearest unconsumed one (ties to the smaller index),
-    else the last given keystroke is reused and the result is flagged.
-    Leftover given keystrokes are recorded as ignored.
+    Every target position takes the nearest unused given index (ties to
+    the smaller index), in two passes over the positions left to right.
+    Matching runs first: each position takes the nearest unused given
+    keystroke with the same key name. Substitution then fills the
+    positions whose key had none left, from the nearest unused given
+    keystroke of any key; once none is left, the last given keystroke is
+    reused and the result is flagged. Leftover given keystrokes are
+    recorded as ignored.
 
     Matching before substituting keeps the mapping injective whenever the
     given sequence is long enough, and guarantees that a key occurring
@@ -107,57 +116,30 @@ def align(
     if len(given) == 0:
         raise AlignmentError("given sequence is empty")
 
-    given_keys = _comparison_keys(given, merge_shift_keys)
-    target_keys = _comparison_keys(target, merge_shift_keys)
-    n_given = len(given_keys)
-    n_target = len(target_keys)
-    consumed = [False] * n_given
-    chosen: list[MappingEntry | None] = [None] * n_target
-
-    # Pass 1: same-key matches. Each key's unconsumed given indices stay
-    # sorted, so the nearest one to position i is one of the two that
-    # bracket i; on a tie the smaller index wins.
+    # Each key's unused given indices, sorted.
     free: dict[str, list[int]] = {}
-    for j, key in enumerate(given_keys):
+    for j, key in enumerate(_comparison_keys(given, merge_shift_keys)):
         free.setdefault(key, []).append(j)
-    for i, key in enumerate(target_keys):
-        indices = free.get(key)
-        if not indices:
-            continue
-        k = bisect_left(indices, i)
-        if k == len(indices) or (k > 0 and i - indices[k - 1] <= indices[k] - i):
-            k -= 1
-        best = indices.pop(k)
-        consumed[best] = True
-        chosen[i] = _matched(best)
 
-    # Pass 2: substitutions for the rest.
+    # Pass 1: same-key matches.
+    chosen: list[MappingEntry | None] = [
+        _matched(_take_nearest(free[key], i)) if free.get(key) else None
+        for i, key in enumerate(_comparison_keys(target, merge_shift_keys))
+    ]
+
+    # Pass 2: substitutions for the rest, from every index pass 1 left.
+    left = sorted(chain.from_iterable(free.values()))
     flagged = False
-    for i in range(n_target):
-        if chosen[i] is not None:
-            continue
-        if i < n_given and not consumed[i]:
-            pick = i
-        else:
-            pick = -1
-            best_dist = math.inf
-            for j in range(n_given):
-                if consumed[j]:
-                    continue
-                dist = abs(j - i)
-                if dist < best_dist:
-                    best_dist = dist
-                    pick = j
-        if pick >= 0:
-            consumed[pick] = True
-        else:
-            pick = n_given - 1
-            flagged = True
-        chosen[i] = _substituted(pick)
+    for i, entry in enumerate(chosen):
+        if entry is None:
+            if left:
+                chosen[i] = _substituted(_take_nearest(left, i))
+            else:
+                chosen[i] = _substituted(len(given) - 1)
+                flagged = True
 
     entries = tuple(chosen)
-    ignored = tuple(j for j, used in enumerate(consumed) if not used)
-    mapping = AlignmentMapping(n_target, entries, ignored, flagged)
+    mapping = AlignmentMapping(len(entries), entries, tuple(left), flagged)
     keystrokes = given.keystrokes
     aligned = KeystrokeSequence(
         tuple(keystrokes[e.given_index] for e in entries), aligned=True

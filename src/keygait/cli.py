@@ -189,9 +189,7 @@ def _cmd_eer(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     config = _pipeline_config(args)
     dataset = load_dataset(args.data)
-    result = monte_carlo_validate(
-        dataset, config, repetitions=args.reps, n_templates=args.templates, seed=args.seed
-    )
+    result = monte_carlo_validate(dataset, config, repetitions=args.reps, n_templates=args.templates)
     metrics = {"mean_eer": result.mean_eer, "sd_eer": result.sd_eer}
     sys.stdout.write(tsv(metrics.items()))
     if args.out:

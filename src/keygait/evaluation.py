@@ -317,15 +317,14 @@ def monte_carlo_validate(
     config: PipelineConfig,
     repetitions: int = 10,
     n_templates: int = 4,
-    seed: int | None = None,
 ) -> MonteCarloResult:
     """Repeated random template/query splits of a fully labeled dataset.
 
     Each repetition draws ``n_templates`` templates per subject uniformly
     without replacement from that subject's genuine samples; everything
     else (remaining genuine plus all impostors) becomes queries. The full
-    pipeline runs on each split with a repetition-derived seed and the
-    global EER is recorded.
+    pipeline runs on each split with a seed derived from ``config.seed``
+    and the repetition, and the global EER is recorded.
 
     Raises:
         EvaluationError: repetitions or n_templates is below 1, a sample
@@ -336,7 +335,6 @@ def monte_carlo_validate(
         raise EvaluationError(f"repetitions must be positive, got {repetitions}")
     if n_templates < 1:
         raise EvaluationError(f"n_templates must be positive, got {n_templates}")
-    master = config.seed if seed is None else seed
     pools: list[tuple[str, list[Sample], list[Sample]]] = []
     for subject_id in dataset.subject_ids():
         entry = dataset.subjects[subject_id]
@@ -364,7 +362,7 @@ def monte_carlo_validate(
 
     eers: list[float] = []
     for rep in range(repetitions):
-        rep_seed = derive_seed(master, "rep", rep)
+        rep_seed = derive_seed(config.seed, "rep", rep)
         rng = np.random.default_rng(rep_seed)
         split = SubjectDataset()
         for subject_id, genuine, impostor in pools:

@@ -46,10 +46,6 @@ class Keystroke:
                 f"release_t {self.release_t} precedes press_t {self.press_t} for {self.key!r}"
             )
 
-    @property
-    def duration(self) -> int:
-        return self.release_t - self.press_t
-
 
 @dataclass(frozen=True)
 class KeystrokeSequence:
@@ -93,14 +89,21 @@ class Label(Enum):
     IMPOSTOR = "impostor"
 
 
+# Path separators, NUL, the flat-file field separator (tab) and every line
+# boundary str.splitlines breaks on.
+_NOT_IN_ID = frozenset("/\\\0\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+
+
 def check_id(kind: str, value: str) -> None:
-    """A subject or sample id names one path component of a dataset:
-    non-empty, not ``.`` or ``..``, and free of ``/``, ``\\`` and NUL.
+    """A subject or sample id names one path component of a dataset and
+    one field of a flat file: non-empty, not ``.`` or ``..``, and free of
+    ``/``, ``\\``, NUL, tab and every line boundary ``str.splitlines``
+    breaks on.
 
     Raises:
         ValueError: any other id.
     """
-    if value in ("", ".", "..") or "/" in value or "\\" in value or "\0" in value:
+    if value in ("", ".", "..") or not _NOT_IN_ID.isdisjoint(value):
         raise ValueError(f"bad {kind} id {value!r}: not a plain file name")
 
 

@@ -102,6 +102,8 @@ def fit_feature_normalizer(
 
     Raises:
         FeatureError: no templates, or h_f not positive and finite.
+        ValueError: h_f so wide that a bound width ``2 * h_f * sigma``
+            overflows to inf.
     """
     if len(features) == 0:
         raise FeatureError("cannot fit a normalizer on zero template vectors")
@@ -110,9 +112,11 @@ def fit_feature_normalizer(
     axis = 0 if per_position else None
     d = features.durations
     p = features.latencies
-    return FeatureNormalizer(
-        d.mean(axis=axis), d.std(axis=axis), p.mean(axis=axis), p.std(axis=axis), h_f
-    )
+    stats = (d.mean(axis=axis), d.std(axis=axis), p.mean(axis=axis), p.std(axis=axis))
+    with np.errstate(over="ignore"):
+        if np.isinf(np.append(stats[1], stats[3]) * h_f * 2.0).any():
+            raise ValueError(f"h_f {h_f} is too wide: the bound width 2 * h_f * sigma overflows")
+    return FeatureNormalizer(*stats, h_f)
 
 
 def _scale(x: np.ndarray, mu: np.ndarray | float, sigma: np.ndarray | float, h_f: float) -> np.ndarray:

@@ -81,6 +81,8 @@ def normalize_sd(scores: Sequence[float], h_s: float = 2.0) -> list[float]:
 
     Raises:
         ScoreNormError: fewer than 2 scores, or h_s not positive (NaN included).
+        ValueError: h_s so wide that the bound width ``2 * h_s * sd``
+            overflows to inf.
     """
     if not h_s > 0:
         raise ScoreNormError(f"h_s must be positive, got {h_s}")
@@ -92,8 +94,10 @@ def normalize_sd(scores: Sequence[float], h_s: float = 2.0) -> list[float]:
     sd = math.sqrt(sum((s - mean) ** 2 for s in scores) / len(scores))
     if sd == 0.0:
         return [0.5] * len(scores)
-    lo = mean - h_s * sd
     width = 2.0 * h_s * sd
+    if width == math.inf:
+        raise ValueError(f"h_s {h_s} is too wide: the bound width 2 * h_s * sd overflows")
+    lo = mean - h_s * sd
     return [min(1.0, max(0.0, (s - lo) / width)) for s in scores]
 
 

@@ -5,6 +5,7 @@ path the console script takes.
 """
 
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -338,12 +339,17 @@ class TestErrorHandling:
             (["evaluate", "--h-f", "inf"], "h_f must be finite, got inf"),
             (["evaluate", "--h-s", "inf"], "h_s must be finite, got inf"),
             (["synth", "--separation", "inf"], "impostor_separation must be finite, got inf"),
+            # finite, but the bound width overflows to inf
+            (["evaluate", "--h-f", "1e308"], "h_f 1e+308 is too wide: the bound width 2 * h_f * sigma overflows"),
+            (["evaluate", "--h-s", "1e308"], "h_s 1e+308 is too wide: the bound width 2 * h_s * sd overflows"),
         ],
     )
     def test_infinite_width_flag_is_operational_error(self, data_dir, tmp_path, capsys, argv, message):
         data = ["--data", str(data_dir)] if argv[0] == "evaluate" else []
         out = tmp_path / "out"
-        assert main([*argv, *data, "--out", str(out)]) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would escape main
+            assert main([*argv, *data, "--out", str(out)]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 

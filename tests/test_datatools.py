@@ -2,6 +2,8 @@
 clock-resolution estimator."""
 
 import math
+import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +21,9 @@ from keygait import (
     Sample,
     ScoreRecord,
     ScoreSet,
+    SubjectDataset,
     SynthConfig,
+    UnreleasedKeyWarning,
     attach_labels,
     collect_latencies,
     estimate_resolution,
@@ -35,16 +39,33 @@ from keygait import (
     write_scores,
 )
 from keygait.datasets import tsv
+from keygait.events import check_id
 from keygait.resolution import _find_peaks
 from keygait.synthesis import PERTURBATION_KINDS
 
 from oracles import reference_find_peaks
+from test_events import physical_sequences
 
 TINY = SynthConfig(n_subjects=2, n_templates=3, genuine_queries=(2, 2), impostor_queries=(2, 2), seed=3)
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def _accepted_id(value: str) -> bool:
+    try:
+        check_id("any", value)
+    except ValueError:
+        return False
+    return True
+
+
+# Any id check_id accepts, kept short: the file-name length limit belongs
+# to the filesystem, not to the id rule.
+ids = st.text(max_size=6).filter(_accepted_id)
+# Line and field separators, each a character some flat file cannot carry.
+ID_BREAKERS = ["\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 class TestDatasetRoundTrip:
@@ -58,6 +79,29 @@ class TestDatasetRoundTrip:
             back = loaded.subjects[sid]
             assert back.templates == orig.templates
             assert back.queries == orig.queries
+
+    @given(
+        st.lists(
+            st.tuples(ids, ids, st.sampled_from(Role), st.sampled_from([None, *Label]), physical_sequences()),
+            max_size=6,
+            unique_by=lambda row: row[:2],
+        )
+    )
+    def test_any_accepted_ids_round_trip(self, rows):
+        dataset = SubjectDataset()
+        for subject_id, sample_id, role, label, sequence in rows:
+            if role is Role.TEMPLATE and label is Label.IMPOSTOR:
+                label = None  # a template is genuine by construction
+            dataset.add(Sample(subject_id, sample_id, role, sequence, label))
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("ignore", UnreleasedKeyWarning)
+            write_dataset(dataset, tmp)
+            loaded = load_dataset(tmp)
+
+        def contents(ds):
+            return {(s.subject_id, s.sample_id): (s.role, s.label, s.sequence) for s in ordered_samples(ds)}
+
+        assert contents(loaded) == contents(dataset)
 
     def test_rewrite_is_byte_identical(self, small_dataset, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -130,7 +174,9 @@ class TestDatasetRoundTrip:
 
 
     @pytest.mark.parametrize("column", ["subject", "sample"])
-    @pytest.mark.parametrize("bad", ["", ".", "..", "../../outside", "a\\b", "a\0b"])
+    @pytest.mark.parametrize(
+        "bad", ["", ".", "..", "../../outside", "a\\b", "a\0b", *(f"t{ch}1" for ch in ID_BREAKERS)]
+    )
     def test_ids_must_be_plain_file_names(self, column, bad):
         ids = {"subject": "s1", "sample": "t1", column: bad}
         with pytest.raises(ValueError) as err:
@@ -172,6 +218,30 @@ class TestScoreAndLabelFiles:
         back = read_scores(path)
         assert [r.raw_score for r in back] == [pytest.approx(0.123457, abs=1e-12), -3.5, float("-inf")]
         assert [(r.subject_id, r.sample_id) for r in back] == [("s1", "q1"), ("s1", "q2"), ("s2", "q1")]
+
+    @given(
+        st.dictionaries(
+            st.tuples(ids, ids),
+            st.floats(allow_nan=False, allow_infinity=False) | st.just(-math.inf),
+            max_size=6,
+        )
+    )
+    def test_any_accepted_ids_score_round_trip(self, scores):
+        records = tuple(ScoreRecord(s, q, v) for (s, q), v in scores.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scores.tsv"
+            write_scores(ScoreSet(records), path)
+            back = {(r.subject_id, r.sample_id): r.raw_score for r in read_scores(path)}
+        # six-decimal text; -inf stays -inf
+        assert back == {key: float(f"{v:.6f}") for key, v in scores.items()}
+
+    @given(st.dictionaries(st.tuples(ids, ids), st.sampled_from(Label), max_size=6))
+    def test_any_accepted_ids_label_round_trip(self, labels):
+        records = [ScoreRecord(s, q, 0.0, label=label) for (s, q), label in labels.items()]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "labels.tsv"
+            write_labels(records, path)
+            assert read_labels(path) == labels
 
     def test_normalized_written_when_present(self, tmp_path):
         rec = ScoreRecord("s1", "q1", -7.0, normalized_score=0.25)

@@ -650,9 +650,9 @@ class TestRunPipeline:
 
 class TestMonteCarlo:
     def test_deterministic_and_shaped(self, small_dataset):
-        config = PipelineConfig()
-        a = monte_carlo_validate(small_dataset, config, repetitions=2, seed=5)
-        b = monte_carlo_validate(small_dataset, config, repetitions=2, seed=5)
+        config = replace(PipelineConfig(), seed=5)
+        a = monte_carlo_validate(small_dataset, config, repetitions=2)
+        b = monte_carlo_validate(small_dataset, config, repetitions=2)
         assert a == b
         assert len(a.eers) == 2
         assert a.mean_eer == pytest.approx(float(np.mean(a.eers)))
@@ -660,8 +660,8 @@ class TestMonteCarlo:
 
     def test_seed_changes_splits(self, small_dataset):
         config = PipelineConfig()
-        a = monte_carlo_validate(small_dataset, config, repetitions=2, seed=5)
-        b = monte_carlo_validate(small_dataset, config, repetitions=2, seed=6)
+        a = monte_carlo_validate(small_dataset, replace(config, seed=5), repetitions=2)
+        b = monte_carlo_validate(small_dataset, replace(config, seed=6), repetitions=2)
         assert a.eers != b.eers
 
     def test_unlabeled_sample_rejected(self):

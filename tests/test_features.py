@@ -128,6 +128,15 @@ class TestNormalization:
         with pytest.raises(FeatureError):
             fit_feature_normalizer(_templates(), h_f=h_f)
 
+    @pytest.mark.parametrize("per_position", [False, True])
+    def test_overflowing_width_is_a_plain_value_error(self, per_position):
+        # not a FeatureError, which the pipeline would turn into a flagged
+        # subject
+        with np.errstate(all="raise"), pytest.raises(ValueError) as err:
+            fit_feature_normalizer(_templates(), h_f=1e308, per_position=per_position)
+        assert not isinstance(err.value, FeatureError)
+        assert str(err.value) == "h_f 1e+308 is too wide: the bound width 2 * h_f * sigma overflows"
+
 
 @given(
     st.lists(

@@ -50,6 +50,15 @@ def test_sd_rejects_nonpositive_width(h_s):
         normalize_sd([1.0, 2.0], h_s=h_s)
 
 
+def test_sd_overflowing_width_is_a_plain_value_error():
+    # not a ScoreNormError, which the pipeline would turn into a flagged
+    # subject
+    with pytest.raises(ValueError) as err:
+        normalize_sd([1.0, 2.0], h_s=1e308)
+    assert not isinstance(err.value, ScoreNormError)
+    assert str(err.value) == "h_s 1e+308 is too wide: the bound width 2 * h_s * sd overflows"
+
+
 @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40), st.floats(0.5, 5.0))
 def test_sd_range_and_order_preserved(scores, h_s):
     out = normalize_sd(scores, h_s=h_s)
