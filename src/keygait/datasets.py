@@ -151,7 +151,10 @@ def ordered_samples(dataset: SubjectDataset) -> Iterator[Sample]:
 
 
 def write_dataset(dataset: SubjectDataset, root: str | Path) -> None:
-    """Write a dataset directory (manifest plus one event file per sample)."""
+    """Write a dataset directory (manifest plus one event file per sample);
+    a subject id that is the manifest's file name is a DatasetError."""
+    if MANIFEST_NAME in dataset.subjects:
+        raise DatasetError(f"subject id {MANIFEST_NAME!r} is the manifest's file name")
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     for subject_id in dataset.subject_ids():

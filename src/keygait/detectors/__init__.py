@@ -1,17 +1,18 @@
 """One-class detectors that fit a subject's templates and score queries.
 
-All detectors share the fit/score contract in :mod:`.base`; higher
-scores mean more likely genuine. `build_detector` turns a declarative
-DetectorConfig into an instance, injecting a seed so per-subject
-instances stay independently and reproducibly seeded. An ensemble is not
-a detector: ``run_pipeline`` fits and scores each member and averages
-their scores.
+All detectors share the contract in :mod:`.base`: ``fit_group`` trains
+and ``score_all`` scores, and higher scores mean more likely genuine.
+`build_detector` turns a declarative DetectorConfig into an instance,
+injecting a seed so per-subject instances stay independently and
+reproducibly seeded. An ensemble is not a detector: ``run_pipeline``
+fits and scores each member and averages their scores.
 
 The pipeline fits one group of subjects with the same template count at
-a time through `Detector.fit_group`. The autoencoder and the VAE train
-a group in one stacked loop (see `._nn`); every other detector fits its
-subjects one by one. Either way each subject's fit is bit-identical to
-fitting it alone.
+a time through `Detector.fit_group`; ``fit`` is the group of one. The
+autoencoder and the VAE train a group in one stacked loop (see `._nn`);
+every other detector loops over its subjects. Either way each subject's
+fit is bit-identical to fitting it alone, and a subject whose training
+fails gets its error back without stopping the others.
 """
 
 from __future__ import annotations

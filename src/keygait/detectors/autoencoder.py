@@ -124,12 +124,6 @@ class TiedAutoencoder(Detector):
         self.seed = seed
         self.params_: Params | None = None
 
-    def fit(self, templates: np.ndarray) -> "TiedAutoencoder":
-        error = self.fit_group([self], [templates])[0]
-        if error is not None:
-            raise error
-        return self
-
     @classmethod
     def fit_group(cls, detectors, templates):
         """Train every subject in one stacked full-batch loop. A subject

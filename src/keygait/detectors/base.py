@@ -1,4 +1,4 @@
-"""Detector interface: fit on a subject's templates, score a query matrix.
+"""Detector interface: fit a group of subjects, score a query matrix.
 
 Higher scores mean more likely genuine. Every detector is deterministic
 given its constructor arguments (including seed) and the fit data.
@@ -15,27 +15,23 @@ from ..errors import KeygaitError
 
 
 class Detector(ABC):
-    @abstractmethod
-    def fit(self, templates: np.ndarray) -> "Detector":
-        """Train on an (m, d) matrix of normalized template vectors."""
-
     @classmethod
+    @abstractmethod
     def fit_group(
         cls, detectors: Sequence["Detector"], templates: Sequence[np.ndarray]
     ) -> list[KeygaitError | None]:
-        """Fit ``detectors[i]`` on ``templates[i]``, each exactly as its own
-        ``fit`` would. The detectors differ only in seed, and the template
-        matrices share their row count. Returns, per detector, the error
-        that failed its fit, or None."""
-        errors: list[KeygaitError | None] = []
-        for detector, x in zip(detectors, templates):
-            try:
-                detector.fit(x)
-            except KeygaitError as exc:
-                errors.append(exc)
-            else:
-                errors.append(None)
-        return errors
+        """Fit ``detectors[i]`` on the (m, d) matrix of normalized template
+        vectors ``templates[i]``, each exactly as if fitted alone.
+        The detectors differ only in seed, and the template matrices share
+        their row count. Returns, per detector, the error that failed its
+        fit, or None; a failed detector is left unfitted."""
+
+    def fit(self, templates: np.ndarray) -> "Detector":
+        """Train on one (m, d) template matrix: a group of one."""
+        error = self.fit_group([self], [templates])[0]
+        if error is not None:
+            raise error
+        return self
 
     @abstractmethod
     def score_all(self, queries: np.ndarray) -> np.ndarray:

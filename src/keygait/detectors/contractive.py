@@ -116,21 +116,24 @@ class ContractiveAutoencoder(Detector):
         self.seed = seed
         self.params_: Params | None = None
 
-    def fit(self, templates: np.ndarray) -> "ContractiveAutoencoder":
-        X = as_matrix(templates)
-        rng = np.random.default_rng(self.seed)
-        params = init_params(rng, X.shape[1], self.hidden_dim)
-        grads = gradient_buffers(params)
-        for epoch in range(self.epochs):
-            loss, _ = loss_and_grads(params, X, self.reg_weight, grads)
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite loss at epoch {epoch}")
-            for name in params:
-                g = grads[name]
-                g *= self.learning_rate
-                params[name] -= g
-        self.params_ = params
-        return self
+    @classmethod
+    def fit_group(cls, detectors, templates):
+        """Fit each subject in turn; one whose loss turns non-finite fails alone."""
+        errors: list = [None] * len(detectors)
+        for s, (detector, X) in enumerate(zip(detectors, map(as_matrix, templates))):
+            params = init_params(np.random.default_rng(detector.seed), X.shape[1], detector.hidden_dim)
+            grads = gradient_buffers(params)
+            for epoch in range(detector.epochs):
+                loss, _ = loss_and_grads(params, X, detector.reg_weight, grads)
+                if not np.isfinite(loss):
+                    errors[s] = TrainingError(f"non-finite loss at epoch {epoch}")
+                    break
+                for name in params:
+                    g = grads[name]
+                    g *= detector.learning_rate
+                    params[name] -= g
+            detector.params_ = params if errors[s] is None else None
+        return errors
 
     def score_all(self, queries: np.ndarray) -> np.ndarray:
         if self.params_ is None:

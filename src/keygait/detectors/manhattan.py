@@ -19,13 +19,14 @@ class ManhattanDetector(Detector):
         self.mean_: np.ndarray | None = None
         self.scale_: np.ndarray | None = None
 
-    def fit(self, templates: np.ndarray) -> "ManhattanDetector":
-        x = as_matrix(templates)
-        self.mean_ = x.mean(axis=0)
-        if self.scaled:
-            mad = np.abs(x - self.mean_).mean(axis=0)
-            self.scale_ = np.maximum(mad, 1e-6)
-        return self
+    @classmethod
+    def fit_group(cls, detectors, templates):
+        for detector, x in zip(detectors, map(as_matrix, templates)):
+            detector.mean_ = x.mean(axis=0)
+            if detector.scaled:
+                mad = np.abs(x - detector.mean_).mean(axis=0)
+                detector.scale_ = np.maximum(mad, 1e-6)
+        return [None] * len(detectors)
 
     def score_all(self, queries: np.ndarray) -> np.ndarray:
         if self.mean_ is None:

@@ -81,27 +81,26 @@ class OneClassSvm(Detector):
         self.rho_: float | None = None
         self.n_iter_: int = 0
 
-    def fit(self, templates: np.ndarray) -> "OneClassSvm":
-        X = as_matrix(templates)
-        n = X.shape[0]
-        cap = 1.0 / (self.nu * n)
-        if n * cap < 1.0:
-            raise TrainingError(f"infeasible dual: n/(nu*n) = {1.0 / self.nu} < 1")
-        K = rbf_kernel(X, X, self.gamma)
-        step = 1.0 / max(float(np.linalg.eigvalsh(K)[-1]), 1e-12)
-        alpha = project_capped_simplex(np.full(n, 1.0 / n), cap)
-        for it in range(self.max_iter):
-            grad = K @ alpha
-            new = project_capped_simplex(alpha - step * grad, cap)
-            residual = np.abs(alpha - project_capped_simplex(alpha - grad, cap)).max()
-            alpha = new
-            if residual < self.tol:
-                break
-        self.n_iter_ = it + 1
-        self.templates_ = X
-        self.alpha_ = alpha
-        self.rho_ = self._compute_rho(K, alpha, cap)
-        return self
+    @classmethod
+    def fit_group(cls, detectors, templates):
+        for detector, X in zip(detectors, map(as_matrix, templates)):
+            n = X.shape[0]
+            cap = 1.0 / (detector.nu * n)
+            K = rbf_kernel(X, X, detector.gamma)
+            step = 1.0 / max(float(np.linalg.eigvalsh(K)[-1]), 1e-12)
+            alpha = project_capped_simplex(np.full(n, 1.0 / n), cap)
+            for it in range(detector.max_iter):
+                grad = K @ alpha
+                new = project_capped_simplex(alpha - step * grad, cap)
+                residual = np.abs(alpha - project_capped_simplex(alpha - grad, cap)).max()
+                alpha = new
+                if residual < detector.tol:
+                    break
+            detector.n_iter_ = it + 1
+            detector.templates_ = X
+            detector.alpha_ = alpha
+            detector.rho_ = cls._compute_rho(K, alpha, cap)
+        return [None] * len(detectors)
 
     @staticmethod
     def _compute_rho(K: np.ndarray, alpha: np.ndarray, cap: float) -> float:

@@ -209,12 +209,6 @@ class VariationalAutoencoder(Detector):
         self.seed = seed
         self.params_: Params | None = None
 
-    def fit(self, templates: np.ndarray) -> "VariationalAutoencoder":
-        error = self.fit_group([self], [templates])[0]
-        if error is not None:
-            raise error
-        return self
-
     @classmethod
     def fit_group(cls, detectors, templates):
         """Train every subject in one stacked mini-batch loop, each from

@@ -7,12 +7,13 @@ read off at the exact FAR = FRR point when one exists and by linear
 interpolation across the sign change otherwise.
 
 run_pipeline prepares every subject (``alignment.align_subject``, then
-feature extraction and normalization), fits the detectors one group of
-subjects with the same template count at a time, then scores and
-normalizes per subject. A group fit gives every subject bit-identical
-results to fitting it alone. An ensemble is a pipeline config, not a
-detector: each member is fitted and scored like a single detector, and
-one combiner averages the members' raw or normalized scores.
+feature extraction and normalization), fits the detectors with one
+``Detector.fit_group`` call per group of subjects with the same template
+count, then scores and normalizes per subject. A group fit gives every
+subject bit-identical results to fitting it alone. An ensemble is a
+pipeline config, not a detector: each member is fitted and scored like a
+single detector, and one combiner averages the members' raw or
+normalized scores.
 Samples that cannot be processed are never dropped: they become flagged
 records with a sentinel minimal score and count toward
 failure-to-capture. All randomness derives from the config's master
@@ -196,7 +197,7 @@ def _fit_detectors(
     prepared: list[_SubjectFeatures], detector_config: DetectorConfig, seeds: list[int]
 ) -> list[Detector | None]:
     """One fitted detector per subject (None where preparation or the fit
-    failed), fitted one group of equal template counts at a time."""
+    failed), fitted by one ``fit_group`` call per template count."""
     groups: dict[int, list[int]] = {}
     for i, p in enumerate(prepared):
         if p.template_matrix is not None:

@@ -119,13 +119,17 @@ def key_name(scancode: int) -> str:
 
 
 def scancode_for(name: str) -> int:
-    """Inverse of :func:`key_name`, including ``key_<hex>`` fallbacks."""
+    """Inverse of :func:`key_name`. A ``key_<hex>`` name must be the one
+    `key_name` gives its code, so that it reads back as itself: ``key_1e``
+    (the code of ``a``), ``key_1E``, ``key_0x1e`` and ``key_-1`` raise."""
     code = NAME_SCANCODES.get(name)
     if code is not None:
         return code
     if name.startswith("key_"):
         try:
-            return int(name[4:], 16)
-        except ValueError:
+            code = int(name[4:], 16)
+            if key_name(code) == name:
+                return code
+        except ValueError:  # not hex, or a negative code
             pass
     raise ValueError(f"unknown key name: {name!r}")

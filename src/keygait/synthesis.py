@@ -34,11 +34,9 @@ from .config import JsonConfig, check_positive_finite
 from .datasets import tsv
 from .events import Keystroke, KeystrokeSequence, Label, Role, Sample, SubjectDataset
 from .evaluation import derive_seed
-from .scancodes import SHIFT_KEYS
+from .scancodes import MODIFIER_KEYS, SHIFT_KEYS
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
-
-PERTURBATION_KINDS = ("shift_drop", "shift_transpose", "capslock_sub")
 
 
 @dataclass(frozen=True)
@@ -99,16 +97,12 @@ class PerturbationRecord:
 _Profile = dict[str, tuple[float, float]]
 
 
-def _is_modifier_class(key: str) -> bool:
-    return key in SHIFT_KEYS or key == "capslock"
-
-
 def _make_profile(
     rng: np.random.Generator, keys: set[str], config: SynthConfig, scale: float
 ) -> _Profile:
     profile: _Profile = {}
     for key in sorted(keys):
-        if _is_modifier_class(key):
+        if key in MODIFIER_KEYS:
             base_d, base_p = config.modifier_duration_ms, config.modifier_latency_ms
             spread = config.modifier_between_sd
         else:
@@ -123,7 +117,7 @@ def _make_profile(
 def _profile_keys(canonical: list[str]) -> set[str]:
     # Caps Lock and both Shifts are always present so perturbed and
     # shift-swapped renditions can be timed.
-    return set(canonical) | {"lshift", "rshift", "capslock"}
+    return set(canonical) | MODIFIER_KEYS
 
 
 def _make_name(rng: np.random.Generator, config: SynthConfig, shift: str) -> list[str]:

@@ -41,7 +41,6 @@ from keygait import (
 from keygait.datasets import tsv
 from keygait.events import check_id
 from keygait.resolution import _find_peaks
-from keygait.synthesis import PERTURBATION_KINDS
 
 from oracles import reference_find_peaks
 from test_events import physical_sequences
@@ -119,6 +118,14 @@ class TestDatasetRoundTrip:
         assert "\t?" in manifest
         loaded = load_dataset(root)
         assert loaded.subjects["s001"].queries[0].label is None
+
+    def test_subject_named_like_the_manifest_is_refused_before_writing(self, tmp_path):
+        dataset = SubjectDataset()
+        dataset.add(Sample("manifest.tsv", "t01", Role.TEMPLATE, KeystrokeSequence(())))
+        root = tmp_path / "ds"
+        with pytest.raises(DatasetError, match="subject id 'manifest.tsv'"):
+            write_dataset(dataset, root)
+        assert not root.exists()
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DatasetError, match="no manifest.tsv"):
@@ -377,7 +384,7 @@ class TestSynthesis:
             for s in dataset.subjects[sid].templates + dataset.subjects[sid].queries
         }
         for record in log:
-            assert record.kind in PERTURBATION_KINDS
+            assert record.kind in ("shift_drop", "shift_transpose", "capslock_sub")
             assert (record.subject_id, record.sample_id) in samples
             assert record.position >= 0
 

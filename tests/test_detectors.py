@@ -197,6 +197,23 @@ class TestContractiveAutoencoder:
         b = ContractiveAutoencoder(hidden_dim=16, epochs=30, seed=2).fit(X).score(q)
         assert a == b
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_group_fit_records_a_diverging_subject(self):
+        rng = np.random.default_rng(5)
+        Xs = [rng.uniform(size=(4, 6)) for _ in range(3)]
+        Xs[1][0, 0] = np.nan
+        group = [ContractiveAutoencoder(hidden_dim=8, epochs=20, seed=s) for s in range(3)]
+        errors = ContractiveAutoencoder.fit_group(group, Xs)
+        assert isinstance(errors[1], TrainingError)
+        assert str(errors[1]) == "non-finite loss at epoch 0"
+        assert group[1].params_ is None
+        for s in (0, 2):
+            assert errors[s] is None
+            alone = ContractiveAutoencoder(hidden_dim=8, epochs=20, seed=s).fit(Xs[s])
+            assert [a.tobytes() for a in group[s].params_.values()] == [
+                a.tobytes() for a in alone.params_.values()
+            ]
+
 
 class TestVariationalAutoencoder:
     def test_frozen_noise_gradients_match_finite_differences(self):
@@ -406,6 +423,14 @@ class TestOneClassSvm:
         X = np.random.default_rng(15).uniform(size=(4, 3))
         det = OneClassSvm(nu=1.0, gamma=0.9).fit(X)
         assert np.allclose(det.alpha_, 0.25)
+
+    @pytest.mark.parametrize("n", [49, 98, 103, 107, 161, 187, 196, 197])
+    def test_nu_one_fits_where_n_times_cap_rounds_below_one(self, n):
+        assert n * (1.0 / n) < 1.0
+        X = np.random.default_rng(16).uniform(size=(n, 3))
+        det = OneClassSvm(nu=1.0).fit(X)
+        assert det.kkt_residual() == 0.0
+        assert np.all(det.alpha_ == 1.0 / n)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

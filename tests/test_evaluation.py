@@ -23,9 +23,11 @@ from keygait import (
     ScoreSet,
     SubjectDataset,
     SynthConfig,
+    TrainingError,
     align_subject,
     build_detector,
     derive_seed,
+    generate_synthetic,
     global_eer,
     monte_carlo_validate,
     roc,
@@ -410,6 +412,40 @@ class TestRunPipeline:
         for record, value in zip(scores, expected):
             if record.subject_id != bad:
                 assert np.float64(record.raw_score).tobytes() == np.float64(value).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_subjects_fail_alone_on_the_standard_fixture(self):
+        # Fault injection through a detector param alone: at this learning
+        # rate four subjects' VAE loss turns non-finite in the first epoch.
+        dataset, _ = generate_synthetic(
+            SynthConfig(n_subjects=10, shift_drop=0.05, shift_transpose=0.03, capslock_sub=0.02, seed=0)
+        )
+        config = PipelineConfig(
+            detector=DetectorConfig(name="variational", params={"learning_rate": 10.0, "epochs": 50})
+        )
+        diverging = {"s001", "s002", "s006", "s007"}
+        scores = run_pipeline(dataset, config)
+        for p in _prepared(dataset, config):
+            records = [r for r in scores if r.subject_id == p.subject_id]
+            detector = build_detector(config.detector, seed=derive_seed(config.seed, p.subject_id))
+            if p.subject_id in diverging:
+                with pytest.raises(TrainingError, match="^non-finite loss at epoch 0$"):
+                    detector.fit(p.template_matrix)
+                assert all(r.flagged and r.raw_score == SENTINEL_SCORE for r in records)
+            else:
+                assert p.query_rows == list(range(len(records)))
+                expected = detector.fit(p.template_matrix).score_all(p.query_matrix)
+                assert np.array([r.raw_score for r in records]).tobytes() == expected.tobytes()
+                assert not any(r.flagged for r in records)
+
+    def test_ocsvm_at_nu_one_flags_nothing(self):
+        # 49 * (1 / 49) rounds below 1, which must not read as an infeasible dual
+        dataset, _ = generate_synthetic(SynthConfig(n_subjects=2, n_templates=49, seed=0))
+        scores = run_pipeline(
+            dataset, PipelineConfig(detector=DetectorConfig(name="ocsvm", params={"nu": 1.0}))
+        )
+        assert len(scores) == 40
+        assert scores.ftc_count == 0
 
     def test_identical_member_ensemble_matches_single(self):
         ds = _toy_dataset()

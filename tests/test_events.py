@@ -122,6 +122,18 @@ class TestScancodes:
         with pytest.raises(ValueError):
             scancode_for("no_such_key")
 
+    @pytest.mark.parametrize("name", ["key_1e", "key_1E", "key_0x1e", "key_-1"])
+    def test_hex_name_other_than_its_codes_own_raises(self, name):
+        # each would serialize to an event file that reads back as another
+        # key (``a``) or not at all (a negative scancode)
+        with pytest.raises(ValueError, match="unknown key name"):
+            scancode_for(name)
+
+    def test_every_code_round_trips(self):
+        assert scancode_for("key_7f") == 0x7F
+        for code in range(0x200):
+            assert scancode_for(key_name(code)) == code
+
 
 class TestPairing:
     def test_sequential_typing(self):
