@@ -4,27 +4,32 @@ A capture file is a sequence of lines ``<action> <scancode> <delta_ms>``
 where action is ``P`` (press) or ``R`` (release), the scancode is hex
 digits (written lowercase, read in either case), and delta_ms is the
 interval since the previous event in decimal digits (0 for the first
-event, at most ``MAX_DELTA_MS`` = 2**53 - 1); no sign, prefix or
-separator is accepted. Pairing turns that stream into press-ordered
-keystrokes with absolute timestamps; overlapping holds (rollover) are
-supported.
+event); a delta and the running time since the first event are each at
+most ``MAX_DELTA_MS`` = 2**53 - 1. No sign, prefix or separator is
+accepted. Pairing turns that stream into press-ordered keystrokes with
+absolute timestamps; overlapping holds (rollover) are supported.
 
 There is one path: the scanner ``parse_raw_events`` lazily validates each
 line into an ``(is_press, scancode, delta_ms)`` step, and the pairing loop
 ``pair_events`` consumes steps. ``read_sequence`` is
 ``pair_events(parse_raw_events(text))``. The scanner is a generator, so a
 parse error is raised while its steps are iterated, not when it is called.
+
+A :class:`Keystroke` is a tuple type, validated on direct construction;
+pairing's keystrokes are valid by construction, so it builds them directly.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import PairingError, ParseError
-from .scancodes import key_name, scancode_for
+from .scancodes import SCANCODE_NAMES, key_name, scancode_for
 
 
 class UnreleasedKeyWarning(UserWarning):
@@ -32,19 +37,20 @@ class UnreleasedKeyWarning(UserWarning):
     final timestamp of the sample."""
 
 
-@dataclass(frozen=True)
-class Keystroke:
-    """A paired press/release with absolute millisecond timestamps."""
+class Keystroke(namedtuple("Keystroke", "key press_t release_t")):
+    """A paired press/release with absolute millisecond timestamps: a tuple
+    type, compared and hashed as ``(key, press_t, release_t)``. Direct
+    construction, ``_make``, ``_replace``, pickle and copy check that
+    ``release_t >= press_t``; :func:`pair_events` builds valid ones directly."""
 
-    key: str
-    press_t: int
-    release_t: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.release_t < self.press_t:
-            raise ValueError(
-                f"release_t {self.release_t} precedes press_t {self.press_t} for {self.key!r}"
-            )
+    def __new__(cls, key: str, press_t: int, release_t: int) -> Keystroke:
+        if release_t < press_t:
+            raise ValueError(f"release_t {release_t} precedes press_t {press_t} for {key!r}")
+        return super().__new__(cls, key, press_t, release_t)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 @dataclass(frozen=True)
@@ -61,10 +67,9 @@ class KeystrokeSequence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "keystrokes", tuple(self.keystrokes))
-        if not self.aligned:
-            times = [k.press_t for k in self.keystrokes]
-            if any(a > b for a, b in zip(times, times[1:])):
-                raise ValueError("unaligned sequence must be ordered by press time")
+        # A stable sort by press time (item 1) leaves a press-ordered sequence as is.
+        if not self.aligned and sorted(self.keystrokes, key=itemgetter(1)) != list(self.keystrokes):
+            raise ValueError("unaligned sequence must be ordered by press time")
 
     def __len__(self) -> int:
         return len(self.keystrokes)
@@ -158,8 +163,8 @@ class SubjectDataset:
 
 _HEX_DIGITS = "0123456789abcdefABCDEF"
 _DECIMAL_DIGITS = "0123456789"
-# Timings become floats: a larger delta loses precision, and one past
-# float's range (~309 digits) would crash feature extraction.
+# Timings become floats: a larger delta or timestamp loses precision, and
+# one past float's range (~309 digits) would crash feature extraction.
 MAX_DELTA_MS = 2**53 - 1
 
 
@@ -170,10 +175,11 @@ def parse_raw_events(text: str) -> Iterator[tuple[bool, int, int]]:
     Raises (while iterated):
         ParseError: wrong field count, unknown action token, a scancode
             that is not plain ASCII hex digits, a delta that is not plain
-            ASCII decimal digits, or nonzero delta on the first event.
+            ASCII decimal digits, nonzero delta on the first event, or a
+            timestamp (time since the first event) past ``MAX_DELTA_MS``.
             Errors carry the 1-based line number.
     """
-    first = True
+    t = None  # time since the first event
     for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
         if not fields:
@@ -203,16 +209,20 @@ def parse_raw_events(text: str) -> Iterator[tuple[bool, int, int]]:
                 raise ValueError
         except ValueError:
             raise ParseError(f"line {lineno}: bad delta {delta_tok!r}") from None
-        if first:
+        if t is None:
             if delta != 0:
                 raise ParseError(f"line {lineno}: first event must have delta 0, got {delta}")
-            first = False
+            t = 0
+        t += delta
+        if t > MAX_DELTA_MS:
+            raise ParseError(f"line {lineno}: timestamp {t} exceeds {MAX_DELTA_MS}")
         yield is_press, scancode, delta
 
 
 def pair_events(steps: Iterable[tuple[bool, int, int]]) -> KeystrokeSequence:
-    """Pair ``(is_press, scancode, delta_ms)`` steps into a press-ordered
-    keystroke sequence.
+    """Pair ``(is_press, scancode, delta_ms)`` steps, whose deltas are
+    non-negative as :func:`parse_raw_events` yields them, into a
+    press-ordered keystroke sequence.
 
     Each press is matched with the earliest subsequent release of the same
     scancode, so holds may overlap (rollover). A repeated press of a key
@@ -228,25 +238,22 @@ def pair_events(steps: Iterable[tuple[bool, int, int]]) -> KeystrokeSequence:
     # Each press takes the next slot, in time order, so the slots are
     # already in (press_t, open_seq) order: slot index == open_seq.
     slots: list[Keystroke | None] = []
+    # t never decreases, so release_t >= press_t: skip the validating __new__.
     steps = iter(steps)
     for is_press, code, delta in steps:
         t += delta
+        opened = open_by_code.pop(code, None)
+        if opened is not None:  # a release, or a re-press of a held key
+            key = SCANCODE_NAMES.get(code) or key_name(code)
+            slots[opened[1]] = tuple.__new__(Keystroke, (key, opened[0], t))
         if is_press:
-            if code in open_by_code:
-                press_t, seq_no = open_by_code.pop(code)
-                slots[seq_no] = Keystroke(key_name(code), press_t, t)
             open_by_code[code] = (t, len(slots))
             slots.append(None)
-        else:
-            opened = open_by_code.pop(code, None)
-            if opened is None:
-                error = PairingError(
-                    f"release of {key_name(code)!r} at t={t} with no open press"
-                )
-                for _ in steps:
-                    pass
-                raise error
-            slots[opened[1]] = Keystroke(key_name(code), opened[0], t)
+        elif opened is None:
+            error = PairingError(f"release of {key_name(code)!r} at t={t} with no open press")
+            for _ in steps:
+                pass
+            raise error
     for code, (press_t, seq_no) in open_by_code.items():
         warnings.warn(
             f"press of {key_name(code)!r} at t={press_t} never released; "
@@ -274,20 +281,13 @@ def serialize_events(seq: KeystrokeSequence) -> str:
     """
     if seq.aligned:
         raise ValueError("aligned sequences do not serialize to the event format")
-    if not seq.keystrokes:
-        return ""
-    first_t = min(k.press_t for k in seq.keystrokes)
-    if first_t != 0:
-        raise ValueError(f"sequence must be anchored at t=0, first press is {first_t}")
-    items: list[tuple[int, int, int, str, int]] = []
-    for i, k in enumerate(seq.keystrokes):
-        code = scancode_for(k.key)
-        items.append((k.press_t, i, 0, "P", code))
-        items.append((k.release_t, i, 1, "R", code))
-    items.sort(key=lambda item: (item[0], item[1], item[2]))
-    lines = []
-    prev_t = 0
-    for t, _, _, action, code in items:
-        lines.append(f"{action} {code:02x} {t - prev_t}")
-        prev_t = t
-    return "\n".join(lines) + "\n"
+    if seq.keystrokes and seq[0].press_t != 0:
+        raise ValueError(f"sequence must be anchored at t=0, first press is {seq[0].press_t}")
+    # (time, keystroke index, "P" < "R") orders ties as the docstring says.
+    events = sorted(
+        (t, i, action, scancode_for(k.key))
+        for i, k in enumerate(seq.keystrokes)
+        for action, t in (("P", k.press_t), ("R", k.release_t))
+    )
+    prev = [0] + [t for t, *_ in events]
+    return "".join(f"{a} {code:02x} {t - p}\n" for (t, _, a, code), p in zip(events, prev))

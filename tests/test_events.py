@@ -1,3 +1,5 @@
+import copy
+import pickle
 import warnings
 
 import pytest
@@ -108,6 +110,20 @@ class TestParsing:
                 read(f"P 1e 0\nR 1e {token}\n")
             assert str(caught.value) == f"line 2: bad delta {token!r}"
 
+    @pytest.mark.parametrize(
+        "read", [steps, read_sequence], ids=["parse_raw_events", "read_sequence"]
+    )
+    def test_timestamp_above_float_exact_range_is_rejected(self, read):
+        # Every delta is in range but their sum is not: as floats, the
+        # durations of the last two keystrokes would read 2 and 4, not 1 and 3.
+        text = f"P 1e 0\nR 1e {MAX_DELTA_MS}\nP 1f {MAX_DELTA_MS}\nR 1f 1\nP 20 1\nR 20 3\n"
+        with pytest.raises(ParseError) as caught:
+            read(text)
+        assert str(caught.value) == f"line 3: timestamp {2 * MAX_DELTA_MS} exceeds {MAX_DELTA_MS}"
+        inclusive = f"P 1e 0\nR 1e {MAX_DELTA_MS - 1}\nP 1f 1\nR 1f 0\n"  # ends on the bound
+        assert len(read(inclusive)) == (4 if read is steps else 2)
+        assert read_sequence(inclusive)[-1] == Keystroke("s", MAX_DELTA_MS, MAX_DELTA_MS)
+
 
 class TestScancodes:
     def test_round_trip_known(self):
@@ -217,6 +233,65 @@ class TestSequenceInvariants:
         assert s.label is Label.GENUINE
 
 
+class TestKeystrokeType:
+    """``Keystroke`` is a tuple type; what callers see of it is unchanged."""
+
+    def test_fields_are_read_only(self):
+        k = Keystroke("a", 0, 10)
+        for name, value in (("key", "b"), ("press_t", 1), ("release_t", 11), ("extra", 0)):
+            with pytest.raises(AttributeError):
+                setattr(k, name, value)
+        assert k == Keystroke("a", 0, 10)
+
+    def test_direct_construction_is_checked(self):
+        with pytest.raises(ValueError) as caught:
+            Keystroke("a", 10, 9)
+        assert str(caught.value) == "release_t 9 precedes press_t 10 for 'a'"
+        with pytest.raises(ValueError):
+            Keystroke(key="a", press_t=10, release_t=9)
+        assert Keystroke("a", 10, 10).release_t == 10
+
+    def test_replace_and_make_are_checked(self):
+        k = Keystroke("a", 10, 20)
+        assert k._replace(release_t=15) == Keystroke("a", 10, 15)
+        for build in (lambda: k._replace(release_t=9), lambda: Keystroke._make(("a", 10, 9))):
+            with pytest.raises(ValueError, match="release_t 9 precedes press_t 10"):
+                build()
+
+    @pytest.mark.parametrize(
+        "round_trip",
+        [lambda k: pickle.loads(pickle.dumps(k)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_round_trips_equal_and_checked(self, round_trip):
+        k = Keystroke("space", 5, 80)
+        again = round_trip(k)
+        assert again == k and type(again) is Keystroke
+        s = seq(Keystroke("a", 0, 10), k)
+        assert round_trip(s) == s
+        # an invalid tuple that bypassed the check is caught on the way back
+        bad = tuple.__new__(Keystroke, ("a", 10, 9))
+        with pytest.raises(ValueError, match="release_t 9 precedes press_t 10 for 'a'"):
+            round_trip(bad)
+
+    def test_equality_and_hashing(self):
+        k = Keystroke("a", 0, 10)
+        assert k == Keystroke("a", 0, 10) and hash(k) == hash(Keystroke("a", 0, 10))
+        assert hash(k) == hash(("a", 0, 10))
+        assert k != Keystroke("a", 0, 11) and k != Keystroke("b", 0, 10)
+        assert (k.key, k.press_t, k.release_t) == ("a", 0, 10)
+        s, same = seq(k, Keystroke("b", 5, 8)), seq(Keystroke("a", 0, 10), Keystroke("b", 5, 8))
+        assert s == same and hash(s) == hash(same)
+        assert hash(s) == hash((s.keystrokes, False))
+        assert s != seq(k) and s != KeystrokeSequence(s.keystrokes, aligned=True)
+        assert len({s, same, seq(k)}) == 2
+
+    def test_pairing_builds_keystrokes_equal_to_constructed_ones(self):
+        s = read_sequence("P 1e 0\nP 30 5\nR 1e 35\nR 30 5\nP e0 1\nR e0 1\n")
+        assert s == seq(Keystroke("a", 0, 40), Keystroke("b", 5, 45), Keystroke("key_e0", 46, 47))
+        assert all(type(k) is Keystroke for k in s)
+
+
 class TestSerialization:
     def test_round_trip_simple(self):
         text = "P 1e 0\nR 1e 80\nP 30 40\nR 30 70\n"
@@ -301,6 +376,7 @@ def _two_step(text):
     "text",
     [
         "",
+        f"P 1e 0\nR 1e {MAX_DELTA_MS}\nP 1f {MAX_DELTA_MS}\nR 1f 1\n",  # timestamp
         "\n  \n",
         "\nP 1e 0\n\n  R 1e 80  \n\nP 30 40\nR 30 70\n\n",  # blank lines, padding
         "P 1e 0\nP 30 50\nR 1e 40\nR 30 60\n",  # rollover
@@ -341,3 +417,41 @@ _LINES = st.sampled_from(
 def test_read_sequence_matches_parse_then_pair_on_random_text(lines):
     text = "\n".join(template.format(d=d) for template, d in lines)
     assert _outcome(read_sequence, text) == _outcome(_two_step, text)
+
+
+_CODES = [0x1E, 0x30, 0x2A, 0xE0]  # a, b, lshift, an unknown code
+
+
+@st.composite
+def step_streams(draw):
+    """Step streams the scanner can yield: first delta 0, the rest >= 0,
+    every release of a held key. Holds overlap (rollover), a held key can
+    be pressed again (auto-repeat) and keys can stay down to the end."""
+    held: set[int] = set()
+    out = []
+    for i in range(draw(st.integers(min_value=0, max_value=16))):
+        delta = 0 if i == 0 else draw(st.integers(min_value=0, max_value=300))
+        if held and draw(st.booleans()):
+            code = draw(st.sampled_from(sorted(held)))
+            held.discard(code)
+            out.append((False, code, delta))
+        else:
+            code = draw(st.sampled_from(_CODES))
+            held.add(code)
+            out.append((True, code, delta))
+    return out
+
+
+@given(step_streams())
+def test_paired_keystrokes_are_valid_by_construction(stream):
+    text = "".join(f"{'P' if p else 'R'} {c:02x} {d}\n" for p, c, d in stream)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnreleasedKeyWarning)
+        s = pair_events(stream)
+        assert read_sequence(text) == s
+    assert len(s) == sum(p for p, _, _ in stream)
+    for k in s:
+        assert type(k) is Keystroke
+        assert k.release_t >= k.press_t
+        assert k == Keystroke(*k)  # the validating constructor agrees
+    assert all(a.press_t <= b.press_t for a, b in zip(s, s[1:]))

@@ -2,12 +2,13 @@
 
 Hypothesis builds datasets whose event files hold what real capture
 hardware can produce at its worst: empty captures, a single keystroke,
-all-equal timings, zero-duration keys, keys never released, deltas up to
-``events.MAX_DELTA_MS``, and a 40 ms quantized clock. Every capture goes
-through ``read_sequence``, then ``run_pipeline`` runs under each
-alignment x score normalization x ``per_position`` setting for the
-Manhattan and one-class SVM detectors. A query either gets a usable score
-or comes back flagged; none is dropped, crashes the run, or yields a NaN.
+all-equal timings, zero-duration keys, keys never released, deltas and
+timestamps up to ``events.MAX_DELTA_MS``, and a 40 ms quantized clock.
+Every capture goes through ``read_sequence``, then ``run_pipeline`` runs
+under each alignment x score normalization x ``per_position`` setting
+for the Manhattan and one-class SVM detectors. A query either gets a
+usable score or comes back flagged; none is dropped, crashes the run, or
+yields a NaN.
 """
 
 import itertools
@@ -71,8 +72,13 @@ def captures(draw, word: tuple[str, ...], deltas: st.SearchStrategy[int]) -> str
     elif defect == "rollover" and len(word) > 1 and word[0] != word[1]:
         events[1], events[2] = events[2], events[1]  # next press before this release
     lines = []
+    t = 0
     for i, (action, key) in enumerate(events):
-        lines.append(f"{action} {scancode_for(key):02x} {0 if i == 0 else draw(deltas)}")
+        # A timestamp past MAX_DELTA_MS is a ParseError (test_events), so
+        # the running time stops at the bound.
+        delta = 0 if i == 0 else min(draw(deltas), MAX_DELTA_MS - t)
+        t += delta
+        lines.append(f"{action} {scancode_for(key):02x} {delta}")
     return "\n".join(lines) + "\n"
 
 
