@@ -9,6 +9,10 @@ subject alone would: elementwise ops and matmuls over samples or hidden
 units run once for the stack, and contractions over the feature width
 run per subject on the unpadded slice (`width_matmul`).
 
+The contractive autoencoder trains one subject at a time: stacked, each
+(subjects, 400, d) array of 10 subjects is ~2 MB and overflows L2, and a
+padded stack ran at 0.67-0.82x that speed and was not bit-exact.
+
 ``sigmoid`` is ``scipy.special.expit``, imported on first use:
 ``scipy.special`` takes ~0.3 s to import (``-X importtime``) and only the
 contractive autoencoder and the VAE use it. The module ``__getattr__``
@@ -50,10 +54,6 @@ def xavier_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.nd
 def T(a: np.ndarray) -> np.ndarray:
     """Transpose of each matrix in a stack."""
     return a.swapaxes(-1, -2)
-
-
-def flatten_params(params: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate([p.ravel() for p in params])
 
 
 def unflatten_params(vec: np.ndarray, template: list[np.ndarray]) -> list[np.ndarray]:
@@ -132,7 +132,7 @@ class StackedParams:
     def __init__(self, per_subject: list[Params]) -> None:
         self.per_subject = per_subject
         stacked = [pad_stack(group) for group in zip(*(leaves(p) for p in per_subject))]
-        self.flat = flatten_params(stacked)
+        self.flat = np.concatenate([a.ravel() for a in stacked])
         self.grad_flat = np.zeros_like(self.flat)
         self.params = _like(per_subject[0], unflatten_params(self.flat, stacked))
         self.grads = _like(per_subject[0], unflatten_params(self.grad_flat, stacked))

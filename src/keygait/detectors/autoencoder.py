@@ -118,6 +118,8 @@ class TiedAutoencoder(Detector):
             raise ValueError("need at least one hidden layer")
         if epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {epochs}")
+        if not learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
         self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
         self.learning_rate = learning_rate
         self.epochs = epochs

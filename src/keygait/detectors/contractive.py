@@ -7,6 +7,11 @@ for a sigmoid layer collapses to the closed form
 
 so no Jacobian is ever materialized. Scoring uses the negative squared
 reconstruction error only; the penalty exists to shape training.
+
+The gradient makes one (hidden, d) product. With S = h(1 - h), r_i =
+sum_j W_ij^2 and G_y the output signal, the encoder signal
+G = (G_y W^T) S + 2 lambda S^2 (1 - 2h) r carries the penalty's path
+through h, so grad_W = [H; G]^T [G_y; X] + 2 lambda (sum_rows S^2)_i W_ij.
 """
 
 from __future__ import annotations
@@ -46,10 +51,10 @@ def contractive_penalty(params: Params, X: np.ndarray) -> float:
 
 
 def gradient_buffers(params: Params) -> Params:
-    """Arrays for `loss_and_grads` to fill: one per parameter, plus two
-    (hidden, d) scratch arrays under ``"scratch"``."""
+    """Arrays for `loss_and_grads` to fill: one per parameter, plus one
+    (hidden, d) scratch array under ``"scratch"``."""
     grads = {k: np.empty_like(v) for k, v in params.items()}
-    grads["scratch"] = np.empty((2, *params["W"].shape))
+    grads["scratch"] = np.empty_like(params["W"])
     return grads
 
 
@@ -59,40 +64,28 @@ def loss_and_grads(
     """Loss and gradients over the batch ``X``.
 
     The gradients are written into ``grads`` (from `gradient_buffers`,
-    fresh ones when None). Every (hidden, d) intermediate lands in those
-    arrays, so a training loop that passes the same buffers allocates no
-    array of that size per epoch: each would otherwise be mapped and
-    unmapped, or trimmed off the heap, every epoch.
+    fresh ones when None), so a loop that passes the same buffers
+    allocates no (hidden, d) array per epoch, one that would otherwise be
+    mapped and unmapped, or trimmed off the heap, every epoch.
     """
     if grads is None:
         grads = gradient_buffers(params)
-    grad_W, (A, B) = grads["W"], grads["scratch"]
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     W, bh, by = params["W"], params["bh"], params["by"]
     H = _nn.sigmoid(X @ W.T + bh)
     Y = _nn.sigmoid(H @ W + by)
     S = H * (1.0 - H)
-    r = np.square(W, out=A).sum(axis=1)
-
-    recon = float(((X - Y) ** 2).sum())
-    penalty = float(((S**2) * r).sum())
-    loss = recon + reg_weight * penalty
+    S2 = S * S
+    r = np.einsum("ij,ij->i", W, W)
+    loss = float(((X - Y) ** 2).sum()) + reg_weight * float((S2 * r).sum())
 
     gv = 2.0 * (Y - X) * Y * (1.0 - Y)
     gv.sum(axis=0, out=grads["by"])
-    np.matmul(H.T, gv, out=grad_W)  # decoder use of W
-    gz = (gv @ W.T) * S
-    gz.sum(axis=0, out=grads["bh"])
-    grad_W += np.matmul(gz.T, X, out=A)  # encoder use of W
-
-    # Penalty path: through h (chain rule) and through W directly.
-    T = (S**2) * (1.0 - 2.0 * H)
-    np.matmul(2.0 * (T * r).T, X, out=A)
-    A += np.multiply(2.0 * (S**2).sum(axis=0)[:, None], W, out=B)
-    A *= reg_weight
-    grad_W += A
-    grads["bh"] += reg_weight * 2.0 * (T.sum(axis=0) * r)
-
+    G = (gv @ W.T) * S + (2.0 * reg_weight) * (S2 * (1.0 - 2.0 * H) * r)
+    G.sum(axis=0, out=grads["bh"])
+    np.matmul(np.concatenate((H, G)).T, np.concatenate((gv, X)), out=grads["W"])
+    c = (2.0 * reg_weight) * S2.sum(axis=0)
+    grads["W"] += np.multiply(c[:, None], W, out=grads["scratch"])
     return loss, grads
 
 
@@ -109,6 +102,10 @@ class ContractiveAutoencoder(Detector):
             raise ValueError(f"hidden_dim must be positive, got {hidden_dim}")
         if epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {epochs}")
+        if not learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+        if not reg_weight >= 0:
+            raise ValueError(f"reg_weight must be non-negative, got {reg_weight}")
         self.hidden_dim = hidden_dim
         self.reg_weight = reg_weight
         self.learning_rate = learning_rate
@@ -128,10 +125,8 @@ class ContractiveAutoencoder(Detector):
                 if not np.isfinite(loss):
                     errors[s] = TrainingError(f"non-finite loss at epoch {epoch}")
                     break
-                for name in params:
-                    g = grads[name]
-                    g *= detector.learning_rate
-                    params[name] -= g
+                for name, p in params.items():
+                    p -= np.multiply(grads[name], detector.learning_rate, out=grads[name])
             detector.params_ = params if errors[s] is None else None
         return errors
 

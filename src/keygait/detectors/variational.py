@@ -201,6 +201,8 @@ class VariationalAutoencoder(Detector):
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         if epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {epochs}")
+        if not learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
         self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
         self.latent_dim = latent_dim
         self.learning_rate = learning_rate

@@ -306,6 +306,11 @@ class TestErrorHandling:
                 '{"detector": {"name": "contractive", "params": {"epochs": 2.0}}}',
                 "ContractiveAutoencoder.epochs: expected an integer, got 2.0",
             ),
+            (
+                "evaluate",
+                '{"detector": {"name": "contractive", "params": {"learning_rate": -0.01}}}',
+                "learning_rate must be positive, got -0.01",
+            ),
             ("synth", '{"n_subjects": 2.5}', "SynthConfig.n_subjects: expected an integer, got 2.5"),
             ("synth", '{"name_length": 7}', "SynthConfig.name_length: expected a list of 2, got 7"),
         ],

@@ -30,6 +30,7 @@ from oracles import (
     max_relative_error,
     ocsvm_dual_oracle,
     reference_autoencoder_fit,
+    reference_contractive_grads,
     reference_vae_fit,
 )
 
@@ -142,6 +143,20 @@ class TestContractiveAutoencoder:
 
             numeric = central_difference(f, theta0.copy())
             assert max_relative_error(_flat(grads, self.KEYS), numeric) < 1e-4
+
+    @pytest.mark.parametrize("d, hidden", [(1, 1), (5, 7), (12, 3), (49, 400)])
+    @pytest.mark.parametrize("reg_weight", [0.0, 0.3, 1.5, 40.0])
+    def test_fused_gradient_matches_separate_products(self, d, hidden, reg_weight):
+        rng = np.random.default_rng(d * 1000 + hidden)
+        params = cae.init_params(rng, d, hidden)
+        params["bh"] += rng.normal(size=hidden)
+        params["by"] += rng.normal(size=d)
+        X = rng.uniform(size=(4, d))
+        _, grads = cae.loss_and_grads(params, X, reg_weight)
+        expected = reference_contractive_grads(params, X, reg_weight)
+        for name in self.KEYS:
+            scale = np.abs(expected[name]).max()
+            assert np.abs(grads[name] - expected[name]).max() <= 1e-12 * scale, name
 
     def test_penalty_matches_finite_difference_jacobian(self):
         rng = np.random.default_rng(21)
@@ -269,6 +284,27 @@ class TestVariationalAutoencoder:
         assert vae.reconstruction_losses(trained.params_, X).sum() < vae.reconstruction_losses(
             init.params_, X
         ).sum()
+
+
+@pytest.mark.parametrize(
+    "cls, name, value, bound",
+    [
+        (TiedAutoencoder, "learning_rate", 0.0, "positive"),
+        (TiedAutoencoder, "learning_rate", -0.5, "positive"),
+        (ContractiveAutoencoder, "learning_rate", 0.0, "positive"),
+        (ContractiveAutoencoder, "learning_rate", -0.01, "positive"),
+        (ContractiveAutoencoder, "reg_weight", -1.5, "non-negative"),
+        (ContractiveAutoencoder, "reg_weight", float("nan"), "non-negative"),
+        (VariationalAutoencoder, "learning_rate", -0.001, "positive"),
+        (VariationalAutoencoder, "learning_rate", float("nan"), "positive"),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else None,
+)
+def test_setting_that_would_train_another_model_is_an_error(cls, name, value, bound):
+    # gradient ascent, a frozen init or a rewarded Jacobian would train
+    # without any error and score a different model
+    with pytest.raises(ValueError, match=rf"^{name} must be {bound}, got {value}$"):
+        cls(**{name: value})
 
 
 class TestStackedTraining:

@@ -112,3 +112,26 @@ def test_quick_start_bytes_match_golden(tmp_path):
     assert digests.keys() == GOLDEN.keys()
     changed = sorted(name for name in GOLDEN if digests[name] != GOLDEN[name])
     assert not changed, f"output bytes changed: {changed}"
+
+
+# The contractive autoencoder at its default params on the same 4-subject
+# fixture. Recorded before its gradient was fused into one product per
+# epoch: a change to neural training may move the last bits of the fitted
+# weights, but no score the files carry at 6 decimals.
+CONTRACTIVE_GOLDEN = {
+    "raw_scores.tsv": "3f2b7d321195ffab042f15f15f9e3d54e8559861b877068f73112b45c860c470",
+    "scores.tsv": "5ab70b307f11fa40915a4a26b9d49bdc28ca052695eb202e4b637c59c88fbf38",
+}
+
+
+def test_contractive_scores_match_golden(tmp_path):
+    out = str(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["synth", "--out", f"{out}/bench", "--subjects", "4", "--seed", "0", *FIXTURE]) == 0
+        assert main(["evaluate", "--data", f"{out}/bench", "--out", f"{out}/run",
+                     "--detector", "contractive", "--score-norm", "sd"]) == 0
+    digests = {name: _digest((tmp_path / "run" / name).read_bytes()) for name in CONTRACTIVE_GOLDEN}
+    if os.environ.get("KEYGAIT_GOLDEN_PRINT"):
+        for name, digest in digests.items():
+            print(f'    "{name}": "{digest}",')
+    assert digests == CONTRACTIVE_GOLDEN
