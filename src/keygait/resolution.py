@@ -11,16 +11,29 @@ counts once, at its middle index rounded down; a sample or plateau on
 either edge never counts; the height test is inclusive; an input shorter
 than 3 has no peaks. Importing ``scipy.signal`` for that one call cost
 ~0.9 s of a ~1.5 s cold ``import keygait`` (``-X importtime``).
+
+The kernel density is summed in a fixed working set, whatever the number
+of latencies: one (``_ROWS``, ``_CHUNK``) float64 buffer of 1 MB, filled
+in place for one block of grid rows against one chunk of latencies at a
+time. The whole (grid, chunk) difference matrix and its temporaries would
+peak near 47 MB on 10,000 latencies. ``_CHUNK`` stays 4096 because the
+chunk boundaries fix each grid row's summation order: another chunk size
+would move the density's last bits.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .config import check_positive_finite
 from .errors import ResolutionError
 from .events import SubjectDataset
 
+# Latencies per pass and grid rows per block: 32 * 4096 float64 is 1 MB.
 _CHUNK = 4096
+_ROWS = 32
 # KDE grid (ms) and the smallest mode height, as a fraction of the tallest.
 _GRID_STEP = 1.0
 _GRID_MAX = 500.0
@@ -41,13 +54,37 @@ def collect_latencies(dataset: SubjectDataset) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _kde_grid(values: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarray:
+def _kernel_scale(bandwidth: float) -> float:
+    """The Gaussian kernel's exponent scale, 1 / (2 * bandwidth**2).
+
+    ValueError unless it is positive and finite: a bandwidth below
+    ~1e-154 overflows it (or its denominator underflows to 0), and one
+    above ~1e154 makes it 0, a flat kernel.
+    """
+    check_positive_finite("bandwidth", bandwidth)
+    twice_var = 2.0 * bandwidth * bandwidth
+    inv = 1.0 / twice_var if twice_var > 0.0 else math.inf
+    if not 0.0 < inv < math.inf:
+        raise ValueError(f"bandwidth {bandwidth} is out of range: 1 / (2 * bandwidth**2) is {inv}")
+    return inv
+
+
+def _kde_grid(values: np.ndarray, grid: np.ndarray, inv: float) -> np.ndarray:
+    """Sum over ``values`` of exp(-(g - v)**2 * inv) at every grid point g."""
     density = np.zeros(grid.size)
-    inv = 1.0 / (2.0 * bandwidth * bandwidth)
+    buf = np.empty(_ROWS * _CHUNK)
     for start in range(0, values.size, _CHUNK):
         chunk = values[start : start + _CHUNK]
-        d = grid[:, None] - chunk[None, :]
-        density += np.exp(-(d * d) * inv).sum(axis=1)
+        for r0 in range(0, grid.size, _ROWS):
+            rows = grid[r0 : r0 + _ROWS]
+            # exp(-(d * d) * inv) in place; the density's bits depend on this order
+            d = buf[: rows.size * chunk.size].reshape(rows.size, chunk.size)
+            np.subtract(rows[:, None], chunk[None, :], out=d)
+            np.multiply(d, d, out=d)
+            np.negative(d, out=d)
+            np.multiply(d, inv, out=d)
+            np.exp(d, out=d)
+            density[r0 : r0 + rows.size] += d.sum(axis=1)
     return density
 
 
@@ -74,17 +111,17 @@ def estimate_resolution(latencies: np.ndarray, bandwidth: float = 3.0) -> float:
 
     Raises ResolutionError when fewer than two modes stand out, which
     happens for continuous (millisecond-true) clocks and for degenerate
-    inputs.
+    inputs. Raises ValueError for a bandwidth whose kernel scale
+    1 / (2 * bandwidth**2) is not positive and finite.
     """
-    if not bandwidth > 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    inv = _kernel_scale(bandwidth)
     values = np.asarray(latencies, dtype=np.float64)
     values = values[np.isfinite(values)]
     values = values[(values >= 0.0) & (values <= _GRID_MAX)]
     if values.size < 2:
         raise ResolutionError("resolution indeterminate")
     grid = np.arange(0.0, _GRID_MAX + _GRID_STEP, _GRID_STEP)
-    density = _kde_grid(values, grid, bandwidth)
+    density = _kde_grid(values, grid, inv)
     peaks = _find_peaks(density, height=_MIN_HEIGHT_FRAC * float(density.max()))
     if peaks.size < 2:
         raise ResolutionError("resolution indeterminate")

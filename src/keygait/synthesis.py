@@ -100,18 +100,17 @@ _Profile = dict[str, tuple[float, float]]
 def _make_profile(
     rng: np.random.Generator, keys: set[str], config: SynthConfig, scale: float
 ) -> _Profile:
-    profile: _Profile = {}
-    for key in sorted(keys):
-        if key in MODIFIER_KEYS:
-            base_d, base_p = config.modifier_duration_ms, config.modifier_latency_ms
-            spread = config.modifier_between_sd
-        else:
-            base_d, base_p = config.letter_duration_ms, config.letter_latency_ms
-            spread = config.between_subject_sd
-        dur = base_d * float(np.exp(scale * rng.normal(0.0, spread)))
-        lat = base_p * float(np.exp(scale * rng.normal(0.0, spread)))
-        profile[key] = (dur, lat)
-    return profile
+    ordered = sorted(keys)
+    modifier = np.array([key in MODIFIER_KEYS for key in ordered])
+    base = np.where(
+        modifier[:, None],
+        [config.modifier_duration_ms, config.modifier_latency_ms],
+        [config.letter_duration_ms, config.letter_latency_ms],
+    )
+    spread = np.where(modifier, config.modifier_between_sd, config.between_subject_sd)
+    # One (duration, latency) draw per key, in sorted key order.
+    z = rng.normal(0.0, spread[:, None], size=(len(ordered), 2))
+    return dict(zip(ordered, map(tuple, (base * np.exp(scale * z)).tolist())))
 
 
 def _profile_keys(canonical: list[str]) -> set[str]:
@@ -191,42 +190,34 @@ def _time_keys(
     config: SynthConfig,
 ) -> KeystrokeSequence:
     n = len(keys)
-    sd = config.within_sample_sd
-    durations = np.empty(n)
-    latencies = np.empty(n)
-    for i, key in enumerate(keys):
-        med_d, med_p = profile[key]
-        durations[i] = med_d * np.exp(rng.normal(0.0, sd))
-        latencies[i] = med_p * np.exp(rng.normal(0.0, sd))
+    # One (duration, latency) draw per keystroke, in key order.
+    z = rng.normal(0.0, config.within_sample_sd, size=(n, 2))
+    durations, latencies = (np.array([profile[key] for key in keys]) * np.exp(z)).T
     if config.hesitation_rate > 0 and n > 1 and rng.uniform() < config.hesitation_rate:
         count = min(int(rng.integers(1, 4)), n - 1)
         where = rng.choice(np.arange(1, n), size=count, replace=False)
         latencies[where] *= rng.uniform(3.0, 6.0, size=count)
-    press = 0
-    q = config.clock_quantum_ms
-    presses = np.empty(n, dtype=np.int64)
-    releases = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        if i > 0:
-            press += max(1, int(round(latencies[i])))
-        presses[i] = press
-        releases[i] = press + max(1, int(round(durations[i])))
+    # Whole milliseconds, at least 1; np.rint rounds half to even, as round() does.
+    steps = np.maximum(1, np.rint(latencies[1:]).astype(np.int64))
+    holds = np.maximum(1, np.rint(durations).astype(np.int64))
+    presses = np.concatenate(([0], np.cumsum(steps)))
+    releases = (presses + holds).tolist()
+    presses = presses.tolist()
     # A key cannot be re-pressed while still held: long holds are capped
     # strictly before the same key's next press, with a full quantum of
     # slack so floor quantization cannot merge the two timestamps.
+    q = config.clock_quantum_ms
     next_press: dict[str, int] = {}
     gap = max(1, q)
     for i in range(n - 1, -1, -1):
         if keys[i] in next_press:
             releases[i] = min(releases[i], next_press[keys[i]] - gap)
         releases[i] = max(releases[i], presses[i])
-        next_press[keys[i]] = int(presses[i])
+        next_press[keys[i]] = presses[i]
     if q > 0:
-        presses = (presses // q) * q
-        releases = (releases // q) * q
-    return KeystrokeSequence(
-        tuple(Keystroke(k, int(p), int(r)) for k, p, r in zip(keys, presses, releases))
-    )
+        presses = [p // q * q for p in presses]
+        releases = [r // q * q for r in releases]
+    return KeystrokeSequence(tuple(map(Keystroke, keys, presses, releases)))
 
 
 def generate_synthetic(

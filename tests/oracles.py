@@ -444,3 +444,81 @@ def reference_find_peaks(x: np.ndarray, height: float) -> np.ndarray:
 
     return find_peaks(x, height=height)[0]
 
+
+
+# ------------------------------------------------------------ resolution
+
+
+def reference_kde_grid(values: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarray:
+    """The Gaussian KDE sum built one 4096-value chunk at a time as a whole
+    (grid, chunk) difference matrix, the form the blocked kernel replaced;
+    same chunks, so the same summation order and the same bits."""
+    density = np.zeros(grid.size)
+    inv = 1.0 / (2.0 * bandwidth * bandwidth)
+    for start in range(0, values.size, 4096):
+        chunk = values[start : start + 4096]
+        d = grid[:, None] - chunk[None, :]
+        density += np.exp(-(d * d) * inv).sum(axis=1)
+    return density
+
+
+# ------------------------------------------------------------ synthesis
+
+
+def reference_make_profile(rng, keys, config, scale: float) -> dict:
+    """Per-key (duration, latency) medians, one scalar draw at a time."""
+    from keygait.scancodes import MODIFIER_KEYS
+
+    profile = {}
+    for key in sorted(keys):
+        if key in MODIFIER_KEYS:
+            base_d, base_p = config.modifier_duration_ms, config.modifier_latency_ms
+            spread = config.modifier_between_sd
+        else:
+            base_d, base_p = config.letter_duration_ms, config.letter_latency_ms
+            spread = config.between_subject_sd
+        dur = base_d * float(np.exp(scale * rng.normal(0.0, spread)))
+        lat = base_p * float(np.exp(scale * rng.normal(0.0, spread)))
+        profile[key] = (dur, lat)
+    return profile
+
+
+def reference_time_keys(keys, profile, rng, config):
+    """A timed rendition of ``keys``, drawn and rounded one keystroke at a
+    time with Python's ``round``."""
+    from keygait.events import Keystroke, KeystrokeSequence
+
+    n = len(keys)
+    sd = config.within_sample_sd
+    durations = np.empty(n)
+    latencies = np.empty(n)
+    for i, key in enumerate(keys):
+        med_d, med_p = profile[key]
+        durations[i] = med_d * np.exp(rng.normal(0.0, sd))
+        latencies[i] = med_p * np.exp(rng.normal(0.0, sd))
+    if config.hesitation_rate > 0 and n > 1 and rng.uniform() < config.hesitation_rate:
+        count = min(int(rng.integers(1, 4)), n - 1)
+        where = rng.choice(np.arange(1, n), size=count, replace=False)
+        latencies[where] *= rng.uniform(3.0, 6.0, size=count)
+    press = 0
+    q = config.clock_quantum_ms
+    presses = np.empty(n, dtype=np.int64)
+    releases = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        if i > 0:
+            press += max(1, int(round(latencies[i])))
+        presses[i] = press
+        releases[i] = press + max(1, int(round(durations[i])))
+    next_press: dict[str, int] = {}
+    gap = max(1, q)
+    for i in range(n - 1, -1, -1):
+        if keys[i] in next_press:
+            releases[i] = min(releases[i], next_press[keys[i]] - gap)
+        releases[i] = max(releases[i], presses[i])
+        next_press[keys[i]] = int(presses[i])
+    if q > 0:
+        presses = (presses // q) * q
+        releases = (releases // q) * q
+    return KeystrokeSequence(
+        tuple(Keystroke(k, int(p), int(r)) for k, p, r in zip(keys, presses, releases))
+    )

@@ -222,6 +222,19 @@ class TestResolutionCommand:
         assert main(["resolution", "--data", str(root)]) == 1
         assert "resolution indeterminate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bandwidth", ["1e-200", "1e-155", "inf"])
+    def test_out_of_range_bandwidth_is_one_error_line(self, tmp_path, capsys, bandwidth):
+        root = tmp_path / "coarse"
+        assert main(["synth", "--out", str(root), "--subjects", "2", "--quantum", "40"]) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would escape main
+            assert main(["resolution", "--data", str(root), "--bandwidth", bandwidth]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: bandwidth ")
+
 
 class TestErrorHandling:
     def test_missing_required_flag_is_usage_error(self):

@@ -3,6 +3,7 @@ clock-resolution estimator."""
 
 import math
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -40,9 +41,10 @@ from keygait import (
 )
 from keygait.datasets import tsv
 from keygait.events import check_id
-from keygait.resolution import _find_peaks
+from keygait.resolution import _ROWS, _find_peaks, _kde_grid, _kernel_scale
+from keygait.synthesis import _make_name, _make_profile, _perturb, _profile_keys, _time_keys
 
-from oracles import reference_find_peaks
+from oracles import reference_find_peaks, reference_kde_grid, reference_make_profile, reference_time_keys
 from test_events import physical_sequences
 
 TINY = SynthConfig(n_subjects=2, n_templates=3, genuine_queries=(2, 2), impostor_queries=(2, 2), seed=3)
@@ -472,6 +474,26 @@ class TestSynthesis:
         with pytest.raises(ValueError):
             SynthConfig(**{field: value})
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("quantum", [0, 40])
+    def test_draws_match_scalar_reference(self, seed, quantum):
+        # Same stream consumed in the same order: equal outputs and equal
+        # generator state afterwards.
+        config = SynthConfig(clock_quantum_ms=quantum, hesitation_rate=0.5, shift_drop=0.2)
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        canonical = _make_name(rngs[0], config, "lshift")
+        assert _make_name(rngs[1], config, "lshift") == canonical
+        keys = _profile_keys(canonical)
+        for scale in (1.0, 0.4):
+            profile = _make_profile(rngs[0], keys, config, scale)
+            assert reference_make_profile(rngs[1], keys, config, scale) == profile
+        for _ in range(30):
+            sample = _perturb(canonical, rngs[0], config, "s001", "t01", [])
+            assert _perturb(canonical, rngs[1], config, "s001", "t01", []) == sample
+            timed = _time_keys(sample, profile, rngs[0], config)
+            assert reference_time_keys(sample, profile, rngs[1], config) == timed
+        assert rngs[0].random() == rngs[1].random()
+
     def test_config_dict_round_trip(self):
         config = replace(TINY, clock_quantum_ms=15, impostor_separation=0.5)
         assert SynthConfig.from_dict(config.to_dict()) == config
@@ -507,10 +529,48 @@ class TestResolution:
         with pytest.raises(ResolutionError, match="indeterminate"):
             estimate_resolution(values)
 
-    @pytest.mark.parametrize("bandwidth", [0.0, float("nan")])
+    @pytest.mark.parametrize(
+        "bandwidth",
+        # 1 / (2 * bandwidth**2): overflows from ~1e-154 down, its
+        # denominator underflows to 0 from ~1e-162 down, and it is 0 for inf
+        # and from ~1e154 up.
+        [0.0, -1.0, float("nan"), float("inf"), 1e-155, 1e-160, 1e-170, 1e-200, 1e155, 1e200],
+    )
     def test_rejects_bad_parameters(self, bandwidth):
-        with pytest.raises(ValueError):
-            estimate_resolution(np.array([10.0, 20.0]), bandwidth=bandwidth)
+        values = np.repeat([40.0, 80.0, 120.0], 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="bandwidth"):
+                estimate_resolution(values, bandwidth=bandwidth)
+
+    def test_extreme_bandwidths_in_range_run(self):
+        values = np.repeat([40.0, 80.0, 120.0], 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # a needle kernel still sees modes that sit on the grid
+            assert estimate_resolution(values, bandwidth=1e-150) == 40.0
+            with pytest.raises(ResolutionError, match="indeterminate"):  # a flat one sees none
+                estimate_resolution(values, bandwidth=1e150)
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 10_000])
+    @pytest.mark.parametrize("bandwidth", [0.5, 3.0])
+    def test_kde_matches_one_shot_reference(self, n, bandwidth):
+        grid = np.arange(0.0, 501.0)
+        assert grid.size % _ROWS != 0  # a short last row block
+        values = np.random.default_rng(n).uniform(-5.0, 505.0, n)
+        values[::3] = np.round(values[::3] / 40.0) * 40.0
+        got = _kde_grid(values, grid, _kernel_scale(bandwidth))
+        assert np.array_equal(got, reference_kde_grid(values, grid, bandwidth))
+
+    def test_working_set_is_bounded(self):
+        values = np.round(np.random.default_rng(0).uniform(0.0, 500.0, 10_000) / 40.0) * 40.0
+        tracemalloc.start()
+        try:
+            estimate_resolution(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 # Densities built from runs of equal values, so plateaus, plateaus on an
