@@ -46,6 +46,7 @@ from .datasets import (
 from .detectors import DETECTOR_NAMES
 from .errors import KeygaitError
 from .evaluation import (
+    check_split_counts,
     effective_scores,
     global_eer,
     monte_carlo_validate,
@@ -53,20 +54,21 @@ from .evaluation import (
     run_pipeline,
     subject_eer,
 )
-from .resolution import collect_latencies, estimate_resolution
+from .resolution import _kernel_scale, collect_latencies, estimate_resolution
 from .scorenorm import ScoreSet
 from .synthesis import SynthConfig, generate_synthetic, write_perturbations
 
 
-def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
+def _add_pipeline_flags(parser: argparse.ArgumentParser, *, grid: bool = False) -> None:
     parser.add_argument("--config", type=Path, help="pipeline config JSON")
-    parser.add_argument("--method", choices=ALIGNMENT_METHODS, help="alignment method")
+    if not grid:  # a grid command sweeps every alignment method and score norm
+        parser.add_argument("--method", choices=ALIGNMENT_METHODS, help="alignment method")
+        parser.add_argument("--score-norm", choices=SCORE_NORM_KINDS, help="score normalization")
     parser.add_argument(
         "--detector",
         choices=DETECTOR_NAMES,
         help="detector name (ensembles need a config file)",
     )
-    parser.add_argument("--score-norm", choices=SCORE_NORM_KINDS, help="score normalization")
     parser.add_argument("--h-s", type=float, help="score normalization width")
     parser.add_argument("--h-f", type=float, help="feature normalization width")
     parser.add_argument("--seed", type=int, help="master seed")
@@ -115,8 +117,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_resolution(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.data)
-    latencies = collect_latencies(dataset)
+    _kernel_scale(args.bandwidth)  # a bad setting fails before the dataset loads
+    latencies = collect_latencies(load_dataset(args.data))
     value = estimate_resolution(latencies, bandwidth=args.bandwidth)
     sys.stdout.write(tsv([("estimated_resolution_ms", value)]))
     return 0
@@ -188,6 +190,7 @@ def _cmd_eer(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     config = _pipeline_config(args)
+    check_split_counts(args.reps, args.templates)
     dataset = load_dataset(args.data)
     result = monte_carlo_validate(dataset, config, repetitions=args.reps, n_templates=args.templates)
     metrics = {"mean_eer": result.mean_eer, "sd_eer": result.sd_eer}
@@ -285,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ablate", help="alignment x score-norm EER grid")
     p.add_argument("--data", type=Path, required=True, help="labeled dataset directory")
     p.add_argument("--out", type=Path, help="output directory")
-    _add_pipeline_flags(p)
-    p.set_defaults(func=_cmd_ablate)
+    _add_pipeline_flags(p, grid=True)
+    p.set_defaults(func=_cmd_ablate, method=None, score_norm=None)
 
     return parser
 

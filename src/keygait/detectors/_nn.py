@@ -12,13 +12,6 @@ run per subject on the unpadded slice (`width_matmul`).
 The contractive autoencoder trains one subject at a time: stacked, each
 (subjects, 400, d) array of 10 subjects is ~2 MB and overflows L2, and a
 padded stack ran at 0.67-0.82x that speed and was not bit-exact.
-
-``sigmoid`` is ``scipy.special.expit``, imported on first use:
-``scipy.special`` takes ~0.3 s to import (``-X importtime``) and only the
-contractive autoencoder and the VAE use it. The module ``__getattr__``
-binds it as a global on the first ``_nn.sigmoid`` lookup, so later
-lookups are plain attribute reads; ``from ._nn import sigmoid`` would
-import scipy at once.
 """
 
 from __future__ import annotations
@@ -33,13 +26,10 @@ from .base import as_matrix
 Params = dict[str, Any]  # name -> tensor or list of tensors
 
 
-def __getattr__(name: str) -> Any:
-    if name == "sigmoid":
-        from scipy.special import expit
-
-        globals()["sigmoid"] = expit
-        return expit
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)); exp overflows to inf below z ~ -709, giving 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def softplus(z: np.ndarray) -> np.ndarray:

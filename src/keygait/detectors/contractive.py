@@ -19,8 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import TrainingError
-from . import _nn
-from ._nn import xavier_uniform
+from ._nn import sigmoid, xavier_uniform
 from .base import Detector, as_matrix
 
 Params = dict[str, np.ndarray]
@@ -35,11 +34,11 @@ def init_params(rng: np.random.Generator, d_in: int, d_hidden: int) -> Params:
 
 
 def encode(params: Params, X: np.ndarray) -> np.ndarray:
-    return _nn.sigmoid(np.atleast_2d(X) @ params["W"].T + params["bh"])
+    return sigmoid(np.atleast_2d(X) @ params["W"].T + params["bh"])
 
 
 def reconstruct(params: Params, X: np.ndarray) -> np.ndarray:
-    return _nn.sigmoid(encode(params, X) @ params["W"] + params["by"])
+    return sigmoid(encode(params, X) @ params["W"] + params["by"])
 
 
 def contractive_penalty(params: Params, X: np.ndarray) -> float:
@@ -72,8 +71,8 @@ def loss_and_grads(
         grads = gradient_buffers(params)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     W, bh, by = params["W"], params["bh"], params["by"]
-    H = _nn.sigmoid(X @ W.T + bh)
-    Y = _nn.sigmoid(H @ W + by)
+    H = sigmoid(X @ W.T + bh)
+    Y = sigmoid(H @ W + by)
     S = H * (1.0 - H)
     S2 = S * S
     r = np.einsum("ij,ij->i", W, W)

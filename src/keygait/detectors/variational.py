@@ -19,13 +19,13 @@ from typing import Any
 
 import numpy as np
 
-from . import _nn
 from ._nn import (
     Adam,
     StackedParams,
     T,
     as_stack,
     note_failures,
+    sigmoid,
     softplus,
     stack_templates,
     width_mask,
@@ -129,12 +129,12 @@ def _stacked_loss_and_grads(
 
     loss = (_bce_from_logits(X, logits) * mask).sum(axis=(1, 2)) + kl_divergence(mu, lv)
 
-    g = (_nn.sigmoid(logits) - X) * mask  # dloss/dlogits
+    g = (sigmoid(logits) - X) * mask  # dloss/dlogits
     np.matmul(T(g), dec_act[-1], out=grads["W_out"])
     g.sum(axis=1, out=grads["b_out"])
     g = width_matmul(g, params["W_out"], widths)
     for k in range(len(params["dec_W"]) - 1, -1, -1):
-        g = g * _nn.sigmoid(dec_pre[k])  # softplus'
+        g = g * sigmoid(dec_pre[k])  # softplus'
         np.matmul(T(g), dec_act[k], out=grads["dec_W"][k])
         g.sum(axis=1, out=grads["dec_b"][k])
         g = g @ params["dec_W"][k]
@@ -148,7 +148,7 @@ def _stacked_loss_and_grads(
 
     g = g_mu @ params["W_mu"] + g_lv @ params["W_lv"]
     for k in range(len(params["enc_W"]) - 1, -1, -1):
-        g = g * _nn.sigmoid(enc_pre[k])
+        g = g * sigmoid(enc_pre[k])
         np.matmul(T(g), enc_act[k], out=grads["enc_W"][k])
         g.sum(axis=1, out=grads["enc_b"][k])
         if k > 0:

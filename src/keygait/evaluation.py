@@ -313,6 +313,13 @@ class MonteCarloResult:
     eers: tuple[float, ...]
 
 
+def check_split_counts(repetitions: int, n_templates: int) -> None:
+    """EvaluationError unless both Monte Carlo split counts are at least 1."""
+    for name, value in (("repetitions", repetitions), ("n_templates", n_templates)):
+        if value < 1:
+            raise EvaluationError(f"{name} must be positive, got {value}")
+
+
 def monte_carlo_validate(
     dataset: SubjectDataset,
     config: PipelineConfig,
@@ -332,10 +339,7 @@ def monte_carlo_validate(
             is unlabeled, or a subject has fewer than n_templates + 1
             genuine samples.
     """
-    if repetitions < 1:
-        raise EvaluationError(f"repetitions must be positive, got {repetitions}")
-    if n_templates < 1:
-        raise EvaluationError(f"n_templates must be positive, got {n_templates}")
+    check_split_counts(repetitions, n_templates)
     pools: list[tuple[str, list[Sample], list[Sample]]] = []
     for subject_id in dataset.subject_ids():
         entry = dataset.subjects[subject_id]

@@ -41,7 +41,7 @@ class Keystroke(namedtuple("Keystroke", "key press_t release_t")):
     """A paired press/release with absolute millisecond timestamps: a tuple
     type, compared and hashed as ``(key, press_t, release_t)``. Direct
     construction, ``_make``, ``_replace``, pickle and copy check that
-    ``release_t >= press_t``; :func:`pair_events` builds valid ones directly."""
+    ``release_t >= press_t``; :func:`pair_events` and synthesis build valid ones directly."""
 
     __slots__ = ()
 

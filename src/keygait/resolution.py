@@ -9,8 +9,7 @@ The modes are found by `_find_peaks`, a numpy local-maximum scan that
 keeps the rules of ``scipy.signal.find_peaks(x, height=h)``: a flat top
 counts once, at its middle index rounded down; a sample or plateau on
 either edge never counts; the height test is inclusive; an input shorter
-than 3 has no peaks. Importing ``scipy.signal`` for that one call cost
-~0.9 s of a ~1.5 s cold ``import keygait`` (``-X importtime``).
+than 3 has no peaks.
 
 The kernel density is summed in a fixed working set, whatever the number
 of latencies: one (``_ROWS``, ``_CHUNK``) float64 buffer of 1 MB, filled

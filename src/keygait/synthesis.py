@@ -25,6 +25,7 @@ outliers that separate robust from brittle score normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 
@@ -205,7 +206,9 @@ def _time_keys(
     presses = presses.tolist()
     # A key cannot be re-pressed while still held: long holds are capped
     # strictly before the same key's next press, with a full quantum of
-    # slack so floor quantization cannot merge the two timestamps.
+    # slack so floor quantization cannot merge the two timestamps. The
+    # loop leaves release >= press, which floor quantization keeps, so
+    # the keystrokes skip the checking Keystroke.__new__.
     q = config.clock_quantum_ms
     next_press: dict[str, int] = {}
     gap = max(1, q)
@@ -217,7 +220,8 @@ def _time_keys(
     if q > 0:
         presses = [p // q * q for p in presses]
         releases = [r // q * q for r in releases]
-    return KeystrokeSequence(tuple(map(Keystroke, keys, presses, releases)))
+    keystrokes = map(tuple.__new__, repeat(Keystroke), zip(keys, presses, releases))
+    return KeystrokeSequence(tuple(keystrokes))
 
 
 def generate_synthetic(

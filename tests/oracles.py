@@ -114,6 +114,16 @@ def _softplus(z: np.ndarray) -> np.ndarray:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """The package's closed form, written out: a per-subject fit must
+    match the stacked one to the byte, so both use the same expression;
+    the package's sigmoid is pinned to :func:`reference_expit` instead."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
+def reference_expit(z: np.ndarray) -> np.ndarray:
+    """``scipy.special.expit``, the logistic sigmoid scipy evaluates in
+    its own C loop."""
     from scipy.special import expit
 
     return expit(z)

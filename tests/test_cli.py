@@ -190,6 +190,15 @@ class TestAblate:
         assert len(printed.splitlines()) == 10
         assert (out / "ablation.tsv").read_text() == printed
 
+    @pytest.mark.parametrize("flag", [["--method", "truncate"], ["--score-norm", "none"]])
+    def test_swept_settings_are_not_flags(self, data_dir, tmp_path, capsys, flag):
+        # the grid covers every method and score norm, so fixing one is a usage error
+        with pytest.raises(SystemExit) as err:
+            main(["ablate", "--data", str(data_dir), "--out", str(tmp_path / "grid"), *flag])
+        assert err.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "grid").exists()
+
 
 class TestAuditCommand:
     def test_stdout_and_file_agree(self, data_dir, tmp_path, capsys):
@@ -306,6 +315,21 @@ class TestErrorHandling:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: OneClassSvm.nu: expected a finite number, got '0.5'\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["resolution", "--bandwidth", "1e-200"], "bandwidth 1e-200 is out of range"),
+            (["validate", "--reps", "0"], "repetitions must be positive, got 0"),
+            (["validate", "--templates", "0"], "n_templates must be positive, got 0"),
+        ],
+    )
+    def test_bad_command_setting_is_reported_before_the_dataset_is_loaded(self, tmp_path, capsys, argv, message):
+        command, *setting = argv
+        assert main([command, "--data", str(tmp_path / "missing"), *setting]) == 1
+        captured = capsys.readouterr()
+        [line] = captured.err.splitlines()
+        assert line.startswith(f"error: {message}") and captured.out == ""
 
     @pytest.mark.parametrize(
         "command, text, message",

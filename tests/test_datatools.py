@@ -416,15 +416,22 @@ class TestSynthesis:
 
     def test_no_same_key_overlap_even_with_slow_modifiers(self):
         # long Shift holds must end before that Shift is pressed again,
-        # or the event stream cannot be re-paired after serialization
-        config = replace(TINY, n_subjects=6, modifier_between_sd=1.5, seed=7)
-        dataset, _ = generate_synthetic(config)
-        for sid in dataset.subject_ids():
-            for s in dataset.subjects[sid].templates + dataset.subjects[sid].queries:
-                last_release: dict[str, int] = {}
-                for k in s.sequence:
-                    assert last_release.get(k.key, -1) < k.press_t
-                    last_release[k.key] = k.release_t
+        # or the event stream cannot be re-paired after serialization;
+        # keystrokes are built unchecked, so release >= press is asserted here
+        for quantum in (0, 40):
+            for hesitation in (0.0, TINY.hesitation_rate, 1.0):
+                config = replace(
+                    TINY, n_subjects=6, modifier_between_sd=1.5, seed=7,
+                    clock_quantum_ms=quantum, hesitation_rate=hesitation,
+                )
+                dataset, _ = generate_synthetic(config)
+                for sid in dataset.subject_ids():
+                    for s in dataset.subjects[sid].templates + dataset.subjects[sid].queries:
+                        last_release: dict[str, int] = {}
+                        for k in s.sequence:
+                            assert k.release_t >= k.press_t
+                            assert last_release.get(k.key, -1) < k.press_t
+                            last_release[k.key] = k.release_t
 
     def test_victim_impostors_type_the_victim_name(self):
         dataset, _ = generate_synthetic(replace(TINY, impostor_source="victim"))

@@ -1,6 +1,7 @@
 import inspect
 import json
 import re
+import warnings
 from typing import get_type_hints
 
 import numpy as np
@@ -31,6 +32,7 @@ from oracles import (
     ocsvm_dual_oracle,
     reference_autoencoder_fit,
     reference_contractive_grads,
+    reference_expit,
     reference_vae_fit,
 )
 
@@ -120,6 +122,35 @@ class TestTiedAutoencoder:
         X = np.array([[0.5, np.nan, 0.5, 0.5], [0.4, 0.4, 0.4, 0.4]])
         with pytest.raises(TrainingError, match="epoch 0"):
             TiedAutoencoder(epochs=50, seed=0).fit(X)
+
+
+def _ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance in units in the last place between non-negative doubles."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+class TestSigmoid:
+    """``_nn.sigmoid`` against ``scipy.special.expit``: the two exps may
+    round differently, so the bound is 4 ulp, not equality."""
+
+    @pytest.mark.parametrize("sd", [5.0, 50.0])
+    def test_within_4_ulp_of_expit(self, sd):
+        z = np.random.default_rng(0).normal(0.0, sd, size=200_000)
+        assert _ulps(_nn.sigmoid(z), reference_expit(z)).max() <= 4
+
+    def test_overflow_tail_is_zero_without_a_warning(self):
+        z = -np.concatenate([np.linspace(708.5, 800.0, 10_001), [1e10, 1e300, np.finfo(float).max]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _nn.sigmoid(z)
+        assert _ulps(got, reference_expit(z)).max() <= 4
+        assert np.all(got[z < -710.0] == 0.0) and np.all(got[z > -709.0] > 0.0)
+
+    def test_special_values_match_expit(self):
+        z = np.array([np.inf, -np.inf, np.nan, -0.0, 0.0])
+        got = _nn.sigmoid(z)
+        np.testing.assert_array_equal(got, reference_expit(z))
+        assert got.tolist()[:2] == [1.0, 0.0] and np.isnan(got[2])
 
 
 class TestContractiveAutoencoder:
