@@ -50,6 +50,9 @@ from .evaluation import (
     effective_scores,
     global_eer,
     monte_carlo_validate,
+    normalize_scores,
+    prepare,
+    raw_scores,
     roc,
     run_pipeline,
     subject_eer,
@@ -207,17 +210,21 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_ablate(args: argparse.Namespace) -> int:
     base = _pipeline_config(args)
+    for key, value, default in (
+        ("alignment", base.alignment, PipelineConfig.alignment),
+        ("score_norm.kind", base.score_norm.kind, ScoreNormConfig.kind),
+    ):
+        if value != default:
+            raise ValueError(f"ablate sweeps every {key}; the config sets it to {value!r}")
     dataset = load_dataset(args.data)
     rows: list[tuple[str, str, float]] = []
-    for method in ALIGNMENT_METHODS:
+    for method in ALIGNMENT_METHODS:  # score norms read raw scores only: fit once per method
+        config = replace(base, alignment=method)
+        prepared = prepare(dataset, config)
+        raws = raw_scores(prepared, config)
         for kind in SCORE_NORM_KINDS:
-            config = replace(
-                base,
-                alignment=method,
-                score_norm=ScoreNormConfig(kind=kind, h_s=base.score_norm.h_s),
-            )
-            scores = run_pipeline(dataset, config)
-            rows.append((method, kind, global_eer(scores)))
+            cell = replace(config, score_norm=replace(base.score_norm, kind=kind))
+            rows.append((method, kind, global_eer(normalize_scores(prepared, raws, cell))))
     text = tsv(rows, ("method", "score_norm", "global_eer"))
     sys.stdout.write(text)
     if args.out:

@@ -6,10 +6,14 @@ lead-in, so it always spans (FAR, FRR) = (0, 1) to (1, 0); the EER is
 read off at the exact FAR = FRR point when one exists and by linear
 interpolation across the sign change otherwise.
 
-run_pipeline prepares every subject (``alignment.align_subject``, then
-feature extraction and normalization), fits the detectors with one
-``Detector.fit_group`` call per group of subjects with the same template
-count, then scores and normalizes per subject. A group fit gives every
+The pipeline is three stages, and run_pipeline runs them in turn:
+``prepare`` aligns every subject (``alignment.align_subject``) and
+extracts and normalizes its features; ``raw_scores`` fits the detector
+with one ``Detector.fit_group`` call per group of subjects with the same
+template count and scores each subject's queries; ``normalize_scores``
+normalizes the raw scores per subject. Score normalization reads only
+raw scores, so ``keygait ablate`` prepares and fits once per alignment
+and normalizes those raw scores once per kind. A group fit gives every
 subject bit-identical results to fitting it alone. An ensemble is a
 pipeline config, not a detector: each member is fitted and scored like a
 single detector, and one combiner averages the members' raw or
@@ -30,9 +34,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .alignment import align_subject
-from .config import DetectorConfig, PipelineConfig
+from .config import PipelineConfig
 from .datasets import tsv
-from .detectors import Detector, build_detector
+from .detectors import build_detector
 from .errors import AlignmentError, EvaluationError, KeygaitError, ScoreNormError
 from .events import Label, Role, Sample, SubjectDataset
 from .features import extract_features, fit_feature_normalizer, normalize_features
@@ -139,8 +143,8 @@ def subject_eer(scores: ScoreSet) -> SubjectEerReport:
 
 
 @dataclass
-class _SubjectFeatures:
-    """Per-subject feature preparation result; detector-independent."""
+class PreparedSubject:
+    """One subject's aligned, normalized features; detector-independent."""
 
     subject_id: str
     query_ids: list[str]
@@ -155,8 +159,8 @@ def _prepare_subject(
     templates: list[Sample],
     queries: list[Sample],
     config: PipelineConfig,
-) -> _SubjectFeatures:
-    failed = _SubjectFeatures(
+) -> PreparedSubject:
+    failed = PreparedSubject(
         subject_id, [s.sample_id for s in queries], [s.label for s in queries]
     )
     try:
@@ -193,78 +197,79 @@ def _prepare_subject(
     )
 
 
-def _fit_detectors(
-    prepared: list[_SubjectFeatures], detector_config: DetectorConfig, seeds: list[int]
-) -> list[Detector | None]:
-    """One fitted detector per subject (None where preparation or the fit
-    failed), fitted by one ``fit_group`` call per template count."""
+def prepare(dataset: SubjectDataset, config: PipelineConfig) -> list[PreparedSubject]:
+    """Stage 1: every subject aligned by ``config.alignment`` and its
+    features normalized against its templates, in subject id order."""
+    return [
+        _prepare_subject(
+            sid,
+            sorted(dataset.subjects[sid].templates, key=lambda s: s.sample_id),
+            sorted(dataset.subjects[sid].queries, key=lambda s: s.sample_id),
+            config,
+        )
+        for sid in dataset.subject_ids()
+    ]
+
+
+def raw_scores(prepared: list[PreparedSubject], config: PipelineConfig) -> list[list[np.ndarray]]:
+    """Stage 2: per member of the configured detector (or the single
+    detector), per subject, the raw score of every query, from one
+    ``fit_group`` per template count and one ``score_all`` per subject;
+    ``SENTINEL_SCORE`` where the query, the subject or its fit failed.
+    Subject ``s`` is seeded ``derive_seed(config.seed, s)``, plus ``1 + i``
+    for ensemble member ``i``."""
+    ensemble = config.detector.name == "ensemble"
     groups: dict[int, list[int]] = {}
     for i, p in enumerate(prepared):
         if p.template_matrix is not None:
             groups.setdefault(p.template_matrix.shape[0], []).append(i)
-    fitted: list[Detector | None] = [None] * len(prepared)
-    for members in groups.values():
-        detectors = [build_detector(detector_config, seed=seeds[i]) for i in members]
-        errors = type(detectors[0]).fit_group(
-            detectors, [prepared[i].template_matrix for i in members]
-        )
-        for i, detector, error in zip(members, detectors, errors):
-            fitted[i] = detector if error is None else None
-    return fitted
+    seeds = [derive_seed(config.seed, p.subject_id) for p in prepared]
+    members: list[list[np.ndarray]] = []
+    for offset, member in enumerate(config.detector.singles(), start=int(ensemble)):
+        out = [np.full(len(p.query_ids), SENTINEL_SCORE) for p in prepared]
+        for group in groups.values():
+            detectors = [build_detector(member, seed=seeds[i] + offset) for i in group]
+            templates = [prepared[i].template_matrix for i in group]
+            errors = type(detectors[0]).fit_group(detectors, templates)
+            for i, detector, error in zip(group, detectors, errors):
+                if error is None and prepared[i].query_rows:
+                    out[i][prepared[i].query_rows] = detector.score_all(prepared[i].query_matrix)
+        members.append(out)
+    return members
 
 
-def _raw_scores(
-    prepared: list[_SubjectFeatures], detector_config: DetectorConfig, seeds: list[int]
-) -> list[np.ndarray]:
-    """Per subject, one detector's raw score of every query, scored in one
-    ``score_all`` call; ``SENTINEL_SCORE`` where the query or the subject
-    failed."""
-    fitted = _fit_detectors(prepared, detector_config, seeds)
-    out: list[np.ndarray] = []
-    for p, detector in zip(prepared, fitted):
-        raw = np.full(len(p.query_ids), SENTINEL_SCORE)
-        if detector is not None and p.query_rows:
-            raw[p.query_rows] = detector.score_all(p.query_matrix)
-        out.append(raw)
-    return out
-
-
-def _scores(
-    prepared: list[_SubjectFeatures], config: PipelineConfig, seeds: list[int]
+def normalize_scores(
+    prepared: list[PreparedSubject], raws: list[list[np.ndarray]], config: PipelineConfig
 ) -> ScoreSet:
-    """Raw and normalized records of the configured detector, in subject
-    then query order.
+    """Stage 3: raw and normalized records of stage 2's scores under
+    ``config.score_norm``, in subject then query order. ``raws`` is only
+    read, so one stage 2 result serves every score normalization.
 
-    An ensemble scores member ``i`` with the seeds ``seed + 1 + i``. It
-    averages the members' raw scores and normalizes the mean or, with
-    ``ensemble_normalized``, averages the per-member normalized scores. A
-    record is flagged when its (mean) raw score is not finite; the
-    normalization of the mean and of every member leaves it out. A subject
-    whose scores cannot be normalized is flagged whole.
+    An ensemble averages the members' raw scores and normalizes the mean
+    or, with ``ensemble_normalized``, averages the per-member normalized
+    scores. A record is flagged when its (mean) raw score is not finite;
+    the normalization of the mean and of every member leaves it out. A
+    subject whose scores cannot be normalized is flagged whole.
     """
     norm = config.score_norm
     ensemble = config.detector.name == "ensemble"
-    member_raw = [
-        _raw_scores(prepared, m, [seed + offset for seed in seeds])
-        for offset, m in enumerate(config.detector.singles(), start=int(ensemble))
-    ]
     records: list[ScoreRecord] = []
-    for p, raws in zip(prepared, zip(*member_raw)):
+    for p, members in zip(prepared, zip(*raws)):
         # a single detector keeps its bits: a mean of one turns -0.0 into 0.0
-        raw = np.mean(raws, axis=0) if ensemble else raws[0]
+        raw = np.mean(members, axis=0) if ensemble else members[0]
         flagged = ~np.isfinite(raw)
-        raw[flagged] = SENTINEL_SCORE
+        raw = np.where(flagged, SENTINEL_SCORE, raw)
         flags = flagged.tolist()
         try:
             if ensemble and config.ensemble_normalized:
-                per_member = [normalize_subject(p.subject_id, r.tolist(), flags, norm) for r in raws]
+                per_member = [normalize_subject(p.subject_id, r.tolist(), flags, norm) for r in members]
                 normalized = np.mean(per_member, axis=0).tolist()
             else:
                 normalized = normalize_subject(p.subject_id, raw.tolist(), flags, norm)
         except ScoreNormError:
             # too few live scores to normalize (sd needs 2): the subject is
             # flagged whole, like one whose preparation failed
-            raw[:] = SENTINEL_SCORE
+            raw = np.full_like(raw, SENTINEL_SCORE)
             flags = [True] * len(flags)
             normalized = normalize_subject(p.subject_id, raw.tolist(), flags, norm)
         records.extend(
@@ -277,33 +282,19 @@ def _scores(
 
 
 def run_pipeline(dataset: SubjectDataset, config: PipelineConfig) -> ScoreSet:
-    """Score every query in the dataset under one config.
+    """Score every query in the dataset under one config: the three stages
+    :func:`prepare`, :func:`raw_scores` and :func:`normalize_scores` in turn.
 
-    Per subject: align (or apply the configured baseline), extract and
-    normalize features against the subject's templates, fit the detector
-    with a seed derived from (master seed, subject id), score the
-    queries, then normalize scores per subject. An ensemble config fits
-    and scores each member this way and averages the members' raw or,
-    with ``ensemble_normalized``, normalized scores. Failed samples come
-    back flagged with the sentinel score; record count in == record count
-    out.
+    Failed samples come back flagged with the sentinel score; record count
+    in == record count out.
 
     Raises:
         Nothing for a detector: a ``PipelineConfig`` cannot hold an unknown
             detector or invalid detector params, because its constructor
             builds each detector config once and raises ValueError.
     """
-    prepared = [
-        _prepare_subject(
-            sid,
-            sorted(dataset.subjects[sid].templates, key=lambda s: s.sample_id),
-            sorted(dataset.subjects[sid].queries, key=lambda s: s.sample_id),
-            config,
-        )
-        for sid in dataset.subject_ids()
-    ]
-    seeds = [derive_seed(config.seed, p.subject_id) for p in prepared]
-    return _scores(prepared, config, seeds)
+    prepared = prepare(dataset, config)
+    return normalize_scores(prepared, raw_scores(prepared, config), config)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ path the console script takes.
 
 import json
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -198,6 +199,55 @@ class TestAblate:
         assert err.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not (tmp_path / "grid").exists()
+
+    @pytest.mark.parametrize(
+        "config, key, value",
+        [
+            ({"alignment": "discard"}, "alignment", "discard"),
+            ({"score_norm": {"kind": "minmax"}}, "score_norm.kind", "minmax"),
+            ({"alignment": "truncate", "score_norm": {"kind": "none", "h_s": 3.0}}, "alignment", "truncate"),
+        ],
+    )
+    def test_swept_settings_are_not_config_keys(self, tmp_path, capsys, config, key, value):
+        # the grid would ignore them, while config.json recorded them
+        config_path = tmp_path / "pipe.json"
+        config_path.write_text(json.dumps(config))
+        out = tmp_path / "grid"
+        argv = ["ablate", "--data", str(tmp_path / "missing"), "--out", str(out), "--config", str(config_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: ablate sweeps every {key}; the config sets it to {value!r}\n"
+        assert not out.exists()
+
+    def test_config_may_name_the_default_alignment_and_set_the_norm_width(self, data_dir, tmp_path, capsys):
+        config_path = tmp_path / "pipe.json"
+        config_path.write_text(json.dumps({"alignment": "align", "score_norm": {"kind": "sd", "h_s": 3.0}}))
+        out = tmp_path / "grid"
+        assert main(["ablate", "--data", str(data_dir), "--out", str(out), "--config", str(config_path)]) == 0
+        assert json.loads((out / "config.json").read_text())["score_norm"] == {"kind": "sd", "h_s": 3.0}
+
+    def test_each_alignment_is_prepared_and_fitted_once(self, data_dir, monkeypatch, capsys):
+        # score norms read raw scores only, so the 9 cells share 3 preparations and fits
+        from keygait import ManhattanDetector, evaluation
+
+        prepared, fitted = Counter(), Counter()
+        prepare_subject, fit_group = evaluation._prepare_subject, ManhattanDetector.fit_group
+
+        def counting_prepare(subject_id, *args):
+            prepared[subject_id] += 1
+            return prepare_subject(subject_id, *args)
+
+        def counting_fit(cls, detectors, templates):
+            fitted[templates[0].shape[0]] += 1
+            return fit_group(detectors, templates)
+
+        monkeypatch.setattr(evaluation, "_prepare_subject", counting_prepare)
+        monkeypatch.setattr(ManhattanDetector, "fit_group", classmethod(counting_fit))
+        assert main(["ablate", "--data", str(data_dir), "--detector", "manhattan"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 10
+        assert prepared == Counter({sid: 3 for sid in ("s001", "s002", "s003", "s004")})
+        assert fitted and set(fitted.values()) == {3}
 
 
 class TestAuditCommand:

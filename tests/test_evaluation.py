@@ -214,18 +214,6 @@ def _toy_dataset():
     return ds
 
 
-def _prepared(dataset, config):
-    return [
-        evaluation._prepare_subject(
-            sid,
-            sorted(dataset.subjects[sid].templates, key=lambda s: s.sample_id),
-            sorted(dataset.subjects[sid].queries, key=lambda s: s.sample_id),
-            config,
-        )
-        for sid in dataset.subject_ids()
-    ]
-
-
 def _per_subject_scores(prepared, config, detector_config=None, seed_offset=0):
     """Raw scores from fitting each subject's detector (by default the
     config's) on its own, seeded ``derive_seed(seed, subject) + seed_offset``,
@@ -249,7 +237,7 @@ def test_prepared_rows_match_per_sequence_features(
     config = PipelineConfig(
         alignment=alignment, per_position=per_position, merge_shift_keys=merge_shift_keys
     )
-    for sid, p in zip(small_dataset.subject_ids(), _prepared(small_dataset, config)):
+    for sid, p in zip(small_dataset.subject_ids(), evaluation.prepare(small_dataset, config)):
         entry = small_dataset.subjects[sid]
         templates = sorted(entry.templates, key=lambda s: s.sample_id)
         queries = sorted(entry.queries, key=lambda s: s.sample_id)
@@ -386,7 +374,7 @@ class TestRunPipeline:
     @pytest.mark.parametrize("name", ["autoencoder", "variational"])
     def test_group_fit_matches_per_subject_fits(self, small_dataset, name):
         config = PipelineConfig(detector=DetectorConfig(name=name, params={"epochs": 8}))
-        prepared = _prepared(small_dataset, config)
+        prepared = evaluation.prepare(small_dataset, config)
         assert len({p.template_matrix.shape[1] for p in prepared}) > 1
         scores = run_pipeline(small_dataset, config)
         assert [r.raw_score for r in scores] == _per_subject_scores(prepared, config)
@@ -395,7 +383,7 @@ class TestRunPipeline:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_group_fit_isolates_a_diverging_subject(self, small_dataset, monkeypatch, name):
         config = PipelineConfig(detector=DetectorConfig(name=name, params={"epochs": 8}))
-        prepared = _prepared(small_dataset, config)
+        prepared = evaluation.prepare(small_dataset, config)
         bad = prepared[2].subject_id
         prepare = evaluation._prepare_subject
 
@@ -425,7 +413,7 @@ class TestRunPipeline:
         )
         diverging = {"s001", "s002", "s006", "s007"}
         scores = run_pipeline(dataset, config)
-        for p in _prepared(dataset, config):
+        for p in evaluation.prepare(dataset, config):
             records = [r for r in scores if r.subject_id == p.subject_id]
             detector = build_detector(config.detector, seed=derive_seed(config.seed, p.subject_id))
             if p.subject_id in diverging:
@@ -478,7 +466,7 @@ class TestRunPipeline:
             ensemble_normalized=ensemble_normalized,
             seed=5,
         )
-        prepared = _prepared(small_dataset, config)
+        prepared = evaluation.prepare(small_dataset, config)
         # member i is fitted on its own with the subject's seed + 1 + i
         member_scores = [
             _per_subject_scores(prepared, config, member, seed_offset=1 + i)
@@ -682,6 +670,78 @@ class TestRunPipeline:
         )
         with pytest.raises(ValueError, match="single detectors"):
             DetectorConfig(name="ensemble", members=(pair, DetectorConfig(name="manhattan")))
+
+
+@pytest.fixture(scope="module")
+def one_live_dataset(small_dataset):
+    """small_dataset with every query of its first subject but one emptied:
+    that subject keeps one live score, too few for sd normalization."""
+    ds = SubjectDataset()
+    first = small_dataset.subject_ids()[0]
+    for sid, entry in small_dataset.subjects.items():
+        for s in entry.templates:
+            ds.add(s)
+        for i, q in enumerate(sorted(entry.queries, key=lambda s: s.sample_id)):
+            ds.add(q if sid != first or i == 0 else replace(q, sequence=KeystrokeSequence(())))
+    return ds
+
+
+def _record_bits(scores):
+    return [
+        (
+            r.subject_id,
+            r.sample_id,
+            np.float64(r.raw_score).tobytes(),
+            np.float64(r.normalized_score).tobytes(),
+            r.label,
+            r.flagged,
+        )
+        for r in scores
+    ]
+
+
+class TestStages:
+    PAIR = DetectorConfig(
+        name="ensemble", members=(DetectorConfig(name="manhattan"), DetectorConfig(name="ocsvm"))
+    )
+
+    @pytest.mark.parametrize("alignment", ["align", "truncate", "discard"])
+    @pytest.mark.parametrize(
+        "detector, ensemble_normalized",
+        [
+            (DetectorConfig(name="manhattan"), False),
+            (DetectorConfig(name="autoencoder", params={"epochs": 8}), False),
+            (PAIR, False),
+            (PAIR, True),
+        ],
+        ids=["manhattan", "autoencoder", "ensemble-raw", "ensemble-normalized"],
+    )
+    def test_every_norm_of_one_fit_equals_run_pipeline(
+        self, one_live_dataset, alignment, detector, ensemble_normalized
+    ):
+        # how ablate fills one grid row: prepare and fit once, normalize per kind
+        config = PipelineConfig(
+            alignment=alignment, detector=detector, ensemble_normalized=ensemble_normalized
+        )
+        prepared = evaluation.prepare(one_live_dataset, config)
+        raws = evaluation.raw_scores(prepared, config)
+        n_queries = sum(len(e.queries) for e in one_live_dataset.subjects.values())
+        first = one_live_dataset.subject_ids()[0]
+        # sd first: it flags the first subject whole, which must not leak
+        # into the raw scores the later kinds read
+        for kind in ("sd", "minmax", "none"):
+            cell = replace(config, score_norm=ScoreNormConfig(kind=kind))
+            scores = evaluation.normalize_scores(prepared, raws, cell)
+            assert _record_bits(scores) == _record_bits(run_pipeline(one_live_dataset, cell))
+            assert len(scores) == n_queries
+            live = [not r.flagged for r in scores.by_subject()[first]]
+            assert sum(live) == (0 if kind == "sd" else 1)
+            for r in scores:
+                assert r.flagged == (r.raw_score == SENTINEL_SCORE)
+                if kind == "none":
+                    assert r.normalized_score == r.raw_score
+                else:
+                    assert 0.0 <= r.normalized_score <= 1.0
 
 
 class TestMonteCarlo:
