@@ -9,11 +9,19 @@ most ``MAX_DELTA_MS`` = 2**53 - 1. No sign, prefix or separator is
 accepted. Pairing turns that stream into press-ordered keystrokes with
 absolute timestamps; overlapping holds (rollover) are supported.
 
-There is one path: the scanner ``parse_raw_events`` lazily validates each
-line into an ``(is_press, scancode, delta_ms)`` step, and the pairing loop
-``pair_events`` consumes steps. ``read_sequence`` is
+``read_sequence`` is the spec: the scanner ``parse_raw_events`` lazily
+validates each line into an ``(is_press, scancode, delta_ms)`` step, and
+the pairing loop ``pair_events`` consumes steps; ``read_sequence`` is
 ``pair_events(parse_raw_events(text))``. The scanner is a generator, so a
 parse error is raised while its steps are iterated, not when it is called.
+Every parse and pairing message and every :class:`UnreleasedKeyWarning`
+comes from this path.
+
+``read_sequences`` is the fast path for a block of files in the exact
+form ``serialize_events`` writes: it decodes and pairs the whole block in
+numpy arrays and builds the same sequences. It declines every file it
+cannot read that way (any other spelling, an error, a key left down),
+and its caller reads those with ``read_sequence``.
 
 A :class:`Keystroke` is a tuple type, validated on direct construction;
 pairing's keystrokes are valid by construction, so it builds them directly.
@@ -21,12 +29,16 @@ pairing's keystrokes are valid by construction, so it builds them directly.
 
 from __future__ import annotations
 
+import re
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from operator import itemgetter
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import PairingError, ParseError
 from .scancodes import SCANCODE_NAMES, key_name, scancode_for
@@ -268,6 +280,85 @@ def pair_events(steps: Iterable[tuple[bool, int, int]]) -> KeystrokeSequence:
 def read_sequence(text: str) -> KeystrokeSequence:
     """Parse and pair one capture in a single pass."""
     return pair_events(parse_raw_events(text))
+
+
+# The form serialize_events writes, the only one read_sequences takes:
+# lower-case hex and decimal ASCII digits short enough for int64, single
+# spaces, and "\n" after every line, the last one too.
+_CANONICAL = re.compile(rb"(?:[PR] [0-9a-f]{1,8} [0-9]{1,16}\n)*")
+_DIGIT_VALUE = np.zeros(256, np.uint8)  # byte -> value of a digit _CANONICAL allows
+_DIGIT_VALUE[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
+
+
+def _numbers(digits: np.ndarray, end: np.ndarray, width: np.ndarray, base: int) -> np.ndarray:
+    """The numbers written with ``width[i]`` digits just before byte
+    ``end[i]``, given each byte's digit value."""
+    value = np.zeros(len(end), np.int64)
+    for j in range(int(width.max(initial=0))):
+        value += (width > j) * digits.take(end - 1 - j, mode="clip").astype(np.int64) * base**j
+    return value
+
+
+def read_sequences(raws: list[bytes]) -> list[KeystrokeSequence | None]:
+    """Read a block of capture files at once: for each, the sequence
+    :func:`read_sequence` gives for its text, or None where this reader
+    declines the file.
+
+    It takes only files that match the form :func:`serialize_events`
+    writes byte for byte, with at most 8 hex and 16 decimal digits, and
+    whose events are all valid and pair up: a first delta of 0, no time
+    past ``MAX_DELTA_MS``, no release without an open press and no press
+    left down at the end. It declines any other file, valid or not, so the
+    caller reads a declined file with :func:`read_sequence`, which gives
+    its sequence, error or warning.
+    """
+    out: list[KeystrokeSequence | None] = [None] * len(raws)
+    files = [i for i, raw in enumerate(raws) if _CANONICAL.fullmatch(raw)]
+    n_lines = np.array([raws[i].count(b"\n") for i in files], np.int64)
+    buf = np.frombuffer(b"".join([raws[i] for i in files]), np.uint8)
+    end = np.flatnonzero(buf == 10)  # each line's "\n"
+    start = np.concatenate(([0], end + 1))[:-1]
+    gap = np.flatnonzero(buf == 32)[1::2]  # each line's space before the delta
+    digits = _DIGIT_VALUE[buf]
+    press = buf[start] == ord("P")
+    code = _numbers(digits, gap, gap - start - 2, 16)
+    delta = _numbers(digits, end, end - gap - 1, 10)
+    file_of = np.repeat(np.arange(len(files), dtype=np.int64), n_lines)
+    before = np.cumsum(n_lines) - n_lines  # lines before each file
+    # int64 sums wrap, but a file's times are exact up to its first line
+    # past MAX_DELTA_MS: a delta has at most 16 digits, so that time is
+    # under 2**55, and that line declines the file.
+    total = np.cumsum(delta)
+    t = total - np.repeat(np.concatenate(([0], total))[before], n_lines)
+    bad = t > MAX_DELTA_MS
+    first = before[n_lines > 0]  # each non-empty file's first line
+    bad[first] |= delta[first] != 0
+    # Events by file, then scancode, then line: a press closes at the next
+    # event of its key, and a release must close a press.
+    file_code = file_of << 32 | code
+    order = np.argsort(file_code, kind="stable")
+    same = file_code[order[1:]] == file_code[order[:-1]]
+    sorted_press = press[order]
+    bad[order] |= np.where(
+        sorted_press,
+        ~np.append(same, False),
+        ~np.insert(same & sorted_press[:-1], 0, False),
+    )
+    close_t = np.zeros_like(t)
+    close_t[order[:-1]] = t[order[1:]]
+    declined = np.bincount(file_of[bad], minlength=len(files)) > 0
+    keep = press & ~declined[file_of]
+    codes, inverse = np.unique(code[keep], return_inverse=True)
+    keys = np.array([key_name(c) for c in codes.tolist()], dtype=object)[inverse].tolist()
+    # close_t >= t, so the keystrokes are valid: skip the validating __new__.
+    keystrokes = list(
+        map(tuple.__new__, repeat(Keystroke), zip(keys, t[keep].tolist(), close_t[keep].tolist()))
+    )
+    stop = np.cumsum(np.bincount(file_of[keep], minlength=len(files))).tolist()
+    for i, a, b, skip in zip(files, [0] + stop, stop, declined.tolist()):
+        if not skip:
+            out[i] = KeystrokeSequence(tuple(keystrokes[a:b]))
+    return out
 
 
 def serialize_events(seq: KeystrokeSequence) -> str:

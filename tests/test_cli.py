@@ -5,6 +5,7 @@ path the console script takes.
 """
 
 import json
+import shutil
 import warnings
 from collections import Counter
 from pathlib import Path
@@ -90,6 +91,17 @@ class TestEvaluate:
         assert "labels withheld" in capsys.readouterr().out
         assert (out / "scores.tsv").is_file()
         assert not (out / "metrics.tsv").exists()
+
+    def test_undecodable_event_file_is_named(self, data_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(data_dir, data)
+        query = data / "s002" / "q01.txt"
+        query.write_bytes(b"P 1e 0\n\xff")
+        assert main(["evaluate", "--data", str(data), "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: 1 problem(s) loading {data}:\n"
+            f"{query}: 'utf-8' codec can't decode byte 0xff in position 7: invalid start byte\n"
+        )
 
     def test_pipeline_flags_override_config_file(self, data_dir, tmp_path):
         config_path = tmp_path / "pipe.json"

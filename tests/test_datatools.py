@@ -39,6 +39,7 @@ from keygait import (
     write_perturbations,
     write_scores,
 )
+from keygait import datasets
 from keygait.datasets import tsv
 from keygait.events import check_id
 from keygait.resolution import _ROWS, _find_peaks, _kde_grid, _kernel_scale
@@ -181,6 +182,71 @@ class TestDatasetRoundTrip:
             load_dataset(root)
         assert str(err.value).endswith(f"{root / 's001' / 'q01.txt'}: line 2: bad delta {huge!r}")
 
+
+    @pytest.mark.parametrize("block_files", [2, 256])
+    def test_load_problems_keep_manifest_order_across_blocks(self, tmp_path, monkeypatch, block_files):
+        # blocks of 2 files put block boundaries between the failing files
+        monkeypatch.setattr(datasets, "_BLOCK_FILES", block_files)
+        root = tmp_path / "ds"
+        (root / "s1").mkdir(parents=True)
+        rows = [
+            "s1\tt1\ttemplate\tgenuine",
+            "s1\tt2\ttemplate",
+            "s1\tgone\tquery\tgenuine",
+            "s1\tq1\tprobe\tgenuine",
+            "s1\tparse\tquery\tgenuine",
+            "s1\tpair\tquery\timpostor",
+            "s1\tcrlf\tquery\tgenuine",
+            "s1\tlatin\tquery\tgenuine",
+            "s1\tt3\ttemplate\timpostor",
+            "s1\tt1\ttemplate\tgenuine",
+            "s1\tq2\tquery\t?",
+        ]
+        manifest = root / "manifest.tsv"
+        manifest.write_text("subject_id\tsample_id\trole\tlabel\n" + "\n".join(rows) + "\n")
+        valid = "P 1e 0\nP 30 5\nR 1e 40\nR 30 60\n"
+        for name in ("t1", "t2", "q1", "t3", "q2"):
+            (root / "s1" / f"{name}.txt").write_text(valid)
+        (root / "s1" / "parse.txt").write_text("P 1e 0\nR 1e -4\n")
+        (root / "s1" / "pair.txt").write_text("P 1e 0\nR 30 10\n")
+        (root / "s1" / "crlf.txt").write_bytes(valid.replace("\n", "\r\n").encode())
+        (root / "s1" / "latin.txt").write_bytes(b"P 1e 0\n\xff")
+        with pytest.raises(DatasetError) as err:
+            load_dataset(root)
+        gone = root / "s1" / "gone.txt"
+        assert str(err.value).splitlines() == [
+            f"8 problem(s) loading {root}:",
+            f"{manifest}:3: expected 4 fields, got 3",
+            f"{gone}: [Errno 2] No such file or directory: '{gone}'",
+            f"{manifest}:5: unknown role 'probe'",
+            f"{root / 's1' / 'parse.txt'}: line 2: bad delta '-4'",
+            f"{root / 's1' / 'pair.txt'}: release of 'b' at t=10 with no open press",
+            f"{root / 's1' / 'latin.txt'}: 'utf-8' codec can't decode byte 0xff in position 7: "
+            "invalid start byte",
+            f"{manifest}:10: template s1/t3 cannot be labeled impostor",
+            f"{manifest}:11: duplicate sample s1/t1",
+        ]
+
+    def test_crlf_file_loads_equal_to_its_canonical_copy(self, small_dataset, tmp_path):
+        root = tmp_path / "ds"
+        write_dataset(small_dataset, root)
+        canonical = load_dataset(root).subjects["s001"].queries
+        for sample in canonical:
+            path = root / "s001" / f"{sample.sample_id}.txt"
+            path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        crlf = load_dataset(root).subjects["s001"].queries
+        assert crlf == canonical
+        for a, b in zip(crlf, canonical):
+            assert [[type(v) for v in k] for k in a.sequence] == [[type(v) for v in k] for k in b.sequence]
+
+    def test_undecodable_manifest_is_named(self, tmp_path):
+        (tmp_path / "manifest.tsv").write_bytes(b"subject_id\tsample_id\trole\tlabel\n\xffs1\n")
+        with pytest.raises(DatasetError) as err:
+            load_dataset(tmp_path)
+        assert str(err.value) == (
+            f"{tmp_path / 'manifest.tsv'}: 'utf-8' codec can't decode byte 0xff in position 32: "
+            "invalid start byte"
+        )
 
     @pytest.mark.parametrize("column", ["subject", "sample"])
     @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ import pickle
 import warnings
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from keygait import (
@@ -18,6 +18,7 @@ from keygait import (
     pair_events,
     parse_raw_events,
     read_sequence,
+    read_sequences,
     scancode_for,
     serialize_events,
 )
@@ -455,3 +456,135 @@ def test_paired_keystrokes_are_valid_by_construction(stream):
         assert k.release_t >= k.press_t
         assert k == Keystroke(*k)  # the validating constructor agrees
     assert all(a.press_t <= b.press_t for a, b in zip(s, s[1:]))
+
+
+# Spellings of an event line: the canonical one first, then forms
+# read_sequence takes (other case, leading zeros, other whitespace, CRLF,
+# lone CR, blank lines) and forms it rejects (non-ASCII digits, signs).
+_ACTIONS = [("P", "R"), ("p", "r")]
+_CODE_FORMS = ["{:02x}", "{:02X}", "{:04x}", "\u0661{:x}", "-{:x}"]
+_DELTA_FORMS = ["{}", "{:05d}", "\u0665{}", "+{}"]
+_SEPARATORS = [" ", "  ", "\t", "\u3000"]
+_LINE_ENDS = ["\n", "\r\n", "\r", "\n\n", "\n \n"]
+# At and just past MAX_DELTA_MS, the largest 16-digit delta and past it.
+_BIG_DELTAS = [MAX_DELTA_MS - 1, MAX_DELTA_MS, MAX_DELTA_MS + 1, 10**16 - 1, 10**16]
+
+
+@st.composite
+def capture_texts(draw):
+    """Texts near the canonical form: a step stream with at most one event
+    flipped (an orphan release or a press left down), dropped, or given a
+    delta near the bounds; half of them in the canonical spelling, half
+    with each field and line end spelled in one of the forms above."""
+    stream = draw(step_streams())
+    if stream:
+        i = draw(st.integers(min_value=0, max_value=len(stream) - 1))
+        is_press, code, delta = stream[i]
+        change = draw(st.sampled_from(["none", "flip", "drop", "delta"]))
+        if change == "flip":
+            stream[i] = (not is_press, code, delta)
+        elif change == "drop":
+            del stream[i]
+        elif change == "delta":
+            stream[i] = (is_press, code, draw(st.sampled_from(_BIG_DELTAS)))
+    canonical = draw(st.booleans())
+
+    def form(options):
+        return options[0] if canonical else draw(st.sampled_from(options))
+
+    text = ""
+    for is_press, code, delta in stream:
+        sep = form(_SEPARATORS)
+        action = form(_ACTIONS)[0 if is_press else 1]
+        text += f"{action}{sep}{form(_CODE_FORMS).format(code)}{sep}{form(_DELTA_FORMS).format(delta)}"
+        text += form(_LINE_ENDS)
+    if not canonical and draw(st.booleans()):
+        text = text[:-1]  # no final newline
+    return text
+
+
+def _typed(outcome):
+    """An outcome with each keystroke's field types spelled out, which
+    ``==`` on sequences does not compare."""
+    result, caught = outcome
+    if isinstance(result, KeystrokeSequence):
+        result = (result.aligned, [(type(k), [(type(v), v) for v in k]) for k in result])
+    return result, caught
+
+
+def _block_outcomes(texts):
+    """Each text's outcome through read_sequences, with read_sequence on
+    every file the block reader declines, as load_dataset reads them."""
+    raws = [text.encode() for text in texts]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        block = read_sequences(raws)
+    assert caught == []  # warnings come from read_sequence alone
+    return [
+        (sequence, []) if sequence is not None else _outcome(read_sequence, raw.decode("utf-8"))
+        for sequence, raw in zip(block, raws)
+    ]
+
+
+_VALID = "P 1e 0\nP 30 5\nR 1e 40\nR 30 60\n"
+_CANONICAL_ERRORS = [
+    "P 1e 0\nR 30 10\n",  # orphan release
+    "P 1e 0\nR 1e 5\nR 1e 5\n",  # a second release of a key
+    "P 1e 0\nP 30 5\n",  # never released
+    "P 1e 7\nR 1e 5\n",  # first delta
+    f"P 1e 0\nR 1e {MAX_DELTA_MS + 1}\n",  # delta
+    f"P 1e 0\nR 1e {MAX_DELTA_MS}\nP 1e 1\nR 1e 0\n",  # running timestamp
+]
+
+
+@given(st.lists(capture_texts(), max_size=6))
+@example([_CANONICAL_ERRORS[0], _VALID, _VALID])  # a bad file first in its block
+@example([_VALID, _VALID, _CANONICAL_ERRORS[1]])  # and last
+@example([_VALID.replace("\n", "\r\n"), _VALID[:-1], _VALID.upper(), "\n" + _VALID, ""])
+def test_block_reader_matches_read_sequence(texts):
+    expected = [_typed(_outcome(read_sequence, text)) for text in texts]
+    assert [_typed(outcome) for outcome in _block_outcomes(texts)] == expected
+
+
+@given(st.lists(physical_sequences(), max_size=6))
+def test_block_reader_takes_every_file_serialize_writes(sequences):
+    raws = [serialize_events(s).encode() for s in sequences]
+    assert read_sequences(raws) == sequences
+
+
+@pytest.mark.parametrize(
+    "text, taken",
+    [
+        (_VALID, True),
+        (_VALID.replace("30", "030"), True),  # a leading zero in a scancode
+        (_VALID.replace(" 5\n", " 005\n"), True),  # leading zeros in a delta
+        (_VALID.replace("\n", "\r\n"), False),
+        (_VALID.replace("\n", "\r"), False),
+        (_VALID[:-1], False),  # no final newline
+        ("\n" + _VALID, False),  # a blank line
+        (_VALID.replace("1e", "1E"), False),
+        (_VALID.replace(" ", "\u3000"), False),
+        (_VALID.replace(" ", "  "), False),
+        *((text, False) for text in _CANONICAL_ERRORS),
+    ],
+)
+def test_block_reader_declines_all_but_the_canonical_form(text, taken):
+    assert (read_sequences([text.encode()])[0] is not None) is taken
+    assert _typed(_block_outcomes([text])[0]) == _typed(_outcome(read_sequence, text))
+
+
+def test_block_sums_past_int64_keep_the_other_files_exact():
+    # 1,100 deltas of MAX_DELTA_MS wrap the block's int64 running sum
+    # past 2**63: that file declines, and the files around it read exactly.
+    wraps = "P 1e 0\n" + f"R 1e {MAX_DELTA_MS}\nP 1e {MAX_DELTA_MS}\n" * 550 + "R 1e 0\n"
+    late = f"P 1e 0\nR 1e {MAX_DELTA_MS - 1}\nP 30 1\nR 30 0\n"  # ends at MAX_DELTA_MS
+    texts = [late, wraps, late, _VALID]
+    block = read_sequences([text.encode() for text in texts])
+    assert block[1] is None
+    assert block[3] == read_sequence(_VALID)
+    assert block[0] == block[2] == seq(
+        Keystroke("a", 0, MAX_DELTA_MS - 1), Keystroke("b", MAX_DELTA_MS, MAX_DELTA_MS)
+    )
+    assert [_typed(o) for o in _block_outcomes(texts)] == [
+        _typed(_outcome(read_sequence, text)) for text in texts
+    ]

@@ -52,11 +52,20 @@ def test_tracer_times_the_parse_and_feature_path(small_dataset, tmp_path):
     tracer = _spans().Tracer()
     with tracer.installed():
         scores = run_pipeline(load_dataset(tmp_path), PipelineConfig())
-    # every sample file is scanned and paired once
-    n_samples = small_dataset.n_samples()
-    assert tracer.calls["events.parse_raw_events"] == n_samples
-    assert tracer.calls["events.pair_events"] == n_samples
+    # every file write_dataset writes is read by the block reader, so the
+    # line scanner and the pairing loop never run
+    assert tracer.calls["events.parse_raw_events"] == 0
+    assert tracer.calls["events.pair_events"] == 0
     # every subject prepares, into one feature matrix normalized in one call
     assert len({r.subject_id for r in scores if not r.flagged}) == len(small_dataset.subjects)
     assert tracer.calls["features.extract_features"] == len(small_dataset.subjects)
     assert tracer.calls["features.normalize_features"] == len(small_dataset.subjects)
+    # each file the block reader declines is scanned and paired once
+    declined = [tmp_path / "s001" / "t01.txt", tmp_path / "s002" / "q01.txt", tmp_path / "s006" / "q09.txt"]
+    for path in declined:
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    tracer = _spans().Tracer()
+    with tracer.installed():
+        load_dataset(tmp_path)
+    assert tracer.calls["events.parse_raw_events"] == len(declined)
+    assert tracer.calls["events.pair_events"] == len(declined)
