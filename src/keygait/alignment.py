@@ -69,10 +69,10 @@ def _substituted(index: int) -> MappingEntry:
     return MappingEntry(EntryKind.SUBSTITUTED, index)
 
 
-def _comparison_keys(seq: KeystrokeSequence, merge_shift_keys: bool) -> list[str]:
+def _comparison_keys(seq: KeystrokeSequence, merge_shift_keys: bool) -> Sequence[str]:
     if merge_shift_keys:
-        return ["shift" if k.key in SHIFT_KEYS else k.key for k in seq]
-    return [k.key for k in seq]
+        return ["shift" if key in SHIFT_KEYS else key for key in seq.keys()]
+    return seq.keys()
 
 
 def _take_nearest(indices: list[int], i: int) -> int:
@@ -140,11 +140,7 @@ def align(
 
     entries = tuple(chosen)
     mapping = AlignmentMapping(len(entries), entries, tuple(left), flagged)
-    keystrokes = given.keystrokes
-    aligned = KeystrokeSequence(
-        tuple(keystrokes[e.given_index] for e in entries), aligned=True
-    )
-    return aligned, mapping
+    return given._take([e.given_index for e in entries]), mapping
 
 
 def truncate_align(
@@ -156,17 +152,14 @@ def truncate_align(
         raise AlignmentError("target sequence is empty")
     if len(given) == 0:
         raise AlignmentError("given sequence is empty")
-    n = len(target)
-    kept = list(given.keystrokes[:n])
-    while len(kept) < n:
-        kept.append(kept[-1])
-    return KeystrokeSequence(tuple(kept), aligned=True)
+    n, last = len(target), len(given) - 1
+    return given._take(slice(n) if n <= len(given) else [min(i, last) for i in range(n)])
 
 
 def discard_modifiers(seq: KeystrokeSequence) -> KeystrokeSequence:
     """Baseline: drop Shift (left and right) and Caps Lock keystrokes."""
-    kept = tuple(k for k in seq.keystrokes if k.key not in MODIFIER_KEYS)
-    return KeystrokeSequence(kept, aligned=seq.aligned)
+    kept = [i for i, key in enumerate(seq.keys()) if key not in MODIFIER_KEYS]
+    return seq._take(kept, aligned=seq.aligned)
 
 
 def select_target(sequences: Sequence[KeystrokeSequence]) -> int:

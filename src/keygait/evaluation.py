@@ -130,7 +130,13 @@ class SubjectEerReport:
 
 
 def subject_eer(scores: ScoreSet) -> SubjectEerReport:
-    """Per-subject EERs plus their mean and population SD."""
+    """Per-subject EERs plus their mean and population SD.
+
+    Raises:
+        EvaluationError: no scores, or a subject whose EER is undefined.
+    """
+    if not len(scores):
+        raise EvaluationError("no scores to evaluate")
     per_subject: dict[str, float] = {}
     for subject_id, records in sorted(scores.by_subject().items()):
         values, genuine = effective_scores(records)

@@ -23,19 +23,23 @@ numpy arrays and builds the same sequences. It declines every file it
 cannot read that way (any other spelling, an error, a key left down),
 and its caller reads those with ``read_sequence``.
 
-A :class:`Keystroke` is a tuple type, validated on direct construction;
-pairing's keystrokes are valid by construction, so it builds them directly.
+A :class:`KeystrokeSequence` holds columns, not keystroke objects: the
+key names as one tuple of ``str`` and the press and release times as two
+read-only ``int64`` arrays. The readers, synthesis and alignment fill the
+columns directly, since what they build is valid by construction; the
+public constructor checks the :class:`Keystroke` values it is given. A
+:class:`Keystroke`, a validated tuple type, is what indexing and iteration
+give one keystroke at a time.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
-from operator import itemgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -53,7 +57,7 @@ class Keystroke(namedtuple("Keystroke", "key press_t release_t")):
     """A paired press/release with absolute millisecond timestamps: a tuple
     type, compared and hashed as ``(key, press_t, release_t)``. Direct
     construction, ``_make``, ``_replace``, pickle and copy check that
-    ``release_t >= press_t``; :func:`pair_events` and synthesis build valid ones directly."""
+    ``release_t >= press_t``."""
 
     __slots__ = ()
 
@@ -65,35 +69,99 @@ class Keystroke(namedtuple("Keystroke", "key press_t release_t")):
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
-@dataclass(frozen=True)
 class KeystrokeSequence:
-    """An ordered run of keystrokes.
+    """An ordered run of keystrokes, held as columns: the key names as one
+    tuple of ``str`` (:meth:`keys`), and the press and release times as
+    read-only ``int64`` arrays ``press`` and ``release``.
 
     Unaligned sequences are ordered by press time (non-decreasing).
     Aligned sequences carry target order instead, so press times may go
     backwards; the ``aligned`` flag records which form this is.
+
+    Indexing and iteration give :class:`Keystroke` values with Python
+    ``int`` times. Equality, hashing, pickle and copy treat a sequence as
+    its ``(keystrokes, aligned)`` pair.
     """
 
-    keystrokes: tuple[Keystroke, ...]
-    aligned: bool = False
+    __slots__ = ("_keys", "press", "release", "aligned")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "keystrokes", tuple(self.keystrokes))
-        # A stable sort by press time (item 1) leaves a press-ordered sequence as is.
-        if not self.aligned and sorted(self.keystrokes, key=itemgetter(1)) != list(self.keystrokes):
+    def __new__(cls, keystrokes: Iterable[Keystroke], aligned: bool = False) -> KeystrokeSequence:
+        """The sequence of ``keystrokes``, checked: each ``release_t >=
+        press_t`` (by :class:`Keystroke`), integer times, and press order
+        unless ``aligned``."""
+        checked = [Keystroke(*k) for k in keystrokes]
+        press = np.array([operator.index(k.press_t) for k in checked], np.int64)
+        if not aligned and (press[1:] < press[:-1]).any():
             raise ValueError("unaligned sequence must be ordered by press time")
+        release = np.array([operator.index(k.release_t) for k in checked], np.int64)
+        return cls._of(tuple(k.key for k in checked), press, release, aligned)
+
+    @classmethod
+    def _of(
+        cls, keys: tuple[str, ...], press: np.ndarray, release: np.ndarray, aligned: bool = False
+    ) -> KeystrokeSequence:
+        """A sequence on columns that are valid by construction, unchecked:
+        ``int64`` times with ``release >= press``, in press order unless
+        ``aligned``. The arrays become read-only."""
+        press.setflags(write=False)
+        release.setflags(write=False)
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "_keys", keys)
+        object.__setattr__(seq, "press", press)
+        object.__setattr__(seq, "release", release)
+        object.__setattr__(seq, "aligned", aligned)
+        return seq
+
+    def _take(self, index: slice | list[int], aligned: bool = True) -> KeystrokeSequence:
+        """The keystrokes at ``index``, in that order."""
+        if isinstance(index, slice):
+            keys = self._keys[index]
+        else:
+            keys = tuple([self._keys[i] for i in index])
+            index = np.array(index, np.intp)
+        return KeystrokeSequence._of(keys, self.press[index], self.release[index], aligned)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a KeystrokeSequence is immutable")
+
+    __delattr__ = __setattr__
 
     def __len__(self) -> int:
-        return len(self.keystrokes)
+        return len(self._keys)
 
     def __iter__(self) -> Iterator[Keystroke]:
-        return iter(self.keystrokes)
+        return map(Keystroke, self._keys, self.press.tolist(), self.release.tolist())
 
-    def __getitem__(self, i: int) -> Keystroke:
-        return self.keystrokes[i]
+    def __getitem__(self, i: int | slice) -> Keystroke | tuple[Keystroke, ...]:
+        if isinstance(i, slice):
+            return self.keystrokes[i]
+        return Keystroke(self._keys[i], int(self.press[i]), int(self.release[i]))
+
+    @property
+    def keystrokes(self) -> tuple[Keystroke, ...]:
+        return tuple(self)
 
     def keys(self) -> tuple[str, ...]:
-        return tuple(k.key for k in self.keystrokes)
+        return self._keys
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, KeystrokeSequence):
+            return NotImplemented
+        return (
+            self.aligned == other.aligned
+            and self._keys == other._keys
+            and np.array_equal(self.press, other.press)
+            and np.array_equal(self.release, other.release)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.keystrokes, self.aligned))
+
+    def __reduce__(self):
+        return KeystrokeSequence, (self.keystrokes, self.aligned)
+
+    def __repr__(self) -> str:
+        return f"KeystrokeSequence(keystrokes={self.keystrokes!r}, aligned={self.aligned!r})"
 
 
 class Role(Enum):
@@ -246,35 +314,39 @@ def pair_events(steps: Iterable[tuple[bool, int, int]]) -> KeystrokeSequence:
     via :class:`UnreleasedKeyWarning`.
     """
     t = 0
-    open_by_code: dict[int, tuple[int, int]] = {}  # scancode -> (press_t, open_seq)
-    # Each press takes the next slot, in time order, so the slots are
-    # already in (press_t, open_seq) order: slot index == open_seq.
-    slots: list[Keystroke | None] = []
-    # t never decreases, so release_t >= press_t: skip the validating __new__.
+    open_by_code: dict[int, int] = {}  # scancode -> index of its open keystroke
+    # Each press takes the next index, in time order, so the columns are
+    # already in press order; t never decreases, so release >= press.
+    keys: list[str] = []
+    press: list[int] = []
+    release: list[int] = []
     steps = iter(steps)
     for is_press, code, delta in steps:
         t += delta
         opened = open_by_code.pop(code, None)
         if opened is not None:  # a release, or a re-press of a held key
-            key = SCANCODE_NAMES.get(code) or key_name(code)
-            slots[opened[1]] = tuple.__new__(Keystroke, (key, opened[0], t))
+            release[opened] = t
         if is_press:
-            open_by_code[code] = (t, len(slots))
-            slots.append(None)
+            open_by_code[code] = len(keys)
+            keys.append(SCANCODE_NAMES.get(code) or key_name(code))
+            press.append(t)
+            release.append(t)
         elif opened is None:
             error = PairingError(f"release of {key_name(code)!r} at t={t} with no open press")
             for _ in steps:
                 pass
             raise error
-    for code, (press_t, seq_no) in open_by_code.items():
+    for code, index in open_by_code.items():
         warnings.warn(
-            f"press of {key_name(code)!r} at t={press_t} never released; "
+            f"press of {key_name(code)!r} at t={press[index]} never released; "
             f"closed at final timestamp {t}",
             UnreleasedKeyWarning,
             stacklevel=3,
         )
-        slots[seq_no] = Keystroke(key_name(code), press_t, t)
-    return KeystrokeSequence(tuple(slots))
+        release[index] = t
+    return KeystrokeSequence._of(
+        tuple(keys), np.array(press, np.int64), np.array(release, np.int64)
+    )
 
 
 def read_sequence(text: str) -> KeystrokeSequence:
@@ -350,14 +422,13 @@ def read_sequences(raws: list[bytes]) -> list[KeystrokeSequence | None]:
     keep = press & ~declined[file_of]
     codes, inverse = np.unique(code[keep], return_inverse=True)
     keys = np.array([key_name(c) for c in codes.tolist()], dtype=object)[inverse].tolist()
-    # close_t >= t, so the keystrokes are valid: skip the validating __new__.
-    keystrokes = list(
-        map(tuple.__new__, repeat(Keystroke), zip(keys, t[keep].tolist(), close_t[keep].tolist()))
-    )
+    # Each file's presses are in time order and close_t >= t, so every
+    # file's slice of the columns is a valid sequence as it stands.
+    press_t, release_t = t[keep], close_t[keep]
     stop = np.cumsum(np.bincount(file_of[keep], minlength=len(files))).tolist()
     for i, a, b, skip in zip(files, [0] + stop, stop, declined.tolist()):
         if not skip:
-            out[i] = KeystrokeSequence(tuple(keystrokes[a:b]))
+            out[i] = KeystrokeSequence._of(tuple(keys[a:b]), press_t[a:b], release_t[a:b])
     return out
 
 
@@ -372,13 +443,15 @@ def serialize_events(seq: KeystrokeSequence) -> str:
     """
     if seq.aligned:
         raise ValueError("aligned sequences do not serialize to the event format")
-    if seq.keystrokes and seq[0].press_t != 0:
-        raise ValueError(f"sequence must be anchored at t=0, first press is {seq[0].press_t}")
-    # (time, keystroke index, "P" < "R") orders ties as the docstring says.
-    events = sorted(
-        (t, i, action, scancode_for(k.key))
-        for i, k in enumerate(seq.keystrokes)
-        for action, t in (("P", k.press_t), ("R", k.release_t))
+    n = len(seq)
+    if n and seq.press[0] != 0:
+        raise ValueError(f"sequence must be anchored at t=0, first press is {seq.press[0]}")
+    codes = [scancode_for(key) for key in seq.keys()]
+    # Event j < n presses keystroke j and event n + j releases it; sorting
+    # by (time, keystroke index, press first) orders ties as said above.
+    t = np.concatenate((seq.press, seq.release))
+    events = np.lexsort((np.arange(2 * n) >= n, np.tile(np.arange(n), 2), t))
+    deltas = np.diff(t[events], prepend=0).tolist()
+    return "".join(
+        f"{'PR'[j >= n]} {codes[j % n]:02x} {d}\n" for j, d in zip(events.tolist(), deltas)
     )
-    prev = [0] + [t for t, *_ in events]
-    return "".join(f"{a} {code:02x} {t - p}\n" for (t, _, a, code), p in zip(events, prev))

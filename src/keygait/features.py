@@ -73,8 +73,8 @@ def extract_features(seqs: Sequence[KeystrokeSequence]) -> RawFeatureMatrix:
             raise FeatureError(f"sequences disagree on length: {len(seq)} vs {n}")
     if n < 2:
         raise FeatureError(f"need at least 2 keystrokes, got {n}")
-    press = np.array([[k.press_t for k in seq] for seq in seqs], dtype=float)
-    release = np.array([[k.release_t for k in seq] for seq in seqs], dtype=float)
+    press = np.array([seq.press for seq in seqs], dtype=float)
+    release = np.array([seq.release for seq in seqs], dtype=float)
     return RawFeatureMatrix(release - press, np.diff(press, axis=1))
 
 

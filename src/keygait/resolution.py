@@ -45,7 +45,7 @@ def collect_latencies(dataset: SubjectDataset) -> np.ndarray:
     for subject_id in dataset.subject_ids():
         entry = dataset.subjects[subject_id]
         for sample in entry.templates + entry.queries:
-            press = np.array([k.press_t for k in sample.sequence], dtype=np.float64)
+            press = sample.sequence.press.astype(np.float64)
             if press.size >= 2:
                 out.append(np.diff(press))
     if not out:

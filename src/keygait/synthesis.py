@@ -25,7 +25,6 @@ outliers that separate robust from brittle score normalization.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 
@@ -33,7 +32,7 @@ import numpy as np
 
 from .config import JsonConfig, check_positive_finite
 from .datasets import tsv
-from .events import Keystroke, KeystrokeSequence, Label, Role, Sample, SubjectDataset
+from .events import MAX_DELTA_MS, KeystrokeSequence, Label, Role, Sample, SubjectDataset
 from .evaluation import derive_seed
 from .scancodes import MODIFIER_KEYS, SHIFT_KEYS
 
@@ -109,9 +108,12 @@ def _make_profile(
         [config.letter_duration_ms, config.letter_latency_ms],
     )
     spread = np.where(modifier, config.modifier_between_sd, config.between_subject_sd)
-    # One (duration, latency) draw per key, in sorted key order.
+    # One (duration, latency) draw per key, in sorted key order. A huge
+    # scale overflows to inf here, which _time_keys rejects.
     z = rng.normal(0.0, spread[:, None], size=(len(ordered), 2))
-    return dict(zip(ordered, map(tuple, (base * np.exp(scale * z)).tolist())))
+    with np.errstate(over="ignore"):
+        medians = base * np.exp(scale * z)
+    return dict(zip(ordered, map(tuple, medians.tolist())))
 
 
 def _profile_keys(canonical: list[str]) -> set[str]:
@@ -193,22 +195,31 @@ def _time_keys(
     n = len(keys)
     # One (duration, latency) draw per keystroke, in key order.
     z = rng.normal(0.0, config.within_sample_sd, size=(n, 2))
-    durations, latencies = (np.array([profile[key] for key in keys]) * np.exp(z)).T
-    if config.hesitation_rate > 0 and n > 1 and rng.uniform() < config.hesitation_rate:
-        count = min(int(rng.integers(1, 4)), n - 1)
-        where = rng.choice(np.arange(1, n), size=count, replace=False)
-        latencies[where] *= rng.uniform(3.0, 6.0, size=count)
-    # Whole milliseconds, at least 1; np.rint rounds half to even, as round() does.
-    steps = np.maximum(1, np.rint(latencies[1:]).astype(np.int64))
-    holds = np.maximum(1, np.rint(durations).astype(np.int64))
-    presses = np.concatenate(([0], np.cumsum(steps)))
-    releases = (presses + holds).tolist()
-    presses = presses.tolist()
+    with np.errstate(over="ignore"):
+        durations, latencies = (np.array([profile[key] for key in keys]) * np.exp(z)).T
+        if config.hesitation_rate > 0 and n > 1 and rng.uniform() < config.hesitation_rate:
+            count = min(int(rng.integers(1, 4)), n - 1)
+            where = rng.choice(np.arange(1, n), size=count, replace=False)
+            latencies[where] *= rng.uniform(3.0, 6.0, size=count)
+        # Whole milliseconds, at least 1; np.rint rounds half to even, as round() does.
+        steps = np.maximum(1, np.rint(latencies[1:]))
+        presses = np.concatenate(([0.0], np.cumsum(steps)))
+        releases = presses + np.maximum(1, np.rint(durations))
+    # Sums of whole floats are exact below 2**53, so every time is exact
+    # once the largest is in range (NaN fails the test too).
+    last = releases.max()
+    if not last <= MAX_DELTA_MS:
+        raise ValueError(
+            f"a synthetic timestamp of {last} ms is past 2**53 - 1 ms: impostor_separation, "
+            "the timing medians or the spreads are too large"
+        )
+    releases = releases.astype(np.int64).tolist()
+    presses = presses.astype(np.int64).tolist()
     # A key cannot be re-pressed while still held: long holds are capped
     # strictly before the same key's next press, with a full quantum of
     # slack so floor quantization cannot merge the two timestamps. The
     # loop leaves release >= press, which floor quantization keeps, so
-    # the keystrokes skip the checking Keystroke.__new__.
+    # the columns need no check.
     q = config.clock_quantum_ms
     next_press: dict[str, int] = {}
     gap = max(1, q)
@@ -220,8 +231,9 @@ def _time_keys(
     if q > 0:
         presses = [p // q * q for p in presses]
         releases = [r // q * q for r in releases]
-    keystrokes = map(tuple.__new__, repeat(Keystroke), zip(keys, presses, releases))
-    return KeystrokeSequence(tuple(keystrokes))
+    return KeystrokeSequence._of(
+        tuple(keys), np.array(presses, np.int64), np.array(releases, np.int64)
+    )
 
 
 def generate_synthetic(

@@ -55,6 +55,20 @@ class TestSynth:
         assert snapshot["n_subjects"] == 3
         assert snapshot["seed"] == 1
 
+    @pytest.mark.parametrize("separation", ["1e308", "1e23"])
+    def test_overflowing_timestamps_are_one_error_line(self, tmp_path, capsys, separation):
+        out = tmp_path / "ds"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would escape main
+            code = main(["synth", "--out", str(out), "--subjects", "2", "--separation", separation])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: a synthetic timestamp of ")
+        assert "impostor_separation" in line
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_labeled_run_writes_metrics(self, data_dir, tmp_path, capsys):
@@ -166,6 +180,17 @@ class TestEerCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {tmp_path / message}\n"
+
+    def test_empty_scores_are_one_error_line(self, tmp_path, capsys):
+        (tmp_path / "scores.tsv").write_text("")
+        (tmp_path / "labels.tsv").write_text("")
+        argv = ["eer", "--scores", str(tmp_path / "scores.tsv"), "--labels", str(tmp_path / "labels.tsv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a RuntimeWarning would escape main
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no scores to evaluate\n"
 
 
 class TestValidate:

@@ -1,6 +1,7 @@
 """Dataset directory and TSV round-trips, the synthetic generator, and the
 clock-resolution estimator."""
 
+import gc
 import math
 import tempfile
 import tracemalloc
@@ -68,6 +69,36 @@ def _accepted_id(value: str) -> bool:
 ids = st.text(max_size=6).filter(_accepted_id)
 # Line and field separators, each a character some flat file cannot carry.
 ID_BREAKERS = ["\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _tracked_growth(build):
+    """What ``build()`` returns, and how many more objects the cyclic
+    garbage collector tracks while it is kept. A first call warms caches
+    and lazy imports; a collection on each side leaves only what stays."""
+    build()
+    gc.collect()
+    before = len(gc.get_objects())
+    kept = build()
+    gc.collect()
+    return kept, len(gc.get_objects()) - before
+
+
+# Tracked objects a sample may add: its Sample, its sequence and a few
+# more. A Keystroke tuple per keystroke would add about 20 per sample.
+_TRACKED_PER_SAMPLE = 4
+
+
+@pytest.mark.parametrize("source", ["load_dataset", "generate_synthetic"])
+def test_no_tracked_object_per_keystroke(tmp_path, source):
+    config = SynthConfig(n_subjects=3, seed=0)
+    if source == "load_dataset":
+        write_dataset(generate_synthetic(config)[0], tmp_path / "ds")
+        dataset, grown = _tracked_growth(lambda: load_dataset(tmp_path / "ds"))
+    else:
+        (dataset, _), grown = _tracked_growth(lambda: generate_synthetic(config))
+    samples = [s for e in dataset.subjects.values() for s in e.templates + e.queries]
+    assert sum(len(s.sequence) for s in samples) > 10 * len(samples)
+    assert grown <= _TRACKED_PER_SAMPLE * len(samples) + 100
 
 
 class TestDatasetRoundTrip:

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -152,6 +153,12 @@ class TestSubjectEer:
         )
         with pytest.raises(EvaluationError, match="s7"):
             subject_eer(scores)
+
+    def test_empty_score_set_rejected(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="no scores to evaluate"):
+                subject_eer(ScoreSet(()))
 
     def test_unlabeled_record_rejected(self):
         scores = ScoreSet((ScoreRecord("s1", "q1", 0.9),))

@@ -2,6 +2,7 @@ import copy
 import pickle
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -13,7 +14,11 @@ from keygait import (
     ParseError,
     Role,
     Sample,
+    SynthConfig,
     UnreleasedKeyWarning,
+    align,
+    discard_modifiers,
+    generate_synthetic,
     key_name,
     pair_events,
     parse_raw_events,
@@ -21,6 +26,7 @@ from keygait import (
     read_sequences,
     scancode_for,
     serialize_events,
+    truncate_align,
 )
 from keygait.events import MAX_DELTA_MS
 
@@ -223,6 +229,23 @@ class TestSequenceInvariants:
     def test_release_before_press_rejected(self):
         with pytest.raises(ValueError):
             Keystroke("a", 10, 9)
+
+    def test_constructor_checks_what_it_is_given(self):
+        bad = tuple.__new__(Keystroke, ("a", 10, 9))
+        with pytest.raises(ValueError, match="release_t 9 precedes press_t 10 for 'a'"):
+            KeystrokeSequence((bad,), aligned=True)
+        with pytest.raises(TypeError):
+            seq(Keystroke("a", 0.5, 10))
+        assert seq(("a", 0, 10)) == seq(Keystroke("a", 0, 10))
+
+    def test_sequence_is_immutable(self):
+        s = seq(Keystroke("a", 0, 10))
+        for name in ("press", "release", "aligned", "keystrokes"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, None)
+        with pytest.raises(ValueError, match="read-only"):
+            s.press[0] = 5
+        assert s == seq(Keystroke("a", 0, 10))
 
     def test_template_cannot_be_impostor(self):
         s = seq(Keystroke("a", 0, 10))
@@ -588,3 +611,56 @@ def test_block_sums_past_int64_keep_the_other_files_exact():
     assert [_typed(o) for o in _block_outcomes(texts)] == [
         _typed(_outcome(read_sequence, text)) for text in texts
     ]
+
+
+def _synthetic_sequences():
+    dataset, _ = generate_synthetic(SynthConfig(n_subjects=2, shift_drop=0.1, seed=3))
+    return [s.sequence for entry in dataset.subjects.values() for s in entry.templates]
+
+
+_ROLLOVER = "P 2a 0\nP 1e 40\nR 2a 30\nP 30 20\nR 1e 10\nR 30 60\n"
+# Every producer of sequences, each making a few from the same captures.
+_PRODUCERS = {
+    "read_sequences": lambda: read_sequences([_VALID.encode(), _ROLLOVER.encode()]),
+    "read_sequence": lambda: [read_sequence(_VALID), read_sequence(_ROLLOVER)],
+    "generate_synthetic": _synthetic_sequences,
+    "align": lambda: [
+        align(read_sequence(_ROLLOVER), read_sequence(_VALID))[0],
+        align(read_sequence(_VALID), read_sequence(_ROLLOVER), merge_shift_keys=True)[0],
+    ],
+    "truncate_align": lambda: [
+        truncate_align(read_sequence(_ROLLOVER), read_sequence(_VALID)),
+        truncate_align(read_sequence(_VALID), read_sequence(_ROLLOVER)),
+    ],
+    "discard_modifiers": lambda: [
+        discard_modifiers(read_sequence(_ROLLOVER)),
+        discard_modifiers(truncate_align(read_sequence(_ROLLOVER), read_sequence(_VALID))),
+    ],
+}
+
+
+@pytest.mark.parametrize("produce", _PRODUCERS.values(), ids=_PRODUCERS)
+def test_column_invariants(produce):
+    """Every producer gives read-only int64 columns, so a write raises and
+    cannot reach a buffer that other sequences share; items are
+    ``Keystroke`` values of str and int; pickle and deepcopy give an equal
+    sequence with an equal hash."""
+    sequences = produce()
+    assert sequences and all(len(s) for s in sequences)
+    before = [s.keystrokes for s in sequences]
+    for s in sequences:
+        for column in (s.press, s.release):
+            assert type(column) is np.ndarray and column.dtype == np.int64
+            assert column.shape == (len(s),) and not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = -1
+            with pytest.raises(ValueError, match="read-only"):
+                column += 1
+        assert type(s.keys()) is tuple and len(s.keys()) == len(s)
+        for i, k in enumerate(s):
+            assert type(k) is Keystroke and k == s[i]
+            assert (type(k.key), type(k.press_t), type(k.release_t)) == (str, int, int)
+        for again in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
+            assert type(again) is KeystrokeSequence
+            assert again == s and hash(again) == hash(s) and again.aligned == s.aligned
+    assert [s.keystrokes for s in sequences] == before
