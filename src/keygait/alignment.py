@@ -13,12 +13,10 @@ to quantify sequence mismatch, and a dataset-level mismatch audit.
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, fields
-from enum import Enum
-from itertools import chain, combinations
+from itertools import chain, combinations, compress
 from operator import attrgetter
 from typing import Sequence
 
@@ -29,44 +27,21 @@ from .events import KeystrokeSequence, SubjectDataset
 from .scancodes import MODIFIER_KEYS, SHIFT_KEYS
 
 
-class EntryKind(Enum):
-    MATCHED = "matched"
-    SUBSTITUTED = "substituted"
-
-
-@dataclass(frozen=True)
-class MappingEntry:
-    """How one target position was filled from the given sequence."""
-
-    kind: EntryKind
-    given_index: int
-
-
 @dataclass(frozen=True)
 class AlignmentMapping:
-    """Full record of an alignment: one entry per target position, the
-    given indices that were never used, and whether the degenerate
-    reuse-last fallback fired (``flagged``)."""
+    """Full record of an alignment. Per target position: the given index
+    that fills it (``index``) and whether it was a substitution rather
+    than a same-key match (``substituted``). Then the given indices that
+    were never used, and whether the degenerate reuse-last fallback fired
+    (``flagged``)."""
 
-    target_len: int
-    entries: tuple[MappingEntry, ...]
+    index: tuple[int, ...]
+    substituted: tuple[bool, ...]
     ignored: tuple[int, ...]
     flagged: bool = False
 
     def substitution_count(self) -> int:
-        return sum(1 for e in self.entries if e.kind is EntryKind.SUBSTITUTED)
-
-
-# Entries are frozen, so one instance per (kind, index) is shared by
-# every mapping.
-@functools.cache
-def _matched(index: int) -> MappingEntry:
-    return MappingEntry(EntryKind.MATCHED, index)
-
-
-@functools.cache
-def _substituted(index: int) -> MappingEntry:
-    return MappingEntry(EntryKind.SUBSTITUTED, index)
+        return sum(self.substituted)
 
 
 def _comparison_keys(seq: KeystrokeSequence, merge_shift_keys: bool) -> Sequence[str]:
@@ -100,7 +75,9 @@ def align(
     positions whose key had none left, from the nearest unused given
     keystroke of any key; once none is left, the last given keystroke is
     reused and the result is flagged. Leftover given keystrokes are
-    recorded as ignored.
+    recorded as ignored. The returned mapping holds, per target position,
+    the given index taken and whether it was a substitution; the aligned
+    sequence is ``given`` gathered at that index.
 
     Matching before substituting keeps the mapping injective whenever the
     given sequence is long enough, and guarantees that a key occurring
@@ -121,26 +98,25 @@ def align(
     for j, key in enumerate(_comparison_keys(given, merge_shift_keys)):
         free.setdefault(key, []).append(j)
 
-    # Pass 1: same-key matches.
-    chosen: list[MappingEntry | None] = [
-        _matched(_take_nearest(free[key], i)) if free.get(key) else None
+    # Pass 1: same-key matches, -1 where the key had none left.
+    index = [
+        _take_nearest(free[key], i) if free.get(key) else -1
         for i, key in enumerate(_comparison_keys(target, merge_shift_keys))
     ]
+    substituted = tuple(j < 0 for j in index)
 
     # Pass 2: substitutions for the rest, from every index pass 1 left.
     left = sorted(chain.from_iterable(free.values()))
     flagged = False
-    for i, entry in enumerate(chosen):
-        if entry is None:
-            if left:
-                chosen[i] = _substituted(_take_nearest(left, i))
-            else:
-                chosen[i] = _substituted(len(given) - 1)
-                flagged = True
+    for i in compress(range(len(index)), substituted):
+        if left:
+            index[i] = _take_nearest(left, i)
+        else:
+            index[i] = len(given) - 1
+            flagged = True
 
-    entries = tuple(chosen)
-    mapping = AlignmentMapping(len(entries), entries, tuple(left), flagged)
-    return given._take([e.given_index for e in entries]), mapping
+    mapping = AlignmentMapping(tuple(index), substituted, tuple(left), flagged)
+    return given._take(index), mapping
 
 
 def truncate_align(

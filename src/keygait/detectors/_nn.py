@@ -154,20 +154,15 @@ def note_failures(errors: list[KeygaitError | None], loss: np.ndarray, epoch: in
 
 class Adam:
     """Standard Adam with bias correction, one fused update of a flat
-    parameter buffer."""
+    parameter buffer. The moment decays are fixed at ``beta1`` 0.9 and
+    ``beta2`` 0.999, and the denominator offset at ``eps`` 1e-8."""
 
-    def __init__(
-        self,
-        params: np.ndarray,
-        learning_rate: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ) -> None:
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: np.ndarray, learning_rate: float = 0.001) -> None:
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
         self.t = 0

@@ -65,13 +65,20 @@ class SynthConfig(JsonConfig):
     within_sample_sd: float = 0.15
 
     def __post_init__(self) -> None:
-        if self.n_subjects < 1:
-            raise ValueError(f"n_subjects must be positive, got {self.n_subjects}")
+        # Sample ids are sNNN, tNN and qNN, so the counts are bounded
+        # before any subject is generated.
+        for field_name, most in (("n_subjects", 999), ("n_templates", 99)):
+            n = getattr(self, field_name)
+            if not 1 <= n <= most:
+                raise ValueError(f"{field_name} must be between 1 and {most}, got {n}")
         lo, hi = self.name_length
         if not (6 <= lo <= hi):
             raise ValueError(f"name_length must satisfy 6 <= lo <= hi, got {self.name_length}")
-        if self.n_templates < 1:
-            raise ValueError(f"n_templates must be positive, got {self.n_templates}")
+        n_queries = self.genuine_queries[1] + self.impostor_queries[1]
+        if n_queries > 99:
+            raise ValueError(
+                f"genuine_queries[1] + impostor_queries[1] must be at most 99, got {n_queries}"
+            )
         for field_name in ("shift_drop", "shift_transpose", "capslock_sub", "hesitation_rate"):
             p = getattr(self, field_name)
             if not 0.0 <= p <= 1.0:

@@ -366,7 +366,6 @@ def reference_align(given, target, *, merge_shift_keys: bool = False):
     the smaller index), then substitute the rest the same way regardless
     of key. The quadratic form that the key-indexed ``align`` replaced."""
     from keygait import AlignmentError, AlignmentMapping, KeystrokeSequence, SHIFT_KEYS
-    from keygait.alignment import EntryKind, MappingEntry
 
     if len(target) == 0:
         raise AlignmentError("target sequence is empty")
@@ -379,7 +378,7 @@ def reference_align(given, target, *, merge_shift_keys: bool = False):
     given_keys = [key(k.key) for k in given]
     target_keys = [key(k.key) for k in target]
     consumed = [False] * len(given_keys)
-    chosen: list = [None] * len(target_keys)
+    index = [-1] * len(target_keys)
 
     def nearest(i: int, same_key: bool) -> int:
         best, best_dist = -1, float("inf")
@@ -394,10 +393,11 @@ def reference_align(given, target, *, merge_shift_keys: bool = False):
         best = nearest(i, same_key=True)
         if best >= 0:
             consumed[best] = True
-            chosen[i] = MappingEntry(EntryKind.MATCHED, best)
+            index[i] = best
+    substituted = tuple(j < 0 for j in index)
     flagged = False
     for i in range(len(target_keys)):
-        if chosen[i] is not None:
+        if not substituted[i]:
             continue
         pick = i if i < len(given_keys) and not consumed[i] else nearest(i, same_key=False)
         if pick >= 0:
@@ -405,10 +405,10 @@ def reference_align(given, target, *, merge_shift_keys: bool = False):
         else:
             pick = len(given_keys) - 1
             flagged = True
-        chosen[i] = MappingEntry(EntryKind.SUBSTITUTED, pick)
+        index[i] = pick
     ignored = tuple(j for j, used in enumerate(consumed) if not used)
-    mapping = AlignmentMapping(len(target_keys), tuple(chosen), ignored, flagged)
-    aligned = KeystrokeSequence(tuple(given[e.given_index] for e in chosen), aligned=True)
+    mapping = AlignmentMapping(tuple(index), substituted, ignored, flagged)
+    aligned = KeystrokeSequence(tuple(given[j] for j in index), aligned=True)
     return aligned, mapping
 
 

@@ -37,7 +37,6 @@ from keygait import (
     subject_eer,
     write_dataset,
 )
-from keygait.alignment import EntryKind
 from keygait.cli import main as cli_main
 from keygait.detectors import _nn
 from keygait.detectors import autoencoder as ae
@@ -259,7 +258,7 @@ def test_criterion_06_alignment_invariants_and_hand_traced_case():
     seq = _mkseq(["lshift", "j", "o", "space", "rshift", "k"])
     identical, mapping = align(seq, seq)
     assert identical.keystrokes == seq.keystrokes
-    assert all(e.kind is EntryKind.MATCHED for e in mapping.entries)
+    assert not any(mapping.substituted)
 
     rng = np.random.default_rng(606)
     keys = ["lshift", "a", "b", "space", "c", "d", "rshift", "e"]
@@ -272,21 +271,14 @@ def test_criterion_06_alignment_invariants_and_hand_traced_case():
         given = _mkseq([given_keys[i] for i in order])
         aligned, mapping = align(given, target)
         assert len(aligned) == len(target)
-        picks = [e.given_index for e in mapping.entries]
         if not mapping.flagged:
-            assert len(set(picks)) == len(picks)
+            assert len(set(mapping.index)) == len(mapping.index)
 
     target = _mkseq(["lshift", "j", "space", "lshift", "m"])
     given = _mkseq(["j", "space", "lshift", "m"])
     aligned, mapping = align(given, target)
-    assert [e.kind for e in mapping.entries] == [
-        EntryKind.MATCHED,
-        EntryKind.MATCHED,
-        EntryKind.MATCHED,
-        EntryKind.SUBSTITUTED,
-        EntryKind.MATCHED,
-    ]
-    assert [e.given_index for e in mapping.entries] == [2, 0, 1, 3, 3]
+    assert mapping.substituted == (False, False, False, True, False)
+    assert mapping.index == (2, 0, 1, 3, 3)
     assert mapping.flagged
     latencies = np.diff([k.press_t for k in aligned])
     assert latencies[0] < 0

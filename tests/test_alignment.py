@@ -15,7 +15,7 @@ from keygait import (
     select_target,
     truncate_align,
 )
-from keygait.alignment import AuditReport, EntryKind, _summarize
+from keygait.alignment import AuditReport, _summarize
 
 from oracles import bfs_edit_distances, reference_align
 
@@ -37,11 +37,11 @@ class TestAlign:
             for merge in (False, True):
                 aligned, mapping = align(s, s, merge_shift_keys=merge)
                 assert aligned.keystrokes == s.keystrokes
-                assert all(e.kind is EntryKind.MATCHED for e in mapping.entries)
-                assert [e.given_index for e in mapping.entries] == list(range(len(keys)))
+                assert not any(mapping.substituted)
+                assert mapping.index == tuple(range(len(keys)))
                 assert mapping.ignored == ()
 
-    def test_output_length_equals_target_length(self):
+    def test_one_output_keystroke_per_target_position(self):
         given = mkseq(["a", "b", "c", "d", "e"])
         target = mkseq(["b", "c", "x"])
         aligned, _ = align(given, target)
@@ -51,15 +51,14 @@ class TestAlign:
         given = mkseq(["a", "b", "c", "d"])
         target = mkseq(["d", "c", "b", "a"])
         _, mapping = align(given, target)
-        used = [e.given_index for e in mapping.entries]
-        assert len(set(used)) == len(used)
+        assert len(set(mapping.index)) == len(mapping.index)
 
     def test_unique_key_in_both_must_match(self):
         given = mkseq(["x", "q", "y"])
         target = mkseq(["a", "q", "b"])
         _, mapping = align(given, target)
-        assert mapping.entries[1].kind is EntryKind.MATCHED
-        assert mapping.entries[1].given_index == 1
+        assert not mapping.substituted[1]
+        assert mapping.index[1] == 1
 
     def test_timestamps_never_modified(self):
         given = mkseq(["b", "a"], gap=77)
@@ -76,16 +75,14 @@ class TestAlign:
         given = mkseq(["j", "space", "lshift", "m"])
         aligned, mapping = align(given, target)
 
-        kinds = [e.kind for e in mapping.entries]
-        picks = [e.given_index for e in mapping.entries]
-        assert kinds == [
-            EntryKind.MATCHED,  # target shift 0 takes the only given shift
-            EntryKind.MATCHED,
-            EntryKind.MATCHED,
-            EntryKind.SUBSTITUTED,  # second target shift: reuse by position
-            EntryKind.MATCHED,
-        ]
-        assert picks == [2, 0, 1, 3, 3]
+        assert mapping.substituted == (
+            False,  # target shift 0 takes the only given shift
+            False,
+            False,
+            True,  # second target shift: reuse by position
+            False,
+        )
+        assert mapping.index == (2, 0, 1, 3, 3)
         assert mapping.flagged  # given exhausted at the substitution step
         assert mapping.ignored == ()
 
@@ -107,8 +104,8 @@ class TestAlign:
         target = mkseq(["lshift", "a"])
         _, strict = align(given, target)
         _, merged = align(given, target, merge_shift_keys=True)
-        assert strict.entries[0].kind is EntryKind.SUBSTITUTED
-        assert merged.entries[0].kind is EntryKind.MATCHED
+        assert strict.substituted[0]
+        assert not merged.substituted[0]
 
     def test_empty_raises(self):
         s = mkseq(["a"])
@@ -144,12 +141,11 @@ def test_align_properties(given_keys, target_keys):
         assert k in pool
     # consumed indices are unique unless the reuse fallback fired
     if not mapping.flagged:
-        picks = [e.given_index for e in mapping.entries]
-        assert len(set(picks)) == len(picks)
-    # matched entries really match on key name
-    for i, e in enumerate(mapping.entries):
-        if e.kind is EntryKind.MATCHED:
-            assert given[e.given_index].key == target[i].key
+        assert len(set(mapping.index)) == len(mapping.index)
+    # matched positions really match on key name
+    for i, (j, substituted) in enumerate(zip(mapping.index, mapping.substituted)):
+        if not substituted:
+            assert given[j].key == target[i].key
 
 
 @hgiven(
@@ -191,7 +187,7 @@ class TestBaselines:
         out = truncate_align(given, target)
         assert out.keys() == ("a", "b", "b")
 
-    def test_truncate_cuts_to_target_length(self):
+    def test_truncate_cuts_to_target_size(self):
         given = mkseq(["a", "b", "c", "d"])
         target = mkseq(["x", "y"])
         out = truncate_align(given, target)

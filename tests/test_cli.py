@@ -69,6 +69,19 @@ class TestSynth:
         assert "impostor_separation" in line
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, field, bound", [("--subjects", "n_subjects", 999), ("--templates", "n_templates", 99)]
+    )
+    def test_huge_count_is_refused_before_any_work(self, tmp_path, capsys, flag, field, bound):
+        out = tmp_path / "ds"
+        assert main(["synth", "--out", str(out), flag, "99999999999999999999999"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {field} must be between 1 and {bound}, got 99999999999999999999999\n"
+        )
+        assert not out.exists()
+
 
 class TestEvaluate:
     def test_labeled_run_writes_metrics(self, data_dir, tmp_path, capsys):

@@ -567,6 +567,12 @@ class TestSynthesis:
         "field,value",
         [
             ("n_subjects", 0),
+            ("n_subjects", 1000),
+            ("n_subjects", 99999999999999999999999),
+            ("n_templates", 100),
+            ("n_templates", 99999999999999999999999),
+            ("genuine_queries", (90, 90)),
+            ("impostor_queries", (0, 90)),
             ("impostor_source", "other"),
             ("clock_quantum_ms", -1),
             ("impostor_separation", 0.0),

@@ -45,6 +45,20 @@ def test_tracer_sees_the_pipeline_align_calls(small_dataset):
     assert tracer.calls["detectors.manhattan.score_all"] == len(small_dataset.subjects)
     assert tracer.calls["detectors.manhattan.score"] == 0
     assert len(scores) == sum(len(entry.queries) for entry in small_dataset.subjects.values())
+    # the tracer's counts are read off each mapping: they equal direct
+    # calls against each subject's target template, and neither is zero
+    mappings = []
+    for entry in small_dataset.subjects.values():
+        templates = [s.sequence for s in entry.templates]
+        target = templates[alignment.select_target(templates)]
+        mappings += [
+            alignment.align(s.sequence, target)[1] for s in (*entry.templates, *entry.queries)
+        ]
+    assert len(mappings) == n_sequences
+    substitutions = sum(m.substitution_count() for m in mappings)
+    flagged = sum(m.flagged for m in mappings)
+    assert tracer.counts["alignment.align.substitutions"] == substitutions > 0
+    assert tracer.counts["alignment.align.flagged"] == flagged > 0
 
 
 def test_tracer_times_the_parse_and_feature_path(small_dataset, tmp_path):
