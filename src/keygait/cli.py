@@ -57,7 +57,7 @@ from .evaluation import (
     run_pipeline,
     subject_eer,
 )
-from .resolution import _kernel_scale, collect_latencies, estimate_resolution
+from .resolution import collect_latencies, estimate_resolution
 from .scorenorm import ScoreSet
 from .synthesis import SynthConfig, generate_synthetic, write_perturbations
 
@@ -120,9 +120,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_resolution(args: argparse.Namespace) -> int:
-    _kernel_scale(args.bandwidth)  # a bad setting fails before the dataset loads
-    latencies = collect_latencies(load_dataset(args.data))
-    value = estimate_resolution(latencies, bandwidth=args.bandwidth)
+    value = estimate_resolution(collect_latencies(load_dataset(args.data)))
     sys.stdout.write(tsv([("estimated_resolution_ms", value)]))
     return 0
 
@@ -269,7 +267,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resolution", help="estimate clock resolution")
     p.add_argument("--data", type=Path, required=True, help="dataset directory")
-    p.add_argument("--bandwidth", type=float, default=3.0, help="KDE bandwidth in ms")
     p.set_defaults(func=_cmd_resolution)
 
     p = sub.add_parser("evaluate", help="score every query in a dataset")

@@ -1,42 +1,36 @@
-"""Clock-resolution estimation from latency histograms.
+"""Clock-resolution estimation by phase coherence.
 
-Timestamps captured on a coarse clock collapse onto a lattice, so the
-distribution of press-to-press latencies shows evenly spaced modes. The
-estimator smooths the latencies with a small fixed-width Gaussian kernel,
-finds the modes, and reports their mean spacing in milliseconds.
+Timestamps captured on a coarse clock collapse onto a lattice, so every
+press-to-press latency is a whole number of clock quanta. A candidate
+quantum q is scored by the coherence of the latencies' phases,
 
-The modes are found by `_find_peaks`, a numpy local-maximum scan that
-keeps the rules of ``scipy.signal.find_peaks(x, height=h)``: a flat top
-counts once, at its middle index rounded down; a sample or plateau on
-either edge never counts; the height test is inclusive; an input shorter
-than 3 has no peaks.
+    R(q) = |sum_i w_i exp(2 pi i u_i / q)|,
 
-The kernel density is summed in a fixed working set, whatever the number
-of latencies: one (``_ROWS``, ``_CHUNK``) float64 buffer of 1 MB, filled
-in place for one block of grid rows against one chunk of latencies at a
-time. The whole (grid, chunk) difference matrix and its temporaries would
-peak near 47 MB on 10,000 latencies. ``_CHUNK`` stays 4096 because the
-chunk boundaries fix each grid row's summation order: another chunk size
-would move the density's last bits.
+over the distinct finite latencies u_i in [0, 500] ms, each weighted by
+its share w_i of all latencies. R is 1 when every latency is a multiple
+of q and stays well below 1 on a millisecond-true clock.
+
+The candidates are whole tenths of a millisecond, from 2.0 ms up to half
+the latency range: a lattice needs three occupied points, so a larger
+quantum cannot be confirmed. Every divisor q0 / k of a true quantum q0 is
+coherent as well, so the estimate is the largest candidate with
+R >= 0.9, refined to the most coherent candidate of the contiguous run
+at or above 0.9 that holds it. When no candidate reaches 0.9 the clock
+is not a lattice, and that is a ResolutionError.
+
+R is summed one distinct latency at a time, so the working set is a few
+arrays of at most 2,481 candidates, whatever the number of latencies.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .config import check_positive_finite
 from .errors import ResolutionError
 from .events import SubjectDataset
 
-# Latencies per pass and grid rows per block: 32 * 4096 float64 is 1 MB.
-_CHUNK = 4096
-_ROWS = 32
-# KDE grid (ms) and the smallest mode height, as a fraction of the tallest.
-_GRID_STEP = 1.0
-_GRID_MAX = 500.0
-_MIN_HEIGHT_FRAC = 0.05
+_MAX_LATENCY_MS = 500.0
+_MIN_COHERENCE = 0.9
 
 
 def collect_latencies(dataset: SubjectDataset) -> np.ndarray:
@@ -53,76 +47,32 @@ def collect_latencies(dataset: SubjectDataset) -> np.ndarray:
     return np.concatenate(out)
 
 
-def _kernel_scale(bandwidth: float) -> float:
-    """The Gaussian kernel's exponent scale, 1 / (2 * bandwidth**2).
+def estimate_resolution(latencies: np.ndarray) -> float:
+    """The capture clock's quantum in milliseconds, to a tenth of a ms.
 
-    ValueError unless it is positive and finite: a bandwidth below
-    ~1e-154 overflows it (or its denominator underflows to 0), and one
-    above ~1e154 makes it 0, a flat kernel.
+    Scores each candidate quantum from 2.0 ms to half the range of the
+    finite latencies in [0, 500] ms by its phase coherence R, and returns
+    the most coherent candidate of the contiguous run at R >= 0.9 that
+    holds the largest such candidate. Raises ResolutionError when no
+    candidate reaches 0.9, which happens for continuous
+    (millisecond-true) clocks and for inputs with too few distinct
+    latencies.
     """
-    check_positive_finite("bandwidth", bandwidth)
-    twice_var = 2.0 * bandwidth * bandwidth
-    inv = 1.0 / twice_var if twice_var > 0.0 else math.inf
-    if not 0.0 < inv < math.inf:
-        raise ValueError(f"bandwidth {bandwidth} is out of range: 1 / (2 * bandwidth**2) is {inv}")
-    return inv
-
-
-def _kde_grid(values: np.ndarray, grid: np.ndarray, inv: float) -> np.ndarray:
-    """Sum over ``values`` of exp(-(g - v)**2 * inv) at every grid point g."""
-    density = np.zeros(grid.size)
-    buf = np.empty(_ROWS * _CHUNK)
-    for start in range(0, values.size, _CHUNK):
-        chunk = values[start : start + _CHUNK]
-        for r0 in range(0, grid.size, _ROWS):
-            rows = grid[r0 : r0 + _ROWS]
-            # exp(-(d * d) * inv) in place; the density's bits depend on this order
-            d = buf[: rows.size * chunk.size].reshape(rows.size, chunk.size)
-            np.subtract(rows[:, None], chunk[None, :], out=d)
-            np.multiply(d, d, out=d)
-            np.negative(d, out=d)
-            np.multiply(d, inv, out=d)
-            np.exp(d, out=d)
-            density[r0 : r0 + rows.size] += d.sum(axis=1)
-    return density
-
-
-def _find_peaks(x: np.ndarray, height: float) -> np.ndarray:
-    """Indices of the local maxima of ``x`` that are at least ``height``.
-
-    Equal neighbours are compressed into runs; a run higher than the runs
-    on both sides is a peak, reported at its middle index rounded down.
-    The first and last runs have no neighbour on one side, so they never
-    count.
-    """
-    if x.size < 3:
-        return np.empty(0, dtype=np.intp)
-    starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
-    ends = np.r_[starts[1:], x.size] - 1
-    v = x[starts]
-    inner = v[1:-1]
-    peak = (inner > v[:-2]) & (inner > v[2:]) & (inner >= height)
-    return ((starts[1:-1] + ends[1:-1]) // 2)[peak]
-
-
-def estimate_resolution(latencies: np.ndarray, bandwidth: float = 3.0) -> float:
-    """Mean spacing between latency modes, in milliseconds.
-
-    Raises ResolutionError when fewer than two modes stand out, which
-    happens for continuous (millisecond-true) clocks and for degenerate
-    inputs. Raises ValueError for a bandwidth whose kernel scale
-    1 / (2 * bandwidth**2) is not positive and finite.
-    """
-    inv = _kernel_scale(bandwidth)
     values = np.asarray(latencies, dtype=np.float64)
-    values = values[np.isfinite(values)]
-    values = values[(values >= 0.0) & (values <= _GRID_MAX)]
-    if values.size < 2:
+    values = values[np.isfinite(values) & (values >= 0.0) & (values <= _MAX_LATENCY_MS)]
+    distinct, counts = np.unique(values, return_counts=True)
+    top = int(5.0 * (distinct[-1] - distinct[0])) if distinct.size else 0
+    quanta = np.arange(20, top + 1) / 10.0
+    turn = 2j * np.pi / quanta
+    phasor = np.zeros(quanta.size, dtype=np.complex128)
+    for value, share in zip(distinct.tolist(), (counts / values.size).tolist()):
+        phasor += share * np.exp(value * turn)
+    coherence = np.abs(phasor)
+    coherent = np.flatnonzero(coherence >= _MIN_COHERENCE)
+    if coherent.size == 0:
         raise ResolutionError("resolution indeterminate")
-    grid = np.arange(0.0, _GRID_MAX + _GRID_STEP, _GRID_STEP)
-    density = _kde_grid(values, grid, inv)
-    peaks = _find_peaks(density, height=_MIN_HEIGHT_FRAC * float(density.max()))
-    if peaks.size < 2:
-        raise ResolutionError("resolution indeterminate")
-    spacings = np.diff(grid[peaks])
-    return float(spacings.mean())
+    # the run of coherent candidates that ends at the largest one
+    last = first = int(coherent[-1])
+    while first > 0 and coherence[first - 1] >= _MIN_COHERENCE:
+        first -= 1
+    return float(quanta[first + int(np.argmax(coherence[first : last + 1]))])

@@ -74,6 +74,10 @@ class SynthConfig(JsonConfig):
         lo, hi = self.name_length
         if not (6 <= lo <= hi):
             raise ValueError(f"name_length must satisfy 6 <= lo <= hi, got {self.name_length}")
+        for field_name in ("genuine_queries", "impostor_queries"):
+            lo, hi = getattr(self, field_name)
+            if not 0 <= lo <= hi:
+                raise ValueError(f"{field_name} must satisfy 0 <= lo <= hi, got {(lo, hi)}")
         n_queries = self.genuine_queries[1] + self.impostor_queries[1]
         if n_queries > 99:
             raise ValueError(

@@ -444,34 +444,6 @@ def reference_normalized_features(templates, queries, *, h_f: float = 1.0, per_p
     return [normalize(r) for r in t_raw], [normalize(raw(s)) for s in queries]
 
 
-# ------------------------------------------------------------ peak finding
-
-
-def reference_find_peaks(x: np.ndarray, height: float) -> np.ndarray:
-    """``scipy.signal.find_peaks(x, height=height)`` peak indices; scipy
-    scans for rises and falls one sample at a time."""
-    from scipy.signal import find_peaks
-
-    return find_peaks(x, height=height)[0]
-
-
-
-# ------------------------------------------------------------ resolution
-
-
-def reference_kde_grid(values: np.ndarray, grid: np.ndarray, bandwidth: float) -> np.ndarray:
-    """The Gaussian KDE sum built one 4096-value chunk at a time as a whole
-    (grid, chunk) difference matrix, the form the blocked kernel replaced;
-    same chunks, so the same summation order and the same bits."""
-    density = np.zeros(grid.size)
-    inv = 1.0 / (2.0 * bandwidth * bandwidth)
-    for start in range(0, values.size, 4096):
-        chunk = values[start : start + 4096]
-        d = grid[:, None] - chunk[None, :]
-        density += np.exp(-(d * d) * inv).sum(axis=1)
-    return density
-
-
 # ------------------------------------------------------------ synthesis
 
 

@@ -5,7 +5,8 @@ Criteria 9 (second half) and 10 need the reference dataset, which cannot
 be redistributed with this package. Point KEYGAIT_KBOC_DIR at a dataset
 directory in the canonical on-disk format to enable them; without it,
 criterion 10 skips with an explicit message and criterion 9 checks the
-synthetic quanta only.
+synthetic quanta only. Criterion 9 has a negative half as well: a
+millisecond-true synthetic clock has no quantum to recover.
 """
 
 import time
@@ -18,6 +19,7 @@ from keygait import (
     Label,
     OneClassSvm,
     PipelineConfig,
+    ResolutionError,
     ScoreNormConfig,
     ScoreRecord,
     ScoreSet,
@@ -313,6 +315,14 @@ def test_criterion_09_resolution_estimator_recovers_clock_quanta():
     if reference is not None:
         estimate = estimate_resolution(collect_latencies(load_dataset(reference)))
         assert abs(estimate - 46.4) <= 3.0
+
+
+@pytest.mark.parametrize("seed", [0, 909])
+@pytest.mark.parametrize("n_subjects", [1, 3, 20, 50])
+def test_criterion_09_millisecond_true_clock_is_indeterminate(n_subjects, seed):
+    dataset, _ = generate_synthetic(SynthConfig(n_subjects=n_subjects, seed=seed))
+    with pytest.raises(ResolutionError, match="indeterminate"):
+        estimate_resolution(collect_latencies(dataset))
 
 
 def test_criterion_10_reference_dataset_reproduction():

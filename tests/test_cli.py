@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from keygait import load_dataset, write_dataset
-from keygait.cli import main
+from keygait.cli import build_parser, main
 
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
@@ -331,18 +331,17 @@ class TestResolutionCommand:
         assert main(["resolution", "--data", str(root)]) == 1
         assert "resolution indeterminate" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("bandwidth", ["1e-200", "1e-155", "inf"])
-    def test_out_of_range_bandwidth_is_one_error_line(self, tmp_path, capsys, bandwidth):
-        root = tmp_path / "coarse"
-        assert main(["synth", "--out", str(root), "--subjects", "2", "--quantum", "40"]) == 0
+    def test_millisecond_true_clock_is_one_error_line(self, tmp_path, capsys):
+        root = tmp_path / "continuous"
+        assert main(["synth", "--out", str(root), "--subjects", "3"]) == 0
         capsys.readouterr()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # a RuntimeWarning would escape main
-            assert main(["resolution", "--data", str(root), "--bandwidth", bandwidth]) == 1
+        assert main(["resolution", "--data", str(root)]) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        [line] = captured.err.splitlines()
-        assert line.startswith("error: bandwidth ")
+        assert captured.err == "error: resolution indeterminate\n" and captured.out == ""
+
+    def test_data_is_the_only_setting(self, tmp_path):
+        args = build_parser().parse_args(["resolution", "--data", str(tmp_path)])
+        assert sorted(vars(args)) == ["command", "data", "func"]
 
 
 class TestErrorHandling:
@@ -419,7 +418,6 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["resolution", "--bandwidth", "1e-200"], "bandwidth 1e-200 is out of range"),
             (["validate", "--reps", "0"], "repetitions must be positive, got 0"),
             (["validate", "--templates", "0"], "n_templates must be positive, got 0"),
         ],
@@ -450,6 +448,7 @@ class TestErrorHandling:
             ),
             ("synth", '{"n_subjects": 2.5}', "SynthConfig.n_subjects: expected an integer, got 2.5"),
             ("synth", '{"name_length": 7}', "SynthConfig.name_length: expected a list of 2, got 7"),
+            ("synth", '{"genuine_queries": [5, 3]}', "genuine_queries must satisfy 0 <= lo <= hi, got (5, 3)"),
         ],
     )
     def test_ill_typed_config_is_operational_error(self, data_dir, tmp_path, capsys, command, text, message):
