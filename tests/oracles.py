@@ -444,6 +444,39 @@ def reference_normalized_features(templates, queries, *, h_f: float = 1.0, per_p
     return [normalize(r) for r in t_raw], [normalize(raw(s)) for s in queries]
 
 
+# ------------------------------------------------------------ resolution
+
+
+def reference_resolution(latencies) -> float | None:
+    """The clock quantum by phase coherence, or None when no candidate is
+    coherent: one candidates x latencies matrix over every latency (no
+    de-duplication), and the runs of coherent candidates found by a plain
+    scan."""
+    values = np.asarray(latencies, dtype=np.float64)
+    values = values[np.isfinite(values) & (values >= 0.0) & (values <= 500.0)]
+    if values.size == 0:
+        return None
+    top = int(5.0 * (values.max() - values.min()))
+    quanta = [k / 10.0 for k in range(20, top + 1)]
+    if not quanta:
+        return None
+    turns = np.exp(2j * np.pi * values[None, :] / np.array(quanta)[:, None])
+    coherence = np.abs(turns.mean(axis=1)).tolist()
+    runs, run = [], []
+    for k, r in enumerate(coherence):
+        if r >= 0.9:
+            run.append(k)
+        elif run:
+            runs.append(run)
+            run = []
+    if run:
+        runs.append(run)
+    if not runs:
+        return None
+    best = max(runs[-1], key=lambda k: (coherence[k], -k))
+    return quanta[best]
+
+
 # ------------------------------------------------------------ synthesis
 
 

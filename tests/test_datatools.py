@@ -45,7 +45,7 @@ from keygait.datasets import tsv
 from keygait.events import check_id
 from keygait.synthesis import _make_name, _make_profile, _perturb, _profile_keys, _time_keys
 
-from oracles import reference_make_profile, reference_time_keys
+from oracles import reference_make_profile, reference_resolution, reference_time_keys
 from test_events import physical_sequences
 
 TINY = SynthConfig(n_subjects=2, n_templates=3, genuine_queries=(2, 2), impostor_queries=(2, 2), seed=3)
@@ -624,7 +624,7 @@ class TestResolution:
         assert latencies.shape == (expected,)
         assert np.all(latencies >= 0)
 
-    @pytest.mark.parametrize("quantum", [15, 40])
+    @pytest.mark.parametrize("quantum", [5, 10, 15, 25, 40, 50, 75, 100])
     def test_recovers_clock_quantum(self, quantum):
         dataset, _ = generate_synthetic(SynthConfig(n_subjects=8, clock_quantum_ms=quantum, seed=5))
         estimate = estimate_resolution(collect_latencies(dataset))
@@ -645,6 +645,60 @@ class TestResolution:
 
     def test_lattice_of_three_points(self):
         assert estimate_resolution(np.repeat([40.0, 80.0, 120.0], 50)) == 40.0
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "lattice-5",
+            "lattice-25",
+            "lattice-46.4-whole-ms",
+            "lattice-100",
+            "jittered-lattice-40",
+            "offset-lattice-40",
+            "continuous",
+            "continuous-whole-ms",
+            "empty",
+            "all-nan",
+        ],
+    )
+    def test_matches_one_shot_reference(self, case):
+        rng = np.random.default_rng(0)
+        uniform = rng.uniform(0.0, 500.0, 400)
+        values = {
+            "lattice-5": np.round(uniform * 0.6 / 5.0) * 5.0,
+            "lattice-25": np.round(uniform / 25.0) * 25.0,
+            "lattice-46.4-whole-ms": np.round(np.round(uniform / 46.4) * 46.4),
+            "lattice-100": np.round(uniform / 100.0) * 100.0,
+            "jittered-lattice-40": np.round(uniform / 40.0) * 40.0 + rng.uniform(-1.0, 1.0, 400),
+            "offset-lattice-40": 7.0 + 40.0 * rng.integers(0, 12, 400),
+            "continuous": uniform,
+            "continuous-whole-ms": np.round(rng.gamma(4.0, 30.0, 400)),
+            "empty": np.empty(0),
+            "all-nan": np.full(5, np.nan),
+        }[case]
+        expected = reference_resolution(values)
+        if expected is None:
+            with pytest.raises(ResolutionError, match="indeterminate"):
+                estimate_resolution(values)
+        else:
+            assert estimate_resolution(values) == expected
+
+    def test_divisors_of_the_quantum_are_skipped(self):
+        # 30, 20, 15, 12 and 10 ms are as coherent as 60 ms on a 60 ms lattice
+        values = 60.0 * np.random.default_rng(1).integers(1, 8, 300)
+        assert estimate_resolution(values) == 60.0
+
+    def test_refines_within_the_coherent_run(self):
+        # with 1 ms of jitter the run at R >= 0.9 reaches past 40.9 ms
+        rng = np.random.default_rng(1)
+        values = 40.0 * rng.integers(1, 12, 300) + rng.uniform(-1.0, 1.0, 300)
+        assert estimate_resolution(values) == 40.0
+
+    def test_weights_are_shares_not_counts(self):
+        values = 25.0 * np.random.default_rng(2).integers(0, 20, 300)
+        estimate = estimate_resolution(values)
+        assert estimate_resolution(np.tile(values, 3)) == estimate
+        assert estimate_resolution(values[::-1]) == estimate
 
     @pytest.mark.parametrize("seed", range(4))
     def test_recovers_a_non_integer_clock(self, seed):
