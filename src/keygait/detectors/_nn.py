@@ -10,8 +10,10 @@ units run once for the stack, and contractions over the feature width
 run per subject on the unpadded slice (`width_matmul`).
 
 The contractive autoencoder trains one subject at a time: stacked, each
-(subjects, 400, d) array of 10 subjects is ~2 MB and overflows L2, and a
-padded stack ran at 0.67-0.82x that speed and was not bit-exact.
+(subjects, d, 400) weight array of 10 subjects is ~1.6 MB and overflows
+L2, and a padded stack ran at 0.67-0.82x that speed and was not
+bit-exact. Its weight is stored as (d, hidden), the layout in which every
+product of its epoch reads contiguous memory.
 """
 
 from __future__ import annotations
@@ -26,10 +28,14 @@ from .base import as_matrix
 Params = dict[str, Any]  # name -> tensor or list of tensors
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-z)); exp overflows to inf below z ~ -709, giving 0."""
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """1 / (1 + exp(-z)), written into ``out`` when given (it may be ``z``
+    itself); exp overflows to inf below z ~ -709, giving 0."""
+    out = np.negative(z, out=np.empty(np.shape(z)) if out is None else out)
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-z))
+        np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def softplus(z: np.ndarray) -> np.ndarray:

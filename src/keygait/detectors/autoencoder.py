@@ -24,7 +24,7 @@ from ._nn import (
     width_matmul,
     xavier_uniform,
 )
-from .base import Detector, shared_settings
+from .base import Detector, check_width, shared_settings
 
 Params = dict[str, list[np.ndarray]]
 
@@ -116,6 +116,8 @@ class TiedAutoencoder(Detector):
     ) -> None:
         if not hidden_sizes:
             raise ValueError("need at least one hidden layer")
+        for k, width in enumerate(hidden_sizes):
+            check_width(f"hidden_sizes[{k}]", width)
         if epochs < 0:
             raise ValueError(f"epochs must be non-negative, got {epochs}")
         if not learning_rate > 0:

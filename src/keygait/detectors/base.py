@@ -50,6 +50,20 @@ def as_matrix(templates: np.ndarray) -> np.ndarray:
     return x
 
 
+# The widest layer a detector accepts, 25 times the contractive default.
+# A width far beyond it asks numpy for arrays it cannot allocate, which
+# would fail only after the dataset has been loaded and aligned.
+MAX_WIDTH = 10_000
+
+
+def check_width(name: str, width: int) -> None:
+    """Refuse a layer width outside 1..MAX_WIDTH, naming the setting."""
+    if width < 1:
+        raise ValueError(f"{name} must be positive, got {width}")
+    if width > MAX_WIDTH:
+        raise ValueError(f"{name} must be at most {MAX_WIDTH}, got {width}")
+
+
 def shared_settings(detectors: Sequence[Detector], *names: str) -> tuple:
     """The values of ``names``, which every detector of a group fit must share."""
     values = {tuple(getattr(d, n) for n in names) for d in detectors}

@@ -32,7 +32,7 @@ from ._nn import (
     width_matmul,
     xavier_uniform,
 )
-from .base import Detector, shared_settings
+from .base import Detector, check_width, shared_settings
 
 Params = dict[str, Any]
 
@@ -195,8 +195,9 @@ class VariationalAutoencoder(Detector):
     ) -> None:
         if not hidden_sizes:
             raise ValueError("need at least one hidden layer")
-        if latent_dim < 1:
-            raise ValueError(f"latent_dim must be positive, got {latent_dim}")
+        for k, width in enumerate(hidden_sizes):
+            check_width(f"hidden_sizes[{k}]", width)
+        check_width("latent_dim", latent_dim)
         if batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {batch_size}")
         if epochs < 0:

@@ -12,7 +12,8 @@ of q and stays well below 1 on a millisecond-true clock.
 
 The candidates are whole tenths of a millisecond, from 2.0 ms up to half
 the latency range: a lattice needs three occupied points, so a larger
-quantum cannot be confirmed. Every divisor q0 / k of a true quantum q0 is
+quantum cannot be confirmed, and fewer than three distinct latencies
+confirm none. Every divisor q0 / k of a true quantum q0 is
 coherent as well, so the estimate is the largest candidate with
 R >= 0.9, refined to the most coherent candidate of the contiguous run
 at or above 0.9 that holds it. When no candidate reaches 0.9 the clock
@@ -53,15 +54,18 @@ def estimate_resolution(latencies: np.ndarray) -> float:
     Scores each candidate quantum from 2.0 ms to half the range of the
     finite latencies in [0, 500] ms by its phase coherence R, and returns
     the most coherent candidate of the contiguous run at R >= 0.9 that
-    holds the largest such candidate. Raises ResolutionError when no
+    holds the largest such candidate. Raises ResolutionError when fewer
+    than three distinct latencies are left, since on two levels the
+    largest coherent candidate is always half their spacing, and when no
     candidate reaches 0.9, which happens for continuous
-    (millisecond-true) clocks and for inputs with too few distinct
-    latencies.
+    (millisecond-true) clocks.
     """
     values = np.asarray(latencies, dtype=np.float64)
     values = values[np.isfinite(values) & (values >= 0.0) & (values <= _MAX_LATENCY_MS)]
     distinct, counts = np.unique(values, return_counts=True)
-    top = int(5.0 * (distinct[-1] - distinct[0])) if distinct.size else 0
+    if distinct.size < 3:
+        raise ResolutionError("resolution indeterminate")
+    top = int(5.0 * (distinct[-1] - distinct[0]))
     quanta = np.arange(20, top + 1) / 10.0
     turn = 2j * np.pi / quanta
     phasor = np.zeros(quanta.size, dtype=np.complex128)

@@ -166,8 +166,10 @@ def reference_autoencoder_fit(
 def reference_contractive_grads(params: dict, X: np.ndarray, reg_weight: float) -> dict:
     """Contractive autoencoder gradients with each path through W as its
     own (hidden, d) product: decoder HᵀG_y, encoder G_hᵀX, and the
-    penalty's paths through h and through W directly."""
-    W, bh, by = params["W"], params["bh"], params["by"]
+    penalty's paths through h and through W directly. The package stores
+    W as (d, hidden); this works on its transpose and hands the gradient
+    back in the package's layout."""
+    W, bh, by = params["W"].T, params["bh"], params["by"]
     H = _sigmoid(X @ W.T + bh)
     Y = _sigmoid(H @ W + by)
     S = H * (1.0 - H)
@@ -177,7 +179,7 @@ def reference_contractive_grads(params: dict, X: np.ndarray, reg_weight: float) 
     T = (S**2) * (1.0 - 2.0 * H)
     penalty_W = 2.0 * (T * r).T @ X + 2.0 * (S**2).sum(axis=0)[:, None] * W
     return {
-        "W": H.T @ gv + gz.T @ X + reg_weight * penalty_W,
+        "W": (H.T @ gv + gz.T @ X + reg_weight * penalty_W).T,
         "bh": gz.sum(axis=0) + reg_weight * 2.0 * (T.sum(axis=0) * r),
         "by": gv.sum(axis=0),
     }

@@ -415,6 +415,16 @@ class TestErrorHandling:
         assert capsys.readouterr().err == "error: OneClassSvm.nu: expected a finite number, got '0.5'\n"
         assert not out.exists()
 
+    def test_width_too_large_to_allocate_is_reported_before_the_dataset_is_loaded(self, tmp_path, capsys):
+        config_path = tmp_path / "pipe.json"
+        config_path.write_text(json.dumps({"detector": {"name": "contractive", "params": {"hidden_dim": 10**12}}}))
+        out = tmp_path / "out"
+        argv = ["evaluate", "--data", str(tmp_path / "missing"), "--out", str(out), "--config", str(config_path)]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: hidden_dim must be at most 10000, got 1000000000000\n"
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -445,6 +455,21 @@ class TestErrorHandling:
                 "evaluate",
                 '{"detector": {"name": "contractive", "params": {"learning_rate": -0.01}}}',
                 "learning_rate must be positive, got -0.01",
+            ),
+            (
+                "evaluate",
+                '{"detector": {"name": "contractive", "params": {"hidden_dim": 1000000000000}}}',
+                "hidden_dim must be at most 10000, got 1000000000000",
+            ),
+            (
+                "evaluate",
+                '{"detector": {"name": "autoencoder", "params": {"hidden_sizes": [5, 1000000000000]}}}',
+                "hidden_sizes[1] must be at most 10000, got 1000000000000",
+            ),
+            (
+                "evaluate",
+                '{"detector": {"name": "variational", "params": {"latent_dim": 1000000000000}}}',
+                "latent_dim must be at most 10000, got 1000000000000",
             ),
             ("synth", '{"n_subjects": 2.5}', "SynthConfig.n_subjects: expected an integer, got 2.5"),
             ("synth", '{"name_length": 7}', "SynthConfig.name_length: expected a list of 2, got 7"),

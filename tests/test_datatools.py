@@ -643,6 +643,13 @@ class TestResolution:
         with pytest.raises(ResolutionError, match="indeterminate"):
             estimate_resolution(values)
 
+    @pytest.mark.parametrize("levels", [[40.0, 80.0], [0.0, 40.0]])
+    def test_two_level_lattice_is_indeterminate(self, levels):
+        # on two levels the largest coherent candidate is always half their
+        # spacing, a quantum that a third level would have to confirm
+        with pytest.raises(ResolutionError, match="indeterminate"):
+            estimate_resolution(np.repeat(levels, 50))
+
     def test_lattice_of_three_points(self):
         assert estimate_resolution(np.repeat([40.0, 80.0, 120.0], 50)) == 40.0
 

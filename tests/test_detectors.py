@@ -23,6 +23,7 @@ from keygait.detectors import DETECTOR_NAMES, _nn
 from keygait.detectors import autoencoder as ae
 from keygait.detectors import contractive as cae
 from keygait.detectors import variational as vae
+from keygait.detectors.base import MAX_WIDTH
 from keygait.detectors.ocsvm import project_capped_simplex, rbf_kernel
 
 from oracles import (
@@ -189,6 +190,29 @@ class TestContractiveAutoencoder:
             scale = np.abs(expected[name]).max()
             assert np.abs(grads[name] - expected[name]).max() <= 1e-12 * scale, name
 
+    @pytest.mark.parametrize("n_rows", [1, 2, 7])
+    @pytest.mark.parametrize("d, hidden", [(5, 7), (49, 400)])
+    @pytest.mark.parametrize("reg_weight", [0.0, 1.5])
+    def test_gradient_matches_separate_products_at_every_batch_size(self, n_rows, d, hidden, reg_weight):
+        rng = np.random.default_rng(n_rows * 100 + d)
+        params = cae.init_params(rng, d, hidden)
+        params["bh"] += rng.normal(size=hidden)
+        params["by"] += rng.normal(size=d)
+        X = rng.uniform(size=(n_rows, d))
+        _, grads = cae.loss_and_grads(params, X, reg_weight)
+        expected = reference_contractive_grads(params, X, reg_weight)
+        for name in self.KEYS:
+            scale = np.abs(expected[name]).max()
+            assert np.abs(grads[name] - expected[name]).max() <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("d, hidden", [(1, 1), (6, 8), (49, 400)])
+    def test_init_keeps_the_draws_of_the_hidden_by_input_layout(self, d, hidden):
+        # W is stored as (d, hidden): the transpose of the same draws
+        W = cae.init_params(np.random.default_rng(7), d, hidden)["W"]
+        expected = _nn.xavier_uniform(np.random.default_rng(7), hidden, d).T
+        assert W.shape == (d, hidden) and W.flags.c_contiguous
+        assert W.tobytes() == np.ascontiguousarray(expected).tobytes()
+
     def test_penalty_matches_finite_difference_jacobian(self):
         rng = np.random.default_rng(21)
         for _ in range(3):
@@ -227,6 +251,18 @@ class TestContractiveAutoencoder:
                 params[name] -= 0.01 * grads[name]
         for name in self.KEYS:
             assert det.params_[name].tobytes() == params[name].tobytes()
+
+    def test_fit_on_one_row_templates(self):
+        X = np.random.default_rng(9).uniform(size=(1, 6))
+        det = ContractiveAutoencoder(hidden_dim=8, epochs=30, reg_weight=0.7, seed=3).fit(X)
+        params = cae.init_params(np.random.default_rng(3), 6, 8)
+        for _ in range(30):
+            _, grads = cae.loss_and_grads(params, X, 0.7)
+            for name in self.KEYS:
+                params[name] -= 0.01 * grads[name]
+        for name in self.KEYS:
+            assert det.params_[name].tobytes() == params[name].tobytes()
+        assert np.isfinite(det.score_all(np.vstack([X, X + 0.1]))).all()
 
     def test_penalty_weight_changes_training(self):
         X = np.random.default_rng(3).uniform(size=(4, 6))
@@ -336,6 +372,31 @@ def test_setting_that_would_train_another_model_is_an_error(cls, name, value, bo
     # without any error and score a different model
     with pytest.raises(ValueError, match=rf"^{name} must be {bound}, got {value}$"):
         cls(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "cls, params, message",
+    [
+        (ContractiveAutoencoder, {"hidden_dim": 10**12}, "hidden_dim must be at most 10000, got 1000000000000"),
+        (ContractiveAutoencoder, {"hidden_dim": 0}, "hidden_dim must be positive, got 0"),
+        (TiedAutoencoder, {"hidden_sizes": (5, 10**12)}, "hidden_sizes[1] must be at most 10000, got 1000000000000"),
+        (TiedAutoencoder, {"hidden_sizes": (0,)}, "hidden_sizes[0] must be positive, got 0"),
+        (VariationalAutoencoder, {"hidden_sizes": (10001, 5)}, "hidden_sizes[0] must be at most 10000, got 10001"),
+        (VariationalAutoencoder, {"latent_dim": 10**12}, "latent_dim must be at most 10000, got 1000000000000"),
+        (VariationalAutoencoder, {"latent_dim": 0}, "latent_dim must be positive, got 0"),
+    ],
+    ids=lambda v: v.__name__ if isinstance(v, type) else None,
+)
+def test_layer_width_outside_the_bound_is_an_error(cls, params, message):
+    # a width too large to allocate fails here, before any data is read
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        cls(**params)
+
+
+def test_layer_width_at_the_bound_constructs():
+    assert ContractiveAutoencoder(hidden_dim=MAX_WIDTH).hidden_dim == MAX_WIDTH
+    assert TiedAutoencoder(hidden_sizes=(MAX_WIDTH,)).hidden_sizes == (MAX_WIDTH,)
+    assert VariationalAutoencoder(hidden_sizes=(MAX_WIDTH,), latent_dim=MAX_WIDTH).latent_dim == MAX_WIDTH
 
 
 class TestStackedTraining:
