@@ -105,12 +105,17 @@ class DetectorConfig(JsonConfig):
     members: tuple[DetectorConfig, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.name == "ensemble":
-            n = len(self.members or ())
-            if n < 2:
-                raise ValueError(f"an ensemble needs at least 2 members, got {n}")
-            if any(m.name == "ensemble" for m in self.members):
-                raise ValueError("ensemble members must be single detectors")
+        if self.name != "ensemble":
+            if self.members is not None:
+                raise ValueError(f"members: only an ensemble has members, not {self.name!r}")
+            return
+        n = len(self.members or ())
+        if n < 2:
+            raise ValueError(f"an ensemble needs at least 2 members, got {n}")
+        if any(m.name == "ensemble" for m in self.members):
+            raise ValueError("ensemble members must be single detectors")
+        if self.params:
+            raise ValueError("params: an ensemble takes none; set them on its members")
 
     def singles(self) -> tuple[DetectorConfig, ...]:
         """The single detectors this config fits: an ensemble's members,
@@ -139,6 +144,9 @@ class PipelineConfig(JsonConfig):
     normalization settings, detector, score normalization, and the master
     seed from which all per-subject seeds derive.
 
+    ``merge_shift_keys`` lets ``align`` match left and right Shift as one
+    key; ``truncate`` ignores key names and ``discard`` drops the Shifts.
+
     Construction builds the detector, or each ensemble member, once, so a
     config never holds an unknown detector or an invalid param."""
 
@@ -157,6 +165,8 @@ class PipelineConfig(JsonConfig):
                 f"alignment must be one of {ALIGNMENT_METHODS}, got {self.alignment!r}"
             )
         check_positive_finite("h_f", self.h_f)
+        if self.ensemble_normalized and self.detector.name != "ensemble":
+            raise ValueError(f"ensemble_normalized needs an ensemble, not {self.detector.name!r}")
         from .detectors import build_detector  # keygait.detectors imports this module
 
         for detector in self.detector.singles():

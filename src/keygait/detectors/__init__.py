@@ -17,6 +17,7 @@ fails gets its error back without stopping the others.
 
 from __future__ import annotations
 
+from dataclasses import fields
 from typing import get_type_hints
 
 from ..config import DetectorConfig, decode_fields
@@ -52,8 +53,8 @@ DETECTOR_NAMES = tuple(sorted(_CLASSES))
 def build_detector(config: DetectorConfig, seed: int = 0) -> Detector:
     """Instantiate a detector from its config.
 
-    Hyperparameters come from ``config.params``, each checked against the
-    constructor's type hint by the config codec (`config.decode_fields`);
+    Hyperparameters come from ``config.params``, each checked against its
+    field's type hint by the config codec (`config.decode_fields`);
     ``seed`` overrides any seed in the params so the pipeline's per-subject
     derivation wins, and is dropped for a detector that takes none. An
     ``ensemble`` config is combined by ``run_pipeline`` and builds no
@@ -68,8 +69,8 @@ def build_detector(config: DetectorConfig, seed: int = 0) -> Detector:
         raise ValueError(
             f"unknown detector {config.name!r}; expected one of {DETECTOR_NAMES}"
         )
-    hints = get_type_hints(cls.__init__)
-    hints.pop("return", None)
+    types = get_type_hints(cls)
+    hints = {f.name: types[f.name] for f in fields(cls) if f.init}
     params = {k: v for k, v in config.params.items() if k != "seed"}
     unknown = sorted(set(params) - set(hints))
     if unknown:

@@ -13,6 +13,8 @@ exposed as plain functions over a parameter dict.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from ._nn import (
@@ -24,7 +26,7 @@ from ._nn import (
     width_matmul,
     xavier_uniform,
 )
-from .base import Detector, check_width, shared_settings
+from .base import Detector, check_training, check_width, shared_settings
 
 Params = dict[str, list[np.ndarray]]
 
@@ -100,6 +102,7 @@ def loss_and_grads(params: Params, X: np.ndarray) -> tuple[float, Params]:
     return float(loss[0]), net.subject_grads(0)
 
 
+@dataclass(eq=False)
 class TiedAutoencoder(Detector):
     """Detector wrapper: init, train for a fixed number of epochs, score.
 
@@ -107,45 +110,36 @@ class TiedAutoencoder(Detector):
     initialization itself testable.
     """
 
-    def __init__(
-        self,
-        hidden_sizes: tuple[int, ...] = (5, 4, 3),
-        learning_rate: float = 0.5,
-        epochs: int = 5000,
-        seed: int = 0,
-    ) -> None:
-        if not hidden_sizes:
-            raise ValueError("need at least one hidden layer")
-        for k, width in enumerate(hidden_sizes):
+    hidden_sizes: tuple[int, ...] = (5, 4, 3)
+    learning_rate: float = 0.5
+    epochs: int = 5000
+    seed: int = 0
+    params_: Params | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.hidden_sizes:
+            raise ValueError("hidden_sizes needs at least one hidden layer")
+        for k, width in enumerate(self.hidden_sizes):
             check_width(f"hidden_sizes[{k}]", width)
-        if epochs < 0:
-            raise ValueError(f"epochs must be non-negative, got {epochs}")
-        if not learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-        self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
-        self.learning_rate = learning_rate
-        self.epochs = epochs
-        self.seed = seed
-        self.params_: Params | None = None
+        check_training(self.learning_rate, self.epochs)
+        self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
 
     @classmethod
     def fit_group(cls, detectors, templates):
         """Train every subject in one stacked full-batch loop. A subject
         whose loss turns non-finite fails alone, at that epoch."""
-        hidden_sizes, lr, epochs = shared_settings(
-            detectors, "hidden_sizes", "learning_rate", "epochs"
-        )
+        shared = shared_settings(detectors)
         X, widths = stack_templates(templates)
         net = StackedParams([
-            init_params(np.random.default_rng(d.seed), [w, *hidden_sizes])
+            init_params(np.random.default_rng(d.seed), [w, *shared.hidden_sizes])
             for d, w in zip(detectors, widths)
         ])
         errors: list = [None] * len(detectors)
-        for epoch in range(epochs):
+        for epoch in range(shared.epochs):
             loss = _stacked_loss_and_grads(net.params, net.grads, X, widths)
             if note_failures(errors, loss, epoch):
                 break
-            net.flat -= lr * net.grad_flat
+            net.flat -= shared.learning_rate * net.grad_flat
         for detector, params, error in zip(detectors, net.unstack(), errors):
             detector.params_ = params if error is None else None
         return errors

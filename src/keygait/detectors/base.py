@@ -1,12 +1,14 @@
 """Detector interface: fit a group of subjects, score a query matrix.
 
-Higher scores mean more likely genuine. Every detector is deterministic
-given its constructor arguments (including seed) and the fit data.
+Higher scores mean more likely genuine. Every detector is a dataclass
+whose init fields are its settings, checked in ``__post_init__``; it is
+deterministic given them (seed included) and the fit data.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
@@ -64,9 +66,18 @@ def check_width(name: str, width: int) -> None:
         raise ValueError(f"{name} must be at most {MAX_WIDTH}, got {width}")
 
 
-def shared_settings(detectors: Sequence[Detector], *names: str) -> tuple:
-    """The values of ``names``, which every detector of a group fit must share."""
-    values = {tuple(getattr(d, n) for n in names) for d in detectors}
-    if len(values) != 1:
+def check_training(learning_rate: float, epochs: int) -> None:
+    """Refuse a negative epoch count or a learning rate that is not positive."""
+    if epochs < 0:
+        raise ValueError(f"epochs must be non-negative, got {epochs}")
+    if not learning_rate > 0:
+        raise ValueError(f"learning_rate must be positive, got {learning_rate}")
+
+
+def shared_settings(detectors: Sequence[Detector]) -> Detector:
+    """The first of ``detectors``, whose settings (every init field but
+    ``seed``) each detector of a group fit must share."""
+    names = [f.name for f in fields(detectors[0]) if f.init and f.name != "seed"]
+    if len({tuple(getattr(d, n) for n in names) for d in detectors}) != 1:
         raise ValueError(f"a group fit needs detectors that agree on {', '.join(names)}")
-    return values.pop()
+    return detectors[0]

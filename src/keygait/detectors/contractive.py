@@ -20,11 +20,13 @@ c_i = 2 lambda (sum_rows S^2)_i scaling each column of W.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from ..errors import TrainingError
 from ._nn import sigmoid, xavier_uniform
-from .base import Detector, as_matrix, check_width
+from .base import Detector, as_matrix, check_training, check_width
 
 Params = dict[str, np.ndarray]
 
@@ -118,28 +120,20 @@ def loss_and_grads(
     return loss, grads
 
 
+@dataclass(eq=False)
 class ContractiveAutoencoder(Detector):
-    def __init__(
-        self,
-        hidden_dim: int = 400,
-        reg_weight: float = 1.5,
-        learning_rate: float = 0.01,
-        epochs: int = 1000,
-        seed: int = 0,
-    ) -> None:
-        check_width("hidden_dim", hidden_dim)
-        if epochs < 0:
-            raise ValueError(f"epochs must be non-negative, got {epochs}")
-        if not learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-        if not reg_weight >= 0:
-            raise ValueError(f"reg_weight must be non-negative, got {reg_weight}")
-        self.hidden_dim = hidden_dim
-        self.reg_weight = reg_weight
-        self.learning_rate = learning_rate
-        self.epochs = epochs
-        self.seed = seed
-        self.params_: Params | None = None
+    hidden_dim: int = 400
+    reg_weight: float = 1.5
+    learning_rate: float = 0.01
+    epochs: int = 1000
+    seed: int = 0
+    params_: Params | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        check_width("hidden_dim", self.hidden_dim)
+        check_training(self.learning_rate, self.epochs)
+        if not self.reg_weight >= 0:
+            raise ValueError(f"reg_weight must be non-negative, got {self.reg_weight}")
 
     @classmethod
     def fit_group(cls, detectors, templates):

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .base import Detector, as_matrix
 
 
+@dataclass(eq=False)
 class ManhattanDetector(Detector):
     """Score is the negated L1 distance from the query to the mean
     template vector. With ``scaled=True`` each feature is divided by its
@@ -14,10 +17,9 @@ class ManhattanDetector(Detector):
     normalized features plain Manhattan already performs comparably).
     """
 
-    def __init__(self, scaled: bool = False) -> None:
-        self.scaled = scaled
-        self.mean_: np.ndarray | None = None
-        self.scale_: np.ndarray | None = None
+    scaled: bool = False
+    mean_: np.ndarray | None = field(default=None, init=False, repr=False)
+    scale_: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def fit_group(cls, detectors, templates):

@@ -9,6 +9,8 @@ rho comes from an interior support vector, which scores 0 by definition.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from ..errors import TrainingError
@@ -58,28 +60,23 @@ def project_capped_simplex(v: np.ndarray, cap: float) -> np.ndarray:
     return a
 
 
+@dataclass(eq=False)
 class OneClassSvm(Detector):
-    def __init__(
-        self,
-        nu: float = 0.5,
-        gamma: float = 0.9,
-        max_iter: int = 10000,
-        tol: float = 1e-10,
-    ) -> None:
-        if not 0.0 < nu <= 1.0:
-            raise ValueError(f"nu must be in (0, 1], got {nu}")
-        if not gamma > 0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
-        if max_iter < 1:
-            raise ValueError(f"max_iter must be positive, got {max_iter}")
-        self.nu = nu
-        self.gamma = gamma
-        self.max_iter = max_iter
-        self.tol = tol
-        self.templates_: np.ndarray | None = None
-        self.alpha_: np.ndarray | None = None
-        self.rho_: float | None = None
-        self.n_iter_: int = 0
+    max_iter = 10_000  # the solver stops here, or once the residual is below tol
+    tol = 1e-10
+
+    nu: float = 0.5
+    gamma: float = 0.9
+    templates_: np.ndarray | None = field(default=None, init=False, repr=False)
+    alpha_: np.ndarray | None = field(default=None, init=False, repr=False)
+    rho_: float | None = field(default=None, init=False, repr=False)
+    n_iter_: int = field(default=0, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.nu <= 1.0:
+            raise ValueError(f"nu must be in (0, 1], got {self.nu}")
+        if not self.gamma > 0:
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
 
     @classmethod
     def fit_group(cls, detectors, templates):
@@ -89,12 +86,12 @@ class OneClassSvm(Detector):
             K = rbf_kernel(X, X, detector.gamma)
             step = 1.0 / max(float(np.linalg.eigvalsh(K)[-1]), 1e-12)
             alpha = project_capped_simplex(np.full(n, 1.0 / n), cap)
-            for it in range(detector.max_iter):
+            for it in range(cls.max_iter):
                 grad = K @ alpha
                 new = project_capped_simplex(alpha - step * grad, cap)
                 residual = np.abs(alpha - project_capped_simplex(alpha - grad, cap)).max()
                 alpha = new
-                if residual < detector.tol:
+                if residual < cls.tol:
                     break
             detector.n_iter_ = it + 1
             detector.templates_ = X

@@ -15,6 +15,7 @@ frozen draws.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -32,7 +33,7 @@ from ._nn import (
     width_matmul,
     xavier_uniform,
 )
-from .base import Detector, check_width, shared_settings
+from .base import Detector, check_training, check_width, shared_settings
 
 Params = dict[str, Any]
 
@@ -183,53 +184,45 @@ def loss_and_grads(
     return float(loss[0]), net.subject_grads(0)
 
 
+@dataclass(eq=False)
 class VariationalAutoencoder(Detector):
-    def __init__(
-        self,
-        hidden_sizes: tuple[int, ...] = (5, 5),
-        latent_dim: int = 3,
-        learning_rate: float = 0.001,
-        batch_size: int = 2,
-        epochs: int = 700,
-        seed: int = 0,
-    ) -> None:
-        if not hidden_sizes:
-            raise ValueError("need at least one hidden layer")
-        for k, width in enumerate(hidden_sizes):
+    hidden_sizes: tuple[int, ...] = (5, 5)
+    latent_dim: int = 3
+    learning_rate: float = 0.001
+    batch_size: int = 2
+    epochs: int = 700
+    seed: int = 0
+    params_: Params | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if not self.hidden_sizes:
+            raise ValueError("hidden_sizes needs at least one hidden layer")
+        for k, width in enumerate(self.hidden_sizes):
             check_width(f"hidden_sizes[{k}]", width)
-        check_width("latent_dim", latent_dim)
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be positive, got {batch_size}")
-        if epochs < 0:
-            raise ValueError(f"epochs must be non-negative, got {epochs}")
-        if not learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, got {learning_rate}")
-        self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
-        self.latent_dim = latent_dim
-        self.learning_rate = learning_rate
-        self.batch_size = batch_size
-        self.epochs = epochs
-        self.seed = seed
-        self.params_: Params | None = None
+        check_width("latent_dim", self.latent_dim)
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        check_training(self.learning_rate, self.epochs)
+        self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
 
     @classmethod
     def fit_group(cls, detectors, templates):
         """Train every subject in one stacked mini-batch loop, each from
         its own RNG (see `_draws`). A subject whose loss turns non-finite
         fails alone, at that epoch."""
-        hidden_sizes, latent_dim, lr, batch_size, epochs = shared_settings(
-            detectors, "hidden_sizes", "latent_dim", "learning_rate", "batch_size", "epochs"
-        )
+        shared = shared_settings(detectors)
         X, widths = stack_templates(templates)
         rngs = [np.random.default_rng(d.seed) for d in detectors]
         net = StackedParams([
-            init_params(rng, w, hidden_sizes, latent_dim) for rng, w in zip(rngs, widths)
+            init_params(rng, w, shared.hidden_sizes, shared.latent_dim)
+            for rng, w in zip(rngs, widths)
         ])
         mask = width_mask(widths)
-        opt = Adam(net.flat, learning_rate=lr)
+        opt = Adam(net.flat, learning_rate=shared.learning_rate)
         subjects = np.arange(len(detectors))[:, None]
         errors: list = [None] * len(detectors)
-        for epoch, rows, eps in _draws(rngs, X.shape[1], batch_size, latent_dim, epochs):
+        draws = _draws(rngs, X.shape[1], shared.batch_size, shared.latent_dim, shared.epochs)
+        for epoch, rows, eps in draws:
             loss = _stacked_loss_and_grads(
                 net.params, net.grads, X[subjects, rows], eps, widths, mask
             )

@@ -9,11 +9,11 @@ most ``MAX_DELTA_MS`` = 2**53 - 1. No sign, prefix or separator is
 accepted. Pairing turns that stream into press-ordered keystrokes with
 absolute timestamps; overlapping holds (rollover) are supported.
 
-``read_sequence`` is the spec: the scanner ``parse_raw_events`` lazily
-validates each line into an ``(is_press, scancode, delta_ms)`` step, and
+``read_sequence`` is the spec: the scanner ``parse_raw_events`` validates
+every line into a list of ``(is_press, scancode, delta_ms)`` steps, and
 the pairing loop ``pair_events`` consumes steps; ``read_sequence`` is
-``pair_events(parse_raw_events(text))``. The scanner is a generator, so a
-parse error is raised while its steps are iterated, not when it is called.
+``pair_events(parse_raw_events(text))``. The scan finishes before pairing
+starts, so a parse error anywhere in the text wins over a pairing error.
 Every parse and pairing message and every :class:`UnreleasedKeyWarning`
 comes from this path.
 
@@ -248,17 +248,18 @@ _DECIMAL_DIGITS = "0123456789"
 MAX_DELTA_MS = 2**53 - 1
 
 
-def parse_raw_events(text: str) -> Iterator[tuple[bool, int, int]]:
+def parse_raw_events(text: str) -> list[tuple[bool, int, int]]:
     """Scan the canonical event format: a validated ``(is_press, scancode,
-    delta_ms)`` step per non-blank line, produced lazily.
+    delta_ms)`` step per non-blank line.
 
-    Raises (while iterated):
+    Raises:
         ParseError: wrong field count, unknown action token, a scancode
             that is not plain ASCII hex digits, a delta that is not plain
             ASCII decimal digits, nonzero delta on the first event, or a
             timestamp (time since the first event) past ``MAX_DELTA_MS``.
             Errors carry the 1-based line number.
     """
+    steps: list[tuple[bool, int, int]] = []
     t = None  # time since the first event
     for lineno, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
@@ -296,22 +297,22 @@ def parse_raw_events(text: str) -> Iterator[tuple[bool, int, int]]:
         t += delta
         if t > MAX_DELTA_MS:
             raise ParseError(f"line {lineno}: timestamp {t} exceeds {MAX_DELTA_MS}")
-        yield is_press, scancode, delta
+        steps.append((is_press, scancode, delta))
+    return steps
 
 
 def pair_events(steps: Iterable[tuple[bool, int, int]]) -> KeystrokeSequence:
     """Pair ``(is_press, scancode, delta_ms)`` steps, whose deltas are
-    non-negative as :func:`parse_raw_events` yields them, into a
+    non-negative as :func:`parse_raw_events` gives them, into a
     press-ordered keystroke sequence.
 
     Each press is matched with the earliest subsequent release of the same
     scancode, so holds may overlap (rollover). A repeated press of a key
     that is already down (auto-repeat) closes the open keystroke at the new
     press time and starts a new one. A release with no open press is a
-    :class:`PairingError`, raised only once ``steps`` is exhausted, so a
-    scanner error later in the text still wins. A press that is never
-    released is closed at the final timestamp of the sample and reported
-    via :class:`UnreleasedKeyWarning`.
+    :class:`PairingError`. A press that is never released is closed at the
+    final timestamp of the sample and reported via
+    :class:`UnreleasedKeyWarning`.
     """
     t = 0
     open_by_code: dict[int, int] = {}  # scancode -> index of its open keystroke
@@ -320,7 +321,6 @@ def pair_events(steps: Iterable[tuple[bool, int, int]]) -> KeystrokeSequence:
     keys: list[str] = []
     press: list[int] = []
     release: list[int] = []
-    steps = iter(steps)
     for is_press, code, delta in steps:
         t += delta
         opened = open_by_code.pop(code, None)
@@ -332,10 +332,7 @@ def pair_events(steps: Iterable[tuple[bool, int, int]]) -> KeystrokeSequence:
             press.append(t)
             release.append(t)
         elif opened is None:
-            error = PairingError(f"release of {key_name(code)!r} at t={t} with no open press")
-            for _ in steps:
-                pass
-            raise error
+            raise PairingError(f"release of {key_name(code)!r} at t={t} with no open press")
     for code, index in open_by_code.items():
         warnings.warn(
             f"press of {key_name(code)!r} at t={press[index]} never released; "

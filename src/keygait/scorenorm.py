@@ -82,7 +82,7 @@ def normalize_sd(scores: Sequence[float], h_s: float = 2.0) -> list[float]:
     Raises:
         ScoreNormError: fewer than 2 scores, or h_s not positive (NaN included).
         ValueError: h_s so wide that the bound width ``2 * h_s * sd``
-            overflows to inf.
+            overflows to inf, or so narrow that it underflows to 0.
     """
     if not h_s > 0:
         raise ScoreNormError(f"h_s must be positive, got {h_s}")
@@ -97,6 +97,8 @@ def normalize_sd(scores: Sequence[float], h_s: float = 2.0) -> list[float]:
     width = 2.0 * h_s * sd
     if width == math.inf:
         raise ValueError(f"h_s {h_s} is too wide: the bound width 2 * h_s * sd overflows")
+    if width == 0.0:
+        raise ValueError(f"h_s {h_s} is too narrow: the bound width 2 * h_s * sd underflows")
     lo = mean - h_s * sd
     return [min(1.0, max(0.0, (s - lo) / width)) for s in scores]
 

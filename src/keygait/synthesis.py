@@ -38,6 +38,17 @@ from .scancodes import MODIFIER_KEYS, SHIFT_KEYS
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
+# The timing model: population medians (ms) of a keystroke's duration and
+# latency, and the log-normal spreads of the per-subject medians around them
+# and of each sample's draws around those.
+LETTER_DURATION_MS = 90.0
+LETTER_LATENCY_MS = 160.0
+MODIFIER_DURATION_MS = 150.0
+MODIFIER_LATENCY_MS = 210.0
+BETWEEN_SUBJECT_SD = 0.18
+MODIFIER_BETWEEN_SD = 0.8
+WITHIN_SAMPLE_SD = 0.15
+
 
 @dataclass(frozen=True)
 class SynthConfig(JsonConfig):
@@ -56,13 +67,6 @@ class SynthConfig(JsonConfig):
     impostor_separation: float = 0.4
     impostor_source: str = "independent"
     seed: int = 0
-    letter_duration_ms: float = 90.0
-    letter_latency_ms: float = 160.0
-    modifier_duration_ms: float = 150.0
-    modifier_latency_ms: float = 210.0
-    between_subject_sd: float = 0.18
-    modifier_between_sd: float = 0.8
-    within_sample_sd: float = 0.15
 
     def __post_init__(self) -> None:
         # Sample ids are sNNN, tNN and qNN, so the counts are bounded
@@ -108,17 +112,15 @@ class PerturbationRecord:
 _Profile = dict[str, tuple[float, float]]
 
 
-def _make_profile(
-    rng: np.random.Generator, keys: set[str], config: SynthConfig, scale: float
-) -> _Profile:
+def _make_profile(rng: np.random.Generator, keys: set[str], scale: float) -> _Profile:
     ordered = sorted(keys)
     modifier = np.array([key in MODIFIER_KEYS for key in ordered])
     base = np.where(
         modifier[:, None],
-        [config.modifier_duration_ms, config.modifier_latency_ms],
-        [config.letter_duration_ms, config.letter_latency_ms],
+        [MODIFIER_DURATION_MS, MODIFIER_LATENCY_MS],
+        [LETTER_DURATION_MS, LETTER_LATENCY_MS],
     )
-    spread = np.where(modifier, config.modifier_between_sd, config.between_subject_sd)
+    spread = np.where(modifier, MODIFIER_BETWEEN_SD, BETWEEN_SUBJECT_SD)
     # One (duration, latency) draw per key, in sorted key order. A huge
     # scale overflows to inf here, which _time_keys rejects.
     z = rng.normal(0.0, spread[:, None], size=(len(ordered), 2))
@@ -205,7 +207,7 @@ def _time_keys(
 ) -> KeystrokeSequence:
     n = len(keys)
     # One (duration, latency) draw per keystroke, in key order.
-    z = rng.normal(0.0, config.within_sample_sd, size=(n, 2))
+    z = rng.normal(0.0, WITHIN_SAMPLE_SD, size=(n, 2))
     with np.errstate(over="ignore"):
         durations, latencies = (np.array([profile[key] for key in keys]) * np.exp(z)).T
         if config.hesitation_rate > 0 and n > 1 and rng.uniform() < config.hesitation_rate:
@@ -221,8 +223,8 @@ def _time_keys(
     last = releases.max()
     if not last <= MAX_DELTA_MS:
         raise ValueError(
-            f"a synthetic timestamp of {last} ms is past 2**53 - 1 ms: impostor_separation, "
-            "the timing medians or the spreads are too large"
+            f"a synthetic timestamp of {last} ms is past 2**53 - 1 ms: "
+            "impostor_separation is too large"
         )
     releases = releases.astype(np.int64).tolist()
     presses = presses.astype(np.int64).tolist()
@@ -262,7 +264,7 @@ def generate_synthetic(
         rng = np.random.default_rng(derive_seed(config.seed, "subject", idx))
         shift = "lshift" if rng.uniform() < 0.5 else "rshift"
         canonical = _make_name(rng, config, shift)
-        profile = _make_profile(rng, _profile_keys(canonical), config, 1.0)
+        profile = _make_profile(rng, _profile_keys(canonical), 1.0)
 
         n_genuine = int(rng.integers(config.genuine_queries[0], config.genuine_queries[1] + 1))
         n_impostor = int(rng.integers(config.impostor_queries[0], config.impostor_queries[1] + 1))
@@ -289,10 +291,7 @@ def generate_synthetic(
                     imp_shift = "lshift" if rng.uniform() < 0.5 else "rshift"
                     imp_keys = [imp_shift if k in SHIFT_KEYS else k for k in canonical]
                     imp_profile = _make_profile(
-                        rng,
-                        _profile_keys(imp_keys),
-                        config,
-                        config.impostor_separation,
+                        rng, _profile_keys(imp_keys), config.impostor_separation
                     )
                 keys = _perturb(imp_keys, rng, config, subject_id, sample_id, log)
                 seq = _time_keys(keys, imp_profile, rng, config)

@@ -482,18 +482,19 @@ def reference_resolution(latencies) -> float | None:
 # ------------------------------------------------------------ synthesis
 
 
-def reference_make_profile(rng, keys, config, scale: float) -> dict:
+def reference_make_profile(rng, keys, scale: float) -> dict:
     """Per-key (duration, latency) medians, one scalar draw at a time."""
+    from keygait import synthesis as syn
     from keygait.scancodes import MODIFIER_KEYS
 
     profile = {}
     for key in sorted(keys):
         if key in MODIFIER_KEYS:
-            base_d, base_p = config.modifier_duration_ms, config.modifier_latency_ms
-            spread = config.modifier_between_sd
+            base_d, base_p = syn.MODIFIER_DURATION_MS, syn.MODIFIER_LATENCY_MS
+            spread = syn.MODIFIER_BETWEEN_SD
         else:
-            base_d, base_p = config.letter_duration_ms, config.letter_latency_ms
-            spread = config.between_subject_sd
+            base_d, base_p = syn.LETTER_DURATION_MS, syn.LETTER_LATENCY_MS
+            spread = syn.BETWEEN_SUBJECT_SD
         dur = base_d * float(np.exp(scale * rng.normal(0.0, spread)))
         lat = base_p * float(np.exp(scale * rng.normal(0.0, spread)))
         profile[key] = (dur, lat)
@@ -504,9 +505,9 @@ def reference_time_keys(keys, profile, rng, config):
     """A timed rendition of ``keys``, drawn and rounded one keystroke at a
     time with Python's ``round``."""
     from keygait.events import Keystroke, KeystrokeSequence
+    from keygait.synthesis import WITHIN_SAMPLE_SD as sd
 
     n = len(keys)
-    sd = config.within_sample_sd
     durations = np.empty(n)
     latencies = np.empty(n)
     for i, key in enumerate(keys):

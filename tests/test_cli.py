@@ -474,6 +474,25 @@ class TestErrorHandling:
             ("synth", '{"n_subjects": 2.5}', "SynthConfig.n_subjects: expected an integer, got 2.5"),
             ("synth", '{"name_length": 7}', "SynthConfig.name_length: expected a list of 2, got 7"),
             ("synth", '{"genuine_queries": [5, 3]}', "genuine_queries must satisfy 0 <= lo <= hi, got (5, 3)"),
+            ("synth", '{"letter_duration_ms": 90}', "unknown SynthConfig key(s): letter_duration_ms"),
+            # ensemble settings on a single detector, and detector params on an ensemble
+            (
+                "evaluate",
+                '{"detector": {"name": "manhattan", "members": [{"name": "ocsvm"}, {"name": "variational"}]},'
+                ' "ensemble_normalized": true}',
+                "members: only an ensemble has members, not 'manhattan'",
+            ),
+            (
+                "evaluate",
+                '{"detector": {"name": "ensemble", "params": {"nu": 0.3},'
+                ' "members": [{"name": "ocsvm"}, {"name": "manhattan"}]}}',
+                "params: an ensemble takes none; set them on its members",
+            ),
+            (
+                "evaluate",
+                '{"detector": {"name": "ocsvm"}, "ensemble_normalized": true}',
+                "ensemble_normalized needs an ensemble, not 'ocsvm'",
+            ),
         ],
     )
     def test_ill_typed_config_is_operational_error(self, data_dir, tmp_path, capsys, command, text, message):
@@ -508,6 +527,11 @@ class TestErrorHandling:
             # finite, but the bound width overflows to inf
             (["evaluate", "--h-f", "1e308"], "h_f 1e+308 is too wide: the bound width 2 * h_f * sigma overflows"),
             (["evaluate", "--h-s", "1e308"], "h_s 1e+308 is too wide: the bound width 2 * h_s * sd overflows"),
+            # positive, but the bound width underflows to 0 on scores whose sd is below 1/2
+            (
+                ["evaluate", "--detector", "ocsvm", "--h-s", "5e-324"],
+                "h_s 5e-324 is too narrow: the bound width 2 * h_s * sd underflows",
+            ),
         ],
     )
     def test_infinite_width_flag_is_operational_error(self, data_dir, tmp_path, capsys, argv, message):

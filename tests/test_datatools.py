@@ -40,7 +40,7 @@ from keygait import (
     write_perturbations,
     write_scores,
 )
-from keygait import datasets
+from keygait import datasets, synthesis
 from keygait.datasets import tsv
 from keygait.events import check_id
 from keygait.synthesis import _make_name, _make_profile, _perturb, _profile_keys, _time_keys
@@ -510,14 +510,15 @@ class TestSynthesis:
                     assert k.press_t % 40 == 0
                     assert k.release_t % 40 == 0
 
-    def test_no_same_key_overlap_even_with_slow_modifiers(self):
+    def test_no_same_key_overlap_even_with_slow_modifiers(self, monkeypatch):
         # long Shift holds must end before that Shift is pressed again,
         # or the event stream cannot be re-paired after serialization;
         # keystrokes are built unchecked, so release >= press is asserted here
+        monkeypatch.setattr(synthesis, "MODIFIER_BETWEEN_SD", 1.5)
         for quantum in (0, 40):
             for hesitation in (0.0, TINY.hesitation_rate, 1.0):
                 config = replace(
-                    TINY, n_subjects=6, modifier_between_sd=1.5, seed=7,
+                    TINY, n_subjects=6, seed=7,
                     clock_quantum_ms=quantum, hesitation_rate=hesitation,
                 )
                 dataset, _ = generate_synthetic(config)
@@ -599,8 +600,8 @@ class TestSynthesis:
         assert _make_name(rngs[1], config, "lshift") == canonical
         keys = _profile_keys(canonical)
         for scale in (1.0, 0.4):
-            profile = _make_profile(rngs[0], keys, config, scale)
-            assert reference_make_profile(rngs[1], keys, config, scale) == profile
+            profile = _make_profile(rngs[0], keys, scale)
+            assert reference_make_profile(rngs[1], keys, scale) == profile
         for _ in range(30):
             sample = _perturb(canonical, rngs[0], config, "s001", "t01", [])
             assert _perturb(canonical, rngs[1], config, "s001", "t01", []) == sample

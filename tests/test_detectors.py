@@ -466,6 +466,12 @@ class TestStackedTraining:
                 a.tobytes() for a in _nn.leaves(expected)
             ]
 
+    def test_group_members_share_every_setting_but_the_seed(self):
+        Xs = [np.zeros((2, 3))] * 2
+        group = [TiedAutoencoder(epochs=1, seed=0), TiedAutoencoder(epochs=2, seed=1)]
+        with pytest.raises(ValueError, match="agree on hidden_sizes, learning_rate, epochs$"):
+            TiedAutoencoder.fit_group(group, Xs)
+
 
 class TestProjection:
     def test_hand_cases(self):
@@ -600,6 +606,11 @@ class TestBuildDetector:
     def test_unknown_param_names_the_key(self):
         with pytest.raises(ValueError, match=r"detector 'ocsvm' takes no parameter\(s\) gama$"):
             build_detector(DetectorConfig(name="ocsvm", params={"nu": 0.3, "gama": 0.5}))
+
+    @pytest.mark.parametrize("name", ["tol", "max_iter"])
+    def test_svm_solver_limits_are_not_params(self, name):
+        with pytest.raises(ValueError, match=rf"detector 'ocsvm' takes no parameter\(s\) {name}$"):
+            build_detector(DetectorConfig(name="ocsvm", params={name: 1}))
 
     @pytest.mark.parametrize(
         "name, params, message",

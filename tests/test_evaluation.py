@@ -263,6 +263,16 @@ def test_prepared_rows_match_per_sequence_features(
         assert p.query_matrix.tobytes() == np.stack(ref_q).tobytes()
 
 
+@pytest.mark.parametrize("alignment", ["truncate", "discard"])
+def test_merge_shift_keys_leaves_other_methods_alone(small_dataset, alignment):
+    # truncate ignores key names and discard drops the Shift keys
+    on, off = (
+        _record_bits(run_pipeline(small_dataset, PipelineConfig(alignment=alignment, merge_shift_keys=merge)))
+        for merge in (True, False)
+    )
+    assert on == off
+
+
 class TestRunPipeline:
     def test_deterministic(self):
         ds = _toy_dataset()

@@ -35,57 +35,44 @@ def seq(*keystrokes):
     return KeystrokeSequence(tuple(keystrokes))
 
 
-def steps(text):
-    """Every ``(is_press, scancode, delta_ms)`` step of ``text``, scanned
-    eagerly, so a parse error is raised here."""
-    return list(parse_raw_events(text))
-
-
 class TestParsing:
     def test_basic(self):
-        events = steps("P 1c 0\nR 1c 90\nP 39 30\nR 39 85\n")
+        events = parse_raw_events("P 1c 0\nR 1c 90\nP 39 30\nR 39 85\n")
         assert events == [(True, 0x1C, 0), (False, 0x1C, 90), (True, 0x39, 30), (False, 0x39, 85)]
 
-    def test_scan_is_lazy(self):
-        # the error is raised while the steps are iterated, not at the call
-        events = parse_raw_events("P 1c 0\nX 1c 90\n")
-        assert next(events) == (True, 0x1C, 0)
-        with pytest.raises(ParseError, match="line 2"):
-            next(events)
-
     def test_blank_lines_skipped(self):
-        events = steps("\nP 1c 0\n\nR 1c 5\n\n")
+        events = parse_raw_events("\nP 1c 0\n\nR 1c 5\n\n")
         assert len(events) == 2
 
     def test_first_delta_must_be_zero(self):
         with pytest.raises(ParseError, match="line 1"):
-            steps("P 1c 10\nR 1c 90\n")
+            parse_raw_events("P 1c 10\nR 1c 90\n")
 
     def test_bad_action(self):
         with pytest.raises(ParseError, match="line 2"):
-            steps("P 1c 0\nX 1c 90\n")
+            parse_raw_events("P 1c 0\nX 1c 90\n")
 
     def test_bad_field_count(self):
         with pytest.raises(ParseError):
-            steps("P 1c\n")
+            parse_raw_events("P 1c\n")
 
     def test_negative_delta(self):
         with pytest.raises(ParseError):
-            steps("P 1c 0\nR 1c -4\n")
+            parse_raw_events("P 1c 0\nR 1c -4\n")
 
     def test_uppercase_hex_accepted(self):
         # lenient on input; serialization always emits lowercase
-        assert steps("P 1C 0\n") == [(True, 0x1C, 0)]
+        assert parse_raw_events("P 1C 0\n") == [(True, 0x1C, 0)]
 
     def test_empty_input(self):
-        assert steps("") == []
+        assert parse_raw_events("") == []
 
     def test_negative_scancode(self):
         with pytest.raises(ParseError, match=r"line 2: bad scancode '-1'"):
-            steps("P 1c 0\nP -1 0\n")
+            parse_raw_events("P 1c 0\nP -1 0\n")
 
     @pytest.mark.parametrize(
-        "read", [steps, read_sequence], ids=["parse_raw_events", "read_sequence"]
+        "read", [parse_raw_events, read_sequence], ids=["parse_raw_events", "read_sequence"]
     )
     @pytest.mark.parametrize(
         "text, message",
@@ -107,10 +94,10 @@ class TestParsing:
         assert str(caught.value) == message
 
     @pytest.mark.parametrize(
-        "read", [steps, read_sequence], ids=["parse_raw_events", "read_sequence"]
+        "read", [parse_raw_events, read_sequence], ids=["parse_raw_events", "read_sequence"]
     )
     def test_delta_above_float_exact_range_is_rejected(self, read):
-        assert len(read(f"P 1e 0\nR 1e {MAX_DELTA_MS}\n")) == (2 if read is steps else 1)
+        assert len(read(f"P 1e 0\nR 1e {MAX_DELTA_MS}\n")) == (2 if read is parse_raw_events else 1)
         # 401 digits: past float's range, where feature extraction would overflow
         for token in (str(MAX_DELTA_MS + 1), "9" * 401):
             with pytest.raises(ParseError) as caught:
@@ -118,7 +105,7 @@ class TestParsing:
             assert str(caught.value) == f"line 2: bad delta {token!r}"
 
     @pytest.mark.parametrize(
-        "read", [steps, read_sequence], ids=["parse_raw_events", "read_sequence"]
+        "read", [parse_raw_events, read_sequence], ids=["parse_raw_events", "read_sequence"]
     )
     def test_timestamp_above_float_exact_range_is_rejected(self, read):
         # Every delta is in range but their sum is not: as floats, the
@@ -128,7 +115,7 @@ class TestParsing:
             read(text)
         assert str(caught.value) == f"line 3: timestamp {2 * MAX_DELTA_MS} exceeds {MAX_DELTA_MS}"
         inclusive = f"P 1e 0\nR 1e {MAX_DELTA_MS - 1}\nP 1f 1\nR 1f 0\n"  # ends on the bound
-        assert len(read(inclusive)) == (4 if read is steps else 2)
+        assert len(read(inclusive)) == (4 if read is parse_raw_events else 2)
         assert read_sequence(inclusive)[-1] == Keystroke("s", MAX_DELTA_MS, MAX_DELTA_MS)
 
 

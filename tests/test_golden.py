@@ -80,12 +80,12 @@ GOLDEN = {
     "ablate/config.json": "5781728e22d9fee60c3094c430c02fc02ccbd1d6a5c4cac2d0f605769f47e489",
     "audit.tsv": "7e0a56ed538155f5a181356ead6913bf0b127b7c1869f3942a3f4992136ac35a",
     "bench/*/*.txt": "b832369a9abd910345e9e48bee622cc3094e8612c7b8c5946762d4c5ca8556c5",
-    "bench/config.json": "0fce539cc7a29485694dc4f4ae4c5df657932277f0a8923c179cd91312308a99",
+    "bench/config.json": "d949c04646c8ff8ac2cceea6160a567628c51dd8c1ec055d336e5f51d11bf06d",
     "bench/ground_truth.tsv": "34fbceac1b4691b18c99f91a532f68e85004681b0bda54e0f937e83c6fed5756",
     "bench/manifest.tsv": "63de78a00b3b271e532b440854961a636a250d66ec4361a6b61dc48bbef49e14",
     "bench/perturbations.tsv": "d170131cd7b99a0af20cfedc7dca97db9cb568d4cce9a09d97223fafa4a1bcc1",
     "coarse/*/*.txt": "7fc152b28dbe31c30d0bf61d774ece654bbeeab5d696e2f107030fcbfbfe0c70",
-    "coarse/config.json": "792c9f8e506027b240f69357efa2d3c86a720f9f6c7ec47f6f606b5f3de5b866",
+    "coarse/config.json": "7d5ae7e2458baaa42bff2b2059f0deb02ee2dccabd7f49b552bd0ad0e660027b",
     "coarse/ground_truth.tsv": "fd090a962b586b2ec30654f81d8ff960e15ba40bfd5090ebb523f00faf1a5142",
     "coarse/manifest.tsv": "18cfbf7e324bb3ad84deba72c85fd562b1b812e7041efbec351851db1f739203",
     "coarse/perturbations.tsv": "df9f61cad5e3f299721d46cc0674e9acd01483278737bb3150b25e82a54dab54",

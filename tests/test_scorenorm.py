@@ -59,6 +59,14 @@ def test_sd_overflowing_width_is_a_plain_value_error():
     assert str(err.value) == "h_s 1e+308 is too wide: the bound width 2 * h_s * sd overflows"
 
 
+def test_sd_underflowing_width_is_a_plain_value_error():
+    # 2 * 1e-320 * 5e-11 is below the smallest subnormal: the width is 0
+    with pytest.raises(ValueError) as err:
+        normalize_sd([0.0, 1e-10], h_s=1e-320)
+    assert not isinstance(err.value, ScoreNormError)
+    assert str(err.value) == "h_s 1e-320 is too narrow: the bound width 2 * h_s * sd underflows"
+
+
 @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40), st.floats(0.5, 5.0))
 def test_sd_range_and_order_preserved(scores, h_s):
     out = normalize_sd(scores, h_s=h_s)
