@@ -24,7 +24,7 @@ from .config import ALIGNMENT_METHODS
 from .datasets import tsv
 from .errors import AlignmentError
 from .events import KeystrokeSequence, SubjectDataset
-from .scancodes import MODIFIER_KEYS, SHIFT_KEYS
+from .scancodes import MODIFIER_KEYS
 
 
 @dataclass(frozen=True)
@@ -44,12 +44,6 @@ class AlignmentMapping:
         return sum(self.substituted)
 
 
-def _comparison_keys(seq: KeystrokeSequence, merge_shift_keys: bool) -> Sequence[str]:
-    if merge_shift_keys:
-        return ["shift" if key in SHIFT_KEYS else key for key in seq.keys()]
-    return seq.keys()
-
-
 def _take_nearest(indices: list[int], i: int) -> int:
     """Pop the entry of the sorted list ``indices`` nearest to ``i``, the
     smaller one on a tie: one of the two entries that bracket ``i``."""
@@ -60,10 +54,7 @@ def _take_nearest(indices: list[int], i: int) -> int:
 
 
 def align(
-    given: KeystrokeSequence,
-    target: KeystrokeSequence,
-    *,
-    merge_shift_keys: bool = False,
+    given: KeystrokeSequence, target: KeystrokeSequence
 ) -> tuple[KeystrokeSequence, AlignmentMapping]:
     """Align ``given`` onto ``target``, producing a sequence of exactly
     ``len(target)`` keystrokes in target order with unmodified timestamps.
@@ -95,13 +86,13 @@ def align(
 
     # Each key's unused given indices, sorted.
     free: dict[str, list[int]] = {}
-    for j, key in enumerate(_comparison_keys(given, merge_shift_keys)):
+    for j, key in enumerate(given.keys()):
         free.setdefault(key, []).append(j)
 
     # Pass 1: same-key matches, -1 where the key had none left.
     index = [
         _take_nearest(free[key], i) if free.get(key) else -1
-        for i, key in enumerate(_comparison_keys(target, merge_shift_keys))
+        for i, key in enumerate(target.keys())
     ]
     substituted = tuple(j < 0 for j in index)
 
@@ -148,11 +139,7 @@ def select_target(sequences: Sequence[KeystrokeSequence]) -> int:
 
 
 def align_subject(
-    templates: Sequence[KeystrokeSequence],
-    queries: Sequence[KeystrokeSequence],
-    method: str,
-    *,
-    merge_shift_keys: bool = False,
+    templates: Sequence[KeystrokeSequence], queries: Sequence[KeystrokeSequence], method: str
 ) -> tuple[list[KeystrokeSequence | None], list[KeystrokeSequence | None]]:
     """Align every template and query of one subject to the subject's
     target template, the shortest non-empty one after the method's
@@ -180,7 +167,7 @@ def align_subject(
     def one(seq: KeystrokeSequence) -> KeystrokeSequence | None:
         try:
             if method == "align":
-                return align(seq, target, merge_shift_keys=merge_shift_keys)[0]
+                return align(seq, target)[0]
             return truncate_align(seq, target)
         except AlignmentError:
             return None

@@ -46,6 +46,7 @@ from .datasets import (
 from .detectors import DETECTOR_NAMES
 from .errors import KeygaitError
 from .evaluation import (
+    RocCurve,
     check_split_counts,
     effective_scores,
     global_eer,
@@ -125,7 +126,9 @@ def _cmd_resolution(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_eer_outputs(scores: ScoreSet, out: Path) -> dict[str, object]:
+def _eer_metrics(scores: ScoreSet) -> tuple[dict[str, object], RocCurve, list[float], list[bool]]:
+    """The ``metrics.tsv`` rows of labeled scores, each computed once, with
+    the pooled ROC and the scores and genuine flags it was built from."""
     values, genuine = effective_scores(scores)
     curve = roc(values, genuine)
     report = subject_eer(scores)
@@ -137,6 +140,12 @@ def _write_eer_outputs(scores: ScoreSet, out: Path) -> dict[str, object]:
         "n_scores": len(values),
         "n_flagged": scores.ftc_count,
     }
+    return metrics, curve, values, genuine
+
+
+def _write_eer_outputs(
+    out: Path, metrics: dict[str, object], curve: RocCurve, values: list[float], genuine: list[bool]
+) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_metrics(metrics, out / "metrics.tsv")
     (out / "roc.tsv").write_text(curve.to_tsv())
@@ -155,7 +164,6 @@ def _write_eer_outputs(scores: ScoreSet, out: Path) -> dict[str, object]:
         bins = list(zip(edges[:-1], edges[1:], g_counts, i_counts))
     header = ("bin_lo", "bin_hi", "genuine", "impostor")
     (out / "score_hist.csv").write_text(tsv(bins, header, sep=","))
-    return metrics
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -168,7 +176,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     write_scores(scores, out / "raw_scores.tsv", normalized=False)
     write_config_snapshot(config, out)
     if all(r.label is not None for r in scores):
-        metrics = _write_eer_outputs(scores, out)
+        metrics, *pooled = _eer_metrics(scores)
+        _write_eer_outputs(out, metrics, *pooled)
         sys.stdout.write(tsv([("global_eer", metrics["global_eer"])]))
     else:
         print(f"scored {len(scores.records)} queries (labels withheld; no metrics)")
@@ -177,15 +186,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_eer(args: argparse.Namespace) -> int:
     scores = attach_labels(read_scores(args.scores), read_labels(args.labels))
-    report = subject_eer(scores)
-    metrics = {
-        "global_eer": global_eer(scores),
-        "subject_eer_mean": report.mean,
-        "subject_eer_sd": report.sd,
-    }
-    sys.stdout.write(tsv(metrics.items()))
+    metrics, *pooled = _eer_metrics(scores)
+    sys.stdout.write(tsv((key, metrics[key]) for key in ("global_eer", "subject_eer_mean", "subject_eer_sd")))
     if args.out:
-        _write_eer_outputs(scores, Path(args.out))
+        _write_eer_outputs(Path(args.out), metrics, *pooled)
     return 0
 
 

@@ -144,16 +144,11 @@ class PipelineConfig(JsonConfig):
     normalization settings, detector, score normalization, and the master
     seed from which all per-subject seeds derive.
 
-    ``merge_shift_keys`` lets ``align`` match left and right Shift as one
-    key; ``truncate`` ignores key names and ``discard`` drops the Shifts.
-
     Construction builds the detector, or each ensemble member, once, so a
     config never holds an unknown detector or an invalid param."""
 
     alignment: str = "align"
     h_f: float = 1.0
-    per_position: bool = False
-    merge_shift_keys: bool = False
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     score_norm: ScoreNormConfig = field(default_factory=ScoreNormConfig)
     ensemble_normalized: bool = False

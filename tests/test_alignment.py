@@ -31,15 +31,14 @@ def mkseq(keys, start=0, gap=100, duration=60):
 
 class TestAlign:
     def test_identity_on_equal_sequences(self):
-        # repeated keys and merged shifts too: align_subject relies on it
+        # repeated keys too: align_subject relies on it
         for keys in (["lshift", "j", "o", "space"], ["a", "lshift", "b", "a", "rshift", "a"]):
             s = mkseq(keys)
-            for merge in (False, True):
-                aligned, mapping = align(s, s, merge_shift_keys=merge)
-                assert aligned.keystrokes == s.keystrokes
-                assert not any(mapping.substituted)
-                assert mapping.index == tuple(range(len(keys)))
-                assert mapping.ignored == ()
+            aligned, mapping = align(s, s)
+            assert aligned.keystrokes == s.keystrokes
+            assert not any(mapping.substituted)
+            assert mapping.index == tuple(range(len(keys)))
+            assert mapping.ignored == ()
 
     def test_one_output_keystroke_per_target_position(self):
         given = mkseq(["a", "b", "c", "d", "e"])
@@ -99,13 +98,11 @@ class TestAlign:
         assert mapping.flagged
         assert aligned.keys() == ("a", "a", "a")
 
-    def test_merge_shift_keys(self):
+    def test_left_and_right_shift_do_not_match(self):
         given = mkseq(["rshift", "a"])
         target = mkseq(["lshift", "a"])
-        _, strict = align(given, target)
-        _, merged = align(given, target, merge_shift_keys=True)
-        assert strict.substituted[0]
-        assert not merged.substituted[0]
+        _, mapping = align(given, target)
+        assert mapping.substituted == (True, False)
 
     def test_empty_raises(self):
         s = mkseq(["a"])
@@ -151,13 +148,12 @@ def test_align_properties(given_keys, target_keys):
 @hgiven(
     key_lists(alphabet=("a", "b", "lshift", "rshift"), max_size=9),
     key_lists(alphabet=("a", "b", "lshift", "rshift"), max_size=9),
-    st.booleans(),
 )
-def test_align_matches_exhaustive_reference(given_keys, target_keys, merge_shift_keys):
+def test_align_matches_exhaustive_reference(given_keys, target_keys):
     given = mkseq(given_keys, gap=37)
     target = mkseq(target_keys, start=5)
-    aligned, mapping = align(given, target, merge_shift_keys=merge_shift_keys)
-    ref_aligned, ref_mapping = reference_align(given, target, merge_shift_keys=merge_shift_keys)
+    aligned, mapping = align(given, target)
+    ref_aligned, ref_mapping = reference_align(given, target)
     assert aligned == ref_aligned
     assert mapping == ref_mapping
 
@@ -170,14 +166,17 @@ def test_align_matches_exhaustive_reference(given_keys, target_keys, merge_shift
         ("ab", "aabba"),  # given shorter: reuse-last fallback
         ("xaxbxaxbx", "ab"),  # given longer: extras ignored
         ("ba", "ab"),
+        # left and right Shift are different keys
+        (["lshift", "a"], ["rshift", "a"]),
+        (["lshift", "a", "rshift", "a"], ["rshift", "a", "lshift", "a"]),
+        (["lshift", "lshift", "a"], ["rshift", "a"]),
+        (["a", "lshift", "b", "rshift"], ["lshift", "a", "rshift", "b"]),
+        (["lshift", "rshift"], ["rshift", "lshift"]),
     ],
 )
-@pytest.mark.parametrize("merge_shift_keys", [False, True])
-def test_align_matches_reference_on_repeats(given_keys, target_keys, merge_shift_keys):
+def test_align_matches_reference_on_repeats(given_keys, target_keys):
     given, target = mkseq(given_keys), mkseq(target_keys)
-    assert align(given, target, merge_shift_keys=merge_shift_keys) == reference_align(
-        given, target, merge_shift_keys=merge_shift_keys
-    )
+    assert align(given, target) == reference_align(given, target)
 
 
 class TestBaselines:

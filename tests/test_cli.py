@@ -205,6 +205,23 @@ class TestEerCommand:
         assert captured.out == ""
         assert captured.err == "error: no scores to evaluate\n"
 
+    def test_one_class_labels_give_the_error_evaluate_gives(self, tmp_path, capsys):
+        # both commands build the pooled ROC first, so labels of one class
+        # are one error line that names no subject
+        config = tmp_path / "genuine_only.json"
+        config.write_text('{"impostor_queries": [0, 0]}')
+        data, run = tmp_path / "data", tmp_path / "run"
+        assert main(["synth", "--out", str(data), "--subjects", "2", "--config", str(config)]) == 0
+        capsys.readouterr()
+        message = "error: need both genuine and impostor scores\n"
+        assert main(["evaluate", "--data", str(data), "--out", str(run)]) == 1
+        assert capsys.readouterr().err == message
+        argv = ["eer", "--scores", str(run / "scores.tsv"), "--labels", str(data / "ground_truth.tsv")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message
+
 
 class TestValidate:
     def test_prints_and_writes(self, data_dir, tmp_path, capsys):
@@ -442,7 +459,14 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "command, text, message",
         [
-            ("evaluate", '{"per_position": "false"}', "PipelineConfig.per_position: expected true or false, got 'false'"),
+            (
+                "evaluate",
+                '{"ensemble_normalized": "false"}',
+                "PipelineConfig.ensemble_normalized: expected true or false, got 'false'",
+            ),
+            # an old config that sets a removed setting
+            ("evaluate", '{"per_position": true}', "unknown PipelineConfig key(s): per_position"),
+            ("evaluate", '{"merge_shift_keys": true}', "unknown PipelineConfig key(s): merge_shift_keys"),
             ("evaluate", '{"h_f": NaN}', "PipelineConfig.h_f: expected a finite number, got nan"),
             ("evaluate", '{"score_norm": {"h_s": Infinity}}', "ScoreNormConfig.h_s: expected a finite number, got inf"),
             ("evaluate", "[1, 2]", "PipelineConfig: expected an object, got list"),

@@ -236,41 +236,44 @@ def _per_subject_scores(prepared, config, detector_config=None, seed_offset=0):
 
 
 @pytest.mark.parametrize("alignment", ["align", "truncate", "discard"])
-@pytest.mark.parametrize("per_position", [False, True])
-@pytest.mark.parametrize("merge_shift_keys", [False, True])
-def test_prepared_rows_match_per_sequence_features(
-    small_dataset, alignment, per_position, merge_shift_keys
-):
-    config = PipelineConfig(
-        alignment=alignment, per_position=per_position, merge_shift_keys=merge_shift_keys
-    )
+@pytest.mark.parametrize("h_f", [0.5, 1.0, 2.5])
+def test_prepared_rows_match_per_sequence_features(small_dataset, alignment, h_f):
+    config = PipelineConfig(alignment=alignment, h_f=h_f)
     for sid, p in zip(small_dataset.subject_ids(), evaluation.prepare(small_dataset, config)):
         entry = small_dataset.subjects[sid]
         templates = sorted(entry.templates, key=lambda s: s.sample_id)
         queries = sorted(entry.queries, key=lambda s: s.sample_id)
         aligned_t, aligned_q = align_subject(
-            [s.sequence for s in templates],
-            [s.sequence for s in queries],
-            alignment,
-            merge_shift_keys=merge_shift_keys,
+            [s.sequence for s in templates], [s.sequence for s in queries], alignment
         )
         assert None not in aligned_t and None not in aligned_q
-        ref_t, ref_q = reference_normalized_features(
-            aligned_t, aligned_q, h_f=config.h_f, per_position=per_position
-        )
+        ref_t, ref_q = reference_normalized_features(aligned_t, aligned_q, h_f=config.h_f)
         assert p.template_matrix.tobytes() == np.stack(ref_t).tobytes()
         assert p.query_rows == list(range(len(ref_q)))
         assert p.query_matrix.tobytes() == np.stack(ref_q).tobytes()
 
 
-@pytest.mark.parametrize("alignment", ["truncate", "discard"])
-def test_merge_shift_keys_leaves_other_methods_alone(small_dataset, alignment):
-    # truncate ignores key names and discard drops the Shift keys
-    on, off = (
-        _record_bits(run_pipeline(small_dataset, PipelineConfig(alignment=alignment, merge_shift_keys=merge)))
-        for merge in (True, False)
+def _swap_shift_sides(sequence):
+    swap = {"lshift": "rshift", "rshift": "lshift"}
+    return KeystrokeSequence(
+        tuple(Keystroke(swap.get(k.key, k.key), k.press_t, k.release_t) for k in sequence)
     )
-    assert on == off
+
+
+@pytest.mark.parametrize("alignment", ["truncate", "discard"])
+def test_shift_side_leaves_other_methods_alone(small_dataset, alignment):
+    # truncate ignores key names and discard drops the Shift keys
+    swapped = SubjectDataset()
+    for sid, entry in small_dataset.subjects.items():
+        swapped.subjects[sid] = type(entry)(
+            templates=list(entry.templates),
+            queries=[replace(q, sequence=_swap_shift_sides(q.sequence)) for q in entry.queries],
+        )
+    assert swapped.subjects != small_dataset.subjects
+    config = PipelineConfig(alignment=alignment)
+    assert _record_bits(run_pipeline(swapped, config)) == _record_bits(
+        run_pipeline(small_dataset, config)
+    )
 
 
 class TestRunPipeline:
@@ -599,8 +602,8 @@ class TestRunPipeline:
             # ill-typed values, one row per kind of field
             (
                 PipelineConfig,
-                {"per_position": "false", "merge_shift_keys": "no"},
-                "PipelineConfig.per_position: expected true or false, got 'false'",
+                {"ensemble_normalized": "false"},
+                "PipelineConfig.ensemble_normalized: expected true or false, got 'false'",
             ),
             (PipelineConfig, {"seed": 1.7}, "PipelineConfig.seed: expected an integer, got 1.7"),
             (SynthConfig, {"seed": True}, "SynthConfig.seed: expected an integer, got True"),
@@ -629,6 +632,9 @@ class TestRunPipeline:
             (PipelineConfig, {"detector": "manhattan"}, "PipelineConfig.detector: expected an object, got 'manhattan'"),
             (PipelineConfig, {"detector": {"params": [1, 2]}}, "DetectorConfig.params: expected an object, got [1, 2]"),
             (PipelineConfig, [1, 2], "PipelineConfig: expected an object, got list"),
+            # removed settings are unknown keys, not silently ignored
+            (PipelineConfig, {"per_position": True}, "unknown PipelineConfig key(s): per_position"),
+            (PipelineConfig, {"merge_shift_keys": True}, "unknown PipelineConfig key(s): merge_shift_keys"),
         ],
     )
     def test_config_rejects_unknown_keys(self, cls, data, message):
@@ -642,7 +648,6 @@ class TestRunPipeline:
             PipelineConfig(
                 alignment="discard",
                 h_f=2.5,
-                per_position=True,
                 detector=DetectorConfig(
                     name="ensemble",
                     members=(

@@ -613,7 +613,7 @@ _PRODUCERS = {
     "generate_synthetic": _synthetic_sequences,
     "align": lambda: [
         align(read_sequence(_ROLLOVER), read_sequence(_VALID))[0],
-        align(read_sequence(_VALID), read_sequence(_ROLLOVER), merge_shift_keys=True)[0],
+        align(read_sequence(_VALID), read_sequence(_ROLLOVER))[0],
     ],
     "truncate_align": lambda: [
         truncate_align(read_sequence(_ROLLOVER), read_sequence(_VALID)),

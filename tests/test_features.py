@@ -104,14 +104,19 @@ class TestNormalization:
         spread_wide = np.abs(normalize_features(wide, v) - 0.5)
         assert np.all(spread_wide <= spread_narrow + 1e-12)
 
-    def test_per_position_mode(self):
-        norm = fit_feature_normalizer(_templates(), per_position=True)
-        out = normalize_features(norm, _template_vectors()[1])
-        assert out.shape == (1, 5)
-        assert np.all(out >= 0.0) and np.all(out <= 1.0)
-        short = extract_features([aligned(("a", 0, 10), ("b", 20, 30))])
-        with pytest.raises(FeatureError):
-            normalize_features(norm, short)
+    @pytest.mark.parametrize("n_keys", [2, 3, 6])
+    def test_pooled_bounds_apply_at_any_length(self, n_keys):
+        # fitted on three-key templates; every position shares the bounds
+        norm = fit_feature_normalizer(_templates())
+
+        def evenly_typed(n):
+            return aligned(*((chr(ord("a") + i), 150 * i, 150 * i + 90) for i in range(n)))
+
+        out = normalize_features(norm, extract_features([evenly_typed(n_keys)]))[0]
+        three = normalize_features(norm, extract_features([evenly_typed(3)]))[0]
+        assert out.shape == (2 * n_keys - 1,)
+        assert np.all(out[:n_keys] == three[0])
+        assert np.all(out[n_keys:] == three[3])
 
     def test_empty_or_mismatched_fit_rejected(self):
         with pytest.raises(FeatureError):
@@ -128,12 +133,11 @@ class TestNormalization:
         with pytest.raises(FeatureError):
             fit_feature_normalizer(_templates(), h_f=h_f)
 
-    @pytest.mark.parametrize("per_position", [False, True])
-    def test_overflowing_width_is_a_plain_value_error(self, per_position):
+    def test_overflowing_width_is_a_plain_value_error(self):
         # not a FeatureError, which the pipeline would turn into a flagged
         # subject
         with np.errstate(all="raise"), pytest.raises(ValueError) as err:
-            fit_feature_normalizer(_templates(), h_f=1e308, per_position=per_position)
+            fit_feature_normalizer(_templates(), h_f=1e308)
         assert not isinstance(err.value, FeatureError)
         assert str(err.value) == "h_f 1e+308 is too wide: the bound width 2 * h_f * sigma overflows"
 
@@ -191,12 +195,6 @@ class TestFeatureMatrix:
         with pytest.raises(ValueError):
             RawFeatureMatrix(np.zeros(3), np.zeros(2))
 
-    def test_per_position_length_checked(self):
-        norm = fit_feature_normalizer(_templates(), per_position=True)
-        short = extract_features([aligned(("a", 0, 10), ("b", 20, 30))])
-        with pytest.raises(FeatureError):
-            normalize_features(norm, short)
-
 
 @st.composite
 def _aligned_batches(draw):
@@ -214,14 +212,12 @@ def _aligned_batches(draw):
     return seqs, n_templates, h_f
 
 
-@given(_aligned_batches(), st.booleans())
-def test_matrix_rows_equal_per_sequence_features(batch, per_position):
+@given(_aligned_batches())
+def test_matrix_rows_equal_per_sequence_features(batch):
     seqs, n_templates, h_f = batch
     raw = extract_features(seqs)
-    norm = fit_feature_normalizer(raw[:n_templates], h_f=h_f, per_position=per_position)
+    norm = fit_feature_normalizer(raw[:n_templates], h_f=h_f)
     matrix = normalize_features(norm, raw)
     # the frozen per-sequence reference
-    ref_t, ref_q = reference_normalized_features(
-        seqs[:n_templates], seqs[n_templates:], h_f=h_f, per_position=per_position
-    )
+    ref_t, ref_q = reference_normalized_features(seqs[:n_templates], seqs[n_templates:], h_f=h_f)
     assert matrix.tobytes() == np.stack(ref_t + ref_q).tobytes()

@@ -5,8 +5,8 @@ hardware can produce at its worst: empty captures, a single keystroke,
 all-equal timings, zero-duration keys, keys never released, deltas and
 timestamps up to ``events.MAX_DELTA_MS``, and a 40 ms quantized clock.
 Every capture goes through ``read_sequence``, then ``run_pipeline`` runs
-under each alignment x score normalization x ``per_position`` setting
-for the Manhattan and one-class SVM detectors. A query either gets a
+under each alignment x score normalization setting for the Manhattan
+and one-class SVM detectors. A query either gets a
 usable score or comes back flagged; none is dropped, crashes the run, or
 yields a NaN.
 """
@@ -40,11 +40,10 @@ CONFIGS = [
     PipelineConfig(
         alignment=method,
         score_norm=ScoreNormConfig(kind=kind),
-        per_position=per_position,
         detector=DetectorConfig(name=detector),
     )
-    for method, kind, per_position, detector in itertools.product(
-        ALIGNMENT_METHODS, SCORE_NORM_KINDS, (False, True), ("manhattan", "ocsvm")
+    for method, kind, detector in itertools.product(
+        ALIGNMENT_METHODS, SCORE_NORM_KINDS, ("manhattan", "ocsvm")
     )
 ]
 

@@ -35,8 +35,6 @@ CONFIG_ROWS = {
     PipelineConfig: [
         ("alignment", "none", "alignment"),
         ("h_f", 0.0, "h_f"),
-        ("per_position", ANY),
-        ("merge_shift_keys", ANY),
         ("detector", "manhattan", "PipelineConfig.detector"),
         ("score_norm", "sd", "PipelineConfig.score_norm"),
         ("ensemble_normalized", True, "ensemble_normalized"),
