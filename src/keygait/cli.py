@@ -170,13 +170,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _pipeline_config(args)
     dataset = load_dataset(args.data)
     scores = run_pipeline(dataset, config)
+    # metrics first: labels that cannot give an EER fail before --out exists
+    labeled = all(r.label is not None for r in scores)
+    if labeled:
+        metrics, *pooled = _eer_metrics(scores)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_scores(scores, out / "scores.tsv", normalized=True)
     write_scores(scores, out / "raw_scores.tsv", normalized=False)
     write_config_snapshot(config, out)
-    if all(r.label is not None for r in scores):
-        metrics, *pooled = _eer_metrics(scores)
+    if labeled:
         _write_eer_outputs(out, metrics, *pooled)
         sys.stdout.write(tsv([("global_eer", metrics["global_eer"])]))
     else:

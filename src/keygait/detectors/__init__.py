@@ -12,7 +12,10 @@ a time through `Detector.fit_group`; ``fit`` is the group of one. The
 autoencoder and the VAE train a group in one stacked loop (see `._nn`);
 every other detector loops over its subjects. Either way each subject's
 fit is bit-identical to fitting it alone, and a subject whose training
-fails gets its error back without stopping the others.
+fails gets its error back without stopping the others. So the pipeline
+may split a group of a class whose ``fit_across_processes`` is true (the
+three networks) into chunks fitted in separate processes, with the same
+bits.
 """
 
 from __future__ import annotations

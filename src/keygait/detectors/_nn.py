@@ -9,11 +9,14 @@ subject alone would: elementwise ops and matmuls over samples or hidden
 units run once for the stack, and contractions over the feature width
 run per subject on the unpadded slice (`width_matmul`).
 
-The contractive autoencoder trains one subject at a time: stacked, each
-(subjects, d, 400) weight array of 10 subjects is ~1.6 MB and overflows
-L2, and a padded stack ran at 0.67-0.82x that speed and was not
-bit-exact. Its weight is stored as (d, hidden), the layout in which every
-product of its epoch reads contiguous memory.
+The contractive autoencoder's ``fit_group`` loops over its subjects, one
+training loop each: stacked, each (subjects, d, 400) weight array of 10
+subjects is ~1.6 MB and overflows L2, and a padded stack ran at
+0.67-0.82x that speed and was not bit-exact. Its weight is stored as
+(d, hidden), the layout in which every product of its epoch reads
+contiguous memory. Within a process every fit here runs on one core; the
+pipeline uses more by splitting a group into chunks, one process each
+(``evaluation.raw_scores``).
 """
 
 from __future__ import annotations

@@ -110,6 +110,8 @@ class TiedAutoencoder(Detector):
     initialization itself testable.
     """
 
+    fit_across_processes = True
+
     hidden_sizes: tuple[int, ...] = (5, 4, 3)
     learning_rate: float = 0.5
     epochs: int = 5000

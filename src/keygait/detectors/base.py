@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import fields
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -17,6 +17,10 @@ from ..errors import KeygaitError
 
 
 class Detector(ABC):
+    # True where a group is worth splitting across processes: the pipeline
+    # then fits strided chunks of it in a process pool, one per CPU.
+    fit_across_processes: ClassVar[bool] = False
+
     @classmethod
     @abstractmethod
     def fit_group(

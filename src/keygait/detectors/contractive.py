@@ -122,6 +122,8 @@ def loss_and_grads(
 
 @dataclass(eq=False)
 class ContractiveAutoencoder(Detector):
+    fit_across_processes = True
+
     hidden_dim: int = 400
     reg_weight: float = 1.5
     learning_rate: float = 0.01
@@ -137,7 +139,10 @@ class ContractiveAutoencoder(Detector):
 
     @classmethod
     def fit_group(cls, detectors, templates):
-        """Fit each subject in turn; one whose loss turns non-finite fails alone."""
+        """Fit each subject in its own loop, one after another; one whose
+        loss turns non-finite fails alone. To use more cores, the pipeline
+        splits a group into chunks, one process each
+        (``fit_across_processes``)."""
         errors: list = [None] * len(detectors)
         for s, (detector, X) in enumerate(zip(detectors, map(as_matrix, templates))):
             params = init_params(np.random.default_rng(detector.seed), X.shape[1], detector.hidden_dim)

@@ -186,6 +186,8 @@ def loss_and_grads(
 
 @dataclass(eq=False)
 class VariationalAutoencoder(Detector):
+    fit_across_processes = True
+
     hidden_sizes: tuple[int, ...] = (5, 5)
     latent_dim: int = 3
     learning_rate: float = 0.001

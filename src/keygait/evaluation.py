@@ -14,10 +14,16 @@ template count and scores each subject's queries; ``normalize_scores``
 normalizes the raw scores per subject. Score normalization reads only
 raw scores, so ``keygait ablate`` prepares and fits once per alignment
 and normalizes those raw scores once per kind. A group fit gives every
-subject bit-identical results to fitting it alone. An ensemble is a
-pipeline config, not a detector: each member is fitted and scored like a
-single detector, and one combiner averages the members' raw or
-normalized scores.
+subject bit-identical results to fitting it alone, so ``raw_scores``
+splits the groups of the three networks (autoencoder, contractive,
+variational) into one chunk per CPU of the process's affinity mask and
+fits the chunks in a fork pool that closes before it returns; scoring
+stays in the calling process, and no output byte depends on the CPU
+count. With one CPU, on Python 3.12 or later (which warns when a process
+holding threads, as OpenBLAS does, forks), or where there is no fork,
+every group is fitted inline. An ensemble is a pipeline config, not a
+detector: each member is fitted and scored like a single detector, and
+one combiner averages the members' raw or normalized scores.
 Samples that cannot be processed are never dropped: they become flagged
 records with a sentinel minimal score and count toward
 failure-to-capture. All randomness derives from the config's master
@@ -28,6 +34,8 @@ bit-identical.
 from __future__ import annotations
 
 import hashlib
+import os
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
@@ -36,7 +44,7 @@ import numpy as np
 from .alignment import align_subject
 from .config import PipelineConfig
 from .datasets import tsv
-from .detectors import build_detector
+from .detectors import Detector, build_detector
 from .errors import AlignmentError, EvaluationError, KeygaitError, ScoreNormError
 from .events import Label, Role, Sample, SubjectDataset
 from .features import extract_features, fit_feature_normalizer, normalize_features
@@ -212,26 +220,94 @@ def prepare(dataset: SubjectDataset, config: PipelineConfig) -> list[PreparedSub
     ]
 
 
-def raw_scores(prepared: list[PreparedSubject], config: PipelineConfig) -> list[list[np.ndarray]]:
+# Forking is quiet only before Python 3.12, which warns when a process
+# that holds threads (OpenBLAS keeps its own) forks; elsewhere every group
+# is fitted inline.
+_CAN_FORK = hasattr(os, "fork") and sys.version_info < (3, 12)
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fit_chunk(
+    detectors: list[Detector], templates: list[np.ndarray]
+) -> tuple[list[Detector], list[KeygaitError | None]]:
+    """Fit one chunk of a group; the fitted detectors and their errors."""
+    return detectors, type(detectors[0]).fit_group(detectors, templates)
+
+
+def _fit_all(
+    jobs: list[tuple[list[Detector], list[np.ndarray]]], workers: int
+) -> list[tuple[list[Detector], list[KeygaitError | None]]]:
+    """The fitted detectors and errors of each group of ``jobs`` (its
+    detectors and templates). A group of a class that sets
+    ``fit_across_processes`` is split into up to ``workers`` strided
+    chunks, fitted in a fork pool that closes before this returns; with
+    one chunk per group all fit inline. An exception from a fit is raised
+    here as it would be inline."""
+    splits = [
+        min(workers, len(d)) if type(d[0]).fit_across_processes else 1 for d, _ in jobs
+    ]
+    chunks = [(d[k::n], t[k::n]) for (d, t), n in zip(jobs, splits) for k in range(n)]
+    if len(chunks) == len(jobs):
+        results = [_fit_chunk(*c) for c in chunks]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(min(workers, len(chunks)), mp_context=context) as pool:
+            results = list(pool.map(_fit_chunk, *zip(*chunks)))
+    parts = iter(results)
+    fitted = []
+    for (d, _), n in zip(jobs, splits):
+        detectors, errors = list(d), [None] * len(d)
+        for k in range(n):  # chunk k holds positions k, k + n, ...
+            detectors[k::n], errors[k::n] = next(parts)
+        fitted.append((detectors, errors))
+    return fitted
+
+
+def raw_scores(
+    prepared: list[PreparedSubject], config: PipelineConfig, _workers: int | None = None
+) -> list[list[np.ndarray]]:
     """Stage 2: per member of the configured detector (or the single
     detector), per subject, the raw score of every query, from one
     ``fit_group`` per template count and one ``score_all`` per subject;
     ``SENTINEL_SCORE`` where the query, the subject or its fit failed.
     Subject ``s`` is seeded ``derive_seed(config.seed, s)``, plus ``1 + i``
-    for ensemble member ``i``."""
+    for ensemble member ``i``.
+
+    The groups of a detector whose fits pay for a fork (the three
+    networks) are fitted across processes, one per CPU in this process's
+    affinity mask (``_workers``, for tests, overrides that count); every
+    score is computed here, and no byte depends on the count."""
     ensemble = config.detector.name == "ensemble"
     groups: dict[int, list[int]] = {}
     for i, p in enumerate(prepared):
         if p.template_matrix is not None:
             groups.setdefault(p.template_matrix.shape[0], []).append(i)
     seeds = [derive_seed(config.seed, p.subject_id) for p in prepared]
+    singles = config.detector.singles()
+    jobs = [
+        (
+            [build_detector(member, seed=seeds[i] + offset) for i in group],
+            [prepared[i].template_matrix for i in group],
+        )
+        for offset, member in enumerate(singles, start=int(ensemble))
+        for group in groups.values()
+    ]
+    workers = _cpu_count() if _workers is None else _workers
+    fitted = iter(_fit_all(jobs, workers if _CAN_FORK else 1))
     members: list[list[np.ndarray]] = []
-    for offset, member in enumerate(config.detector.singles(), start=int(ensemble)):
+    for _ in singles:
         out = [np.full(len(p.query_ids), SENTINEL_SCORE) for p in prepared]
         for group in groups.values():
-            detectors = [build_detector(member, seed=seeds[i] + offset) for i in group]
-            templates = [prepared[i].template_matrix for i in group]
-            errors = type(detectors[0]).fit_group(detectors, templates)
+            detectors, errors = next(fitted)
             for i, detector, error in zip(group, detectors, errors):
                 if error is None and prepared[i].query_rows:
                     out[i][prepared[i].query_rows] = detector.score_all(prepared[i].query_matrix)

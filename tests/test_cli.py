@@ -8,6 +8,7 @@ import json
 import shutil
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -105,8 +106,6 @@ class TestEvaluate:
         assert (a / "raw_scores.tsv").read_bytes() == (b / "raw_scores.tsv").read_bytes()
 
     def test_unlabeled_data_scores_without_metrics(self, data_dir, tmp_path, capsys):
-        from dataclasses import replace
-
         dataset = load_dataset(data_dir)
         for sid in dataset.subject_ids():
             entry = dataset.subjects[sid]
@@ -207,7 +206,8 @@ class TestEerCommand:
 
     def test_one_class_labels_give_the_error_evaluate_gives(self, tmp_path, capsys):
         # both commands build the pooled ROC first, so labels of one class
-        # are one error line that names no subject
+        # are one error line that names no subject, and evaluate writes
+        # nothing: its metrics are computed before --out is made
         config = tmp_path / "genuine_only.json"
         config.write_text('{"impostor_queries": [0, 0]}')
         data, run = tmp_path / "data", tmp_path / "run"
@@ -216,6 +216,16 @@ class TestEerCommand:
         message = "error: need both genuine and impostor scores\n"
         assert main(["evaluate", "--data", str(data), "--out", str(run)]) == 1
         assert capsys.readouterr().err == message
+        assert not run.exists()
+        # the same scores with their labels withheld are written, and eer
+        # on them with the one-class labels fails alike
+        dataset = load_dataset(data)
+        for entry in dataset.subjects.values():
+            entry.queries[:] = [replace(q, label=None) for q in entry.queries]
+        blind = tmp_path / "blind"
+        write_dataset(dataset, blind)
+        assert main(["evaluate", "--data", str(blind), "--out", str(run)]) == 0
+        capsys.readouterr()
         argv = ["eer", "--scores", str(run / "scores.tsv"), "--labels", str(data / "ground_truth.tsv")]
         assert main(argv) == 1
         captured = capsys.readouterr()

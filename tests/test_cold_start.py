@@ -1,10 +1,12 @@
-"""No path loads scipy.
+"""No path loads scipy, and the cheap paths load no process pool.
 
 scipy is a test-only reference (``tests/oracles.py``), so each check runs
 in a fresh interpreter: this test process has long since imported scipy
 through the oracles. Importing the package, a Manhattan pipeline and the
 resolution estimator load no scipy module, and the sigmoid detectors fit
-and evaluate with scipy blocked outright.
+and evaluate with scipy blocked outright. The package imports
+``multiprocessing`` and ``concurrent.futures`` only to fit a group across
+processes, so neither the import nor a Manhattan pipeline loads them.
 """
 
 import os
@@ -17,6 +19,10 @@ import keygait
 SRC = Path(keygait.__file__).resolve().parents[1]
 
 SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+POOL_LOADED = (
+    "sorted(m for m in sys.modules"
+    " if m.split('.')[0] == 'multiprocessing' or m.startswith('concurrent.futures'))"
+)
 
 
 def _run(code: str, cwd: Path | None = None) -> None:
@@ -32,7 +38,13 @@ def _run(code: str, cwd: Path | None = None) -> None:
 
 
 def test_import_loads_no_scipy():
-    _run(f"import keygait\nassert not {SCIPY_LOADED}, {SCIPY_LOADED}")
+    _run(
+        f"""
+import keygait
+assert not {SCIPY_LOADED}, {SCIPY_LOADED}
+assert not {POOL_LOADED}, {POOL_LOADED}
+"""
+    )
 
 
 def test_manhattan_run_and_resolution_load_no_scipy():
@@ -45,6 +57,7 @@ scores = run_pipeline(dataset, PipelineConfig())
 assert scores.records and not any(r.flagged for r in scores)
 estimate_resolution(collect_latencies(dataset))
 assert not {SCIPY_LOADED}, {SCIPY_LOADED}
+assert not {POOL_LOADED}, {POOL_LOADED}
 """
     )
 

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import re
 import warnings
 from dataclasses import replace
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from keygait import (
+    ContractiveAutoencoder,
     DetectorConfig,
     EvaluationError,
     Keystroke,
@@ -764,6 +766,87 @@ class TestStages:
                     assert r.normalized_score == r.raw_score
                 else:
                     assert 0.0 <= r.normalized_score <= 1.0
+
+
+class TestSplitFits:
+    """raw_scores fits an opted-in group in strided chunks across a fork
+    pool; the bits must not depend on how many chunks there are."""
+
+    CONTRACTIVE = DetectorConfig(name="contractive", params={"hidden_dim": 20, "epochs": 30})
+    WORKERS = (1, 2, 3)
+
+    @staticmethod
+    def _raws(prepared, config):
+        runs = {w: evaluation.raw_scores(prepared, config, _workers=w) for w in TestSplitFits.WORKERS}
+        assert not multiprocessing.active_children()
+        return runs
+
+    @pytest.mark.parametrize(
+        "detector",
+        [
+            CONTRACTIVE,
+            DetectorConfig(name="autoencoder", params={"epochs": 30}),
+            DetectorConfig(name="ensemble", members=(DetectorConfig(name="manhattan"), CONTRACTIVE)),
+        ],
+        ids=["contractive", "autoencoder", "ensemble"],
+    )
+    def test_raw_scores_do_not_depend_on_the_worker_count(self, small_dataset, detector):
+        config = PipelineConfig(detector=detector)
+        prepared = evaluation.prepare(small_dataset, config)
+        assert len({p.template_matrix.shape[0] for p in prepared}) == 1  # one group of 6
+        runs = self._raws(prepared, config)
+        for w in self.WORKERS[1:]:
+            for a, b in zip(runs[1], runs[w], strict=True):
+                assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_failed_fit_fails_alike_in_every_split(self, small_dataset):
+        config = PipelineConfig(detector=self.CONTRACTIVE)
+        prepared = evaluation.prepare(small_dataset, config)
+        prepared[2] = replace(prepared[2], template_matrix=prepared[2].template_matrix.copy())
+        prepared[2].template_matrix[0, 0] = 1e200  # the first loss overflows
+        seeds = [derive_seed(config.seed, p.subject_id) for p in prepared]
+        for w in self.WORKERS:
+            jobs = [
+                (
+                    [build_detector(config.detector, seed=s) for s in seeds],
+                    [p.template_matrix for p in prepared],
+                )
+            ]
+            ((detectors, errors),) = evaluation._fit_all(jobs, w)
+            assert [(type(e), str(e)) for e in errors] == [
+                (TrainingError, "non-finite loss at epoch 0") if i == 2 else (type(None), "None")
+                for i in range(len(prepared))
+            ]
+            assert [d.params_ is None for d in detectors] == [i == 2 for i in range(len(prepared))]
+        records = {
+            w: _record_bits(evaluation.normalize_scores(prepared, raws, config))
+            for w, raws in self._raws(prepared, config).items()
+        }
+        assert records[1] == records[2] == records[3]
+        assert {r[0] for r in records[1] if r[5]} == {prepared[2].subject_id}
+
+    def test_an_exception_from_a_fit_arrives_as_raised(self, small_dataset, monkeypatch):
+        def fail(cls, detectors, templates):
+            raise TrainingError("no fit today")
+
+        config = PipelineConfig(detector=self.CONTRACTIVE)
+        prepared = evaluation.prepare(small_dataset, config)
+        monkeypatch.setattr(ContractiveAutoencoder, "fit_group", classmethod(fail))
+        for w in self.WORKERS:
+            with pytest.raises(TrainingError) as info:
+                evaluation.raw_scores(prepared, config, _workers=w)
+            assert type(info.value) is TrainingError and str(info.value) == "no fit today"
+            assert not multiprocessing.active_children()
+
+    def test_only_detectors_that_gain_fit_across_processes(self):
+        from keygait.detectors import _CLASSES
+
+        assert {n for n, c in _CLASSES.items() if c.fit_across_processes} == {
+            "autoencoder",
+            "contractive",
+            "variational",
+        }
 
 
 class TestMonteCarlo:
