@@ -98,7 +98,8 @@ def fit_feature_normalizer(features: RawFeatureMatrix, *, h_f: float = 1.0) -> F
     Raises:
         FeatureError: no templates, or h_f not positive and finite.
         ValueError: h_f so wide that a bound width ``2 * h_f * sigma``
-            overflows to inf.
+            overflows to inf, or that the templates' distinct durations
+            or latencies all normalize to one value.
     """
     if len(features) == 0:
         raise FeatureError("cannot fit a normalizer on zero template vectors")
@@ -110,6 +111,10 @@ def fit_feature_normalizer(features: RawFeatureMatrix, *, h_f: float = 1.0) -> F
     with np.errstate(over="ignore"):
         if np.isinf(max(stats[1], stats[3]) * h_f * 2.0):
             raise ValueError(f"h_f {h_f} is too wide: the bound width 2 * h_f * sigma overflows")
+    for name, x, mu, sigma in (("durations", d, *stats[:2]), ("latencies", p, *stats[2:])):
+        scaled = _scale(x, mu, sigma, h_f)
+        if x.size and scaled.min() == scaled.max() and x.min() < x.max():
+            raise ValueError(f"h_f {h_f} is too wide: it maps distinct template {name} to one value")
     return FeatureNormalizer(*stats, h_f)
 
 

@@ -82,7 +82,8 @@ def normalize_sd(scores: Sequence[float], h_s: float = 2.0) -> list[float]:
     Raises:
         ScoreNormError: fewer than 2 scores, or h_s not positive (NaN included).
         ValueError: h_s so wide that the bound width ``2 * h_s * sd``
-            overflows to inf, or so narrow that it underflows to 0.
+            overflows to inf or maps distinct scores to one value, or so
+            narrow that it underflows to 0.
     """
     if not h_s > 0:
         raise ScoreNormError(f"h_s must be positive, got {h_s}")
@@ -100,7 +101,10 @@ def normalize_sd(scores: Sequence[float], h_s: float = 2.0) -> list[float]:
     if width == 0.0:
         raise ValueError(f"h_s {h_s} is too narrow: the bound width 2 * h_s * sd underflows")
     lo = mean - h_s * sd
-    return [min(1.0, max(0.0, (s - lo) / width)) for s in scores]
+    normalized = [min(1.0, max(0.0, (s - lo) / width)) for s in scores]
+    if min(normalized) == max(normalized) and min(scores) < max(scores):
+        raise ValueError(f"h_s {h_s} is too wide: it maps distinct scores to one value")
+    return normalized
 
 
 def normalize_subject(

@@ -11,13 +11,14 @@ Impostor samples type the victim's key sequence with an independently
 drawn profile and the impostor's own Shift preference.
 ``impostor_separation`` scales the impostor profile's between-subject
 offsets: below 1 pulls impostors toward the population center, which
-makes them harder to reject. With ``impostor_source="victim"`` impostors
-sample from the victim's own profile, which is the null model (EER near
-0.5).
+makes them harder to reject. With ``impostor_source="victim"`` an
+impostor is drawn exactly as a genuine query, from the victim's own name
+and profile, which is the null model (EER near 0.5).
 
 Modifier perturbations make sequences differ the way real captures do:
 a Shift keystroke can be dropped, transposed with the following key, or
-replaced by Caps Lock. Every applied perturbation is logged. Samples can
+replaced by Caps Lock. Each Shift draws one uniform, in key order, that
+picks its fate, and every applied perturbation is logged. Samples can
 also hesitate (a few latencies stretched hard), which plants the score
 outliers that separate robust from brittle score normalization.
 """
@@ -75,9 +76,11 @@ class SynthConfig(JsonConfig):
             n = getattr(self, field_name)
             if not 1 <= n <= most:
                 raise ValueError(f"{field_name} must be between 1 and {most}, got {n}")
+        # Names are drawn a letter at a time and audited by a quadratic edit
+        # distance: 3 subjects at 1000 keys, 33 times the default, take 10 s.
         lo, hi = self.name_length
-        if not (6 <= lo <= hi):
-            raise ValueError(f"name_length must satisfy 6 <= lo <= hi, got {self.name_length}")
+        if not 6 <= lo <= hi <= 1000:
+            raise ValueError(f"name_length must satisfy 6 <= lo <= hi <= 1000, got {(lo, hi)}")
         for field_name in ("genuine_queries", "impostor_queries"):
             lo, hi = getattr(self, field_name)
             if not 0 <= lo <= hi:
@@ -129,12 +132,6 @@ def _make_profile(rng: np.random.Generator, keys: set[str], scale: float) -> _Pr
     return dict(zip(ordered, map(tuple, medians.tolist())))
 
 
-def _profile_keys(canonical: list[str]) -> set[str]:
-    # Caps Lock and both Shifts are always present so perturbed and
-    # shift-swapped renditions can be timed.
-    return set(canonical) | MODIFIER_KEYS
-
-
 def _make_name(rng: np.random.Generator, config: SynthConfig, shift: str) -> list[str]:
     lo, hi = config.name_length
     total = int(rng.integers(lo, hi + 1))
@@ -164,38 +161,31 @@ def _perturb(
     sample_id: str,
     log: list[PerturbationRecord],
 ) -> list[str]:
-    p_caps = config.capslock_sub
-    p_drop = config.shift_drop
-    p_trans = config.shift_transpose
-    fates: dict[int, str] = {}
-    for i, key in enumerate(canonical):
-        if key not in SHIFT_KEYS:
-            continue
-        u = float(rng.uniform())
-        if u < p_caps:
-            fates[i] = "capslock_sub"
-        elif u < p_caps + p_drop:
-            fates[i] = "shift_drop"
-        elif u < p_caps + p_drop + p_trans and i + 1 < len(canonical):
-            fates[i] = "shift_transpose"
+    # Each Shift draws one uniform, in key order, that picks its fate. A
+    # swapped Shift's partner is never a Shift (_make_name puts a letter
+    # after each), so swapping skips no draw.
+    caps = config.capslock_sub
+    drop = caps + config.shift_drop
+    swap = drop + config.shift_transpose
     result: list[str] = []
     i = 0
     while i < len(canonical):
-        fate = fates.get(i)
-        if fate is not None:
-            log.append(PerturbationRecord(subject_id, sample_id, fate, i))
-        if fate == "shift_drop":
-            i += 1
-        elif fate == "capslock_sub":
-            result.append("capslock")
-            i += 1
-        elif fate == "shift_transpose":
-            result.append(canonical[i + 1])
-            result.append(canonical[i])
-            i += 2
-        else:
-            result.append(canonical[i])
-            i += 1
+        key = canonical[i]
+        kind = None
+        if key in SHIFT_KEYS:
+            u = float(rng.uniform())
+            if u < caps:
+                kind, key = "capslock_sub", "capslock"
+            elif u < drop:
+                kind = "shift_drop"
+            elif u < swap and i + 1 < len(canonical):
+                kind = "shift_transpose"
+                result.append(canonical[i + 1])
+            if kind is not None:
+                log.append(PerturbationRecord(subject_id, sample_id, kind, i))
+        if kind != "shift_drop":
+            result.append(key)
+        i += 2 if kind == "shift_transpose" else 1
     return result
 
 
@@ -264,38 +254,31 @@ def generate_synthetic(
         rng = np.random.default_rng(derive_seed(config.seed, "subject", idx))
         shift = "lshift" if rng.uniform() < 0.5 else "rshift"
         canonical = _make_name(rng, config, shift)
-        profile = _make_profile(rng, _profile_keys(canonical), 1.0)
+        # Caps Lock and both Shifts are always timed, so this key set covers
+        # every rendition of the name, an impostor's own Shift included.
+        keys = set(canonical) | MODIFIER_KEYS
+        profile = _make_profile(rng, keys, 1.0)
 
         n_genuine = int(rng.integers(config.genuine_queries[0], config.genuine_queries[1] + 1))
         n_impostor = int(rng.integers(config.impostor_queries[0], config.impostor_queries[1] + 1))
 
+        def draw(sample_id: str, role: Role, label: Label, name: list[str], timing: _Profile) -> None:
+            typed = _perturb(name, rng, config, subject_id, sample_id, log)
+            seq = _time_keys(typed, timing, rng, config)
+            dataset.add(Sample(subject_id, sample_id, role, seq, label))
+
         for t in range(config.n_templates):
-            sample_id = f"t{t + 1:02d}"
-            keys = _perturb(canonical, rng, config, subject_id, sample_id, log)
-            seq = _time_keys(keys, profile, rng, config)
-            dataset.add(Sample(subject_id, sample_id, Role.TEMPLATE, seq, Label.GENUINE))
+            draw(f"t{t + 1:02d}", Role.TEMPLATE, Label.GENUINE, canonical, profile)
 
         kinds = [Label.GENUINE] * n_genuine + [Label.IMPOSTOR] * n_impostor
         order = rng.permutation(len(kinds))
         for q_index, pick in enumerate(order):
-            label = kinds[pick]
-            sample_id = f"q{q_index + 1:02d}"
-            if label is Label.GENUINE:
-                keys = _perturb(canonical, rng, config, subject_id, sample_id, log)
-                seq = _time_keys(keys, profile, rng, config)
-            else:
-                if config.impostor_source == "victim":
-                    imp_profile = profile
-                    imp_keys = list(canonical)
-                else:
-                    imp_shift = "lshift" if rng.uniform() < 0.5 else "rshift"
-                    imp_keys = [imp_shift if k in SHIFT_KEYS else k for k in canonical]
-                    imp_profile = _make_profile(
-                        rng, _profile_keys(imp_keys), config.impostor_separation
-                    )
-                keys = _perturb(imp_keys, rng, config, subject_id, sample_id, log)
-                seq = _time_keys(keys, imp_profile, rng, config)
-            dataset.add(Sample(subject_id, sample_id, Role.QUERY, seq, label))
+            name, timing = canonical, profile
+            if kinds[pick] is Label.IMPOSTOR and config.impostor_source == "independent":
+                imp_shift = "lshift" if rng.uniform() < 0.5 else "rshift"
+                name = [imp_shift if k in SHIFT_KEYS else k for k in canonical]
+                timing = _make_profile(rng, keys, config.impostor_separation)
+            draw(f"q{q_index + 1:02d}", Role.QUERY, kinds[pick], name, timing)
     return dataset, log
 
 

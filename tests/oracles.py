@@ -534,3 +534,44 @@ def reference_time_keys(keys, profile, rng, config):
     return KeystrokeSequence(
         tuple(Keystroke(k, int(p), int(r)) for k, p, r in zip(keys, presses, releases))
     )
+
+
+def reference_perturb(canonical, rng, config, subject_id, sample_id, log):
+    """A perturbed rendition of ``canonical`` in two passes: every Shift's
+    fate is drawn first, in key order, then the fates are applied."""
+    from keygait.scancodes import SHIFT_KEYS
+    from keygait.synthesis import PerturbationRecord
+
+    p_caps = config.capslock_sub
+    p_drop = config.shift_drop
+    p_trans = config.shift_transpose
+    fates: dict[int, str] = {}
+    for i, key in enumerate(canonical):
+        if key not in SHIFT_KEYS:
+            continue
+        u = float(rng.uniform())
+        if u < p_caps:
+            fates[i] = "capslock_sub"
+        elif u < p_caps + p_drop:
+            fates[i] = "shift_drop"
+        elif u < p_caps + p_drop + p_trans and i + 1 < len(canonical):
+            fates[i] = "shift_transpose"
+    result: list[str] = []
+    i = 0
+    while i < len(canonical):
+        fate = fates.get(i)
+        if fate is not None:
+            log.append(PerturbationRecord(subject_id, sample_id, fate, i))
+        if fate == "shift_drop":
+            i += 1
+        elif fate == "capslock_sub":
+            result.append("capslock")
+            i += 1
+        elif fate == "shift_transpose":
+            result.append(canonical[i + 1])
+            result.append(canonical[i])
+            i += 2
+        else:
+            result.append(canonical[i])
+            i += 1
+    return result

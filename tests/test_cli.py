@@ -508,6 +508,12 @@ class TestErrorHandling:
             ("synth", '{"n_subjects": 2.5}', "SynthConfig.n_subjects: expected an integer, got 2.5"),
             ("synth", '{"name_length": 7}', "SynthConfig.name_length: expected a list of 2, got 7"),
             ("synth", '{"genuine_queries": [5, 3]}', "genuine_queries must satisfy 0 <= lo <= hi, got (5, 3)"),
+            # a name drawn a letter at a time: 10**12 keys would never finish
+            (
+                "synth",
+                '{"n_subjects": 1, "name_length": [6, 1000000000000]}',
+                "name_length must satisfy 6 <= lo <= hi <= 1000, got (6, 1000000000000)",
+            ),
             ("synth", '{"letter_duration_ms": 90}', "unknown SynthConfig key(s): letter_duration_ms"),
             # ensemble settings on a single detector, and detector params on an ensemble
             (
@@ -561,6 +567,10 @@ class TestErrorHandling:
             # finite, but the bound width overflows to inf
             (["evaluate", "--h-f", "1e308"], "h_f 1e+308 is too wide: the bound width 2 * h_f * sigma overflows"),
             (["evaluate", "--h-s", "1e308"], "h_s 1e+308 is too wide: the bound width 2 * h_s * sd overflows"),
+            # finite bound widths that map a subject's distinct values to one
+            (["evaluate", "--h-f", "1e200"], "h_f 1e+200 is too wide: it maps distinct template durations to one value"),
+            (["evaluate", "--h-f", "1e300"], "h_f 1e+300 is too wide: it maps distinct template durations to one value"),
+            (["evaluate", "--h-s", "1e200"], "h_s 1e+200 is too wide: it maps distinct scores to one value"),
             # positive, but the bound width underflows to 0 on scores whose sd is below 1/2
             (
                 ["evaluate", "--detector", "ocsvm", "--h-s", "5e-324"],

@@ -43,9 +43,10 @@ from keygait import (
 from keygait import datasets, synthesis
 from keygait.datasets import tsv
 from keygait.events import check_id
-from keygait.synthesis import _make_name, _make_profile, _perturb, _profile_keys, _time_keys
+from keygait.scancodes import MODIFIER_KEYS, SHIFT_KEYS
+from keygait.synthesis import _make_name, _make_profile, _perturb, _time_keys
 
-from oracles import reference_make_profile, reference_resolution, reference_time_keys
+from oracles import reference_make_profile, reference_perturb, reference_resolution, reference_time_keys
 from test_events import physical_sequences
 
 TINY = SynthConfig(n_subjects=2, n_templates=3, genuine_queries=(2, 2), impostor_queries=(2, 2), seed=3)
@@ -569,6 +570,9 @@ class TestSynthesis:
             ("n_subjects", 0),
             ("n_subjects", 1000),
             ("n_subjects", 99999999999999999999999),
+            ("name_length", (5, 10)),
+            ("name_length", (6, 1001)),
+            ("name_length", (6, 10**12)),
             ("n_templates", 100),
             ("n_templates", 99999999999999999999999),
             ("genuine_queries", (90, 90)),
@@ -598,7 +602,7 @@ class TestSynthesis:
         rngs = [np.random.default_rng(seed) for _ in range(2)]
         canonical = _make_name(rngs[0], config, "lshift")
         assert _make_name(rngs[1], config, "lshift") == canonical
-        keys = _profile_keys(canonical)
+        keys = set(canonical) | MODIFIER_KEYS
         for scale in (1.0, 0.4):
             profile = _make_profile(rngs[0], keys, scale)
             assert reference_make_profile(rngs[1], keys, scale) == profile
@@ -608,6 +612,50 @@ class TestSynthesis:
             timed = _time_keys(sample, profile, rngs[0], config)
             assert reference_time_keys(sample, profile, rngs[1], config) == timed
         assert rngs[0].random() == rngs[1].random()
+
+    @pytest.mark.parametrize("name_length", [(6, 6), (6, 8), (12, 30), (40, 60)])
+    def test_no_built_name_has_a_shift_after_a_shift_or_last(self, name_length):
+        # _perturb draws in one pass: a swapped Shift takes its partner
+        # with it, so a Shift partner would skip that Shift's draw.
+        config = SynthConfig(name_length=name_length)
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            for shift in ("lshift", "rshift"):
+                keys = _make_name(rng, config, shift)
+                assert keys[-1] not in SHIFT_KEYS
+                assert not any(a in SHIFT_KEYS and b in SHIFT_KEYS for a, b in zip(keys, keys[1:]))
+
+    @pytest.mark.parametrize(
+        "rates",
+        [
+            (1.0, 0.0, 0.0),
+            (0.0, 1.0, 0.0),
+            (0.0, 0.0, 1.0),
+            (0.3, 0.3, 0.4),
+            (0.1, 0.2, 0.7),
+            (0.5, 0.5, 0.0),
+            (0.02, 0.05, 0.03),
+        ],
+    )
+    def test_perturb_matches_two_pass_reference(self, rates):
+        # Same renditions, same log and the same generator state as the
+        # two-pass reference, on built names and their impostor renames.
+        capslock_sub, shift_drop, shift_transpose = rates
+        config = SynthConfig(
+            name_length=(6, 20), capslock_sub=capslock_sub, shift_drop=shift_drop, shift_transpose=shift_transpose
+        )
+        for seed in range(60):
+            rngs = [np.random.default_rng(seed) for _ in range(2)]
+            names = [_make_name(rngs[0], config, "lshift")]
+            assert _make_name(rngs[1], config, "lshift") == names[0]
+            names.append(["rshift" if k in SHIFT_KEYS else k for k in names[0]])
+            for name in names:
+                for _ in range(5):
+                    logs: list[list] = [[], []]
+                    got = _perturb(name, rngs[0], config, "s001", "q01", logs[0])
+                    assert reference_perturb(name, rngs[1], config, "s001", "q01", logs[1]) == got
+                    assert logs[0] == logs[1]
+            assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
     def test_config_dict_round_trip(self):
         config = replace(TINY, clock_quantum_ms=15, impostor_separation=0.5)

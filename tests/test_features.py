@@ -133,13 +133,28 @@ class TestNormalization:
         with pytest.raises(FeatureError):
             fit_feature_normalizer(_templates(), h_f=h_f)
 
-    def test_overflowing_width_is_a_plain_value_error(self):
+    @pytest.mark.parametrize(
+        "h_f, message",
+        [
+            (1e308, "h_f 1e+308 is too wide: the bound width 2 * h_f * sigma overflows"),
+            # finite bound widths, but every template value normalizes to 0.5
+            (1e300, "h_f 1e+300 is too wide: it maps distinct template durations to one value"),
+            (1e200, "h_f 1e+200 is too wide: it maps distinct template durations to one value"),
+        ],
+    )
+    def test_too_wide_width_is_a_plain_value_error(self, h_f, message):
         # not a FeatureError, which the pipeline would turn into a flagged
         # subject
         with np.errstate(all="raise"), pytest.raises(ValueError) as err:
-            fit_feature_normalizer(_templates(), h_f=1e308)
+            fit_feature_normalizer(_templates(), h_f=h_f)
         assert not isinstance(err.value, FeatureError)
-        assert str(err.value) == "h_f 1e+308 is too wide: the bound width 2 * h_f * sigma overflows"
+        assert str(err.value) == message
+
+    def test_huge_width_over_constant_features_still_fits(self):
+        # nothing distinct collapses: a constant feature maps to 0.5 at any width
+        raw = RawFeatureMatrix(np.full((3, 3), 80.0), np.full((3, 2), 150.0))
+        norm = fit_feature_normalizer(raw, h_f=1e200)
+        np.testing.assert_array_equal(normalize_features(norm, raw), 0.5)
 
 
 @given(

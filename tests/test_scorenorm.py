@@ -50,13 +50,27 @@ def test_sd_rejects_nonpositive_width(h_s):
         normalize_sd([1.0, 2.0], h_s=h_s)
 
 
-def test_sd_overflowing_width_is_a_plain_value_error():
+@pytest.mark.parametrize(
+    "h_s, message",
+    [
+        (1e308, "h_s 1e+308 is too wide: the bound width 2 * h_s * sd overflows"),
+        # a finite bound width, but both scores normalize to 0.5
+        (1e200, "h_s 1e+200 is too wide: it maps distinct scores to one value"),
+    ],
+)
+def test_sd_too_wide_width_is_a_plain_value_error(h_s, message):
     # not a ScoreNormError, which the pipeline would turn into a flagged
     # subject
     with pytest.raises(ValueError) as err:
-        normalize_sd([1.0, 2.0], h_s=1e308)
+        normalize_sd([1.0, 2.0], h_s=h_s)
     assert not isinstance(err.value, ScoreNormError)
-    assert str(err.value) == "h_s 1e+308 is too wide: the bound width 2 * h_s * sd overflows"
+    assert str(err.value) == message
+
+
+def test_sd_huge_width_over_equal_scores_is_not_an_error():
+    # the mean of three 0.1s is not 0.1, so sd is a rounding residue above 0;
+    # equal scores have nothing distinct to collapse
+    assert normalize_sd([0.1, 0.1, 0.1], h_s=1e200) == [0.5] * 3
 
 
 def test_sd_underflowing_width_is_a_plain_value_error():
