@@ -42,6 +42,7 @@ from .datasets import (
     write_labels,
     write_metrics,
     write_scores,
+    written_scores,
 )
 from .detectors import DETECTOR_NAMES
 from .errors import KeygaitError
@@ -170,10 +171,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     config = _pipeline_config(args)
     dataset = load_dataset(args.data)
     scores = run_pipeline(dataset, config)
-    # metrics first: labels that cannot give an EER fail before --out exists
+    # metrics first, from the scores.tsv values, so `keygait eer` on that
+    # file agrees; labels that cannot give an EER fail before --out exists
     labeled = all(r.label is not None for r in scores)
     if labeled:
-        metrics, *pooled = _eer_metrics(scores)
+        metrics, *pooled = _eer_metrics(written_scores(scores))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_scores(scores, out / "scores.tsv", normalized=True)

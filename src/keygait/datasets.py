@@ -221,16 +221,23 @@ def write_dataset(dataset: SubjectDataset, root: str | Path) -> None:
 
 
 def write_scores(scores: ScoreSet, path: str | Path, *, normalized: bool = True) -> None:
-    """Write the submission-format score file.
-
-    With ``normalized`` (default) the normalized score is written when
-    present, falling back to raw; otherwise raw scores are written.
-    """
-    rows = []
-    for r in scores:
-        value = r.normalized_score if normalized and r.normalized_score is not None else r.raw_score
-        rows.append((r.subject_id, r.sample_id, value))
+    """Write the submission-format score file: each record's ``score``
+    with ``normalized`` (default), else its raw score."""
+    rows = [(r.subject_id, r.sample_id, r.score if normalized else r.raw_score) for r in scores]
     Path(path).write_text(tsv(rows))
+
+
+def written_scores(scores: ScoreSet) -> ScoreSet:
+    """The records as ``write_scores`` writes them and ``read_scores``
+    reads them back, labels and flags kept: each ``score`` at six
+    decimals, in ``raw_score``."""
+    values = tsv((r.score,) for r in scores).split()
+    return ScoreSet(
+        tuple(
+            ScoreRecord(r.subject_id, r.sample_id, float(v), None, r.label, r.flagged)
+            for r, v in zip(scores, values)
+        )
+    )
 
 
 def read_scores(path: str | Path) -> ScoreSet:

@@ -15,8 +15,8 @@ subjects is ~1.6 MB and overflows L2, and a padded stack ran at
 0.67-0.82x that speed and was not bit-exact. Its weight is stored as
 (d, hidden), the layout in which every product of its epoch reads
 contiguous memory. Within a process every fit here runs on one core; the
-pipeline uses more by splitting a group into chunks, one process each
-(``evaluation.raw_scores``).
+pipeline uses more by dealing the subjects into strided shares, one
+process each (``evaluation.raw_scores``).
 """
 
 from __future__ import annotations

@@ -17,8 +17,9 @@ from ..errors import KeygaitError
 
 
 class Detector(ABC):
-    # True where a group is worth splitting across processes: the pipeline
-    # then fits strided chunks of it in a process pool, one per CPU.
+    # True where fits are worth spreading across processes: the pipeline
+    # then deals the subjects into strided shares, one per CPU, and fits
+    # each share in a process of a fork pool.
     fit_across_processes: ClassVar[bool] = False
 
     @classmethod

@@ -141,7 +141,7 @@ class ContractiveAutoencoder(Detector):
     def fit_group(cls, detectors, templates):
         """Fit each subject in its own loop, one after another; one whose
         loss turns non-finite fails alone. To use more cores, the pipeline
-        splits a group into chunks, one process each
+        deals the subjects into strided shares, one process each
         (``fit_across_processes``)."""
         errors: list = [None] * len(detectors)
         for s, (detector, X) in enumerate(zip(detectors, map(as_matrix, templates))):

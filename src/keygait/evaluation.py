@@ -14,16 +14,17 @@ template count and scores each subject's queries; ``normalize_scores``
 normalizes the raw scores per subject. Score normalization reads only
 raw scores, so ``keygait ablate`` prepares and fits once per alignment
 and normalizes those raw scores once per kind. A group fit gives every
-subject bit-identical results to fitting it alone, so ``raw_scores``
-splits the groups of the three networks (autoencoder, contractive,
-variational) into one chunk per CPU of the process's affinity mask and
-fits the chunks in a fork pool that closes before it returns; scoring
-stays in the calling process, and no output byte depends on the CPU
-count. With one CPU, on Python 3.12 or later (which warns when a process
-holding threads, as OpenBLAS does, forks), or where there is no fork,
-every group is fitted inline. An ensemble is a pipeline config, not a
-detector: each member is fitted and scored like a single detector, and
-one combiner averages the members' raw or normalized scores.
+subject bit-identical results to fitting it alone, so for the three
+networks (autoencoder, contractive, variational) ``raw_scores`` deals
+the subjects into strided shares, one per CPU of the process's affinity
+mask, and each process of a fork pool fits its share with the same
+function that fits all subjects inline; scoring stays in the calling
+process, and no output byte depends on the CPU count. With one CPU, on
+Python 3.12 or later (which warns when a process holding threads, as
+OpenBLAS does, forks), or where there is no fork, every subject is
+fitted inline. An ensemble is a pipeline config, not a detector: each
+member is fitted and scored like a single detector, and one combiner
+averages the members' raw or normalized scores.
 Samples that cannot be processed are never dropped: they become flagged
 records with a sentinel minimal score and count toward
 failure-to-capture. All randomness derives from the config's master
@@ -104,8 +105,7 @@ def roc(scores: Sequence[float], genuine: Sequence[bool]) -> RocCurve:
 
 
 def effective_scores(scores: Iterable[ScoreRecord]) -> tuple[list[float], list[bool]]:
-    """The score each record is judged by (normalized when set, else raw)
-    and whether it is genuine, in record order.
+    """Each record's ``score`` and whether it is genuine, in record order.
 
     Raises:
         EvaluationError: a record has no label.
@@ -114,12 +114,8 @@ def effective_scores(scores: Iterable[ScoreRecord]) -> tuple[list[float], list[b
     genuine: list[bool] = []
     for r in scores:
         if r.label is None:
-            raise EvaluationError(
-                f"record {r.subject_id}/{r.sample_id} has no label"
-            )
-        values.append(
-            r.normalized_score if r.normalized_score is not None else r.raw_score
-        )
+            raise EvaluationError(f"record {r.subject_id}/{r.sample_id} has no label")
+        values.append(r.score)
         genuine.append(r.label is Label.GENUINE)
     return values, genuine
 
@@ -221,8 +217,8 @@ def prepare(dataset: SubjectDataset, config: PipelineConfig) -> list[PreparedSub
 
 
 # Forking is quiet only before Python 3.12, which warns when a process
-# that holds threads (OpenBLAS keeps its own) forks; elsewhere every group
-# is fitted inline.
+# that holds threads (OpenBLAS keeps its own) forks; elsewhere every
+# subject is fitted inline.
 _CAN_FORK = hasattr(os, "fork") and sys.version_info < (3, 12)
 
 
@@ -233,42 +229,29 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _fit_chunk(
-    detectors: list[Detector], templates: list[np.ndarray]
-) -> tuple[list[Detector], list[KeygaitError | None]]:
-    """Fit one chunk of a group; the fitted detectors and their errors."""
-    return detectors, type(detectors[0]).fit_group(detectors, templates)
-
-
-def _fit_all(
-    jobs: list[tuple[list[Detector], list[np.ndarray]]], workers: int
-) -> list[tuple[list[Detector], list[KeygaitError | None]]]:
-    """The fitted detectors and errors of each group of ``jobs`` (its
-    detectors and templates). A group of a class that sets
-    ``fit_across_processes`` is split into up to ``workers`` strided
-    chunks, fitted in a fork pool that closes before this returns; with
-    one chunk per group all fit inline. An exception from a fit is raised
-    here as it would be inline."""
-    splits = [
-        min(workers, len(d)) if type(d[0]).fit_across_processes else 1 for d, _ in jobs
-    ]
-    chunks = [(d[k::n], t[k::n]) for (d, t), n in zip(jobs, splits) for k in range(n)]
-    if len(chunks) == len(jobs):
-        results = [_fit_chunk(*c) for c in chunks]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(min(workers, len(chunks)), mp_context=context) as pool:
-            results = list(pool.map(_fit_chunk, *zip(*chunks)))
-    parts = iter(results)
+def _fit_subjects(
+    prepared: list[PreparedSubject], config: PipelineConfig
+) -> list[list[tuple[Detector | None, KeygaitError | None]]]:
+    """Per member of the configured detector (or the single detector), per
+    subject: its detector, fitted by one ``fit_group`` per template count,
+    and the error that failed its fit; ``(None, None)`` where the subject
+    failed preparation. Subject ``s`` is seeded ``derive_seed(config.seed,
+    s)``, plus ``1 + i`` for ensemble member ``i``."""
+    groups: dict[int, list[int]] = {}
+    for i, p in enumerate(prepared):
+        if p.template_matrix is not None:
+            groups.setdefault(p.template_matrix.shape[0], []).append(i)
+    seeds = [derive_seed(config.seed, p.subject_id) for p in prepared]
+    ensemble = config.detector.name == "ensemble"
     fitted = []
-    for (d, _), n in zip(jobs, splits):
-        detectors, errors = list(d), [None] * len(d)
-        for k in range(n):  # chunk k holds positions k, k + n, ...
-            detectors[k::n], errors[k::n] = next(parts)
-        fitted.append((detectors, errors))
+    for offset, member in enumerate(config.detector.singles(), start=int(ensemble)):
+        fits: list = [(None, None)] * len(prepared)
+        for group in groups.values():
+            detectors = [build_detector(member, seed=seeds[i] + offset) for i in group]
+            errors = type(detectors[0]).fit_group(detectors, [prepared[i].template_matrix for i in group])
+            for i, detector, error in zip(group, detectors, errors):
+                fits[i] = (detector, error)
+        fitted.append(fits)
     return fitted
 
 
@@ -276,42 +259,35 @@ def raw_scores(
     prepared: list[PreparedSubject], config: PipelineConfig, _workers: int | None = None
 ) -> list[list[np.ndarray]]:
     """Stage 2: per member of the configured detector (or the single
-    detector), per subject, the raw score of every query, from one
-    ``fit_group`` per template count and one ``score_all`` per subject;
-    ``SENTINEL_SCORE`` where the query, the subject or its fit failed.
-    Subject ``s`` is seeded ``derive_seed(config.seed, s)``, plus ``1 + i``
-    for ensemble member ``i``.
+    detector), per subject, the raw score of every query, from the fits of
+    ``_fit_subjects`` and one ``score_all`` per subject; ``SENTINEL_SCORE``
+    where the query, the subject or its fit failed.
 
-    The groups of a detector whose fits pay for a fork (the three
-    networks) are fitted across processes, one per CPU in this process's
-    affinity mask (``_workers``, for tests, overrides that count); every
-    score is computed here, and no byte depends on the count."""
-    ensemble = config.detector.name == "ensemble"
-    groups: dict[int, list[int]] = {}
-    for i, p in enumerate(prepared):
-        if p.template_matrix is not None:
-            groups.setdefault(p.template_matrix.shape[0], []).append(i)
-    seeds = [derive_seed(config.seed, p.subject_id) for p in prepared]
+    When a member's class sets ``fit_across_processes`` (the three
+    networks), ``n`` processes, one per CPU in this process's affinity mask
+    (``_workers``, for tests, overrides that count) up to one per subject,
+    each fit the strided share ``prepared[k::n]`` in a fork pool that closes
+    before scoring; every score is computed here, and no byte depends on
+    ``n``. An exception from a fit is raised here as it would be inline."""
     singles = config.detector.singles()
-    jobs = [
-        (
-            [build_detector(member, seed=seeds[i] + offset) for i in group],
-            [prepared[i].template_matrix for i in group],
-        )
-        for offset, member in enumerate(singles, start=int(ensemble))
-        for group in groups.values()
-    ]
-    workers = _cpu_count() if _workers is None else _workers
-    fitted = iter(_fit_all(jobs, workers if _CAN_FORK else 1))
-    members: list[list[np.ndarray]] = []
-    for _ in singles:
-        out = [np.full(len(p.query_ids), SENTINEL_SCORE) for p in prepared]
-        for group in groups.values():
-            detectors, errors = next(fitted)
-            for i, detector, error in zip(group, detectors, errors):
-                if error is None and prepared[i].query_rows:
-                    out[i][prepared[i].query_rows] = detector.score_all(prepared[i].query_matrix)
-        members.append(out)
+    n = 1  # processes, process k fitting the strided share prepared[k::n]
+    if _CAN_FORK and any(build_detector(m).fit_across_processes for m in singles):
+        n = max(1, min(_cpu_count() if _workers is None else _workers, len(prepared)))
+    if n == 1:
+        fitted = [_fit_subjects(prepared, config)]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork")) as pool:
+            fitted = list(pool.map(_fit_subjects, [prepared[k::n] for k in range(n)], [config] * n))
+    members = [[np.full(len(p.query_ids), SENTINEL_SCORE) for p in prepared] for _ in singles]
+    for k, share in enumerate(fitted):  # share k holds subjects k, k + n, ...
+        for out, fits in zip(members, share):
+            for i, (detector, error) in zip(range(k, len(prepared), n), fits):
+                p = prepared[i]
+                if detector is not None and error is None and p.query_rows:
+                    out[i][p.query_rows] = detector.score_all(p.query_matrix)
     return members
 
 
@@ -389,10 +365,15 @@ class MonteCarloResult:
 
 
 def check_split_counts(repetitions: int, n_templates: int) -> None:
-    """EvaluationError unless both Monte Carlo split counts are at least 1."""
+    """EvaluationError unless both Monte Carlo split counts are at least 1
+    and ``repetitions`` is at most 10,000: each repetition runs the whole
+    pipeline (10 take 0.47 s on 50 subjects with manhattan), so 10**29 of
+    them would never finish, where 10,000 take minutes."""
     for name, value in (("repetitions", repetitions), ("n_templates", n_templates)):
         if value < 1:
             raise EvaluationError(f"{name} must be positive, got {value}")
+    if repetitions > 10_000:
+        raise EvaluationError(f"repetitions must be at most 10000, got {repetitions}")
 
 
 def monte_carlo_validate(
@@ -410,9 +391,9 @@ def monte_carlo_validate(
     and the repetition, and the global EER is recorded.
 
     Raises:
-        EvaluationError: repetitions or n_templates is below 1, a sample
-            is unlabeled, or a subject has fewer than n_templates + 1
-            genuine samples.
+        EvaluationError: repetitions or n_templates is below 1,
+            repetitions is above 10,000, a sample is unlabeled, or a
+            subject has fewer than n_templates + 1 genuine samples.
     """
     check_split_counts(repetitions, n_templates)
     pools: list[tuple[str, list[Sample], list[Sample]]] = []

@@ -35,6 +35,11 @@ class ScoreRecord:
     label: Label | None = None
     flagged: bool = False
 
+    @property
+    def score(self) -> float:
+        """Normalized when set, else raw: the score judged and written."""
+        return self.raw_score if self.normalized_score is None else self.normalized_score
+
 
 @dataclass(frozen=True)
 class ScoreSet:

@@ -167,6 +167,22 @@ class TestEerCommand:
         for name in ("metrics.tsv", "roc.tsv", "score_hist.csv"):
             assert (tmp_path / "eer" / name).is_file()
 
+    @pytest.mark.parametrize("h_s", [[], ["--h-s", "1e15"]], ids=["default", "h_s-1e15"])
+    def test_writes_what_evaluate_wrote_from_its_scores(self, tmp_path, capsys, h_s):
+        # evaluate's metrics come from the 6-decimal scores it writes: at
+        # --h-s 1e15 every written score is 0.500000, whatever the floats
+        data, run, eer = tmp_path / "data", tmp_path / "run", tmp_path / "eer"
+        perturbed = ["--shift-drop", "0.05", "--shift-transpose", "0.03", "--capslock-sub", "0.02"]
+        assert main(["synth", "--out", str(data), "--subjects", "3", *perturbed]) == 0
+        capsys.readouterr()
+        assert main(["evaluate", "--data", str(data), "--out", str(run), *h_s]) == 0
+        evaluated = capsys.readouterr().out
+        argv = ["eer", "--scores", str(run / "scores.tsv"), "--labels", str(data / "ground_truth.tsv")]
+        assert main([*argv, "--out", str(eer)]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == evaluated.strip()
+        for name in ("metrics.tsv", "roc.tsv", "score_hist.csv"):
+            assert (run / name).read_bytes() == (eer / name).read_bytes(), name
+
     @pytest.mark.parametrize(
         "score_rows, label_rows, message",
         [
@@ -456,6 +472,8 @@ class TestErrorHandling:
         "argv, message",
         [
             (["validate", "--reps", "0"], "repetitions must be positive, got 0"),
+            # each repetition runs the whole pipeline: 10**29 would never finish
+            (["validate", "--reps", str(10**29)], f"repetitions must be at most 10000, got {10**29}"),
             (["validate", "--templates", "0"], "n_templates must be positive, got 0"),
         ],
     )
@@ -596,3 +614,85 @@ class TestErrorHandling:
             config = load_config(tmp_path / run / "config.json", PipelineConfig)
             assert config == PipelineConfig()
         assert load_config(data_dir / "config.json", SynthConfig) == SynthConfig(n_subjects=4, seed=7)
+
+
+HUGE = str(10**29)
+RATES = {"0", "-0.0", "1e-320"}  # a probability: [0, 1]
+WIDTHS = {"1e308", "1e-320", HUGE}  # positive and finite
+# (commands, flag, the setting it sets, whether argparse reads an int, the
+# sweep values the setting accepts)
+SWEEP = [
+    (("evaluate", "validate", "ablate"), "--h-s", "h_s", False, WIDTHS),
+    (("evaluate", "validate", "ablate"), "--h-f", "h_f", False, WIDTHS),
+    (("evaluate", "validate", "ablate", "synth"), "--seed", "seed", True, {"0", "-1", HUGE}),
+    (("validate",), "--reps", "repetitions", True, set()),
+    (("validate",), "--templates", "n_templates", True, {HUGE}),
+    (("synth",), "--subjects", "n_subjects", True, set()),
+    (("synth",), "--templates", "n_templates", True, set()),
+    (("synth",), "--shift-drop", "shift_drop", False, RATES),
+    (("synth",), "--shift-transpose", "shift_transpose", False, RATES),
+    (("synth",), "--capslock-sub", "capslock_sub", False, RATES),
+    (("synth",), "--hesitation", "hesitation_rate", False, RATES),
+    # a quantum past every timestamp is accepted, and zeroes every timing
+    (("synth",), "--quantum", "clock_quantum_ms", True, {"0", HUGE}),
+    (("synth",), "--separation", "impostor_separation", False, {"1e-320"}),
+]
+SWEEP_VALUES = ("0", "-0.0", "-1", "nan", "inf", "1e308", "1e-320", HUGE)
+
+
+class TestNumericFlagSweep:
+    """Every command's numeric flags at values at and past every edge, with
+    a missing --data: each run is a usage error naming the flag, one error
+    line naming the setting, or, for a value the setting takes, the missing
+    manifest (a clean synth run for synth)."""
+
+    def test_the_sweep_covers_every_numeric_flag(self):
+        import argparse
+
+        [commands] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        numeric = {
+            (name, flag, action.type is int)
+            for name, parser in commands.choices.items()
+            for action in parser._actions
+            if action.type in (int, float)
+            for flag in action.option_strings
+        }
+        assert numeric == {(name, flag, reads_int) for names, flag, _, reads_int, _ in SWEEP for name in names}
+
+    @pytest.mark.parametrize(
+        "command, flag, setting, reads_int, accepted, value",
+        [
+            pytest.param(
+                command, flag, setting, reads_int, accepted, value,
+                id=f"{command} {flag} {'10**29' if value == HUGE else value}",
+            )
+            for commands, flag, setting, reads_int, accepted in SWEEP
+            for command in commands
+            for value in SWEEP_VALUES
+        ],
+    )
+    def test_value(self, tmp_path, capsys, command, flag, setting, reads_int, accepted, value):
+        out, missing = tmp_path / "out", tmp_path / "missing"
+        if command == "synth":
+            argv = ["synth", "--out", str(out), *([] if flag == "--subjects" else ["--subjects", "1"])]
+        else:
+            argv = [command, "--data", str(missing), "--out", str(out)]
+        try:
+            code = main([*argv, flag, value])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if reads_int and not value.lstrip("-").isdigit():
+            assert code == 2
+            assert f"argument {flag}: invalid int value: '{value}'" in captured.err
+        elif value in accepted and command == "synth":
+            assert code == 0 and captured.err == ""
+        elif value in accepted:
+            assert code == 1 and captured.err == f"error: no manifest.tsv in {missing}\n"
+        else:
+            assert code == 1
+            [line] = captured.err.splitlines()
+            assert line.startswith("error: ") and setting in line
+        if code:
+            assert not out.exists()

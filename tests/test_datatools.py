@@ -41,7 +41,7 @@ from keygait import (
     write_scores,
 )
 from keygait import datasets, synthesis
-from keygait.datasets import tsv
+from keygait.datasets import tsv, written_scores
 from keygait.events import check_id
 from keygait.scancodes import MODIFIER_KEYS, SHIFT_KEYS
 from keygait.synthesis import _make_name, _make_profile, _perturb, _time_keys
@@ -340,6 +340,7 @@ class TestScoreAndLabelFiles:
             back = {(r.subject_id, r.sample_id): r.raw_score for r in read_scores(path)}
         # six-decimal text; -inf stays -inf
         assert back == {key: float(f"{v:.6f}") for key, v in scores.items()}
+        assert {(r.subject_id, r.sample_id): r.raw_score for r in written_scores(ScoreSet(records))} == back
 
     @given(st.dictionaries(st.tuples(ids, ids), st.sampled_from(Label), max_size=6))
     def test_any_accepted_ids_label_round_trip(self, labels):
@@ -356,6 +357,9 @@ class TestScoreAndLabelFiles:
         assert path.read_text() == "s1\tq1\t0.250000\n"
         write_scores(ScoreSet((rec,)), path, normalized=False)
         assert path.read_text() == "s1\tq1\t-7.000000\n"
+        # the written score, labels and flags kept
+        [written] = written_scores(ScoreSet((replace(rec, label=Label.GENUINE, flagged=True),)))
+        assert written == ScoreRecord("s1", "q1", 0.25, None, Label.GENUINE, True)
 
     def test_tsv_formats_floats_and_infinities(self):
         assert tsv([(float("-inf"),)]) == "-inf\n"

@@ -769,16 +769,36 @@ class TestStages:
 
 
 class TestSplitFits:
-    """raw_scores fits an opted-in group in strided chunks across a fork
-    pool; the bits must not depend on how many chunks there are."""
+    """raw_scores deals the subjects of an opted-in detector into strided
+    shares, one per process of a fork pool, and each process fits its
+    share; the bits must not depend on how many shares there are."""
 
     CONTRACTIVE = DetectorConfig(name="contractive", params={"hidden_dim": 20, "epochs": 30})
+    VARIATIONAL = DetectorConfig(name="variational", params={"epochs": 30})
     WORKERS = (1, 2, 3)
+
+    @pytest.fixture(scope="class")
+    def mixed_dataset(self, small_dataset):
+        """small_dataset with one template dropped from its third and fourth
+        subjects, so each member fits two groups, and every template
+        dropped from its sixth, so that subject's preparation fails."""
+        dataset = SubjectDataset()
+        for n, sid in enumerate(small_dataset.subject_ids()):
+            entry = small_dataset.subjects[sid]
+            templates = sorted(entry.templates, key=lambda s: s.sample_id)
+            keep = {2: 3, 3: 3, 5: 0}.get(n, len(templates))
+            for s in [*templates[:keep], *entry.queries]:
+                dataset.add(s)
+        return dataset
 
     @staticmethod
     def _raws(prepared, config):
+        """raw_scores at each worker count, checked bit-equal."""
         runs = {w: evaluation.raw_scores(prepared, config, _workers=w) for w in TestSplitFits.WORKERS}
         assert not multiprocessing.active_children()
+        for w in TestSplitFits.WORKERS[1:]:
+            for a, b in zip(runs[1], runs[w], strict=True):
+                assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
         return runs
 
     @pytest.mark.parametrize(
@@ -794,10 +814,26 @@ class TestSplitFits:
         config = PipelineConfig(detector=detector)
         prepared = evaluation.prepare(small_dataset, config)
         assert len({p.template_matrix.shape[0] for p in prepared}) == 1  # one group of 6
-        runs = self._raws(prepared, config)
-        for w in self.WORKERS[1:]:
-            for a, b in zip(runs[1], runs[w], strict=True):
-                assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+        self._raws(prepared, config)
+
+    @pytest.mark.parametrize(
+        "detector",
+        [
+            VARIATIONAL,
+            DetectorConfig(
+                name="ensemble", members=(DetectorConfig(name="manhattan"), VARIATIONAL, CONTRACTIVE)
+            ),
+        ],
+        ids=["variational", "ensemble"],
+    )
+    def test_shares_of_two_groups_and_a_failed_subject_keep_the_bits(self, mixed_dataset, detector):
+        config = PipelineConfig(detector=detector)
+        prepared = evaluation.prepare(mixed_dataset, config)
+        counts = [None if p.template_matrix is None else p.template_matrix.shape[0] for p in prepared]
+        assert counts == [4, 4, 3, 3, 4, None]
+        for member in self._raws(prepared, config)[1]:
+            assert all(np.isfinite(scores).all() for scores in member[:5])
+            assert (member[5] == SENTINEL_SCORE).all()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_failed_fit_fails_alike_in_every_split(self, small_dataset):
@@ -805,20 +841,15 @@ class TestSplitFits:
         prepared = evaluation.prepare(small_dataset, config)
         prepared[2] = replace(prepared[2], template_matrix=prepared[2].template_matrix.copy())
         prepared[2].template_matrix[0, 0] = 1e200  # the first loss overflows
-        seeds = [derive_seed(config.seed, p.subject_id) for p in prepared]
         for w in self.WORKERS:
-            jobs = [
-                (
-                    [build_detector(config.detector, seed=s) for s in seeds],
-                    [p.template_matrix for p in prepared],
-                )
-            ]
-            ((detectors, errors),) = evaluation._fit_all(jobs, w)
-            assert [(type(e), str(e)) for e in errors] == [
-                (TrainingError, "non-finite loss at epoch 0") if i == 2 else (type(None), "None")
-                for i in range(len(prepared))
-            ]
-            assert [d.params_ is None for d in detectors] == [i == 2 for i in range(len(prepared))]
+            for k in range(w):  # the share that process k of w fits
+                indices = range(len(prepared))[k::w]
+                [fits] = evaluation._fit_subjects(prepared[k::w], config)
+                assert [(type(e), str(e)) for _, e in fits] == [
+                    (TrainingError, "non-finite loss at epoch 0") if i == 2 else (type(None), "None")
+                    for i in indices
+                ]
+                assert [d.params_ is None for d, _ in fits] == [i == 2 for i in indices]
         records = {
             w: _record_bits(evaluation.normalize_scores(prepared, raws, config))
             for w, raws in self._raws(prepared, config).items()
@@ -880,6 +911,13 @@ class TestMonteCarlo:
     def test_repetitions_validated(self, small_dataset):
         with pytest.raises(EvaluationError):
             monte_carlo_validate(small_dataset, PipelineConfig(), repetitions=0)
+
+    @pytest.mark.parametrize("repetitions", [10_001, 10**29])
+    def test_repetitions_above_ten_thousand_rejected(self, repetitions):
+        # checked before the dataset is read: an empty one would fail later
+        message = f"repetitions must be at most 10000, got {repetitions}"
+        with pytest.raises(EvaluationError, match=rf"^{re.escape(message)}$"):
+            monte_carlo_validate(SubjectDataset(), PipelineConfig(), repetitions=repetitions)
 
     @pytest.mark.parametrize("n_templates", [0, -1])
     def test_n_templates_validated(self, small_dataset, n_templates):

@@ -99,7 +99,7 @@ GOLDEN = {
     "run/metrics.tsv": "8407d478d2712ea3a53076d34f7080e811e0943b4cc8346e7bbce97342ceb890",
     "run/raw_scores.tsv": "868c9afd573ea5b089b95efb2ce7017311dd4105983028a460e93de9aff8375c",
     "run/roc.tsv": "f6d8fe2044258af14112c032c8cd8561a6de07b2947898f1d0461a86178541a0",
-    "run/score_hist.csv": "c27333ac1179c11d31c872ec6bf54f88c3e31c7c5914ed89b6e642bfd4e5b165",
+    "run/score_hist.csv": "e2f5d2aa6c4741dab095387b4db93ff91c163676f8f43baa2b33435ae3ea95a3",
     "run/scores.tsv": "952f52a85f406f0feba9bb5a5f55d8ba9e956cd7e6c0c01add8b298604c9dc2c",
 }
 
