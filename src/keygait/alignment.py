@@ -16,9 +16,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from itertools import chain, combinations, compress
 from operator import attrgetter
 from typing import Sequence
+
+import numpy as np
 
 from .config import ALIGNMENT_METHODS
 from .datasets import tsv
@@ -76,6 +79,10 @@ def align(
     never edited, a transposed pair yields a negative press-press latency
     downstream, which is signal, not an error.
 
+    The mapping depends only on the two key-name tuples, so it is computed
+    once per distinct pair and shared by every call with that pair; each
+    call gathers its own ``given``'s times.
+
     Raises:
         AlignmentError: either sequence is empty.
     """
@@ -83,16 +90,31 @@ def align(
         raise AlignmentError("target sequence is empty")
     if len(given) == 0:
         raise AlignmentError("given sequence is empty")
+    mapping, keys, gather = _match(given.keys(), target.keys())
+    return KeystrokeSequence._of(keys, given.press[gather], given.release[gather], True), mapping
 
+
+# A subject's sequences share a few key-name pairs: a 300-subject set has
+# 1,669 distinct pairs in 7,200 alignments. 4,096 entries hold them all,
+# at about 1.2 kB each for 30-key names (5 MB when full).
+_MATCH_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_MATCH_CACHE_SIZE)
+def _match(
+    given_keys: tuple[str, ...], target_keys: tuple[str, ...]
+) -> tuple[AlignmentMapping, tuple[str, ...], np.ndarray]:
+    """:func:`align`'s mapping of two non-empty key-name tuples, with the
+    aligned key names and the (read-only) gather index it implies."""
     # Each key's unused given indices, sorted.
     free: dict[str, list[int]] = {}
-    for j, key in enumerate(given.keys()):
+    for j, key in enumerate(given_keys):
         free.setdefault(key, []).append(j)
 
     # Pass 1: same-key matches, -1 where the key had none left.
     index = [
         _take_nearest(free[key], i) if free.get(key) else -1
-        for i, key in enumerate(target.keys())
+        for i, key in enumerate(target_keys)
     ]
     substituted = tuple(j < 0 for j in index)
 
@@ -103,11 +125,13 @@ def align(
         if left:
             index[i] = _take_nearest(left, i)
         else:
-            index[i] = len(given) - 1
+            index[i] = len(given_keys) - 1
             flagged = True
 
+    gather = np.array(index, np.intp)
+    gather.setflags(write=False)
     mapping = AlignmentMapping(tuple(index), substituted, tuple(left), flagged)
-    return given._take(index), mapping
+    return mapping, tuple([given_keys[j] for j in index]), gather
 
 
 def truncate_align(

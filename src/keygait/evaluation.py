@@ -367,7 +367,7 @@ class MonteCarloResult:
 def check_split_counts(repetitions: int, n_templates: int) -> None:
     """EvaluationError unless both Monte Carlo split counts are at least 1
     and ``repetitions`` is at most 10,000: each repetition runs the whole
-    pipeline (10 take 0.47 s on 50 subjects with manhattan), so 10**29 of
+    pipeline (10 take 0.3 s on 50 subjects with manhattan), so 10**29 of
     them would never finish, where 10,000 take minutes."""
     for name, value in (("repetitions", repetitions), ("n_templates", n_templates)):
         if value < 1:

@@ -96,8 +96,12 @@ class SynthConfig(JsonConfig):
                 raise ValueError(f"{field_name} must be a probability, got {p}")
         if self.shift_drop + self.shift_transpose + self.capslock_sub > 1.0:
             raise ValueError("per-keystroke perturbation rates must sum to at most 1")
-        if self.clock_quantum_ms < 0:
-            raise ValueError(f"clock_quantum_ms must be non-negative, got {self.clock_quantum_ms}")
+        # The model's holds (90 ms) and latencies (160 ms) are far shorter
+        # than a second, so a coarser clock floors nearly all of them to 0.
+        if not 0 <= self.clock_quantum_ms <= 1000:
+            raise ValueError(
+                f"clock_quantum_ms must be between 0 and 1000, got {self.clock_quantum_ms}"
+            )
         check_positive_finite("impostor_separation", self.impostor_separation)
         if self.impostor_source not in ("independent", "victim"):
             raise ValueError(f"impostor_source must be 'independent' or 'victim', got {self.impostor_source!r}")

@@ -15,7 +15,7 @@ from keygait import (
     select_target,
     truncate_align,
 )
-from keygait.alignment import AuditReport, _summarize
+from keygait.alignment import AuditReport, _match, _summarize
 
 from oracles import bfs_edit_distances, reference_align
 
@@ -177,6 +177,54 @@ def test_align_matches_exhaustive_reference(given_keys, target_keys):
 def test_align_matches_reference_on_repeats(given_keys, target_keys):
     given, target = mkseq(given_keys), mkseq(target_keys)
     assert align(given, target) == reference_align(given, target)
+
+
+@hgiven(
+    key_lists(alphabet=("a", "b", "lshift", "rshift"), max_size=9),
+    key_lists(alphabet=("a", "b", "lshift", "rshift"), max_size=9),
+    st.integers(1, 10_000),
+    st.integers(1, 500),
+    st.integers(1, 500),
+)
+def test_a_repeated_key_pair_shares_its_mapping_and_keeps_its_own_times(
+    given_keys, target_keys, start, gap, more
+):
+    # the same key names at two timings: the first call computes the
+    # mapping, the second finds it and gathers its own sequence's times
+    _match.cache_clear()
+    first, second = mkseq(given_keys, gap=gap), mkseq(given_keys, start=start, gap=gap + more)
+    target = mkseq(target_keys)
+    aligned, mapping = align(first, target)
+    assert _match.cache_info()[:2] == (0, 1)
+    again, same = align(second, mkseq(target_keys, start=start))
+    assert _match.cache_info()[:2] == (1, 1)
+    assert same is mapping
+    for seq, result in ((first, (aligned, mapping)), (second, (again, same))):
+        expected, expected_mapping = reference_align(seq, target)
+        assert result[1] == expected_mapping
+        assert result[0] == expected
+        assert result[0].press.dtype == result[0].release.dtype == np.int64
+    # every press time of the second sequence is later than the first's
+    assert (again.press > aligned.press).all()
+
+
+def test_the_mapping_memo_stays_bounded():
+    # more distinct key pairs than the memo holds: the oldest are dropped,
+    # and a dropped pair is matched again to the same mapping
+    maxsize = _match.cache_info().maxsize
+    pairs = [
+        (mkseq([("a", "b", "lshift")[(i // 3**k) % 3] for k in range(9)]), mkseq("ab" * (1 + i % 3)))
+        for i in range(maxsize + 100)
+    ]
+    _match.cache_clear()
+    for given, target in pairs:
+        align(given, target)
+    assert _match.cache_info().currsize == maxsize
+    assert _match.cache_info().misses == len(pairs)
+    given, target = pairs[0]
+    assert align(given, target) == reference_align(given, target)
+    assert _match.cache_info().misses == len(pairs) + 1
+    assert _match.cache_info().currsize == maxsize
 
 
 class TestBaselines:

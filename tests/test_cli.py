@@ -633,8 +633,7 @@ SWEEP = [
     (("synth",), "--shift-transpose", "shift_transpose", False, RATES),
     (("synth",), "--capslock-sub", "capslock_sub", False, RATES),
     (("synth",), "--hesitation", "hesitation_rate", False, RATES),
-    # a quantum past every timestamp is accepted, and zeroes every timing
-    (("synth",), "--quantum", "clock_quantum_ms", True, {"0", HUGE}),
+    (("synth",), "--quantum", "clock_quantum_ms", True, {"0"}),
     (("synth",), "--separation", "impostor_separation", False, {"1e-320"}),
 ]
 SWEEP_VALUES = ("0", "-0.0", "-1", "nan", "inf", "1e308", "1e-320", HUGE)

@@ -588,6 +588,7 @@ class TestSynthesis:
             ("impostor_queries", (4, 3)),
             ("impostor_source", "other"),
             ("clock_quantum_ms", -1),
+            ("clock_quantum_ms", 1001),
             ("impostor_separation", 0.0),
             ("impostor_separation", float("nan")),
             ("impostor_separation", float("inf")),
