@@ -206,12 +206,34 @@ def damerau_levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
     in the unrestricted (Lowrance-Wagner) form, so the result is a true
     metric: the restricted variant would violate the triangle inequality
     on sequences like ``ca / ac / abc``.
+
+    The dynamic program is banded (Ukkonen). Prefixes of lengths ``i`` and
+    ``j`` are at least ``|i - j|`` apart, so no edit path of cost at most
+    ``band``, transposition sources included, leaves the cells with
+    ``|i - j| <= band``. Filling only those gives the distance whenever
+    the result is at most ``band``; otherwise the band doubles, up to the
+    full program.
     """
     la, lb = len(a), len(b)
     if la == 0:
         return lb
     if lb == 0:
         return la
+    # A dropped, moved or substituted modifier is 1 or 2 edits, so a first
+    # band of 2 settles most audited pairs in one pass.
+    band = max(2, abs(la - lb))
+    while True:
+        distance = _banded_distance(a, b, band)
+        if distance <= band:
+            return distance
+        band *= 2
+
+
+def _banded_distance(a: Sequence[str], b: Sequence[str], band: int) -> int:
+    """The cost of an edit path from ``a`` to ``b`` through the cells with
+    ``|i - j| <= band``: the distance when it is at most ``band``, and
+    above ``band`` otherwise."""
+    la, lb = len(a), len(b)
     maxdist = la + lb
     # d has two extra rows/cols: index 0 plays the role of "-1".
     d = [[maxdist] * (lb + 2) for _ in range(la + 2)]
@@ -221,8 +243,12 @@ def damerau_levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
         d[1][j + 1] = j
     da: dict[str, int] = {}
     for i in range(1, la + 1):
+        # db counts matches inside the band only: a transposition into
+        # (i, j) from a column l < i - band costs at least
+        # (i - l) + (j - l) - 1 > band.
         db = 0
-        for j in range(1, lb + 1):
+        row, above = d[i + 1], d[i]
+        for j in range(max(1, i - band), min(lb, i + band) + 1):
             k = da.get(b[j - 1], 0)
             l = db
             if a[i - 1] == b[j - 1]:
@@ -230,10 +256,10 @@ def damerau_levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
                 db = j
             else:
                 cost = 1
-            d[i + 1][j + 1] = min(
-                d[i][j] + cost,  # substitution / match
-                d[i + 1][j] + 1,  # insertion
-                d[i][j + 1] + 1,  # deletion
+            row[j + 1] = min(
+                above[j] + cost,  # substitution / match
+                row[j] + 1,  # insertion
+                above[j + 1] + 1,  # deletion
                 d[k][l] + (i - k - 1) + 1 + (j - l - 1),  # transposition
             )
         da[a[i - 1]] = i

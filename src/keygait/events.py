@@ -21,7 +21,9 @@ comes from this path.
 form ``serialize_events`` writes: it decodes and pairs the whole block in
 numpy arrays and builds the same sequences. It declines every file it
 cannot read that way (any other spelling, an error, a key left down),
-and its caller reads those with ``read_sequence``.
+and its caller reads those with ``read_sequence``. Its inverse,
+``_serialize_block``, writes a block of sequences in numpy arrays too;
+``serialize_events`` is that block of one.
 
 A :class:`KeystrokeSequence` holds columns, not keystroke objects: the
 key names as one tuple of ``str`` and the press and release times as two
@@ -40,12 +42,13 @@ import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import PairingError, ParseError
-from .scancodes import SCANCODE_NAMES, key_name, scancode_for
+from .scancodes import NAME_SCANCODES, SCANCODE_NAMES, key_name, scancode_for
 
 
 class UnreleasedKeyWarning(UserWarning):
@@ -429,6 +432,66 @@ def read_sequences(raws: list[bytes]) -> list[KeystrokeSequence | None]:
     return out
 
 
+def _check_serializable(seq: KeystrokeSequence) -> None:
+    """ValueError unless ``seq`` serializes: unaligned, anchored at t=0,
+    and every key name one :func:`scancode_for` maps back to a code."""
+    if seq.aligned:
+        raise ValueError("aligned sequences do not serialize to the event format")
+    if len(seq) and seq.press[0] != 0:
+        raise ValueError(f"sequence must be anchored at t=0, first press is {seq.press[0]}")
+    if not NAME_SCANCODES.keys() >= set(seq.keys()):
+        for key in seq.keys():
+            scancode_for(key)  # the first name it cannot map raises
+
+
+def _serialize_block(seqs: list[KeystrokeSequence]) -> list[str]:
+    """:func:`serialize_events` of each sequence, which must pass
+    :func:`_check_serializable`, for a block of them at once: the inverse
+    of :func:`read_sequences`.
+
+    Every event of the block is sorted once, by sequence, time, keystroke
+    and press first. Each line is spelled in one row of a fixed-width byte
+    matrix, with the scancode's hex digits left-aligned and the delta's
+    decimal digits right-aligned in NUL-padded fields; dropping the NULs
+    leaves the block's text, which is cut at each sequence's last line.
+    """
+    sizes = np.array([len(s) for s in seqs], np.int64)
+    n = int(sizes.sum())
+    if n == 0:
+        return [""] * len(seqs)
+    # Each distinct key name's index, and its scancode in lower-case hex.
+    keys = list(chain.from_iterable(s.keys() for s in seqs))
+    names = {k: i for i, k in enumerate(dict.fromkeys(keys))}
+    key_id = np.array(list(map(names.__getitem__, keys)))
+    spelled = [f"{scancode_for(k):02x}".encode() for k in names]
+    code_len = np.array([len(code) for code in spelled])
+    code_width = int(code_len.max())
+    code_digits = np.array(spelled, f"S{code_width}").view(np.uint8).reshape(-1, code_width)
+    # Event e < n presses keystroke e and event n + e releases it. The sort
+    # is stable, so a press stays before its own release at the same time.
+    t = np.concatenate([s.press for s in seqs] + [s.release for s in seqs])
+    owner = np.repeat(np.arange(len(seqs)), sizes)
+    order = np.lexsort((np.tile(np.arange(n), 2), t, np.tile(owner, 2)))
+    t = t[order]
+    key_id = key_id[order % n]
+    delta = np.diff(t, prepend=0)
+    delta[2 * (np.cumsum(sizes) - sizes)[sizes > 0]] = 0  # each sequence's first event
+    width = len(str(int(delta.max())))
+    place = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    # A digit is spelled from the first nonzero one on, and the units always.
+    spell = (delta[:, None] >= place) | (place == 1)
+    lines = np.zeros((2 * n, code_width + width + 4), np.uint8)
+    lines[:, 0] = np.where(order < n, ord("P"), ord("R"))
+    lines[:, 1] = lines[:, 2 + code_width] = ord(" ")
+    lines[:, 2 : 2 + code_width] = code_digits[key_id]
+    lines[:, 3 + code_width : -1] = np.where(spell, delta[:, None] // place % 10 + ord("0"), 0)
+    lines[:, -1] = ord("\n")
+    text = lines[lines != 0].tobytes().decode("ascii")
+    line_end = np.cumsum(4 + code_len[key_id] + spell.sum(axis=1))
+    cut = np.concatenate(([0], line_end))[2 * np.concatenate(([0], np.cumsum(sizes)))].tolist()
+    return [text[a:b] for a, b in zip(cut[:-1], cut[1:])]
+
+
 def serialize_events(seq: KeystrokeSequence) -> str:
     """Render a keystroke sequence back to the canonical event format.
 
@@ -438,17 +501,5 @@ def serialize_events(seq: KeystrokeSequence) -> str:
     keeps zero-duration keystrokes (a quantized clock can produce them)
     unambiguous to re-pair.
     """
-    if seq.aligned:
-        raise ValueError("aligned sequences do not serialize to the event format")
-    n = len(seq)
-    if n and seq.press[0] != 0:
-        raise ValueError(f"sequence must be anchored at t=0, first press is {seq.press[0]}")
-    codes = [scancode_for(key) for key in seq.keys()]
-    # Event j < n presses keystroke j and event n + j releases it; sorting
-    # by (time, keystroke index, press first) orders ties as said above.
-    t = np.concatenate((seq.press, seq.release))
-    events = np.lexsort((np.arange(2 * n) >= n, np.tile(np.arange(n), 2), t))
-    deltas = np.diff(t[events], prepend=0).tolist()
-    return "".join(
-        f"{'PR'[j >= n]} {codes[j % n]:02x} {d}\n" for j, d in zip(events.tolist(), deltas)
-    )
+    _check_serializable(seq)
+    return _serialize_block([seq])[0]

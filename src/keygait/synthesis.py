@@ -76,8 +76,10 @@ class SynthConfig(JsonConfig):
             n = getattr(self, field_name)
             if not 1 <= n <= most:
                 raise ValueError(f"{field_name} must be between 1 and {most}, got {n}")
-        # Names are drawn a letter at a time and audited by a quadratic edit
-        # distance: 3 subjects at 1000 keys, 33 times the default, take 10 s.
+        # Names are drawn a letter at a time and audited by an edit distance
+        # that costs length times distance: 3 subjects at 1000 keys, 33 times
+        # the default, take 0.3 s at the standard perturbation rates and
+        # 1.6 s at the highest.
         lo, hi = self.name_length
         if not 6 <= lo <= hi <= 1000:
             raise ValueError(f"name_length must satisfy 6 <= lo <= hi <= 1000, got {(lo, hi)}")
@@ -94,8 +96,11 @@ class SynthConfig(JsonConfig):
             p = getattr(self, field_name)
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{field_name} must be a probability, got {p}")
-        if self.shift_drop + self.shift_transpose + self.capslock_sub > 1.0:
-            raise ValueError("per-keystroke perturbation rates must sum to at most 1")
+        total = self.shift_drop + self.shift_transpose + self.capslock_sub
+        if total > 1.0:
+            raise ValueError(
+                f"shift_drop + shift_transpose + capslock_sub must be at most 1, got {total}"
+            )
         # The model's holds (90 ms) and latencies (160 ms) are far shorter
         # than a second, so a coarser clock floors nearly all of them to 0.
         if not 0 <= self.clock_quantum_ms <= 1000:

@@ -1,10 +1,11 @@
 """Independent reference implementations used only by tests.
 
 These are deliberately written with different algorithms than the
-package (graph search instead of dynamic programming, enumeration
-instead of iterative optimization, finite differences instead of
-backpropagation) so agreement is meaningful. Frozen: do not adapt these
-to match the implementation; fix the implementation instead.
+package (graph search instead of dynamic programming, the full dynamic
+program instead of a banded one, enumeration instead of iterative
+optimization, finite differences instead of backpropagation) so
+agreement is meaningful. Frozen: do not adapt these to match the
+implementation; fix the implementation instead.
 """
 
 from __future__ import annotations
@@ -79,6 +80,63 @@ def bfs_edit_distances(
         for tgt in sources:
             table[(src, tgt)] = dist[index[tgt]]
     return table
+
+
+def reference_damerau_levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
+    """Unrestricted (Lowrance-Wagner) Damerau-Levenshtein distance by the
+    full dynamic program, every cell filled: the unbanded form of
+    ``keygait.damerau_levenshtein``."""
+    la, lb = len(a), len(b)
+    if la == 0:
+        return lb
+    if lb == 0:
+        return la
+    maxdist = la + lb
+    # d has two extra rows/cols: index 0 plays the role of "-1".
+    d = [[maxdist] * (lb + 2) for _ in range(la + 2)]
+    for i in range(la + 1):
+        d[i + 1][1] = i
+    for j in range(lb + 1):
+        d[1][j + 1] = j
+    da: dict[str, int] = {}
+    for i in range(1, la + 1):
+        db = 0
+        for j in range(1, lb + 1):
+            k = da.get(b[j - 1], 0)
+            l = db
+            if a[i - 1] == b[j - 1]:
+                cost = 0
+                db = j
+            else:
+                cost = 1
+            d[i + 1][j + 1] = min(
+                d[i][j] + cost,  # substitution / match
+                d[i + 1][j] + 1,  # insertion
+                d[i][j + 1] + 1,  # deletion
+                d[k][l] + (i - k - 1) + 1 + (j - l - 1),  # transposition
+            )
+        da[a[i - 1]] = i
+    return d[la + 1][lb + 1]
+
+
+# ---------------------------------------------------------- event format
+
+
+def reference_serialize_events(seq) -> str:
+    """The event-file text of an unaligned sequence anchored at t=0: one
+    ``(time, keystroke, release?)`` tuple per event, sorted by Python, and
+    one f-string per line."""
+    from keygait.scancodes import scancode_for
+
+    events = sorted(
+        [(k.press_t, i, False, k.key) for i, k in enumerate(seq)]
+        + [(k.release_t, i, True, k.key) for i, k in enumerate(seq)]
+    )
+    lines, last = [], 0
+    for t, _, release, key in events:
+        lines.append(f"{'R' if release else 'P'} {scancode_for(key):02x} {t - last}\n")
+        last = t
+    return "".join(lines)
 
 
 # ------------------------------------------------------- finite differences

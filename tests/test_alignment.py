@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given as hgiven
@@ -7,17 +9,20 @@ from keygait import (
     AlignmentError,
     Keystroke,
     KeystrokeSequence,
+    SynthConfig,
     align,
     align_subject,
     audit_dataset,
     damerau_levenshtein,
     discard_modifiers,
+    generate_synthetic,
     select_target,
     truncate_align,
 )
+from keygait import alignment
 from keygait.alignment import AuditReport, _match, _summarize
 
-from oracles import bfs_edit_distances, reference_align
+from oracles import bfs_edit_distances, reference_align, reference_damerau_levenshtein
 
 
 def mkseq(keys, start=0, gap=100, duration=60):
@@ -306,13 +311,66 @@ class TestEditDistance:
         assert damerau_levenshtein("abc", "abc") == 0
         assert damerau_levenshtein("ab", "ba") == 1
         assert damerau_levenshtein("ca", "abc") == 2  # needs unrestricted edits
+        assert damerau_levenshtein("abc", "ca") == 2
         assert damerau_levenshtein("abc", "") == 3
         assert damerau_levenshtein("kitten", "sitting") == 3
 
-    def test_matches_bfs_oracle_on_short_strings(self):
-        table = bfs_edit_distances(("a", "b", "c"), operand_len=3)
+    @pytest.mark.parametrize(
+        "alphabet, operand_len, slack",
+        [(("a", "b"), 5, 3), (("a", "b", "c"), 3, 3), (("a", "b", "c", "d"), 3, 1)],
+    )
+    def test_matches_bfs_oracle_on_short_strings(self, alphabet, operand_len, slack):
+        table = bfs_edit_distances(alphabet, operand_len, slack)
         for (x, y), expected in table.items():
             assert damerau_levenshtein(x, y) == expected, (x, y)
+
+    @hgiven(st.integers(min_value=2, max_value=4), st.data())
+    def test_matches_full_program_on_short_strings(self, n_keys, data):
+        keys = st.lists(st.sampled_from("abcd"[:n_keys]), max_size=9)
+        a, b = data.draw(keys), data.draw(keys)
+        assert damerau_levenshtein(a, b) == reference_damerau_levenshtein(a, b)
+
+    def test_band_doubles_on_long_near_equal_names(self, monkeypatch):
+        bands = []
+        banded = alignment._banded_distance
+        def recorded(a, b, band):
+            bands.append(band)
+            return banded(a, b, band)
+
+        monkeypatch.setattr(alignment, "_banded_distance", recorded)
+        rng = np.random.default_rng(5)
+        letters = [chr(c) for c in range(ord("a"), ord("z") + 1)] + ["space", "lshift"]
+        for n_edits in range(13):
+            name = rng.choice(letters, size=220).tolist()
+            other = list(name)
+            for _ in range(n_edits):  # drop, add, swap or substitute a key
+                i = int(rng.integers(len(other) - 1))
+                edit = rng.integers(4)
+                if edit == 0:
+                    del other[i]
+                elif edit == 1:
+                    other.insert(i, "lshift")
+                elif edit == 2:
+                    other[i], other[i + 1] = other[i + 1], other[i]
+                else:
+                    other[i] = "capslock"
+            for x, y in ((name, other), (other, name)):
+                assert damerau_levenshtein(x, y) == reference_damerau_levenshtein(x, y)
+        assert max(bands) >= 16
+
+    def test_matches_full_program_on_every_audited_pair(self):
+        dataset, _ = generate_synthetic(
+            SynthConfig(n_subjects=300, shift_drop=0.05, shift_transpose=0.03, capslock_sub=0.02)
+        )
+        pairs = set()
+        for entry in dataset.subjects.values():
+            templates = [s.sequence.keys() for s in entry.templates]
+            pairs.update(combinations(templates, 2))
+            pairs.update((s.sequence.keys(), t) for s in entry.queries for t in templates)
+        pairs = [(a, b) for a, b in pairs if a != b]
+        assert len(pairs) > 2000
+        for a, b in pairs:
+            assert damerau_levenshtein(a, b) == reference_damerau_levenshtein(a, b), (a, b)
 
     @hgiven(key_lists(max_size=5), key_lists(max_size=5), key_lists(max_size=5))
     def test_metric_axioms(self, a, b, c):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from keygait import (
     DatasetError,
+    Keystroke,
     KeystrokeSequence,
     Label,
     ResolutionError,
@@ -160,6 +161,27 @@ class TestDatasetRoundTrip:
         with pytest.raises(DatasetError, match="subject id 'manifest.tsv'"):
             write_dataset(dataset, root)
         assert not root.exists()
+
+    @pytest.mark.parametrize(
+        "sequence, message",
+        [
+            (KeystrokeSequence((Keystroke("a", 0, 10),), aligned=True), "aligned sequences"),
+            (KeystrokeSequence((Keystroke("a", 5, 10),)), "anchored at t=0, first press is 5"),
+            (
+                KeystrokeSequence((Keystroke("a", 0, 10), Keystroke("nope", 9, 20))),
+                "unknown key name: 'nope'",
+            ),
+        ],
+        ids=["aligned", "unanchored", "unknown key"],
+    )
+    def test_unserializable_sample_is_refused_before_writing(self, sequence, message, tmp_path):
+        dataset, _ = generate_synthetic(TINY)
+        last = dataset.subject_ids()[-1]  # every other sample comes first in file order
+        dataset.add(Sample(last, "q99", Role.QUERY, sequence, Label.GENUINE))
+        for root in (tmp_path / "new", tmp_path):
+            with pytest.raises(DatasetError, match=f"^{last}/q99: .*{message}"):
+                write_dataset(dataset, root)
+            assert not (tmp_path / "new").exists() and list(tmp_path.iterdir()) == []
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DatasetError, match="no manifest.tsv"):

@@ -28,7 +28,9 @@ from keygait import (
     serialize_events,
     truncate_align,
 )
-from keygait.events import MAX_DELTA_MS
+from keygait.events import MAX_DELTA_MS, _serialize_block
+
+from oracles import reference_serialize_events
 
 
 def seq(*keystrokes):
@@ -324,33 +326,42 @@ class TestSerialization:
 
     def test_aligned_sequences_refuse_to_serialize(self):
         s = KeystrokeSequence((Keystroke("a", 0, 10),), aligned=True)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^aligned sequences do not serialize"):
             serialize_events(s)
 
     def test_nonzero_anchor_refuses(self):
         s = seq(Keystroke("a", 5, 10))
-        with pytest.raises(ValueError):
+        message = "^sequence must be anchored at t=0, first press is 5$"
+        with pytest.raises(ValueError, match=message):
+            serialize_events(s)
+
+    def test_unknown_key_name_refuses(self):
+        s = seq(Keystroke("a", 0, 10), Keystroke("nope", 20, 30), Keystroke("key_1E", 40, 50))
+        with pytest.raises(ValueError, match="^unknown key name: 'nope'$"):
             serialize_events(s)
 
 
 @st.composite
 def physical_sequences(draw):
     """Sequences a real keyboard could emit: anchored at 0, press-ordered,
-    and never re-pressing a key that is still held."""
+    and never re-pressing a key that is still held. Half run on a clock
+    quantized to 40 ms, where ties and zero-duration keystrokes are common;
+    ``key_e0`` is a key outside the scancode table."""
     n = draw(st.integers(min_value=1, max_value=8))
-    names = ["a", "b", "c", "space", "lshift"]
+    quantum = draw(st.sampled_from([1, 40]))
+    names = ["a", "b", "c", "space", "lshift", "key_e0"]
     press = 0
     last_release = {k: -1 for k in names}
     keystrokes = []
     for i in range(n):
         if i > 0:
-            press += draw(st.integers(min_value=0, max_value=300))
+            press += draw(st.integers(min_value=0, max_value=300)) // quantum * quantum
         available = [k for k in names if last_release[k] <= press]
         if not available:
             press = min(last_release.values())
             available = [k for k in names if last_release[k] <= press]
         key = draw(st.sampled_from(available))
-        duration = draw(st.integers(min_value=0, max_value=250))
+        duration = draw(st.integers(min_value=0, max_value=250)) // quantum * quantum
         keystrokes.append(Keystroke(key, press, press + duration))
         last_release[key] = press + duration
     return KeystrokeSequence(tuple(keystrokes))
@@ -554,6 +565,28 @@ _CANONICAL_ERRORS = [
 def test_block_reader_matches_read_sequence(texts):
     expected = [_typed(_outcome(read_sequence, text)) for text in texts]
     assert [_typed(outcome) for outcome in _block_outcomes(texts)] == expected
+
+
+_TIES = seq(  # rollover, a zero-duration keystroke and ties on a 40 ms clock
+    Keystroke("lshift", 0, 80),
+    Keystroke("a", 40, 40),
+    Keystroke("b", 40, 80),
+    Keystroke("a", 80, 120),
+)
+
+
+@given(
+    st.lists(st.one_of(st.just(seq()), physical_sequences()), min_size=1, max_size=6),
+    st.sampled_from([None, 1, 127, 129]),
+)
+@example([_TIES, seq(), seq(Keystroke("key_1ff", 0, 5))], 129)
+def test_block_serializer_writes_each_sequence_and_reads_back(sequences, size):
+    # a block of the drawn sequences, or of that many taken from them in turn
+    block = sequences if size is None else [sequences[i % len(sequences)] for i in range(size)]
+    texts = _serialize_block(block)
+    assert texts == [reference_serialize_events(s) for s in block]
+    assert texts == [serialize_events(s) for s in block]
+    assert read_sequences([text.encode() for text in texts]) == block
 
 
 @given(st.lists(physical_sequences(), max_size=6))
