@@ -127,7 +127,7 @@ def _cmd_resolution(args: argparse.Namespace) -> int:
     return 0
 
 
-def _eer_metrics(scores: ScoreSet) -> tuple[dict[str, object], RocCurve, list[float], list[bool]]:
+def _eer_metrics(scores: ScoreSet) -> tuple[dict[str, object], RocCurve, np.ndarray, np.ndarray]:
     """The ``metrics.tsv`` rows of labeled scores, each computed once, with
     the pooled ROC and the scores and genuine flags it was built from."""
     values, genuine = effective_scores(scores)
@@ -145,24 +145,22 @@ def _eer_metrics(scores: ScoreSet) -> tuple[dict[str, object], RocCurve, list[fl
 
 
 def _write_eer_outputs(
-    out: Path, metrics: dict[str, object], curve: RocCurve, values: list[float], genuine: list[bool]
+    out: Path, metrics: dict[str, object], curve: RocCurve, values: np.ndarray, gen: np.ndarray
 ) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_metrics(metrics, out / "metrics.tsv")
     (out / "roc.tsv").write_text(curve.to_tsv())
 
-    arr = np.asarray(values)
-    gen = np.asarray(genuine)
-    finite = np.isfinite(arr)
+    finite = np.isfinite(values)
     bins: list[tuple] = []
     if finite.any():
-        lo, hi = float(arr[finite].min()), float(arr[finite].max())
+        lo, hi = float(values[finite].min()), float(values[finite].max())
         if hi <= lo:
             hi = lo + 1.0
         edges = np.linspace(lo, hi, 51)
-        g_counts, _ = np.histogram(arr[finite & gen], bins=edges)
-        i_counts, _ = np.histogram(arr[finite & ~gen], bins=edges)
-        bins = list(zip(edges[:-1], edges[1:], g_counts, i_counts))
+        g_counts, _ = np.histogram(values[finite & gen], bins=edges)
+        i_counts, _ = np.histogram(values[finite & ~gen], bins=edges)
+        bins = list(zip(edges[:-1].tolist(), edges[1:].tolist(), g_counts.tolist(), i_counts.tolist()))
     header = ("bin_lo", "bin_hi", "genuine", "impostor")
     (out / "score_hist.csv").write_text(tsv(bins, header, sep=","))
 
@@ -173,7 +171,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     scores = run_pipeline(dataset, config)
     # metrics first, from the scores.tsv values, so `keygait eer` on that
     # file agrees; labels that cannot give an EER fail before --out exists
-    labeled = all(r.label is not None for r in scores)
+    labeled = None not in scores.labels
     if labeled:
         metrics, *pooled = _eer_metrics(written_scores(scores))
     out = Path(args.out)
@@ -185,7 +183,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         _write_eer_outputs(out, metrics, *pooled)
         sys.stdout.write(tsv([("global_eer", metrics["global_eer"])]))
     else:
-        print(f"scored {len(scores.records)} queries (labels withheld; no metrics)")
+        print(f"scored {len(scores)} queries (labels withheld; no metrics)")
     return 0
 
 

@@ -8,7 +8,8 @@ A dataset is ``<root>/<subject_id>/<sample_id>.txt`` event files plus a
 This module owns the flat-file rule: every TSV (or CSV) the package
 writes or prints goes through ``tsv``: tab-separated fields, floats at six
 decimals (``inf``/``-inf``), anything else by ``str``, a newline after
-every line. ``_read_keyed_rows`` reads score and label files back, naming
+every line. Score files hold the same six-decimal text, formatted once
+per score by ``ScoreSet.written``. ``_read_keyed_rows`` reads score and label files back, naming
 the file and line of a row with the wrong field count or a sample listed
 twice. Subject and sample ids are single path components
 (``events.check_id``), so no manifest row reaches outside the dataset.
@@ -18,9 +19,10 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import DatasetError, KeygaitError
 from .events import (
@@ -35,7 +37,7 @@ from .events import (
     read_sequence,
     read_sequences,
 )
-from .scorenorm import ScoreRecord, ScoreSet
+from .scorenorm import ScoreSet
 
 MANIFEST_NAME = "manifest.tsv"
 MANIFEST_HEADER = ("subject_id", "sample_id", "role", "label")
@@ -143,11 +145,20 @@ def _read_captures(
     for first in range(0, len(ids), _BLOCK_FILES):
         raws: list[bytes | OSError] = []
         for subject_id, sample_id in ids[first : first + _BLOCK_FILES]:
+            # os.open and os.read cost far less than open() on small files
+            path = os.path.join(root, subject_id, f"{sample_id}.txt")
+            chunks: list[bytes] = []
             try:
-                with open(os.path.join(root, subject_id, f"{sample_id}.txt"), "rb") as fh:
-                    raws.append(fh.read())
-            except OSError as exc:
-                raws.append(exc)
+                fd = os.open(path, os.O_RDONLY)
+                try:
+                    while chunk := os.read(fd, 65536):
+                        chunks.append(chunk)
+                finally:
+                    os.close(fd)
+            except OSError as exc:  # named by path, as open() names it; os.read does not
+                raws.append(OSError(exc.errno, exc.strerror, path))
+                continue
+            raws.append(b"".join(chunks))
         fast = iter(read_sequences([raw for raw in raws if isinstance(raw, bytes)]))
         for raw in raws:
             if isinstance(raw, OSError):
@@ -241,32 +252,31 @@ def write_dataset(dataset: SubjectDataset, root: str | Path) -> None:
 
 def write_scores(scores: ScoreSet, path: str | Path, *, normalized: bool = True) -> None:
     """Write the submission-format score file: each record's ``score``
-    with ``normalized`` (default), else its raw score."""
-    rows = [(r.subject_id, r.sample_id, r.score if normalized else r.raw_score) for r in scores]
-    Path(path).write_text(tsv(rows))
+    with ``normalized`` (default), else its raw score, at six decimals as
+    ``tsv`` writes a float (``ScoreSet.written``)."""
+    values = scores.written if normalized else [f"{v:.6f}" for v in scores.raw.tolist()]
+    lines = map("{}\t{}\t{}\n".format, scores.subject_ids, scores.sample_ids, values)
+    Path(path).write_text("".join(lines))
 
 
 def written_scores(scores: ScoreSet) -> ScoreSet:
-    """The records as ``write_scores`` writes them and ``read_scores``
-    reads them back, labels and flags kept: each ``score`` at six
-    decimals, in ``raw_score``."""
-    values = tsv((r.score,) for r in scores).split()
-    return ScoreSet(
-        tuple(
-            ScoreRecord(r.subject_id, r.sample_id, float(v), None, r.label, r.flagged)
-            for r, v in zip(scores, values)
-        )
-    )
+    """The scores as ``write_scores`` writes them and ``read_scores``
+    reads them back, labels and flags kept: ``ScoreSet.written`` parsed
+    into ``raw``."""
+    raw = np.fromiter(map(float, scores.written), np.float64, len(scores))
+    nan = np.full(len(scores), math.nan)
+    return ScoreSet._of(scores.subject_ids, scores.sample_ids, raw, nan, scores.labels, scores.flags)
 
 
 def read_scores(path: str | Path) -> ScoreSet:
-    """Read a score file back; values land in raw_score.
+    """Read a score file back, in (subject_id, sample_id) order; values
+    land in raw_score.
 
     Raises:
         DatasetError: a score that is not a number, NaN or +inf (keygait
             writes a finite score or ``-inf``), or a sample listed twice.
     """
-    records = []
+    rows = []
     for lineno, subject_id, sample_id, token in _read_keyed_rows(path):
         try:
             value = float(token)
@@ -274,8 +284,11 @@ def read_scores(path: str | Path) -> ScoreSet:
             value = math.nan  # not a number: rejected with NaN below
         if not value < math.inf:  # NaN or +inf
             raise DatasetError(f"{path}:{lineno}: bad score {token!r}")
-        records.append(ScoreRecord(subject_id, sample_id, value))
-    return ScoreSet(tuple(records))
+        rows.append((subject_id, sample_id, value))
+    rows.sort()  # no two rows share a sample, so values are never compared
+    n = len(rows)
+    subject_ids, sample_ids, raw = zip(*rows) if rows else ((), (), ())
+    return ScoreSet._of(subject_ids, sample_ids, raw, [math.nan] * n, [None] * n, [False] * n)
 
 
 def write_labels(records: Iterable, path: str | Path) -> None:
@@ -314,13 +327,14 @@ def attach_labels(scores: ScoreSet, labels: dict[tuple[str, str], Label]) -> Sco
     Raises:
         DatasetError: a scored sample has no label in the map.
     """
-    records = []
-    for r in scores:
-        key = (r.subject_id, r.sample_id)
+    attached = []
+    for key in zip(scores.subject_ids, scores.sample_ids):
         if key not in labels:
-            raise DatasetError(f"no label for {r.subject_id}/{r.sample_id}")
-        records.append(replace(r, label=labels[key]))
-    return ScoreSet(tuple(records))
+            raise DatasetError(f"no label for {key[0]}/{key[1]}")
+        attached.append(labels[key])
+    return ScoreSet._of(
+        scores.subject_ids, scores.sample_ids, scores.raw, scores.normalized, attached, scores.flags
+    )
 
 
 def write_metrics(metrics: dict[str, object], path: str | Path) -> None:

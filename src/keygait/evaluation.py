@@ -38,7 +38,7 @@ import hashlib
 import os
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .detectors import Detector, build_detector
 from .errors import AlignmentError, EvaluationError, KeygaitError, ScoreNormError
 from .events import Label, Role, Sample, SubjectDataset, SubjectSamples
 from .features import extract_features, fit_feature_normalizer, normalize_features
-from .scorenorm import SENTINEL_SCORE, ScoreRecord, ScoreSet, normalize_subject
+from .scorenorm import SENTINEL_SCORE, ScoreSet, normalize_subject
 
 
 def derive_seed(*parts: object) -> int:
@@ -79,7 +79,8 @@ class RocCurve:
         return float(self.far[j] + t * (self.far[i] - self.far[j]))
 
     def to_tsv(self) -> str:
-        return tsv(zip(self.thresholds, self.far, self.frr), ("threshold", "far", "frr"))
+        columns = (self.thresholds.tolist(), self.far.tolist(), self.frr.tolist())
+        return tsv(zip(*columns), ("threshold", "far", "frr"))
 
 
 def roc(scores: Sequence[float], genuine: Sequence[bool]) -> RocCurve:
@@ -104,20 +105,17 @@ def roc(scores: Sequence[float], genuine: Sequence[bool]) -> RocCurve:
     return RocCurve(thresholds, far, frr)
 
 
-def effective_scores(scores: Iterable[ScoreRecord]) -> tuple[list[float], list[bool]]:
-    """Each record's ``score`` and whether it is genuine, in record order.
+def effective_scores(scores: ScoreSet) -> tuple[np.ndarray, np.ndarray]:
+    """Each record's ``score`` and whether it is genuine, as arrays in
+    record order.
 
     Raises:
         EvaluationError: a record has no label.
     """
-    values: list[float] = []
-    genuine: list[bool] = []
-    for r in scores:
-        if r.label is None:
-            raise EvaluationError(f"record {r.subject_id}/{r.sample_id} has no label")
-        values.append(r.score)
-        genuine.append(r.label is Label.GENUINE)
-    return values, genuine
+    if None in scores.labels:
+        i = scores.labels.index(None)
+        raise EvaluationError(f"record {scores.subject_ids[i]}/{scores.sample_ids[i]} has no label")
+    return scores.score, np.array(scores.labels, object) == Label.GENUINE
 
 
 def global_eer(scores: ScoreSet) -> float:
@@ -134,18 +132,22 @@ class SubjectEerReport:
 
 
 def subject_eer(scores: ScoreSet) -> SubjectEerReport:
-    """Per-subject EERs plus their mean and population SD.
+    """Per-subject EERs, each from one :func:`roc` over the subject's rows,
+    plus their mean and population SD.
 
     Raises:
-        EvaluationError: no scores, or a subject whose EER is undefined.
+        EvaluationError: no scores, or a subject whose EER is undefined or
+            that holds an unlabeled record.
     """
     if not len(scores):
         raise EvaluationError("no scores to evaluate")
+    genuine = np.array(scores.labels, object) == Label.GENUINE
     per_subject: dict[str, float] = {}
-    for subject_id, records in sorted(scores.by_subject().items()):
-        values, genuine = effective_scores(records)
+    for subject_id, rows in scores.subject_slices():
+        if None in scores.labels[rows]:
+            effective_scores(scores)  # raises for this subject's unlabeled record
         try:
-            per_subject[subject_id] = roc(values, genuine).eer()
+            per_subject[subject_id] = roc(scores.score[rows], genuine[rows]).eer()
         except EvaluationError as exc:
             raise EvaluationError(f"subject {subject_id}: {exc}") from exc
     eers = np.array(list(per_subject.values()))
@@ -294,9 +296,11 @@ def raw_scores(
 def normalize_scores(
     prepared: list[PreparedSubject], raws: list[list[np.ndarray]], config: PipelineConfig
 ) -> ScoreSet:
-    """Stage 3: raw and normalized records of stage 2's scores under
-    ``config.score_norm``, in subject then query order. ``raws`` is only
-    read, so one stage 2 result serves every score normalization.
+    """Stage 3: the raw and normalized score columns of stage 2's scores
+    under ``config.score_norm``, filled subject by subject in ``prepared``'s
+    order, which :func:`prepare` makes (subject_id, sample_id) order.
+    ``raws`` is only read, so one stage 2 result serves every score
+    normalization.
 
     An ensemble averages the members' raw scores and normalizes the mean
     or, with ``ensemble_normalized``, averages the per-member normalized
@@ -313,32 +317,38 @@ def normalize_scores(
     """
     norm = config.score_norm
     ensemble = config.detector.name == "ensemble"
-    records: list[ScoreRecord] = []
+    raw_column: list[float] = []
+    normalized_column: list[float] = []
+    flag_column: list[bool] = []
     for p, members in zip(prepared, zip(*raws)):
         # a single detector keeps its bits: a mean of one turns -0.0 into 0.0
         raw = np.mean(members, axis=0) if ensemble else members[0]
         flagged = ~np.isfinite(raw)
-        raw = np.where(flagged, SENTINEL_SCORE, raw)
+        raw = np.where(flagged, SENTINEL_SCORE, raw).tolist()
         flags = flagged.tolist()
         try:
             if ensemble and config.ensemble_normalized:
                 per_member = [normalize_subject(p.subject_id, r.tolist(), flags, norm) for r in members]
                 normalized = np.mean(per_member, axis=0).tolist()
             else:
-                normalized = normalize_subject(p.subject_id, raw.tolist(), flags, norm)
+                normalized = normalize_subject(p.subject_id, raw, flags, norm)
         except ScoreNormError:
             # too few live scores to normalize (sd needs 2): the subject is
             # flagged whole, like one whose preparation failed
-            raw = np.full_like(raw, SENTINEL_SCORE)
+            raw = [SENTINEL_SCORE] * len(raw)
             flags = [True] * len(flags)
-            normalized = normalize_subject(p.subject_id, raw.tolist(), flags, norm)
-        records.extend(
-            ScoreRecord(p.subject_id, q, r, n, label, f)
-            for q, r, n, label, f in zip(
-                p.query_ids, raw.tolist(), normalized, p.query_labels, flags
-            )
-        )
-    return ScoreSet(tuple(records))
+            normalized = normalize_subject(p.subject_id, raw, flags, norm)
+        raw_column += raw
+        normalized_column += normalized
+        flag_column += flags
+    return ScoreSet._of(
+        [p.subject_id for p in prepared for _ in p.query_ids],
+        [q for p in prepared for q in p.query_ids],
+        raw_column,
+        normalized_column,
+        [label for p in prepared for label in p.query_labels],
+        flag_column,
+    )
 
 
 def run_pipeline(dataset: SubjectDataset, config: PipelineConfig) -> ScoreSet:

@@ -12,9 +12,13 @@ only the pooled global picture changes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
 from operator import attrgetter
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .config import ScoreNormConfig
 from .errors import ScoreNormError
@@ -41,31 +45,65 @@ class ScoreRecord:
         return self.raw_score if self.normalized_score is None else self.normalized_score
 
 
-@dataclass(frozen=True)
 class ScoreSet:
-    """All scored queries of a run, ordered by (subject_id, sample_id)."""
+    """All scored queries of a run, in (subject_id, sample_id) order, held
+    as columns: ``subject_ids``, ``sample_ids`` and ``labels`` tuples, the
+    ``float64`` arrays ``raw``, ``normalized`` (NaN where a record has
+    none) and ``score`` (each record's ``score``) and the ``bool`` array
+    ``flags``, all read-only. Iteration and :attr:`records` build
+    :class:`ScoreRecord` values on demand."""
 
-    records: tuple[ScoreRecord, ...]
+    def __new__(cls, records: Iterable[ScoreRecord] = ()) -> ScoreSet:
+        rows = sorted(records, key=attrgetter("subject_id", "sample_id"))
+        fields = ("subject_id", "sample_id", "raw_score", "normalized_score", "label", "flagged")
+        ids, samples, raw, normalized, labels, flags = ([getattr(r, f) for r in rows] for f in fields)
+        normalized = [math.nan if n is None else n for n in normalized]
+        return cls._of(ids, samples, raw, normalized, labels, flags)
 
-    def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.records, key=attrgetter("subject_id", "sample_id")))
-        object.__setattr__(self, "records", ordered)
+    @classmethod
+    def _of(cls, subject_ids, sample_ids, raw, normalized, labels, flags) -> ScoreSet:
+        """A score set on columns already in (subject_id, sample_id) order,
+        unchecked. The columns are copied."""
+        scores = object.__new__(cls)
+        scores.subject_ids, scores.sample_ids = tuple(subject_ids), tuple(sample_ids)
+        scores.raw, scores.normalized = np.array(raw, np.float64), np.array(normalized, np.float64)
+        scores.labels, scores.flags = tuple(labels), np.array(flags, bool)
+        scores.score = np.where(np.isnan(scores.normalized), scores.raw, scores.normalized)
+        for column in (scores.raw, scores.normalized, scores.flags, scores.score):
+            column.setflags(write=False)
+        return scores
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.subject_ids)
 
     def __iter__(self) -> Iterator[ScoreRecord]:
         return iter(self.records)
 
-    def by_subject(self) -> dict[str, list[ScoreRecord]]:
-        out: dict[str, list[ScoreRecord]] = {}
-        for r in self.records:
-            out.setdefault(r.subject_id, []).append(r)
-        return out
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and self.records == other.records
+
+    @property
+    def records(self) -> tuple[ScoreRecord, ...]:
+        normalized = [None if n != n else n for n in self.normalized.tolist()]
+        columns = (self.subject_ids, self.sample_ids, self.raw.tolist(), normalized, self.labels)
+        return tuple(map(ScoreRecord, *columns, self.flags.tolist()))
+
+    @cached_property
+    def written(self) -> list[str]:
+        """Each record's ``score`` at six decimals, as a score file holds it."""
+        return [f"{v:.6f}" for v in self.score.tolist()]
+
+    def subject_slices(self) -> Iterator[tuple[str, slice]]:
+        """Each subject's id and its rows of the columns, in id order."""
+        start = 0
+        for subject_id, rows in groupby(self.subject_ids):
+            stop = start + sum(1 for _ in rows)
+            yield subject_id, slice(start, stop)
+            start = stop
 
     @property
     def ftc_count(self) -> int:
-        return sum(1 for r in self.records if r.flagged)
+        return int(self.flags.sum())
 
 
 def normalize_minmax(scores: Sequence[float]) -> list[float]:
@@ -142,10 +180,8 @@ def normalize_subject(
 
 def apply_normalization(scores: ScoreSet, config: ScoreNormConfig) -> ScoreSet:
     """Normalize each subject's scores independently (:func:`normalize_subject`)."""
-    out: list[ScoreRecord] = []
-    for subject_id, records in scores.by_subject().items():
-        normalized = normalize_subject(
-            subject_id, [r.raw_score for r in records], [r.flagged for r in records], config
-        )
-        out.extend(replace(r, normalized_score=v) for r, v in zip(records, normalized))
-    return ScoreSet(tuple(out))
+    raw, flags = scores.raw.tolist(), scores.flags.tolist()
+    normalized: list[float] = []
+    for subject_id, rows in scores.subject_slices():
+        normalized += normalize_subject(subject_id, raw[rows], flags[rows], config)
+    return ScoreSet._of(scores.subject_ids, scores.sample_ids, raw, normalized, scores.labels, flags)

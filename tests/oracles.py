@@ -633,3 +633,113 @@ def reference_perturb(canonical, rng, config, subject_id, sample_id, log):
             result.append(canonical[i])
             i += 1
     return result
+
+
+# ---------------------------------------------------------- score records
+
+
+def _by_sample(records) -> list:
+    return sorted(records, key=lambda r: (r.subject_id, r.sample_id))
+
+
+def reference_normalize_scores(prepared, raws, config) -> list:
+    """Stage 3 one record at a time: each subject's raw scores through
+    ``normalize_subject`` into a ``ScoreRecord`` per query, the records
+    sorted by (subject_id, sample_id)."""
+    from keygait.errors import ScoreNormError
+    from keygait.scorenorm import SENTINEL_SCORE, ScoreRecord, normalize_subject
+
+    norm = config.score_norm
+    ensemble = config.detector.name == "ensemble"
+    records = []
+    for p, members in zip(prepared, zip(*raws)):
+        raw = np.mean(members, axis=0) if ensemble else members[0]
+        flagged = ~np.isfinite(raw)
+        raw = np.where(flagged, SENTINEL_SCORE, raw)
+        flags = flagged.tolist()
+        try:
+            if ensemble and config.ensemble_normalized:
+                per_member = [normalize_subject(p.subject_id, r.tolist(), flags, norm) for r in members]
+                normalized = np.mean(per_member, axis=0).tolist()
+            else:
+                normalized = normalize_subject(p.subject_id, raw.tolist(), flags, norm)
+        except ScoreNormError:
+            raw = np.full_like(raw, SENTINEL_SCORE)
+            flags = [True] * len(flags)
+            normalized = normalize_subject(p.subject_id, raw.tolist(), flags, norm)
+        records.extend(
+            ScoreRecord(p.subject_id, q, r, n, label, f)
+            for q, r, n, label, f in zip(p.query_ids, raw.tolist(), normalized, p.query_labels, flags)
+        )
+    return _by_sample(records)
+
+
+def by_subject(records) -> dict[str, list]:
+    """Records grouped by subject id, each group in record order."""
+    out: dict[str, list] = {}
+    for r in records:
+        out.setdefault(r.subject_id, []).append(r)
+    return out
+
+
+def reference_written_scores(records) -> list:
+    """Each record's ``score`` formatted to six decimals and parsed back
+    into ``raw_score``, labels and flags kept, sorted by (subject_id,
+    sample_id)."""
+    from keygait.datasets import tsv
+    from keygait.scorenorm import ScoreRecord
+
+    records = list(records)
+    values = tsv((r.score,) for r in records).split()
+    return _by_sample(
+        ScoreRecord(r.subject_id, r.sample_id, float(v), None, r.label, r.flagged)
+        for r, v in zip(records, values)
+    )
+
+
+def reference_write_scores(records, *, normalized: bool = True) -> str:
+    """The text of a score file, one record at a time through ``tsv``."""
+    from keygait.datasets import tsv
+
+    return tsv((r.subject_id, r.sample_id, r.score if normalized else r.raw_score) for r in records)
+
+
+def effective_scores(records) -> tuple[list[float], list[bool]]:
+    """Each record's ``score`` and whether it is genuine, in record order."""
+    from keygait.errors import EvaluationError
+    from keygait.events import Label
+
+    values: list[float] = []
+    genuine: list[bool] = []
+    for r in records:
+        if r.label is None:
+            raise EvaluationError(f"record {r.subject_id}/{r.sample_id} has no label")
+        values.append(r.score)
+        genuine.append(r.label is Label.GENUINE)
+    return values, genuine
+
+
+def reference_global_eer(records) -> float:
+    from keygait.evaluation import roc
+
+    return roc(*effective_scores(records)).eer()
+
+
+def reference_subject_eer(records) -> tuple[dict[str, float], float, float]:
+    """Per-subject EERs from each subject's records, and their mean and
+    population SD."""
+    from keygait.errors import EvaluationError
+    from keygait.evaluation import roc
+
+    records = list(records)
+    if not records:
+        raise EvaluationError("no scores to evaluate")
+    per_subject: dict[str, float] = {}
+    for subject_id, group in sorted(by_subject(records).items()):
+        values, genuine = effective_scores(group)
+        try:
+            per_subject[subject_id] = roc(values, genuine).eer()
+        except EvaluationError as exc:
+            raise EvaluationError(f"subject {subject_id}: {exc}") from exc
+    eers = np.array(list(per_subject.values()))
+    return per_subject, float(eers.mean()), float(eers.std())

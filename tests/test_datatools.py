@@ -43,7 +43,7 @@ from keygait import (
 )
 from keygait import datasets, synthesis
 from keygait.datasets import tsv, written_scores
-from keygait.events import check_id
+from keygait.events import check_id, read_sequence, serialize_events
 from keygait.scancodes import MODIFIER_KEYS, SHIFT_KEYS
 from keygait.synthesis import _make_name, _make_profile, _perturb, _time_keys
 
@@ -279,6 +279,32 @@ class TestDatasetRoundTrip:
             f"{manifest}:10: template s1/t3 cannot be labeled impostor",
             f"{manifest}:11: duplicate sample s1/t1",
         ]
+
+    def test_directory_in_place_of_an_event_file_is_named(self, tmp_path):
+        dataset, _ = generate_synthetic(TINY)
+        root = tmp_path / "ds"
+        write_dataset(dataset, root)
+        path = root / "s001" / "q01.txt"
+        path.unlink()
+        path.mkdir()
+        with pytest.raises(DatasetError) as err:
+            load_dataset(root)
+        assert str(err.value).splitlines() == [
+            f"1 problem(s) loading {root}:",
+            f"{path}: [Errno 21] Is a directory: '{path}'",
+        ]
+
+    def test_event_file_longer_than_one_read_loads_whole(self, tmp_path):
+        # 6,000 keystrokes serialize to far more than one 64 KiB os.read
+        sequence = KeystrokeSequence(Keystroke("a", 10 * i, 10 * i + 5) for i in range(6000))
+        text = serialize_events(sequence)
+        assert len(text.encode()) > 65536
+        root = tmp_path / "ds"
+        (root / "s1").mkdir(parents=True)
+        (root / "manifest.tsv").write_text("subject_id\tsample_id\trole\tlabel\ns1\tq1\tquery\t?\n")
+        (root / "s1" / "q1.txt").write_text(text)
+        [sample] = load_dataset(root).subjects["s1"].queries
+        assert sample.sequence == read_sequence(text) == sequence
 
     def test_crlf_file_loads_equal_to_its_canonical_copy(self, small_dataset, tmp_path):
         root = tmp_path / "ds"

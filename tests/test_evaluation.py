@@ -2,8 +2,10 @@ import json
 import math
 import multiprocessing
 import re
+import tempfile
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from keygait import (
     ContractiveAutoencoder,
+    DatasetError,
     DetectorConfig,
     EvaluationError,
     Keystroke,
@@ -38,10 +41,20 @@ from keygait import (
     subject_eer,
 )
 from keygait import evaluation
+from keygait.datasets import attach_labels, read_scores, write_scores, written_scores
 from keygait.evaluation import SENTINEL_SCORE
 from keygait.scorenorm import normalize_minmax, normalize_sd
 
-from oracles import reference_eer, reference_normalized_features
+from oracles import (
+    by_subject,
+    reference_eer,
+    reference_global_eer,
+    reference_normalize_scores,
+    reference_normalized_features,
+    reference_subject_eer,
+    reference_write_scores,
+    reference_written_scores,
+)
 
 
 class TestRocEer:
@@ -544,7 +557,7 @@ class TestRunPipeline:
 
         monkeypatch.setattr(ManhattanDetector, "score_all", score_all)
         config = PipelineConfig(score_norm=ScoreNormConfig(kind="minmax"))
-        for records in run_pipeline(_toy_dataset(), config).by_subject().values():
+        for records in by_subject(run_pipeline(_toy_dataset(), config)).values():
             assert [r.flagged for r in records] == [True, True, False, False]
             assert [r.raw_score for r in records] == [SENTINEL_SCORE] * 2 + [-2.0, -3.0]
             assert [r.normalized_score for r in records] == [0.0, 0.0, 1.0, 0.0]
@@ -565,12 +578,12 @@ class TestRunPipeline:
             q if q.sample_id == "i1" else replace(q, sequence=KeystrokeSequence(()))
             for q in s1.queries
         ]
-        scores = run_pipeline(ds, config).by_subject()
+        scores = by_subject(run_pipeline(ds, config))
         assert [r.flagged for r in scores["s1"]] == [True] * 4
         assert [r.raw_score for r in scores["s1"]] == [SENTINEL_SCORE] * 4
         assert [r.normalized_score for r in scores["s1"]] == [0.0] * 4
         # every other subject is scored as if s1 were intact
-        assert scores["s2"] == run_pipeline(_toy_dataset(), config).by_subject()["s2"]
+        assert scores["s2"] == by_subject(run_pipeline(_toy_dataset(), config))["s2"]
 
     @pytest.mark.parametrize("ensemble_normalized", [False, True])
     def test_flagged_ensemble_record_keeps_sentinel_under_none(self, ensemble_normalized):
@@ -758,7 +771,7 @@ class TestStages:
             scores = evaluation.normalize_scores(prepared, raws, cell)
             assert _record_bits(scores) == _record_bits(run_pipeline(one_live_dataset, cell))
             assert len(scores) == n_queries
-            live = [not r.flagged for r in scores.by_subject()[first]]
+            live = [not r.flagged for r in by_subject(scores)[first]]
             assert sum(live) == (0 if kind == "sd" else 1)
             for r in scores:
                 assert r.flagged == (r.raw_score == SENTINEL_SCORE)
@@ -926,3 +939,105 @@ class TestMonteCarlo:
             monte_carlo_validate(
                 small_dataset, PipelineConfig(), repetitions=1, n_templates=n_templates
             )
+
+
+def _outcome(compute):
+    """What ``compute()`` returns, as bits where it is a float, or the
+    message of the EvaluationError it raises."""
+    try:
+        value = compute()
+    except EvaluationError as exc:
+        return "error", str(exc)
+    return "ok", np.float64(value).tobytes() if isinstance(value, float) else value
+
+
+# a raw score: finite, with ties and signed zeros, or one a detector can
+# give that stage 3 flags
+_RAW = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, -math.inf, math.inf, math.nan]),
+    st.floats(-1e6, 1e6, allow_nan=False),
+)
+_IDS = st.text("ab1_", min_size=1, max_size=3)
+
+
+@st.composite
+def _stage2(draw):
+    """Stage 1 and 2 results as ``prepare`` orders them, with the config
+    that normalizes them: one detector or a two-member ensemble, under
+    every score normalization. Labels are drawn per query; most subjects
+    get both classes, and some draws leave one record unlabeled."""
+    n_members = draw(st.sampled_from([1, 2]))
+    prepared = []
+    raws = [[] for _ in range(n_members)]
+    for subject_id in sorted(draw(st.sets(_IDS, min_size=1, max_size=4))):
+        query_ids = sorted(draw(st.sets(_IDS, min_size=2, max_size=6)))
+        n = len(query_ids)
+        labels = draw(st.lists(st.sampled_from(Label), min_size=n, max_size=n))
+        if draw(st.integers(0, 7)):  # mostly both classes
+            labels[0] = Label.IMPOSTOR if labels[-1] is Label.GENUINE else Label.GENUINE
+        prepared.append(evaluation.PreparedSubject(subject_id, query_ids, labels))
+        for member in raws:
+            member.append(np.array(draw(st.lists(_RAW, min_size=n, max_size=n)), np.float64))
+    if not draw(st.integers(0, 7)):
+        p = draw(st.sampled_from(prepared))
+        p.query_labels[draw(st.integers(0, len(p.query_ids) - 1))] = None
+    norm = ScoreNormConfig(kind=draw(st.sampled_from(["none", "minmax", "sd"])))
+    if n_members == 1:
+        config = PipelineConfig(score_norm=norm)
+    else:
+        config = PipelineConfig(
+            detector=TestStages.PAIR, score_norm=norm, ensemble_normalized=draw(st.booleans())
+        )
+    return prepared, raws, config
+
+
+class TestColumnScorePath:
+    """The column path from stage 3 to the score files and EERs equals the
+    record-at-a-time reference of ``oracles``."""
+
+    @given(_stage2(), st.randoms(use_true_random=False))
+    def test_matches_the_record_reference(self, stage2, random):
+        prepared, raws, config = stage2
+        with np.errstate(invalid="ignore"):  # an ensemble mean of inf and -inf is NaN
+            scores = evaluation.normalize_scores(prepared, raws, config)
+            expected = reference_normalize_scores(prepared, raws, config)
+        assert _record_bits(scores) == _record_bits(expected)
+        assert scores.ftc_count == sum(r.flagged for r in expected)
+
+        written = written_scores(scores)
+        expected_written = reference_written_scores(expected)
+        assert _record_bits(written) == _record_bits(expected_written)
+        for ours, theirs in ((scores, expected), (written, expected_written)):
+            assert _outcome(lambda: global_eer(ours)) == _outcome(lambda: reference_global_eer(theirs))
+            report = _outcome(lambda: subject_eer(ours))
+            if report[0] == "ok":
+                report = "ok", (report[1].per_subject, report[1].mean, report[1].sd)
+            assert report == _outcome(lambda: reference_subject_eer(theirs))
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scores.tsv"
+            for normalized in (False, True):
+                write_scores(scores, path, normalized=normalized)
+                text = reference_write_scores(expected, normalized=normalized)
+                assert path.read_text() == text
+            # a score file in any row order reads back in (subject, sample) order
+            lines = text.splitlines(keepends=True)
+            random.shuffle(lines)
+            path.write_text("".join(lines))
+            back = read_scores(path)
+        bare = [replace(r, label=None, flagged=False) for r in expected]
+        assert _record_bits(back) == _record_bits(reference_written_scores(bare))
+        labels = {(r.subject_id, r.sample_id): r.label for r in expected if r.label is not None}
+        unlabeled = [r for r in expected if r.label is None]
+        if unlabeled:
+            with pytest.raises(DatasetError) as err:
+                attach_labels(back, labels)
+            assert str(err.value) == f"no label for {unlabeled[0].subject_id}/{unlabeled[0].sample_id}"
+            return
+        back = attach_labels(back, labels)
+        expected_back = reference_written_scores(replace(r, flagged=False) for r in expected)
+        assert _record_bits(back) == _record_bits(expected_back)
+        assert _outcome(lambda: global_eer(back)) == _outcome(lambda: global_eer(written))
+        assert _outcome(lambda: subject_eer(back).per_subject) == _outcome(
+            lambda: reference_subject_eer(expected_back)[0]
+        )
