@@ -25,13 +25,11 @@ and its caller reads those with ``read_sequence``. Its inverse,
 ``_serialize_block``, writes a block of sequences in numpy arrays too;
 ``serialize_events`` is that block of one.
 
-A :class:`KeystrokeSequence` holds columns, not keystroke objects: the
-key names as one tuple of ``str`` and the press and release times as two
-read-only ``int64`` arrays. The readers, synthesis and alignment fill the
-columns directly, since what they build is valid by construction; the
-public constructor checks the :class:`Keystroke` values it is given. A
-:class:`Keystroke`, a validated tuple type, is what indexing and iteration
-give one keystroke at a time.
+A :class:`KeystrokeSequence` is columns alone: the key names as one tuple
+of ``str`` and the press and release times as two read-only ``int64``
+arrays. The readers, synthesis and alignment build it with the unchecked
+``_of``, since what they fill is valid by construction; the public
+constructor checks the columns it is given.
 """
 
 from __future__ import annotations
@@ -39,11 +37,10 @@ from __future__ import annotations
 import operator
 import re
 import warnings
-from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -56,22 +53,6 @@ class UnreleasedKeyWarning(UserWarning):
     final timestamp of the sample."""
 
 
-class Keystroke(namedtuple("Keystroke", "key press_t release_t")):
-    """A paired press/release with absolute millisecond timestamps: a tuple
-    type, compared and hashed as ``(key, press_t, release_t)``. Direct
-    construction, ``_make``, ``_replace``, pickle and copy check that
-    ``release_t >= press_t``."""
-
-    __slots__ = ()
-
-    def __new__(cls, key: str, press_t: int, release_t: int) -> Keystroke:
-        if release_t < press_t:
-            raise ValueError(f"release_t {release_t} precedes press_t {press_t} for {key!r}")
-        return super().__new__(cls, key, press_t, release_t)
-
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
-
-
 class KeystrokeSequence:
     """An ordered run of keystrokes, held as columns: the key names as one
     tuple of ``str`` (:meth:`keys`), and the press and release times as
@@ -81,23 +62,29 @@ class KeystrokeSequence:
     Aligned sequences carry target order instead, so press times may go
     backwards; the ``aligned`` flag records which form this is.
 
-    Indexing and iteration give :class:`Keystroke` values with Python
-    ``int`` times. Equality, hashing, pickle and copy treat a sequence as
-    its ``(keystrokes, aligned)`` pair.
+    Equality, hashing, pickle and copy treat a sequence as its columns and
+    its ``aligned`` flag; unpickling goes through the checked constructor.
     """
 
     __slots__ = ("_keys", "press", "release", "aligned")
 
-    def __new__(cls, keystrokes: Iterable[Keystroke], aligned: bool = False) -> KeystrokeSequence:
-        """The sequence of ``keystrokes``, checked: each ``release_t >=
-        press_t`` (by :class:`Keystroke`), integer times, and press order
-        unless ``aligned``."""
-        checked = [Keystroke(*k) for k in keystrokes]
-        press = np.array([operator.index(k.press_t) for k in checked], np.int64)
+    def __new__(
+        cls, keys: Iterable[str], press: Iterable[int], release: Iterable[int], aligned: bool = False
+    ) -> KeystrokeSequence:
+        """The sequence on these columns, checked: a ``str`` per key, an
+        ``int`` in ``int64`` but not a bool per time, columns of one length,
+        each ``release >= press``, and press order unless ``aligned``."""
+        keys, press, release = tuple(keys), _int64s(press), _int64s(release)
+        if not len(keys) == len(press) == len(release):
+            raise ValueError(f"column lengths differ: {len(keys)}, {len(press)}, {len(release)}")
+        for key, p, r in zip(keys, press.tolist(), release.tolist()):
+            if not isinstance(key, str):
+                raise TypeError(f"key {key!r} is not a str")
+            if r < p:
+                raise ValueError(f"release_t {r} precedes press_t {p} for {key!r}")
         if not aligned and (press[1:] < press[:-1]).any():
             raise ValueError("unaligned sequence must be ordered by press time")
-        release = np.array([operator.index(k.release_t) for k in checked], np.int64)
-        return cls._of(tuple(k.key for k in checked), press, release, aligned)
+        return cls._of(keys, press, release, aligned)
 
     @classmethod
     def _of(
@@ -132,18 +119,6 @@ class KeystrokeSequence:
     def __len__(self) -> int:
         return len(self._keys)
 
-    def __iter__(self) -> Iterator[Keystroke]:
-        return map(Keystroke, self._keys, self.press.tolist(), self.release.tolist())
-
-    def __getitem__(self, i: int | slice) -> Keystroke | tuple[Keystroke, ...]:
-        if isinstance(i, slice):
-            return self.keystrokes[i]
-        return Keystroke(self._keys[i], int(self.press[i]), int(self.release[i]))
-
-    @property
-    def keystrokes(self) -> tuple[Keystroke, ...]:
-        return tuple(self)
-
     def keys(self) -> tuple[str, ...]:
         return self._keys
 
@@ -158,13 +133,25 @@ class KeystrokeSequence:
         )
 
     def __hash__(self) -> int:
-        return hash((self.keystrokes, self.aligned))
+        return hash((self._keys, self.press.tobytes(), self.release.tobytes(), self.aligned))
 
     def __reduce__(self):
-        return KeystrokeSequence, (self.keystrokes, self.aligned)
+        columns = (self._keys, self.press.tolist(), self.release.tolist(), self.aligned)
+        return KeystrokeSequence, columns
 
     def __repr__(self) -> str:
-        return f"KeystrokeSequence(keystrokes={self.keystrokes!r}, aligned={self.aligned!r})"
+        return f"KeystrokeSequence{self.__reduce__()[1]!r}"
+
+
+def _int64s(times: Iterable[int]) -> np.ndarray:
+    """``times``, each an ``int`` other than a bool, as an ``int64`` array."""
+    times = list(times)
+    for t in times:
+        if isinstance(t, (bool, np.bool_)):
+            raise TypeError(f"time {t!r} is a bool, not an int")
+        if not -(2**63) <= operator.index(t) < 2**63:
+            raise ValueError(f"time {t} is outside int64")
+    return np.array([operator.index(t) for t in times], np.int64)
 
 
 class Role(Enum):

@@ -49,14 +49,18 @@ class ScoreSet:
     """All scored queries of a run, in (subject_id, sample_id) order, held
     as columns: ``subject_ids``, ``sample_ids`` and ``labels`` tuples, the
     ``float64`` arrays ``raw``, ``normalized`` (NaN where a record has
-    none) and ``score`` (each record's ``score``) and the ``bool`` array
-    ``flags``, all read-only. Iteration and :attr:`records` build
-    :class:`ScoreRecord` values on demand."""
+    none, so a NaN ``normalized_score`` is a ValueError) and ``score``
+    (each record's ``score``) and the ``bool`` array ``flags``, all
+    read-only. Iteration and :attr:`records` build :class:`ScoreRecord`
+    values on demand."""
 
     def __new__(cls, records: Iterable[ScoreRecord] = ()) -> ScoreSet:
         rows = sorted(records, key=attrgetter("subject_id", "sample_id"))
         fields = ("subject_id", "sample_id", "raw_score", "normalized_score", "label", "flagged")
         ids, samples, raw, normalized, labels, flags = ([getattr(r, f) for r in rows] for f in fields)
+        for subject_id, sample_id, n in zip(ids, samples, normalized):
+            if n is not None and n != n:
+                raise ValueError(f"normalized score of {subject_id}/{sample_id} is NaN")
         normalized = [math.nan if n is None else n for n in normalized]
         return cls._of(ids, samples, raw, normalized, labels, flags)
 
@@ -80,7 +84,14 @@ class ScoreSet:
         return iter(self.records)
 
     def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and self.records == other.records
+        return (
+            type(other) is type(self)
+            and (self.subject_ids, self.sample_ids, self.labels)
+            == (other.subject_ids, other.sample_ids, other.labels)
+            and np.array_equal(self.flags, other.flags)
+            and np.array_equal(self.raw, other.raw)
+            and np.array_equal(self.normalized, other.normalized, equal_nan=True)
+        )
 
     @property
     def records(self) -> tuple[ScoreRecord, ...]:

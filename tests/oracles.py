@@ -122,6 +122,21 @@ def reference_damerau_levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
 # ---------------------------------------------------------- event format
 
 
+def seq(keystrokes=(), aligned: bool = False):
+    """The sequence of ``(key, press_t, release_t)`` rows, through the
+    checked constructor."""
+    from keygait import KeystrokeSequence
+
+    keys, press, release = zip(*keystrokes) if keystrokes else ((), (), ())
+    return KeystrokeSequence(keys, press, release, aligned)
+
+
+def rows(sequence) -> list[tuple[str, int, int]]:
+    """The ``(key, press_t, release_t)`` rows of ``sequence``, as Python
+    ``str`` and ``int`` values."""
+    return list(zip(sequence.keys(), sequence.press.tolist(), sequence.release.tolist()))
+
+
 def reference_serialize_events(seq) -> str:
     """The event-file text of an unaligned sequence anchored at t=0: one
     ``(time, keystroke, release?)`` tuple per event, sorted by Python, and
@@ -129,8 +144,8 @@ def reference_serialize_events(seq) -> str:
     from keygait.scancodes import scancode_for
 
     events = sorted(
-        [(k.press_t, i, False, k.key) for i, k in enumerate(seq)]
-        + [(k.release_t, i, True, k.key) for i, k in enumerate(seq)]
+        [(p, i, False, key) for i, (key, p, _) in enumerate(rows(seq))]
+        + [(r, i, True, key) for i, (key, _, r) in enumerate(rows(seq))]
     )
     lines, last = [], 0
     for t, _, release, key in events:
@@ -425,15 +440,15 @@ def reference_align(given, target):
     given index for the nearest unconsumed one with the same key (ties to
     the smaller index), then substitute the rest the same way regardless
     of key. The quadratic form that the key-indexed ``align`` replaced."""
-    from keygait import AlignmentError, AlignmentMapping, KeystrokeSequence
+    from keygait import AlignmentError, AlignmentMapping
 
     if len(target) == 0:
         raise AlignmentError("target sequence is empty")
     if len(given) == 0:
         raise AlignmentError("given sequence is empty")
 
-    given_keys = [k.key for k in given]
-    target_keys = [k.key for k in target]
+    given_keys = list(given.keys())
+    target_keys = list(target.keys())
     consumed = [False] * len(given_keys)
     index = [-1] * len(target_keys)
 
@@ -465,7 +480,8 @@ def reference_align(given, target):
         index[i] = pick
     ignored = tuple(j for j, used in enumerate(consumed) if not used)
     mapping = AlignmentMapping(tuple(index), substituted, ignored, flagged)
-    aligned = KeystrokeSequence(tuple(given[j] for j in index), aligned=True)
+    given_rows = rows(given)
+    aligned = seq([given_rows[j] for j in index], aligned=True)
     return aligned, mapping
 
 
@@ -477,9 +493,9 @@ def reference_normalized_features(templates, queries, *, h_f: float = 1.0):
     per aligned sequence, bounds fitted on the stacked template vectors,
     then each vector scaled on its own. Returns (template rows, query rows)."""
 
-    def raw(seq):
-        press = np.array([k.press_t for k in seq], dtype=float)
-        release = np.array([k.release_t for k in seq], dtype=float)
+    def raw(sequence):
+        press = np.array([p for _, p, _ in rows(sequence)], dtype=float)
+        release = np.array([r for _, _, r in rows(sequence)], dtype=float)
         return release - press, np.diff(press)
 
     t_raw = [raw(s) for s in templates]
@@ -556,7 +572,6 @@ def reference_make_profile(rng, keys, scale: float) -> dict:
 def reference_time_keys(keys, profile, rng, config):
     """A timed rendition of ``keys``, drawn and rounded one keystroke at a
     time with Python's ``round``."""
-    from keygait.events import Keystroke, KeystrokeSequence
     from keygait.synthesis import WITHIN_SAMPLE_SD as sd
 
     n = len(keys)
@@ -589,9 +604,7 @@ def reference_time_keys(keys, profile, rng, config):
     if q > 0:
         presses = (presses // q) * q
         releases = (releases // q) * q
-    return KeystrokeSequence(
-        tuple(Keystroke(k, int(p), int(r)) for k, p, r in zip(keys, presses, releases))
-    )
+    return seq([(k, int(p), int(r)) for k, p, r in zip(keys, presses, releases)])
 
 
 def reference_perturb(canonical, rng, config, subject_id, sample_id, log):

@@ -45,7 +45,6 @@ from keygait.detectors import autoencoder as ae
 from keygait.detectors import contractive as cae
 from keygait.detectors import variational as vae
 from keygait.detectors.ocsvm import rbf_kernel
-from keygait.events import Keystroke, KeystrokeSequence
 
 from conftest import kboc_dir
 from oracles import (
@@ -54,16 +53,13 @@ from oracles import (
     central_difference,
     max_relative_error,
     ocsvm_dual_oracle,
+    rows,
+    seq,
 )
 
 
 def _mkseq(keys, gap=100, duration=60):
-    ks = []
-    t = 0
-    for key in keys:
-        ks.append(Keystroke(key, t, t + duration))
-        t += gap
-    return KeystrokeSequence(tuple(ks))
+    return seq([(key, i * gap, i * gap + duration) for i, key in enumerate(keys)])
 
 
 def _flat(params, keys):
@@ -257,9 +253,9 @@ def test_criterion_05_eer_fixtures_and_minmax_invariance():
 
 
 def test_criterion_06_alignment_invariants_and_hand_traced_case():
-    seq = _mkseq(["lshift", "j", "o", "space", "rshift", "k"])
-    identical, mapping = align(seq, seq)
-    assert identical.keystrokes == seq.keystrokes
+    typed = _mkseq(["lshift", "j", "o", "space", "rshift", "k"])
+    identical, mapping = align(typed, typed)
+    assert rows(identical) == rows(typed)
     assert not any(mapping.substituted)
 
     rng = np.random.default_rng(606)
@@ -282,7 +278,7 @@ def test_criterion_06_alignment_invariants_and_hand_traced_case():
     assert mapping.substituted == (False, False, False, True, False)
     assert mapping.index == (2, 0, 1, 3, 3)
     assert mapping.flagged
-    latencies = np.diff([k.press_t for k in aligned])
+    latencies = np.diff(aligned.press)
     assert latencies[0] < 0
 
 

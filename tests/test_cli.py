@@ -16,6 +16,8 @@ import pytest
 from keygait import load_dataset, write_dataset
 from keygait.cli import build_parser, main
 
+from oracles import seq
+
 
 def tree_bytes(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
@@ -364,11 +366,11 @@ class TestResolutionCommand:
         assert abs(float(value) - 40.0) <= 4.0
 
     def test_indeterminate_is_operational_error(self, tmp_path, capsys):
-        from keygait import Keystroke, KeystrokeSequence, Label, Role, Sample, SubjectDataset
+        from keygait import Label, Role, Sample, SubjectDataset
 
         dataset = SubjectDataset()
-        seq = KeystrokeSequence((Keystroke("a", 0, 60), Keystroke("b", 100, 170)))
-        dataset.add(Sample("s001", "t01", Role.TEMPLATE, seq, Label.GENUINE))
+        typed = seq([("a", 0, 60), ("b", 100, 170)])
+        dataset.add(Sample("s001", "t01", Role.TEMPLATE, typed, Label.GENUINE))
         root = tmp_path / "tiny"
         write_dataset(dataset, root)
         assert main(["resolution", "--data", str(root)]) == 1
@@ -430,14 +432,13 @@ class TestErrorHandling:
         assert capsys.readouterr().err == "error: detector 'ocsvm' takes no parameter(s) gama\n"
 
     def test_ill_typed_param_is_operational_error_when_every_subject_fails(self, tmp_path, capsys):
-        from keygait import Keystroke, KeystrokeSequence, Role, Sample, SubjectDataset
+        from keygait import Role, Sample, SubjectDataset
 
         # every target has one keystroke, so every subject fails preparation
         dataset = SubjectDataset()
         for sid in ("s001", "s002"):
-            dataset.add(Sample(sid, "t01", Role.TEMPLATE, KeystrokeSequence((Keystroke("a", 0, 60),))))
-            seq = KeystrokeSequence((Keystroke("a", 0, 60), Keystroke("b", 100, 170)))
-            dataset.add(Sample(sid, "q01", Role.QUERY, seq))
+            dataset.add(Sample(sid, "t01", Role.TEMPLATE, seq([("a", 0, 60)])))
+            dataset.add(Sample(sid, "q01", Role.QUERY, seq([("a", 0, 60), ("b", 100, 170)])))
         root = tmp_path / "failing"
         write_dataset(dataset, root)
         config_path = tmp_path / "pipe.json"

@@ -16,8 +16,6 @@ from hypothesis import strategies as st
 
 from keygait import (
     DatasetError,
-    Keystroke,
-    KeystrokeSequence,
     Label,
     ResolutionError,
     Role,
@@ -47,7 +45,14 @@ from keygait.events import check_id, read_sequence, serialize_events
 from keygait.scancodes import MODIFIER_KEYS, SHIFT_KEYS
 from keygait.synthesis import _make_name, _make_profile, _perturb, _time_keys
 
-from oracles import reference_make_profile, reference_perturb, reference_resolution, reference_time_keys
+from oracles import (
+    reference_make_profile,
+    reference_perturb,
+    reference_resolution,
+    reference_time_keys,
+    rows,
+    seq,
+)
 from test_events import physical_sequences
 
 TINY = SynthConfig(n_subjects=2, n_templates=3, genuine_queries=(2, 2), impostor_queries=(2, 2), seed=3)
@@ -85,7 +90,7 @@ def _tracked_growth(build):
 
 
 # Tracked objects a sample may add: its Sample, its sequence and a few
-# more. A Keystroke tuple per keystroke would add about 20 per sample.
+# more. An object per keystroke would add about 20 per sample.
 _TRACKED_PER_SAMPLE = 4
 
 
@@ -156,7 +161,7 @@ class TestDatasetRoundTrip:
 
     def test_subject_named_like_the_manifest_is_refused_before_writing(self, tmp_path):
         dataset = SubjectDataset()
-        dataset.add(Sample("manifest.tsv", "t01", Role.TEMPLATE, KeystrokeSequence(())))
+        dataset.add(Sample("manifest.tsv", "t01", Role.TEMPLATE, seq()))
         root = tmp_path / "ds"
         with pytest.raises(DatasetError, match="subject id 'manifest.tsv'"):
             write_dataset(dataset, root)
@@ -165,12 +170,9 @@ class TestDatasetRoundTrip:
     @pytest.mark.parametrize(
         "sequence, message",
         [
-            (KeystrokeSequence((Keystroke("a", 0, 10),), aligned=True), "aligned sequences"),
-            (KeystrokeSequence((Keystroke("a", 5, 10),)), "anchored at t=0, first press is 5"),
-            (
-                KeystrokeSequence((Keystroke("a", 0, 10), Keystroke("nope", 9, 20))),
-                "unknown key name: 'nope'",
-            ),
+            (seq([("a", 0, 10)], aligned=True), "aligned sequences"),
+            (seq([("a", 5, 10)]), "anchored at t=0, first press is 5"),
+            (seq([("a", 0, 10), ("nope", 9, 20)]), "unknown key name: 'nope'"),
         ],
         ids=["aligned", "unanchored", "unknown key"],
     )
@@ -296,7 +298,7 @@ class TestDatasetRoundTrip:
 
     def test_event_file_longer_than_one_read_loads_whole(self, tmp_path):
         # 6,000 keystrokes serialize to far more than one 64 KiB os.read
-        sequence = KeystrokeSequence(Keystroke("a", 10 * i, 10 * i + 5) for i in range(6000))
+        sequence = seq([("a", 10 * i, 10 * i + 5) for i in range(6000)])
         text = serialize_events(sequence)
         assert len(text.encode()) > 65536
         root = tmp_path / "ds"
@@ -315,8 +317,12 @@ class TestDatasetRoundTrip:
             path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         crlf = load_dataset(root).subjects["s001"].queries
         assert crlf == canonical
+
+        def types(s):
+            return [[type(v) for v in column] for column in (s.keys(), s.press, s.release)]
+
         for a, b in zip(crlf, canonical):
-            assert [[type(v) for v in k] for k in a.sequence] == [[type(v) for v in k] for k in b.sequence]
+            assert types(a.sequence) == types(b.sequence)
 
     def test_undecodable_manifest_is_named(self, tmp_path):
         (tmp_path / "manifest.tsv").write_bytes(b"subject_id\tsample_id\trole\tlabel\n\xffs1\n")
@@ -334,7 +340,7 @@ class TestDatasetRoundTrip:
     def test_ids_must_be_plain_file_names(self, column, bad):
         ids = {"subject": "s1", "sample": "t1", column: bad}
         with pytest.raises(ValueError) as err:
-            Sample(ids["subject"], ids["sample"], Role.TEMPLATE, KeystrokeSequence(()))
+            Sample(ids["subject"], ids["sample"], Role.TEMPLATE, seq())
         assert str(err.value) == f"bad {column} id {bad!r}: not a plain file name"
 
     def test_manifest_ids_stay_inside_the_dataset(self, tmp_path):
@@ -543,7 +549,7 @@ class TestSynthesis:
         dataset, log = generate_synthetic(replace(TINY, capslock_sub=1.0))
         for sid in dataset.subject_ids():
             for s in dataset.subjects[sid].templates + dataset.subjects[sid].queries:
-                keys = [k.key for k in s.sequence]
+                keys = list(s.sequence.keys())
                 assert "lshift" not in keys and "rshift" not in keys
                 assert keys.count("capslock") == 2
         assert all(r.kind == "capslock_sub" for r in log)
@@ -552,16 +558,15 @@ class TestSynthesis:
         dataset, log = generate_synthetic(replace(TINY, shift_drop=1.0))
         for sid in dataset.subject_ids():
             for s in dataset.subjects[sid].templates + dataset.subjects[sid].queries:
-                assert all(k.key not in ("lshift", "rshift", "capslock") for k in s.sequence)
+                assert all(k not in ("lshift", "rshift", "capslock") for k in s.sequence.keys())
         assert all(r.kind == "shift_drop" for r in log)
 
     def test_quantized_clock_lands_on_lattice(self):
         dataset, _ = generate_synthetic(replace(TINY, clock_quantum_ms=40))
         for sid in dataset.subject_ids():
             for s in dataset.subjects[sid].templates + dataset.subjects[sid].queries:
-                for k in s.sequence:
-                    assert k.press_t % 40 == 0
-                    assert k.release_t % 40 == 0
+                assert (s.sequence.press % 40 == 0).all()
+                assert (s.sequence.release % 40 == 0).all()
 
     def test_no_same_key_overlap_even_with_slow_modifiers(self, monkeypatch):
         # long Shift holds must end before that Shift is pressed again,
@@ -578,18 +583,18 @@ class TestSynthesis:
                 for sid in dataset.subject_ids():
                     for s in dataset.subjects[sid].templates + dataset.subjects[sid].queries:
                         last_release: dict[str, int] = {}
-                        for k in s.sequence:
-                            assert k.release_t >= k.press_t
-                            assert last_release.get(k.key, -1) < k.press_t
-                            last_release[k.key] = k.release_t
+                        for key, press, release in rows(s.sequence):
+                            assert release >= press
+                            assert last_release.get(key, -1) < press
+                            last_release[key] = release
 
     def test_victim_impostors_type_the_victim_name(self):
         dataset, _ = generate_synthetic(replace(TINY, impostor_source="victim"))
         for sid in dataset.subject_ids():
             entry = dataset.subjects[sid]
-            canonical = tuple(k.key for k in entry.templates[0].sequence)
+            canonical = entry.templates[0].sequence.keys()
             for s in entry.queries:
-                assert tuple(k.key for k in s.sequence) == canonical
+                assert s.sequence.keys() == canonical
 
     def test_ground_truth_covers_all_samples(self, tmp_path):
         dataset, _ = generate_synthetic(TINY)

@@ -17,8 +17,6 @@ from keygait import (
     DatasetError,
     DetectorConfig,
     EvaluationError,
-    Keystroke,
-    KeystrokeSequence,
     Label,
     ManhattanDetector,
     PipelineConfig,
@@ -54,6 +52,8 @@ from oracles import (
     reference_subject_eer,
     reference_write_scores,
     reference_written_scores,
+    rows,
+    seq,
 )
 
 
@@ -190,12 +190,7 @@ def test_derive_seed_is_stable_and_distinct():
 
 
 def _mkseq(keys, gap=100, duration=60):
-    t = 0
-    ks = []
-    for k in keys:
-        ks.append(Keystroke(k, t, t + duration))
-        t += gap
-    return KeystrokeSequence(tuple(ks))
+    return seq([(k, i * gap, i * gap + duration) for i, k in enumerate(keys)])
 
 
 def _noisy_seq(rng, keys, gap_mu, dur_mu):
@@ -207,8 +202,8 @@ def _noisy_seq(rng, keys, gap_mu, dur_mu):
         if i:
             t += max(1, int(round(rng.normal(gap_mu, 8))))
         d = max(1, int(round(rng.normal(dur_mu, 5))))
-        ks.append(Keystroke(k, t, t + d))
-    return KeystrokeSequence(tuple(ks))
+        ks.append((k, t, t + d))
+    return seq(ks)
 
 
 def _toy_dataset():
@@ -270,9 +265,7 @@ def test_prepared_rows_match_per_sequence_features(small_dataset, alignment, h_f
 
 def _swap_shift_sides(sequence):
     swap = {"lshift": "rshift", "rshift": "lshift"}
-    return KeystrokeSequence(
-        tuple(Keystroke(swap.get(k.key, k.key), k.press_t, k.release_t) for k in sequence)
-    )
+    return seq([(swap.get(k, k), p, r) for k, p, r in rows(sequence)])
 
 
 @pytest.mark.parametrize("alignment", ["truncate", "discard"])
@@ -327,7 +320,7 @@ class TestRunPipeline:
 
     def test_empty_query_flagged_not_dropped(self):
         ds = _toy_dataset()
-        ds.add(Sample("s1", "qz", Role.QUERY, KeystrokeSequence(()), Label.GENUINE))
+        ds.add(Sample("s1", "qz", Role.QUERY, seq(), Label.GENUINE))
         scores = run_pipeline(ds, PipelineConfig())
         assert len(scores.records) == 9
         bad = [r for r in scores if r.sample_id == "qz"][0]
@@ -339,7 +332,7 @@ class TestRunPipeline:
         clean = run_pipeline(_toy_dataset(), PipelineConfig())
         ds = _toy_dataset()
         # sorts between g1 and i0, so the scored rows are not a prefix
-        ds.add(Sample("s1", "h0", Role.QUERY, KeystrokeSequence(()), Label.GENUINE))
+        ds.add(Sample("s1", "h0", Role.QUERY, seq(), Label.GENUINE))
         scores = run_pipeline(ds, PipelineConfig())
         assert [r.sample_id for r in scores if r.flagged] == ["h0"]
         assert [r for r in scores if not r.flagged] == list(clean)
@@ -362,7 +355,7 @@ class TestRunPipeline:
         clean = run_pipeline(_toy_dataset(), config)
         assert not any(r.flagged for r in clean)
         ds = _toy_dataset()
-        ds.add(Sample("s1", "t8", Role.TEMPLATE, KeystrokeSequence(())))
+        ds.add(Sample("s1", "t8", Role.TEMPLATE, seq()))
         if alignment == "discard":
             ds.add(Sample("s1", "t9", Role.TEMPLATE, _mkseq(["lshift", "capslock"])))
         assert run_pipeline(ds, config) == clean
@@ -575,7 +568,7 @@ class TestRunPipeline:
         ds = _toy_dataset()
         s1 = ds.subjects["s1"]
         s1.queries = [
-            q if q.sample_id == "i1" else replace(q, sequence=KeystrokeSequence(()))
+            q if q.sample_id == "i1" else replace(q, sequence=seq())
             for q in s1.queries
         ]
         scores = by_subject(run_pipeline(ds, config))
@@ -588,7 +581,7 @@ class TestRunPipeline:
     @pytest.mark.parametrize("ensemble_normalized", [False, True])
     def test_flagged_ensemble_record_keeps_sentinel_under_none(self, ensemble_normalized):
         ds = _toy_dataset()
-        ds.add(Sample("s1", "qz", Role.QUERY, KeystrokeSequence(()), Label.GENUINE))
+        ds.add(Sample("s1", "qz", Role.QUERY, seq(), Label.GENUINE))
         pair = DetectorConfig(
             name="ensemble",
             members=(DetectorConfig(name="manhattan"), DetectorConfig(name="ocsvm")),
@@ -719,7 +712,7 @@ def one_live_dataset(small_dataset):
         for s in entry.templates:
             ds.add(s)
         for i, q in enumerate(sorted(entry.queries, key=lambda s: s.sample_id)):
-            ds.add(q if sid != first or i == 0 else replace(q, sequence=KeystrokeSequence(())))
+            ds.add(q if sid != first or i == 0 else replace(q, sequence=seq()))
     return ds
 
 

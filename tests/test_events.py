@@ -8,7 +8,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from keygait import (
-    Keystroke,
     KeystrokeSequence,
     Label,
     ParseError,
@@ -30,11 +29,7 @@ from keygait import (
 )
 from keygait.events import MAX_DELTA_MS, _serialize_block
 
-from oracles import reference_serialize_events
-
-
-def seq(*keystrokes):
-    return KeystrokeSequence(tuple(keystrokes))
+from oracles import reference_serialize_events, rows, seq
 
 
 class TestParsing:
@@ -118,7 +113,7 @@ class TestParsing:
         assert str(caught.value) == f"line 3: timestamp {2 * MAX_DELTA_MS} exceeds {MAX_DELTA_MS}"
         inclusive = f"P 1e 0\nR 1e {MAX_DELTA_MS - 1}\nP 1f 1\nR 1f 0\n"  # ends on the bound
         assert len(read(inclusive)) == (4 if read is parse_raw_events else 2)
-        assert read_sequence(inclusive)[-1] == Keystroke("s", MAX_DELTA_MS, MAX_DELTA_MS)
+        assert rows(read_sequence(inclusive))[-1] == ("s", MAX_DELTA_MS, MAX_DELTA_MS)
 
 
 class TestScancodes:
@@ -152,16 +147,16 @@ class TestPairing:
         events = parse_raw_events("P 1e 0\nR 1e 80\nP 30 40\nR 30 70\n")
         s = pair_events(events)
         assert s.keys() == ("a", "b")
-        assert [(k.press_t, k.release_t) for k in s] == [(0, 80), (120, 190)]
+        assert [(p, r) for _, p, r in rows(s)] == [(0, 80), (120, 190)]
 
     def test_rollover_overlapping_holds(self):
         # b pressed before a releases
         events = parse_raw_events("P 1e 0\nP 30 50\nR 1e 40\nR 30 60\n")
         s = pair_events(events)
         assert s.keys() == ("a", "b")
-        a, b = s[0], s[1]
-        assert (a.press_t, a.release_t) == (0, 90)
-        assert (b.press_t, b.release_t) == (50, 150)
+        a, b = rows(s)
+        assert a[1:] == (0, 90)
+        assert b[1:] == (50, 150)
 
     def test_auto_repeat_reopens_keystroke(self):
         # second press of a key with no intervening release closes the
@@ -169,23 +164,21 @@ class TestPairing:
         events = parse_raw_events("P 1e 0\nP 1e 30\nR 1e 25\n")
         s = pair_events(events)
         assert s.keys() == ("a", "a")
-        assert (s[0].press_t, s[0].release_t) == (0, 30)
-        assert (s[1].press_t, s[1].release_t) == (30, 55)
+        assert rows(s)[0][1:] == (0, 30)
+        assert rows(s)[1][1:] == (30, 55)
 
     def test_unreleased_press_closed_at_end_with_warning(self):
         events = parse_raw_events("P 1e 0\nP 30 20\nR 30 50\n")
         with pytest.warns(UnreleasedKeyWarning):
             s = pair_events(events)
         assert s.keys() == ("a", "b")
-        assert s[0].release_t == 70  # final timestamp of the sample
+        assert s.release[0] == 70  # final timestamp of the sample
 
     def test_unreleased_warnings_follow_last_press_order(self):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             s = pair_events(parse_raw_events("P 1e 0\nP 30 5\nP 1e 5\n"))
-        assert [(k.key, k.press_t, k.release_t) for k in s] == [
-            ("a", 0, 10), ("b", 5, 10), ("a", 10, 10)
-        ]
+        assert rows(s) == [("a", 0, 10), ("b", 5, 10), ("a", 10, 10)]
         assert [str(w.message) for w in caught] == [
             "press of 'b' at t=5 never released; closed at final timestamp 10",
             "press of 'a' at t=10 never released; closed at final timestamp 10",
@@ -206,103 +199,95 @@ class TestPairing:
 
 class TestSequenceInvariants:
     def test_unaligned_requires_press_order(self):
-        with pytest.raises(ValueError):
-            seq(Keystroke("a", 10, 20), Keystroke("b", 5, 8))
+        with pytest.raises(ValueError, match="^unaligned sequence must be ordered by press time$"):
+            seq([("a", 10, 20), ("b", 5, 8)])
 
     def test_aligned_allows_reordered_press_times(self):
-        s = KeystrokeSequence(
-            (Keystroke("a", 10, 20), Keystroke("b", 5, 8)), aligned=True
-        )
+        s = seq([("a", 10, 20), ("b", 5, 8)], aligned=True)
         assert len(s) == 2
 
     def test_release_before_press_rejected(self):
-        with pytest.raises(ValueError):
-            Keystroke("a", 10, 9)
+        with pytest.raises(ValueError) as caught:
+            seq([("a", 10, 9)], aligned=True)
+        assert str(caught.value) == "release_t 9 precedes press_t 10 for 'a'"
+        assert seq([("a", 10, 10)]).release[0] == 10
 
-    def test_constructor_checks_what_it_is_given(self):
-        bad = tuple.__new__(Keystroke, ("a", 10, 9))
-        with pytest.raises(ValueError, match="release_t 9 precedes press_t 10 for 'a'"):
-            KeystrokeSequence((bad,), aligned=True)
+    def test_constructor_takes_columns_and_checks_them(self):
+        built = KeystrokeSequence(["a", "b"], np.array([0, 5]), (10, 8))
+        assert built == KeystrokeSequence._of(("a", "b"), np.array([0, 5]), np.array([10, 8]))
+        assert type(built.keys()) is tuple and built.press.dtype == np.int64
         with pytest.raises(TypeError):
-            seq(Keystroke("a", 0.5, 10))
-        assert seq(("a", 0, 10)) == seq(Keystroke("a", 0, 10))
+            seq([("a", 0.5, 10)])
+        with pytest.raises(ValueError, match="^column lengths differ: 2, 2, 1$"):
+            KeystrokeSequence(("a", "b"), (0, 5), (10,))
+
+    @pytest.mark.parametrize(
+        "keystroke, error, message",
+        [
+            ((5, 0, 1), TypeError, "key 5 is not a str"),
+            (("a", True, 2), TypeError, "time True is a bool, not an int"),
+            (("a", 0, np.True_), TypeError, f"time {np.True_!r} is a bool, not an int"),
+            (("a", 0, 2**70), ValueError, f"time {2**70} is outside int64"),
+            (("a", -(2**63) - 1, 0), ValueError, f"time {-(2**63) - 1} is outside int64"),
+        ],
+        ids=["int-key", "bool-time", "numpy-bool-time", "past-int64", "below-int64"],
+    )
+    def test_constructor_names_a_bad_value(self, keystroke, error, message):
+        with pytest.raises(error) as caught:
+            seq([keystroke], aligned=True)
+        assert str(caught.value) == message
 
     def test_sequence_is_immutable(self):
-        s = seq(Keystroke("a", 0, 10))
-        for name in ("press", "release", "aligned", "keystrokes"):
+        s = seq([("a", 0, 10)])
+        for name in ("press", "release", "aligned", "_keys"):
             with pytest.raises(AttributeError):
                 setattr(s, name, None)
         with pytest.raises(ValueError, match="read-only"):
             s.press[0] = 5
-        assert s == seq(Keystroke("a", 0, 10))
+        assert s == seq([("a", 0, 10)])
 
     def test_template_cannot_be_impostor(self):
-        s = seq(Keystroke("a", 0, 10))
+        s = seq([("a", 0, 10)])
         with pytest.raises(ValueError):
             Sample("s1", "t1", Role.TEMPLATE, s, Label.IMPOSTOR)
 
     def test_template_defaults_to_genuine(self):
-        s = Sample("s1", "t1", Role.TEMPLATE, seq(Keystroke("a", 0, 10)))
+        s = Sample("s1", "t1", Role.TEMPLATE, seq([("a", 0, 10)]))
         assert s.label is Label.GENUINE
 
 
-class TestKeystrokeType:
-    """``Keystroke`` is a tuple type; what callers see of it is unchanged."""
-
-    def test_fields_are_read_only(self):
-        k = Keystroke("a", 0, 10)
-        for name, value in (("key", "b"), ("press_t", 1), ("release_t", 11), ("extra", 0)):
-            with pytest.raises(AttributeError):
-                setattr(k, name, value)
-        assert k == Keystroke("a", 0, 10)
-
-    def test_direct_construction_is_checked(self):
-        with pytest.raises(ValueError) as caught:
-            Keystroke("a", 10, 9)
-        assert str(caught.value) == "release_t 9 precedes press_t 10 for 'a'"
-        with pytest.raises(ValueError):
-            Keystroke(key="a", press_t=10, release_t=9)
-        assert Keystroke("a", 10, 10).release_t == 10
-
-    def test_replace_and_make_are_checked(self):
-        k = Keystroke("a", 10, 20)
-        assert k._replace(release_t=15) == Keystroke("a", 10, 15)
-        for build in (lambda: k._replace(release_t=9), lambda: Keystroke._make(("a", 10, 9))):
-            with pytest.raises(ValueError, match="release_t 9 precedes press_t 10"):
-                build()
+class TestSequenceValue:
+    """A sequence is a value of its columns and its ``aligned`` flag."""
 
     @pytest.mark.parametrize(
         "round_trip",
-        [lambda k: pickle.loads(pickle.dumps(k)), copy.deepcopy, copy.copy],
+        [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy, copy.copy],
         ids=["pickle", "deepcopy", "copy"],
     )
     def test_round_trips_equal_and_checked(self, round_trip):
-        k = Keystroke("space", 5, 80)
-        again = round_trip(k)
-        assert again == k and type(again) is Keystroke
-        s = seq(Keystroke("a", 0, 10), k)
-        assert round_trip(s) == s
-        # an invalid tuple that bypassed the check is caught on the way back
-        bad = tuple.__new__(Keystroke, ("a", 10, 9))
+        s = seq([("a", 0, 10), ("space", 5, 80)])
+        again = round_trip(s)
+        assert again == s and type(again) is KeystrokeSequence
+        # columns that bypassed the check are caught on the way back
+        bad = KeystrokeSequence._of(("a",), np.array([10]), np.array([9]), True)
         with pytest.raises(ValueError, match="release_t 9 precedes press_t 10 for 'a'"):
             round_trip(bad)
 
     def test_equality_and_hashing(self):
-        k = Keystroke("a", 0, 10)
-        assert k == Keystroke("a", 0, 10) and hash(k) == hash(Keystroke("a", 0, 10))
-        assert hash(k) == hash(("a", 0, 10))
-        assert k != Keystroke("a", 0, 11) and k != Keystroke("b", 0, 10)
-        assert (k.key, k.press_t, k.release_t) == ("a", 0, 10)
-        s, same = seq(k, Keystroke("b", 5, 8)), seq(Keystroke("a", 0, 10), Keystroke("b", 5, 8))
+        s, same = seq([("a", 0, 10), ("b", 5, 8)]), seq([("a", 0, 10), ("b", 5, 8)])
         assert s == same and hash(s) == hash(same)
-        assert hash(s) == hash((s.keystrokes, False))
-        assert s != seq(k) and s != KeystrokeSequence(s.keystrokes, aligned=True)
-        assert len({s, same, seq(k)}) == 2
+        assert s != seq([("a", 0, 10)]) and s != seq(rows(s), aligned=True)
+        assert s != seq([("a", 0, 11), ("b", 5, 8)]) and s != seq([("c", 0, 10), ("b", 5, 8)])
+        assert len({s, same, seq([("a", 0, 10)])}) == 2
 
-    def test_pairing_builds_keystrokes_equal_to_constructed_ones(self):
+    def test_repr_shows_the_columns(self):
+        s = seq([("a", 0, 10), ("b", 5, 8)], aligned=True)
+        assert repr(s) == "KeystrokeSequence(('a', 'b'), [0, 5], [10, 8], True)"
+        assert eval(repr(s), {"KeystrokeSequence": KeystrokeSequence}) == s
+
+    def test_pairing_builds_sequences_equal_to_constructed_ones(self):
         s = read_sequence("P 1e 0\nP 30 5\nR 1e 35\nR 30 5\nP e0 1\nR e0 1\n")
-        assert s == seq(Keystroke("a", 0, 40), Keystroke("b", 5, 45), Keystroke("key_e0", 46, 47))
-        assert all(type(k) is Keystroke for k in s)
+        assert s == seq([("a", 0, 40), ("b", 5, 45), ("key_e0", 46, 47)])
 
 
 class TestSerialization:
@@ -317,26 +302,23 @@ class TestSerialization:
         assert serialize_events(s) == text
 
     def test_zero_duration_keystroke_survives(self):
-        s = seq(Keystroke("a", 0, 0), Keystroke("b", 0, 5))
+        s = seq([("a", 0, 0), ("b", 0, 5)])
         again = pair_events(parse_raw_events(serialize_events(s)))
-        assert [(k.key, k.press_t, k.release_t) for k in again] == [
-            ("a", 0, 0),
-            ("b", 0, 5),
-        ]
+        assert rows(again) == [("a", 0, 0), ("b", 0, 5)]
 
     def test_aligned_sequences_refuse_to_serialize(self):
-        s = KeystrokeSequence((Keystroke("a", 0, 10),), aligned=True)
+        s = seq([("a", 0, 10)], aligned=True)
         with pytest.raises(ValueError, match="^aligned sequences do not serialize"):
             serialize_events(s)
 
     def test_nonzero_anchor_refuses(self):
-        s = seq(Keystroke("a", 5, 10))
+        s = seq([("a", 5, 10)])
         message = "^sequence must be anchored at t=0, first press is 5$"
         with pytest.raises(ValueError, match=message):
             serialize_events(s)
 
     def test_unknown_key_name_refuses(self):
-        s = seq(Keystroke("a", 0, 10), Keystroke("nope", 20, 30), Keystroke("key_1E", 40, 50))
+        s = seq([("a", 0, 10), ("nope", 20, 30), ("key_1E", 40, 50)])
         with pytest.raises(ValueError, match="^unknown key name: 'nope'$"):
             serialize_events(s)
 
@@ -362,19 +344,29 @@ def physical_sequences(draw):
             available = [k for k in names if last_release[k] <= press]
         key = draw(st.sampled_from(available))
         duration = draw(st.integers(min_value=0, max_value=250)) // quantum * quantum
-        keystrokes.append(Keystroke(key, press, press + duration))
+        keystrokes.append((key, press, press + duration))
         last_release[key] = press + duration
-    return KeystrokeSequence(tuple(keystrokes))
+    return seq(keystrokes)
 
 
-@given(physical_sequences())
-def test_serialize_parse_pair_round_trip(s):
+@given(physical_sequences(), st.data())
+def test_serialize_parse_pair_round_trip(s, data):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnreleasedKeyWarning)
         again = pair_events(parse_raw_events(serialize_events(s)))
-    assert [(k.key, k.press_t, k.release_t) for k in again] == [
-        (k.key, k.press_t, k.release_t) for k in s
-    ]
+    assert again == s
+    # the checked constructor agrees with _of, in press order or, aligned,
+    # in any order; each round-trips and hashes as a value
+    order = data.draw(st.permutations(range(len(s))))
+    for aligned, index in ((False, list(range(len(s)))), (True, order)):
+        keys = tuple(s.keys()[i] for i in index)
+        press, release = s.press[index], s.release[index]
+        built = KeystrokeSequence(keys, press, release, aligned)
+        same = KeystrokeSequence._of(keys, press.copy(), release.copy(), aligned)
+        assert built == same and hash(built) == hash(same)
+        for again in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+            assert type(again) is KeystrokeSequence
+            assert again == built and hash(again) == hash(built)
 
 
 def _outcome(read, text):
@@ -472,11 +464,9 @@ def test_paired_keystrokes_are_valid_by_construction(stream):
         s = pair_events(stream)
         assert read_sequence(text) == s
     assert len(s) == sum(p for p, _, _ in stream)
-    for k in s:
-        assert type(k) is Keystroke
-        assert k.release_t >= k.press_t
-        assert k == Keystroke(*k)  # the validating constructor agrees
-    assert all(a.press_t <= b.press_t for a, b in zip(s, s[1:]))
+    assert all(type(key) is str for key in s.keys())
+    assert (s.release >= s.press).all() and (np.diff(s.press) >= 0).all()
+    assert seq(rows(s)) == s  # the checked constructor agrees
 
 
 # Spellings of an event line: the canonical one first, then forms
@@ -525,11 +515,12 @@ def capture_texts(draw):
 
 
 def _typed(outcome):
-    """An outcome with each keystroke's field types spelled out, which
-    ``==`` on sequences does not compare."""
+    """An outcome with each column's value types spelled out, which ``==``
+    on sequences does not compare."""
     result, caught = outcome
     if isinstance(result, KeystrokeSequence):
-        result = (result.aligned, [(type(k), [(type(v), v) for v in k]) for k in result])
+        columns = (result.keys(), result.press, result.release)
+        result = (result.aligned, [[(type(v), v) for v in column] for column in columns])
     return result, caught
 
 
@@ -567,19 +558,15 @@ def test_block_reader_matches_read_sequence(texts):
     assert [_typed(outcome) for outcome in _block_outcomes(texts)] == expected
 
 
-_TIES = seq(  # rollover, a zero-duration keystroke and ties on a 40 ms clock
-    Keystroke("lshift", 0, 80),
-    Keystroke("a", 40, 40),
-    Keystroke("b", 40, 80),
-    Keystroke("a", 80, 120),
-)
+# rollover, a zero-duration keystroke and ties on a 40 ms clock
+_TIES = seq([("lshift", 0, 80), ("a", 40, 40), ("b", 40, 80), ("a", 80, 120)])
 
 
 @given(
     st.lists(st.one_of(st.just(seq()), physical_sequences()), min_size=1, max_size=6),
     st.sampled_from([None, 1, 127, 129]),
 )
-@example([_TIES, seq(), seq(Keystroke("key_1ff", 0, 5))], 129)
+@example([_TIES, seq(), seq([("key_1ff", 0, 5)])], 129)
 def test_block_serializer_writes_each_sequence_and_reads_back(sequences, size):
     # a block of the drawn sequences, or of that many taken from them in turn
     block = sequences if size is None else [sequences[i % len(sequences)] for i in range(size)]
@@ -626,7 +613,7 @@ def test_block_sums_past_int64_keep_the_other_files_exact():
     assert block[1] is None
     assert block[3] == read_sequence(_VALID)
     assert block[0] == block[2] == seq(
-        Keystroke("a", 0, MAX_DELTA_MS - 1), Keystroke("b", MAX_DELTA_MS, MAX_DELTA_MS)
+        [("a", 0, MAX_DELTA_MS - 1), ("b", MAX_DELTA_MS, MAX_DELTA_MS)]
     )
     assert [_typed(o) for o in _block_outcomes(texts)] == [
         _typed(_outcome(read_sequence, text)) for text in texts
@@ -662,12 +649,11 @@ _PRODUCERS = {
 @pytest.mark.parametrize("produce", _PRODUCERS.values(), ids=_PRODUCERS)
 def test_column_invariants(produce):
     """Every producer gives read-only int64 columns, so a write raises and
-    cannot reach a buffer that other sequences share; items are
-    ``Keystroke`` values of str and int; pickle and deepcopy give an equal
-    sequence with an equal hash."""
+    cannot reach a buffer that other sequences share; keys are a tuple of
+    str; pickle and deepcopy give an equal sequence with an equal hash."""
     sequences = produce()
     assert sequences and all(len(s) for s in sequences)
-    before = [s.keystrokes for s in sequences]
+    before = [rows(s) for s in sequences]
     for s in sequences:
         for column in (s.press, s.release):
             assert type(column) is np.ndarray and column.dtype == np.int64
@@ -677,10 +663,8 @@ def test_column_invariants(produce):
             with pytest.raises(ValueError, match="read-only"):
                 column += 1
         assert type(s.keys()) is tuple and len(s.keys()) == len(s)
-        for i, k in enumerate(s):
-            assert type(k) is Keystroke and k == s[i]
-            assert (type(k.key), type(k.press_t), type(k.release_t)) == (str, int, int)
+        assert all(type(key) is str for key in s.keys())
         for again in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), copy.copy(s)):
             assert type(again) is KeystrokeSequence
             assert again == s and hash(again) == hash(s) and again.aligned == s.aligned
-    assert [s.keystrokes for s in sequences] == before
+    assert [rows(s) for s in sequences] == before

@@ -5,21 +5,17 @@ from hypothesis import strategies as st
 
 from keygait import (
     FeatureError,
-    Keystroke,
-    KeystrokeSequence,
     RawFeatureMatrix,
     extract_features,
     fit_feature_normalizer,
     normalize_features,
 )
 
-from oracles import reference_normalized_features
+from oracles import reference_normalized_features, seq
 
 
 def aligned(*triples):
-    return KeystrokeSequence(
-        tuple(Keystroke(k, p, r) for k, p, r in triples), aligned=True
-    )
+    return seq(triples, aligned=True)
 
 
 def test_extraction_values():
@@ -31,21 +27,19 @@ def test_extraction_values():
 
 
 def test_negative_latency_preserved():
-    s = KeystrokeSequence(
-        (Keystroke("b", 100, 150), Keystroke("a", 40, 90)), aligned=True
-    )
+    s = aligned(("b", 100, 150), ("a", 40, 90))
     v = extract_features([s])
     assert v.latencies.tolist() == [[-60.0]]
 
 
 def test_requires_aligned():
-    s = KeystrokeSequence((Keystroke("a", 0, 10), Keystroke("b", 20, 30)))
+    s = seq([("a", 0, 10), ("b", 20, 30)])
     with pytest.raises(FeatureError):
         extract_features([s])
 
 
 def test_requires_two_keystrokes():
-    s = KeystrokeSequence((Keystroke("a", 0, 10),), aligned=True)
+    s = aligned(("a", 0, 10))
     with pytest.raises(FeatureError):
         extract_features([s])
 
@@ -172,9 +166,9 @@ def test_normalized_range_property(timing):
     ks = []
     for gap, dur in timing:
         t += gap
-        ks.append(Keystroke("a", t, t + dur))
+        ks.append(("a", t, t + dur))
         t += 1
-    s = KeystrokeSequence(tuple(ks), aligned=True)
+    s = aligned(*ks)
     v = extract_features([s])
     norm = fit_feature_normalizer(v)
     out = normalize_features(norm, v)
@@ -185,10 +179,7 @@ class TestFeatureMatrix:
     def test_rows_are_the_sequences_features(self):
         seqs = [
             aligned(("a", 0, 80), ("b", 150, 240), ("c", 300, 390)),
-            KeystrokeSequence(
-                (Keystroke("b", 100, 150), Keystroke("a", 40, 90), Keystroke("c", 200, 260)),
-                aligned=True,
-            ),
+            aligned(("b", 100, 150), ("a", 40, 90), ("c", 200, 260)),
         ]
         raw = extract_features(seqs)
         assert len(raw) == 2
@@ -197,7 +188,7 @@ class TestFeatureMatrix:
         assert raw[1:].latencies.tolist() == [[-60.0, 160.0]]
 
     def test_rejects_what_single_extraction_rejects(self):
-        unaligned = KeystrokeSequence((Keystroke("a", 0, 10), Keystroke("b", 20, 30)))
+        unaligned = seq([("a", 0, 10), ("b", 20, 30)])
         ok = aligned(("a", 0, 10), ("b", 20, 30))
         for seqs in ([], [ok, unaligned], [aligned(("a", 0, 10))],
                      [ok, aligned(("a", 0, 10), ("b", 20, 30), ("c", 40, 50))]):

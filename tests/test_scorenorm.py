@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -165,3 +166,37 @@ def test_ftc_count():
         ScoreRecord("s1", "q2", -math.inf, flagged=True),
     )
     assert ScoreSet(records).ftc_count == 1
+
+
+def test_scoreset_refuses_a_nan_normalized_score():
+    # NaN marks "none" in the normalized column: it would read back as None
+    # and the raw score would be written in its place
+    with pytest.raises(ValueError, match="^normalized score of a/q is NaN$"):
+        ScoreSet([ScoreRecord("b", "q", 0.5, 0.5), ScoreRecord("a", "q", 1.5, math.nan)])
+    [record] = ScoreSet([ScoreRecord("a", "q", 1.5, None)])
+    assert record.normalized_score is None and record.score == 1.5
+
+
+_RECORDS = st.builds(
+    ScoreRecord,
+    st.sampled_from(["s1", "s2"]),
+    st.sampled_from(["q1", "q2"]),
+    st.sampled_from([0.0, -0.0, 1.5, math.inf, math.nan]),
+    st.sampled_from([None, 0.0, -0.0, 0.25]),
+    st.sampled_from([None, Label.GENUINE, Label.IMPOSTOR]),
+    st.booleans(),
+)
+
+
+@given(st.lists(_RECORDS, max_size=3), st.lists(_RECORDS, max_size=3), st.data())
+def test_scoreset_equality_is_record_equality(a, b, data):
+    # against b, against a itself, and against a with each field of one record redrawn
+    pairs = [(a, b), (a, a)]
+    if a:
+        i = data.draw(st.integers(0, len(a) - 1))
+        for name in (f.name for f in fields(ScoreRecord)):
+            redrawn = replace(a[i], **{name: getattr(data.draw(_RECORDS), name)})
+            pairs.append((a, a[:i] + [redrawn] + a[i + 1 :]))
+    for left, right in pairs:
+        left, right = ScoreSet(left), ScoreSet(right)
+        assert (left == right) is (left.records == right.records)
