@@ -17,11 +17,23 @@ subjects is ~1.6 MB and overflows L2, and a padded stack ran at
 contiguous memory. Within a process every fit here runs on one core; the
 pipeline uses more by dealing the subjects into strided shares, one
 process each (``evaluation.raw_scores``).
+
+An epoch makes dozens of numpy calls on arrays of tens to hundreds of
+elements, so its cost is the calls, not the arithmetic. Each network's
+loss and gradients are therefore a function built once per fit: it
+allocates every array an epoch writes, and cuts the transposed weights,
+bias columns and unpadded `width_matmul` slices, once. Those views stay
+valid because the optimizer updates the parameters in place. Every call
+then runs the same ufunc and BLAS calls on arrays of the same shapes and
+layouts as a fresh computation would, so it writes the same bits. Each
+``fit_group`` enters ``np.errstate`` once, ignoring every floating-point
+warning: a subject whose loss turns non-finite is reported by its
+``TrainingError``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -34,15 +46,21 @@ Params = dict[str, Any]  # name -> tensor or list of tensors
 def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """1 / (1 + exp(-z)), written into ``out`` when given (it may be ``z``
     itself); exp overflows to inf below z ~ -709, giving 0."""
-    out = np.negative(z, out=np.empty(np.shape(z)) if out is None else out)
     with np.errstate(over="ignore"):
-        np.exp(out, out=out)
+        return logistic(z, out)
+
+
+def logistic(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """`sigmoid` for a caller that already ignores overflow (a fit, under
+    its own ``np.errstate``)."""
+    out = np.negative(z, out=np.empty(np.shape(z)) if out is None else out)
+    np.exp(out, out=out)
     out += 1.0
     return np.divide(1.0, out, out=out)
 
 
-def softplus(z: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, z)
+def softplus(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.logaddexp(0.0, z, out=out)
 
 
 def xavier_uniform(rng: np.random.Generator, fan_out: int, fan_in: int) -> np.ndarray:
@@ -55,15 +73,16 @@ def T(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
-def unflatten_params(vec: np.ndarray, template: list[np.ndarray]) -> list[np.ndarray]:
-    """Views into ``vec`` shaped like ``template``."""
+def unflatten(vec: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive C-ordered views into ``vec``, one of each shape."""
     out = []
     offset = 0
-    for p in template:
-        out.append(vec[offset : offset + p.size].reshape(p.shape))
-        offset += p.size
+    for shape in shapes:
+        size = int(np.prod(shape))
+        out.append(vec[offset : offset + size].reshape(shape))
+        offset += size
     if offset != vec.size:
-        raise ValueError(f"parameter vector has {vec.size} entries, expected {offset}")
+        raise ValueError(f"vector has {vec.size} entries, the shapes need {offset}")
     return out
 
 
@@ -103,16 +122,22 @@ def stack_templates(templates: Sequence[np.ndarray]) -> tuple[np.ndarray, list[i
     return pad_stack(mats), [x.shape[1] for x in mats]
 
 
-def width_matmul(A: np.ndarray, B: np.ndarray, widths: list[int]) -> np.ndarray:
-    """A[s, :, :w] @ B[s, :w, :] for each subject's feature width w.
+def width_matmul(
+    A: np.ndarray, B: np.ndarray, out: np.ndarray, widths: list[int]
+) -> Callable[[], None]:
+    """A function writing A[s, :, :w] @ B[s, :w, :] into ``out[s]`` for
+    each subject's feature width w, from the arrays' values at the call.
 
-    One BLAS call per subject on the unpadded slices: padding the
-    contracted axis would change the order of the sums.
+    The unpadded slices are cut once, here. One BLAS call per subject:
+    padding the contracted axis would change the order of the sums.
     """
-    out = np.empty((A.shape[0], A.shape[1], B.shape[2]))
-    for s, w in enumerate(widths):
-        np.matmul(A[s, :, :w], B[s, :w, :], out=out[s])
-    return out
+    products = [(A[s, :, :w], B[s, :w, :], out[s]) for s, w in enumerate(widths)]
+
+    def run() -> None:
+        for a, b, o in products:
+            np.matmul(a, b, out=o)
+
+    return run
 
 
 def width_mask(widths: list[int]) -> np.ndarray:
@@ -133,8 +158,9 @@ class StackedParams:
         stacked = [pad_stack(group) for group in zip(*(leaves(p) for p in per_subject))]
         self.flat = np.concatenate([a.ravel() for a in stacked])
         self.grad_flat = np.zeros_like(self.flat)
-        self.params = _like(per_subject[0], unflatten_params(self.flat, stacked))
-        self.grads = _like(per_subject[0], unflatten_params(self.grad_flat, stacked))
+        shapes = [a.shape for a in stacked]
+        self.params = _like(per_subject[0], unflatten(self.flat, shapes))
+        self.grads = _like(per_subject[0], unflatten(self.grad_flat, shapes))
 
     def unstack(self) -> list[Params]:
         """Copy each subject's slice back into its own tensors and return them."""
@@ -163,8 +189,9 @@ def note_failures(errors: list[KeygaitError | None], loss: np.ndarray, epoch: in
 
 class Adam:
     """Standard Adam with bias correction, one fused update of a flat
-    parameter buffer. The moment decays are fixed at ``beta1`` 0.9 and
-    ``beta2`` 0.999, and the denominator offset at ``eps`` 1e-8."""
+    parameter buffer, whose two scratch arrays are allocated once. The
+    moment decays are fixed at ``beta1`` 0.9 and ``beta2`` 0.999, and the
+    denominator offset at ``eps`` 1e-8."""
 
     beta1 = 0.9
     beta2 = 0.999
@@ -174,16 +201,22 @@ class Adam:
         self.learning_rate = learning_rate
         self.m = np.zeros_like(params)
         self.v = np.zeros_like(params)
+        self.scratch = (np.empty_like(params), np.empty_like(params))
         self.t = 0
 
     def step(self, params: np.ndarray, grads: np.ndarray) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         m, v = self.m, self.v
+        step, denom = self.scratch
         m *= b1
-        m += (1 - b1) * grads
+        m += np.multiply(1 - b1, grads, out=step)
         v *= b2
-        v += (1 - b2) * grads * grads
-        m_hat = m / (1 - b1**self.t)
-        v_hat = v / (1 - b2**self.t)
-        params -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.multiply(1 - b2, grads, out=step)
+        v += np.multiply(step, grads, out=step)
+        np.divide(m, 1 - b1**self.t, out=step)  # m_hat
+        np.divide(v, 1 - b2**self.t, out=denom)  # v_hat
+        np.multiply(self.learning_rate, step, out=step)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        params -= np.divide(step, denom, out=step)

@@ -16,16 +16,24 @@ sum_j W_ji^2 and G_y the output signal, the encoder signal
 G = (G_y W) S + 2 lambda S^2 (1 - 2h) r carries the penalty's path
 through h, so grad_W = [G_y; X]^T [H; G] + W c with
 c_i = 2 lambda (sum_rows S^2)_i scaling each column of W.
+
+Every array of an epoch is one of `gradient_buffers`, made once per
+subject's fit; `_epoch` unpacks them and copies X into ``left`` once,
+and ``fit_group`` enters ``np.errstate`` once, ignoring every
+floating-point warning: a subject that diverges is reported by its
+``TrainingError`` alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from ..errors import TrainingError
-from ._nn import sigmoid, xavier_uniform
+from ._nn import logistic, sigmoid, xavier_uniform
 from .base import Detector, as_matrix, check_training, check_width
 
 Params = dict[str, np.ndarray]
@@ -73,51 +81,64 @@ def gradient_buffers(params: Params, n_rows: int) -> Params:
     }
 
 
+def _epoch(params: Params, X: np.ndarray, reg_weight: float, grads: Params) -> Callable[[], float]:
+    """The loss and gradients over the batch ``X`` as a function of no
+    arguments: each call returns the loss from the current parameters and
+    writes every array of the epoch into ``grads`` (from
+    `gradient_buffers`), which are unpacked once, here, as is the copy of
+    X into ``left``. The caller ignores overflow (see `logistic`)."""
+    m = X.shape[0]
+    W, bh, by = params["W"], params["bh"], params["by"]
+    left, right, Y, S, S2, P, r, c, scratch = (
+        grads[k] for k in ("left", "right", "Y", "S", "S2", "P", "r", "c", "scratch")
+    )
+    grad_W, grad_bh, grad_by = grads["W"], grads["bh"], grads["by"]
+    gv, H, G = left[:m], right[:m], right[m:]
+    left[m:] = X
+    leftT, WT = left.T, W.T
+    penalty = 2.0 * reg_weight
+
+    def step() -> float:
+        logistic(np.add(np.matmul(X, W, out=H), bh, out=H), out=H)
+        logistic(np.add(np.matmul(H, WT, out=Y), by, out=Y), out=Y)
+        np.multiply(H, np.subtract(1.0, H, out=S), out=S)
+        np.multiply(S, S, out=S2)
+        np.einsum("ij,ij->j", W, W, out=r)
+        S2.sum(axis=0, out=c)  # the penalty's and the direct term's sum_rows S^2
+        np.subtract(Y, X, out=gv)
+        loss = float(np.vdot(gv, gv)) + reg_weight * float(c @ r)
+
+        # G_y = 2 (Y - X) Y (1 - Y), in place of Y - X
+        np.multiply(gv, 2.0, out=gv)
+        np.multiply(gv, Y, out=gv)
+        np.multiply(gv, np.subtract(1.0, Y, out=Y), out=gv)
+        gv.sum(axis=0, out=grad_by)
+        # the penalty's path through h, 2 lambda S^2 (1 - 2h) r, joins G
+        np.add(np.multiply(H, -2.0, out=P), 1.0, out=P)
+        np.multiply(P, S2, out=P)
+        np.multiply(P, r, out=P)
+        np.multiply(P, penalty, out=P)
+        np.multiply(np.matmul(gv, W, out=G), S, out=G)
+        np.add(G, P, out=G).sum(axis=0, out=grad_bh)
+        np.matmul(leftT, right, out=grad_W)
+        np.multiply(c, penalty, out=c)
+        np.add(grad_W, np.multiply(W, c, out=scratch), out=grad_W)
+        return loss
+
+    return step
+
+
 def loss_and_grads(
     params: Params, X: np.ndarray, reg_weight: float, grads: Params | None = None
 ) -> tuple[float, Params]:
-    """Loss and gradients over the batch ``X``.
-
-    Every array of the epoch is written into ``grads`` (from
-    `gradient_buffers`, fresh ones when None), so a loop that passes the
-    same buffers allocates none of them per epoch.
-    """
+    """Loss and gradients over the batch ``X``, written into ``grads``
+    (from `gradient_buffers`, fresh ones when None): the first call of an
+    `_epoch`, which a fit builds once and calls every epoch."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    m = X.shape[0]
     if grads is None:
-        grads = gradient_buffers(params, m)
-    W, bh, by = params["W"], params["bh"], params["by"]
-    left, right, Y, S, S2, P, r, c = (
-        grads[k] for k in ("left", "right", "Y", "S", "S2", "P", "r", "c")
-    )
-    gv, H, G = left[:m], right[:m], right[m:]
-    left[m:] = X
-    sigmoid(np.add(np.matmul(X, W, out=H), bh, out=H), out=H)
-    sigmoid(np.add(np.matmul(H, W.T, out=Y), by, out=Y), out=Y)
-    np.multiply(H, np.subtract(1.0, H, out=S), out=S)
-    np.multiply(S, S, out=S2)
-    np.einsum("ij,ij->j", W, W, out=r)
-    S2.sum(axis=0, out=c)  # the penalty's and the direct term's sum_rows S^2
-    np.subtract(Y, X, out=gv)
-    loss = float(np.vdot(gv, gv)) + reg_weight * float(c @ r)
-
-    # G_y = 2 (Y - X) Y (1 - Y), in place of Y - X
-    gv *= 2.0
-    gv *= Y
-    gv *= np.subtract(1.0, Y, out=Y)
-    gv.sum(axis=0, out=grads["by"])
-    # the penalty's path through h, 2 lambda S^2 (1 - 2h) r, joins G
-    np.add(np.multiply(H, -2.0, out=P), 1.0, out=P)
-    P *= S2
-    P *= r
-    P *= 2.0 * reg_weight
-    np.multiply(np.matmul(gv, W, out=G), S, out=G)
-    G += P
-    G.sum(axis=0, out=grads["bh"])
-    np.matmul(left.T, right, out=grads["W"])
-    c *= 2.0 * reg_weight
-    grads["W"] += np.multiply(W, c, out=grads["scratch"])
-    return loss, grads
+        grads = gradient_buffers(params, X.shape[0])
+    with np.errstate(over="ignore"):
+        return _epoch(params, X, reg_weight, grads)(), grads
 
 
 @dataclass(eq=False)
@@ -144,17 +165,19 @@ class ContractiveAutoencoder(Detector):
         deals the subjects into strided shares, one process each
         (``fit_across_processes``)."""
         errors: list = [None] * len(detectors)
-        for s, (detector, X) in enumerate(zip(detectors, map(as_matrix, templates))):
-            params = init_params(np.random.default_rng(detector.seed), X.shape[1], detector.hidden_dim)
-            grads = gradient_buffers(params, X.shape[0])
-            for epoch in range(detector.epochs):
-                loss, _ = loss_and_grads(params, X, detector.reg_weight, grads)
-                if not np.isfinite(loss):
-                    errors[s] = TrainingError(f"non-finite loss at epoch {epoch}")
-                    break
-                for name, p in params.items():
-                    p -= np.multiply(grads[name], detector.learning_rate, out=grads[name])
-            detector.params_ = params if errors[s] is None else None
+        with np.errstate(all="ignore"):
+            for s, (detector, X) in enumerate(zip(detectors, map(as_matrix, templates))):
+                params = init_params(np.random.default_rng(detector.seed), X.shape[1], detector.hidden_dim)
+                grads = gradient_buffers(params, X.shape[0])
+                step = _epoch(params, X, detector.reg_weight, grads)
+                updates = [(p, grads[name]) for name, p in params.items()]
+                for epoch in range(detector.epochs):
+                    if not math.isfinite(step()):
+                        errors[s] = TrainingError(f"non-finite loss at epoch {epoch}")
+                        break
+                    for p, g in updates:
+                        p -= np.multiply(g, detector.learning_rate, out=g)
+                detector.params_ = params if errors[s] is None else None
         return errors
 
     def score_all(self, queries: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import inspect
 import json
 import re
 import warnings
+from dataclasses import replace
 from typing import get_type_hints
 
 import numpy as np
@@ -279,7 +280,7 @@ class TestContractiveAutoencoder:
         b = ContractiveAutoencoder(hidden_dim=16, epochs=30, seed=2).fit(X).score(q)
         assert a == b
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_group_fit_records_a_diverging_subject(self):
         rng = np.random.default_rng(5)
         Xs = [rng.uniform(size=(4, 6)) for _ in range(3)]
@@ -444,26 +445,60 @@ class TestStackedTraining:
         )
 
 
-    def test_group_fits_match_reference_per_subject_training(self):
+    # the shapes at which a buffer reused across epochs or batches could
+    # have the wrong size: one row, a short last batch, one batch of fewer
+    # rows than batch_size, one hidden layer
+    @pytest.mark.parametrize(
+        "rows, batch_size, hidden_sizes",
+        [(4, 2, (5, 4, 3)), (1, 2, (5, 4, 3)), (5, 2, (5, 4, 3)), (3, 8, (5, 4, 3)), (4, 2, (5,))],
+        ids=["standard", "one-row", "short-last-batch", "batch-past-rows", "one-hidden-layer"],
+    )
+    def test_group_fits_match_reference_per_subject_training(self, rows, batch_size, hidden_sizes):
         rng = np.random.default_rng(33)
-        Xs = [rng.uniform(size=(4, w)) for w in self.WIDTHS]
+        Xs = [rng.uniform(size=(rows, w)) for w in self.WIDTHS]
         seeds = [5, 6, 7]
-        group = [TiedAutoencoder(epochs=30, seed=s) for s in seeds]
+        group = [TiedAutoencoder(hidden_sizes=hidden_sizes, epochs=30, seed=s) for s in seeds]
         assert TiedAutoencoder.fit_group(group, Xs) == [None] * 3
         for det, X, seed in zip(group, Xs, seeds):
-            params = ae.init_params(np.random.default_rng(seed), [X.shape[1], 5, 4, 3])
+            params = ae.init_params(np.random.default_rng(seed), [X.shape[1], *hidden_sizes])
             expected = reference_autoencoder_fit(params, X, 0.5, 30)
             assert [a.tobytes() for a in _nn.leaves(det.params_)] == [
                 a.tobytes() for a in _nn.leaves(expected)
             ]
-        group = [VariationalAutoencoder(epochs=30, seed=s) for s in seeds]
+        group = [VariationalAutoencoder(batch_size=batch_size, epochs=30, seed=s) for s in seeds]
         assert VariationalAutoencoder.fit_group(group, Xs) == [None] * 3
         for det, X, seed in zip(group, Xs, seeds):
             draws = np.random.default_rng(seed)
             params = vae.init_params(draws, X.shape[1], (5, 5), 3)
-            expected = reference_vae_fit(params, X, draws, 0.001, 2, 30)
+            expected = reference_vae_fit(params, X, draws, 0.001, batch_size, 30)
             assert [a.tobytes() for a in _nn.leaves(det.params_)] == [
                 a.tobytes() for a in _nn.leaves(expected)
+            ]
+
+    @pytest.mark.parametrize(
+        "detector, poison",
+        [
+            (TiedAutoencoder(epochs=20), 1e160),
+            (VariationalAutoencoder(epochs=20), 1e4),
+            (ContractiveAutoencoder(hidden_dim=8, epochs=20), 1e200),
+        ],
+        ids=["autoencoder", "variational", "contractive"],
+    )
+    def test_a_diverging_subject_fails_silently_under_any_errstate(self, detector, poison):
+        # the TrainingError is the report: the fit sets its own errstate and
+        # restores the caller's, which here would raise on any warning
+        rng = np.random.default_rng(5)
+        Xs = [rng.uniform(size=(4, 6)) for _ in range(3)]
+        Xs[1][0, 0] = poison
+        group = [replace(detector, seed=s) for s in range(3)]
+        with np.errstate(all="raise"):
+            errors = type(detector).fit_group(group, Xs)
+            assert set(np.geterr().values()) == {"raise"}
+        assert [str(e) for e in errors] == ["None", "non-finite loss at epoch 0", "None"]
+        for s in (0, 2):
+            alone = replace(detector, seed=s).fit(Xs[s])
+            assert [a.tobytes() for a in _nn.leaves(group[s].params_)] == [
+                a.tobytes() for a in _nn.leaves(alone.params_)
             ]
 
     def test_group_members_share_every_setting_but_the_seed(self):

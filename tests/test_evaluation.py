@@ -408,7 +408,7 @@ class TestRunPipeline:
         assert [r.raw_score for r in scores] == _per_subject_scores(prepared, config)
 
     @pytest.mark.parametrize("name", ["autoencoder", "variational"])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_group_fit_isolates_a_diverging_subject(self, small_dataset, monkeypatch, name):
         config = PipelineConfig(detector=DetectorConfig(name=name, params={"epochs": 8}))
         prepared = evaluation.prepare(small_dataset, config)
@@ -429,7 +429,7 @@ class TestRunPipeline:
             if record.subject_id != bad:
                 assert np.float64(record.raw_score).tobytes() == np.float64(value).tobytes()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_subjects_fail_alone_on_the_standard_fixture(self):
         # Fault injection through a detector param alone: at this learning
         # rate four subjects' VAE loss turns non-finite in the first epoch.
@@ -841,7 +841,7 @@ class TestSplitFits:
             assert all(np.isfinite(scores).all() for scores in member[:5])
             assert (member[5] == SENTINEL_SCORE).all()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_failed_fit_fails_alike_in_every_split(self, small_dataset):
         config = PipelineConfig(detector=self.CONTRACTIVE)
         prepared = evaluation.prepare(small_dataset, config)
