@@ -115,7 +115,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     text = audit_dataset(load_dataset(args.data)).to_tsv()
     if args.out:
-        Path(args.out).write_text(text)
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
     return 0
@@ -149,7 +149,7 @@ def _write_eer_outputs(
 ) -> None:
     out.mkdir(parents=True, exist_ok=True)
     write_metrics(metrics, out / "metrics.tsv")
-    (out / "roc.tsv").write_text(curve.to_tsv())
+    (out / "roc.tsv").write_text(curve.to_tsv(), encoding="utf-8")
 
     finite = np.isfinite(values)
     bins: list[tuple] = []
@@ -162,7 +162,7 @@ def _write_eer_outputs(
         i_counts, _ = np.histogram(values[finite & ~gen], bins=edges)
         bins = list(zip(edges[:-1].tolist(), edges[1:].tolist(), g_counts.tolist(), i_counts.tolist()))
     header = ("bin_lo", "bin_hi", "genuine", "impostor")
-    (out / "score_hist.csv").write_text(tsv(bins, header, sep=","))
+    (out / "score_hist.csv").write_text(tsv(bins, header, sep=","), encoding="utf-8")
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -208,7 +208,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         out.mkdir(parents=True, exist_ok=True)
         metrics.update(repetitions=args.reps, n_templates=args.templates)
         write_metrics(metrics, out / "metrics.tsv")
-        (out / "reps.tsv").write_text(tsv(enumerate(result.eers), ("rep", "eer")))
+        (out / "reps.tsv").write_text(tsv(enumerate(result.eers), ("rep", "eer")), encoding="utf-8")
         write_config_snapshot(config, out)
     return 0
 
@@ -235,7 +235,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "ablation.tsv").write_text(text)
+        (out / "ablation.tsv").write_text(text, encoding="utf-8")
         write_config_snapshot(base, out)
     return 0
 

@@ -169,7 +169,7 @@ class PipelineConfig(JsonConfig):
 
 
 def load_config(path: str | Path, cls: type[JsonConfig]) -> Any:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return cls.from_dict(json.load(fh))
 
 
@@ -177,7 +177,7 @@ def write_config_snapshot(config: JsonConfig, out_dir: str | Path) -> Path:
     """Write the effective config as JSON next to a run's outputs."""
     out = Path(out_dir) / "config.json"
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w") as fh:
+    with open(out, "w", encoding="utf-8") as fh:
         json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return out

@@ -12,7 +12,12 @@ every line. Score files hold the same six-decimal text, formatted once
 per score by ``ScoreSet.written``. ``_read_keyed_rows`` reads score and label files back, naming
 the file and line of a row with the wrong field count or a sample listed
 twice. Subject and sample ids are single path components
-(``events.check_id``), so no manifest row reaches outside the dataset.
+(``events.check_id``), so no manifest row reaches outside the dataset,
+and every event file's path is the root's one prefix plus
+``<subject_id>/<sample_id>.txt``. Event files are read as bytes with
+``os.open`` and ``os.read`` and written as ASCII bytes with ``os.open``
+and ``os.write``; every other flat file is read and written as UTF-8,
+named as such.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .events import (
     Sample,
     SubjectDataset,
     _check_serializable,
+    _sample_label,
     _serialize_block,
     check_id,
     read_sequence,
@@ -41,14 +47,21 @@ from .scorenorm import ScoreSet
 
 MANIFEST_NAME = "manifest.tsv"
 MANIFEST_HEADER = ("subject_id", "sample_id", "role", "label")
+_ROLES = {role.value: role for role in Role}
+_LABELS = {label.value: label for label in Label}
 
 
 def load_dataset(root: str | Path) -> SubjectDataset:
     """Read a dataset directory into memory.
 
-    The manifest and the event files are UTF-8. Event files are read in
-    blocks of 128: each block goes through ``events.read_sequences`` at
-    once, and each file that reader declines (any form other than the one
+    The manifest and the event files are UTF-8. Each manifest row is
+    checked once, before any event path is built: its ids, then its role
+    and label, each looked up in a dict of the enum's values. A template
+    labeled impostor is reported only once its file has read, so a file
+    problem on that row comes first. Samples are then built unchecked
+    (``Sample._of``). Event files are read in blocks
+    of 128: each block goes through ``events.read_sequences`` at once,
+    and each file that reader declines (any form other than the one
     ``write_dataset`` writes, or an invalid capture) through
     ``events.read_sequence``, which gives the same sequences and every
     error message and warning.
@@ -90,25 +103,21 @@ def load_dataset(root: str | Path) -> SubjectDataset:
         except ValueError as exc:
             rows.append(f"{manifest}:{lineno}: {exc}")
             continue
-        try:
-            role = Role(role_tok)
-        except ValueError:
+        role = _ROLES.get(role_tok)
+        if role is None:
             rows.append(f"{manifest}:{lineno}: unknown role {role_tok!r}")
             continue
-        if label_tok == "?":
-            label = None
-        else:
-            try:
-                label = Label(label_tok)
-            except ValueError:
-                rows.append(f"{manifest}:{lineno}: unknown label {label_tok!r}")
-                continue
+        if label_tok not in _LABELS and label_tok != "?":
+            rows.append(f"{manifest}:{lineno}: unknown label {label_tok!r}")
+            continue
+        label = _LABELS.get(label_tok)  # None for "?"
         if (subject_id, sample_id) in seen:
             rows.append(f"{manifest}:{lineno}: duplicate sample {subject_id}/{sample_id}")
             continue
         seen.add((subject_id, sample_id))
         rows.append((lineno, subject_id, sample_id, role, label))
-    sequences = _read_captures(str(root), [row[1:3] for row in rows if not isinstance(row, str)])
+    ids = [row[1:3] for row in rows if not isinstance(row, str)]
+    sequences = _read_captures(os.path.join(root, ""), ids)
     dataset = SubjectDataset()
     problems: list[str] = []
     for row in rows:
@@ -121,9 +130,11 @@ def load_dataset(root: str | Path) -> SubjectDataset:
             problems.append(f"{root / subject_id / f'{sample_id}.txt'}: {sequence}")
             continue
         try:
-            dataset.add(Sample(subject_id, sample_id, role, sequence, label))
+            label = _sample_label(subject_id, sample_id, role, label)
         except ValueError as exc:
             problems.append(f"{manifest}:{lineno}: {exc}")
+            continue
+        dataset.add(Sample._of(subject_id, sample_id, role, sequence, label))
     if problems:
         raise DatasetError(
             f"{len(problems)} problem(s) loading {root}:\n" + "\n".join(problems)
@@ -138,15 +149,16 @@ _BLOCK_FILES = 128
 
 
 def _read_captures(
-    root: str, ids: list[tuple[str, str]]
+    prefix: str, ids: list[tuple[str, str]]
 ) -> Iterator[KeystrokeSequence | Exception]:
-    """The sequence in each ``(subject_id, sample_id)``'s event file, or
-    the error reading, decoding, parsing or pairing it raised, in order."""
+    """The sequence in each ``(subject_id, sample_id)``'s event file,
+    ``prefix + "<subject_id>/<sample_id>.txt"``, or the error reading,
+    decoding, parsing or pairing it raised, in order."""
     for first in range(0, len(ids), _BLOCK_FILES):
         raws: list[bytes | OSError] = []
         for subject_id, sample_id in ids[first : first + _BLOCK_FILES]:
             # os.open and os.read cost far less than open() on small files
-            path = os.path.join(root, subject_id, f"{sample_id}.txt")
+            path = prefix + f"{subject_id}/{sample_id}.txt"
             chunks: list[bytes] = []
             try:
                 fd = os.open(path, os.O_RDONLY)
@@ -192,7 +204,7 @@ def _read_keyed_rows(path: str | Path) -> Iterator[tuple[int, str, str, str]]:
             twice.
     """
     seen: set[tuple[str, str]] = set()
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
@@ -216,7 +228,8 @@ def ordered_samples(dataset: SubjectDataset) -> Iterator[Sample]:
 
 def write_dataset(dataset: SubjectDataset, root: str | Path) -> None:
     """Write a dataset directory (manifest plus one event file per sample),
-    the event files serialized in blocks of ``_BLOCK_FILES``.
+    the event files serialized in blocks of ``_BLOCK_FILES`` and each
+    written with ``os.open`` and ``os.write``.
 
     Every sample is checked before any directory or file is made, so a
     dataset that cannot be written leaves nothing behind.
@@ -238,16 +251,27 @@ def write_dataset(dataset: SubjectDataset, root: str | Path) -> None:
     root.mkdir(parents=True, exist_ok=True)
     for subject_id in dataset.subject_ids():
         (root / subject_id).mkdir(exist_ok=True)
+    prefix = os.path.join(root, "")
     for first in range(0, len(samples), _BLOCK_FILES):
         block = samples[first : first + _BLOCK_FILES]
         for s, text in zip(block, _serialize_block([s.sequence for s in block])):
-            with open(os.path.join(root, s.subject_id, f"{s.sample_id}.txt"), "w") as fh:
-                fh.write(text)
+            path = prefix + f"{s.subject_id}/{s.sample_id}.txt"
+            # os.open and os.write cost far less than open() on small files
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+                try:
+                    data = memoryview(text.encode("ascii"))
+                    while data:
+                        data = data[os.write(fd, data) :]
+                finally:
+                    os.close(fd)
+            except OSError as exc:  # named by path, as open() names it; os.write does not
+                raise OSError(exc.errno, exc.strerror, path) from None
     rows = (
         (s.subject_id, s.sample_id, s.role.value, "?" if s.label is None else s.label.value)
         for s in samples
     )
-    (root / MANIFEST_NAME).write_text(tsv(rows, MANIFEST_HEADER))
+    (root / MANIFEST_NAME).write_text(tsv(rows, MANIFEST_HEADER), encoding="utf-8")
 
 
 def write_scores(scores: ScoreSet, path: str | Path, *, normalized: bool = True) -> None:
@@ -256,7 +280,7 @@ def write_scores(scores: ScoreSet, path: str | Path, *, normalized: bool = True)
     ``tsv`` writes a float (``ScoreSet.written``)."""
     values = scores.written if normalized else [f"{v:.6f}" for v in scores.raw.tolist()]
     lines = map("{}\t{}\t{}\n".format, scores.subject_ids, scores.sample_ids, values)
-    Path(path).write_text("".join(lines))
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def written_scores(scores: ScoreSet) -> ScoreSet:
@@ -303,7 +327,7 @@ def write_labels(records: Iterable, path: str | Path) -> None:
         if r.label is None:
             raise DatasetError(f"{r.subject_id}/{r.sample_id} has no label")
         rows.append((r.subject_id, r.sample_id, r.label.value))
-    Path(path).write_text(tsv(rows))
+    Path(path).write_text(tsv(rows), encoding="utf-8")
 
 
 def read_labels(path: str | Path) -> dict[tuple[str, str], Label]:
@@ -339,4 +363,4 @@ def attach_labels(scores: ScoreSet, labels: dict[tuple[str, str], Label]) -> Sco
 
 def write_metrics(metrics: dict[str, object], path: str | Path) -> None:
     """Two-column key/value TSV."""
-    Path(path).write_text(tsv(metrics.items()))
+    Path(path).write_text(tsv(metrics.items()), encoding="utf-8")

@@ -18,10 +18,11 @@ Every parse and pairing message and every :class:`UnreleasedKeyWarning`
 comes from this path.
 
 ``read_sequences`` is the fast path for a block of files in the exact
-form ``serialize_events`` writes: it decodes and pairs the whole block in
-numpy arrays and builds the same sequences. It declines every file it
-cannot read that way (any other spelling, an error, a key left down),
-and its caller reads those with ``read_sequence``. Its inverse,
+form ``serialize_events`` writes: it checks that form, decodes and pairs
+the whole block in numpy arrays, and builds the same sequences. It
+declines every file it cannot read that way (any other spelling, an
+error, a key left down), and its caller reads those with
+``read_sequence``. Its inverse,
 ``_serialize_block``, writes a block of sequences in numpy arrays too;
 ``serialize_events`` is that block of one.
 
@@ -35,7 +36,6 @@ constructor checks the columns it is given.
 from __future__ import annotations
 
 import operator
-import re
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -182,9 +182,22 @@ def check_id(kind: str, value: str) -> None:
         raise ValueError(f"bad {kind} id {value!r}: not a plain file name")
 
 
-@dataclass(frozen=True)
+def _sample_label(subject_id: str, sample_id: str, role: Role, label: Label | None) -> Label | None:
+    """The label a sample carries: ``GENUINE`` for a template, as
+    enrollment data are genuine by construction (ValueError if labeled
+    impostor), and a query's own, ``None`` when withheld."""
+    if role is not Role.TEMPLATE:
+        return label
+    if label is Label.IMPOSTOR:
+        raise ValueError(f"template {subject_id}/{sample_id} cannot be labeled impostor")
+    return Label.GENUINE
+
+
+@dataclass(frozen=True, slots=True)
 class Sample:
-    """One captured typing sample with its dataset bookkeeping."""
+    """One captured typing sample with its dataset bookkeeping. The
+    constructor checks both ids and sets the label by ``_sample_label``;
+    ``load_dataset``, which checks each manifest row once, uses ``_of``."""
 
     subject_id: str
     sample_id: str
@@ -195,14 +208,27 @@ class Sample:
     def __post_init__(self) -> None:
         check_id("subject", self.subject_id)
         check_id("sample", self.sample_id)
-        # Templates are enrollment data and genuine by construction.
-        if self.role is Role.TEMPLATE:
-            if self.label is Label.IMPOSTOR:
-                raise ValueError(
-                    f"template {self.subject_id}/{self.sample_id} cannot be labeled impostor"
-                )
-            if self.label is None:
-                object.__setattr__(self, "label", Label.GENUINE)
+        label = _sample_label(self.subject_id, self.sample_id, self.role, self.label)
+        object.__setattr__(self, "label", label)
+
+    @classmethod
+    def _of(
+        cls,
+        subject_id: str,
+        sample_id: str,
+        role: Role,
+        sequence: KeystrokeSequence,
+        label: Label | None,
+    ) -> Sample:
+        """A sample on fields that are valid by construction, unchecked:
+        ids that pass ``check_id`` and ``label`` as ``_sample_label`` gives it."""
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "subject_id", subject_id)
+        object.__setattr__(sample, "sample_id", sample_id)
+        object.__setattr__(sample, "role", role)
+        object.__setattr__(sample, "sequence", sequence)
+        object.__setattr__(sample, "label", label)
+        return sample
 
 
 @dataclass
@@ -341,11 +367,11 @@ def read_sequence(text: str) -> KeystrokeSequence:
     return pair_events(parse_raw_events(text))
 
 
-# The form serialize_events writes, the only one read_sequences takes:
-# lower-case hex and decimal ASCII digits short enough for int64, single
-# spaces, and "\n" after every line, the last one too.
-_CANONICAL = re.compile(rb"(?:[PR] [0-9a-f]{1,8} [0-9]{1,16}\n)*")
-_DIGIT_VALUE = np.zeros(256, np.uint8)  # byte -> value of a digit _CANONICAL allows
+# The bytes of the form serialize_events writes, the only one
+# read_sequences takes: lines "<P or R> <hex> <decimal>\n" with lower-case
+# hex and decimal ASCII digits, short enough for int64, and single spaces.
+_FORM_BYTES = b"0123456789abcdef PR\n"
+_DIGIT_VALUE = np.zeros(256, np.uint8)  # byte -> value of a digit the form allows
 _DIGIT_VALUE[np.frombuffer(b"0123456789abcdef", np.uint8)] = np.arange(16)
 
 
@@ -363,25 +389,51 @@ def read_sequences(raws: list[bytes]) -> list[KeystrokeSequence | None]:
     :func:`read_sequence` gives for its text, or None where this reader
     declines the file.
 
-    It takes only files that match the form :func:`serialize_events`
-    writes byte for byte, with at most 8 hex and 16 decimal digits, and
-    whose events are all valid and pair up: a first delta of 0, no time
-    past ``MAX_DELTA_MS``, no release without an open press and no press
-    left down at the end. It declines any other file, valid or not, so the
+    It takes only files in the form :func:`serialize_events` writes, byte
+    for byte, with at most 8 hex and 16 decimal digits, and whose events
+    are all valid and pair up: a first delta of 0, no time past
+    ``MAX_DELTA_MS``, no release without an open press and no press left
+    down at the end. It declines any other file, valid or not, so the
     caller reads a declined file with :func:`read_sequence`, which gives
     its sequence, error or warning.
+
+    The form is checked on the block's arrays. A file with a byte the
+    form never uses, no final newline, a field of the wrong width or a hex
+    digit in a delta declines alone; a line that is not an action and two
+    fields, each after one space, declines the whole block.
     """
     out: list[KeystrokeSequence | None] = [None] * len(raws)
-    files = [i for i, raw in enumerate(raws) if _CANONICAL.fullmatch(raw)]
+    files = [
+        i
+        for i, raw in enumerate(raws)
+        if (not raw or raw.endswith(b"\n")) and not raw.translate(None, _FORM_BYTES)
+    ]
     n_lines = np.array([raws[i].count(b"\n") for i in files], np.int64)
     buf = np.frombuffer(b"".join([raws[i] for i in files]), np.uint8)
-    end = np.flatnonzero(buf == 10)  # each line's "\n"
+    end = np.flatnonzero(buf == ord("\n"))  # each line's "\n"
     start = np.concatenate(([0], end + 1))[:-1]
-    gap = np.flatnonzero(buf == 32)[1::2]  # each line's space before the delta
+    action = (buf == ord("P")) | (buf == ord("R"))
+    space = np.flatnonzero(buf == ord(" "))
+    # Each line holds one P or R, first, and two spaces, the first right
+    # after it; the second then falls inside the line.
+    if not (
+        np.count_nonzero(action) == len(end)
+        and action[start].all()
+        and len(space) == 2 * len(end)
+        and (space[0::2] == start + 1).all()
+    ):
+        return out
+    gap = space[1::2]  # each line's space before the delta
+    code_width, delta_width = gap - start - 2, end - gap - 1
+    bad = (code_width < 1) | (code_width > 8) | (delta_width < 1) | (delta_width > 16)
+    letter = np.flatnonzero(buf >= ord("a"))  # the form's only such bytes are a-f
+    line = np.searchsorted(end, letter)
+    bad[line[letter > gap[line]]] = True  # one in a delta
     digits = _DIGIT_VALUE[buf]
     press = buf[start] == ord("P")
-    code = _numbers(digits, gap, gap - start - 2, 16)
-    delta = _numbers(digits, end, end - gap - 1, 10)
+    # a bad line's fields read as 0: a wider field would overflow int64
+    code = _numbers(digits, gap, np.where(bad, 0, code_width), 16)
+    delta = _numbers(digits, end, np.where(bad, 0, delta_width), 10)
     file_of = np.repeat(np.arange(len(files), dtype=np.int64), n_lines)
     before = np.cumsum(n_lines) - n_lines  # lines before each file
     # int64 sums wrap, but a file's times are exact up to its first line
@@ -389,7 +441,7 @@ def read_sequences(raws: list[bytes]) -> list[KeystrokeSequence | None]:
     # under 2**55, and that line declines the file.
     total = np.cumsum(delta)
     t = total - np.repeat(np.concatenate(([0], total))[before], n_lines)
-    bad = t > MAX_DELTA_MS
+    bad |= t > MAX_DELTA_MS
     first = before[n_lines > 0]  # each non-empty file's first line
     bad[first] |= delta[first] != 0
     # Events by file, then scancode, then line: a press closes at the next

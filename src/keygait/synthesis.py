@@ -293,4 +293,4 @@ def generate_synthetic(
 
 def write_perturbations(log: list[PerturbationRecord], path: str | Path) -> None:
     header = [f.name for f in fields(PerturbationRecord)]
-    Path(path).write_text(tsv(map(attrgetter(*header), log), header))
+    Path(path).write_text(tsv(map(attrgetter(*header), log), header), encoding="utf-8")

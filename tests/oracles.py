@@ -11,6 +11,7 @@ implementation; fix the implementation instead.
 from __future__ import annotations
 
 import itertools
+import re
 from collections import deque
 from typing import Callable, Sequence
 
@@ -152,6 +153,12 @@ def reference_serialize_events(seq) -> str:
         lines.append(f"{'R' if release else 'P'} {scancode_for(key):02x} {t - last}\n")
         last = t
     return "".join(lines)
+
+
+# The form serialize_events writes, as a regex over a file's bytes:
+# lower-case hex and decimal ASCII digits short enough for int64, single
+# spaces, and "\n" after every line, the last one too.
+CANONICAL_FORM = re.compile(rb"(?:[PR] [0-9a-f]{1,8} [0-9]{1,16}\n)*")
 
 
 # ------------------------------------------------------- finite differences

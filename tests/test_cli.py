@@ -5,7 +5,10 @@ path the console script takes.
 """
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from dataclasses import replace
@@ -13,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import keygait
 from keygait import load_dataset, write_dataset
 from keygait.cli import build_parser, main
 
@@ -615,6 +619,36 @@ class TestErrorHandling:
             config = load_config(tmp_path / run / "config.json", PipelineConfig)
             assert config == PipelineConfig()
         assert load_config(data_dir / "config.json", SynthConfig) == SynthConfig(n_subjects=4, seed=7)
+
+
+def test_every_flat_file_names_its_encoding(tmp_path):
+    """Each command reads and writes its files as UTF-8 by name: under
+    ``-X warn_default_encoding`` with that warning an error, a file opened
+    in the locale's encoding would fail the command."""
+    commands = [
+        ["synth", "--out", "b", "--subjects", "3"],
+        ["evaluate", "--data", "b", "--out", "e"],
+        ["eer", "--scores", "e/scores.tsv", "--labels", "b/ground_truth.tsv", "--out", "r"],
+        ["validate", "--data", "b", "--reps", "2", "--config", "e/config.json", "--out", "v"],
+        ["ablate", "--data", "b", "--out", "a"],
+        ["audit", "--data", "b", "--out", "audit.tsv"],
+    ]
+    code = f"""
+import sys
+from keygait.cli import main
+for argv in {commands!r}:
+    if main(argv) != 0:
+        sys.exit(f"keygait {{argv[0]}} failed")
+"""
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(Path(keygait.__file__).resolve().parents[1])},
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 HUGE = str(10**29)

@@ -1,8 +1,10 @@
 """Dataset directory and TSV round-trips, the synthetic generator, and the
 clock-resolution estimator."""
 
+import copy
 import gc
 import math
+import pickle
 import tempfile
 import tracemalloc
 import warnings
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from keygait import (
@@ -126,6 +128,7 @@ class TestDatasetRoundTrip:
             unique_by=lambda row: row[:2],
         )
     )
+    @example([("sé", "t01", Role.TEMPLATE, None, seq([("a", 0, 40)]))])  # a non-ASCII id
     def test_any_accepted_ids_round_trip(self, rows):
         dataset = SubjectDataset()
         for subject_id, sample_id, role, label, sequence in rows:
@@ -147,6 +150,32 @@ class TestDatasetRoundTrip:
         write_dataset(small_dataset, a)
         write_dataset(load_dataset(a), b)
         assert tree_bytes(a) == tree_bytes(b)
+
+    def test_loaded_samples_are_the_values_the_constructor_makes(self, tmp_path):
+        """load_dataset builds each Sample unchecked, with ``Sample._of``:
+        it pickles, deep-copies, replaces, compares and hashes as the one
+        ``Sample(...)`` makes from its fields, and stays frozen, with no
+        ``__dict__``. No other module builds a sample that way."""
+        dataset, _ = generate_synthetic(TINY)
+        entry = dataset.subjects["s001"]
+        entry.queries[0] = replace(entry.queries[0], label=None)
+        write_dataset(dataset, tmp_path)
+        manifest = tmp_path / "manifest.tsv"
+        text = manifest.read_text(encoding="utf-8")
+        manifest.write_text(text.replace("\ttemplate\tgenuine", "\ttemplate\t?", 1), encoding="utf-8")
+        loaded = list(ordered_samples(load_dataset(tmp_path)))
+        assert loaded == list(ordered_samples(dataset))
+        for s in loaded:
+            made = Sample(s.subject_id, s.sample_id, s.role, s.sequence, s.label)
+            assert s == made and hash(s) == hash(made)
+            for again in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s), replace(s)):
+                assert type(again) is Sample and again == made and hash(again) == hash(made)
+            assert not hasattr(s, "__dict__")
+            with pytest.raises(AttributeError):
+                s.label = None
+        source = Path(datasets.__file__).parent
+        callers = [p.name for p in source.rglob("*.py") if "Sample._of(" in p.read_text(encoding="utf-8")]
+        assert callers == ["datasets.py"]
 
     def test_withheld_label_round_trips_as_none(self, tmp_path):
         dataset, _ = generate_synthetic(TINY)

@@ -1,6 +1,8 @@
 import copy
 import pickle
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from keygait import (
     ParseError,
     Role,
     Sample,
+    SubjectDataset,
     SynthConfig,
     UnreleasedKeyWarning,
     align,
@@ -26,10 +29,11 @@ from keygait import (
     scancode_for,
     serialize_events,
     truncate_align,
+    write_dataset,
 )
 from keygait.events import MAX_DELTA_MS, _serialize_block
 
-from oracles import reference_serialize_events, rows, seq
+from oracles import CANONICAL_FORM, reference_serialize_events, rows, seq
 
 
 class TestParsing:
@@ -601,6 +605,54 @@ def test_block_reader_takes_every_file_serialize_writes(sequences):
 def test_block_reader_declines_all_but_the_canonical_form(text, taken):
     assert (read_sequences([text.encode()])[0] is not None) is taken
     assert _typed(_block_outcomes([text])[0]) == _typed(_outcome(read_sequence, text))
+
+
+# Bytes a mutation inserts or substitutes: the form's own, and an
+# upper-case hex digit and whitespace it does not allow.
+_MUTATION_BYTES = list(b"0123456789abcdefA PR\n\r\t")
+_ONE_KEY = seq([("a", 0, 40)])  # "P 1e 0\nR 1e 40\n": its last delta is bytes 12 and 13
+
+
+@given(
+    st.lists(st.one_of(st.just(seq()), physical_sequences()), min_size=1, max_size=6),
+    st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=5),
+            st.sampled_from(["insert", "delete", "substitute"]),
+            st.integers(min_value=0, max_value=200),
+            st.sampled_from(_MUTATION_BYTES),
+        ),
+        max_size=4,
+    ),
+)
+@example([_ONE_KEY, seq()], [])  # an empty file is taken
+@example([_ONE_KEY], [(0, "substitute", 12, ord("a"))])  # a hex digit in a delta
+@example([_ONE_KEY], [(0, "substitute", 13, ord("R"))])  # an action byte in a delta
+def test_block_reader_takes_only_the_reference_form(sequences, mutations):
+    """Every file write_dataset writes is taken. After byte insertions,
+    deletions and substitutions, every file the block reader still takes
+    matches the reference form and reads as read_sequence reads it."""
+    dataset = SubjectDataset()
+    for i, sequence in enumerate(sequences):
+        dataset.add(Sample("s", f"q{i}", Role.QUERY, sequence))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_dataset(dataset, tmp)
+        written = [Path(tmp, "s", f"q{i}.txt").read_bytes() for i in range(len(sequences))]
+    assert read_sequences(written) == sequences
+    raws = [bytearray(raw) for raw in written]
+    for file, kind, at, byte in mutations:
+        raw = raws[file % len(raws)]
+        if kind == "insert":
+            raw.insert(at % (len(raw) + 1), byte)
+        elif raw and kind == "delete":
+            del raw[at % len(raw)]
+        elif raw:
+            raw[at % len(raw)] = byte
+    raws = [bytes(raw) for raw in raws]
+    for raw, sequence in zip(raws, read_sequences(raws)):
+        if sequence is not None:
+            assert CANONICAL_FORM.fullmatch(raw)
+            assert _typed((sequence, [])) == _typed(_outcome(read_sequence, raw.decode("ascii")))
 
 
 def test_block_sums_past_int64_keep_the_other_files_exact():
