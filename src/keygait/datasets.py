@@ -29,6 +29,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ._processes import across_processes, cpu_count
 from .errors import DatasetError, KeygaitError
 from .events import (
     KeystrokeSequence,
@@ -37,11 +38,12 @@ from .events import (
     Sample,
     SubjectDataset,
     _check_serializable,
+    _read_columns,
     _sample_label,
+    _sequences,
     _serialize_block,
     check_id,
     read_sequence,
-    read_sequences,
 )
 from .scorenorm import ScoreSet
 
@@ -60,11 +62,14 @@ def load_dataset(root: str | Path) -> SubjectDataset:
     labeled impostor is reported only once its file has read, so a file
     problem on that row comes first. Samples are then built unchecked
     (``Sample._of``). Event files are read in blocks
-    of 128: each block goes through ``events.read_sequences`` at once,
-    and each file that reader declines (any form other than the one
-    ``write_dataset`` writes, or an invalid capture) through
-    ``events.read_sequence``, which gives the same sequences and every
-    error message and warning.
+    of 128, dealt into one share per CPU: each share's files are read, and
+    each block goes through the block reader (``events._read_columns``)
+    at once, in a process of its own, the first share in this one. The
+    sequences are built here, and each file the block reader declines
+    (any form other than the one ``write_dataset`` writes, or an invalid
+    capture) goes through ``events.read_sequence``, which gives the same
+    sequences and every error message and warning. No byte of the result
+    depends on the CPU count.
 
     All malformed samples are collected and reported together, in manifest
     order, so one bad file does not hide the rest.
@@ -142,7 +147,7 @@ def load_dataset(root: str | Path) -> SubjectDataset:
     return dataset
 
 
-# Files per read_sequences or _serialize_block call. A block of 128
+# Files per _read_columns or _serialize_block call. A block of 128
 # synthetic captures (50 kB) peaks at 1.3 MB of arrays and lists when read
 # and 0.8 MB when written; larger blocks are no faster either way.
 _BLOCK_FILES = 128
@@ -153,36 +158,62 @@ def _read_captures(
 ) -> Iterator[KeystrokeSequence | Exception]:
     """The sequence in each ``(subject_id, sample_id)``'s event file,
     ``prefix + "<subject_id>/<sample_id>.txt"``, or the error reading,
-    decoding, parsing or pairing it raised, in order."""
-    for first in range(0, len(ids), _BLOCK_FILES):
-        raws: list[bytes | OSError] = []
-        for subject_id, sample_id in ids[first : first + _BLOCK_FILES]:
-            # os.open and os.read cost far less than open() on small files
-            path = prefix + f"{subject_id}/{sample_id}.txt"
-            chunks: list[bytes] = []
-            try:
-                fd = os.open(path, os.O_RDONLY)
-                try:
-                    while chunk := os.read(fd, 65536):
-                        chunks.append(chunk)
-                finally:
-                    os.close(fd)
-            except OSError as exc:  # named by path, as open() names it; os.read does not
-                raws.append(OSError(exc.errno, exc.strerror, path))
-                continue
-            raws.append(b"".join(chunks))
-        fast = iter(read_sequences([raw for raw in raws if isinstance(raw, bytes)]))
-        for raw in raws:
-            if isinstance(raw, OSError):
+    decoding, parsing or pairing it raised, in order.
+
+    The blocks are dealt into one share per CPU, and
+    ``_processes.across_processes`` reads each share's blocks
+    (``_read_block``) in a process of its own; the sequences are built
+    here, each declined file read here by ``read_sequence``."""
+    blocks = [ids[first : first + _BLOCK_FILES] for first in range(0, len(ids), _BLOCK_FILES)]
+    n = min(cpu_count(), len(blocks))  # share k reads blocks k, k + n, ...
+    shares = across_processes(
+        lambda share: [_read_block(prefix, block) for block in share],
+        [blocks[k::n] for k in range(n)],
+    )
+    for b in range(len(blocks)):
+        files, columns = shares[b % n][b // n]
+        shares[b % n][b // n] = None  # freed once its sequences are built
+        sequences = _sequences(*columns)
+        for raw in files:
+            if raw is None:  # taken by the block reader
+                yield next(sequences)
+            elif isinstance(raw, OSError):
                 yield raw
-                continue
-            sequence = next(fast)
-            if sequence is None:
+            else:
                 try:
-                    sequence = read_sequence(raw.decode("utf-8"))
+                    yield read_sequence(raw.decode("utf-8"))
                 except (UnicodeDecodeError, KeygaitError) as exc:
-                    sequence = exc
-            yield sequence
+                    yield exc
+
+
+def _read_block(
+    prefix: str, ids: list[tuple[str, str]]
+) -> tuple[list[bytes | OSError | None], tuple]:
+    """Each of a block's files as ``_read_columns`` leaves it: None where
+    it takes the file, the file's bytes where it declines it, and the
+    ``OSError`` reading it raised, named by its ``Path`` spelling; and the
+    columns of the files it takes."""
+    raws: list[bytes | OSError | None] = []
+    for subject_id, sample_id in ids:
+        # os.open and os.read cost far less than open() on small files
+        chunks: list[bytes] = []
+        try:
+            fd = os.open(prefix + f"{subject_id}/{sample_id}.txt", os.O_RDONLY)
+            try:
+                while chunk := os.read(fd, 65536):
+                    chunks.append(chunk)
+            finally:
+                os.close(fd)
+        except OSError as exc:  # named as the problem line names the file
+            path = str(Path(prefix, subject_id, f"{sample_id}.txt"))
+            raws.append(OSError(exc.errno, exc.strerror, path))
+            continue
+        raws.append(b"".join(chunks))
+    readable = [i for i, raw in enumerate(raws) if isinstance(raw, bytes)]
+    taken, *columns = _read_columns([raws[i] for i in readable])
+    for j in taken:
+        raws[readable[j]] = None
+    return raws, tuple(columns)
 
 
 def tsv(rows: Iterable[Sequence[object]], header: Sequence[str] = (), sep: str = "\t") -> str:

@@ -19,7 +19,7 @@ from ..errors import KeygaitError
 class Detector(ABC):
     # True where fits are worth spreading across processes: the pipeline
     # then deals the subjects into strided shares, one per CPU, and fits
-    # each share in a process of a fork pool.
+    # the first in the calling process and each other in a forked child.
     fit_across_processes: ClassVar[bool] = False
 
     @classmethod

@@ -17,14 +17,15 @@ and normalizes those raw scores once per kind. A group fit gives every
 subject bit-identical results to fitting it alone, so for the three
 networks (autoencoder, contractive, variational) ``raw_scores`` deals
 the subjects into strided shares, one per CPU of the process's affinity
-mask, and each process of a fork pool fits its share with the same
-function that fits all subjects inline; scoring stays in the calling
-process, and no output byte depends on the CPU count. With one CPU, on
-Python 3.12 or later (which warns when a process holding threads, as
-OpenBLAS does, forks), or where there is no fork, every subject is
-fitted inline. An ensemble is a pipeline config, not a detector: each
-member is fitted and scored like a single detector, and one combiner
-averages the members' raw or normalized scores.
+mask, and ``_processes.across_processes`` fits share 0 in the calling
+process and each other share in a forked child, with the same function
+that fits all subjects inline; scoring stays in the calling process, and
+no output byte depends on the CPU count. With one CPU, on Python 3.12 or
+later (which warns when a process holding threads, as OpenBLAS does,
+forks), or where there is no fork, every subject is fitted inline. An
+ensemble is a pipeline config, not a detector: each member is fitted and
+scored like a single detector, and one combiner averages the members'
+raw or normalized scores.
 Samples that cannot be processed are never dropped: they become flagged
 records with a sentinel minimal score and count toward
 failure-to-capture. All randomness derives from the config's master
@@ -35,13 +36,13 @@ bit-identical.
 from __future__ import annotations
 
 import hashlib
-import os
-import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
+from ._processes import across_processes, cpu_count
 from .alignment import align_subject
 from .config import PipelineConfig
 from .datasets import tsv
@@ -218,19 +219,6 @@ def prepare(dataset: SubjectDataset, config: PipelineConfig) -> list[PreparedSub
     ]
 
 
-# Forking is quiet only before Python 3.12, which warns when a process
-# that holds threads (OpenBLAS keeps its own) forks; elsewhere every
-# subject is fitted inline.
-_CAN_FORK = hasattr(os, "fork") and sys.version_info < (3, 12)
-
-
-def _cpu_count() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _fit_subjects(
     prepared: list[PreparedSubject], config: PipelineConfig
 ) -> list[list[tuple[Detector | None, KeygaitError | None]]]:
@@ -266,23 +254,18 @@ def raw_scores(
     where the query, the subject or its fit failed.
 
     When a member's class sets ``fit_across_processes`` (the three
-    networks), ``n`` processes, one per CPU in this process's affinity mask
+    networks), the subjects are dealt into ``n`` strided shares
+    ``prepared[k::n]``, one per CPU in this process's affinity mask
     (``_workers``, for tests, overrides that count) up to one per subject,
-    each fit the strided share ``prepared[k::n]`` in a fork pool that closes
-    before scoring; every score is computed here, and no byte depends on
-    ``n``. An exception from a fit is raised here as it would be inline."""
+    and ``_processes.across_processes`` fits share 0 here and each other
+    share in a forked child; every score is computed here, and no byte
+    depends on ``n``. An exception from a fit is raised here as it would
+    be inline."""
     singles = config.detector.singles()
-    n = 1  # processes, process k fitting the strided share prepared[k::n]
-    if _CAN_FORK and any(build_detector(m).fit_across_processes for m in singles):
-        n = max(1, min(_cpu_count() if _workers is None else _workers, len(prepared)))
-    if n == 1:
-        fitted = [_fit_subjects(prepared, config)]
-    else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(n, mp_context=multiprocessing.get_context("fork")) as pool:
-            fitted = list(pool.map(_fit_subjects, [prepared[k::n] for k in range(n)], [config] * n))
+    n = 1  # shares, share k holding the subjects prepared[k::n]
+    if any(build_detector(m).fit_across_processes for m in singles):
+        n = max(1, min(cpu_count() if _workers is None else _workers, len(prepared)))
+    fitted = across_processes(partial(_fit_subjects, config=config), [prepared[k::n] for k in range(n)])
     members = [[np.full(len(p.query_ids), SENTINEL_SCORE) for p in prepared] for _ in singles]
     for k, share in enumerate(fitted):  # share k holds subjects k, k + n, ...
         for out, fits in zip(members, share):

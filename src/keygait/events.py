@@ -22,7 +22,9 @@ form ``serialize_events`` writes: it checks that form, decodes and pairs
 the whole block in numpy arrays, and builds the same sequences. It
 declines every file it cannot read that way (any other spelling, an
 error, a key left down), and its caller reads those with
-``read_sequence``. Its inverse,
+``read_sequence``. Its columns come from ``_read_columns``, which
+``load_dataset`` calls in forked readers: columns pickle as arrays,
+while a sequence unpickles through the checked constructor. Its inverse,
 ``_serialize_block``, writes a block of sequences in numpy arrays too;
 ``serialize_events`` is that block of one.
 
@@ -40,7 +42,7 @@ import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -387,7 +389,8 @@ def _numbers(digits: np.ndarray, end: np.ndarray, width: np.ndarray, base: int) 
 def read_sequences(raws: list[bytes]) -> list[KeystrokeSequence | None]:
     """Read a block of capture files at once: for each, the sequence
     :func:`read_sequence` gives for its text, or None where this reader
-    declines the file.
+    declines the file. It is :func:`_read_columns` of the block, each
+    taken file's sequence built by :func:`_sequences`.
 
     It takes only files in the form :func:`serialize_events` writes, byte
     for byte, with at most 8 hex and 16 decimal digits, and whose events
@@ -403,6 +406,17 @@ def read_sequences(raws: list[bytes]) -> list[KeystrokeSequence | None]:
     fields, each after one space, declines the whole block.
     """
     out: list[KeystrokeSequence | None] = [None] * len(raws)
+    taken, *columns = _read_columns(raws)
+    for i, sequence in zip(taken, _sequences(*columns)):
+        out[i] = sequence
+    return out
+
+
+def _read_columns(raws: list[bytes]) -> tuple[list[int], list[str], np.ndarray, np.ndarray, list[int]]:
+    """The block reader's columns for ``raws``: the indices of the files
+    :func:`read_sequences` takes, in order, and the key names and press and
+    release times of their keystrokes, file after file, with each taken
+    file's end in those columns."""
     files = [
         i
         for i, raw in enumerate(raws)
@@ -422,7 +436,7 @@ def read_sequences(raws: list[bytes]) -> list[KeystrokeSequence | None]:
         and len(space) == 2 * len(end)
         and (space[0::2] == start + 1).all()
     ):
-        return out
+        return [], [], np.zeros(0, np.int64), np.zeros(0, np.int64), []
     gap = space[1::2]  # each line's space before the delta
     code_width, delta_width = gap - start - 2, end - gap - 1
     bad = (code_width < 1) | (code_width > 8) | (delta_width < 1) | (delta_width > 16)
@@ -463,12 +477,19 @@ def read_sequences(raws: list[bytes]) -> list[KeystrokeSequence | None]:
     keys = np.array([key_name(c) for c in codes.tolist()], dtype=object)[inverse].tolist()
     # Each file's presses are in time order and close_t >= t, so every
     # file's slice of the columns is a valid sequence as it stands.
-    press_t, release_t = t[keep], close_t[keep]
-    stop = np.cumsum(np.bincount(file_of[keep], minlength=len(files))).tolist()
-    for i, a, b, skip in zip(files, [0] + stop, stop, declined.tolist()):
-        if not skip:
-            out[i] = KeystrokeSequence._of(tuple(keys[a:b]), press_t[a:b], release_t[a:b])
-    return out
+    # A declined file has no keystrokes in the columns, so dropping its
+    # stop leaves every taken file's slice from the stop before.
+    taken = ~declined
+    stop = np.cumsum(np.bincount(file_of[keep], minlength=len(files)))[taken].tolist()
+    return np.array(files, np.int64)[taken].tolist(), keys, t[keep], close_t[keep], stop
+
+
+def _sequences(
+    keys: list[str], press: np.ndarray, release: np.ndarray, stops: list[int]
+) -> Iterator[KeystrokeSequence]:
+    """The sequences in :func:`_read_columns`'s columns, one per stop."""
+    for a, b in zip([0] + stops, stops):
+        yield KeystrokeSequence._of(tuple(keys[a:b]), press[a:b], release[a:b])
 
 
 def _check_serializable(seq: KeystrokeSequence) -> None:

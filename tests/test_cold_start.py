@@ -1,12 +1,13 @@
-"""No path loads scipy, and the cheap paths load no process pool.
+"""No path loads scipy, and no path loads a process-pool module.
 
 scipy is a test-only reference (``tests/oracles.py``), so each check runs
 in a fresh interpreter: this test process has long since imported scipy
 through the oracles. Importing the package, a Manhattan pipeline and the
 resolution estimator load no scipy module, and the sigmoid detectors fit
-and evaluate with scipy blocked outright. The package imports
-``multiprocessing`` and ``concurrent.futures`` only to fit a group across
-processes, so neither the import nor a Manhattan pipeline loads them.
+and evaluate with scipy blocked outright. The package forks with
+``os.fork`` alone (``_processes.across_processes``) and never imports
+``multiprocessing`` or ``concurrent.futures``, so neither the import nor
+a Manhattan pipeline loads them.
 """
 
 import os

@@ -41,7 +41,8 @@ from keygait import (
     write_perturbations,
     write_scores,
 )
-from keygait import datasets, synthesis
+from keygait import _processes, datasets, synthesis
+from keygait._processes import across_processes
 from keygait.datasets import tsv, written_scores
 from keygait.events import check_id, read_sequence, serialize_events
 from keygait.scancodes import MODIFIER_KEYS, SHIFT_KEYS
@@ -324,6 +325,68 @@ class TestDatasetRoundTrip:
             f"1 problem(s) loading {root}:",
             f"{path}: [Errno 21] Is a directory: '{path}'",
         ]
+
+    @pytest.mark.parametrize("root", [".", "./", ""])
+    def test_missing_event_file_under_a_dot_root_is_named_one_way(self, tmp_path, monkeypatch, root):
+        dataset, _ = generate_synthetic(TINY)
+        write_dataset(dataset, tmp_path / "ds")
+        (tmp_path / "ds" / "s001" / "q01.txt").unlink()
+        monkeypatch.chdir(tmp_path / "ds")
+        with pytest.raises(DatasetError) as err:
+            load_dataset(root)
+        assert str(err.value).splitlines() == [
+            "1 problem(s) loading .:",
+            "s001/q01.txt: [Errno 2] No such file or directory: 's001/q01.txt'",
+        ]
+
+    @pytest.mark.skipif(
+        not _processes._CAN_FORK,
+        reason="no fork here, or Python 3.12+, which warns when a process holding threads forks",
+    )
+    def test_forked_load_equals_inline_load(self, tmp_path, monkeypatch):
+        # 12 subjects of 24 samples: 288 files, three blocks of at most 128
+        config = SynthConfig(n_subjects=12, shift_drop=0.05, shift_transpose=0.03, capslock_sub=0.02, seed=0)
+        root = tmp_path / "ds"
+        write_dataset(generate_synthetic(config)[0], root)
+        manifest = root / "manifest.tsv"
+        lines = manifest.read_text().splitlines()
+        paths = [root / line.split("\t")[0] / f"{line.split(chr(9))[1]}.txt" for line in lines[1:]]
+        assert len(paths) == 288
+        # a file the block reader declines, in each block
+        for i in (5, 130, 260):
+            paths[i].write_bytes(paths[i].read_bytes().replace(b"\n", b"\r\n"))
+        shares = []
+
+        def load(forked):
+            monkeypatch.setattr(_processes, "_CAN_FORK", forked)
+            # three shares, so two children, whatever the CPUs of this machine
+            monkeypatch.setattr(datasets, "cpu_count", lambda: 3 if forked else 1)
+
+            def spy(fn, parts):
+                shares.append(len(parts))
+                return across_processes(fn, parts)
+
+            monkeypatch.setattr(datasets, "across_processes", spy)
+            try:
+                return load_dataset(root), None
+            except DatasetError as exc:
+                return None, str(exc)
+
+        assert load(False) == load(True)
+        assert shares == [1, 3]
+        # a problem of each kind, in each block and so in each share
+        paths[3].unlink()
+        paths[140].unlink()
+        paths[140].mkdir()
+        paths[250].write_bytes(b"P 1e 0\n\xff\n")
+        paths[10].write_text("P 1e 0\nR 30 10\n")
+        lines[200] = lines[200] + "\textra"
+        manifest.write_text("\n".join(lines) + "\n")
+        inline, forked = load(False), load(True)
+        assert inline[1] == forked[1]
+        named = [str(paths[i]) for i in (3, 10, 140, 250)]
+        problems = inline[1].splitlines()[1:]
+        assert [line.split(": ")[0] for line in problems] == named[:3] + [f"{manifest}:201"] + named[3:]
 
     def test_event_file_longer_than_one_read_loads_whole(self, tmp_path):
         # 6,000 keystrokes serialize to far more than one 64 KiB os.read

@@ -1,6 +1,5 @@
 import json
 import math
-import multiprocessing
 import re
 import tempfile
 import warnings
@@ -55,6 +54,7 @@ from oracles import (
     rows,
     seq,
 )
+from test_processes import assert_no_child_left
 
 
 class TestRocEer:
@@ -776,8 +776,9 @@ class TestStages:
 
 class TestSplitFits:
     """raw_scores deals the subjects of an opted-in detector into strided
-    shares, one per process of a fork pool, and each process fits its
-    share; the bits must not depend on how many shares there are."""
+    shares, fits the first in this process and each other in a forked
+    child, and leaves no child behind; the bits must not depend on how
+    many shares there are."""
 
     CONTRACTIVE = DetectorConfig(name="contractive", params={"hidden_dim": 20, "epochs": 30})
     VARIATIONAL = DetectorConfig(name="variational", params={"epochs": 30})
@@ -801,7 +802,7 @@ class TestSplitFits:
     def _raws(prepared, config):
         """raw_scores at each worker count, checked bit-equal."""
         runs = {w: evaluation.raw_scores(prepared, config, _workers=w) for w in TestSplitFits.WORKERS}
-        assert not multiprocessing.active_children()
+        assert_no_child_left()
         for w in TestSplitFits.WORKERS[1:]:
             for a, b in zip(runs[1], runs[w], strict=True):
                 assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
@@ -874,7 +875,7 @@ class TestSplitFits:
             with pytest.raises(TrainingError) as info:
                 evaluation.raw_scores(prepared, config, _workers=w)
             assert type(info.value) is TrainingError and str(info.value) == "no fit today"
-            assert not multiprocessing.active_children()
+            assert_no_child_left()
 
     def test_only_detectors_that_gain_fit_across_processes(self):
         from keygait.detectors import _CLASSES

@@ -1,0 +1,159 @@
+"""across_processes: share 0 runs in the caller, each other share in a
+forked child, results and exceptions come back in share order, and no
+child outlives a call.
+
+Each test ends by checking that this process has no child left, reaped
+or not: ``os.waitpid(-1, os.WNOHANG)`` raises ``ChildProcessError`` only
+when there is none.
+"""
+
+import os
+import signal
+import time
+
+import numpy as np
+import pytest
+
+from keygait import TrainingError, _processes
+from keygait._processes import across_processes
+
+forks = pytest.mark.skipif(
+    not _processes._CAN_FORK,
+    reason="no fork here, or Python 3.12+, which warns when a process holding threads forks",
+)
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
+    assert_no_child_left()
+
+
+def _pid_and_square(x):
+    return os.getpid(), x * x
+
+
+def test_the_check_sees_a_child():
+    pid = os.fork()
+    if pid == 0:
+        os._exit(0)
+    try:
+        os.waitpid(-1, os.WNOHANG)  # a child is left (running or not): no raise
+    finally:
+        os.waitpid(pid, 0)
+
+
+@forks
+def test_share_0_runs_here_and_each_other_in_a_child_of_its_own():
+    out = across_processes(_pid_and_square, [0, 1, 2, 3])
+    assert [square for _, square in out] == [0, 1, 4, 9]
+    pids = [pid for pid, _ in out]
+    assert pids[0] == os.getpid()
+    assert len(set(pids)) == 4
+
+
+def test_inline_where_forking_is_off(monkeypatch):
+    monkeypatch.setattr(_processes, "_CAN_FORK", False)
+    assert _processes.cpu_count() == 1
+    assert across_processes(_pid_and_square, [1, 2, 3]) == [(os.getpid(), n * n) for n in (1, 2, 3)]
+
+
+@forks
+def test_payloads_larger_than_a_pipe_arrive_whole():
+    def column(seed):
+        return np.random.default_rng(seed).random(200_000)  # 1.6 MB
+
+    out = across_processes(column, [0, 1, 2])
+    for seed, values in enumerate(out):
+        assert np.array_equal(values, column(seed))
+
+
+def _fail_in(failing):
+    def fit(share):
+        if share in failing:
+            raise TrainingError(f"non-finite loss in share {share}")
+        return share
+
+    return fit
+
+
+@forks
+def test_a_childs_exception_arrives_as_raised():
+    with pytest.raises(TrainingError) as info:
+        across_processes(_fail_in({1}), [0, 1, 2])
+    assert type(info.value) is TrainingError
+    assert str(info.value) == "non-finite loss in share 1"
+
+
+@forks
+def test_the_first_exception_in_share_order_wins():
+    with pytest.raises(TrainingError, match="^non-finite loss in share 1$"):
+        across_processes(_fail_in({1, 2}), [0, 1, 2])
+    with pytest.raises(TrainingError, match="^non-finite loss in share 0$"):
+        across_processes(_fail_in({0, 2}), [0, 1, 2])
+
+
+@forks
+def test_a_child_that_exits_without_a_result_is_an_error():
+    def share(k):
+        if k == 1:
+            os._exit(3)
+        return k
+
+    with pytest.raises(ChildProcessError, match="^share 1 ended with exit status 3 and no result$"):
+        across_processes(share, [0, 1, 2])
+
+
+@forks
+def test_a_result_that_does_not_pickle_is_an_error():
+    with pytest.raises(ChildProcessError, match="^share 1 ended with exit status 1 and no result$"):
+        across_processes(lambda k: (lambda: k), [0, 1])
+
+
+def _refuse_to_unpickle():
+    raise ValueError("this payload does not unpickle")
+
+
+class _Unpicklable:
+    def __reduce__(self):
+        return _refuse_to_unpickle, ()
+
+
+@forks
+def test_a_payload_cut_short_by_the_caller_ends_its_child():
+    # Share 1's payload fails to unpickle before its 1 MB tail is read, so
+    # its child is left writing to a full pipe; it must end once the caller
+    # closes that pipe, though share 2's child, itself blocked writing,
+    # was forked after the pipe was made.
+    def share(k):
+        return [_Unpicklable(), bytes(1 << 20)] if k == 1 else bytes(1 << 20)
+
+    def hang(signum, frame):
+        raise TimeoutError("across_processes hung")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(30)
+    try:
+        with pytest.raises(ChildProcessError, match="^share 1 ended with exit status 1 and no result$"):
+            across_processes(share, [0, 1, 2])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@forks
+def test_children_still_running_are_killed_when_share_0_raises():
+    def share(k):
+        if k == 0:
+            raise TrainingError("share 0 failed")
+        time.sleep(60)
+
+    start = time.perf_counter()
+    with pytest.raises(TrainingError, match="^share 0 failed$"):
+        across_processes(share, [0, 1, 2])
+    assert time.perf_counter() - start < 30
