@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+import warnings
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -163,27 +164,35 @@ def _read_captures(
     The blocks are dealt into one share per CPU, and
     ``_processes.across_processes`` reads each share's blocks
     (``_read_block``) in a process of its own; the sequences are built
-    here, each declined file read here by ``read_sequence``."""
+    here, each declined file read here by ``read_sequence``, whose
+    warnings are issued again with the file's ``Path`` spelling first, as
+    its problem line names it."""
     blocks = [ids[first : first + _BLOCK_FILES] for first in range(0, len(ids), _BLOCK_FILES)]
     n = min(cpu_count(), len(blocks))  # share k reads blocks k, k + n, ...
     shares = across_processes(
         lambda share: [_read_block(prefix, block) for block in share],
         [blocks[k::n] for k in range(n)],
     )
-    for b in range(len(blocks)):
+    for b, block in enumerate(blocks):
         files, columns = shares[b % n][b // n]
         shares[b % n][b // n] = None  # freed once its sequences are built
         sequences = _sequences(*columns)
-        for raw in files:
+        for (subject_id, sample_id), raw in zip(block, files):
             if raw is None:  # taken by the block reader
                 yield next(sequences)
             elif isinstance(raw, OSError):
                 yield raw
             else:
-                try:
-                    yield read_sequence(raw.decode("utf-8"))
-                except (UnicodeDecodeError, KeygaitError) as exc:
-                    yield exc
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        sequence = read_sequence(raw.decode("utf-8"))
+                    except (UnicodeDecodeError, KeygaitError) as exc:
+                        sequence = exc
+                for warning in caught:
+                    path = Path(prefix, subject_id, f"{sample_id}.txt")
+                    warnings.warn(f"{path}: {warning.message}", warning.category)
+                yield sequence
 
 
 def _read_block(

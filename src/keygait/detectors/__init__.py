@@ -8,14 +8,12 @@ reproducibly seeded. An ensemble is not a detector: ``run_pipeline``
 fits and scores each member and averages their scores.
 
 The pipeline fits one group of subjects with the same template count at
-a time through `Detector.fit_group`; ``fit`` is the group of one. The
-autoencoder and the VAE train a group in one stacked loop (see `._nn`);
-every other detector loops over its subjects. Either way each subject's
-fit is bit-identical to fitting it alone, and a subject whose training
-fails gets its error back without stopping the others. So for a class
-whose ``fit_across_processes`` is true (the three networks) the pipeline
-may deal the subjects into strided shares fitted in separate processes,
-with the same bits.
+a time through `Detector.fit_group`; ``fit`` is the group of one. Each
+subject's fit is bit-identical to fitting it alone, and a subject whose
+training fails gets its error back without stopping the others. So for
+a class whose ``fit_across_processes`` is true (the three networks) the
+pipeline may deal the subjects into strided shares fitted in separate
+processes, with the same bits.
 """
 
 from __future__ import annotations

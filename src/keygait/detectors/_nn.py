@@ -1,6 +1,6 @@
 """Shared numerics for the from-scratch neural detectors.
 
-The autoencoder and the VAE train every subject of a group in one loop.
+The autoencoder and the VAE train every subject of a group as one stack.
 Each parameter tensor is stacked on a leading subject axis and
 zero-padded to the widest subject, and all stacked tensors are views
 into one flat buffer, so an optimizer step is one update of that buffer.
@@ -9,8 +9,8 @@ subject alone would: elementwise ops and matmuls over samples or hidden
 units run once for the stack, and contractions over the feature width
 run per subject on the unpadded slice (`width_matmul`).
 
-The contractive autoencoder's ``fit_group`` loops over its subjects, one
-training loop each: stacked, each (subjects, d, 400) weight array of 10
+The contractive autoencoder trains its subjects one after another, each
+as a group of one: stacked, each (subjects, d, 400) weight array of 10
 subjects is ~1.6 MB and overflows L2, and a padded stack ran at
 0.67-0.82x that speed and was not bit-exact. Its weight is stored as
 (d, hidden), the layout in which every product of its epoch reads
@@ -25,20 +25,24 @@ allocates every array an epoch writes, and cuts the transposed weights,
 bias columns and unpadded `width_matmul` slices, once. Those views stay
 valid because the optimizer updates the parameters in place. Every call
 then runs the same ufunc and BLAS calls on arrays of the same shapes and
-layouts as a fresh computation would, so it writes the same bits. Each
-``fit_group`` enters ``np.errstate`` once, ignoring every floating-point
-warning: a subject whose loss turns non-finite is reported by its
-``TrainingError``.
+layouts as a fresh computation would, so it writes the same bits.
+
+Every network fits through `train`, the one training loop, which makes
+each ``TrainingError``. It runs under the fits' one ``np.errstate``,
+which ignores every floating-point warning and restores the caller's
+state after: a subject whose loss turns non-finite is reported by its
+``TrainingError`` alone.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence
+import math
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..errors import KeygaitError, TrainingError
-from .base import as_matrix
+from ..errors import TrainingError
+from .base import Detector, as_matrix
 
 Params = dict[str, Any]  # name -> tensor or list of tensors
 
@@ -52,7 +56,7 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def logistic(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """`sigmoid` for a caller that already ignores overflow (a fit, under
-    its own ``np.errstate``)."""
+    the ``np.errstate`` of `train`)."""
     out = np.negative(z, out=np.empty(np.shape(z)) if out is None else out)
     np.exp(out, out=out)
     out += 1.0
@@ -162,12 +166,13 @@ class StackedParams:
         self.params = _like(per_subject[0], unflatten(self.flat, shapes))
         self.grads = _like(per_subject[0], unflatten(self.grad_flat, shapes))
 
-    def unstack(self) -> list[Params]:
-        """Copy each subject's slice back into its own tensors and return them."""
-        for s, params in enumerate(self.per_subject):
+    def unstack(self, detectors: Sequence[Detector], errors: Sequence[TrainingError | None]) -> None:
+        """Copy each subject's slice back into its own tensors and give them
+        to its detector as ``params_``, None where its fit failed."""
+        for s, (detector, params, error) in enumerate(zip(detectors, self.per_subject, errors)):
             for a, t in zip(leaves(params), leaves(self.params)):
                 a[...] = t[s][_unpadded(a)]
-        return self.per_subject
+            detector.params_ = params if error is None else None
 
     def subject_grads(self, s: int) -> Params:
         """Subject ``s``'s gradients, unpadded."""
@@ -175,16 +180,27 @@ class StackedParams:
         return _like(self.grads, [g[s][_unpadded(a)] for g, a in zip(leaves(self.grads), own)])
 
 
-def note_failures(errors: list[KeygaitError | None], loss: np.ndarray, epoch: int) -> bool:
-    """Record a TrainingError for each subject whose loss is newly
-    non-finite; True once every subject has failed. A failed subject's
-    values stay in the stack but never reach another subject's."""
-    if np.isfinite(loss).all():
-        return False
-    for s in np.flatnonzero(~np.isfinite(loss)):
-        if errors[s] is None:
-            errors[s] = TrainingError(f"non-finite loss at epoch {epoch}")
-    return all(e is not None for e in errors)
+def train(
+    steps: Iterable[tuple[int, Callable[[], Sequence[float]]]], update: Callable[[], None], n: int
+) -> list[TrainingError | None]:
+    """Fit ``n`` subjects: for each ``(epoch, step)``, ``step()`` returns
+    every subject's loss and writes the gradients, then ``update()`` applies
+    them. A subject gets a TrainingError at its first loss that is not
+    finite; its values stay in the stack but never reach another
+    subject's. The loop stops once every subject has failed, before that
+    step's update."""
+    errors: list[TrainingError | None] = [None] * n
+    with np.errstate(all="ignore"):
+        for epoch, step in steps:
+            losses = step()
+            if not all(map(math.isfinite, losses)):
+                for s, loss in enumerate(losses):
+                    if errors[s] is None and not math.isfinite(loss):
+                        errors[s] = TrainingError(f"non-finite loss at epoch {epoch}")
+                if None not in errors:
+                    break
+            update()
+    return errors
 
 
 class Adam:

@@ -12,15 +12,14 @@ exposed as plain functions over a parameter dict. Every one of them runs
 `_epoch`, which a fit builds once: it allocates every array an epoch
 writes (all activations in one flat buffer, so 1 - a^2 of every layer is
 two calls) and cuts every transposed view, bias column and unpadded
-feature slice before the first epoch. ``fit_group`` enters
-``np.errstate`` once, ignoring every floating-point warning: a subject
-that diverges is reported by its ``TrainingError`` alone.
+feature slice before the first epoch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -29,13 +28,13 @@ from ._nn import (
     StackedParams,
     T,
     as_stack,
-    note_failures,
     stack_templates,
+    train,
     unflatten,
     width_matmul,
     xavier_uniform,
 )
-from .base import Detector, check_training, check_width, shared_settings
+from .base import Detector, check_hidden_sizes, check_training, shared_settings
 
 Params = dict[str, list[np.ndarray]]
 
@@ -133,14 +132,6 @@ def _epoch(params: Params, grads: Params, X: np.ndarray, widths: list[int]) -> C
     return step
 
 
-def _stacked_loss_and_grads(
-    params: Params, grads: Params, X: np.ndarray, widths: list[int]
-) -> np.ndarray:
-    """Each subject's summed squared reconstruction error; the gradients
-    are written into ``grads`` (see `_epoch`)."""
-    return _epoch(params, grads, X, widths)()
-
-
 def reconstruct(params: Params, X: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     _, O, _, forward = _forward(as_stack(params), X[None], [X.shape[1]])
@@ -153,7 +144,7 @@ def loss_and_grads(params: Params, X: np.ndarray) -> tuple[float, Params]:
     gradients with respect to every parameter tensor."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     net = StackedParams([params])
-    loss = _stacked_loss_and_grads(net.params, net.grads, X[None], [X.shape[1]])
+    loss = _epoch(net.params, net.grads, X[None], [X.shape[1]])()
     return float(loss[0]), net.subject_grads(0)
 
 
@@ -174,12 +165,8 @@ class TiedAutoencoder(Detector):
     params_: Params | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.hidden_sizes:
-            raise ValueError("hidden_sizes needs at least one hidden layer")
-        for k, width in enumerate(self.hidden_sizes):
-            check_width(f"hidden_sizes[{k}]", width)
+        self.hidden_sizes = check_hidden_sizes(self.hidden_sizes)
         check_training(self.learning_rate, self.epochs)
-        self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
 
     @classmethod
     def fit_group(cls, detectors, templates):
@@ -191,15 +178,13 @@ class TiedAutoencoder(Detector):
             init_params(np.random.default_rng(d.seed), [w, *shared.hidden_sizes])
             for d, w in zip(detectors, widths)
         ])
-        errors: list = [None] * len(detectors)
-        with np.errstate(all="ignore"):
-            step = _epoch(net.params, net.grads, X, widths)
-            for epoch in range(shared.epochs):
-                if note_failures(errors, step(), epoch):
-                    break
-                net.flat -= np.multiply(shared.learning_rate, net.grad_flat, out=net.grad_flat)
-        for detector, params, error in zip(detectors, net.unstack(), errors):
-            detector.params_ = params if error is None else None
+        step = _epoch(net.params, net.grads, X, widths)
+
+        def update() -> None:
+            net.flat -= np.multiply(shared.learning_rate, net.grad_flat, out=net.grad_flat)
+
+        errors = train(zip(range(shared.epochs), repeat(step)), update, len(detectors))
+        net.unstack(detectors, errors)
         return errors
 
     def score_all(self, queries: np.ndarray) -> np.ndarray:

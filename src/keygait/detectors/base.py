@@ -71,6 +71,16 @@ def check_width(name: str, width: int) -> None:
         raise ValueError(f"{name} must be at most {MAX_WIDTH}, got {width}")
 
 
+def check_hidden_sizes(hidden_sizes: Sequence[int]) -> tuple[int, ...]:
+    """Refuse no hidden layer or a layer width outside 1..MAX_WIDTH;
+    return the widths as a tuple of ints."""
+    if not hidden_sizes:
+        raise ValueError("hidden_sizes needs at least one hidden layer")
+    for k, width in enumerate(hidden_sizes):
+        check_width(f"hidden_sizes[{k}]", width)
+    return tuple(int(h) for h in hidden_sizes)
+
+
 def check_training(learning_rate: float, epochs: int) -> None:
     """Refuse a negative epoch count or a learning rate that is not positive."""
     if epochs < 0:

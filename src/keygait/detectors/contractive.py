@@ -18,22 +18,18 @@ through h, so grad_W = [G_y; X]^T [H; G] + W c with
 c_i = 2 lambda (sum_rows S^2)_i scaling each column of W.
 
 Every array of an epoch is one of `gradient_buffers`, made once per
-subject's fit; `_epoch` unpacks them and copies X into ``left`` once,
-and ``fit_group`` enters ``np.errstate`` once, ignoring every
-floating-point warning: a subject that diverges is reported by its
-``TrainingError`` alone.
+subject's fit; `_epoch` unpacks them and copies X into ``left`` once.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
-from ..errors import TrainingError
-from ._nn import logistic, sigmoid, xavier_uniform
+from ._nn import logistic, sigmoid, train, xavier_uniform
 from .base import Detector, as_matrix, check_training, check_width
 
 Params = dict[str, np.ndarray]
@@ -81,12 +77,15 @@ def gradient_buffers(params: Params, n_rows: int) -> Params:
     }
 
 
-def _epoch(params: Params, X: np.ndarray, reg_weight: float, grads: Params) -> Callable[[], float]:
+def _epoch(
+    params: Params, X: np.ndarray, reg_weight: float, grads: Params
+) -> Callable[[], tuple[float]]:
     """The loss and gradients over the batch ``X`` as a function of no
-    arguments: each call returns the loss from the current parameters and
-    writes every array of the epoch into ``grads`` (from
-    `gradient_buffers`), which are unpacked once, here, as is the copy of
-    X into ``left``. The caller ignores overflow (see `logistic`)."""
+    arguments: each call returns the loss from the current parameters, as
+    the 1-tuple of a group of one (see `_nn.train`), and writes every array
+    of the epoch into ``grads`` (from `gradient_buffers`), which are
+    unpacked once, here, as is the copy of X into ``left``. The caller
+    ignores overflow (see `logistic`)."""
     m = X.shape[0]
     W, bh, by = params["W"], params["bh"], params["by"]
     left, right, Y, S, S2, P, r, c, scratch = (
@@ -98,7 +97,7 @@ def _epoch(params: Params, X: np.ndarray, reg_weight: float, grads: Params) -> C
     leftT, WT = left.T, W.T
     penalty = 2.0 * reg_weight
 
-    def step() -> float:
+    def step() -> tuple[float]:
         logistic(np.add(np.matmul(X, W, out=H), bh, out=H), out=H)
         logistic(np.add(np.matmul(H, WT, out=Y), by, out=Y), out=Y)
         np.multiply(H, np.subtract(1.0, H, out=S), out=S)
@@ -106,7 +105,7 @@ def _epoch(params: Params, X: np.ndarray, reg_weight: float, grads: Params) -> C
         np.einsum("ij,ij->j", W, W, out=r)
         S2.sum(axis=0, out=c)  # the penalty's and the direct term's sum_rows S^2
         np.subtract(Y, X, out=gv)
-        loss = float(np.vdot(gv, gv)) + reg_weight * float(c @ r)
+        loss = (float(np.vdot(gv, gv)) + reg_weight * float(c @ r),)
 
         # G_y = 2 (Y - X) Y (1 - Y), in place of Y - X
         np.multiply(gv, 2.0, out=gv)
@@ -138,7 +137,8 @@ def loss_and_grads(
     if grads is None:
         grads = gradient_buffers(params, X.shape[0])
     with np.errstate(over="ignore"):
-        return _epoch(params, X, reg_weight, grads)(), grads
+        [loss] = _epoch(params, X, reg_weight, grads)()
+    return loss, grads
 
 
 @dataclass(eq=False)
@@ -160,24 +160,24 @@ class ContractiveAutoencoder(Detector):
 
     @classmethod
     def fit_group(cls, detectors, templates):
-        """Fit each subject in its own loop, one after another; one whose
-        loss turns non-finite fails alone. To use more cores, the pipeline
-        deals the subjects into strided shares, one process each
-        (``fit_across_processes``)."""
-        errors: list = [None] * len(detectors)
-        with np.errstate(all="ignore"):
-            for s, (detector, X) in enumerate(zip(detectors, map(as_matrix, templates))):
-                params = init_params(np.random.default_rng(detector.seed), X.shape[1], detector.hidden_dim)
-                grads = gradient_buffers(params, X.shape[0])
-                step = _epoch(params, X, detector.reg_weight, grads)
-                updates = [(p, grads[name]) for name, p in params.items()]
-                for epoch in range(detector.epochs):
-                    if not math.isfinite(step()):
-                        errors[s] = TrainingError(f"non-finite loss at epoch {epoch}")
-                        break
-                    for p, g in updates:
-                        p -= np.multiply(g, detector.learning_rate, out=g)
-                detector.params_ = params if errors[s] is None else None
+        """Fit each subject through `_nn.train` as a group of one, one after
+        another; one whose loss turns non-finite fails alone. To use more
+        cores, the pipeline deals the subjects into strided shares, one
+        process each (``fit_across_processes``)."""
+        errors = []
+        for detector, X in zip(detectors, map(as_matrix, templates)):
+            params = init_params(np.random.default_rng(detector.seed), X.shape[1], detector.hidden_dim)
+            grads = gradient_buffers(params, X.shape[0])
+            step = _epoch(params, X, detector.reg_weight, grads)
+            updates = [(p, grads[name]) for name, p in params.items()]
+
+            def update() -> None:
+                for p, g in updates:
+                    p -= np.multiply(g, detector.learning_rate, out=g)
+
+            [error] = train(zip(range(detector.epochs), repeat(step)), update, 1)
+            detector.params_ = params if error is None else None
+            errors.append(error)
         return errors
 
     def score_all(self, queries: np.ndarray) -> np.ndarray:

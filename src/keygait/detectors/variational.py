@@ -17,9 +17,7 @@ last batch gets its own): it allocates every array a step writes,
 including the batch rows and noise the loop fills in place, and cuts
 every transposed view, bias column and unpadded feature slice before the
 first step; Adam's scratch arrays are likewise its own. The public loss
-and gradients run the same function once. ``fit_group`` enters
-``np.errstate`` once, ignoring every floating-point warning: a subject
-that diverges is reported by its ``TrainingError`` alone.
+and gradients run the same function once.
 """
 
 from __future__ import annotations
@@ -36,14 +34,14 @@ from ._nn import (
     T,
     as_stack,
     logistic,
-    note_failures,
     softplus,
     stack_templates,
+    train,
     width_mask,
     width_matmul,
     xavier_uniform,
 )
-from .base import Detector, check_training, check_width, shared_settings
+from .base import Detector, check_hidden_sizes, check_training, check_width, shared_settings
 
 Params = dict[str, Any]
 
@@ -244,20 +242,6 @@ def _epoch(
     return step
 
 
-def _stacked_loss_and_grads(
-    params: Params,
-    grads: Params,
-    X: np.ndarray,
-    eps: np.ndarray,
-    widths: list[int],
-    mask: np.ndarray,
-) -> np.ndarray:
-    """Each subject's ELBO-style loss (reconstruction + KL, summed over
-    its rows); the gradients are written into ``grads`` (see `_epoch`)."""
-    with np.errstate(over="ignore"):
-        return _epoch(params, grads, X, eps, widths, mask)()
-
-
 def _draws(
     rngs: list[np.random.Generator],
     X: np.ndarray,
@@ -293,9 +277,8 @@ def loss_and_grads(
     eps = np.atleast_2d(np.asarray(eps, dtype=np.float64))
     net = StackedParams([params])
     widths = [X.shape[1]]
-    loss = _stacked_loss_and_grads(
-        net.params, net.grads, X[None], eps[None], widths, width_mask(widths)
-    )
+    with np.errstate(over="ignore"):
+        loss = _epoch(net.params, net.grads, X[None], eps[None], widths, width_mask(widths))()
     return float(loss[0]), net.subject_grads(0)
 
 
@@ -312,15 +295,11 @@ class VariationalAutoencoder(Detector):
     params_: Params | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.hidden_sizes:
-            raise ValueError("hidden_sizes needs at least one hidden layer")
-        for k, width in enumerate(self.hidden_sizes):
-            check_width(f"hidden_sizes[{k}]", width)
+        self.hidden_sizes = check_hidden_sizes(self.hidden_sizes)
         check_width("latent_dim", self.latent_dim)
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         check_training(self.learning_rate, self.epochs)
-        self.hidden_sizes = tuple(int(h) for h in self.hidden_sizes)
 
     @classmethod
     def fit_group(cls, detectors, templates):
@@ -336,7 +315,6 @@ class VariationalAutoencoder(Detector):
         ])
         mask = width_mask(widths)
         opt = Adam(net.flat, learning_rate=shared.learning_rate)
-        errors: list = [None] * len(detectors)
         n_subjects, m, d = X.shape
         batch = shared.batch_size
         buffers = {
@@ -344,13 +322,12 @@ class VariationalAutoencoder(Detector):
             for n in {min(batch, m - start) for start in range(0, m, batch)}
         }
         steps = {n: _epoch(net.params, net.grads, *b, widths, mask) for n, b in buffers.items()}
-        with np.errstate(all="ignore"):
-            for epoch, n in _draws(rngs, X, batch, shared.epochs, buffers):
-                if note_failures(errors, steps[n](), epoch):
-                    break
-                opt.step(net.flat, net.grad_flat)
-        for detector, params, error in zip(detectors, net.unstack(), errors):
-            detector.params_ = params if error is None else None
+        errors = train(
+            ((epoch, steps[n]) for epoch, n in _draws(rngs, X, batch, shared.epochs, buffers)),
+            partial(opt.step, net.flat, net.grad_flat),
+            len(detectors),
+        )
+        net.unstack(detectors, errors)
         return errors
 
     def score_all(self, queries: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ class FeatureError(KeygaitError):
 
 
 class TrainingError(KeygaitError):
-    """Detector training produced a non-finite loss or invalid state."""
+    """Detector training produced an infinite or NaN loss, or invalid state."""
 
 
 class ScoreNormError(KeygaitError):

@@ -388,6 +388,35 @@ class TestDatasetRoundTrip:
         problems = inline[1].splitlines()[1:]
         assert [line.split(": ")[0] for line in problems] == named[:3] + [f"{manifest}:201"] + named[3:]
 
+    @pytest.mark.parametrize("forked", [False, True], ids=["inline", "forked"])
+    def test_load_warning_names_its_file(self, tmp_path, monkeypatch, forked):
+        if forked and not _processes._CAN_FORK:
+            pytest.skip("no fork here, or Python 3.12+, which warns when a process holding threads forks")
+        # 12 subjects of 24 samples: 288 files, three blocks of at most 128
+        config = SynthConfig(n_subjects=12, shift_drop=0.05, shift_transpose=0.03, capslock_sub=0.02, seed=0)
+        root = tmp_path / "ds"
+        write_dataset(generate_synthetic(config)[0], root)
+        assert len(list(root.glob("*/*.txt"))) == 288
+        subject_id, sample_id = (root / "manifest.tsv").read_text().splitlines()[-1].split("\t")[:2]
+        path = root / subject_id / f"{sample_id}.txt"
+        # the last block's last file loses its final release
+        text = path.read_text()
+        assert text.splitlines()[-1].startswith("R ")
+        path.write_text(text[: text.rstrip("\n").rindex("\n") + 1])
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            read_sequence(path.read_text())
+        [expected] = alone
+        monkeypatch.setattr(_processes, "_CAN_FORK", forked)
+        # three shares, so two children, whatever the CPUs of this machine
+        monkeypatch.setattr(datasets, "cpu_count", lambda: 3 if forked else 1)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            load_dataset(root)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (UnreleasedKeyWarning, f"{path}: {expected.message}")
+        ]
+
     def test_event_file_longer_than_one_read_loads_whole(self, tmp_path):
         # 6,000 keystrokes serialize to far more than one 64 KiB os.read
         sequence = seq([("a", 10 * i, 10 * i + 5) for i in range(6000)])

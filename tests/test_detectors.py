@@ -3,6 +3,7 @@ import json
 import re
 import warnings
 from dataclasses import replace
+from itertools import repeat
 from typing import get_type_hints
 
 import numpy as np
@@ -385,6 +386,8 @@ def test_setting_that_would_train_another_model_is_an_error(cls, name, value, bo
         (VariationalAutoencoder, {"hidden_sizes": (10001, 5)}, "hidden_sizes[0] must be at most 10000, got 10001"),
         (VariationalAutoencoder, {"latent_dim": 10**12}, "latent_dim must be at most 10000, got 1000000000000"),
         (VariationalAutoencoder, {"latent_dim": 0}, "latent_dim must be positive, got 0"),
+        (TiedAutoencoder, {"hidden_sizes": ()}, "hidden_sizes needs at least one hidden layer"),
+        (VariationalAutoencoder, {"hidden_sizes": ()}, "hidden_sizes needs at least one hidden layer"),
     ],
     ids=lambda v: v.__name__ if isinstance(v, type) else None,
 )
@@ -427,7 +430,7 @@ class TestStackedTraining:
         X, widths = _nn.stack_templates(Xs)
         self._check(
             per_subject,
-            lambda net: ae._stacked_loss_and_grads(net.params, net.grads, X, widths),
+            lambda net: ae._epoch(net.params, net.grads, X, widths)(),
             lambda s, params: ae.loss_and_grads(params, Xs[s]),
         )
 
@@ -440,7 +443,7 @@ class TestStackedTraining:
         mask = _nn.width_mask(widths)
         self._check(
             per_subject,
-            lambda net: vae._stacked_loss_and_grads(net.params, net.grads, X, eps, widths, mask),
+            lambda net: vae._epoch(net.params, net.grads, X, eps, widths, mask)(),
             lambda s, params: vae.loss_and_grads(params, Xs[s], eps[s]),
         )
 
@@ -506,6 +509,51 @@ class TestStackedTraining:
         group = [TiedAutoencoder(epochs=1, seed=0), TiedAutoencoder(epochs=2, seed=1)]
         with pytest.raises(ValueError, match="agree on hidden_sizes, learning_rate, epochs$"):
             TiedAutoencoder.fit_group(group, Xs)
+
+
+class TestTrain:
+    """`_nn.train`, the one loop every network fits through, on a fake
+    step: subject 1's loss turns non-finite at epoch 2, subject 0's at 4
+    (and the mirror case)."""
+
+    def _train(self, losses, n):
+        """The errors, the epochs stepped, the updates run and the pair
+        the loop left unread, over 10 epochs of ``losses(epoch)``."""
+        stepped, updates, states = [], [], []
+
+        def step():
+            stepped.append(len(stepped))
+            states.append(np.geterr())
+            return losses(stepped[-1])
+
+        pairs = zip(range(10), repeat(step))
+        with np.errstate(all="raise"):
+            errors = _nn.train(pairs, lambda: updates.append(None), n)
+            assert set(np.geterr().values()) == {"raise"}
+        assert all(set(state.values()) == {"ignore"} for state in states)
+        return errors, stepped, len(updates), next(pairs, (None,))[0]
+
+    @pytest.mark.parametrize("as_losses", [tuple, np.array], ids=["tuple", "array"])
+    @pytest.mark.parametrize("order", [1, -1], ids=["last-fails-first", "first-fails-first"])
+    def test_each_subject_fails_at_its_first_non_finite_loss(self, as_losses, order):
+        errors, stepped, updates, unread = self._train(
+            lambda e: as_losses([1.0 if e < 4 else np.nan, 2.0 if e < 2 else (np.inf if e == 2 else np.nan)][::order]),
+            2,
+        )
+        assert [type(e) for e in errors] == [TrainingError, TrainingError]
+        assert [str(e) for e in errors][::order] == ["non-finite loss at epoch 4", "non-finite loss at epoch 2"]
+        # no update in the epoch where the last subject failed, no step after it
+        assert (stepped, updates, unread) == ([0, 1, 2, 3, 4], 4, 5)
+
+    def test_a_group_of_one_fails_the_same_way(self):
+        # the contractive autoencoder's step returns a 1-tuple
+        errors, stepped, updates, unread = self._train(lambda e: (1.0 if e < 4 else np.nan,), 1)
+        assert [str(e) for e in errors] == ["non-finite loss at epoch 4"]
+        assert (stepped, updates, unread) == ([0, 1, 2, 3, 4], 4, 5)
+
+    def test_a_finite_fit_runs_every_step(self):
+        errors, stepped, updates, unread = self._train(lambda e: (1.0, 2.0), 2)
+        assert (errors, stepped, updates, unread) == ([None, None], list(range(10)), 10, None)
 
 
 class TestProjection:
