@@ -10,13 +10,16 @@ units run once for the stack, and contractions over the feature width
 run per subject on the unpadded slice (`width_matmul`).
 
 The contractive autoencoder trains its subjects one after another, each
-as a group of one: stacked, each (subjects, d, 400) weight array of 10
-subjects is ~1.6 MB and overflows L2, and a padded stack ran at
-0.67-0.82x that speed and was not bit-exact. Its weight is stored as
-(d, hidden), the layout in which every product of its epoch reads
-contiguous memory. Within a process every fit here runs on one core; the
-pipeline uses more by dealing the subjects into strided shares, one
-process each (``evaluation.raw_scores``).
+as a stack of one in `StackedParams`: stacked, each (subjects, d, 400)
+weight array of 10 subjects is ~1.6 MB and overflows L2, and a padded
+stack ran at 0.67-0.82x that speed and was not bit-exact. Its weight is
+stored as (d, hidden), the layout in which every product of its epoch
+reads contiguous memory. Every network thus keeps its parameters in one
+store, steps them in place (`StackedParams.descend`, or `Adam` on the
+same flat buffer) and hands them back through `StackedParams.unstack`.
+Within a process every fit here runs on one core; the pipeline uses more
+by dealing the subjects into strided shares, one process each
+(``evaluation.raw_scores``).
 
 An epoch makes dozens of numpy calls on arrays of tens to hundreds of
 elements, so its cost is the calls, not the arithmetic. Each network's
@@ -166,18 +169,24 @@ class StackedParams:
         self.params = _like(per_subject[0], unflatten(self.flat, shapes))
         self.grads = _like(per_subject[0], unflatten(self.grad_flat, shapes))
 
+    def descend(self, learning_rate: float) -> None:
+        """One plain gradient step of every parameter: ``flat -= lr * grad``,
+        with the product written over the gradients."""
+        self.flat -= np.multiply(learning_rate, self.grad_flat, out=self.grad_flat)
+
+    def subject(self, s: int, stacked: Params) -> Params:
+        """Subject ``s``'s unpadded views into ``stacked`` (``params`` or
+        ``grads``)."""
+        own = leaves(self.per_subject[s])
+        return _like(stacked, [t[s][_unpadded(a)] for t, a in zip(leaves(stacked), own)])
+
     def unstack(self, detectors: Sequence[Detector], errors: Sequence[TrainingError | None]) -> None:
         """Copy each subject's slice back into its own tensors and give them
         to its detector as ``params_``, None where its fit failed."""
         for s, (detector, params, error) in enumerate(zip(detectors, self.per_subject, errors)):
-            for a, t in zip(leaves(params), leaves(self.params)):
-                a[...] = t[s][_unpadded(a)]
+            for a, t in zip(leaves(params), leaves(self.subject(s, self.params))):
+                a[...] = t
             detector.params_ = params if error is None else None
-
-    def subject_grads(self, s: int) -> Params:
-        """Subject ``s``'s gradients, unpadded."""
-        own = leaves(self.per_subject[s])
-        return _like(self.grads, [g[s][_unpadded(a)] for g, a in zip(leaves(self.grads), own)])
 
 
 def train(

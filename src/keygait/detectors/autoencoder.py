@@ -145,7 +145,7 @@ def loss_and_grads(params: Params, X: np.ndarray) -> tuple[float, Params]:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     net = StackedParams([params])
     loss = _epoch(net.params, net.grads, X[None], [X.shape[1]])()
-    return float(loss[0]), net.subject_grads(0)
+    return float(loss[0]), net.subject(0, net.grads)
 
 
 @dataclass(eq=False)
@@ -179,11 +179,9 @@ class TiedAutoencoder(Detector):
             for d, w in zip(detectors, widths)
         ])
         step = _epoch(net.params, net.grads, X, widths)
-
-        def update() -> None:
-            net.flat -= np.multiply(shared.learning_rate, net.grad_flat, out=net.grad_flat)
-
-        errors = train(zip(range(shared.epochs), repeat(step)), update, len(detectors))
+        errors = train(
+            zip(range(shared.epochs), repeat(step)), partial(net.descend, shared.learning_rate), len(detectors)
+        )
         net.unstack(detectors, errors)
         return errors
 

@@ -17,19 +17,23 @@ G = (G_y W) S + 2 lambda S^2 (1 - 2h) r carries the penalty's path
 through h, so grad_W = [G_y; X]^T [H; G] + W c with
 c_i = 2 lambda (sum_rows S^2)_i scaling each column of W.
 
-Every array of an epoch is one of `gradient_buffers`, made once per
-subject's fit; `_epoch` unpacks them and copies X into ``left`` once.
+Each subject fits as a stack of one in `_nn.StackedParams`, the one
+parameter store of the three networks: `_epoch` allocates its working
+arrays and copies X into ``left`` once per fit, `StackedParams.descend`
+takes each gradient step and `StackedParams.unstack` hands back
+``params_``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
-from ._nn import logistic, sigmoid, train, xavier_uniform
+from ._nn import StackedParams, logistic, sigmoid, train, xavier_uniform
 from .base import Detector, as_matrix, check_training, check_width
 
 Params = dict[str, np.ndarray]
@@ -59,39 +63,24 @@ def contractive_penalty(params: Params, X: np.ndarray) -> float:
     return float(((S**2) * r).sum())
 
 
-def gradient_buffers(params: Params, n_rows: int) -> Params:
-    """Arrays for `loss_and_grads` to fill over a batch of ``n_rows``: one
-    per parameter, plus the epoch's working arrays under other keys."""
-    d, hidden = params["W"].shape
-    shapes = {
-        "left": (2 * n_rows, d),  # [G_y; X]
-        "right": (2 * n_rows, hidden),  # [H; G]
-        "Y": (n_rows, d),
-        **dict.fromkeys(("S", "S2", "P"), (n_rows, hidden)),
-        "r": hidden,
-        "c": hidden,
-        "scratch": (d, hidden),
-    }
-    return {k: np.empty_like(v) for k, v in params.items()} | {
-        k: np.empty(shape) for k, shape in shapes.items()
-    }
-
-
 def _epoch(
-    params: Params, X: np.ndarray, reg_weight: float, grads: Params
+    params: Params, grads: Params, X: np.ndarray, reg_weight: float
 ) -> Callable[[], tuple[float]]:
     """The loss and gradients over the batch ``X`` as a function of no
-    arguments: each call returns the loss from the current parameters, as
-    the 1-tuple of a group of one (see `_nn.train`), and writes every array
-    of the epoch into ``grads`` (from `gradient_buffers`), which are
-    unpacked once, here, as is the copy of X into ``left``. The caller
-    ignores overflow (see `logistic`)."""
+    arguments, for the stacks of one ``params`` and ``grads`` of a
+    `StackedParams`: each call returns the loss from the current
+    parameters, as the 1-tuple of a group of one (see `_nn.train`), and
+    writes the gradients into ``grads``. Every working array is allocated,
+    and X copied into ``left``, once, here. The caller ignores overflow
+    (see `logistic`)."""
     m = X.shape[0]
-    W, bh, by = params["W"], params["bh"], params["by"]
-    left, right, Y, S, S2, P, r, c, scratch = (
-        grads[k] for k in ("left", "right", "Y", "S", "S2", "P", "r", "c", "scratch")
-    )
-    grad_W, grad_bh, grad_by = grads["W"], grads["bh"], grads["by"]
+    W, bh, by = (params[k][0] for k in ("W", "bh", "by"))
+    grad_W, grad_bh, grad_by = (grads[k][0] for k in ("W", "bh", "by"))
+    d, hidden = W.shape
+    left, right = np.empty((2 * m, d)), np.empty((2 * m, hidden))  # [G_y; X], [H; G]
+    Y, scratch = np.empty((m, d)), np.empty((d, hidden))
+    S, S2, P = (np.empty((m, hidden)) for _ in range(3))
+    r, c = np.empty(hidden), np.empty(hidden)
     gv, H, G = left[:m], right[:m], right[m:]
     left[m:] = X
     leftT, WT = left.T, W.T
@@ -127,18 +116,15 @@ def _epoch(
     return step
 
 
-def loss_and_grads(
-    params: Params, X: np.ndarray, reg_weight: float, grads: Params | None = None
-) -> tuple[float, Params]:
-    """Loss and gradients over the batch ``X``, written into ``grads``
-    (from `gradient_buffers`, fresh ones when None): the first call of an
-    `_epoch`, which a fit builds once and calls every epoch."""
+def loss_and_grads(params: Params, X: np.ndarray, reg_weight: float) -> tuple[float, Params]:
+    """Loss over the batch ``X`` and its gradients with respect to every
+    parameter: the first call of an `_epoch`, which a fit builds once and
+    calls every epoch."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if grads is None:
-        grads = gradient_buffers(params, X.shape[0])
+    net = StackedParams([params])
     with np.errstate(over="ignore"):
-        [loss] = _epoch(params, X, reg_weight, grads)()
-    return loss, grads
+        [loss] = _epoch(net.params, net.grads, X, reg_weight)()
+    return loss, net.subject(0, net.grads)
 
 
 @dataclass(eq=False)
@@ -160,24 +146,20 @@ class ContractiveAutoencoder(Detector):
 
     @classmethod
     def fit_group(cls, detectors, templates):
-        """Fit each subject through `_nn.train` as a group of one, one after
+        """Fit each subject through `_nn.train` as a stack of one, one after
         another; one whose loss turns non-finite fails alone. To use more
         cores, the pipeline deals the subjects into strided shares, one
         process each (``fit_across_processes``)."""
         errors = []
         for detector, X in zip(detectors, map(as_matrix, templates)):
-            params = init_params(np.random.default_rng(detector.seed), X.shape[1], detector.hidden_dim)
-            grads = gradient_buffers(params, X.shape[0])
-            step = _epoch(params, X, detector.reg_weight, grads)
-            updates = [(p, grads[name]) for name, p in params.items()]
-
-            def update() -> None:
-                for p, g in updates:
-                    p -= np.multiply(g, detector.learning_rate, out=g)
-
-            [error] = train(zip(range(detector.epochs), repeat(step)), update, 1)
-            detector.params_ = params if error is None else None
-            errors.append(error)
+            net = StackedParams([
+                init_params(np.random.default_rng(detector.seed), X.shape[1], detector.hidden_dim)
+            ])
+            step = _epoch(net.params, net.grads, X, detector.reg_weight)
+            errors += train(
+                zip(range(detector.epochs), repeat(step)), partial(net.descend, detector.learning_rate), 1
+            )
+            net.unstack([detector], errors[-1:])
         return errors
 
     def score_all(self, queries: np.ndarray) -> np.ndarray:

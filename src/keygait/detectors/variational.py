@@ -279,7 +279,7 @@ def loss_and_grads(
     widths = [X.shape[1]]
     with np.errstate(over="ignore"):
         loss = _epoch(net.params, net.grads, X[None], eps[None], widths, width_mask(widths))()
-    return float(loss[0]), net.subject_grads(0)
+    return float(loss[0]), net.subject(0, net.grads)
 
 
 @dataclass(eq=False)

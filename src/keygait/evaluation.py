@@ -245,9 +245,7 @@ def _fit_subjects(
     return fitted
 
 
-def raw_scores(
-    prepared: list[PreparedSubject], config: PipelineConfig, _workers: int | None = None
-) -> list[list[np.ndarray]]:
+def raw_scores(prepared: list[PreparedSubject], config: PipelineConfig) -> list[list[np.ndarray]]:
     """Stage 2: per member of the configured detector (or the single
     detector), per subject, the raw score of every query, from the fits of
     ``_fit_subjects`` and one ``score_all`` per subject; ``SENTINEL_SCORE``
@@ -255,16 +253,15 @@ def raw_scores(
 
     When a member's class sets ``fit_across_processes`` (the three
     networks), the subjects are dealt into ``n`` strided shares
-    ``prepared[k::n]``, one per CPU in this process's affinity mask
-    (``_workers``, for tests, overrides that count) up to one per subject,
-    and ``_processes.across_processes`` fits share 0 here and each other
-    share in a forked child; every score is computed here, and no byte
-    depends on ``n``. An exception from a fit is raised here as it would
+    ``prepared[k::n]``, one per CPU in this process's affinity mask up to
+    one per subject, and ``_processes.across_processes`` fits share 0 here
+    and each other share in a forked child; every score is computed here,
+    and no byte depends on ``n``. An exception from a fit is raised here as it would
     be inline."""
     singles = config.detector.singles()
     n = 1  # shares, share k holding the subjects prepared[k::n]
     if any(build_detector(m).fit_across_processes for m in singles):
-        n = max(1, min(cpu_count() if _workers is None else _workers, len(prepared)))
+        n = max(1, min(cpu_count(), len(prepared)))
     fitted = across_processes(partial(_fit_subjects, config=config), [prepared[k::n] for k in range(n)])
     members = [[np.full(len(p.query_ids), SENTINEL_SCORE) for p in prepared] for _ in singles]
     for k, share in enumerate(fitted):  # share k holds subjects k, k + n, ...

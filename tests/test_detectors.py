@@ -415,7 +415,7 @@ class TestStackedTraining:
         for s, params in enumerate(per_subject):
             expected_loss, expected = single(s, params)
             assert loss[s] == pytest.approx(expected_loss, rel=1e-12)
-            got = _nn.leaves(net.subject_grads(s))
+            got = _nn.leaves(net.subject(s, net.grads))
             assert [g.tobytes() for g in got] == [g.tobytes() for g in _nn.leaves(expected)]
         for t, *own in zip(_nn.leaves(net.grads), *map(_nn.leaves, per_subject)):
             padding = t.copy()
@@ -510,6 +510,48 @@ class TestStackedTraining:
         with pytest.raises(ValueError, match="agree on hidden_sizes, learning_rate, epochs$"):
             TiedAutoencoder.fit_group(group, Xs)
 
+
+class TestParameterStore:
+    """The three networks keep their parameters in `_nn.StackedParams`:
+    the public gradients hold one array per parameter, and a fit hands
+    back weights that own their memory, not views of the stack."""
+
+    NAMES = ["autoencoder", "contractive", "variational"]
+
+    @pytest.mark.parametrize(
+        "init, loss_and_grads",
+        [
+            (lambda rng: ae.init_params(rng, [6, 5, 4, 3]), lambda p, X, rng: ae.loss_and_grads(p, X)),
+            (lambda rng: cae.init_params(rng, 6, 8), lambda p, X, rng: cae.loss_and_grads(p, X, 1.5)),
+            (
+                lambda rng: vae.init_params(rng, 6, (5, 5), 3),
+                lambda p, X, rng: vae.loss_and_grads(p, X, rng.standard_normal((3, 3))),
+            ),
+        ],
+        ids=NAMES,
+    )
+    def test_loss_and_grads_returns_one_gradient_per_parameter(self, init, loss_and_grads):
+        rng = np.random.default_rng(41)
+        params = init(rng)
+        _, grads = loss_and_grads(params, rng.uniform(size=(3, 6)), rng)
+
+        def shapes(p):
+            return {k: [a.shape for a in v] if isinstance(v, list) else v.shape for k, v in p.items()}
+
+        assert shapes(grads) == shapes(params)
+
+    @pytest.mark.parametrize(
+        "detector",
+        [TiedAutoencoder(epochs=20), ContractiveAutoencoder(hidden_dim=8, epochs=20), VariationalAutoencoder(epochs=20)],
+        ids=NAMES,
+    )
+    def test_fitted_weights_own_their_memory(self, detector):
+        rng = np.random.default_rng(42)
+        Xs = [rng.uniform(size=(4, w)) for w in TestStackedTraining.WIDTHS]
+        group = [replace(detector, seed=s) for s in range(len(Xs))]
+        assert type(detector).fit_group(group, Xs) == [None] * len(Xs)
+        for det in [*group, replace(detector).fit(Xs[0])]:
+            assert all(a.base is None for a in _nn.leaves(det.params_))
 
 class TestTrain:
     """`_nn.train`, the one loop every network fits through, on a fake

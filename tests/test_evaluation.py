@@ -38,6 +38,7 @@ from keygait import (
     subject_eer,
 )
 from keygait import evaluation
+from keygait._processes import across_processes
 from keygait.datasets import attach_labels, read_scores, write_scores, written_scores
 from keygait.evaluation import SENTINEL_SCORE
 from keygait.scorenorm import normalize_minmax, normalize_sd
@@ -799,9 +800,19 @@ class TestSplitFits:
         return dataset
 
     @staticmethod
-    def _raws(prepared, config):
-        """raw_scores at each worker count, checked bit-equal."""
-        runs = {w: evaluation.raw_scores(prepared, config, _workers=w) for w in TestSplitFits.WORKERS}
+    def _raws(prepared, config, monkeypatch):
+        """raw_scores at each share count, checked bit-equal."""
+        runs, shares = {}, []
+
+        def spy(fn, parts):
+            shares.append(len(parts))
+            return across_processes(fn, parts)
+
+        monkeypatch.setattr(evaluation, "across_processes", spy)
+        for w in TestSplitFits.WORKERS:
+            monkeypatch.setattr(evaluation, "cpu_count", lambda: w)
+            runs[w] = evaluation.raw_scores(prepared, config)
+        assert shares == list(TestSplitFits.WORKERS)
         assert_no_child_left()
         for w in TestSplitFits.WORKERS[1:]:
             for a, b in zip(runs[1], runs[w], strict=True):
@@ -817,11 +828,11 @@ class TestSplitFits:
         ],
         ids=["contractive", "autoencoder", "ensemble"],
     )
-    def test_raw_scores_do_not_depend_on_the_worker_count(self, small_dataset, detector):
+    def test_raw_scores_do_not_depend_on_the_worker_count(self, small_dataset, detector, monkeypatch):
         config = PipelineConfig(detector=detector)
         prepared = evaluation.prepare(small_dataset, config)
         assert len({p.template_matrix.shape[0] for p in prepared}) == 1  # one group of 6
-        self._raws(prepared, config)
+        self._raws(prepared, config, monkeypatch)
 
     @pytest.mark.parametrize(
         "detector",
@@ -833,17 +844,17 @@ class TestSplitFits:
         ],
         ids=["variational", "ensemble"],
     )
-    def test_shares_of_two_groups_and_a_failed_subject_keep_the_bits(self, mixed_dataset, detector):
+    def test_shares_of_two_groups_and_a_failed_subject_keep_the_bits(self, mixed_dataset, detector, monkeypatch):
         config = PipelineConfig(detector=detector)
         prepared = evaluation.prepare(mixed_dataset, config)
         counts = [None if p.template_matrix is None else p.template_matrix.shape[0] for p in prepared]
         assert counts == [4, 4, 3, 3, 4, None]
-        for member in self._raws(prepared, config)[1]:
+        for member in self._raws(prepared, config, monkeypatch)[1]:
             assert all(np.isfinite(scores).all() for scores in member[:5])
             assert (member[5] == SENTINEL_SCORE).all()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_a_failed_fit_fails_alike_in_every_split(self, small_dataset):
+    def test_a_failed_fit_fails_alike_in_every_split(self, small_dataset, monkeypatch):
         config = PipelineConfig(detector=self.CONTRACTIVE)
         prepared = evaluation.prepare(small_dataset, config)
         prepared[2] = replace(prepared[2], template_matrix=prepared[2].template_matrix.copy())
@@ -859,7 +870,7 @@ class TestSplitFits:
                 assert [d.params_ is None for d, _ in fits] == [i == 2 for i in indices]
         records = {
             w: _record_bits(evaluation.normalize_scores(prepared, raws, config))
-            for w, raws in self._raws(prepared, config).items()
+            for w, raws in self._raws(prepared, config, monkeypatch).items()
         }
         assert records[1] == records[2] == records[3]
         assert {r[0] for r in records[1] if r[5]} == {prepared[2].subject_id}
@@ -872,8 +883,9 @@ class TestSplitFits:
         prepared = evaluation.prepare(small_dataset, config)
         monkeypatch.setattr(ContractiveAutoencoder, "fit_group", classmethod(fail))
         for w in self.WORKERS:
+            monkeypatch.setattr(evaluation, "cpu_count", lambda: w)
             with pytest.raises(TrainingError) as info:
-                evaluation.raw_scores(prepared, config, _workers=w)
+                evaluation.raw_scores(prepared, config)
             assert type(info.value) is TrainingError and str(info.value) == "no fit today"
             assert_no_child_left()
 
