@@ -20,6 +20,7 @@ import keygait
 from keygait import load_dataset, write_dataset
 from keygait.cli import build_parser, main
 
+import runtime_checks
 from oracles import seq
 
 
@@ -173,21 +174,10 @@ class TestEerCommand:
         for name in ("metrics.tsv", "roc.tsv", "score_hist.csv"):
             assert (tmp_path / "eer" / name).is_file()
 
-    @pytest.mark.parametrize("h_s", [[], ["--h-s", "1e15"]], ids=["default", "h_s-1e15"])
-    def test_writes_what_evaluate_wrote_from_its_scores(self, tmp_path, capsys, h_s):
-        # evaluate's metrics come from the 6-decimal scores it writes: at
-        # --h-s 1e15 every written score is 0.500000, whatever the floats
-        data, run, eer = tmp_path / "data", tmp_path / "run", tmp_path / "eer"
-        perturbed = ["--shift-drop", "0.05", "--shift-transpose", "0.03", "--capslock-sub", "0.02"]
-        assert main(["synth", "--out", str(data), "--subjects", "3", *perturbed]) == 0
-        capsys.readouterr()
-        assert main(["evaluate", "--data", str(data), "--out", str(run), *h_s]) == 0
-        evaluated = capsys.readouterr().out
-        argv = ["eer", "--scores", str(run / "scores.tsv"), "--labels", str(data / "ground_truth.tsv")]
-        assert main([*argv, "--out", str(eer)]) == 0
-        assert capsys.readouterr().out.splitlines()[0] == evaluated.strip()
-        for name in ("metrics.tsv", "roc.tsv", "score_hist.csv"):
-            assert (run / name).read_bytes() == (eer / name).read_bytes(), name
+    # 2 is the default --h-s; at 1e15 every written score is 0.500000
+    @pytest.mark.parametrize("h_s", ["2", "1e15"], ids=["default", "h_s-1e15"])
+    def test_writes_what_evaluate_wrote_from_its_scores(self, tmp_path, h_s):
+        runtime_checks.evaluate_matches_eer(tmp_path, (h_s,))
 
     @pytest.mark.parametrize(
         "score_rows, label_rows, message",
@@ -380,13 +370,8 @@ class TestResolutionCommand:
         assert main(["resolution", "--data", str(root)]) == 1
         assert "resolution indeterminate" in capsys.readouterr().err
 
-    def test_millisecond_true_clock_is_one_error_line(self, tmp_path, capsys):
-        root = tmp_path / "continuous"
-        assert main(["synth", "--out", str(root), "--subjects", "3"]) == 0
-        capsys.readouterr()
-        assert main(["resolution", "--data", str(root)]) == 1
-        captured = capsys.readouterr()
-        assert captured.err == "error: resolution indeterminate\n" and captured.out == ""
+    def test_millisecond_true_clock_is_one_error_line(self, tmp_path):
+        runtime_checks.resolution(tmp_path)
 
     def test_data_is_the_only_setting(self, tmp_path):
         args = build_parser().parse_args(["resolution", "--data", str(tmp_path)])

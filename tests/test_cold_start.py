@@ -7,7 +7,8 @@ resolution estimator load no scipy module, and the sigmoid detectors fit
 and evaluate with scipy blocked outright. The package forks with
 ``os.fork`` alone (``_processes.across_processes``) and never imports
 ``multiprocessing`` or ``concurrent.futures``, so neither the import nor
-a Manhattan pipeline loads them.
+a Manhattan pipeline loads them. ``runtime_checks`` imports with scipy,
+pytest and hypothesis all blocked, as CI runs it without the test extra.
 """
 
 import os
@@ -80,3 +81,19 @@ assert main(["evaluate", "--data", "b", "--out", "r", "--detector", "variational
         cwd=tmp_path,
     )
     assert (tmp_path / "r" / "metrics.tsv").is_file()
+
+
+def test_runtime_checks_run_without_the_test_extra(tmp_path):
+    # the local twin of CI's numpy-only venv: runtime_checks imports none
+    # of the test extra, and its cheapest check runs
+    _run(
+        f"""
+for name in ("scipy", "pytest", "hypothesis"):
+    sys.modules[name] = None
+sys.path.insert(0, {str(Path(__file__).resolve().parent)!r})
+from pathlib import Path
+import runtime_checks
+runtime_checks.reps_huge(Path.cwd())
+""",
+        cwd=tmp_path,
+    )

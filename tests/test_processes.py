@@ -57,6 +57,24 @@ def test_share_0_runs_here_and_each_other_in_a_child_of_its_own():
     assert len(set(pids)) == 4
 
 
+@forks
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity here")
+def test_cpu_count_reads_the_affinity_mask():
+    assert _processes.cpu_count() == len(os.sched_getaffinity(0))
+    # a forked child pinned to one CPU exits with what cpu_count gives it
+    cpu = min(os.sched_getaffinity(0))
+    pid = os.fork()
+    if pid == 0:
+        count = 255
+        try:
+            os.sched_setaffinity(0, {cpu})
+            count = _processes.cpu_count()
+        finally:
+            os._exit(count)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == 1
+
+
 def test_inline_where_forking_is_off(monkeypatch):
     monkeypatch.setattr(_processes, "_CAN_FORK", False)
     assert _processes.cpu_count() == 1

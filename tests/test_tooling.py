@@ -1,7 +1,12 @@
 """The benchmark tracer (perfbench/spans.py) wraps package functions and
 detector methods by name, so a traced run fails with AttributeError once a
 name it wraps is renamed or deleted. spans.py imports only the standard
-library, so it is loaded here by path, unedited."""
+library, so it is loaded here by path, unedited.
+
+The CI workflow's ``runtime`` step checks nothing itself: it installs the
+package without the test extra and runs ``tests/runtime_checks.py``, whose
+checks tier-1 runs too. The workflow is read as plain text, so this needs
+no YAML parser."""
 
 import importlib
 import importlib.util
@@ -9,7 +14,9 @@ from pathlib import Path
 
 from keygait import PipelineConfig, alignment, load_dataset, run_pipeline, write_dataset
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def _spans():
@@ -83,3 +90,32 @@ def test_tracer_times_the_parse_and_feature_path(small_dataset, tmp_path):
         load_dataset(tmp_path)
     assert tracer.calls["events.parse_raw_events"] == len(declined)
     assert tracer.calls["events.pair_events"] == len(declined)
+
+
+def _run_block(step: str) -> list[str]:
+    """The commands in the ``run: |`` block of the workflow step named
+    ``step``, without blank lines and comments."""
+    lines = WORKFLOW.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.strip() == f"- name: {step}")
+    run = next(i for i in range(start + 1, len(lines)) if lines[i].strip() == "run: |")
+    indent = len(lines[run]) - len(lines[run].lstrip())
+    commands = []
+    for line in lines[run + 1 :]:
+        if line.strip() and len(line) - len(line.lstrip()) <= indent:
+            break
+        if line.strip() and not line.strip().startswith("#"):
+            commands.append(line.strip())
+    return commands
+
+
+def test_the_runtime_step_only_installs_and_runs_the_checks_module():
+    # no cmp, test, grep or diff here: a new check goes into
+    # tests/runtime_checks.py, where tier-1 runs it as well
+    assert _run_block("runtime") == [
+        'python -m venv "$RUNNER_TEMP/runtime"',
+        '"$RUNNER_TEMP/runtime/bin/pip" install .',
+        '"$RUNNER_TEMP/runtime/bin/python" -c "import importlib.util as u, sys;'
+        " sys.exit(u.find_spec('scipy') is not None)\"",
+        '"$RUNNER_TEMP/runtime/bin/keygait" synth --out "$RUNNER_TEMP/smoke" --subjects 1',
+        '"$RUNNER_TEMP/runtime/bin/python" tests/runtime_checks.py',
+    ]
