@@ -6,9 +6,10 @@ same bytes, one CPU writes the same bytes as all of them, the CRLF and
 line-by-line reader fallbacks and shuffled score rows give the same
 scores, and each bad setting is one error line. A check runs
 ``cli.main`` in this process, with stdout and stderr captured, except
-where the process matters: the one-CPU side runs the CLI in a child
-pinned to the first CPU of this process's affinity mask, which takes
-``os.sched_setaffinity`` (Linux).
+where the process matters. A rerun runs in a fresh child, which hashes
+str under another ``PYTHONHASHSEED`` and starts with cold caches; the
+one-CPU side runs in a child pinned to the first CPU of this process's
+affinity mask, which takes ``os.sched_setaffinity`` (Linux).
 
 The module imports only the standard library and ``keygait``, so it
 runs where the package was installed without its test extra::
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import random
@@ -44,12 +46,14 @@ from keygait.events import read_sequences
 PERTURBED = ("--shift-drop", "0.05", "--shift-transpose", "0.03", "--capslock-sub", "0.02")
 NETWORKS = ("contractive", "autoencoder", "variational")
 
-# python -m keygait.cli, once the child has checked that its mask is one CPU
+# python -m keygait.cli pinned to the CPU in argv[1], before numpy starts
+# its threads, once keygait counts that one CPU
 _PINNED_CLI = """\
 import os, runpy, sys
-mask = sorted(os.sched_getaffinity(0))
-if len(mask) != 1:
-    sys.exit(f"the pinned child runs on CPUs {mask}")
+os.sched_setaffinity(0, {int(sys.argv.pop(1))})
+from keygait import _processes
+if _processes.cpu_count() != 1:
+    sys.exit(f"the pinned child counts {_processes.cpu_count()} CPUs")
 runpy.run_module("keygait.cli", run_name="__main__", alter_sys=True)
 """
 
@@ -90,19 +94,29 @@ def _tree(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-@contextlib.contextmanager
-def _pinned(*commands: tuple[object, ...]):
-    """Run each ``keygait`` command in a child of its own, pinned to the
-    first CPU of this process's mask (``os.sched_setaffinity``: Linux),
-    while the block runs; each must exit 0."""
-    cpu = min(os.sched_getaffinity(0))
+def _child_env() -> dict[str, str]:
+    """This environment, with ``keygait`` imported from where this process
+    imports it, and a ``PYTHONHASHSEED`` other than this process's."""
     package_root = str(Path(keygait.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    seed = os.environ.get("PYTHONHASHSEED", "random")
+    return {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")])),
+        "PYTHONHASHSEED": str((int(seed) + 1) % 2**32) if seed.isdigit() else "0",
+    }
+
+
+@contextlib.contextmanager
+def _children(*commands: tuple[object, ...], cpu: int | None = None):
+    """Run each ``keygait`` command in a fresh child of its own while the
+    block runs, pinned to ``cpu`` if one is given (``os.sched_setaffinity``:
+    Linux; the checks give the first CPU of this process's mask, which
+    need not be CPU 0); each must exit 0."""
+    cli = ["-m", "keygait.cli"] if cpu is None else ["-c", _PINNED_CLI, str(cpu)]
     children = [
         subprocess.Popen(
-            [sys.executable, "-c", _PINNED_CLI, *map(str, argv)],
-            preexec_fn=lambda: os.sched_setaffinity(0, {cpu}),
-            env=env,
+            [sys.executable, *cli, *map(str, argv)],
+            env=_child_env(),
             stdout=subprocess.DEVNULL,
             stderr=subprocess.PIPE,
             text=True,
@@ -121,7 +135,7 @@ def _pinned(*commands: tuple[object, ...]):
                 err = child.communicate()[1] + "\nkilled after 600 s"
             ended.append((argv[0], err, child.returncode))
     for command, err, code in ended:
-        assert code == 0, f"pinned keygait {command} exited {code}: {err}"
+        assert code == 0, f"keygait {command} in a child exited {code}: {err}"
 
 
 @contextlib.contextmanager
@@ -187,21 +201,21 @@ def _crlf(work: Path) -> Path:
     return copy
 
 
-def network_reruns(work: Path) -> str:
+def network_reruns(work: Path, detectors: tuple[str, ...] = NETWORKS) -> str:
     """The one training loop, on buffers reused across epochs, reruns to
-    the same bytes (criterion 11); pinned to one CPU it fits inline, with
-    no forked child, to the same bytes."""
+    the same scores and raw scores (criterion 11); pinned to one CPU it
+    fits inline, with no forked child, to the same bytes."""
     data, sides = _dataset(work), set()
-    pinned = [("evaluate", "--data", data, "--out", work / f"r1-{det}", "--detector", det) for det in NETWORKS]
-    with _pinned(*pinned):
-        for det in NETWORKS:
+    pinned = [("evaluate", "--data", data, "--out", work / f"r1-{det}", "--detector", det) for det in detectors]
+    with _children(*pinned, cpu=min(os.sched_getaffinity(0))):
+        for det in detectors:
             with _shares() as shares:
                 _ok("evaluate", "--data", data, "--out", work / f"r-{det}", "--detector", det)
             sides.add(_default_side(shares))
             _ok("evaluate", "--data", data, "--out", work / f"r2-{det}", "--detector", det)
-            _same(work / f"r-{det}" / "scores.tsv", work / f"r2-{det}" / "scores.tsv")
-    for det in NETWORKS:
-        _same(work / f"r-{det}" / "scores.tsv", work / f"r1-{det}" / "scores.tsv")
+    for det in detectors:
+        for rerun, name in itertools.product(("r2", "r1"), ("scores.tsv", "raw_scores.tsv")):
+            _same(work / f"r-{det}" / name, work / f"{rerun}-{det}" / name)
     return "; ".join(sorted(sides))
 
 
@@ -214,7 +228,7 @@ def twelve_subjects_pinned(work: Path) -> str:
         ("evaluate", "--data", data, "--out", work / "m12-1", "--detector", "manhattan"),
         ("audit", "--data", data, "--out", work / "audit12-1.tsv"),
     ]
-    with _pinned(*pinned):
+    with _children(*pinned, cpu=min(os.sched_getaffinity(0))):
         with _shares() as shares:
             _ok("evaluate", "--data", data, "--out", work / "m12", "--detector", "manhattan")
         sides.add(_default_side(shares))
@@ -267,15 +281,15 @@ def shuffled_score_rows(work: Path) -> None:
         _same(work / "eer-m" / name, work / "eer-r" / name)
 
 
-def evaluate_matches_eer(work: Path, h_s_values: tuple[str, ...] = ("2", "1e15")) -> None:
+def evaluate_matches_eer(work: Path, flag_sets: tuple[tuple[str, ...], ...] = ((), ("--h-s", "1e15"))) -> None:
     """``evaluate``'s metrics come from the scores it writes: ``eer`` on
     its ``scores.tsv`` prints the same ``global_eer`` and writes the same
-    metrics, ROC and histogram, also at an ``--h-s`` that writes every
-    score as 0.500000."""
+    metrics, ROC and histogram, at the default ``--h-s`` and at one that
+    writes every score as 0.500000."""
     data = _dataset(work)
-    for h_s in h_s_values:
-        run, eer = work / f"h-{h_s}", work / f"e-{h_s}"
-        evaluated = _ok("evaluate", "--data", data, "--out", run, "--h-s", h_s)
+    for flags in flag_sets:
+        run, eer = work / "-".join(("h", *flags)), work / "-".join(("e", *flags))
+        evaluated = _ok("evaluate", "--data", data, "--out", run, *flags)
         printed = _ok("eer", "--scores", run / "scores.tsv", "--labels", data / "ground_truth.tsv", "--out", eer)
         assert evaluated.splitlines() == printed.splitlines()[:1], (evaluated, printed)
         for name in ("metrics.tsv", "roc.tsv", "score_hist.csv"):
@@ -283,21 +297,27 @@ def evaluate_matches_eer(work: Path, h_s_values: tuple[str, ...] = ("2", "1e15")
 
 
 def alignment_reruns(work: Path) -> None:
-    """A rerun with the same config writes the same bytes (criterion 11),
-    under every alignment method."""
-    data = _dataset(work)
-    for method in ("align", "truncate", "discard"):
-        first, rerun = work / f"m-{method}", work / f"m2-{method}"
-        for out in (first, rerun):
-            _ok("evaluate", "--data", data, "--out", out, "--detector", "manhattan", "--method", method)
-        _same(first / "scores.tsv", rerun / "scores.tsv")
+    """A rerun with the same config, in a fresh child, writes the same
+    bytes (criterion 11), under every alignment method."""
+    data, methods = _dataset(work), ("align", "truncate", "discard")
+
+    def argv(method: str, out: Path) -> tuple[object, ...]:
+        return ("evaluate", "--data", data, "--out", out, "--detector", "manhattan", "--method", method)
+
+    with _children(*(argv(method, work / f"m2-{method}") for method in methods)):
+        for method in methods:
+            _ok(*argv(method, work / f"m-{method}"))
+    for method in methods:
+        _same(work / f"m-{method}" / "scores.tsv", work / f"m2-{method}" / "scores.tsv")
 
 
 def validate_reruns(work: Path) -> None:
     """``validate`` realigns the same key-name pairs in every repetition,
-    from memoized mappings; a rerun writes the same bytes (criterion 11)."""
-    for run in ("val1", "val2"):
-        _ok("validate", "--data", _dataset(work), "--reps", "3", "--out", work / run)
+    from memoized mappings; a rerun in a fresh child writes the same bytes
+    (criterion 11)."""
+    argv = ("validate", "--data", _dataset(work), "--reps", "3", "--out")
+    with _children((*argv, work / "val2")):
+        _ok(*argv, work / "val1")
     for name in ("reps.tsv", "metrics.tsv"):
         _same(work / "val1" / name, work / "val2" / name)
 
@@ -341,11 +361,13 @@ def reps_huge(work: Path) -> None:
 
 
 def victim_synth_reruns(work: Path) -> None:
-    """A victim-sourced impostor is drawn as a genuine query; a rerun
-    writes the same bytes."""
-    for run in ("v1", "v2"):
-        _ok("synth", "--out", work / run, "--subjects", "3", "--impostor-source", "victim", *PERTURBED)
-    assert _tree(work / "v1") == _tree(work / "v2")
+    """A victim-sourced impostor is drawn as a genuine query; a rerun in a
+    fresh child writes the same bytes."""
+    argv = ("--subjects", "3", "--impostor-source", "victim", *PERTURBED)
+    with _children(("synth", "--out", work / "v2", *argv)):
+        _ok("synth", "--out", work / "v1", *argv)
+    first, rerun = _tree(work / "v1"), _tree(work / "v2")
+    assert first == rerun, f"v1 and v2 differ in {sorted(k for k in first.keys() | rerun.keys() if first.get(k) != rerun.get(k))}"
 
 
 def name_length_error(work: Path) -> None:
