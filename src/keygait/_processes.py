@@ -1,18 +1,19 @@
-"""The package's one way to use more than one CPU: run a list of shares
-of work, each in its own process.
+"""The package's one way to use more than one CPU.
 
-``across_processes(fn, shares)`` is ``[fn(share) for share in shares]``.
-The caller runs share 0 itself, and each other share runs in a child
-made by ``os.fork``, so neither ``fn`` nor a share is ever pickled. A
-child pickles what ``fn`` returned, or the exception it raised, into a
-pipe and leaves by ``os._exit``; the caller unpickles each child's
-payload straight from its pipe, in share order. No child outlives the
-call.
+``across_processes(fn, items)`` is ``fn(items)``, for an ``fn`` that
+maps a list to one result per item, each result depending on its item
+alone. The items are dealt into ``n = min(cpu_count(), len(items))``
+strided shares, share ``k`` holding ``items[k::n]``. The caller runs
+``fn`` on share 0 itself, and on each other share in a child made by
+``os.fork``, so neither ``fn`` nor an item is ever pickled. A child
+pickles what ``fn`` returned, or the exception it raised, into a pipe
+and leaves by ``os._exit``; the caller unpickles each child's payload
+straight from its pipe, in share order, and puts the results back in
+item order, so no result depends on ``n``. No child outlives the call.
 
 Forking is quiet only before Python 3.12, which warns when a process
 that holds threads (OpenBLAS keeps its own) forks. There, and where
-there is no fork, every share runs inline and ``cpu_count`` is 1, so
-callers make one share.
+there is no fork, ``cpu_count`` is 1 and every call runs inline.
 """
 
 from __future__ import annotations
@@ -20,18 +21,17 @@ from __future__ import annotations
 import os
 import pickle
 import sys
-from typing import BinaryIO, Callable, Sequence, TypeVar
+from typing import BinaryIO, Callable, TypeVar
 
 _CAN_FORK = hasattr(os, "fork") and sys.version_info < (3, 12)
 
-S = TypeVar("S")
+T = TypeVar("T")
 R = TypeVar("R")
 
 
 def cpu_count() -> int:
     """The shares worth running at once: one per CPU in this process's
-    affinity mask, or 1 where ``across_processes`` runs every share
-    inline."""
+    affinity mask, or 1 where ``across_processes`` runs inline."""
     if not _CAN_FORK:
         return 1
     if hasattr(os, "sched_getaffinity"):
@@ -39,7 +39,7 @@ def cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _run_child(fn: Callable[[S], R], share: S, write_fd: int, inherited: list[BinaryIO]) -> None:
+def _run_child(fn: Callable[[list], list], share: list, write_fd: int, inherited: list[BinaryIO]) -> None:
     """In a forked child: pickle ``fn(share)``, or what it raised, into
     the pipe's ``write_fd``, then end the process without running any of
     the caller's cleanup; exit status 1 where the payload could not be
@@ -61,19 +61,21 @@ def _run_child(fn: Callable[[S], R], share: S, write_fd: int, inherited: list[Bi
         os._exit(status)
 
 
-def across_processes(fn: Callable[[S], R], shares: Sequence[S]) -> list[R]:
-    """``[fn(share) for share in shares]``, share 0 run here and each other
-    share in a forked child; inline where forking is off or there is one
-    share.
+def across_processes(fn: Callable[[list[T]], list[R]], items: list[T]) -> list[R]:
+    """``fn(items)``, one share of the items here and each other in a
+    forked child, as the module docstring deals them; ``fn(items)``
+    inline where forking is off or there would be fewer than 2 shares.
 
     A child's exception is raised here as raised, the first in share
     order, after share 0's own. A child that ends without a whole payload
-    raises ``ChildProcessError`` naming its exit status. Every child is
-    reaped before this returns or raises, and any still running is killed
-    when this raises.
+    raises ``ChildProcessError`` naming its share and exit status. Every
+    child is reaped before this returns or raises, and any still running
+    is killed when this raises.
     """
-    if not _CAN_FORK or len(shares) < 2:
-        return [fn(share) for share in shares]
+    n = min(cpu_count(), len(items))
+    if not _CAN_FORK or n < 2:
+        return fn(items)
+    shares = [items[k::n] for k in range(n)]
     children: list[tuple[int, BinaryIO]] = []  # (pid, the read end of its pipe)
     try:
         for share in shares[1:]:
@@ -104,7 +106,6 @@ def across_processes(fn: Callable[[S], R], shares: Sequence[S]) -> list[R]:
             if raised:
                 raise value
             results.append(value)
-        return results
     except BaseException:
         # imported here, as only this path needs it: the module costs 128 kB
         from signal import SIGKILL
@@ -116,3 +117,7 @@ def across_processes(fn: Callable[[S], R], shares: Sequence[S]) -> list[R]:
         for pid, pipe in children:
             pipe.close()
             os.waitpid(pid, 0)
+    in_order: list = [None] * len(items)
+    for k, result in enumerate(results):
+        in_order[k::n] = result  # share k's results back at items k, k + n, ...
+    return in_order

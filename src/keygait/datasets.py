@@ -22,15 +22,17 @@ named as such.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
+import stat
 import warnings
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ._processes import across_processes, cpu_count
+from ._processes import across_processes
 from .errors import DatasetError, KeygaitError
 from .events import (
     KeystrokeSequence,
@@ -63,14 +65,15 @@ def load_dataset(root: str | Path) -> SubjectDataset:
     labeled impostor is reported only once its file has read, so a file
     problem on that row comes first. Samples are then built unchecked
     (``Sample._of``). Event files are read in blocks
-    of 128, dealt into one share per CPU: each share's files are read, and
-    each block goes through the block reader (``events._read_columns``)
-    at once, in a process of its own, the first share in this one. The
-    sequences are built here, and each file the block reader declines
-    (any form other than the one ``write_dataset`` writes, or an invalid
-    capture) goes through ``events.read_sequence``, which gives the same
-    sequences and every error message and warning. No byte of the result
-    depends on the CPU count.
+    of 128, each block's files read and put through the block reader
+    (``events._read_columns``) at once, the blocks spread across
+    processes by ``_processes.across_processes``. The sequences are built
+    here, and each file the block reader declines (any form other than
+    the one ``write_dataset`` writes, or an invalid capture) goes through
+    ``events.read_sequence``, which gives the same sequences and every
+    error message and warning. An event path that is a FIFO or a device
+    is an error, as a directory is, and is never read. No byte of the
+    result depends on the CPU count.
 
     All malformed samples are collected and reported together, in manifest
     order, so one bad file does not hide the rest.
@@ -161,21 +164,16 @@ def _read_captures(
     ``prefix + "<subject_id>/<sample_id>.txt"``, or the error reading,
     decoding, parsing or pairing it raised, in order.
 
-    The blocks are dealt into one share per CPU, and
-    ``_processes.across_processes`` reads each share's blocks
-    (``_read_block``) in a process of its own; the sequences are built
-    here, each declined file read here by ``read_sequence``, whose
-    warnings are issued again with the file's ``Path`` spelling first, as
-    its problem line names it."""
+    The blocks are read (``_read_block``) across processes
+    (``_processes.across_processes``); the sequences are built here, each
+    declined file read here by ``read_sequence``, whose warnings are
+    issued again with the file's ``Path`` spelling first, as its problem
+    line names it."""
     blocks = [ids[first : first + _BLOCK_FILES] for first in range(0, len(ids), _BLOCK_FILES)]
-    n = min(cpu_count(), len(blocks))  # share k reads blocks k, k + n, ...
-    shares = across_processes(
-        lambda share: [_read_block(prefix, block) for block in share],
-        [blocks[k::n] for k in range(n)],
-    )
+    read = across_processes(lambda bs: [_read_block(prefix, b) for b in bs], blocks)
     for b, block in enumerate(blocks):
-        files, columns = shares[b % n][b // n]
-        shares[b % n][b // n] = None  # freed once its sequences are built
+        files, columns = read[b]
+        read[b] = None  # freed once its sequences are built
         sequences = _sequences(*columns)
         for (subject_id, sample_id), raw in zip(block, files):
             if raw is None:  # taken by the block reader
@@ -207,8 +205,13 @@ def _read_block(
         # os.open and os.read cost far less than open() on small files
         chunks: list[bytes] = []
         try:
-            fd = os.open(prefix + f"{subject_id}/{sample_id}.txt", os.O_RDONLY)
+            fd = os.open(prefix + f"{subject_id}/{sample_id}.txt", os.O_RDONLY | os.O_NONBLOCK)
             try:
+                # a FIFO may block and a device never end; os.read itself
+                # refuses a directory (EISDIR)
+                mode = os.fstat(fd).st_mode
+                if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+                    raise OSError(errno.EINVAL, "Not a regular file")
                 while chunk := os.read(fd, 65536):
                     chunks.append(chunk)
             finally:

@@ -12,8 +12,8 @@ a time through `Detector.fit_group`; ``fit`` is the group of one. Each
 subject's fit is bit-identical to fitting it alone, and a subject whose
 training fails gets its error back without stopping the others. So for
 a class whose ``fit_across_processes`` is true (the three networks) the
-pipeline may deal the subjects into strided shares fitted in separate
-processes, with the same bits.
+pipeline fits and scores the subjects across processes
+(``_processes.across_processes``), with the same bits.
 """
 
 from __future__ import annotations

@@ -18,8 +18,7 @@ reads contiguous memory. Every network thus keeps its parameters in one
 store, steps them in place (`StackedParams.descend`, or `Adam` on the
 same flat buffer) and hands them back through `StackedParams.unstack`.
 Within a process every fit here runs on one core; the pipeline uses more
-by dealing the subjects into strided shares, one process each
-(``evaluation.raw_scores``).
+by spreading the subjects across processes (``evaluation.raw_scores``).
 
 An epoch makes dozens of numpy calls on arrays of tens to hundreds of
 elements, so its cost is the calls, not the arithmetic. Each network's

@@ -18,8 +18,7 @@ from ..errors import KeygaitError
 
 class Detector(ABC):
     # True where fits are worth spreading across processes: the pipeline
-    # then deals the subjects into strided shares, one per CPU, and fits
-    # the first in the calling process and each other in a forked child.
+    # then fits and scores the subjects through _processes.across_processes.
     fit_across_processes: ClassVar[bool] = False
 
     @classmethod

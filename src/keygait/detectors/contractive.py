@@ -148,8 +148,8 @@ class ContractiveAutoencoder(Detector):
     def fit_group(cls, detectors, templates):
         """Fit each subject through `_nn.train` as a stack of one, one after
         another; one whose loss turns non-finite fails alone. To use more
-        cores, the pipeline deals the subjects into strided shares, one
-        process each (``fit_across_processes``)."""
+        cores, the pipeline spreads the subjects across processes
+        (``fit_across_processes``)."""
         errors = []
         for detector, X in zip(detectors, map(as_matrix, templates)):
             net = StackedParams([

@@ -15,17 +15,12 @@ normalizes the raw scores per subject. Score normalization reads only
 raw scores, so ``keygait ablate`` prepares and fits once per alignment
 and normalizes those raw scores once per kind. A group fit gives every
 subject bit-identical results to fitting it alone, so for the three
-networks (autoencoder, contractive, variational) ``raw_scores`` deals
-the subjects into strided shares, one per CPU of the process's affinity
-mask, and ``_processes.across_processes`` fits share 0 in the calling
-process and each other share in a forked child, with the same function
-that fits all subjects inline; scoring stays in the calling process, and
-no output byte depends on the CPU count. With one CPU, on Python 3.12 or
-later (which warns when a process holding threads, as OpenBLAS does,
-forks), or where there is no fork, every subject is fitted inline. An
-ensemble is a pipeline config, not a detector: each member is fitted and
-scored like a single detector, and one combiner averages the members'
-raw or normalized scores.
+networks (autoencoder, contractive, variational) ``raw_scores`` fits and
+scores the subjects across processes (``_processes.across_processes``),
+with the same function that scores all subjects inline, and no output
+byte depends on the CPU count. An ensemble is a pipeline config, not a
+detector: each member is fitted and scored like a single detector, and
+one combiner averages the members' raw or normalized scores.
 Samples that cannot be processed are never dropped: they become flagged
 records with a sentinel minimal score and count toward
 failure-to-capture. All randomness derives from the config's master
@@ -42,11 +37,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ._processes import across_processes, cpu_count
+from ._processes import across_processes
 from .alignment import align_subject
 from .config import PipelineConfig
 from .datasets import tsv
-from .detectors import Detector, build_detector
+from .detectors import build_detector
 from .errors import AlignmentError, EvaluationError, KeygaitError, ScoreNormError
 from .events import Label, Role, Sample, SubjectDataset, SubjectSamples
 from .features import extract_features, fit_feature_normalizer, normalize_features
@@ -219,58 +214,47 @@ def prepare(dataset: SubjectDataset, config: PipelineConfig) -> list[PreparedSub
     ]
 
 
-def _fit_subjects(
-    prepared: list[PreparedSubject], config: PipelineConfig
-) -> list[list[tuple[Detector | None, KeygaitError | None]]]:
-    """Per member of the configured detector (or the single detector), per
-    subject: its detector, fitted by one ``fit_group`` per template count,
-    and the error that failed its fit; ``(None, None)`` where the subject
-    failed preparation. Subject ``s`` is seeded ``derive_seed(config.seed,
-    s)``, plus ``1 + i`` for ensemble member ``i``."""
+def _score_subjects(prepared: list[PreparedSubject], config: PipelineConfig) -> list[list[np.ndarray]]:
+    """Per subject, per member of the configured detector (or the single
+    detector), the raw score of every query: each member fitted by one
+    ``fit_group`` per template count, and each subject's queries scored by
+    one ``score_all`` right after its group's fit; ``SENTINEL_SCORE``
+    where the query, the subject or its fit failed. Subject ``s`` is
+    seeded ``derive_seed(config.seed, s)``, plus ``1 + i`` for ensemble
+    member ``i``."""
     groups: dict[int, list[int]] = {}
     for i, p in enumerate(prepared):
         if p.template_matrix is not None:
             groups.setdefault(p.template_matrix.shape[0], []).append(i)
     seeds = [derive_seed(config.seed, p.subject_id) for p in prepared]
-    ensemble = config.detector.name == "ensemble"
-    fitted = []
-    for offset, member in enumerate(config.detector.singles(), start=int(ensemble)):
-        fits: list = [(None, None)] * len(prepared)
+    singles = config.detector.singles()
+    scores = [[np.full(len(p.query_ids), SENTINEL_SCORE) for _ in singles] for p in prepared]
+    offset = int(config.detector.name == "ensemble")
+    for m, member in enumerate(singles):
         for group in groups.values():
-            detectors = [build_detector(member, seed=seeds[i] + offset) for i in group]
+            detectors = [build_detector(member, seed=seeds[i] + offset + m) for i in group]
             errors = type(detectors[0]).fit_group(detectors, [prepared[i].template_matrix for i in group])
             for i, detector, error in zip(group, detectors, errors):
-                fits[i] = (detector, error)
-        fitted.append(fits)
-    return fitted
+                p = prepared[i]
+                if error is None and p.query_rows:
+                    scores[i][m][p.query_rows] = detector.score_all(p.query_matrix)
+    return scores
 
 
 def raw_scores(prepared: list[PreparedSubject], config: PipelineConfig) -> list[list[np.ndarray]]:
-    """Stage 2: per member of the configured detector (or the single
-    detector), per subject, the raw score of every query, from the fits of
-    ``_fit_subjects`` and one ``score_all`` per subject; ``SENTINEL_SCORE``
-    where the query, the subject or its fit failed.
+    """Stage 2: per subject, in ``prepared``'s order, per member of the
+    configured detector (or the single detector), the raw score of every
+    query (``_score_subjects``).
 
     When a member's class sets ``fit_across_processes`` (the three
-    networks), the subjects are dealt into ``n`` strided shares
-    ``prepared[k::n]``, one per CPU in this process's affinity mask up to
-    one per subject, and ``_processes.across_processes`` fits share 0 here
-    and each other share in a forked child; every score is computed here,
-    and no byte depends on ``n``. An exception from a fit is raised here as it would
-    be inline."""
-    singles = config.detector.singles()
-    n = 1  # shares, share k holding the subjects prepared[k::n]
-    if any(build_detector(m).fit_across_processes for m in singles):
-        n = max(1, min(cpu_count(), len(prepared)))
-    fitted = across_processes(partial(_fit_subjects, config=config), [prepared[k::n] for k in range(n)])
-    members = [[np.full(len(p.query_ids), SENTINEL_SCORE) for p in prepared] for _ in singles]
-    for k, share in enumerate(fitted):  # share k holds subjects k, k + n, ...
-        for out, fits in zip(members, share):
-            for i, (detector, error) in zip(range(k, len(prepared), n), fits):
-                p = prepared[i]
-                if detector is not None and error is None and p.query_rows:
-                    out[i][p.query_rows] = detector.score_all(p.query_matrix)
-    return members
+    networks), the subjects are fitted and scored across processes
+    (``_processes.across_processes``), and only their scores come back;
+    no byte depends on the CPU count. An exception from a fit is raised
+    here as it would be inline."""
+    score = partial(_score_subjects, config=config)
+    if any(build_detector(m).fit_across_processes for m in config.detector.singles()):
+        return across_processes(score, prepared)
+    return score(prepared)
 
 
 def normalize_scores(
@@ -300,7 +284,7 @@ def normalize_scores(
     raw_column: list[float] = []
     normalized_column: list[float] = []
     flag_column: list[bool] = []
-    for p, members in zip(prepared, zip(*raws)):
+    for p, members in zip(prepared, raws):
         # a single detector keeps its bits: a mean of one turns -0.0 into 0.0
         raw = np.mean(members, axis=0) if ensemble else members[0]
         flagged = ~np.isfinite(raw)

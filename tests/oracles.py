@@ -11,8 +11,10 @@ implementation; fix the implementation instead.
 from __future__ import annotations
 
 import itertools
+import os
 import re
 from collections import deque
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -672,7 +674,7 @@ def reference_normalize_scores(prepared, raws, config) -> list:
     norm = config.score_norm
     ensemble = config.detector.name == "ensemble"
     records = []
-    for p, members in zip(prepared, zip(*raws)):
+    for p, members in zip(prepared, raws):
         raw = np.mean(members, axis=0) if ensemble else members[0]
         flagged = ~np.isfinite(raw)
         raw = np.where(flagged, SENTINEL_SCORE, raw)
@@ -763,3 +765,88 @@ def reference_subject_eer(records) -> tuple[dict[str, float], float, float]:
             raise EvaluationError(f"subject {subject_id}: {exc}") from exc
     eers = np.array(list(per_subject.values()))
     return per_subject, float(eers.mean()), float(eers.std())
+
+
+# ---------------------------------------------------------- broken datasets
+
+
+def broken_datasets(base: Path) -> list[tuple[str, Path, str]]:
+    """A corpus of broken dataset directories written under ``base``: per
+    case, its name, the directory to load it from and the root to give
+    ``load_dataset`` there. Every root is relative, so each problem line
+    and warning reads the same wherever ``base`` is. The ``fifo`` case is
+    left out where there is no ``os.mkfifo``."""
+    from keygait import SynthConfig, generate_synthetic, write_dataset
+
+    # 2 subjects of 3 templates and 4 queries: 14 event files
+    tiny, _ = generate_synthetic(
+        SynthConfig(n_subjects=2, n_templates=3, genuine_queries=(2, 2), impostor_queries=(2, 2), seed=3)
+    )
+
+    def written(name, dataset=tiny):
+        write_dataset(dataset, base / name)
+        return base / name
+
+    cases = []
+    root = written("manifest")
+    with open(root / "manifest.tsv", "a") as manifest:
+        manifest.write(
+            "s001\tq05\tquery\n"  # three fields
+            "\n"  # blank: skipped
+            "s001\t..\tquery\t?\n"  # a sample id that leaves the subject
+            "s0/1\tq05\tquery\t?\n"  # a subject id with a slash
+            "s001\tq06\tprobe\t?\n"  # an unknown role
+            "s001\tq07\tquery\tmaybe\n"  # an unknown label
+            "s001\tq01\tquery\tgenuine\n"  # a duplicate sample
+        )
+    cases.append(("manifest", base, "manifest"))
+
+    root = written("files")
+    (root / "s001" / "q01.txt").unlink()  # missing
+    (root / "s001" / "q02.txt").unlink()
+    (root / "s001" / "q02.txt").mkdir()  # a directory
+    (root / "s001" / "q03.txt").write_bytes(b"P 1e 0\n\xff\n")  # undecodable
+    (root / "s001" / "q04.txt").write_bytes(b"P 1e 0\nR 30 10\n")  # a release with no press
+    crlf = root / "s002" / "t01.txt"  # CRLF line ends: no problem
+    crlf.write_bytes(crlf.read_bytes().replace(b"\n", b"\r\n"))
+    (root / "s002" / "t02.txt").write_bytes(b"P 1e 0\nR 1e -4\n")  # a signed delta
+    cases.append(("files", base, "files"))
+
+    if hasattr(os, "mkfifo"):
+        root = written("fifo")
+        (root / "s002" / "q01.txt").unlink()
+        os.mkfifo(root / "s002" / "q01.txt")  # a FIFO with no writer
+        cases.append(("fifo", base, "fifo"))
+
+    root = base / "keys"  # loads, with one warning and one silent repair
+    (root / "s1").mkdir(parents=True)
+    (root / "manifest.tsv").write_text(
+        "subject_id\tsample_id\trole\tlabel\ns1\tunreleased\tquery\t?\ns1\trepressed\tquery\t?\n"
+    )
+    (root / "s1" / "unreleased.txt").write_text("P 1e 0\nR 1e 3\nP 30 2\n")
+    (root / "s1" / "repressed.txt").write_text("P 1e 0\nP 1e 5\nR 1e 3\n")  # 'a' pressed while held
+    cases.append(("keys", base, "keys"))
+
+    root = written("impostor-template")
+    manifest = root / "manifest.tsv"
+    text = manifest.read_text()
+    for sample in ("t01", "t02"):  # t01 with a bad file, which is named first, t02 with a good one
+        text = text.replace(f"s001\t{sample}\ttemplate\tgenuine", f"s001\t{sample}\ttemplate\timpostor")
+    manifest.write_text(text)
+    (root / "s001" / "t01.txt").write_bytes(b"P 1e 0\nR 1e x\n")
+    cases.append(("impostor-template", base, "impostor-template"))
+
+    # 12 subjects of 24 samples: 288 event files, three blocks of at most 128
+    root = written("last-block", generate_synthetic(SynthConfig(n_subjects=12, seed=0))[0])
+    *_, before_last, last = (root / "manifest.tsv").read_text().splitlines()
+    path = root.joinpath(*before_last.split("\t")[:2]).with_suffix(".txt")
+    text = path.read_text()
+    path.write_text(text[: text.rstrip("\n").rindex("\n") + 1])  # its last release gone
+    root.joinpath(*last.split("\t")[:2]).with_suffix(".txt").write_bytes(b"P 1e 0\nR 1e 0x4\n")
+    cases.append(("last-block", base, "last-block"))
+
+    root = written("x")
+    (root / "s001" / "q01.txt").unlink()
+    cases += [("x", base, "x"), ("x/", base, "x/")]
+    cases += [(name, root, name) for name in (".", "./", "")]
+    return cases

@@ -39,7 +39,7 @@ import time
 from pathlib import Path
 
 import keygait
-from keygait import _processes, datasets, evaluation
+from keygait import _processes
 from keygait.cli import main
 from keygait.events import read_sequences
 
@@ -139,31 +139,34 @@ def _children(*commands: tuple[object, ...], cpu: int | None = None):
 
 
 @contextlib.contextmanager
-def _shares():
-    """Within the block, the number of shares of each ``across_processes``
-    call that loads a dataset or fits detectors."""
-    counts: list[int] = []
+def counted_forks():
+    """Within the block, the pid of each child this process forks, in
+    order: ``os.fork``, which ``_processes.across_processes`` calls, is
+    wrapped for the length of the block."""
+    pids: list[int] = []
+    fork = os.fork
 
-    def counting(fn, shares):
-        counts.append(len(shares))
-        return _processes.across_processes(fn, shares)
+    def counting() -> int:
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
 
-    saved = datasets.across_processes, evaluation.across_processes
-    datasets.across_processes = evaluation.across_processes = counting
+    os.fork = counting
     try:
-        yield counts
+        yield pids
     finally:
-        datasets.across_processes, evaluation.across_processes = saved
+        os.fork = fork
 
 
-def _default_side(shares: list[int]) -> str:
+def _default_side(forks: list[int]) -> str:
     """Where this process can fork onto 2 or more CPUs, the default side,
-    which made ``shares``, must have made 2 or more; elsewhere both sides
-    run inline."""
+    which forked the children ``forks``, must have forked one or more;
+    elsewhere both sides run inline."""
     if _processes.cpu_count() < 2:
         return "both sides ran inline"
-    assert max(shares, default=0) >= 2, f"the default side made shares {shares}, not 2 or more"
-    return f"the default side made {max(shares)} shares"
+    assert forks, "the default side forked no child"
+    return f"the default side forked {len(forks)} time(s)"
 
 
 def _declined(paths: list[Path]) -> None:
@@ -209,9 +212,9 @@ def network_reruns(work: Path, detectors: tuple[str, ...] = NETWORKS) -> str:
     pinned = [("evaluate", "--data", data, "--out", work / f"r1-{det}", "--detector", det) for det in detectors]
     with _children(*pinned, cpu=min(os.sched_getaffinity(0))):
         for det in detectors:
-            with _shares() as shares:
+            with counted_forks() as forks:
                 _ok("evaluate", "--data", data, "--out", work / f"r-{det}", "--detector", det)
-            sides.add(_default_side(shares))
+            sides.add(_default_side(forks))
             _ok("evaluate", "--data", data, "--out", work / f"r2-{det}", "--detector", det)
     for det in detectors:
         for rerun, name in itertools.product(("r2", "r1"), ("scores.tsv", "raw_scores.tsv")):
@@ -229,12 +232,12 @@ def twelve_subjects_pinned(work: Path) -> str:
         ("audit", "--data", data, "--out", work / "audit12-1.tsv"),
     ]
     with _children(*pinned, cpu=min(os.sched_getaffinity(0))):
-        with _shares() as shares:
+        with counted_forks() as forks:
             _ok("evaluate", "--data", data, "--out", work / "m12", "--detector", "manhattan")
-        sides.add(_default_side(shares))
-        with _shares() as shares:
+        sides.add(_default_side(forks))
+        with counted_forks() as forks:
             _ok("audit", "--data", data, "--out", work / "audit12.tsv")
-        sides.add(_default_side(shares))
+        sides.add(_default_side(forks))
     _same(work / "m12" / "scores.tsv", work / "m12-1" / "scores.tsv")
     _same(work / "audit12.tsv", work / "audit12-1.tsv")
     return "; ".join(sorted(sides))

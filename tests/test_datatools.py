@@ -4,7 +4,9 @@ clock-resolution estimator."""
 import copy
 import gc
 import math
+import os
 import pickle
+import re
 import tempfile
 import tracemalloc
 import warnings
@@ -42,13 +44,13 @@ from keygait import (
     write_scores,
 )
 from keygait import _processes, datasets, synthesis
-from keygait._processes import across_processes
 from keygait.datasets import tsv, written_scores
 from keygait.events import check_id, read_sequence, serialize_events
 from keygait.scancodes import MODIFIER_KEYS, SHIFT_KEYS
 from keygait.synthesis import _make_name, _make_profile, _perturb, _time_keys
 
 from oracles import (
+    broken_datasets,
     reference_make_profile,
     reference_perturb,
     reference_resolution,
@@ -56,6 +58,7 @@ from oracles import (
     rows,
     seq,
 )
+from runtime_checks import counted_forks
 from test_events import physical_sequences
 
 TINY = SynthConfig(n_subjects=2, n_templates=3, genuine_queries=(2, 2), impostor_queries=(2, 2), seed=3)
@@ -110,7 +113,46 @@ def test_no_tracked_object_per_keystroke(tmp_path, source):
     assert grown <= _TRACKED_PER_SAMPLE * len(samples) + 100
 
 
+# What each case of oracles.broken_datasets loads to, byte for byte: a
+# change to this file is a change to a problem line or a warning.
+BROKEN_EXPECTED = Path(__file__).with_name("broken_datasets.expected")
+
+
+def _load_outcome(root: str) -> str:
+    """Each warning ``load_dataset(root)`` issues, then its
+    ``DatasetError`` text or, where it loads, each sample's rows."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            lines = [f"{s.subject_id}/{s.sample_id}: {rows(s.sequence)}" for s in ordered_samples(load_dataset(root))]
+        except DatasetError as exc:
+            lines = [f"error: {exc}"]
+    return "\n".join([f"warning: {w.category.__name__}: {w.message}" for w in caught] + lines)
+
+
+@pytest.fixture(scope="module")
+def broken_corpus(tmp_path_factory):
+    return broken_datasets(tmp_path_factory.mktemp("broken"))
+
+
 class TestDatasetRoundTrip:
+    @pytest.mark.parametrize("forked", [False, True], ids=["inline", "3-shares"])
+    def test_broken_corpus_loads_as_expected(self, broken_corpus, monkeypatch, forked):
+        if forked and not _processes._CAN_FORK:
+            pytest.skip("no fork here, or Python 3.12+, which warns when a process holding threads forks")
+        if forked:  # blocks of 4 files over 3 shares: a set of 9 files or more forks 2 children
+            monkeypatch.setattr(datasets, "_BLOCK_FILES", 4)
+        monkeypatch.setattr(_processes, "cpu_count", lambda: 3 if forked else 1)
+        sections = []
+        with counted_forks() as pids:
+            for name, cwd, root in broken_corpus:
+                monkeypatch.chdir(cwd)
+                sections.append(f"== {name!r} ==\n{_load_outcome(root)}\n")
+        assert bool(pids) == forked
+        expected = re.split(r"(?m)^(?=== )", BROKEN_EXPECTED.read_text(encoding="utf-8"))[1:]
+        names = [f"== {name!r} ==" for name, _, _ in broken_corpus]
+        assert sections == [section for section in expected if section.split("\n", 1)[0] in names]
+
     def test_write_then_load_identical(self, small_dataset, tmp_path):
         root = tmp_path / "ds"
         write_dataset(small_dataset, root)
@@ -312,18 +354,33 @@ class TestDatasetRoundTrip:
             f"{manifest}:11: duplicate sample s1/t1",
         ]
 
-    def test_directory_in_place_of_an_event_file_is_named(self, tmp_path):
+    @pytest.mark.parametrize("forked", [False, True], ids=["inline", "forked"])
+    @pytest.mark.parametrize("kind", ["directory", "fifo"])
+    def test_non_regular_event_file_is_named_not_read(self, tmp_path, monkeypatch, kind, forked):
+        if kind == "fifo" and not hasattr(os, "mkfifo"):
+            pytest.skip("no os.mkfifo here")
+        if forked and not _processes._CAN_FORK:
+            pytest.skip("no fork here, or Python 3.12+, which warns when a process holding threads forks")
         dataset, _ = generate_synthetic(TINY)
         root = tmp_path / "ds"
         write_dataset(dataset, root)
         path = root / "s001" / "q01.txt"
         path.unlink()
-        path.mkdir()
-        with pytest.raises(DatasetError) as err:
+        if kind == "directory":
+            path.mkdir()
+        else:
+            os.mkfifo(path)  # opened for reading, a FIFO with no writer blocks
+        # blocks of 2 files over 3 shares: block 1, which a child reads, holds
+        # the fourth file, s001/q01
+        monkeypatch.setattr(datasets, "_BLOCK_FILES", 2)
+        monkeypatch.setattr(_processes, "cpu_count", lambda: 3 if forked else 1)
+        with counted_forks() as pids, pytest.raises(DatasetError) as err:
             load_dataset(root)
+        assert len(pids) == (2 if forked else 0)
+        problem = "[Errno 21] Is a directory" if kind == "directory" else "[Errno 22] Not a regular file"
         assert str(err.value).splitlines() == [
             f"1 problem(s) loading {root}:",
-            f"{path}: [Errno 21] Is a directory: '{path}'",
+            f"{path}: {problem}: '{path}'",
         ]
 
     @pytest.mark.parametrize("root", [".", "./", ""])
@@ -355,25 +412,22 @@ class TestDatasetRoundTrip:
         # a file the block reader declines, in each block
         for i in (5, 130, 260):
             paths[i].write_bytes(paths[i].read_bytes().replace(b"\n", b"\r\n"))
-        shares = []
+        forks = []
 
         def load(forked):
             monkeypatch.setattr(_processes, "_CAN_FORK", forked)
             # three shares, so two children, whatever the CPUs of this machine
-            monkeypatch.setattr(datasets, "cpu_count", lambda: 3 if forked else 1)
-
-            def spy(fn, parts):
-                shares.append(len(parts))
-                return across_processes(fn, parts)
-
-            monkeypatch.setattr(datasets, "across_processes", spy)
-            try:
-                return load_dataset(root), None
-            except DatasetError as exc:
-                return None, str(exc)
+            monkeypatch.setattr(_processes, "cpu_count", lambda: 3 if forked else 1)
+            with counted_forks() as pids:
+                try:
+                    loaded = load_dataset(root), None
+                except DatasetError as exc:
+                    loaded = None, str(exc)
+            forks.append(len(pids))
+            return loaded
 
         assert load(False) == load(True)
-        assert shares == [1, 3]
+        assert forks == [0, 2]
         # a problem of each kind, in each block and so in each share
         paths[3].unlink()
         paths[140].unlink()
@@ -409,7 +463,7 @@ class TestDatasetRoundTrip:
         [expected] = alone
         monkeypatch.setattr(_processes, "_CAN_FORK", forked)
         # three shares, so two children, whatever the CPUs of this machine
-        monkeypatch.setattr(datasets, "cpu_count", lambda: 3 if forked else 1)
+        monkeypatch.setattr(_processes, "cpu_count", lambda: 3 if forked else 1)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             load_dataset(root)

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 import re
 import tempfile
 import warnings
@@ -37,8 +38,7 @@ from keygait import (
     run_pipeline,
     subject_eer,
 )
-from keygait import evaluation
-from keygait._processes import across_processes
+from keygait import _processes, evaluation
 from keygait.datasets import attach_labels, read_scores, write_scores, written_scores
 from keygait.evaluation import SENTINEL_SCORE
 from keygait.scorenorm import normalize_minmax, normalize_sd
@@ -55,6 +55,7 @@ from oracles import (
     rows,
     seq,
 )
+from runtime_checks import counted_forks
 from test_processes import assert_no_child_left
 
 
@@ -776,8 +777,8 @@ class TestStages:
 
 
 class TestSplitFits:
-    """raw_scores deals the subjects of an opted-in detector into strided
-    shares, fits the first in this process and each other in a forked
+    """raw_scores fits and scores the subjects of an opted-in detector
+    across processes, share 0 in this process and each other in a forked
     child, and leaves no child behind; the bits must not depend on how
     many shares there are."""
 
@@ -801,18 +802,15 @@ class TestSplitFits:
 
     @staticmethod
     def _raws(prepared, config, monkeypatch):
-        """raw_scores at each share count, checked bit-equal."""
-        runs, shares = {}, []
-
-        def spy(fn, parts):
-            shares.append(len(parts))
-            return across_processes(fn, parts)
-
-        monkeypatch.setattr(evaluation, "across_processes", spy)
+        """raw_scores at each share count, checked bit-equal; each count
+        of w shares forks w - 1 children where this process can fork."""
+        runs, forks = {}, []
         for w in TestSplitFits.WORKERS:
-            monkeypatch.setattr(evaluation, "cpu_count", lambda: w)
-            runs[w] = evaluation.raw_scores(prepared, config)
-        assert shares == list(TestSplitFits.WORKERS)
+            monkeypatch.setattr(_processes, "cpu_count", lambda: w)
+            with counted_forks() as pids:
+                runs[w] = evaluation.raw_scores(prepared, config)
+            forks.append(len(pids))
+        assert forks == [w - 1 if _processes._CAN_FORK else 0 for w in TestSplitFits.WORKERS]
         assert_no_child_left()
         for w in TestSplitFits.WORKERS[1:]:
             for a, b in zip(runs[1], runs[w], strict=True):
@@ -849,9 +847,9 @@ class TestSplitFits:
         prepared = evaluation.prepare(mixed_dataset, config)
         counts = [None if p.template_matrix is None else p.template_matrix.shape[0] for p in prepared]
         assert counts == [4, 4, 3, 3, 4, None]
-        for member in self._raws(prepared, config, monkeypatch)[1]:
-            assert all(np.isfinite(scores).all() for scores in member[:5])
-            assert (member[5] == SENTINEL_SCORE).all()
+        subjects = self._raws(prepared, config, monkeypatch)[1]
+        assert all(np.isfinite(scores).all() for members in subjects[:5] for scores in members)
+        assert all((scores == SENTINEL_SCORE).all() for scores in subjects[5])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_failed_fit_fails_alike_in_every_split(self, small_dataset, monkeypatch):
@@ -859,15 +857,27 @@ class TestSplitFits:
         prepared = evaluation.prepare(small_dataset, config)
         prepared[2] = replace(prepared[2], template_matrix=prepared[2].template_matrix.copy())
         prepared[2].template_matrix[0, 0] = 1e200  # the first loss overflows
+        fits = []
+        fit_group = ContractiveAutoencoder.fit_group.__func__
+
+        def recording(cls, detectors, templates):
+            errors = fit_group(cls, detectors, templates)
+            fits.append(list(zip(detectors, errors)))
+            return errors
+
+        monkeypatch.setattr(ContractiveAutoencoder, "fit_group", classmethod(recording))
         for w in self.WORKERS:
-            for k in range(w):  # the share that process k of w fits
+            for k in range(w):  # the share that process k of w fits and scores
                 indices = range(len(prepared))[k::w]
-                [fits] = evaluation._fit_subjects(prepared[k::w], config)
-                assert [(type(e), str(e)) for _, e in fits] == [
+                fits.clear()
+                scores = evaluation._score_subjects(prepared[k::w], config)
+                [group] = fits  # every subject has 6 templates
+                assert [(type(e), str(e)) for _, e in group] == [
                     (TrainingError, "non-finite loss at epoch 0") if i == 2 else (type(None), "None")
                     for i in indices
                 ]
-                assert [d.params_ is None for d, _ in fits] == [i == 2 for i in indices]
+                assert [d.params_ is None for d, _ in group] == [i == 2 for i in indices]
+                assert [bool((s == SENTINEL_SCORE).all()) for [s] in scores] == [i == 2 for i in indices]
         records = {
             w: _record_bits(evaluation.normalize_scores(prepared, raws, config))
             for w, raws in self._raws(prepared, config, monkeypatch).items()
@@ -883,11 +893,21 @@ class TestSplitFits:
         prepared = evaluation.prepare(small_dataset, config)
         monkeypatch.setattr(ContractiveAutoencoder, "fit_group", classmethod(fail))
         for w in self.WORKERS:
-            monkeypatch.setattr(evaluation, "cpu_count", lambda: w)
+            monkeypatch.setattr(_processes, "cpu_count", lambda: w)
             with pytest.raises(TrainingError) as info:
                 evaluation.raw_scores(prepared, config)
             assert type(info.value) is TrainingError and str(info.value) == "no fit today"
             assert_no_child_left()
+
+    def test_fitted_detectors_never_cross_a_process_boundary(self, small_dataset, monkeypatch):
+        def refuse(detector):
+            raise pickle.PicklingError("a fitted detector was pickled")
+
+        monkeypatch.setattr(ContractiveAutoencoder, "__reduce__", refuse, raising=False)
+        with pytest.raises(pickle.PicklingError):
+            pickle.dumps(ContractiveAutoencoder())
+        config = PipelineConfig(detector=self.CONTRACTIVE)
+        self._raws(evaluation.prepare(small_dataset, config), config, monkeypatch)
 
     def test_only_detectors_that_gain_fit_across_processes(self):
         from keygait.detectors import _CLASSES
@@ -973,8 +993,7 @@ def _stage2(draw):
     every score normalization. Labels are drawn per query; most subjects
     get both classes, and some draws leave one record unlabeled."""
     n_members = draw(st.sampled_from([1, 2]))
-    prepared = []
-    raws = [[] for _ in range(n_members)]
+    prepared, raws = [], []
     for subject_id in sorted(draw(st.sets(_IDS, min_size=1, max_size=4))):
         query_ids = sorted(draw(st.sets(_IDS, min_size=2, max_size=6)))
         n = len(query_ids)
@@ -982,8 +1001,7 @@ def _stage2(draw):
         if draw(st.integers(0, 7)):  # mostly both classes
             labels[0] = Label.IMPOSTOR if labels[-1] is Label.GENUINE else Label.GENUINE
         prepared.append(evaluation.PreparedSubject(subject_id, query_ids, labels))
-        for member in raws:
-            member.append(np.array(draw(st.lists(_RAW, min_size=n, max_size=n)), np.float64))
+        raws.append([np.array(draw(st.lists(_RAW, min_size=n, max_size=n)), np.float64) for _ in range(n_members)])
     if not draw(st.integers(0, 7)):
         p = draw(st.sampled_from(prepared))
         p.query_labels[draw(st.integers(0, len(p.query_ids) - 1))] = None

@@ -1,6 +1,7 @@
-"""across_processes: share 0 runs in the caller, each other share in a
-forked child, results and exceptions come back in share order, and no
-child outlives a call.
+"""across_processes: the items are dealt into strided shares, share 0
+runs in the caller and each other share in a forked child, results come
+back in item order and exceptions in share order, and no child outlives
+a call.
 
 Each test ends by checking that this process has no child left, reaped
 or not: ``os.waitpid(-1, os.WNOHANG)`` raises ``ChildProcessError`` only
@@ -34,8 +35,15 @@ def no_child_left():
     assert_no_child_left()
 
 
-def _pid_and_square(x):
-    return os.getpid(), x * x
+def _pids_and_squares(xs):
+    return [(os.getpid(), x * x) for x in xs]
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """``cpu_count`` is 3, so 3 or more items make 3 shares and 2 children,
+    whatever the CPUs of this machine."""
+    monkeypatch.setattr(_processes, "cpu_count", lambda: 3)
 
 
 def test_the_check_sees_a_child():
@@ -49,12 +57,17 @@ def test_the_check_sees_a_child():
 
 
 @forks
-def test_share_0_runs_here_and_each_other_in_a_child_of_its_own():
-    out = across_processes(_pid_and_square, [0, 1, 2, 3])
-    assert [square for _, square in out] == [0, 1, 4, 9]
-    pids = [pid for pid, _ in out]
+@pytest.mark.parametrize("n_items, cpus", [(4, 4), (7, 3), (2, 3)])
+def test_share_0_runs_here_and_each_other_in_a_child_of_its_own(monkeypatch, n_items, cpus):
+    # item i is in share i % n, n = min(cpus, n_items), and comes back at i
+    monkeypatch.setattr(_processes, "cpu_count", lambda: cpus)
+    out = across_processes(_pids_and_squares, list(range(n_items)))
+    assert [square for _, square in out] == [i * i for i in range(n_items)]
+    n = min(cpus, n_items)
+    pids = [out[k][0] for k in range(n)]
     assert pids[0] == os.getpid()
-    assert len(set(pids)) == 4
+    assert len(set(pids)) == n
+    assert [pid for pid, _ in out] == [pids[i % n] for i in range(n_items)]
 
 
 @forks
@@ -75,33 +88,52 @@ def test_cpu_count_reads_the_affinity_mask():
     assert os.waitstatus_to_exitcode(status) == 1
 
 
-def test_inline_where_forking_is_off(monkeypatch):
+@pytest.mark.parametrize(
+    "items, can_fork",
+    [([1, 2, 3], False), ([], True), ([5], True)],
+    ids=["forking-off", "no-items", "one-item"],
+)
+def test_inline_is_one_call_of_fn_on_all_items(monkeypatch, three_cpus, items, can_fork):
+    monkeypatch.setattr(_processes, "_CAN_FORK", can_fork and _processes._CAN_FORK)
+    calls = []
+
+    def fn(xs):
+        calls.append(xs)
+        return _pids_and_squares(xs)
+
+    assert across_processes(fn, items) == [(os.getpid(), n * n) for n in items]
+    assert calls == [items]
+
+
+def test_no_fork_counts_one_cpu(monkeypatch):
     monkeypatch.setattr(_processes, "_CAN_FORK", False)
     assert _processes.cpu_count() == 1
-    assert across_processes(_pid_and_square, [1, 2, 3]) == [(os.getpid(), n * n) for n in (1, 2, 3)]
 
 
 @forks
-def test_payloads_larger_than_a_pipe_arrive_whole():
+def test_payloads_larger_than_a_pipe_arrive_whole(three_cpus):
     def column(seed):
         return np.random.default_rng(seed).random(200_000)  # 1.6 MB
 
-    out = across_processes(column, [0, 1, 2])
+    out = across_processes(lambda seeds: [column(seed) for seed in seeds], [0, 1, 2])
     for seed, values in enumerate(out):
         assert np.array_equal(values, column(seed))
 
 
 def _fail_in(failing):
+    """An ``fn`` for the items [0, 1, 2] on three CPUs, so share k is [k]."""
+
     def fit(share):
-        if share in failing:
-            raise TrainingError(f"non-finite loss in share {share}")
+        [k] = share
+        if k in failing:
+            raise TrainingError(f"non-finite loss in share {k}")
         return share
 
     return fit
 
 
 @forks
-def test_a_childs_exception_arrives_as_raised():
+def test_a_childs_exception_arrives_as_raised(three_cpus):
     with pytest.raises(TrainingError) as info:
         across_processes(_fail_in({1}), [0, 1, 2])
     assert type(info.value) is TrainingError
@@ -109,7 +141,7 @@ def test_a_childs_exception_arrives_as_raised():
 
 
 @forks
-def test_the_first_exception_in_share_order_wins():
+def test_the_first_exception_in_share_order_wins(three_cpus):
     with pytest.raises(TrainingError, match="^non-finite loss in share 1$"):
         across_processes(_fail_in({1, 2}), [0, 1, 2])
     with pytest.raises(TrainingError, match="^non-finite loss in share 0$"):
@@ -117,20 +149,20 @@ def test_the_first_exception_in_share_order_wins():
 
 
 @forks
-def test_a_child_that_exits_without_a_result_is_an_error():
-    def share(k):
-        if k == 1:
+def test_a_child_that_exits_without_a_result_is_an_error(three_cpus):
+    def share(ks):
+        if ks == [1]:
             os._exit(3)
-        return k
+        return ks
 
     with pytest.raises(ChildProcessError, match="^share 1 ended with exit status 3 and no result$"):
         across_processes(share, [0, 1, 2])
 
 
 @forks
-def test_a_result_that_does_not_pickle_is_an_error():
+def test_a_result_that_does_not_pickle_is_an_error(three_cpus):
     with pytest.raises(ChildProcessError, match="^share 1 ended with exit status 1 and no result$"):
-        across_processes(lambda k: (lambda: k), [0, 1])
+        across_processes(lambda ks: [(lambda: k) for k in ks], [0, 1])
 
 
 def _refuse_to_unpickle():
@@ -143,13 +175,13 @@ class _Unpicklable:
 
 
 @forks
-def test_a_payload_cut_short_by_the_caller_ends_its_child():
+def test_a_payload_cut_short_by_the_caller_ends_its_child(three_cpus):
     # Share 1's payload fails to unpickle before its 1 MB tail is read, so
     # its child is left writing to a full pipe; it must end once the caller
     # closes that pipe, though share 2's child, itself blocked writing,
     # was forked after the pipe was made.
-    def share(k):
-        return [_Unpicklable(), bytes(1 << 20)] if k == 1 else bytes(1 << 20)
+    def share(ks):
+        return [[_Unpicklable(), bytes(1 << 20)] if k == 1 else bytes(1 << 20) for k in ks]
 
     def hang(signum, frame):
         raise TimeoutError("across_processes hung")
@@ -165,9 +197,9 @@ def test_a_payload_cut_short_by_the_caller_ends_its_child():
 
 
 @forks
-def test_children_still_running_are_killed_when_share_0_raises():
-    def share(k):
-        if k == 0:
+def test_children_still_running_are_killed_when_share_0_raises(three_cpus):
+    def share(ks):
+        if ks == [0]:
             raise TrainingError("share 0 failed")
         time.sleep(60)
 
