@@ -61,16 +61,45 @@ def _run_child(fn: Callable[[list], list], share: list, write_fd: int, inherited
         os._exit(status)
 
 
+class _Reader:
+    """A child's pipe as ``pickle.load`` reads it, keeping as ``raised``
+    what a read raised: an exception raised here while the caller waited
+    for the child, such as one from a signal handler, and not one that
+    the payload's bytes caused."""
+
+    def __init__(self, pipe: BinaryIO) -> None:
+        self._pipe = pipe
+        self.raised: BaseException | None = None
+
+    def _guarded(self, read: Callable, *args):
+        try:
+            return read(*args)
+        except BaseException as exc:
+            self.raised = exc
+            raise
+
+    def read(self, *args):
+        return self._guarded(self._pipe.read, *args)
+
+    def readinto(self, buffer):
+        return self._guarded(self._pipe.readinto, buffer)
+
+    def readline(self, *args):
+        return self._guarded(self._pipe.readline, *args)
+
+
 def across_processes(fn: Callable[[list[T]], list[R]], items: list[T]) -> list[R]:
     """``fn(items)``, one share of the items here and each other in a
     forked child, as the module docstring deals them; ``fn(items)``
     inline where forking is off or there would be fewer than 2 shares.
 
     A child's exception is raised here as raised, the first in share
-    order, after share 0's own. A child that ends without a whole payload
-    raises ``ChildProcessError`` naming its share and exit status. Every
-    child is reaped before this returns or raises, and any still running
-    is killed when this raises.
+    order, after share 0's own. A child that ends without a whole payload,
+    or whose payload does not unpickle, raises ``ChildProcessError``
+    naming its share and exit status. An exception raised here while
+    waiting for a child, as by a signal handler, is raised as it is.
+    Every child is reaped before this returns or raises, and any still
+    running is killed when this raises.
     """
     n = min(cpu_count(), len(items))
     if not _CAN_FORK or n < 2:
@@ -93,9 +122,13 @@ def across_processes(fn: Callable[[list[T]], list[R]], items: list[T]) -> list[R
             children.append((pid, pipe))
         results = [fn(shares[0])]
         for k, (pid, pipe) in enumerate(children, start=1):
+            reader = _Reader(pipe)
             try:
-                raised, value = pickle.load(pipe)
-            except Exception as exc:  # no payload, or a cut one
+                raised, value = pickle.load(reader)
+            except Exception as exc:
+                if exc is reader.raised:  # not the payload's fault
+                    raise
+                # no payload, or a cut or garbled one
                 pipe.close()  # so a child still writing ends too
                 _, status = os.waitpid(pid, 0)
                 children.remove((pid, pipe))  # reaped

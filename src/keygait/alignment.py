@@ -9,17 +9,22 @@ It also provides the two baselines (truncate, discard modifiers), the
 one per-subject driver that applies a method to a subject's templates
 and queries (``align_subject``), the Damerau-Levenshtein distance used
 to quantify sequence mismatch, and a dataset-level mismatch audit.
+
+A mapping depends only on key names, so ``align_subject`` builds no
+aligned sequence: it maps all of a subject's sequences at once to one index
+matrix into their concatenated columns, from which the pipeline gathers
+every row's times. ``align``, ``truncate_align`` and
+``discard_modifiers`` are the same mappings applied to one sequence.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from itertools import chain, combinations, compress
 from operator import attrgetter
-from typing import Sequence
+from typing import Sequence, Sized
 
 import numpy as np
 
@@ -28,6 +33,7 @@ from .datasets import tsv
 from .errors import AlignmentError
 from .events import KeystrokeSequence, SubjectDataset
 from .scancodes import MODIFIER_KEYS
+from .scorenorm import mean_sd
 
 
 @dataclass(frozen=True)
@@ -80,32 +86,37 @@ def align(
     downstream, which is signal, not an error.
 
     The mapping depends only on the two key-name tuples, so it is computed
-    once per distinct pair and shared by every call with that pair; each
-    call gathers its own ``given``'s times.
+    once per distinct pair and shared by every call with that pair, this
+    one and :func:`align_subject`'s alike.
 
     Raises:
         AlignmentError: either sequence is empty.
     """
+    _check_lengths(given, target)
+    mapping, _ = _match(given.keys(), target.keys())
+    return given._take(list(mapping.index)), mapping
+
+
+def _check_lengths(given: KeystrokeSequence, target: KeystrokeSequence) -> None:
     if len(target) == 0:
         raise AlignmentError("target sequence is empty")
     if len(given) == 0:
         raise AlignmentError("given sequence is empty")
-    mapping, keys, gather = _match(given.keys(), target.keys())
-    return KeystrokeSequence._of(keys, given.press[gather], given.release[gather], True), mapping
 
 
 # A subject's sequences share a few key-name pairs: a 300-subject set has
 # 1,669 distinct pairs in 7,200 alignments. 4,096 entries hold them all,
-# at about 1.2 kB each for 30-key names (5 MB when full).
+# at about 1.2 kB each for 30-key names (5 MB when full). ``_cut`` keeps
+# as many, keyed by given key names, target length and method.
 _MATCH_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_MATCH_CACHE_SIZE)
 def _match(
     given_keys: tuple[str, ...], target_keys: tuple[str, ...]
-) -> tuple[AlignmentMapping, tuple[str, ...], np.ndarray]:
-    """:func:`align`'s mapping of two non-empty key-name tuples, with the
-    aligned key names and the (read-only) gather index it implies."""
+) -> tuple[AlignmentMapping, np.ndarray]:
+    """:func:`align`'s mapping of two non-empty key-name tuples, with its
+    index as a read-only array."""
     # Each key's unused given indices, sorted.
     free: dict[str, list[int]] = {}
     for j, key in enumerate(given_keys):
@@ -127,11 +138,36 @@ def _match(
         else:
             index[i] = len(given_keys) - 1
             flagged = True
+    return AlignmentMapping(tuple(index), substituted, tuple(left), flagged), _read_only(index)
 
+
+@lru_cache(maxsize=_MATCH_CACHE_SIZE)
+def _cut(
+    given_keys: tuple[str, ...], n: int, discard: bool
+) -> tuple[AlignmentMapping, np.ndarray] | None:
+    """The baselines' mapping onto a target of length ``n`` > 0: the first
+    ``n`` given indices, without the modifiers when ``discard``, the last
+    one repeated (and flagged) when too few are left; no substitutions.
+    None where no index is left."""
+    kept = _unmodified(given_keys) if discard else range(len(given_keys))
+    if not kept:
+        return None
+    index = [kept[min(i, len(kept) - 1)] for i in range(n)]
+    used = set(index)
+    ignored = tuple(j for j in range(len(given_keys)) if j not in used)
+    mapping = AlignmentMapping(tuple(index), (False,) * n, ignored, len(kept) < n)
+    return mapping, _read_only(index)
+
+
+def _read_only(index: list[int]) -> np.ndarray:
     gather = np.array(index, np.intp)
     gather.setflags(write=False)
-    mapping = AlignmentMapping(tuple(index), substituted, tuple(left), flagged)
-    return mapping, tuple([given_keys[j] for j in index]), gather
+    return gather
+
+
+def _unmodified(keys: tuple[str, ...]) -> list[int]:
+    """The indices of ``keys`` other than Shift (left and right) and Caps Lock."""
+    return [i for i, key in enumerate(keys) if key not in MODIFIER_KEYS]
 
 
 def truncate_align(
@@ -139,21 +175,17 @@ def truncate_align(
 ) -> KeystrokeSequence:
     """Baseline: keep the first ``len(target)`` keystrokes of ``given``,
     repeating the last keystroke if it is too short."""
-    if len(target) == 0:
-        raise AlignmentError("target sequence is empty")
-    if len(given) == 0:
-        raise AlignmentError("given sequence is empty")
-    n, last = len(target), len(given) - 1
-    return given._take(slice(n) if n <= len(given) else [min(i, last) for i in range(n)])
+    _check_lengths(given, target)
+    mapping, _ = _cut(given.keys(), len(target), False)
+    return given._take(list(mapping.index))
 
 
 def discard_modifiers(seq: KeystrokeSequence) -> KeystrokeSequence:
     """Baseline: drop Shift (left and right) and Caps Lock keystrokes."""
-    kept = [i for i, key in enumerate(seq.keys()) if key not in MODIFIER_KEYS]
-    return seq._take(kept, aligned=seq.aligned)
+    return seq._take(_unmodified(seq.keys()), aligned=seq.aligned)
 
 
-def select_target(sequences: Sequence[KeystrokeSequence]) -> int:
+def select_target(sequences: Sequence[Sized]) -> int:
     """Index of the shortest non-empty sequence; ties go to the first
     occurrence."""
     candidates = [(len(s), i) for i, s in enumerate(sequences) if len(s)]
@@ -164,18 +196,26 @@ def select_target(sequences: Sequence[KeystrokeSequence]) -> int:
 
 def align_subject(
     templates: Sequence[KeystrokeSequence], queries: Sequence[KeystrokeSequence], method: str
-) -> tuple[list[KeystrokeSequence | None], list[KeystrokeSequence | None]]:
+) -> tuple[np.ndarray, list[AlignmentMapping | None], list[AlignmentMapping | None]]:
     """Align every template and query of one subject to the subject's
     target template, the shortest non-empty one after the method's
-    preprocessing (first on ties).
+    preprocessing (first on ties), as one index matrix.
 
-    ``method`` is ``align`` (:func:`align`), ``truncate``
-    (:func:`truncate_align`) or ``discard`` (:func:`discard_modifiers` on
-    every sequence, then :func:`truncate_align` to equalize lengths). The
-    target goes through the same call as every other template, which
-    returns it unchanged. A sequence that cannot be aligned, such as an
-    empty one or one left empty once its modifiers are discarded, comes
-    back as None; the others are unaffected.
+    ``method`` is ``align`` (:func:`align`'s mapping), ``truncate``
+    (:func:`truncate_align`'s) or ``discard`` (:func:`discard_modifiers`
+    on every sequence, then :func:`truncate_align`'s mapping to equalize
+    lengths, each index counted in the sequence before discarding). The
+    target is aligned like every other template, onto itself.
+
+    Returns the index matrix and each template's and each query's
+    :class:`AlignmentMapping`. The matrix indexes the subject's given
+    columns, every template's then every query's concatenated in that
+    order, so gathering a concatenated ``press`` or ``release`` column
+    through it gives each aligned sequence's times as one row. It has a
+    row per sequence that aligned, in the same order, and a column per
+    target position. A sequence that cannot be aligned, such as an empty
+    one or one left empty once its modifiers are discarded, has no row
+    and its mapping is None; the others are unaffected.
 
     Raises:
         AlignmentError: no template is non-empty.
@@ -183,20 +223,29 @@ def align_subject(
     """
     if method not in ALIGNMENT_METHODS:
         raise ValueError(f"alignment must be one of {ALIGNMENT_METHODS}, got {method!r}")
-    if method == "discard":
-        templates = [discard_modifiers(s) for s in templates]
-        queries = [discard_modifiers(s) for s in queries]
-    target = templates[select_target(templates)]
-
-    def one(seq: KeystrokeSequence) -> KeystrokeSequence | None:
-        try:
-            if method == "align":
-                return align(seq, target)[0]
-            return truncate_align(seq, target)
-        except AlignmentError:
-            return None
-
-    return [one(s) for s in templates], [one(s) for s in queries]
+    given = [s.keys() for s in chain(templates, queries)]
+    discard = method == "discard"
+    kept = [_unmodified(keys) if discard else keys for keys in given[: len(templates)]]
+    t = select_target(kept)
+    target, n = given[t], len(kept[t])
+    gathers: list[np.ndarray] = []
+    offsets: list[int] = []
+    mappings: list[AlignmentMapping | None] = []
+    offset = 0
+    for keys in given:
+        if method == "align":
+            found = _match(keys, target) if keys else None
+        else:
+            found = _cut(keys, n, discard)
+        if found is None:
+            mappings.append(None)
+        else:
+            mappings.append(found[0])
+            gathers.append(found[1])
+            offsets.append(offset)
+        offset += len(keys)
+    index = np.array(gathers) + np.array(offsets, np.intp)[:, None]
+    return index, mappings[: len(templates)], mappings[len(templates) :]
 
 
 def damerau_levenshtein(a: Sequence[str], b: Sequence[str]) -> int:
@@ -290,9 +339,7 @@ def _summarize(distances: list[int], comparison_type: str) -> AuditRow:
     if total == 0:
         return AuditRow(comparison_type, 0, 0, 0.0, 0.0, 0)
     differing = sum(1 for x in distances if x > 0)
-    mean = sum(distances) / total
-    var = sum((x - mean) ** 2 for x in distances) / total
-    return AuditRow(comparison_type, total, differing, mean, math.sqrt(var), max(distances))
+    return AuditRow(comparison_type, total, differing, *mean_sd(distances), max(distances))
 
 
 def audit_dataset(dataset: SubjectDataset) -> AuditReport:

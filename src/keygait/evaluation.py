@@ -7,16 +7,19 @@ read off at the exact FAR = FRR point when one exists and by linear
 interpolation across the sign change otherwise.
 
 The pipeline is three stages, and run_pipeline runs them in turn:
-``prepare`` aligns every subject (``alignment.align_subject``) and
-extracts and normalizes its features; ``raw_scores`` fits the detector
-with one ``Detector.fit_group`` call per group of subjects with the same
-template count and scores each subject's queries; ``normalize_scores``
-normalizes the raw scores per subject. Score normalization reads only
-raw scores, so ``keygait ablate`` prepares and fits once per alignment
-and normalizes those raw scores once per kind. A group fit gives every
-subject bit-identical results to fitting it alone, so for the three
-networks (autoencoder, contractive, variational) ``raw_scores`` fits and
-scores the subjects across processes (``_processes.across_processes``),
+``prepare`` aligns every subject to one index matrix into its samples'
+columns (``alignment.align_subject``), gathers their press and release
+times through it, and extracts and normalizes the features of all its
+rows at once, keeping each sample's alignment record; ``raw_scores``
+fits the detector with one ``Detector.fit_group`` call per group of
+subjects with the same template count and scores each subject's
+queries; ``normalize_scores`` normalizes the raw scores per subject.
+Score normalization reads only raw scores, so ``keygait ablate``
+prepares and fits once per alignment and normalizes those raw scores
+once per kind. A group fit gives every subject bit-identical results to
+fitting it alone, so for the three networks (autoencoder, contractive,
+variational) ``raw_scores`` fits and scores the subjects across
+processes (``_processes.across_processes``),
 with the same function that scores all subjects inline, and no output
 byte depends on the CPU count. An ensemble is a pipeline config, not a
 detector: each member is fitted and scored like a single detector, and
@@ -33,12 +36,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, replace
 from functools import partial
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from ._processes import across_processes
-from .alignment import align_subject
+from .alignment import AlignmentMapping, align_subject
 from .config import PipelineConfig
 from .datasets import tsv
 from .detectors import build_detector
@@ -152,7 +156,8 @@ def subject_eer(scores: ScoreSet) -> SubjectEerReport:
 
 @dataclass
 class PreparedSubject:
-    """One subject's aligned, normalized features; detector-independent."""
+    """One subject's aligned, normalized features, and what alignment did
+    to each of its templates and queries; detector-independent."""
 
     subject_id: str
     query_ids: list[str]
@@ -160,6 +165,10 @@ class PreparedSubject:
     template_matrix: np.ndarray | None = None  # None: the whole subject failed
     query_matrix: np.ndarray | None = None  # one row per query that prepared
     query_rows: list[int] = field(default_factory=list)  # their query indices
+    # per template, in sample id order, and per query: its alignment record,
+    # None where it did not align (all of them when no template is non-empty)
+    template_alignments: list[AlignmentMapping | None] = field(default_factory=list)
+    query_alignments: list[AlignmentMapping | None] = field(default_factory=list)
 
 
 def _prepare_subject(
@@ -168,36 +177,37 @@ def _prepare_subject(
     queries: list[Sample],
     config: PipelineConfig,
 ) -> PreparedSubject:
-    failed = PreparedSubject(
-        subject_id, [s.sample_id for s in queries], [s.label for s in queries]
+    prepared = PreparedSubject(
+        subject_id,
+        [s.sample_id for s in queries],
+        [s.label for s in queries],
+        template_alignments=[None] * len(templates),
+        query_alignments=[None] * len(queries),
     )
+    sequences = [s.sequence for s in chain(templates, queries)]
     try:
-        aligned_t, aligned_q = align_subject(
-            [s.sequence for s in templates], [s.sequence for s in queries], config.alignment
+        index, prepared.template_alignments, prepared.query_alignments = align_subject(
+            sequences[: len(templates)], sequences[len(templates) :], config.alignment
         )
     except AlignmentError:
-        return failed
+        return prepared
 
-    # Every aligned sequence has the target's length, so the templates and
-    # queries of a subject form one feature matrix.
-    rows = [seq for seq in aligned_t if seq is not None]
-    n_templates = len(rows)
-    if not n_templates:
-        return failed
-    query_rows = [i for i, seq in enumerate(aligned_q) if seq is not None]
-    rows.extend(aligned_q[i] for i in query_rows)
+    # Every row has the target's length, so the templates and queries of a
+    # subject form one feature matrix, gathered from their given times.
+    query_rows = [i for i, m in enumerate(prepared.query_alignments) if m is not None]
+    n_templates = len(index) - len(query_rows)
+    press = np.concatenate([s.press for s in sequences])[index]
+    release = np.concatenate([s.release for s in sequences])[index]
     try:
-        raw = extract_features(rows)
+        raw = extract_features(press, release)
         normalizer = fit_feature_normalizer(raw[:n_templates], h_f=config.h_f)
         matrix = normalize_features(normalizer, raw)
     except KeygaitError:
-        return failed
-    return replace(
-        failed,
-        template_matrix=matrix[:n_templates],
-        query_matrix=matrix[n_templates:],
-        query_rows=query_rows,
-    )
+        return prepared
+    prepared.template_matrix = matrix[:n_templates]
+    prepared.query_matrix = matrix[n_templates:]
+    prepared.query_rows = query_rows
+    return prepared
 
 
 def prepare(dataset: SubjectDataset, config: PipelineConfig) -> list[PreparedSubject]:

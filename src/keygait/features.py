@@ -11,22 +11,22 @@ so constant features map to 0.5 instead of dividing by zero. Each
 feature type's mean and deviation are pooled over all positions of all
 templates.
 
-There is one path, on matrices: :func:`extract_features` turns m
-equal-length aligned sequences into one (m, n) duration matrix and one
-(m, n-1) latency matrix, the only input :func:`fit_feature_normalizer`
-takes, and :func:`normalize_features` scales every row at once. One
-sequence is a one-row matrix.
+There is one path, on matrices: :func:`extract_features` turns the
+press and release times of m aligned sequences of n keystrokes, given
+as two (m, n) matrices (the pipeline gathers them through
+``alignment.align_subject``'s index matrix), into one (m, n) duration
+matrix and one (m, n-1) latency matrix, the only input
+:func:`fit_feature_normalizer` takes, and :func:`normalize_features`
+scales every row at once. One sequence is a one-row matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .errors import FeatureError
-from .events import KeystrokeSequence
 
 
 @dataclass(frozen=True)
@@ -54,26 +54,26 @@ class RawFeatureMatrix:
         return RawFeatureMatrix(self.durations[rows], self.latencies[rows])
 
 
-def extract_features(seqs: Sequence[KeystrokeSequence]) -> RawFeatureMatrix:
-    """Durations and latencies of equal-length aligned sequences, one row
-    each, computed over all rows at once.
+def extract_features(press: np.ndarray, release: np.ndarray) -> RawFeatureMatrix:
+    """Durations and latencies of m aligned sequences of n keystrokes, one
+    row each, from their press and release times as two (m, n) matrices,
+    computed over all rows at once.
 
     Raises:
-        FeatureError: no sequences, a sequence is not aligned, the lengths
-            differ, or they have fewer than 2 keystrokes.
+        FeatureError: the matrices are not 2-D and of one shape, they have
+            no row, or their rows have fewer than 2 keystrokes.
     """
-    if not seqs:
+    press = np.asarray(press, dtype=float)
+    release = np.asarray(release, dtype=float)
+    if press.ndim != 2 or press.shape != release.shape:
+        raise FeatureError(
+            f"press and release times need one 2-D shape, got {press.shape} and {release.shape}"
+        )
+    m, n = press.shape
+    if not m:
         raise FeatureError("no sequences to extract features from")
-    n = len(seqs[0])
-    for seq in seqs:
-        if not seq.aligned:
-            raise FeatureError("feature extraction requires an aligned sequence")
-        if len(seq) != n:
-            raise FeatureError(f"sequences disagree on length: {len(seq)} vs {n}")
     if n < 2:
         raise FeatureError(f"need at least 2 keystrokes, got {n}")
-    press = np.array([seq.press for seq in seqs], dtype=float)
-    release = np.array([seq.release for seq in seqs], dtype=float)
     return RawFeatureMatrix(release - press, np.diff(press, axis=1))
 
 

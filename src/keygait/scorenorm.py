@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import groupby
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -129,6 +129,15 @@ def normalize_minmax(scores: Sequence[float]) -> list[float]:
     return [(s - lo) / (hi - lo) for s in scores]
 
 
+def mean_sd(values: Sequence[float]) -> tuple[float, float]:
+    """Population mean and standard deviation of non-empty ``values``, each
+    sum taken left to right. From Python 3.12 on, ``sum`` of floats is
+    compensated, so it would move the last bits of these, and of what is
+    computed from them, with the Python version."""
+    mean = reduce(add, values, 0.0) / len(values)
+    return mean, math.sqrt(reduce(add, [(x - mean) ** 2 for x in values], 0.0) / len(values))
+
+
 def normalize_sd(scores: Sequence[float], h_s: float = 2.0) -> list[float]:
     """Map scores to [0, 1] against mean +/- h_s population standard
     deviations, clamping anything outside the bounds.
@@ -145,8 +154,7 @@ def normalize_sd(scores: Sequence[float], h_s: float = 2.0) -> list[float]:
         raise ScoreNormError(
             f"sd normalization needs at least 2 scores, got {len(scores)}"
         )
-    mean = sum(scores) / len(scores)
-    sd = math.sqrt(sum((s - mean) ** 2 for s in scores) / len(scores))
+    mean, sd = mean_sd(scores)
     if sd == 0.0:
         return [0.5] * len(scores)
     width = 2.0 * h_s * sd

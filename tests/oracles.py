@@ -494,6 +494,38 @@ def reference_align(given, target):
     return aligned, mapping
 
 
+def reference_align_subject(templates, queries, method):
+    """Each template and query aligned on its own onto the subject's
+    target, one aligned sequence each: ``reference_align`` for ``align``; for
+    ``truncate`` the first len(target) rows, the last one repeated to
+    fill; for ``discard`` the same after dropping the Shift and Caps Lock
+    rows. The target is the first shortest template that is non-empty
+    after that dropping. A sequence that cannot be aligned (empty, or
+    empty once its modifiers are dropped) is None. Returns (template rows,
+    query rows); ValueError when no template is non-empty."""
+    from keygait import AlignmentError
+
+    def kept(sequence):
+        if method == "discard":
+            return [r for r in rows(sequence) if r[0] not in ("lshift", "rshift", "capslock")]
+        return rows(sequence)
+
+    lengths = [len(kept(s)) for s in templates]
+    target = templates[min((n, i) for i, n in enumerate(lengths) if n)[1]]
+    n = len(kept(target))
+
+    def one(sequence):
+        if method == "align":
+            try:
+                return reference_align(sequence, target)[0]
+            except AlignmentError:
+                return None
+        given = kept(sequence)
+        return seq([given[min(i, len(given) - 1)] for i in range(n)], aligned=True) if given else None
+
+    return [one(s) for s in templates], [one(s) for s in queries]
+
+
 # ------------------------------------------------------------ features
 
 

@@ -19,13 +19,38 @@ from keygait import (
 )
 from keygait import alignment
 from keygait.alignment import AuditReport, _match, _summarize
+from keygait.config import ALIGNMENT_METHODS
 
-from oracles import bfs_edit_distances, reference_align, reference_damerau_levenshtein, rows, seq
+from oracles import (
+    bfs_edit_distances,
+    reference_align,
+    reference_align_subject,
+    reference_damerau_levenshtein,
+    rows,
+    seq,
+)
 
 
 def mkseq(keys, start=0, gap=100, duration=60):
     times = [start + i * gap for i in range(len(keys))]
     return seq([(key, t, t + duration) for key, t in zip(keys, times)])
+
+
+def gathered(templates, queries, method):
+    """``align_subject``'s index matrix gathered from the subject's
+    concatenated columns: per template and per query, its row as an
+    aligned sequence, None where it has none (template rows, query rows);
+    and every mapping, templates first."""
+    index, mapped_t, mapped_q = align_subject(templates, queries, method)
+    mappings = [*mapped_t, *mapped_q]
+    assert index.shape[0] == sum(m is not None for m in mappings)
+    columns = [r for s in (*templates, *queries) for r in rows(s)]
+    index_rows = iter(index.tolist())
+    out = [
+        None if m is None else seq([columns[j] for j in next(index_rows)], aligned=True)
+        for m in mappings
+    ]
+    return out[: len(templates)], out[len(templates) :], mappings
 
 
 class TestAlign:
@@ -256,7 +281,7 @@ class TestBaselines:
     def test_align_subject_target_passthrough(self):
         templates = [mkseq(["a", "b", "c"]), mkseq(["a", "b"])]
         for method, query in (("align", ("a", "b")), ("truncate", ("b", "a")), ("discard", ("b", "a"))):
-            aligned_t, aligned_q = align_subject(templates, [mkseq(["b", "a"])], method)
+            aligned_t, aligned_q, _ = gathered(templates, [mkseq(["b", "a"])], method)
             # the target (the shortest template) comes back byte-for-byte
             assert rows(aligned_t[1]) == rows(templates[1])
             assert aligned_t[0].keys() == ("a", "b")
@@ -269,12 +294,12 @@ class TestBaselines:
             mkseq(["lshift", "capslock", "rshift"]),  # empty once modifiers go
             mkseq(["b", "a", "c", "d"]),
         ]
-        aligned_t, aligned_q = align_subject(templates, queries, "discard")
+        aligned_t, aligned_q, _ = gathered(templates, queries, "discard")
         assert [s.keys() for s in aligned_t] == [("a", "b", "c")] * 2
         assert aligned_q[1] is None
         assert aligned_q[0].keys() == ("a", "b", "c")
         assert aligned_q[2].keys() == ("b", "a", "c")
-        _, aligned_q = align_subject(templates, [seq(), queries[0]], "align")
+        _, aligned_q, _ = gathered(templates, [seq(), queries[0]], "align")
         assert aligned_q[0] is None and aligned_q[1] is not None
 
     @pytest.mark.parametrize("method", ["align", "truncate", "discard"])
@@ -282,7 +307,7 @@ class TestBaselines:
         templates = [mkseq(["a", "b", "c"]), seq(), mkseq(["a", "b", "c", "d"])]
         if method == "discard":
             templates.append(mkseq(["lshift", "capslock"]))  # empty once modifiers go
-        aligned_t, aligned_q = align_subject(templates, [mkseq(["a", "b", "c", "d"])], method)
+        aligned_t, aligned_q, _ = gathered(templates, [mkseq(["a", "b", "c", "d"])], method)
         assert aligned_t[0].keys() == aligned_t[2].keys() == aligned_q[0].keys() == ("a", "b", "c")
         assert aligned_t[1] is None
         assert aligned_t[3:] == [None] * (len(templates) - 3)
@@ -296,6 +321,52 @@ class TestBaselines:
             align_subject([mkseq(["lshift", "capslock"])], [mkseq(["a"])], "discard")
         with pytest.raises(ValueError, match="alignment must be one of"):
             align_subject([mkseq(["a"])], [], "nope")
+
+
+_KEYS = ("a", "b", "lshift", "rshift", "capslock")
+
+
+@hgiven(
+    st.lists(key_lists(alphabet=_KEYS, min_size=0, max_size=9), min_size=1, max_size=4),
+    st.lists(key_lists(alphabet=_KEYS, min_size=0, max_size=9), max_size=4),
+    st.sampled_from(ALIGNMENT_METHODS),
+)
+def test_index_rows_gather_what_each_sequence_aligns_to(template_keys, query_keys, method):
+    # every sequence at its own times, so a row gathered from the wrong
+    # sequence's columns shows
+    templates = [mkseq(keys, start=1000 * k, gap=37) for k, keys in enumerate(template_keys)]
+    queries = [mkseq(keys, start=1000 * (k + 10), gap=41) for k, keys in enumerate(query_keys)]
+    try:
+        expected = reference_align_subject(templates, queries, method)
+    except ValueError:  # no template is non-empty after discarding
+        with pytest.raises(AlignmentError, match="no non-empty sequence"):
+            align_subject(templates, queries, method)
+        return
+    *aligned, mappings = gathered(templates, queries, method)
+    assert tuple(aligned) == expected
+
+    # every mapping is the one-sequence call's
+    discard = method == "discard"
+    prepared = [discard_modifiers(s) if discard else s for s in templates]
+    target = prepared[select_target(prepared)]
+    index, _, _ = align_subject(templates, queries, method)
+    index_rows = iter(index.tolist())
+    offset = 0
+    for given, mapping in zip((*templates, *queries), mappings):
+        kept = [j for j, key in enumerate(given.keys()) if not (discard and key in _KEYS[2:])]
+        if mapping is None:
+            assert not kept
+        elif method == "align":
+            assert mapping == reference_align(given, target)[1]
+        else:
+            one = truncate_align(discard_modifiers(given) if discard else given, target)
+            assert one == seq([rows(given)[j] for j in mapping.index], aligned=True)
+            assert mapping.substituted == (False,) * len(target)
+            assert mapping.ignored == tuple(j for j in range(len(given)) if j not in mapping.index)
+            assert mapping.flagged == (len(kept) < len(target))
+        if mapping is not None:
+            assert [j - offset for j in next(index_rows)] == list(mapping.index)
+        offset += len(given)
 
 
 class TestEditDistance:

@@ -28,7 +28,6 @@ from keygait import (
     SubjectDataset,
     SynthConfig,
     TrainingError,
-    align_subject,
     build_detector,
     derive_seed,
     generate_synthetic,
@@ -45,6 +44,7 @@ from keygait.scorenorm import normalize_minmax, normalize_sd
 
 from oracles import (
     by_subject,
+    reference_align_subject,
     reference_eer,
     reference_global_eer,
     reference_normalize_scores,
@@ -255,7 +255,7 @@ def test_prepared_rows_match_per_sequence_features(small_dataset, alignment, h_f
         entry = small_dataset.subjects[sid]
         templates = sorted(entry.templates, key=lambda s: s.sample_id)
         queries = sorted(entry.queries, key=lambda s: s.sample_id)
-        aligned_t, aligned_q = align_subject(
+        aligned_t, aligned_q = reference_align_subject(
             [s.sequence for s in templates], [s.sequence for s in queries], alignment
         )
         assert None not in aligned_t and None not in aligned_q
@@ -263,6 +263,25 @@ def test_prepared_rows_match_per_sequence_features(small_dataset, alignment, h_f
         assert p.template_matrix.tobytes() == np.stack(ref_t).tobytes()
         assert p.query_rows == list(range(len(ref_q)))
         assert p.query_matrix.tobytes() == np.stack(ref_q).tobytes()
+
+
+def test_alignment_record_of_the_standard_fixture():
+    # counted with the per-sequence ``align`` calls the index matrix replaced
+    dataset, _ = generate_synthetic(
+        SynthConfig(n_subjects=300, shift_drop=0.05, shift_transpose=0.03, capslock_sub=0.02, seed=0)
+    )
+    prepared = evaluation.prepare(dataset, PipelineConfig())
+    records = [(m, False) for p in prepared for m in p.template_alignments]
+    records += [(m, True) for p in prepared for m in p.query_alignments]
+    assert len(records) == 7200 and all(m is not None for m, _ in records)
+    exact = [
+        m.index == tuple(range(len(m.index))) and not m.ignored and not any(m.substituted)
+        for m, _ in records
+    ]
+    assert sum(exact) == 3251
+    assert sum(m.substitution_count() > 0 for m, _ in records) == 2007
+    assert sum(bool(m.ignored) for m, _ in records) == 1971
+    assert sum(m.flagged for m, _ in records) == sum(m.flagged for m, query in records if query) == 394
 
 
 def _swap_shift_sides(sequence):

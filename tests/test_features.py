@@ -18,9 +18,14 @@ def aligned(*triples):
     return seq(triples, aligned=True)
 
 
+def features(seqs):
+    """``extract_features`` of equal-length sequences, one row each."""
+    return extract_features(np.array([s.press for s in seqs]), np.array([s.release for s in seqs]))
+
+
 def test_extraction_values():
     s = aligned(("a", 0, 80), ("b", 120, 190), ("c", 250, 310))
-    v = extract_features([s])
+    v = features([s])
     assert len(v) == 1
     assert v.durations.tolist() == [[80.0, 70.0, 60.0]]
     assert v.latencies.tolist() == [[120.0, 130.0]]
@@ -28,20 +33,14 @@ def test_extraction_values():
 
 def test_negative_latency_preserved():
     s = aligned(("b", 100, 150), ("a", 40, 90))
-    v = extract_features([s])
+    v = features([s])
     assert v.latencies.tolist() == [[-60.0]]
-
-
-def test_requires_aligned():
-    s = seq([("a", 0, 10), ("b", 20, 30)])
-    with pytest.raises(FeatureError):
-        extract_features([s])
 
 
 def test_requires_two_keystrokes():
     s = aligned(("a", 0, 10))
     with pytest.raises(FeatureError):
-        extract_features([s])
+        features([s])
 
 
 def _template_seqs():
@@ -54,11 +53,11 @@ def _template_seqs():
 
 def _template_vectors():
     """One one-row matrix per template."""
-    return [extract_features([s]) for s in _template_seqs()]
+    return [features([s]) for s in _template_seqs()]
 
 
 def _templates():
-    return extract_features(_template_seqs())
+    return features(_template_seqs())
 
 
 class TestNormalization:
@@ -72,15 +71,15 @@ class TestNormalization:
 
     def test_out_of_range_clamps(self):
         norm = fit_feature_normalizer(_templates())
-        far = extract_features([aligned(("a", 0, 5000), ("b", 6000, 6001), ("c", 6002, 6003))])
+        far = features([aligned(("a", 0, 5000), ("b", 6000, 6001), ("c", 6002, 6003))])
         out = normalize_features(norm, far)[0]
         assert out[0] == 1.0  # huge duration clamps high
         assert out[1] == 0.0  # tiny duration clamps low
 
     def test_constant_feature_maps_to_half(self):
         seqs = [aligned(("a", 0, 50), ("b", 100, 150)), aligned(("a", 0, 50), ("b", 100, 150))]
-        norm = fit_feature_normalizer(extract_features(seqs))
-        out = normalize_features(norm, extract_features(seqs[:1]))
+        norm = fit_feature_normalizer(features(seqs))
+        out = normalize_features(norm, features(seqs[:1]))
         assert np.allclose(out, 0.5)
 
     def test_pooled_mean_value_maps_to_half(self):
@@ -106,8 +105,8 @@ class TestNormalization:
         def evenly_typed(n):
             return aligned(*((chr(ord("a") + i), 150 * i, 150 * i + 90) for i in range(n)))
 
-        out = normalize_features(norm, extract_features([evenly_typed(n_keys)]))[0]
-        three = normalize_features(norm, extract_features([evenly_typed(3)]))[0]
+        out = normalize_features(norm, features([evenly_typed(n_keys)]))[0]
+        three = normalize_features(norm, features([evenly_typed(3)]))[0]
         assert out.shape == (2 * n_keys - 1,)
         assert np.all(out[:n_keys] == three[0])
         assert np.all(out[n_keys:] == three[3])
@@ -115,12 +114,8 @@ class TestNormalization:
     def test_empty_or_mismatched_fit_rejected(self):
         with pytest.raises(FeatureError):
             fit_feature_normalizer(_templates()[:0])
-        mixed = [
-            aligned(("a", 0, 10), ("b", 20, 30)),
-            aligned(("a", 0, 10), ("b", 20, 30), ("c", 40, 50)),
-        ]
         with pytest.raises(FeatureError):
-            fit_feature_normalizer(extract_features(mixed))
+            fit_feature_normalizer(extract_features(np.zeros((2, 2)), np.zeros((2, 3))))
 
     @pytest.mark.parametrize("h_f", [0.0, float("nan"), float("inf")])
     def test_h_f_must_be_positive(self, h_f):
@@ -169,7 +164,7 @@ def test_normalized_range_property(timing):
         ks.append(("a", t, t + dur))
         t += 1
     s = aligned(*ks)
-    v = extract_features([s])
+    v = features([s])
     norm = fit_feature_normalizer(v)
     out = normalize_features(norm, v)
     assert np.all((out >= 0.0) & (out <= 1.0))
@@ -181,19 +176,18 @@ class TestFeatureMatrix:
             aligned(("a", 0, 80), ("b", 150, 240), ("c", 300, 390)),
             aligned(("b", 100, 150), ("a", 40, 90), ("c", 200, 260)),
         ]
-        raw = extract_features(seqs)
+        raw = features(seqs)
         assert len(raw) == 2
         assert raw.durations.tolist() == [[80.0, 90.0, 90.0], [50.0, 50.0, 60.0]]
         assert raw.latencies.tolist() == [[150.0, 150.0], [-60.0, 160.0]]
         assert raw[1:].latencies.tolist() == [[-60.0, 160.0]]
 
     def test_rejects_what_single_extraction_rejects(self):
-        unaligned = seq([("a", 0, 10), ("b", 20, 30)])
-        ok = aligned(("a", 0, 10), ("b", 20, 30))
-        for seqs in ([], [ok, unaligned], [aligned(("a", 0, 10))],
-                     [ok, aligned(("a", 0, 10), ("b", 20, 30), ("c", 40, 50))]):
+        # no row, rows of one keystroke, shapes that differ or are not 2-D
+        for press, release in ((np.zeros((0, 3)),) * 2, (np.zeros((2, 1)),) * 2,
+                               (np.zeros((2, 2)), np.zeros((2, 3))), (np.zeros(3),) * 2):
             with pytest.raises(FeatureError):
-                extract_features(seqs)
+                extract_features(press, release)
 
     def test_shape_checked(self):
         with pytest.raises(ValueError):
@@ -221,7 +215,7 @@ def _aligned_batches(draw):
 @given(_aligned_batches())
 def test_matrix_rows_equal_per_sequence_features(batch):
     seqs, n_templates, h_f = batch
-    raw = extract_features(seqs)
+    raw = features(seqs)
     norm = fit_feature_normalizer(raw[:n_templates], h_f=h_f)
     matrix = normalize_features(norm, raw)
     # the frozen per-sequence reference

@@ -207,3 +207,26 @@ def test_children_still_running_are_killed_when_share_0_raises(three_cpus):
     with pytest.raises(TrainingError, match="^share 0 failed$"):
         across_processes(share, [0, 1, 2])
     assert time.perf_counter() - start < 30
+
+
+@forks
+def test_an_exception_raised_while_waiting_for_a_child_ends_the_call(monkeypatch):
+    # a signal handler's exception, raised while the caller waits on share
+    # 1's pipe, is not a cut payload: it arrives as raised, at once, and
+    # the child still sleeping is killed and reaped
+    monkeypatch.setattr(_processes, "cpu_count", lambda: 2)
+
+    def alarm(signum, frame):
+        raise TimeoutError("the caller's own deadline")
+
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.alarm(1)
+    start = time.perf_counter()
+    try:
+        with pytest.raises(TimeoutError, match="^the caller's own deadline$") as info:
+            across_processes(lambda seconds: [time.sleep(s) for s in seconds], [0, 8])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.perf_counter() - start < 2.5
+    assert info.value.__cause__ is None and info.value.__context__ is None

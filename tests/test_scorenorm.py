@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from keygait import Label, ScoreNormConfig, ScoreRecord, ScoreSet, apply_normalization
 from keygait.errors import ScoreNormError
-from keygait.scorenorm import normalize_minmax, normalize_sd
+from keygait.alignment import _summarize
+from keygait.scorenorm import mean_sd, normalize_minmax, normalize_sd
 
 
 def test_minmax_basic():
@@ -21,6 +22,35 @@ def test_minmax_degenerate_maps_to_half():
 
 def test_minmax_empty():
     assert normalize_minmax([]) == []
+
+
+def _left_to_right(values):
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
+@pytest.mark.parametrize(
+    "values", [[1e16, 1.0, -1e16, 0.0], [3.3, 3.3, 3.3, 0.001], [0, 3, 5, 4, 0, 6, 1]]
+)
+def test_sums_run_left_to_right(values):
+    # On these a compensated sum, as the builtin sum of floats is from
+    # Python 3.12 on, or an exact one (math.fsum) gives other bits: the
+    # mean of the first is 0.0 left to right and 0.25 exactly. Scores
+    # and audit rows keep the left-to-right bits on every Python.
+    n = len(values)
+    mean = _left_to_right(values) / n
+    sd = math.sqrt(_left_to_right([(x - mean) ** 2 for x in values]) / n)
+    exact_mean = math.fsum(values) / n
+    exact_sd = math.sqrt(math.fsum([(x - exact_mean) ** 2 for x in values]) / n)
+    assert (mean, sd) != (exact_mean, exact_sd)
+    assert mean_sd(values) == (mean, sd)
+    lo, width = mean - 2.0 * sd, 4.0 * sd
+    assert normalize_sd(values) == [min(1.0, max(0.0, (x - lo) / width)) for x in values]
+    if all(isinstance(x, int) for x in values):  # edit distances
+        row = _summarize(values, "query-template")
+        assert (row.mean_dl, row.sd_dl) == (mean, sd)
 
 
 def test_sd_hand_values():

