@@ -151,7 +151,6 @@ class PipelineConfig(JsonConfig):
     h_f: float = 1.0
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     score_norm: ScoreNormConfig = field(default_factory=ScoreNormConfig)
-    ensemble_normalized: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -160,8 +159,6 @@ class PipelineConfig(JsonConfig):
                 f"alignment must be one of {ALIGNMENT_METHODS}, got {self.alignment!r}"
             )
         check_positive_finite("h_f", self.h_f)
-        if self.ensemble_normalized and self.detector.name != "ensemble":
-            raise ValueError(f"ensemble_normalized needs an ensemble, not {self.detector.name!r}")
         from .detectors import build_detector  # keygait.detectors imports this module
 
         for detector in self.detector.singles():

@@ -170,6 +170,7 @@ def _read_captures(
     issued again with the file's ``Path`` spelling first, as its problem
     line names it."""
     blocks = [ids[first : first + _BLOCK_FILES] for first in range(0, len(ids), _BLOCK_FILES)]
+    # forked, not inline: on 2 CPUs kboc-evaluate's pass_ref reads 9-14% lower so
     read = across_processes(lambda bs: [_read_block(prefix, b) for b in bs], blocks)
     for b, block in enumerate(blocks):
         files, columns = read[b]

@@ -5,7 +5,7 @@ and ``score_all`` scores, and higher scores mean more likely genuine.
 `build_detector` turns a declarative DetectorConfig into an instance,
 injecting a seed so per-subject instances stay independently and
 reproducibly seeded. An ensemble is not a detector: ``run_pipeline``
-fits and scores each member and averages their scores.
+fits and scores each member and averages their raw scores.
 
 The pipeline fits one group of subjects with the same template count at
 a time through `Detector.fit_group`; ``fit`` is the group of one. Each

@@ -23,7 +23,7 @@ processes (``_processes.across_processes``),
 with the same function that scores all subjects inline, and no output
 byte depends on the CPU count. An ensemble is a pipeline config, not a
 detector: each member is fitted and scored like a single detector, and
-one combiner averages the members' raw or normalized scores.
+``raw_scores`` averages the members' raw scores.
 Samples that cannot be processed are never dropped: they become flagged
 records with a sentinel minimal score and count toward
 failure-to-capture. All randomness derives from the config's master
@@ -251,24 +251,38 @@ def _score_subjects(prepared: list[PreparedSubject], config: PipelineConfig) -> 
     return scores
 
 
-def raw_scores(prepared: list[PreparedSubject], config: PipelineConfig) -> list[list[np.ndarray]]:
-    """Stage 2: per subject, in ``prepared``'s order, per member of the
-    configured detector (or the single detector), the raw score of every
-    query (``_score_subjects``).
+def raw_scores(prepared: list[PreparedSubject], config: PipelineConfig) -> list[np.ndarray]:
+    """Stage 2: per subject, in ``prepared``'s order, the raw score of every
+    query: the detector's, or the mean of an ensemble's members' scores
+    (``_score_subjects``), taken in this process.
 
     When a member's class sets ``fit_across_processes`` (the three
     networks), the subjects are fitted and scored across processes
     (``_processes.across_processes``), and only their scores come back;
     no byte depends on the CPU count. An exception from a fit is raised
-    here as it would be inline."""
+    here as it would be inline.
+
+    The raw mean weights each member by its raw scores' scale. On the
+    README quick start's set (sd 4.45 for manhattan, 0.093 for the
+    one-class SVM) their mean's EER under sd, 0.052 / 0.116 / 0.042 for
+    align / truncate / discard, tracks manhattan's 0.052 / 0.118 / 0.042;
+    yet manhattan + variational reads 0.038 under sd with align, against
+    0.052 and 0.042 alone. Averaging normalized scores instead won 4 of 18
+    cells (3 pairs x 3 alignments x minmax and sd), by at most 0.004, and
+    lost 13, by up to 0.028."""
     score = partial(_score_subjects, config=config)
     if any(build_detector(m).fit_across_processes for m in config.detector.singles()):
-        return across_processes(score, prepared)
-    return score(prepared)
+        members = across_processes(score, prepared)
+    else:
+        members = score(prepared)
+    if config.detector.name != "ensemble":
+        # a single detector keeps its bits: a mean of one turns -0.0 into 0.0
+        return [m[0] for m in members]
+    return [np.mean(m, axis=0) for m in members]
 
 
 def normalize_scores(
-    prepared: list[PreparedSubject], raws: list[list[np.ndarray]], config: PipelineConfig
+    prepared: list[PreparedSubject], raws: list[np.ndarray], config: PipelineConfig
 ) -> ScoreSet:
     """Stage 3: the raw and normalized score columns of stage 2's scores
     under ``config.score_norm``, filled subject by subject in ``prepared``'s
@@ -276,36 +290,20 @@ def normalize_scores(
     ``raws`` is only read, so one stage 2 result serves every score
     normalization.
 
-    An ensemble averages the members' raw scores and normalizes the mean
-    or, with ``ensemble_normalized``, averages the per-member normalized
-    scores. The raw mean weights each member by the scale of its raw
-    scores: on the README quick start's 50-subject set, manhattan's have
-    sd 4.45 and the one-class SVM's 0.093, so their raw-mean EER under sd
-    (0.052 / 0.116 / 0.042 for align / truncate / discard) tracks
-    manhattan alone (0.052 / 0.118 / 0.042), and ``ensemble_normalized``
-    gives 0.072 / 0.114 / 0.052.
-
-    A record is flagged when its (mean) raw score is not finite; the
-    normalization of the mean and of every member leaves it out. A
-    subject whose scores cannot be normalized is flagged whole.
+    A record is flagged when its raw score is not finite; normalization
+    leaves it out. A subject whose scores cannot be normalized is flagged
+    whole.
     """
     norm = config.score_norm
-    ensemble = config.detector.name == "ensemble"
     raw_column: list[float] = []
     normalized_column: list[float] = []
     flag_column: list[bool] = []
-    for p, members in zip(prepared, raws):
-        # a single detector keeps its bits: a mean of one turns -0.0 into 0.0
-        raw = np.mean(members, axis=0) if ensemble else members[0]
+    for p, raw in zip(prepared, raws):
         flagged = ~np.isfinite(raw)
         raw = np.where(flagged, SENTINEL_SCORE, raw).tolist()
         flags = flagged.tolist()
         try:
-            if ensemble and config.ensemble_normalized:
-                per_member = [normalize_subject(p.subject_id, r.tolist(), flags, norm) for r in members]
-                normalized = np.mean(per_member, axis=0).tolist()
-            else:
-                normalized = normalize_subject(p.subject_id, raw, flags, norm)
+            normalized = normalize_subject(p.subject_id, raw, flags, norm)
         except ScoreNormError:
             # too few live scores to normalize (sd needs 2): the subject is
             # flagged whole, like one whose preparation failed

@@ -696,6 +696,15 @@ def _by_sample(records) -> list:
     return sorted(records, key=lambda r: (r.subject_id, r.sample_id))
 
 
+def reference_member_mean(members) -> np.ndarray:
+    """An ensemble's raw scores: its members' score arrays summed one at a
+    time, left to right, and divided by their count."""
+    total = members[0]
+    for scores in members[1:]:
+        total = total + scores
+    return total / len(members)
+
+
 def reference_normalize_scores(prepared, raws, config) -> list:
     """Stage 3 one record at a time: each subject's raw scores through
     ``normalize_subject`` into a ``ScoreRecord`` per query, the records
@@ -704,19 +713,13 @@ def reference_normalize_scores(prepared, raws, config) -> list:
     from keygait.scorenorm import SENTINEL_SCORE, ScoreRecord, normalize_subject
 
     norm = config.score_norm
-    ensemble = config.detector.name == "ensemble"
     records = []
-    for p, members in zip(prepared, raws):
-        raw = np.mean(members, axis=0) if ensemble else members[0]
+    for p, raw in zip(prepared, raws):
         flagged = ~np.isfinite(raw)
         raw = np.where(flagged, SENTINEL_SCORE, raw)
         flags = flagged.tolist()
         try:
-            if ensemble and config.ensemble_normalized:
-                per_member = [normalize_subject(p.subject_id, r.tolist(), flags, norm) for r in members]
-                normalized = np.mean(per_member, axis=0).tolist()
-            else:
-                normalized = normalize_subject(p.subject_id, raw.tolist(), flags, norm)
+            normalized = normalize_subject(p.subject_id, raw.tolist(), flags, norm)
         except ScoreNormError:
             raw = np.full_like(raw, SENTINEL_SCORE)
             flags = [True] * len(flags)

@@ -401,6 +401,16 @@ def per_position_key_error(work: Path) -> None:
     assert not (work / "pp").exists()
 
 
+def ensemble_normalized_key_error(work: Path) -> None:
+    """``ensemble_normalized`` is gone from ``PipelineConfig``: an old
+    config setting it is an error, and no output directory is made."""
+    config = work / "ensemble_normalized.json"
+    config.write_text(json.dumps({"ensemble_normalized": False}), encoding="utf-8")
+    err = _error("evaluate", "--data", _dataset(work), "--out", work / "en", "--config", config)
+    assert err == "error: unknown PipelineConfig key(s): ensemble_normalized\n", err
+    assert not (work / "en").exists()
+
+
 CHECKS = (
     network_reruns,
     twelve_subjects_pinned,
@@ -419,6 +429,7 @@ CHECKS = (
     name_length_error,
     timing_key_error,
     per_position_key_error,
+    ensemble_normalized_key_error,
 )
 
 

@@ -477,12 +477,13 @@ class TestErrorHandling:
         [
             (
                 "evaluate",
-                '{"ensemble_normalized": "false"}',
-                "PipelineConfig.ensemble_normalized: expected true or false, got 'false'",
+                '{"detector": {"params": {"scaled": "false"}}}',
+                "ManhattanDetector.scaled: expected true or false, got 'false'",
             ),
             # an old config that sets a removed setting
             ("evaluate", '{"per_position": true}', "unknown PipelineConfig key(s): per_position"),
             ("evaluate", '{"merge_shift_keys": true}', "unknown PipelineConfig key(s): merge_shift_keys"),
+            ("evaluate", '{"ensemble_normalized": false}', "unknown PipelineConfig key(s): ensemble_normalized"),
             ("evaluate", '{"h_f": NaN}', "PipelineConfig.h_f: expected a finite number, got nan"),
             ("evaluate", '{"score_norm": {"h_s": Infinity}}', "ScoreNormConfig.h_s: expected a finite number, got inf"),
             ("evaluate", "[1, 2]", "PipelineConfig: expected an object, got list"),
@@ -524,8 +525,7 @@ class TestErrorHandling:
             # ensemble settings on a single detector, and detector params on an ensemble
             (
                 "evaluate",
-                '{"detector": {"name": "manhattan", "members": [{"name": "ocsvm"}, {"name": "variational"}]},'
-                ' "ensemble_normalized": true}',
+                '{"detector": {"name": "manhattan", "members": [{"name": "ocsvm"}, {"name": "variational"}]}}',
                 "members: only an ensemble has members, not 'manhattan'",
             ),
             (
@@ -533,11 +533,6 @@ class TestErrorHandling:
                 '{"detector": {"name": "ensemble", "params": {"nu": 0.3},'
                 ' "members": [{"name": "ocsvm"}, {"name": "manhattan"}]}}',
                 "params: an ensemble takes none; set them on its members",
-            ),
-            (
-                "evaluate",
-                '{"detector": {"name": "ocsvm"}, "ensemble_normalized": true}',
-                "ensemble_normalized needs an ensemble, not 'ocsvm'",
             ),
         ],
     )

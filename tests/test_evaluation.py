@@ -47,6 +47,7 @@ from oracles import (
     reference_align_subject,
     reference_eer,
     reference_global_eer,
+    reference_member_mean,
     reference_normalize_scores,
     reference_normalized_features,
     reference_subject_eer,
@@ -492,15 +493,10 @@ class TestRunPipeline:
             members=(DetectorConfig(name="manhattan"), DetectorConfig(name="manhattan")),
         )
         joint = run_pipeline(ds, PipelineConfig(detector=pair))
-        via_norm = run_pipeline(
-            ds, PipelineConfig(detector=pair, ensemble_normalized=True)
-        )
-        for a, b, c in zip(single.records, joint.records, via_norm.records):
+        for a, b in zip(single.records, joint.records):
             assert a.raw_score == pytest.approx(b.raw_score)
             assert a.normalized_score == pytest.approx(b.normalized_score)
-            assert a.normalized_score == pytest.approx(c.normalized_score)
 
-    @pytest.mark.parametrize("ensemble_normalized", [False, True])
     @pytest.mark.parametrize(
         "members",
         [
@@ -509,41 +505,32 @@ class TestRunPipeline:
         ],
         ids=["autoencoders", "manhattans"],
     )
-    def test_ensemble_averages_member_scores(self, small_dataset, members, ensemble_normalized):
-        config = PipelineConfig(
-            detector=DetectorConfig(name="ensemble", members=members),
-            ensemble_normalized=ensemble_normalized,
-            seed=5,
-        )
+    def test_ensemble_averages_member_scores(self, small_dataset, members):
+        config = PipelineConfig(detector=DetectorConfig(name="ensemble", members=members), seed=5)
         prepared = evaluation.prepare(small_dataset, config)
         # member i is fitted on its own with the subject's seed + 1 + i
         member_scores = [
-            _per_subject_scores(prepared, config, member, seed_offset=1 + i)
+            np.array(_per_subject_scores(prepared, config, member, seed_offset=1 + i))
             for i, member in enumerate(members)
         ]
-        assert member_scores[0] != member_scores[1]
-        mean = [float(np.mean(pair)) for pair in zip(*member_scores)]
+        assert member_scores[0].tobytes() != member_scores[1].tobytes()
+        mean = reference_member_mean(member_scores)
+        # stage 2 returns the mean itself, one array per subject
+        raws = evaluation.raw_scores(prepared, config)
+        assert [(type(r), len(r)) for r in raws] == [(np.ndarray, len(p.query_ids)) for p in prepared]
+        assert np.concatenate(raws).tobytes() == mean.tobytes()
         scores = run_pipeline(small_dataset, config)
         assert not any(r.flagged for r in scores)
-        assert np.array(mean).tobytes() == np.array([r.raw_score for r in scores]).tobytes()
-
-        def per_subject(values):
-            out, start = [], 0
-            for p in prepared:
-                stop = start + len(p.query_ids)
-                out.extend(normalize_sd(values[start:stop]))
-                start = stop
-            return out
-
-        if ensemble_normalized:
-            expected = [float(np.mean(pair)) for pair in zip(*map(per_subject, member_scores))]
-        else:
-            expected = per_subject(mean)
+        assert np.array([r.raw_score for r in scores]).tobytes() == mean.tobytes()
+        expected, start = [], 0
+        for p in prepared:
+            stop = start + len(p.query_ids)
+            expected.extend(normalize_sd(mean[start:stop].tolist()))
+            start = stop
         assert expected == [r.normalized_score for r in scores]
 
-    @pytest.mark.parametrize("ensemble_normalized", [False, True])
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_ensemble_mean_overflow_is_flagged(self, monkeypatch, ensemble_normalized):
+    def test_ensemble_mean_overflow_is_flagged(self, monkeypatch):
         # each member's score is finite, their sum is not
         monkeypatch.setattr(
             ManhattanDetector, "score_all", lambda self, queries: np.full(len(queries), -1.7e308)
@@ -552,16 +539,20 @@ class TestRunPipeline:
             name="ensemble",
             members=(DetectorConfig(name="manhattan"), DetectorConfig(name="manhattan")),
         )
-        config = PipelineConfig(
-            detector=pair,
-            ensemble_normalized=ensemble_normalized,
-            score_norm=ScoreNormConfig(kind="minmax"),
-        )
+        config = PipelineConfig(detector=pair, score_norm=ScoreNormConfig(kind="minmax"))
         scores = run_pipeline(_toy_dataset(), config)
         assert len(scores) == 8
         assert all(r.flagged for r in scores)
         assert all(r.raw_score == SENTINEL_SCORE for r in scores)
         assert all(r.normalized_score == 0.0 for r in scores)
+
+    def test_single_detector_scores_keep_their_bits(self, monkeypatch):
+        # a mean of one member would turn -0.0 into 0.0
+        monkeypatch.setattr(ManhattanDetector, "score_all", lambda self, queries: np.full(len(queries), -0.0))
+        config = PipelineConfig(score_norm=ScoreNormConfig(kind="none"))
+        raws = evaluation.raw_scores(evaluation.prepare(_toy_dataset(), config), config)
+        assert [np.signbit(r).tolist() for r in raws] == [[True] * 4] * 2
+        assert all(math.copysign(1.0, r.raw_score) == -1.0 for r in run_pipeline(_toy_dataset(), config))
 
     def test_non_finite_scores_are_flagged(self, monkeypatch):
         def score_all(self, queries):
@@ -576,16 +567,13 @@ class TestRunPipeline:
             assert [r.raw_score for r in records] == [SENTINEL_SCORE] * 2 + [-2.0, -3.0]
             assert [r.normalized_score for r in records] == [0.0, 0.0, 1.0, 0.0]
 
-    @pytest.mark.parametrize("ensemble_normalized", [None, False, True])
-    def test_subject_with_one_live_score_is_flagged_under_sd(self, ensemble_normalized):
+    @pytest.mark.parametrize("ensemble", [False, True], ids=["single", "ensemble"])
+    def test_subject_with_one_live_score_is_flagged_under_sd(self, ensemble):
         # sd normalization needs 2 live scores; s1 keeps 1 of its 4 queries
         config = PipelineConfig()
-        if ensemble_normalized is not None:
+        if ensemble:
             pair = (DetectorConfig(name="manhattan"), DetectorConfig(name="ocsvm"))
-            config = PipelineConfig(
-                detector=DetectorConfig(name="ensemble", members=pair),
-                ensemble_normalized=ensemble_normalized,
-            )
+            config = PipelineConfig(detector=DetectorConfig(name="ensemble", members=pair))
         ds = _toy_dataset()
         s1 = ds.subjects["s1"]
         s1.queries = [
@@ -599,19 +587,14 @@ class TestRunPipeline:
         # every other subject is scored as if s1 were intact
         assert scores["s2"] == by_subject(run_pipeline(_toy_dataset(), config))["s2"]
 
-    @pytest.mark.parametrize("ensemble_normalized", [False, True])
-    def test_flagged_ensemble_record_keeps_sentinel_under_none(self, ensemble_normalized):
+    def test_flagged_ensemble_record_keeps_sentinel_under_none(self):
         ds = _toy_dataset()
         ds.add(Sample("s1", "qz", Role.QUERY, seq(), Label.GENUINE))
         pair = DetectorConfig(
             name="ensemble",
             members=(DetectorConfig(name="manhattan"), DetectorConfig(name="ocsvm")),
         )
-        config = PipelineConfig(
-            detector=pair,
-            ensemble_normalized=ensemble_normalized,
-            score_norm=ScoreNormConfig(kind="none"),
-        )
+        config = PipelineConfig(detector=pair, score_norm=ScoreNormConfig(kind="none"))
         scores = run_pipeline(ds, config)
         assert [r.sample_id for r in scores if r.flagged] == ["qz"]
         # under "none" every normalized score is the raw one, the
@@ -631,8 +614,8 @@ class TestRunPipeline:
             # ill-typed values, one row per kind of field
             (
                 PipelineConfig,
-                {"ensemble_normalized": "false"},
-                "PipelineConfig.ensemble_normalized: expected true or false, got 'false'",
+                {"detector": {"params": {"scaled": "false"}}},
+                "ManhattanDetector.scaled: expected true or false, got 'false'",
             ),
             (PipelineConfig, {"seed": 1.7}, "PipelineConfig.seed: expected an integer, got 1.7"),
             (SynthConfig, {"seed": True}, "SynthConfig.seed: expected an integer, got True"),
@@ -664,6 +647,11 @@ class TestRunPipeline:
             # removed settings are unknown keys, not silently ignored
             (PipelineConfig, {"per_position": True}, "unknown PipelineConfig key(s): per_position"),
             (PipelineConfig, {"merge_shift_keys": True}, "unknown PipelineConfig key(s): merge_shift_keys"),
+            (
+                PipelineConfig,
+                {"ensemble_normalized": False},
+                "unknown PipelineConfig key(s): ensemble_normalized",
+            ),
         ],
     )
     def test_config_rejects_unknown_keys(self, cls, data, message):
@@ -685,7 +673,6 @@ class TestRunPipeline:
                     ),
                 ),
                 score_norm=ScoreNormConfig(kind="minmax", h_s=1.5),
-                ensemble_normalized=True,
                 seed=7,
             ),
             ScoreNormConfig(kind="none"),
@@ -696,13 +683,9 @@ class TestRunPipeline:
     def test_config_json_round_trip(self, config):
         assert type(config).from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
-    @pytest.mark.parametrize("ensemble_normalized", [False, True])
     @pytest.mark.parametrize("n_members", [0, 1])
-    def test_ensemble_needs_two_members(self, n_members, ensemble_normalized):
-        data = {
-            "detector": {"name": "ensemble", "members": [{"name": "manhattan"}] * n_members},
-            "ensemble_normalized": ensemble_normalized,
-        }
+    def test_ensemble_needs_two_members(self, n_members):
+        data = {"detector": {"name": "ensemble", "members": [{"name": "manhattan"}] * n_members}}
         with pytest.raises(ValueError, match="at least 2 members"):
             PipelineConfig.from_dict(data)
 
@@ -758,22 +741,13 @@ class TestStages:
 
     @pytest.mark.parametrize("alignment", ["align", "truncate", "discard"])
     @pytest.mark.parametrize(
-        "detector, ensemble_normalized",
-        [
-            (DetectorConfig(name="manhattan"), False),
-            (DetectorConfig(name="autoencoder", params={"epochs": 8}), False),
-            (PAIR, False),
-            (PAIR, True),
-        ],
-        ids=["manhattan", "autoencoder", "ensemble-raw", "ensemble-normalized"],
+        "detector",
+        [DetectorConfig(name="manhattan"), DetectorConfig(name="autoencoder", params={"epochs": 8}), PAIR],
+        ids=["manhattan", "autoencoder", "ensemble-raw"],
     )
-    def test_every_norm_of_one_fit_equals_run_pipeline(
-        self, one_live_dataset, alignment, detector, ensemble_normalized
-    ):
+    def test_every_norm_of_one_fit_equals_run_pipeline(self, one_live_dataset, alignment, detector):
         # how ablate fills one grid row: prepare and fit once, normalize per kind
-        config = PipelineConfig(
-            alignment=alignment, detector=detector, ensemble_normalized=ensemble_normalized
-        )
+        config = PipelineConfig(alignment=alignment, detector=detector)
         prepared = evaluation.prepare(one_live_dataset, config)
         raws = evaluation.raw_scores(prepared, config)
         n_queries = sum(len(e.queries) for e in one_live_dataset.subjects.values())
@@ -832,8 +806,7 @@ class TestSplitFits:
         assert forks == [w - 1 if _processes._CAN_FORK else 0 for w in TestSplitFits.WORKERS]
         assert_no_child_left()
         for w in TestSplitFits.WORKERS[1:]:
-            for a, b in zip(runs[1], runs[w], strict=True):
-                assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+            assert [a.tobytes() for a in runs[1]] == [b.tobytes() for b in runs[w]]
         return runs
 
     @pytest.mark.parametrize(
@@ -867,8 +840,8 @@ class TestSplitFits:
         counts = [None if p.template_matrix is None else p.template_matrix.shape[0] for p in prepared]
         assert counts == [4, 4, 3, 3, 4, None]
         subjects = self._raws(prepared, config, monkeypatch)[1]
-        assert all(np.isfinite(scores).all() for members in subjects[:5] for scores in members)
-        assert all((scores == SENTINEL_SCORE).all() for scores in subjects[5])
+        assert all(np.isfinite(scores).all() for scores in subjects[:5])
+        assert (subjects[5] == SENTINEL_SCORE).all()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_failed_fit_fails_alike_in_every_split(self, small_dataset, monkeypatch):
@@ -1008,10 +981,9 @@ _IDS = st.text("ab1_", min_size=1, max_size=3)
 @st.composite
 def _stage2(draw):
     """Stage 1 and 2 results as ``prepare`` orders them, with the config
-    that normalizes them: one detector or a two-member ensemble, under
-    every score normalization. Labels are drawn per query; most subjects
-    get both classes, and some draws leave one record unlabeled."""
-    n_members = draw(st.sampled_from([1, 2]))
+    that normalizes them, under every score normalization. Labels are
+    drawn per query; most subjects get both classes, and some draws leave
+    one record unlabeled."""
     prepared, raws = [], []
     for subject_id in sorted(draw(st.sets(_IDS, min_size=1, max_size=4))):
         query_ids = sorted(draw(st.sets(_IDS, min_size=2, max_size=6)))
@@ -1020,18 +992,12 @@ def _stage2(draw):
         if draw(st.integers(0, 7)):  # mostly both classes
             labels[0] = Label.IMPOSTOR if labels[-1] is Label.GENUINE else Label.GENUINE
         prepared.append(evaluation.PreparedSubject(subject_id, query_ids, labels))
-        raws.append([np.array(draw(st.lists(_RAW, min_size=n, max_size=n)), np.float64) for _ in range(n_members)])
+        raws.append(np.array(draw(st.lists(_RAW, min_size=n, max_size=n)), np.float64))
     if not draw(st.integers(0, 7)):
         p = draw(st.sampled_from(prepared))
         p.query_labels[draw(st.integers(0, len(p.query_ids) - 1))] = None
     norm = ScoreNormConfig(kind=draw(st.sampled_from(["none", "minmax", "sd"])))
-    if n_members == 1:
-        config = PipelineConfig(score_norm=norm)
-    else:
-        config = PipelineConfig(
-            detector=TestStages.PAIR, score_norm=norm, ensemble_normalized=draw(st.booleans())
-        )
-    return prepared, raws, config
+    return prepared, raws, PipelineConfig(score_norm=norm)
 
 
 class TestColumnScorePath:
@@ -1041,9 +1007,8 @@ class TestColumnScorePath:
     @given(_stage2(), st.randoms(use_true_random=False))
     def test_matches_the_record_reference(self, stage2, random):
         prepared, raws, config = stage2
-        with np.errstate(invalid="ignore"):  # an ensemble mean of inf and -inf is NaN
-            scores = evaluation.normalize_scores(prepared, raws, config)
-            expected = reference_normalize_scores(prepared, raws, config)
+        scores = evaluation.normalize_scores(prepared, raws, config)
+        expected = reference_normalize_scores(prepared, raws, config)
         assert _record_bits(scores) == _record_bits(expected)
         assert scores.ftc_count == sum(r.flagged for r in expected)
 

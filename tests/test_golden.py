@@ -77,7 +77,7 @@ def _run(out: str) -> dict[str, str]:
 GOLDEN = {
     "<stdout>": "5ba46637a4e4b9370911c88b9538cd8ed7ec8020f3384e97c6887e41f36eeb4c",
     "ablate/ablation.tsv": "bb06505e5e2d0980b371611134bf6b08cdad7d5a369e586f524b3da4d89ff617",
-    "ablate/config.json": "9c8ba3026fceaa55836b28ac297364835df97c6b335dbf9217f0665c67cb0e25",
+    "ablate/config.json": "3b3694058710e0613cf081f54e2e2ea8a7394a353693b6fe31e76c98b4b51899",
     "audit.tsv": "7e0a56ed538155f5a181356ead6913bf0b127b7c1869f3942a3f4992136ac35a",
     "bench/*/*.txt": "b832369a9abd910345e9e48bee622cc3094e8612c7b8c5946762d4c5ca8556c5",
     "bench/config.json": "d949c04646c8ff8ac2cceea6160a567628c51dd8c1ec055d336e5f51d11bf06d",
@@ -92,10 +92,10 @@ GOLDEN = {
     "eer/metrics.tsv": "8407d478d2712ea3a53076d34f7080e811e0943b4cc8346e7bbce97342ceb890",
     "eer/roc.tsv": "f6d8fe2044258af14112c032c8cd8561a6de07b2947898f1d0461a86178541a0",
     "eer/score_hist.csv": "e2f5d2aa6c4741dab095387b4db93ff91c163676f8f43baa2b33435ae3ea95a3",
-    "mc/config.json": "9c8ba3026fceaa55836b28ac297364835df97c6b335dbf9217f0665c67cb0e25",
+    "mc/config.json": "3b3694058710e0613cf081f54e2e2ea8a7394a353693b6fe31e76c98b4b51899",
     "mc/metrics.tsv": "1478c0083c7fb377521c1730d73ce05877e853cef35420b52addbbee0204dece",
     "mc/reps.tsv": "c422e3fe27d77aff7d16144c23bdd8a0b053afbe6e2fe57db24c5a7ccb4d0a2e",
-    "run/config.json": "9c8ba3026fceaa55836b28ac297364835df97c6b335dbf9217f0665c67cb0e25",
+    "run/config.json": "3b3694058710e0613cf081f54e2e2ea8a7394a353693b6fe31e76c98b4b51899",
     "run/metrics.tsv": "8407d478d2712ea3a53076d34f7080e811e0943b4cc8346e7bbce97342ceb890",
     "run/raw_scores.tsv": "868c9afd573ea5b089b95efb2ce7017311dd4105983028a460e93de9aff8375c",
     "run/roc.tsv": "f6d8fe2044258af14112c032c8cd8561a6de07b2947898f1d0461a86178541a0",

@@ -40,7 +40,6 @@ CONFIG_ROWS = {
         ("h_f", 0.0, "h_f"),
         ("detector", "manhattan", "PipelineConfig.detector"),
         ("score_norm", "sd", "PipelineConfig.score_norm"),
-        ("ensemble_normalized", True, "ensemble_normalized"),
         ("seed", ANY),
     ],
     ScoreNormConfig: [
