@@ -484,6 +484,11 @@ class TestErrorHandling:
             ("evaluate", '{"per_position": true}', "unknown PipelineConfig key(s): per_position"),
             ("evaluate", '{"merge_shift_keys": true}', "unknown PipelineConfig key(s): merge_shift_keys"),
             ("evaluate", '{"ensemble_normalized": false}', "unknown PipelineConfig key(s): ensemble_normalized"),
+            (
+                "evaluate",
+                '{"detector": {"name": "ocsvm"}, "ensemble_normalized": true}',
+                "unknown PipelineConfig key(s): ensemble_normalized",
+            ),
             ("evaluate", '{"h_f": NaN}', "PipelineConfig.h_f: expected a finite number, got nan"),
             ("evaluate", '{"score_norm": {"h_s": Infinity}}', "ScoreNormConfig.h_s: expected a finite number, got inf"),
             ("evaluate", "[1, 2]", "PipelineConfig: expected an object, got list"),

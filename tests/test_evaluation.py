@@ -40,7 +40,7 @@ from keygait import (
 from keygait import _processes, evaluation
 from keygait.datasets import attach_labels, read_scores, write_scores, written_scores
 from keygait.evaluation import SENTINEL_SCORE
-from keygait.scorenorm import normalize_minmax, normalize_sd
+from keygait.scorenorm import normalize_minmax, normalize_subject
 
 from oracles import (
     by_subject,
@@ -505,8 +505,12 @@ class TestRunPipeline:
         ],
         ids=["autoencoders", "manhattans"],
     )
-    def test_ensemble_averages_member_scores(self, small_dataset, members):
-        config = PipelineConfig(detector=DetectorConfig(name="ensemble", members=members), seed=5)
+    @pytest.mark.parametrize("kind", ["none", "minmax", "sd"])
+    def test_ensemble_averages_member_scores(self, small_dataset, members, kind):
+        norm = ScoreNormConfig(kind=kind)
+        config = PipelineConfig(
+            detector=DetectorConfig(name="ensemble", members=members), score_norm=norm, seed=5
+        )
         prepared = evaluation.prepare(small_dataset, config)
         # member i is fitted on its own with the subject's seed + 1 + i
         member_scores = [
@@ -522,15 +526,19 @@ class TestRunPipeline:
         scores = run_pipeline(small_dataset, config)
         assert not any(r.flagged for r in scores)
         assert np.array([r.raw_score for r in scores]).tobytes() == mean.tobytes()
+        # the mean is normalized once per subject, as one detector's scores are
         expected, start = [], 0
         for p in prepared:
             stop = start + len(p.query_ids)
-            expected.extend(normalize_sd(mean[start:stop].tolist()))
+            flags = [False] * (stop - start)
+            expected.extend(normalize_subject(p.subject_id, mean[start:stop].tolist(), flags, norm))
             start = stop
         assert expected == [r.normalized_score for r in scores]
 
+    # a flagged record is pinned to 0.0, or kept at the sentinel under "none"
+    @pytest.mark.parametrize("kind, pinned", [("none", SENTINEL_SCORE), ("minmax", 0.0), ("sd", 0.0)])
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    def test_ensemble_mean_overflow_is_flagged(self, monkeypatch):
+    def test_ensemble_mean_overflow_is_flagged(self, monkeypatch, kind, pinned):
         # each member's score is finite, their sum is not
         monkeypatch.setattr(
             ManhattanDetector, "score_all", lambda self, queries: np.full(len(queries), -1.7e308)
@@ -539,12 +547,12 @@ class TestRunPipeline:
             name="ensemble",
             members=(DetectorConfig(name="manhattan"), DetectorConfig(name="manhattan")),
         )
-        config = PipelineConfig(detector=pair, score_norm=ScoreNormConfig(kind="minmax"))
+        config = PipelineConfig(detector=pair, score_norm=ScoreNormConfig(kind=kind))
         scores = run_pipeline(_toy_dataset(), config)
         assert len(scores) == 8
         assert all(r.flagged for r in scores)
         assert all(r.raw_score == SENTINEL_SCORE for r in scores)
-        assert all(r.normalized_score == 0.0 for r in scores)
+        assert all(r.normalized_score == pinned for r in scores)
 
     def test_single_detector_scores_keep_their_bits(self, monkeypatch):
         # a mean of one member would turn -0.0 into 0.0
@@ -650,6 +658,14 @@ class TestRunPipeline:
             (
                 PipelineConfig,
                 {"ensemble_normalized": False},
+                "unknown PipelineConfig key(s): ensemble_normalized",
+            ),
+            (
+                PipelineConfig,
+                {
+                    "detector": {"name": "ensemble", "members": [{"name": "manhattan"}, {"name": "ocsvm"}]},
+                    "ensemble_normalized": True,
+                },
                 "unknown PipelineConfig key(s): ensemble_normalized",
             ),
         ],
