@@ -5,12 +5,12 @@ result can always be traced back to the exact settings that produced it.
 
 One codec gives every config class, and every detector's ``params``, its
 JSON form, read from the fields (or constructor parameters) and their type
-hints. A missing key takes the default; a ``None`` field is left out. A
-bool must be ``true``/``false``, an int an integer (a bool is no int), a
-float a finite number (an integer included), a str a string, a tuple a
-list (of the declared length when fixed), and a nested config or a dict an
-object. An unknown key or any other value raises ValueError naming
-``Class.key``, so a bad setting stops the run instead of changing it.
+hints. A missing key takes the default; a ``None`` field is left out. An
+int must be an integer (a bool is no int), a float a finite number (an
+integer included), a str a string, a tuple a list (of the declared length
+when fixed), and a nested config or a dict an object. An unknown key, a
+key repeated in a file, or any other value raises ValueError naming
+``Class.key`` (or the file and key), so a bad setting stops the run.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 ALIGNMENT_METHODS = ("align", "truncate", "discard")
 SCORE_NORM_KINDS = ("none", "minmax", "sd")
 
-_EXPECTED = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+_EXPECTED = {int: "an integer", float: "a finite number", str: "a string"}
 
 
 def decode_fields(owner: str, hints: dict[str, Any], data: Any) -> dict[str, Any]:
@@ -40,14 +40,14 @@ def decode_fields(owner: str, hints: dict[str, Any], data: Any) -> dict[str, Any
     return {key: _decode(hints[key], value, f"{owner}.{key}") for key, value in data.items()}
 
 
-def _decode(hint: Any, value: Any, where: str) -> Any:
+def _decode(hint: object, value: object, where: str) -> object:
     origin, args = get_origin(hint), get_args(hint)
     if origin is types.UnionType:  # ``X | None``
         if value is None:
             return None
         (hint,) = (a for a in args if a is not type(None))
         return _decode(hint, value, where)
-    if hint is Any or (hint in (bool, int, str) and type(value) is hint):
+    if hint in (int, str) and type(value) is hint:
         return value
     # an exact comparison: False for NaN and for an int too large for a float
     if hint is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
@@ -166,8 +166,15 @@ class PipelineConfig(JsonConfig):
 
 
 def load_config(path: str | Path, cls: type[JsonConfig]) -> Any:
+    def unique(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        keys = [key for key, _ in pairs]
+        for k, key in enumerate(keys):
+            if key in keys[:k]:
+                raise ValueError(f"{path}: duplicate key {key!r}")
+        return dict(pairs)
+
     with open(path, encoding="utf-8") as fh:
-        return cls.from_dict(json.load(fh))
+        return cls.from_dict(json.load(fh, object_pairs_hook=unique))
 
 
 def write_config_snapshot(config: JsonConfig, out_dir: str | Path) -> Path:

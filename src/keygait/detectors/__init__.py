@@ -56,9 +56,10 @@ def build_detector(config: DetectorConfig, seed: int = 0) -> Detector:
     """Instantiate a detector from its config.
 
     Hyperparameters come from ``config.params``, each checked against its
-    field's type hint by the config codec (`config.decode_fields`);
-    ``seed`` overrides any seed in the params so the pipeline's per-subject
-    derivation wins, and is dropped for a detector that takes none. An
+    field's type hint by the config codec (`config.decode_fields`). A
+    config cannot set a detector's seed: ``seed`` in the params is refused
+    like any other unknown parameter, and ``seed`` here, the pipeline's
+    per-subject derivation, goes to a detector that takes one. An
     ``ensemble`` config is combined by ``run_pipeline`` and builds no
     detector.
 
@@ -72,11 +73,10 @@ def build_detector(config: DetectorConfig, seed: int = 0) -> Detector:
             f"unknown detector {config.name!r}; expected one of {DETECTOR_NAMES}"
         )
     hints = _init_hints(cls)
-    params = {k: v for k, v in config.params.items() if k != "seed"}
-    unknown = sorted(set(params) - set(hints))
+    unknown = sorted(set(config.params) - (set(hints) - {"seed"}))
     if unknown:
         raise ValueError(f"detector {config.name!r} takes no parameter(s) {', '.join(unknown)}")
-    params = decode_fields(cls.__name__, hints, params)
+    params = decode_fields(cls.__name__, hints, config.params)
     if "seed" in hints:
         params["seed"] = seed
     return cls(**params)

@@ -383,32 +383,38 @@ def name_length_error(work: Path) -> None:
     assert not (work / "long").exists()
 
 
-def timing_key_error(work: Path) -> None:
-    """The timing model is constants, not settings: its old keys are unknown."""
-    config = work / "timing.json"
-    config.write_text(json.dumps({"letter_duration_ms": 90}), encoding="utf-8")
-    err = _error("synth", "--out", work / "timing", "--config", config)
-    assert err == "error: unknown SynthConfig key(s): letter_duration_ms\n", err
+# (command, config file text, its one error line with {config} for the
+# file's path): each a setting that is gone, or a file that sets one twice
+REMOVED_SETTINGS = (
+    # the timing model is constants, not settings
+    ("synth", {"letter_duration_ms": 90}, "unknown SynthConfig key(s): letter_duration_ms"),
+    ("evaluate", {"per_position": True}, "unknown PipelineConfig key(s): per_position"),
+    ("evaluate", {"ensemble_normalized": False}, "unknown PipelineConfig key(s): ensemble_normalized"),
+    ("evaluate", {"detector": {"params": {"scaled": True}}}, "detector 'manhattan' takes no parameter(s) scaled"),
+    # the pipeline seeds each detector
+    (
+        "evaluate",
+        {"detector": {"name": "autoencoder", "params": {"seed": 5}}},
+        "detector 'autoencoder' takes no parameter(s) seed",
+    ),
+    (
+        "evaluate",
+        '{"alignment": "truncate", "alignment": "align", "detector": {"name": "ocsvm", "name": "manhattan"}}',
+        "{config}: duplicate key 'name'",
+    ),
+)
 
 
-def per_position_key_error(work: Path) -> None:
-    """``per_position`` is gone from ``PipelineConfig``: an old config
-    setting it is an error, and no output directory is made."""
-    config = work / "per_position.json"
-    config.write_text(json.dumps({"per_position": True}), encoding="utf-8")
-    err = _error("evaluate", "--data", _dataset(work), "--out", work / "pp", "--config", config)
-    assert err == "error: unknown PipelineConfig key(s): per_position\n", err
-    assert not (work / "pp").exists()
-
-
-def ensemble_normalized_key_error(work: Path) -> None:
-    """``ensemble_normalized`` is gone from ``PipelineConfig``: an old
-    config setting it is an error, and no output directory is made."""
-    config = work / "ensemble_normalized.json"
-    config.write_text(json.dumps({"ensemble_normalized": False}), encoding="utf-8")
-    err = _error("evaluate", "--data", _dataset(work), "--out", work / "en", "--config", config)
-    assert err == "error: unknown PipelineConfig key(s): ensemble_normalized\n", err
-    assert not (work / "en").exists()
+def removed_setting_errors(work: Path) -> None:
+    """An old config that sets a removed setting, or a config file that
+    repeats a key, is one error line, exit 1, and no output directory."""
+    for k, (command, config, message) in enumerate(REMOVED_SETTINGS):
+        path, out = work / f"removed-{k}.json", work / f"removed-{k}"
+        path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
+        data = ("--data", _dataset(work)) if command == "evaluate" else ()
+        err = _error(command, *data, "--out", out, "--config", path)
+        assert err == f"error: {message.format(config=path)}\n", err
+        assert not out.exists(), out
 
 
 CHECKS = (
@@ -427,9 +433,7 @@ CHECKS = (
     reps_huge,
     victim_synth_reruns,
     name_length_error,
-    timing_key_error,
-    per_position_key_error,
-    ensemble_normalized_key_error,
+    removed_setting_errors,
 )
 
 

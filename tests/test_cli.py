@@ -457,6 +457,25 @@ class TestErrorHandling:
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize(
+        "command, text, key",
+        [
+            # json.load alone would keep the last value of a repeated key
+            ("evaluate", '{"alignment": "truncate", "alignment": "align"}', "alignment"),
+            ("evaluate", '{"detector": {"name": "ocsvm", "name": "manhattan"}}', "name"),
+            ("synth", '{"seed": 1, "n_subjects": 2, "seed": 3}', "seed"),
+        ],
+    )
+    def test_repeated_config_key_is_reported_before_the_dataset_is_loaded(self, tmp_path, capsys, command, text, key):
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text)
+        out = tmp_path / "out"
+        data = ["--data", str(tmp_path / "missing")] if command == "evaluate" else []
+        assert main([command, *data, "--out", str(out), "--config", str(config_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {config_path}: duplicate key {key!r}\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["validate", "--reps", "0"], "repetitions must be positive, got 0"),
@@ -475,12 +494,18 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "command, text, message",
         [
+            # an old config that sets a removed setting
             (
                 "evaluate",
                 '{"detector": {"params": {"scaled": "false"}}}',
-                "ManhattanDetector.scaled: expected true or false, got 'false'",
+                "detector 'manhattan' takes no parameter(s) scaled",
             ),
-            # an old config that sets a removed setting
+            # the pipeline seeds each detector; a config cannot
+            (
+                "evaluate",
+                '{"detector": {"name": "variational", "params": {"seed": 1}}}',
+                "detector 'variational' takes no parameter(s) seed",
+            ),
             ("evaluate", '{"per_position": true}', "unknown PipelineConfig key(s): per_position"),
             ("evaluate", '{"merge_shift_keys": true}', "unknown PipelineConfig key(s): merge_shift_keys"),
             ("evaluate", '{"ensemble_normalized": false}', "unknown PipelineConfig key(s): ensemble_normalized"),

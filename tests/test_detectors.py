@@ -14,12 +14,13 @@ from keygait import (
     DetectorConfig,
     ManhattanDetector,
     OneClassSvm,
+    PipelineConfig,
     TiedAutoencoder,
     TrainingError,
     VariationalAutoencoder,
     build_detector,
 )
-from keygait import detectors
+from keygait import detectors, evaluation
 from keygait.config import decode_fields
 from keygait.detectors import DETECTOR_NAMES, _nn
 from keygait.detectors import autoencoder as ae
@@ -27,6 +28,7 @@ from keygait.detectors import contractive as cae
 from keygait.detectors import variational as vae
 from keygait.detectors.base import MAX_WIDTH
 from keygait.detectors.ocsvm import project_capped_simplex, rbf_kernel
+from keygait.evaluation import derive_seed
 
 from oracles import (
     bisection_capped_simplex,
@@ -62,12 +64,6 @@ class TestManhattan:
         det = ManhattanDetector().fit(np.array([[0.0, 0.0], [2.0, 2.0]]))
         assert det.score(np.array([1.0, 1.0])) == 0.0
         assert det.score(np.array([3.0, 0.0])) == -3.0
-
-    def test_scaled_variant(self):
-        x = np.array([[0.0], [2.0], [4.0]])
-        det = ManhattanDetector(scaled=True).fit(x)
-        # mean 2, mean absolute deviation 4/3
-        assert det.score(np.array([6.0])) == pytest.approx(-4.0 / (4.0 / 3.0))
 
     def test_score_before_fit_raises(self):
         with pytest.raises(RuntimeError):
@@ -125,6 +121,35 @@ class TestTiedAutoencoder:
         X = np.array([[0.5, np.nan, 0.5, 0.5], [0.4, 0.4, 0.4, 0.4]])
         with pytest.raises(TrainingError, match="epoch 0"):
             TiedAutoencoder(epochs=50, seed=0).fit(X)
+
+    def test_default_fit_ends_at_a_higher_loss(self, small_dataset, monkeypatch):
+        # The default (lr 0.5 on a loss summed over the batch) diverges into
+        # tanh saturation: every subject ends its fit with a higher loss than
+        # at epoch 0, and the fit reports success. A fixed default turns this
+        # test around.
+        config = PipelineConfig()
+        prepared = evaluation.prepare(small_dataset, config)
+        last = TiedAutoencoder().epochs - 1
+        losses = {}
+
+        def recording(steps, update, n):
+            def kept(epoch, step):
+                def run():
+                    loss = step()
+                    if epoch in (0, last):
+                        losses[epoch] = loss.copy()  # a buffer the next step overwrites
+                    return loss
+
+                return run
+
+            return _nn.train(((epoch, kept(epoch, step)) for epoch, step in steps), update, n)
+
+        monkeypatch.setattr(ae, "train", recording)
+        # as the pipeline seeds and groups them: every subject has 4 templates
+        detectors = [TiedAutoencoder(seed=derive_seed(config.seed, p.subject_id)) for p in prepared]
+        errors = TiedAutoencoder.fit_group(detectors, [p.template_matrix for p in prepared])
+        assert errors == [None] * len(prepared)
+        assert (losses[last] > losses[0]).all(), losses
 
 
 def _ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -719,14 +744,17 @@ class TestBuildDetector:
         assert det.hidden_sizes == (4, 3)
         assert det.seed == 42
 
-    def test_seed_ignored_for_unseeded_detectors(self):
-        det = build_detector(DetectorConfig(name="manhattan", params={"seed": 5}))
-        assert not hasattr(det, "seed")
+    @pytest.mark.parametrize("name", DETECTOR_NAMES)
+    def test_seed_is_not_a_param(self, name):
+        # the pipeline sets a detector's seed; a config cannot
+        with pytest.raises(ValueError, match=rf"^detector '{name}' takes no parameter\(s\) seed$"):
+            build_detector(DetectorConfig(name=name, params={"seed": 5}), seed=9)
 
     def test_seed_injected_where_the_constructor_takes_one(self):
         for name in ("autoencoder", "contractive", "variational"):
-            assert build_detector(DetectorConfig(name=name, params={"seed": 5}), seed=9).seed == 9
-        assert not hasattr(build_detector(DetectorConfig(name="ocsvm"), seed=9), "seed")
+            assert build_detector(DetectorConfig(name=name), seed=9).seed == 9
+        for name in ("manhattan", "ocsvm"):
+            assert not hasattr(build_detector(DetectorConfig(name=name), seed=9), "seed")
 
     def test_unknown_param_names_the_key(self):
         with pytest.raises(ValueError, match=r"detector 'ocsvm' takes no parameter\(s\) gama$"):
@@ -749,7 +777,8 @@ class TestBuildDetector:
             ),
             ("ocsvm", {"nu": "0.5"}, "OneClassSvm.nu: expected a finite number, got '0.5'"),
             ("ocsvm", {"gamma": float("nan")}, "OneClassSvm.gamma: expected a finite number, got nan"),
-            ("manhattan", {"scaled": "no"}, "ManhattanDetector.scaled: expected true or false, got 'no'"),
+            # a removed setting is an unknown key, whatever its value
+            ("manhattan", {"scaled": "no"}, "detector 'manhattan' takes no parameter(s) scaled"),
             (
                 "variational",
                 {"batch_size": 1.5},
@@ -783,7 +812,6 @@ class TestBuildDetector:
 
 _SCORING = [
     (ManhattanDetector, {}),
-    (ManhattanDetector, {"scaled": True}),
     (OneClassSvm, {}),
     (TiedAutoencoder, {"epochs": 30}),
     (ContractiveAutoencoder, {"hidden_dim": 16, "epochs": 30}),

@@ -501,9 +501,9 @@ class TestRunPipeline:
         "members",
         [
             (DetectorConfig(name="autoencoder", params={"epochs": 8}),) * 2,
-            (DetectorConfig(name="manhattan"), DetectorConfig(name="manhattan", params={"scaled": True})),
+            (DetectorConfig(name="manhattan"), DetectorConfig(name="ocsvm")),
         ],
-        ids=["autoencoders", "manhattans"],
+        ids=["autoencoders", "manhattan_ocsvm"],
     )
     @pytest.mark.parametrize("kind", ["none", "minmax", "sd"])
     def test_ensemble_averages_member_scores(self, small_dataset, members, kind):
@@ -619,12 +619,13 @@ class TestRunPipeline:
             (DetectorConfig, {"name": "ocsvm", "param": {}}, "unknown DetectorConfig key(s): param"),
             (ScoreNormConfig, {"kind": "sd", "h": 1.0, "g": 2}, "unknown ScoreNormConfig key(s): g, h"),
             (SynthConfig, {"n_subject": 3}, "unknown SynthConfig key(s): n_subject"),
-            # ill-typed values, one row per kind of field
+            # a removed setting is an unknown key, whatever its value
             (
                 PipelineConfig,
                 {"detector": {"params": {"scaled": "false"}}},
-                "ManhattanDetector.scaled: expected true or false, got 'false'",
+                "detector 'manhattan' takes no parameter(s) scaled",
             ),
+            # ill-typed values, one row per kind of field
             (PipelineConfig, {"seed": 1.7}, "PipelineConfig.seed: expected an integer, got 1.7"),
             (SynthConfig, {"seed": True}, "SynthConfig.seed: expected an integer, got True"),
             (SynthConfig, {"n_subjects": "5"}, "SynthConfig.n_subjects: expected an integer, got '5'"),
@@ -685,7 +686,7 @@ class TestRunPipeline:
                     name="ensemble",
                     members=(
                         DetectorConfig(name="autoencoder", params={"hidden_sizes": [4, 3]}),
-                        DetectorConfig(name="manhattan", params={"scaled": True}),
+                        DetectorConfig(name="manhattan"),
                     ),
                 ),
                 score_norm=ScoreNormConfig(kind="minmax", h_s=1.5),
